@@ -12,7 +12,7 @@ import (
 // such loop makes results differ between identically seeded runs — the
 // exact failure mode the (model, seed) purity contract rules out.
 //
-// The analyzer looks for four order-sensitive effect classes inside the
+// The analyzer looks for five order-sensitive effect classes inside the
 // loop body (including nested function literals):
 //
 //   - appending to a slice declared outside the loop: element order leaks;
@@ -23,7 +23,9 @@ import (
 //     methods): bytes are emitted in visit order;
 //   - scheduling simulation events (After/At/Spawn/Fire/Send on sim types):
 //     the event queue tie-breaks by insertion order, so scheduling from a
-//     map range perturbs the whole downstream timeline.
+//     map range perturbs the whole downstream timeline;
+//   - calling a method on a *sim.RNG declared outside the loop (a draw, or a
+//     Split that advances it): each key gets the draw of its visit position.
 //
 // Loops whose bodies only do order-independent work (counting into ints,
 // writing other map keys, finding a max) are not flagged. To iterate
@@ -33,8 +35,8 @@ import (
 var MapRange = &Analyzer{
 	Name: "maprange",
 	Doc: "flag map iteration whose body appends to slices, accumulates " +
-		"floats, writes output, or schedules events — iteration order " +
-		"would leak into results; iterate sorted keys instead",
+		"floats, writes output, schedules events, or draws from an outside " +
+		"RNG — iteration order would leak into results; iterate sorted keys instead",
 	Run: runMapRange,
 }
 
@@ -77,7 +79,7 @@ func findOrderEffect(pass *Pass, rs *ast.RangeStmt) string {
 				return false
 			}
 		case *ast.CallExpr:
-			if e := callEffect(pass, n); e != "" {
+			if e := callEffect(pass, rs, n); e != "" {
 				effect = e
 				return false
 			}
@@ -146,7 +148,7 @@ var schedulingMethods = map[string]bool{
 }
 
 // callEffect classifies a call inside the loop body.
-func callEffect(pass *Pass, call *ast.CallExpr) string {
+func callEffect(pass *Pass, rs *ast.RangeStmt, call *ast.CallExpr) string {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return ""
@@ -169,25 +171,31 @@ func callEffect(pass *Pass, call *ast.CallExpr) string {
 	if writerMethods[fn.Name()] {
 		return fmt.Sprintf("writes to a stream via %s in iteration order", exprString(sel))
 	}
-	if schedulingMethods[fn.Name()] && recvFromSim(sig) {
+	simType := recvSimType(sig)
+	if schedulingMethods[fn.Name()] && simType != "" {
 		return fmt.Sprintf("schedules simulation events via %s in iteration order", exprString(sel))
+	}
+	if simType == "RNG" && declaredOutside(pass, rs, sel.X) {
+		return fmt.Sprintf("draws from %s, declared outside the loop, via %s — which key gets which draw depends on visit order", exprString(sel.X), exprString(sel))
 	}
 	return ""
 }
 
-// recvFromSim reports whether the method receiver's named type lives in the
-// simulation core package.
-func recvFromSim(sig *types.Signature) bool {
+// recvSimType returns the name of the method receiver's type when that type
+// lives in the simulation core package, or "".
+func recvSimType(sig *types.Signature) string {
 	t := sig.Recv().Type()
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
 	named, ok := t.(*types.Named)
 	if !ok || named.Obj().Pkg() == nil {
-		return false
+		return ""
 	}
-	path := named.Obj().Pkg().Path()
-	return path == "mklite/internal/sim" || path == "sim"
+	if path := named.Obj().Pkg().Path(); path != "mklite/internal/sim" && path != "sim" {
+		return ""
+	}
+	return named.Obj().Name()
 }
 
 // isBuiltinAppend reports whether call invokes the append builtin.

@@ -80,7 +80,7 @@ func init() {
 var rngDrawMethods = map[string]bool{
 	"Uint64": true, "Float64": true, "Intn": true, "Int63n": true,
 	"Bool": true, "ExpFloat64": true, "NormFloat64": true,
-	"LogNormal": true, "Pareto": true, "Poisson": true,
+	"Pareto": true, "Poisson": true,
 	"Perm": true, "Shuffle": true,
 }
 

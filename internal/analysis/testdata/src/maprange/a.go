@@ -80,3 +80,34 @@ func schedule(e *sim.Engine, m map[string]int) {
 		e.After(d, func() {})
 	}
 }
+
+// Splitting an RNG that outlives the loop hands each key the stream of its
+// visit position: which key gets which stream changes run to run.
+func splitOutside(rng *sim.RNG, m map[string]int) map[string]*sim.RNG {
+	out := make(map[string]*sim.RNG, len(m))
+	for k := range m { // want `draws from rng, declared outside the loop, via rng\.Split`
+		out[k] = rng.Split()
+	}
+	return out
+}
+
+// A draw from an outside RNG inside a nested closure leaks order too.
+func drawInClosure(rng *sim.RNG, m map[string]float64) map[string]float64 {
+	out := make(map[string]float64, len(m))
+	for k, v := range m { // want `draws from rng, declared outside the loop, via rng\.Float64`
+		scale := func() float64 { return v * rng.Float64() }
+		out[k] = scale()
+	}
+	return out
+}
+
+// An RNG created inside the loop from the key's own seed is order-free, and
+// methods of other sim types on outside values draw nothing.
+func drawInside(seeds map[string]uint64, window sim.Duration) map[string]float64 {
+	out := make(map[string]float64, len(seeds))
+	for k, seed := range seeds {
+		r := sim.NewRNG(seed)
+		out[k] = r.Float64() * window.Seconds()
+	}
+	return out
+}

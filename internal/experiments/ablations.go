@@ -2,12 +2,15 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"mklite/internal/hw"
 	"mklite/internal/ihk"
 	"mklite/internal/kernel"
 	"mklite/internal/linuxos"
 	"mklite/internal/noise"
+	"mklite/internal/sched"
 	"mklite/internal/sim"
 	"mklite/internal/stats"
 )
@@ -39,15 +42,17 @@ func Ablations(cfg Config) (AblationResults, error) {
 		SchedulerMakespan: map[string]sim.Duration{},
 	}
 
-	// FWQ: fixed work quanta on one application core per profile.
+	// FWQ: fixed work quanta on one application core per profile. Each
+	// profile takes the next split of rng, so they are visited in sorted
+	// name order: map order would hand them different streams per call.
 	profiles := map[string]*noise.Profile{
 		"linux-tuned":   noise.LinuxTuned(),
 		"linux-untuned": noise.LinuxUntuned(),
 		"mckernel":      noise.McKernelProfile(),
 		"mos":           noise.MOSProfile(),
 	}
-	for name, p := range profiles {
-		fwq := noise.RunFWQ(rng.Split(), p, 1, sim.Millisecond, 5000)
+	for _, name := range slices.Sorted(maps.Keys(profiles)) {
+		fwq := noise.RunFWQ(rng.Split(), profiles[name], 1, sim.Millisecond, 5000)
 		res.FWQNoisePercent[name] = fwq.NoisePercent()
 	}
 
@@ -56,15 +61,22 @@ func Ablations(cfg Config) (AblationResults, error) {
 	res.OffloadRoundTrip["mckernel-proxy"] = kernel.McKernelCosts().SyscallTime(kernel.Offloaded)
 	res.OffloadRoundTrip["mos-migration"] = kernel.MOSCosts().SyscallTime(kernel.Offloaded)
 
-	// Scheduler policies on an 8-task batch of 50 ms tasks.
+	// Scheduler policies on an 8-task batch of 50 ms tasks: McKernel's
+	// cooperative run-to-completion against Linux time sharing with a
+	// 10 ms quantum and a 4 ms tick.
 	tasks := make([]sim.Duration, 8)
 	for i := range tasks {
 		tasks[i] = 50 * sim.Millisecond
 	}
-	res.SchedulerMakespan["cooperative-lwk"] =
-		kernel.RunSchedule(tasks, kernel.CooperativeLWK(kernel.McKernelCosts())).Makespan
-	res.SchedulerMakespan["time-shared-linux"] =
-		kernel.RunSchedule(tasks, kernel.TimeSharing(kernel.LinuxCosts(), 10*sim.Millisecond, 4*sim.Millisecond)).Makespan
+	res.SchedulerMakespan["cooperative-lwk"] = sched.Run(tasks, sched.Coop,
+		sched.Params{ContextSwitch: kernel.McKernelCosts().ContextSwitch}, 0).Makespan
+	linCosts := kernel.LinuxCosts()
+	res.SchedulerMakespan["time-shared-linux"] = sched.Run(tasks, sched.CFS, sched.Params{
+		Quantum:       10 * sim.Millisecond,
+		ContextSwitch: linCosts.ContextSwitch,
+		TickPeriod:    4 * sim.Millisecond,
+		TickOverhead:  linCosts.TickOverhead,
+	}, 0).Makespan
 
 	// IKC queueing: all 64 LWK cores offload simultaneously into one
 	// proxy worker.
@@ -88,6 +100,9 @@ func Ablations(cfg Config) (AblationResults, error) {
 		})
 	}
 	eng.RunUntil(sim.Time(sim.Second))
+	// The offload server's worker process is still parked on its queue;
+	// unwind it so no goroutine outlives the call.
+	eng.Drain()
 	res.IKCQueueingTail = worst
 	return res, nil
 }

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
+	"mklite/internal/sim"
 )
 
 // quick is the test configuration: 3 reps, 3 node counts per app.
@@ -276,6 +280,44 @@ func TestAblations(t *testing.T) {
 	out := RenderAblations(a)
 	if !strings.Contains(out, "FWQ") || !strings.Contains(out, "IKC") {
 		t.Fatal("render")
+	}
+}
+
+// Ablations repeats exactly from call to call and leaves nothing running:
+// the FWQ profiles take their RNG splits in sorted name order (map order
+// would reshuffle which profile gets which stream), and the IKC engine is
+// drained so its offload-server process unwinds. The scheduler makespans
+// are the exact values of the batch the section II ablation describes.
+func TestAblationsDeterministicAndLeakFree(t *testing.T) {
+	first, err := Ablations(quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := first.SchedulerMakespan["cooperative-lwk"]; got != 400*sim.Millisecond+7*sim.Microsecond {
+		t.Errorf("cooperative-lwk makespan %v", got)
+	}
+	if got := first.SchedulerMakespan["time-shared-linux"]; got != 400378078 {
+		t.Errorf("time-shared-linux makespan %v", got)
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		again, err := Ablations(quick())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again, first) {
+			t.Fatalf("call %d differs:\n%+v\nvs first\n%+v", i+2, again, first)
+		}
+	}
+	// A drained process's goroutine may still be returning when Drain
+	// does; yield until those exits land. A leak never settles.
+	after := runtime.NumGoroutine()
+	for i := 0; i < 10000 && after > before; i++ {
+		runtime.Gosched()
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Fatalf("goroutines grew from %d to %d over 5 Ablations calls", before, after)
 	}
 }
 

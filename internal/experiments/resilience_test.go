@@ -16,31 +16,46 @@ import (
 )
 
 // TestResilienceAmplificationGrows pins the resilience experiment's shape:
-// a single fixed-detour straggler's relative poisoning of MiniFE must grow
-// strictly with node count on every kernel — strong scaling shrinks the
-// healthy per-step time while the detour, absorbed at every allreduce,
-// stays fixed.
+// a single fixed-detour straggler's relative poisoning of MiniFE grows with
+// node count — strong scaling shrinks the healthy per-step time while the
+// detour, absorbed at every allreduce, stays fixed.
+//
+// On the LWKs the growth is strict at every step. Linux is held only from
+// the smallest node count to the largest (≈4% → ≈23%): from 256 nodes on,
+// its own max-of-N noise already dominates the step time, so its curve
+// plateaus at 22–24% and adjacent points there order by seed, not by
+// mechanism. Checked at seeds 1–10 (EXPERIMENTS.md E14).
 func TestResilienceAmplificationGrows(t *testing.T) {
-	fig, err := Resilience(Config{Reps: 2, Seed: 1, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Series) != 3 {
-		t.Fatalf("resilience figure has %d series, want 3", len(fig.Series))
-	}
-	for _, s := range fig.Series {
-		if len(s.Points) < 3 {
-			t.Fatalf("%s: %d points, want >= 3 (quick sweep)", s.Name, len(s.Points))
+	for seed := uint64(1); seed <= 10; seed++ {
+		fig, err := Resilience(Config{Reps: 2, Seed: seed, Quick: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := 1; i < len(s.Points); i++ {
-			prev, cur := s.Points[i-1], s.Points[i]
-			if cur.Median <= prev.Median {
-				t.Errorf("%s: slowdown %.3f%% at %d nodes <= %.3f%% at %d nodes; straggler impact must grow with node count",
-					s.Name, cur.Median, cur.Nodes, prev.Median, prev.Nodes)
+		if len(fig.Series) != 3 {
+			t.Fatalf("resilience figure has %d series, want 3", len(fig.Series))
+		}
+		for _, s := range fig.Series {
+			if len(s.Points) < 3 {
+				t.Fatalf("%s: %d points, want >= 3 (quick sweep)", s.Name, len(s.Points))
 			}
-		}
-		if first := s.Points[0].Median; first <= 0 {
-			t.Errorf("%s: non-positive slowdown %.3f%% at %d nodes", s.Name, first, s.Points[0].Nodes)
+			first, last := s.Points[0], s.Points[len(s.Points)-1]
+			if first.Median <= 0 {
+				t.Errorf("seed %d, %s: non-positive slowdown %.3f%% at %d nodes", seed, s.Name, first.Median, first.Nodes)
+			}
+			if s.Name == "Linux" {
+				if last.Median <= first.Median {
+					t.Errorf("seed %d, Linux: slowdown %.3f%% at %d nodes <= %.3f%% at %d nodes; straggler impact must grow with scale",
+						seed, last.Median, last.Nodes, first.Median, first.Nodes)
+				}
+				continue
+			}
+			for i := 1; i < len(s.Points); i++ {
+				prev, cur := s.Points[i-1], s.Points[i]
+				if cur.Median <= prev.Median {
+					t.Errorf("seed %d, %s: slowdown %.3f%% at %d nodes <= %.3f%% at %d nodes; straggler impact must grow with node count",
+						seed, s.Name, cur.Median, cur.Nodes, prev.Median, prev.Nodes)
+				}
+			}
 		}
 	}
 }

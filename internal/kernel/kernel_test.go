@@ -5,6 +5,7 @@ import (
 
 	"mklite/internal/hw"
 	"mklite/internal/mem"
+	"mklite/internal/sched"
 	"mklite/internal/sim"
 )
 
@@ -223,26 +224,35 @@ func TestNearestOSCore(t *testing.T) {
 	}
 }
 
+// schedule runs tasks through the batch view of the kernel policy NewPolicy
+// builds for kind over costs.
+func schedule(t *testing.T, kind sched.Kind, costs Costs, tasks []sim.Duration) sched.Result {
+	t.Helper()
+	pl, err := NewPolicy(kind, costs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl.NewState(1).Schedule(tasks)
+}
+
 func TestCooperativeSchedule(t *testing.T) {
-	cfg := CooperativeLWK(McKernelCosts())
 	tasks := []sim.Duration{10 * sim.Millisecond, 20 * sim.Millisecond, 30 * sim.Millisecond}
-	res := RunSchedule(tasks, cfg)
+	res := schedule(t, sched.Coop, McKernelCosts(), tasks)
 	if res.Switches != 2 {
 		t.Fatalf("switches = %d", res.Switches)
 	}
 	if res.Completion[0] != 10*sim.Millisecond {
 		t.Fatalf("first completion %v", res.Completion[0])
 	}
-	want := 60*sim.Millisecond + 2*cfg.ContextSwitch
+	want := 60*sim.Millisecond + 2*McKernelCosts().ContextSwitch
 	if res.Makespan != want {
 		t.Fatalf("makespan %v, want %v", res.Makespan, want)
 	}
 }
 
 func TestTimeSharedSchedule(t *testing.T) {
-	cfg := TimeSharing(LinuxCosts(), 10*sim.Millisecond, 4*sim.Millisecond)
 	tasks := []sim.Duration{20 * sim.Millisecond, 20 * sim.Millisecond}
-	res := RunSchedule(tasks, cfg)
+	res := schedule(t, sched.CFS, LinuxCosts(), tasks)
 	if res.Switches < 3 {
 		t.Fatalf("time sharing switched only %d times", res.Switches)
 	}
@@ -262,15 +272,15 @@ func TestScheduleOverheadComparison(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = 50 * sim.Millisecond
 	}
-	coop := RunSchedule(tasks, CooperativeLWK(McKernelCosts()))
-	ts := RunSchedule(tasks, TimeSharing(LinuxCosts(), 10*sim.Millisecond, 4*sim.Millisecond))
+	coop := schedule(t, sched.Coop, McKernelCosts(), tasks)
+	ts := schedule(t, sched.CFS, LinuxCosts(), tasks)
 	if coop.Makespan >= ts.Makespan {
 		t.Fatalf("cooperative %v not faster than time-shared %v", coop.Makespan, ts.Makespan)
 	}
 }
 
 func TestScheduleEmpty(t *testing.T) {
-	res := RunSchedule(nil, CooperativeLWK(McKernelCosts()))
+	res := schedule(t, sched.Coop, McKernelCosts(), nil)
 	if res.Makespan != 0 || len(res.Completion) != 0 {
 		t.Fatal("empty schedule")
 	}
@@ -280,59 +290,31 @@ func TestTimeSharedFairness(t *testing.T) {
 	// With equal work and preemption, completions are clustered at the
 	// end rather than strictly serial: the shorter first-completion gap
 	// distinguishes RR from FCFS.
-	cfg := TimeSharing(LinuxCosts(), sim.Millisecond, 0)
-	tasks := []sim.Duration{10 * sim.Millisecond, 10 * sim.Millisecond}
-	res := RunSchedule(tasks, cfg)
+	p := sched.Params{Quantum: sim.Millisecond, ContextSwitch: LinuxCosts().ContextSwitch}
+	res := sched.Run([]sim.Duration{10 * sim.Millisecond, 10 * sim.Millisecond}, sched.CFS, p, 0)
 	gap := res.Makespan - res.Completion[0]
 	if gap > 5*sim.Millisecond {
 		t.Fatalf("completion gap %v too large for RR", gap)
 	}
 }
 
-// Regression for the historical tick model that stretched only compute
-// slices: virtual time spent in context switches is tick-charged too, so a
-// ticked run is slower than a tick-free one by exactly its TickTime, and
-// that TickTime exceeds a compute-only stretch.
-func TestRunScheduleTickChargesSwitchTime(t *testing.T) {
-	cfg := SchedConfig{
-		Preemptive:    true,
-		Timeslice:     10 * sim.Millisecond,
-		ContextSwitch: 2 * sim.Millisecond,
-		TickPeriod:    4 * sim.Millisecond,
-		TickOverhead:  sim.Millisecond,
-	}
-	tasks := []sim.Duration{25 * sim.Millisecond, 25 * sim.Millisecond}
-	res := RunSchedule(tasks, cfg)
-	flat := cfg
-	flat.TickOverhead = 0
-	base := RunSchedule(tasks, flat)
-	if res.TickTime <= 0 {
-		t.Fatal("no tick charged")
-	}
-	if res.Makespan != base.Makespan+res.TickTime {
-		t.Fatalf("makespan %v != tick-free %v + tick %v", res.Makespan, base.Makespan, res.TickTime)
-	}
-	rate := float64(cfg.TickOverhead) / float64(cfg.TickPeriod)
-	if computeOnly := (tasks[0] + tasks[1]).Scale(rate); res.TickTime <= computeOnly {
-		t.Fatalf("tick %v exempts switch time (compute-only stretch %v)", res.TickTime, computeOnly)
-	}
-}
-
+// Linux's time-sharing policy decomposes its overhead into switches and
+// tick time exactly.
 func TestRunScheduleDecomposition(t *testing.T) {
-	cfg := TimeSharing(LinuxCosts(), 10*sim.Millisecond, 4*sim.Millisecond)
-	res := RunSchedule([]sim.Duration{25 * sim.Millisecond, 10 * sim.Millisecond, 7 * sim.Millisecond}, cfg)
+	res := schedule(t, sched.CFS, LinuxCosts(), []sim.Duration{25 * sim.Millisecond, 10 * sim.Millisecond, 7 * sim.Millisecond})
 	if res.TickTime <= 0 || res.Switches == 0 {
 		t.Fatalf("degenerate schedule: %+v", res)
 	}
-	if want := sim.Duration(res.Switches)*cfg.ContextSwitch + res.TickTime; res.Overhead != want {
+	if want := sim.Duration(res.Switches)*LinuxCosts().ContextSwitch + res.TickTime; res.Overhead != want {
 		t.Fatalf("Overhead %v != Switches·ContextSwitch + tick = %v", res.Overhead, want)
 	}
 }
 
+// A lone task under Linux's time-sharing policy never switches; it pays
+// only the tick.
 func TestRunScheduleSingleTaskPreemptive(t *testing.T) {
-	cfg := TimeSharing(LinuxCosts(), 10*sim.Millisecond, 4*sim.Millisecond)
 	task := 25 * sim.Millisecond
-	res := RunSchedule([]sim.Duration{task}, cfg)
+	res := schedule(t, sched.CFS, LinuxCosts(), []sim.Duration{task})
 	if res.Switches != 0 {
 		t.Fatalf("solo task switched %d times", res.Switches)
 	}
@@ -341,24 +323,6 @@ func TestRunScheduleSingleTaskPreemptive(t *testing.T) {
 	}
 	if res.Makespan != task+res.TickTime {
 		t.Fatalf("solo makespan %v, want %v", res.Makespan, task+res.TickTime)
-	}
-}
-
-func TestRunScheduleDegenerateTimeslices(t *testing.T) {
-	tasks := []sim.Duration{10 * sim.Millisecond, 20 * sim.Millisecond}
-	for _, slice := range []sim.Duration{0, -5 * sim.Millisecond} {
-		cfg := SchedConfig{Preemptive: true, Timeslice: slice, ContextSwitch: sim.Microsecond}
-		res := RunSchedule(tasks, cfg)
-		// A non-positive quantum degrades to run-to-completion slices.
-		if res.Switches != 1 {
-			t.Fatalf("timeslice %v: %d switches", slice, res.Switches)
-		}
-		if want := 30*sim.Millisecond + cfg.ContextSwitch; res.Makespan != want {
-			t.Fatalf("timeslice %v: makespan %v, want %v", slice, res.Makespan, want)
-		}
-	}
-	if res := RunSchedule(nil, TimeSharing(LinuxCosts(), 10*sim.Millisecond, 4*sim.Millisecond)); res.Makespan != 0 || len(res.Completion) != 0 {
-		t.Fatal("empty preemptive schedule")
 	}
 }
 

@@ -80,9 +80,8 @@ func sourceMax(rng *sim.RNG, s *Source, ranks int, window sim.Duration) sim.Dura
 	// Base (log-normal) component maximum via inverse CDF.
 	var max sim.Duration
 	if s.CV > 0 {
-		mu, sigma := s.lnParams()
 		u := math.Pow(rng.Float64(), 1/k)
-		max = sim.DurationOf(math.Exp(mu + sigma*normInv(u)))
+		max = sim.DurationOf(s.lnQuantile(u))
 	} else {
 		max = s.Mean
 	}

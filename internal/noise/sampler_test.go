@@ -1,0 +1,238 @@
+package noise
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"mklite/internal/sim"
+)
+
+// This file keeps the retired log-normal sampler — a Marsaglia polar normal
+// draw fed through math.Exp — as the reference the table-driven inverse-CDF
+// sampler in noise.go is held to, the way calqueue_test.go keeps the retired
+// event heap. The two consume different numbers of uniforms, so runs are not
+// draw-for-draw identical; what must hold is equality in distribution, for
+// single detours and for the max-of-K a collective absorbs.
+
+// refLogNormal is the retired sampler: exp(mu + sigma·Z), Z from the polar
+// method.
+func refLogNormal(rng *sim.RNG, mu, sigma float64) float64 {
+	return math.Exp(mu + sigma*rng.NormFloat64())
+}
+
+// refDetour is Source.sampleDetour over the reference sampler.
+func refDetour(rng *sim.RNG, s *Source) sim.Duration {
+	d := s.Mean
+	if s.CV > 0 && s.Mean > 0 {
+		mu, sigma := s.lnParams()
+		d = sim.DurationOf(refLogNormal(rng, mu, sigma))
+	}
+	if s.TailProb > 0 && rng.Bool(s.TailProb) {
+		tail := sim.DurationOf(rng.Pareto(s.TailScale.Seconds(), s.TailAlpha))
+		if s.TailCap > 0 && tail > s.TailCap {
+			tail = s.TailCap
+		}
+		d += tail
+	}
+	return d
+}
+
+// refMaxDetour is the exact per-rank max-of-K path of MaxDetourRank over the
+// reference sampler, on application core 1.
+func refMaxDetour(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) sim.Duration {
+	var worst sim.Duration
+	for r := 0; r < ranks; r++ {
+		var total sim.Duration
+		for i := range p.Sources {
+			s := &p.Sources[i]
+			if !s.appliesTo(1) {
+				continue
+			}
+			for n := s.sampleCount(rng, window); n > 0; n-- {
+				total += refDetour(rng, s)
+			}
+		}
+		worst = max(worst, total)
+	}
+	return worst
+}
+
+// facilityStorm is the co-tenancy daemon storm of fleet.DefaultInterference
+// (2 ms period, 150 µs bursts, CV 0.5), which the fault layer adds to Linux
+// application cores of every shared-node facility job.
+func facilityStorm() Source { return Storm(2*sim.Millisecond, 150*sim.Microsecond, 0.5) }
+
+// ksDistance is the two-sample Kolmogorov–Smirnov statistic: the largest
+// gap between the empirical CDFs of a and b. Both are sorted in place.
+func ksDistance(a, b []float64) float64 {
+	slices.Sort(a)
+	slices.Sort(b)
+	var d float64
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		// Step past every copy of the smaller value in both samples, so
+		// ties (exact zeros, capped tails) count once.
+		x := min(a[i], b[j])
+		for i < len(a) && a[i] == x {
+			i++
+		}
+		for j < len(b) && b[j] == x {
+			j++
+		}
+		d = max(d, math.Abs(float64(i)/float64(len(a))-float64(j)/float64(len(b))))
+	}
+	return d
+}
+
+// ksCritical99 is the two-sample KS critical value at the 1% level:
+// c(α)·√((n+m)/(nm)) with c(0.01) = √(−ln(0.005)/2) ≈ 1.628.
+func ksCritical99(n, m int) float64 {
+	return math.Sqrt(-math.Log(0.005)/2) * math.Sqrt(float64(n+m)/float64(n*m))
+}
+
+func TestLogNormalPositive(t *testing.T) {
+	s := Source{Period: sim.Millisecond, Mean: sim.Microsecond, CV: 1}
+	mu, sigma := s.lnParams()
+	rng, ref := sim.NewRNG(12), sim.NewRNG(12)
+	for i := 0; i < 10000; i++ {
+		if v := s.sampleLogNormal(rng); v <= 0 {
+			t.Fatalf("log-normal sample non-positive: %v", v)
+		}
+		if v := refLogNormal(ref, mu, sigma); v <= 0 {
+			t.Fatalf("reference log-normal sample non-positive: %v", v)
+		}
+	}
+}
+
+// The table sampler draws the same distribution as the reference: the
+// two-sample KS distance over 4×10⁵ draws each stays below the 1% critical
+// value, and the sample mean stays on the source's Mean, at every CV the
+// profiles use and beyond.
+func TestSampleLogNormalMatchesReference(t *testing.T) {
+	const n = 400_000
+	for i, cv := range []float64{0.2, 0.5, 1.0, 1.5} {
+		s := Source{Period: sim.Millisecond, Mean: 100 * sim.Microsecond, CV: cv}
+		mu, sigma := s.lnParams()
+		rng, ref := sim.NewRNG(sim.StreamSeed(21, uint64(i))), sim.NewRNG(sim.StreamSeed(22, uint64(i)))
+		got, want := make([]float64, n), make([]float64, n)
+		mean := 0.0
+		for k := range got {
+			got[k] = s.sampleLogNormal(rng)
+			want[k] = refLogNormal(ref, mu, sigma)
+			mean += got[k] / n
+		}
+		d, crit := ksDistance(got, want), ksCritical99(n, n)
+		t.Logf("CV %.1f: KS %.5f (critical %.5f), mean/Mean %.4f", cv, d, crit, mean/s.Mean.Seconds())
+		if d >= crit {
+			t.Errorf("CV %.1f: KS distance %.5f >= 99%% critical value %.5f", cv, d, crit)
+		}
+		// Relative standard error of the mean is CV/√n ≤ 0.24%.
+		if rel := mean/s.Mean.Seconds() - 1; math.Abs(rel) > 0.01 {
+			t.Errorf("CV %.1f: sample mean off Mean by %.2f%%", cv, 100*rel)
+		}
+	}
+}
+
+// Outside the table's body every draw is the exact inverse CDF of its
+// uniform, bit for bit.
+func TestSampleLogNormalExactTails(t *testing.T) {
+	s := Source{Period: sim.Millisecond, Mean: 200 * sim.Microsecond, CV: 1.0}
+	mu, sigma := s.lnParams()
+	rng, twin := sim.NewRNG(31), sim.NewRNG(31)
+	tails := 0
+	for i := 0; i < 100_000; i++ {
+		u := twin.Float64()
+		got := s.sampleLogNormal(rng)
+		if u >= lnTableLo && u < lnTableHi {
+			continue
+		}
+		tails++
+		if want := math.Exp(mu + sigma*normInv(u)); got != want {
+			t.Fatalf("u=%v: tail draw %v, want exactly %v", u, got, want)
+		}
+	}
+	// 4% of uniforms fall in the tails.
+	if tails < 3500 || tails > 4500 {
+		t.Fatalf("%d tail draws of 100000, want ~4000", tails)
+	}
+	// The table's end knots are the exact quantiles too.
+	if s.lnTab[0] != s.lnQuantile(lnTableLo) || s.lnTab[lnTableSize-1] != s.lnQuantile(lnTableLo+(lnTableSize-1)/lnTableScale) {
+		t.Fatal("table end knots are not the exact quantiles")
+	}
+}
+
+// The max over K ranks of each rank's summed detour — what a collective
+// absorbs — has the same distribution under the table sampler as under the
+// reference, on the facility's noisiest configuration (tuned Linux plus the
+// co-tenancy storm) and without the storm. Every K here takes MaxDetourRank's
+// exact per-rank path.
+func TestMaxDetourMatchesReference(t *testing.T) {
+	stormy := LinuxTuned().WithSource(facilityStorm())
+	for _, tc := range []struct {
+		ranks int
+		n     int // draws per side
+	}{{1, 40_000}, {64, 4_000}, {1024, 1_000}} {
+		for _, window := range []sim.Duration{sim.Millisecond, 50 * sim.Millisecond} {
+			for pi, p := range []*Profile{LinuxTuned(), stormy} {
+				name := fmt.Sprintf("K=%d/window=%v/storm=%v", tc.ranks, window, pi == 1)
+				seed := uint64(tc.ranks)<<8 | uint64(window/sim.Millisecond)<<1 | uint64(pi)
+				rng, ref := sim.NewRNG(sim.StreamSeed(41, seed)), sim.NewRNG(sim.StreamSeed(42, seed))
+				got, want := make([]float64, tc.n), make([]float64, tc.n)
+				for k := range got {
+					got[k] = float64(MaxDetour(rng, p, tc.ranks, window))
+					want[k] = float64(refMaxDetour(ref, p, tc.ranks, window))
+				}
+				d, crit := ksDistance(got, want), ksCritical99(tc.n, tc.n)
+				t.Logf("%s: KS %.4f (critical %.4f)", name, d, crit)
+				if d >= crit {
+					t.Errorf("%s: KS distance %.4f >= 99%% critical value %.4f", name, d, crit)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSampleDetour times one detour draw per source of LinuxTuned and
+// of the facility storm, under the table sampler and the retired reference.
+func BenchmarkSampleDetour(b *testing.B) {
+	p := LinuxTuned().WithSource(facilityStorm())
+	for i := range p.Sources {
+		s := &p.Sources[i]
+		b.Run(s.Name+"/table", func(b *testing.B) {
+			rng := sim.NewRNG(1)
+			for b.Loop() {
+				s.sampleDetour(rng)
+			}
+		})
+		b.Run(s.Name+"/reference", func(b *testing.B) {
+			rng := sim.NewRNG(1)
+			for b.Loop() {
+				refDetour(rng, s)
+			}
+		})
+	}
+}
+
+// BenchmarkMaxDetourRank times one max-of-K draw on LinuxTuned with and
+// without the facility storm. K 64 and 1,024 take the exact per-rank path,
+// 131,072 the order-statistic path.
+func BenchmarkMaxDetourRank(b *testing.B) {
+	for _, storm := range []bool{false, true} {
+		p := LinuxTuned()
+		if storm {
+			p = p.WithSource(facilityStorm())
+		}
+		for _, window := range []sim.Duration{sim.Millisecond, 30 * sim.Millisecond} {
+			for _, k := range []int{64, 1024, 131072} {
+				b.Run(fmt.Sprintf("storm=%v/window=%v/K=%d", storm, window, k), func(b *testing.B) {
+					rng := sim.NewRNG(1)
+					for b.Loop() {
+						MaxDetourRank(rng, p, k, window)
+					}
+				})
+			}
+		}
+	}
+}

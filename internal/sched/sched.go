@@ -18,8 +18,8 @@
 //     deltas on top.
 //
 //   - Schedule: the ablation microbenchmarks run an explicit task list
-//     through the policy on one core (internal/kernel.RunSchedule delegates
-//     here), with full tick and context-switch accounting.
+//     through the policy on one core (State.Schedule, or Run with raw
+//     parameters), with full tick and context-switch accounting.
 //
 // Determinism: a Policy is immutable and safe to share. All per-run mutable
 // state — the adaptive policy's quantum and its seeded hysteresis draws —
@@ -297,8 +297,8 @@ func (s *State) adapt(base sim.Duration) int64 {
 }
 
 // Run schedules tasks under kind with the given raw parameters — no default
-// filling — for callers that model an explicitly-configured scheduler
-// (kernel.RunSchedule maps its legacy SchedConfig through here).
+// filling — for callers that model an explicitly-configured scheduler (the
+// section II scheduler ablation in internal/experiments).
 func Run(tasks []sim.Duration, kind Kind, p Params, seed uint64) Result {
 	st := &State{kind: kind, p: p, q: p.Quantum, rng: sim.NewRNG(seed)}
 	return st.Schedule(tasks)

@@ -216,16 +216,18 @@ func TestScheduleGangPads(t *testing.T) {
 }
 
 func TestScheduleEdgeCases(t *testing.T) {
-	p := Params{Quantum: 0, ContextSwitch: sim.Microsecond,
-		TickPeriod: 4 * sim.Millisecond, TickOverhead: 3 * sim.Microsecond}
-	// Zero quantum: every task runs to completion per slice.
-	res := Run([]sim.Duration{10 * sim.Millisecond, 20 * sim.Millisecond}, CFS, p, 1)
-	if res.Switches != 1 {
-		t.Fatalf("zero quantum switches: %+v", res)
-	}
-	p.Quantum = -5 * sim.Millisecond
-	if res := Run([]sim.Duration{10 * sim.Millisecond, 20 * sim.Millisecond}, CFS, p, 1); res.Switches != 1 {
-		t.Fatalf("negative quantum switches: %+v", res)
+	p := Params{ContextSwitch: sim.Microsecond}
+	// A zero or negative quantum degrades to run-to-completion slices.
+	tasks := []sim.Duration{10 * sim.Millisecond, 20 * sim.Millisecond}
+	for _, q := range []sim.Duration{0, -5 * sim.Millisecond} {
+		p.Quantum = q
+		res := Run(tasks, CFS, p, 1)
+		if res.Switches != 1 {
+			t.Fatalf("quantum %v switches: %+v", q, res)
+		}
+		if want := 30*sim.Millisecond + p.ContextSwitch; res.Makespan != want {
+			t.Fatalf("quantum %v: makespan %v, want %v", q, res.Makespan, want)
+		}
 	}
 	// Empty task list.
 	if res := Run(nil, CFS, p, 1); res.Makespan != 0 || len(res.Completion) != 0 {

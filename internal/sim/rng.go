@@ -125,12 +125,6 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// LogNormal returns a log-normally distributed value with the given
-// parameters of the underlying normal distribution.
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
-}
-
 // Pareto returns a Pareto(xm, alpha) distributed value. Heavy-tailed noise
 // detours (rare long daemon activity) are drawn from this family.
 func (r *RNG) Pareto(xm, alpha float64) float64 {

@@ -181,15 +181,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestLogNormalPositive(t *testing.T) {
-	r := NewRNG(12)
-	for i := 0; i < 10000; i++ {
-		if v := r.LogNormal(0, 1); v <= 0 {
-			t.Fatalf("log-normal sample non-positive: %v", v)
-		}
-	}
-}
-
 func TestParetoBounds(t *testing.T) {
 	r := NewRNG(13)
 	for i := 0; i < 10000; i++ {
