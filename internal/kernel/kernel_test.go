@@ -298,6 +298,34 @@ func TestTimeSharedFairness(t *testing.T) {
 	}
 }
 
+// Regression for the historical tick model that stretched only compute
+// slices: virtual time spent in context switches is tick-charged too, so a
+// ticked run is slower than a tick-free one by exactly its TickTime, and
+// that TickTime exceeds a compute-only stretch.
+func TestRunScheduleTickChargesSwitchTime(t *testing.T) {
+	p := sched.Params{
+		Quantum:       10 * sim.Millisecond,
+		ContextSwitch: 2 * sim.Millisecond,
+		TickPeriod:    4 * sim.Millisecond,
+		TickOverhead:  sim.Millisecond,
+	}
+	tasks := []sim.Duration{25 * sim.Millisecond, 25 * sim.Millisecond}
+	res := sched.Run(tasks, sched.CFS, p, 0)
+	flat := p
+	flat.TickOverhead = 0
+	base := sched.Run(tasks, sched.CFS, flat, 0)
+	if res.TickTime <= 0 {
+		t.Fatal("no tick charged")
+	}
+	if res.Makespan != base.Makespan+res.TickTime {
+		t.Fatalf("makespan %v != tick-free %v + tick %v", res.Makespan, base.Makespan, res.TickTime)
+	}
+	rate := float64(p.TickOverhead) / float64(p.TickPeriod)
+	if computeOnly := (tasks[0] + tasks[1]).Scale(rate); res.TickTime <= computeOnly {
+		t.Fatalf("tick %v exempts switch time (compute-only stretch %v)", res.TickTime, computeOnly)
+	}
+}
+
 // Linux's time-sharing policy decomposes its overhead into switches and
 // tick time exactly.
 func TestRunScheduleDecomposition(t *testing.T) {
@@ -323,6 +351,24 @@ func TestRunScheduleSingleTaskPreemptive(t *testing.T) {
 	}
 	if res.Makespan != task+res.TickTime {
 		t.Fatalf("solo makespan %v, want %v", res.Makespan, task+res.TickTime)
+	}
+}
+
+func TestRunScheduleDegenerateTimeslices(t *testing.T) {
+	tasks := []sim.Duration{10 * sim.Millisecond, 20 * sim.Millisecond}
+	for _, slice := range []sim.Duration{0, -5 * sim.Millisecond} {
+		p := sched.Params{Quantum: slice, ContextSwitch: sim.Microsecond}
+		res := sched.Run(tasks, sched.CFS, p, 0)
+		// A non-positive quantum degrades to run-to-completion slices.
+		if res.Switches != 1 {
+			t.Fatalf("timeslice %v: %d switches", slice, res.Switches)
+		}
+		if want := 30*sim.Millisecond + p.ContextSwitch; res.Makespan != want {
+			t.Fatalf("timeslice %v: makespan %v, want %v", slice, res.Makespan, want)
+		}
+	}
+	if res := schedule(t, sched.CFS, LinuxCosts(), nil); res.Makespan != 0 || len(res.Completion) != 0 {
+		t.Fatal("empty preemptive schedule")
 	}
 }
 
