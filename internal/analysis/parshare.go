@@ -7,12 +7,14 @@ import (
 )
 
 // parFuncs are the fan-out entry points of internal/par whose closure
-// arguments the analyzer inspects.
+// arguments the analyzer inspects: the Map family and the Pipe's Submit,
+// whose job runs on a worker while the submitting loop carries on.
 var parFuncs = map[string]bool{
 	"Map":         true,
 	"MapErr":      true,
 	"MapWidth":    true,
 	"MapWidthErr": true,
+	"Submit":      true,
 }
 
 // sharedTypeGroups lists the types that are per-job state by contract,
@@ -39,14 +41,14 @@ var parFuncs = map[string]bool{
 //     mutable queue/occupancy state. The scheduler's event loop is
 //     sequential by contract; a par worker touching either would make node
 //     placement — and every co-tenancy-scaled interference plan derived
-//     from it — depend on worker scheduling. Launch batches receive
+//     from it — depend on worker scheduling. Launched jobs receive
 //     immutable launch specs instead.
 //   - internal/obs: Timeline and DecisionLog are one observed facility
 //     run's artifact state, fed by the scheduler's sequential commit loop.
 //     A par worker emitting into either would interleave occupancy spans
 //     and decision records in worker order, breaking the byte-identical-
 //     at-any-width contract; workers build job-local rings and counters,
-//     merged in batch order after the join.
+//     merged in launch order when the scheduler resolves each job.
 //   - internal/sched: State is one run's mutable scheduler state — the
 //     adaptive policy's EMA, live quantum and RNG stream all advance on
 //     every Step, so a State shared across par jobs makes quantum
@@ -80,7 +82,7 @@ var ParShare = &Analyzer{
 		"*metrics.Registry (or metrics.Histogram), a *fault.Injector, a " +
 		"*fleet.Scheduler (or fleet.Allocator), an *obs.Timeline (or " +
 		"obs.DecisionLog) or a sched.Policy (or *sched.State) across a " +
-		"par.Map closure, " +
+		"par.Map or par.Pipe.Submit closure, " +
 		"and forbid package-level trace sinks and metrics registries; " +
 		"per-job state is derived inside the job and merged after the join",
 	Run: runParShare,
@@ -147,7 +149,7 @@ func checkGlobalSinks(pass *Pass, f *ast.File) {
 }
 
 // isParCall reports whether call invokes one of internal/par's fan-out
-// functions.
+// functions or Pipe methods.
 func isParCall(pass *Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || !parFuncs[sel.Sel.Name] {
@@ -189,7 +191,7 @@ func checkClosure(pass *Pass, lit *ast.FuncLit) {
 			case isFleetType(v.Type()):
 				hint = "decide placement sequentially before the fan-out and pass immutable launch specs into the closure"
 			case isObsType(v.Type()):
-				hint = "build a job-local trace.NewEvents ring inside the closure and merge it into the timeline/log in batch order after the join"
+				hint = "build a job-local trace.NewEvents ring inside the closure and merge it into the timeline/log in launch order on the scheduler's goroutine"
 			case isSchedType(v.Type()):
 				hint = "derive the policy from the job's kernel inside the closure and seed its state per run: k.Sched().NewState(sim.StreamSeed(seed, sched.StreamState))"
 			}

@@ -37,8 +37,8 @@ func goodJobLocalRingsMergedAfterJoin() *obs.Timeline {
 		return e
 	})
 	for job, e := range rings {
-		// Merge in batch order after the join — the sanctioned pattern.
-		tl.AddJobEvents(job, 0, e.Snapshot(), e.Dropped())
+		// Merge in index order after the join — the sanctioned pattern.
+		tl.FillJobEvents(tl.ReserveJobEvents(job, 0), e.Snapshot(), e.Dropped())
 	}
 	return tl
 }

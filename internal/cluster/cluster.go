@@ -363,3 +363,36 @@ func runAttempt(ctx context.Context, j Job, inj *fault.Injector, attempt int) (r
 	res.Unit = j.App.Unit
 	return res, failNode, failStep, failed, nil
 }
+
+// stepCompute is one timestep's pure-flop time at the given node count —
+// the compute term of every step's composition (stepParts.compute).
+func stepCompute(app *apps.Spec, nodes int) sim.Duration {
+	return sim.DurationOf(app.FlopsPerStep(nodes) / (app.EffGFlops * 1e9))
+}
+
+// MinResident is a provable lower bound on a successful run's
+// Setup + Elapsed, computed without running it: Timesteps x the per-step
+// compute term. Every completed attempt executes all of the application's
+// timesteps, each step's duration is its compute term plus memory, heap,
+// syscall, scheduler, comm and noise terms that are all non-negative, and
+// setup, shm first-touch and fault recovery only add time. When the plan
+// lets the job finish degraded on fewer nodes, the bound takes the smallest
+// compute term over every node count it could shrink to. A job that cannot
+// run (no application, no compute model, no nodes) bounds at 0.
+//
+// Callers that schedule around a run's completion — the facility's
+// lookahead pipeline — may advance their clock up to start + MinResident
+// before they need the actual result.
+func MinResident(j Job) sim.Duration {
+	app := j.App
+	if app == nil || app.FlopsPerStep == nil || app.EffGFlops <= 0 || app.Timesteps <= 0 || j.Nodes <= 0 {
+		return 0
+	}
+	cpu := stepCompute(app, j.Nodes)
+	if p := j.Faults; p != nil && p.NodeFail != nil && p.AllowDegraded {
+		for n := 1; n < j.Nodes; n++ {
+			cpu = min(cpu, stepCompute(app, n))
+		}
+	}
+	return sim.Duration(app.Timesteps) * cpu
+}

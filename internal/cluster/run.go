@@ -178,7 +178,7 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 	yieldTime := k.SyscallTime(kernel.SysSchedYield)
 	brkTime := k.SyscallTime(kernel.SysBrk)
 
-	cpuTime := sim.DurationOf(app.FlopsPerStep(j.Nodes) / (app.EffGFlops * 1e9))
+	cpuTime := stepCompute(app, j.Nodes)
 
 	// When core 0 belongs to the application (no core specialisation —
 	// the 68-core configuration the paper's section III-A discusses),

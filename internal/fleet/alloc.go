@@ -10,9 +10,10 @@ import "fmt"
 //
 // An *Allocator is per-facility-run state, like a *sim.RNG: it must never
 // be captured across internal/par worker closures (mklint's parshare
-// analyzer rejects the capture). The scheduler allocates before a launch
-// batch and frees after the join; worker closures only ever see the
-// resulting immutable launch specs.
+// analyzer rejects the capture). The scheduler allocates before it submits
+// a job to the launch pipeline and frees once the job's resolved completion
+// time is reached; job closures only ever see the resulting immutable
+// launch specs.
 type Allocator struct {
 	share    int
 	occ      []int

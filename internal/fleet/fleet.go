@@ -15,18 +15,25 @@
 //     timestep budgets, walltime safety factors) comes from sim.StreamSeed
 //     sub-streams of Config.Seed; per-job cluster seeds are derived from the
 //     job ID, never from scheduling state, so a job's simulated outcome does
-//     not depend on when — or how wide — the fan-out ran it.
+//     not depend on when — or how wide — the launch pipeline ran it.
 //  2. The facility clock is virtual (sim.Time). Scheduling decisions depend
 //     only on queue state at clock events (arrivals and completions), and
-//     jobs that start at the same virtual instant are executed as one
-//     internal/par batch whose results are joined in job order — byte-
-//     identical at any par width, enforced by determinism tests at widths 1
-//     and GOMAXPROCS under -race.
+//     the scheduler needs a running job's result only for its completion
+//     time. Every launch is therefore submitted to an internal/par Pipe and
+//     the event loop runs ahead of it (conservative lookahead): each job
+//     carries a provable earliest end, start + cluster.MinResident, and
+//     the loop resolves a pending job — and every job launched before it,
+//     in launch order — only once the next clock event reaches that bound.
+//     Which jobs are resolved when is a function of the schedule alone,
+//     never of which results happen to be ready, so a run is byte-identical
+//     at any pipeline width, enforced by determinism tests at widths 1, 2
+//     and 4 under -race and by FuzzFacility. A job that completes before
+//     its bound is a model bug and panics.
 //  3. Scheduler and Allocator are per-facility-run state, like a *sim.RNG
 //     or a *trace.Sink: they must never be captured across internal/par
-//     worker closures. mklint's parshare analyzer rejects the capture; the
-//     worker closures receive immutable launch specs and return results
-//     that are merged after the join.
+//     job closures. mklint's parshare analyzer rejects the capture; the
+//     closures receive immutable launch specs and return results that the
+//     scheduler commits in launch order.
 //
 // Facility metrics flow through the existing observability stack: queue
 // waits feed an internal metrics.Registry histogram (p50/p99 via the same
@@ -71,9 +78,10 @@ type Config struct {
 	// Seed drives every stochastic draw; same (Config, Seed) => identical
 	// Result bytes.
 	Seed uint64
-	// Workers bounds the par fan-out width for same-instant launch
-	// batches (0 = GOMAXPROCS, 1 = sequential). Results are byte-identical
-	// at any width.
+	// Workers bounds the launch pipeline's width: how many launched jobs
+	// execute at once while the event loop runs ahead (0 = GOMAXPROCS,
+	// 1 = sequential, each job run inline at launch). Results are
+	// byte-identical at any width.
 	Workers int
 	// Policy selects the kernel for each launched job; nil selects
 	// Heuristic().
@@ -107,8 +115,8 @@ type Config struct {
 	MinTimesteps int
 	MaxTimesteps int
 	// Counters merges every job's cluster-level mechanism counters (one
-	// trace.Counters per job, created inside the worker closure, merged in
-	// job order after the join) into Result.Counters.
+	// trace.Counters per job, created inside the job closure, merged in
+	// launch order as each job is resolved) into Result.Counters.
 	Counters bool
 	// PerJob records every job's outcome into Result.PerJob.
 	PerJob bool

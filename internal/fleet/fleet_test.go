@@ -12,7 +12,7 @@ import (
 )
 
 // quickCfg is the test-sized facility: big enough to exercise backfill,
-// co-tenancy interference and same-instant batches, small enough to run
+// co-tenancy interference and same-instant launches, small enough to run
 // under -race in CI.
 func quickCfg() Config {
 	return Config{
@@ -46,16 +46,18 @@ func resultBytes(t *testing.T, res *Result) []byte {
 
 // TestWidthEquivalence is the facility-level determinism gate: the full
 // Result — per-job outcomes, merged counters, quantiles — must be
-// byte-identical whether same-instant batches run sequentially or at
-// GOMAXPROCS width.
+// byte-identical whether the launch pipeline runs jobs inline (width 1) or
+// overlaps them at widths 2, 4 and GOMAXPROCS.
 func TestWidthEquivalence(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Workers = 1
 	seq := resultBytes(t, mustRun(t, cfg))
-	cfg.Workers = 0
-	par := resultBytes(t, mustRun(t, cfg))
-	if string(seq) != string(par) {
-		t.Fatalf("facility result differs between widths 1 and GOMAXPROCS:\nseq: %.200s\npar: %.200s", seq, par)
+	for _, w := range []int{2, 4, 0} {
+		cfg.Workers = w
+		par := resultBytes(t, mustRun(t, cfg))
+		if string(seq) != string(par) {
+			t.Fatalf("facility result differs between widths 1 and %d (0 = GOMAXPROCS):\nseq: %.200s\npar: %.200s", w, seq, par)
+		}
 	}
 }
 

@@ -117,7 +117,7 @@ func TestJobCountersWithoutFlat(t *testing.T) {
 
 // TestObsWidthEquivalence: every observability artifact — result (with
 // namespaced counters and SLO report), timeline JSON, decision log JSON —
-// is byte-identical between par widths 1 and GOMAXPROCS.
+// is byte-identical between pipeline widths 1, 4 and GOMAXPROCS.
 func TestObsWidthEquivalence(t *testing.T) {
 	run := func(workers int) (resB, tlB, dlB []byte) {
 		cfg, o := observedCfg()
@@ -135,15 +135,17 @@ func TestObsWidthEquivalence(t *testing.T) {
 		return resultBytes(t, res), o.Timeline.JSON(), dl
 	}
 	res1, tl1, dl1 := run(1)
-	res0, tl0, dl0 := run(0)
-	if !bytes.Equal(res1, res0) {
-		t.Fatal("observed result differs between widths 1 and GOMAXPROCS")
-	}
-	if !bytes.Equal(tl1, tl0) {
-		t.Fatal("timeline JSON differs between widths 1 and GOMAXPROCS")
-	}
-	if !bytes.Equal(dl1, dl0) {
-		t.Fatal("decision log differs between widths 1 and GOMAXPROCS")
+	for _, w := range []int{4, 0} {
+		resW, tlW, dlW := run(w)
+		if !bytes.Equal(res1, resW) {
+			t.Fatalf("observed result differs between widths 1 and %d (0 = GOMAXPROCS)", w)
+		}
+		if !bytes.Equal(tl1, tlW) {
+			t.Fatalf("timeline JSON differs between widths 1 and %d (0 = GOMAXPROCS)", w)
+		}
+		if !bytes.Equal(dl1, dlW) {
+			t.Fatalf("decision log differs between widths 1 and %d (0 = GOMAXPROCS)", w)
+		}
 	}
 }
 

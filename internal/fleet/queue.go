@@ -3,16 +3,18 @@ package fleet
 import (
 	"fmt"
 
+	"mklite/internal/cluster"
 	"mklite/internal/fault"
 	"mklite/internal/kernel"
 	"mklite/internal/obs"
 	"mklite/internal/sched"
 	"mklite/internal/sim"
+	"mklite/internal/trace"
 )
 
-// launch is one job's immutable launch spec: everything a par worker closure
-// needs to execute the job, decided sequentially by the scheduler before the
-// fan-out. Worker closures capture the batch slice, never the Scheduler or
+// launch is one job's immutable launch spec: everything a pipeline job
+// closure needs to execute the job, decided sequentially by the scheduler
+// before submission. Job closures capture the spec, never the Scheduler or
 // Allocator that produced it.
 type launch struct {
 	job    *Job
@@ -26,9 +28,22 @@ type launch struct {
 	backfilled bool
 	// evidence is the reservation snapshot that admitted a backfill launch,
 	// recorded for the decision log (nil unless Observe.Decisions is on and
-	// backfilled is set). Carried here so the commit loop can attach it —
-	// the worker closures never read it.
+	// backfilled is set). Carried here so the launch commit can attach it —
+	// the job closures never read it.
 	evidence *obs.BackfillEvidence
+}
+
+// runJob is the cluster run the launch executes, reporting into sink.
+func (l *launch) runJob(sink *trace.Sink) cluster.Job {
+	return cluster.Job{
+		App:    l.job.App,
+		Kernel: l.kernel,
+		Sched:  l.sched,
+		Nodes:  l.job.Nodes,
+		Seed:   l.job.Seed,
+		Sink:   sink,
+		Faults: l.plan,
+	}
 }
 
 // profile is the slot-availability timeline the backfill pass plans against:
@@ -249,8 +264,8 @@ func (s *Scheduler) checkHeadInvariant(snap availSnapshot, out []*launch, headSt
 // availSnapshot is the facility's slot availability at a pass's start:
 // capacity minus resident jobs, with each running job releasing its slots at
 // its walltime-limit reservation end. Actual completions may come earlier
-// (the scheduler learns exact end times at launch but plans against the
-// limit, like a real conservative-backfill scheduler) — an early finish only
+// (the scheduler learns exact end times when it resolves a job's result but
+// plans against the limit, like a real conservative-backfill scheduler) — an early finish only
 // makes reservations conservative, never wrong. The snapshot is taken before
 // the pass allocates anything, so the invariant check can replay the pass's
 // launches against unmutated availability.

@@ -18,10 +18,10 @@ import (
 // queue, the running set, the node allocator and the metrics being
 // accumulated. Like *sim.RNG and *trace.Sink it is strictly per-run,
 // single-goroutine state — the event loop is sequential, and the only
-// concurrency is the internal/par fan-out over a launch batch, whose worker
-// closures receive immutable launch specs and must never capture the
-// Scheduler or its Allocator (mklint's parshare analyzer rejects the
-// capture).
+// concurrency is the internal/par pipeline that executes launched jobs
+// while the loop runs ahead of them. Its job closures receive immutable
+// launch specs and must never capture the Scheduler or its Allocator
+// (mklint's parshare analyzer rejects the capture).
 type Scheduler struct {
 	cfg   Config
 	alloc *Allocator
@@ -29,6 +29,12 @@ type Scheduler struct {
 	clock   sim.Time
 	queue   []*Job
 	running []*runningJob
+
+	// pipe executes launched jobs in launch order; pending holds the
+	// launched jobs whose results the loop has not needed yet, in launch
+	// order (every one is also in running).
+	pipe    *par.Pipe[runOut]
+	pending []*runningJob
 
 	// busyNodeNs accumulates occupied-nodes x virtual-time, the
 	// utilization numerator (int64 node-nanoseconds).
@@ -39,13 +45,13 @@ type Scheduler struct {
 	counters *trace.Counters // fleet.* + merged per-job counters (cfg.Counters)
 
 	// Observability backends (cfg.Observe) — passive, per-run, nil = off.
-	// Like reg and counters they are scheduler-side state: the commit loop
-	// feeds them after the par join, never the worker closures. The
-	// job-counter view retains each job's own counter set and namespaces it
-	// at result time — building the job/<id>/<name> map inline would put
-	// ~10k map inserts' worth of allocation between launches, polluting the
-	// simulator's caches (the same reason obs.Timeline defers its event
-	// expansion).
+	// Like reg and counters they are scheduler-side state, fed by the
+	// launch and resolve commits on the loop's goroutine, never by the job
+	// closures. The job-counter view retains each job's own counter set and
+	// namespaces it at result time — building the job/<id>/<name> map
+	// inline would put ~10k map inserts' worth of allocation between
+	// launches, polluting the simulator's caches (the same reason
+	// obs.Timeline defers its event expansion).
 	tl       *obs.Timeline
 	dlog     *obs.DecisionLog
 	jobSnaps []jobCounterSnap // per-job counters (Observe.JobCounters)
@@ -63,16 +69,26 @@ type Scheduler struct {
 	launched   int
 }
 
-// runningJob is one resident job: its launch decisions plus the completion
-// time learned from the cluster run at launch.
+// runningJob is one resident job: its launch decisions, its provable
+// earliest completion, its pending result and — once resolved — its actual
+// completion.
 type runningJob struct {
 	job   *Job
 	nodes []int
 	start sim.Time
-	end   sim.Time
+	// minEnd is start + cluster.MinResident: the job cannot complete
+	// before it, so the event loop may run ahead to any instant strictly
+	// earlier without the job's result.
+	minEnd sim.Time
+	// end is the completion time, sim.Never until the result is resolved.
+	end sim.Time
+	fut *par.Future[runOut]
+	// evSlot is the timeline merge slot reserved at launch for the job's
+	// event ring (-1 when job events are off).
+	evSlot int
 }
 
-// jobCounterSnap retains one job's own counter set (built inside the worker
+// jobCounterSnap retains one job's own counter set (built inside the job
 // closure) until result time, when the job/<id>/<name> view is assembled.
 type jobCounterSnap struct {
 	id int
@@ -101,11 +117,22 @@ func newScheduler(cfg Config) *Scheduler {
 }
 
 // run drives the stream to completion. The loop advances the virtual clock
-// to the next event (an arrival or a completion), processes completions then
-// arrivals at that instant, and launches every job the scheduling pass
-// admits as one par batch — so jobs that start at the same virtual instant
-// execute concurrently, joined in batch order.
+// to the next event — an arrival or a resolved completion — processes
+// completions then arrivals at that instant, and submits every job the
+// scheduling pass admits to the launch pipeline without waiting for it.
+//
+// This is conservative lookahead: a pending job cannot complete before its
+// minEnd, so every event strictly earlier than the earliest pending minEnd
+// is decided exactly as if all results were known. When some pending job's
+// minEnd is at or before the next event, its result (and, to commit in
+// launch order, every earlier pending result) is resolved first and the
+// next event re-derived. Which jobs are resolved when depends only on the
+// schedule, never on which results happen to be ready, so the run is
+// byte-identical at any pipeline width.
 func (s *Scheduler) run(stream []*Job) (*Result, error) {
+	s.pipe = par.NewPipe[runOut](s.cfg.Workers)
+	defer s.pipe.Close()
+
 	next := 0
 	for next < len(stream) || len(s.queue) > 0 || len(s.running) > 0 {
 		t := sim.Never
@@ -116,6 +143,12 @@ func (s *Scheduler) run(stream []*Job) (*Result, error) {
 			if r.end.Before(t) {
 				t = r.end
 			}
+		}
+		if due := s.firstDue(t); due >= 0 {
+			if err := s.resolve(due); err != nil {
+				return nil, err
+			}
+			continue
 		}
 		if t == sim.Never {
 			// Queue non-empty with nothing running and nothing arriving:
@@ -136,8 +169,12 @@ func (s *Scheduler) run(stream []*Job) (*Result, error) {
 			s.counters.Add("fleet.sched_passes", 1)
 		}
 		if batch := s.schedulePass(); len(batch) > 0 {
-			if err := s.launch(batch); err != nil {
-				return nil, err
+			for _, l := range batch {
+				s.launch(l)
+			}
+			if s.counters != nil {
+				s.counters.Add("fleet.launch_batches", 1)
+				s.counters.Max("fleet.batch_max", int64(len(batch)))
 			}
 		}
 		// One facility-lane sample per clock event, after the pass's
@@ -148,9 +185,22 @@ func (s *Scheduler) run(stream []*Job) (*Result, error) {
 	return s.result()
 }
 
+// firstDue returns the launch-order index of the first pending job that
+// may complete at or before t (minEnd <= t), or -1 if none can.
+func (s *Scheduler) firstDue(t sim.Time) int {
+	for i, r := range s.pending {
+		if !r.minEnd.After(t) {
+			return i
+		}
+	}
+	return -1
+}
+
 // completeAt frees every job ending at t, in job-ID order so the allocator's
 // occupancy history — and with it every later co-tenancy draw — is a pure
 // function of the schedule, not of the running list's internal order.
+// Pending jobs carry end == sim.Never and are never due here: the loop only
+// reaches t once every job whose minEnd is at or before t is resolved.
 func (s *Scheduler) completeAt(t sim.Time) {
 	var done []*runningJob
 	kept := s.running[:0]
@@ -172,119 +222,97 @@ func (s *Scheduler) completeAt(t sim.Time) {
 	}
 }
 
-// runOut is one worker's return: the cluster result plus the job's own
-// counters and event ring (created inside the closure, merged in batch
-// order after the join).
+// runOut is one job's return: the cluster result plus the job's own
+// counters and event ring (created inside the job closure, merged in
+// launch order when the job is resolved).
 type runOut struct {
 	res      cluster.Result
 	counters *trace.Counters
 	events   *trace.Events
 }
 
-// launch executes one same-instant batch through internal/par and commits
-// the results to the facility state. The worker closure captures only the
-// batch slice and plain locals — never the Scheduler, nor the obs backends
-// (each job builds its own counters and event ring; the commit loop merges
-// them in batch order) — and each job's outcome depends only on its launch
-// spec and its own seed, so the batch is byte-identical at any fan-out
-// width.
-func (s *Scheduler) launch(batch []*launch) error {
-	workers := s.cfg.Workers
+// execute runs one launched job. It reads only the immutable launch spec
+// and builds its own counters and event ring, so its outcome depends only
+// on the spec and the job's own seed — never on when, or on which worker,
+// it runs.
+func execute(l *launch, counting, eventing bool, ringCap int) (runOut, error) {
+	var c *trace.Counters
+	if counting {
+		c = trace.NewCounters()
+	}
+	var ev *trace.Events
+	if eventing {
+		ev = trace.NewEvents(ringCap)
+	}
+	res, err := cluster.Run(l.runJob(trace.NewSink(c, ev)))
+	if err != nil {
+		return runOut{}, fmt.Errorf("fleet: job %d (%s on %s): %w",
+			l.job.ID, l.job.App.Name, kernelName(l.kernel), err)
+	}
+	return runOut{res: res, counters: c, events: ev}, nil
+}
+
+// launch submits one admitted job to the pipeline and commits everything
+// that does not depend on its result: the running entry with its minEnd,
+// the wait histogram, the launch counts and fleet.* counters, the outcome
+// record's launch fields, the decision record and the timeline span — plus
+// the job-events slot, reserved now so the timeline's op order is the
+// launch order whenever the ring arrives. The job closure captures only
+// the launch spec and plain flags, never the Scheduler or the obs backends.
+func (s *Scheduler) launch(l *launch) {
 	counting := s.cfg.Counters || s.cfg.Observe.JobCountersOn()
 	eventing := s.cfg.Observe.JobEventsOn()
 	ringCap := s.cfg.Observe.JobEventRingCap()
-	outs, err := par.MapWidthErr(workers, len(batch), func(i int) (runOut, error) {
-		l := batch[i]
-		var c *trace.Counters
-		if counting {
-			c = trace.NewCounters()
-		}
-		var ev *trace.Events
-		if eventing {
-			ev = trace.NewEvents(ringCap)
-		}
-		res, err := cluster.Run(cluster.Job{
-			App:    l.job.App,
-			Kernel: l.kernel,
-			Sched:  l.sched,
-			Nodes:  l.job.Nodes,
-			Seed:   l.job.Seed,
-			Sink:   trace.NewSink(c, ev),
-			Faults: l.plan,
-		})
-		if err != nil {
-			return runOut{}, fmt.Errorf("fleet: job %d (%s on %s): %w",
-				l.job.ID, l.job.App.Name, kernelName(l.kernel), err)
-		}
-		return runOut{res: res, counters: c, events: ev}, nil
+	fut := s.pipe.Submit(func() (runOut, error) {
+		return execute(l, counting, eventing, ringCap)
 	})
-	if err != nil {
-		return err
+
+	r := &runningJob{
+		job:    l.job,
+		nodes:  l.nodes,
+		start:  s.clock,
+		minEnd: s.clock.Add(cluster.MinResident(l.runJob(nil))),
+		end:    sim.Never,
+		fut:    fut,
+		evSlot: -1,
 	}
+	s.running = append(s.running, r)
+	s.pending = append(s.pending, r)
 
-	for i, l := range batch {
-		out := outs[i]
-		resident := out.res.Setup + out.res.Elapsed
-		end := s.clock.Add(resident)
-		s.running = append(s.running, &runningJob{job: l.job, nodes: l.nodes, start: s.clock, end: end})
-		if end.After(s.lastEnd) {
-			s.lastEnd = end
-		}
-
-		wait := s.clock.Sub(l.job.Arrival)
-		s.reg.Observe("fleet.wait_ns", int64(wait))
-		s.launched++
-		s.kernelJobs[kernelName(l.kernel)]++
-		if l.backfilled {
-			s.backfilled++
-		}
-		if l.plan != nil {
-			s.interfered++
-		}
-		if out.res.Degraded {
-			s.degraded++
-		}
-		s.observeLaunch(l, out)
-		if s.counters != nil {
-			s.counters.Add("fleet.jobs_launched", 1)
-			if l.backfilled {
-				s.counters.Add("fleet.jobs_backfilled", 1)
-			}
-			if l.plan != nil {
-				s.counters.Add("fleet.jobs_interfered", 1)
-			}
-			s.counters.Merge(out.counters)
-		}
-		if s.outcomes != nil {
-			s.outcomes[l.job.ID] = JobOutcome{
-				ID:         l.job.ID,
-				App:        l.job.App.Name,
-				Kernel:     kernelName(l.kernel),
-				Sched:      string(l.sched),
-				Nodes:      l.job.Nodes,
-				Timesteps:  l.job.Timesteps,
-				ArrivalSec: l.job.Arrival.Seconds(),
-				StartSec:   s.clock.Seconds(),
-				WaitSec:    wait.Seconds(),
-				ElapsedSec: resident.Seconds(),
-				FOM:        out.res.FOM,
-				Backfilled: l.backfilled,
-				Cotenancy:  l.cotenancy,
-			}
-		}
+	wait := s.clock.Sub(l.job.Arrival)
+	s.reg.Observe("fleet.wait_ns", int64(wait))
+	s.launched++
+	s.kernelJobs[kernelName(l.kernel)]++
+	if l.backfilled {
+		s.backfilled++
+	}
+	if l.plan != nil {
+		s.interfered++
 	}
 	if s.counters != nil {
-		s.counters.Add("fleet.launch_batches", 1)
-		s.counters.Max("fleet.batch_max", int64(len(batch)))
+		s.counters.Add("fleet.jobs_launched", 1)
+		if l.backfilled {
+			s.counters.Add("fleet.jobs_backfilled", 1)
+		}
+		if l.plan != nil {
+			s.counters.Add("fleet.jobs_interfered", 1)
+		}
 	}
-	return nil
-}
-
-// observeLaunch commits one launched job to the obs backends: the occupancy
-// span on every allocated node, the job's own event track, the namespaced
-// counter view, and the decision record. Runs in the sequential batch-order
-// commit loop, so every artifact is a pure function of the schedule.
-func (s *Scheduler) observeLaunch(l *launch, out runOut) {
+	if s.outcomes != nil {
+		s.outcomes[l.job.ID] = JobOutcome{
+			ID:         l.job.ID,
+			App:        l.job.App.Name,
+			Kernel:     kernelName(l.kernel),
+			Sched:      string(l.sched),
+			Nodes:      l.job.Nodes,
+			Timesteps:  l.job.Timesteps,
+			ArrivalSec: l.job.Arrival.Seconds(),
+			StartSec:   s.clock.Seconds(),
+			WaitSec:    wait.Seconds(),
+			Backfilled: l.backfilled,
+			Cotenancy:  l.cotenancy,
+		}
+	}
 	if s.tl != nil {
 		name := fmt.Sprintf("job %d %s/%s", l.job.ID, l.job.App.Name, kernelName(l.kernel))
 		s.tl.JobStart(int64(s.clock), l.job.ID, name, l.nodes, map[string]int64{
@@ -292,12 +320,9 @@ func (s *Scheduler) observeLaunch(l *launch, out runOut) {
 			"timesteps": int64(l.job.Timesteps),
 			"cotenancy": int64(l.cotenancy),
 		})
-		if out.events != nil {
-			s.tl.AddJobEvents(l.job.ID, int64(s.clock), out.events.Snapshot(), out.events.Dropped())
+		if eventing {
+			r.evSlot = s.tl.ReserveJobEvents(l.job.ID, int64(s.clock))
 		}
-	}
-	if s.cfg.Observe.JobCountersOn() && out.counters != nil {
-		s.jobSnaps = append(s.jobSnaps, jobCounterSnap{id: l.job.ID, c: out.counters})
 	}
 	if s.dlog != nil {
 		d := obs.Decision{
@@ -314,6 +339,55 @@ func (s *Scheduler) observeLaunch(l *launch, out runOut) {
 		}
 		s.dlog.Record(d)
 	}
+}
+
+// resolve waits for the pending jobs up to and including launch-order
+// index last and commits their results in launch order: the completion
+// time, the makespan, the degraded count, the counter merge, the per-job
+// counter snapshot, the outcome's elapsed time and FOM, and the job's
+// event ring. The first failing job in launch order fails the run; the
+// same job fails first at every width, because which jobs are resolved is
+// a function of the schedule alone.
+func (s *Scheduler) resolve(last int) error {
+	for i, r := range s.pending[:last+1] {
+		s.pending[i] = nil
+		out, err := r.fut.Wait()
+		r.fut = nil
+		if err != nil {
+			return err
+		}
+		resident := out.res.Setup + out.res.Elapsed
+		r.end = r.start.Add(resident)
+		if r.end.Before(r.minEnd) {
+			// MinResident is a proof obligation of the cluster model: an
+			// earlier completion means the loop may already have decided
+			// events past it without this job's release.
+			panic(fmt.Sprintf("fleet: job %d completed at %v, before its lower bound %v",
+				r.job.ID, r.end, r.minEnd))
+		}
+		if r.end.After(s.lastEnd) {
+			s.lastEnd = r.end
+		}
+		if out.res.Degraded {
+			s.degraded++
+		}
+		if s.counters != nil {
+			s.counters.Merge(out.counters)
+		}
+		if s.cfg.Observe.JobCountersOn() && out.counters != nil {
+			s.jobSnaps = append(s.jobSnaps, jobCounterSnap{id: r.job.ID, c: out.counters})
+		}
+		if s.outcomes != nil {
+			o := &s.outcomes[r.job.ID]
+			o.ElapsedSec = resident.Seconds()
+			o.FOM = out.res.FOM
+		}
+		if out.events != nil {
+			s.tl.FillJobEvents(r.evSlot, out.events.Snapshot(), out.events.Dropped())
+		}
+	}
+	s.pending = s.pending[last+1:]
+	return nil
 }
 
 // result assembles the facility metrics once the stream has drained.

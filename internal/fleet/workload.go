@@ -32,8 +32,9 @@ type Job struct {
 	// WallLimit is the job's walltime request: a deterministic runtime
 	// estimate times a drawn safety factor. Reservations in the
 	// conservative-backfill pass are sized by it; jobs are never killed
-	// for exceeding it (the scheduler learns exact completion times at
-	// launch, so an overrun only makes a reservation conservative).
+	// for exceeding it (the scheduler learns exact completion times from
+	// the job's result, so an overrun only makes a reservation
+	// conservative).
 	WallLimit sim.Duration
 }
 

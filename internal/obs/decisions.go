@@ -63,8 +63,8 @@ type Decision struct {
 }
 
 // DecisionLog accumulates one observed fleet run's launch decisions in
-// commit order (launch batches are committed in queue order, so the log is
-// a deterministic function of the schedule). Per-run, single-goroutine
+// commit order (the scheduler records each job as it launches it, so the
+// log is a deterministic function of the schedule). Per-run, single-goroutine
 // state; the nil *DecisionLog records nothing.
 type DecisionLog struct {
 	decisions []Decision

@@ -26,9 +26,9 @@
 //     and an observed run's artifacts are byte-identical at any par width.
 //  2. Timeline, DecisionLog and the per-job event rings are per-run,
 //     single-goroutine state — never package globals, never captured across
-//     internal/par worker closures (mklint's parshare analyzer rejects the
-//     capture). Worker closures build their own job-local rings; the
-//     scheduler merges them in job order after the join.
+//     internal/par job closures (mklint's parshare analyzer rejects the
+//     capture). Job closures build their own job-local rings; the
+//     scheduler merges them in launch order as it resolves each job.
 //  3. Off is free. The nil *Timeline, *DecisionLog and *Options are the off
 //     switches: every method is nil-receiver safe and records nothing.
 //
@@ -55,7 +55,7 @@ type Options struct {
 	// Result.Counters is unchanged — the namespaced view is additional.
 	JobCounters bool
 	// JobEvents collects every job's own cluster/kernel trace events into
-	// a job-local ring inside the worker closure and merges them into
+	// a job-local ring inside the job closure and merges them into
 	// Timeline as a per-job track (trace.Rescoped with the job's pid and
 	// launch time). Requires Timeline. Meant for small runs: at facility
 	// scale the per-job detail dwarfs the occupancy spans.

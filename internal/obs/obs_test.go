@@ -76,14 +76,28 @@ func TestTimelineCounterSeries(t *testing.T) {
 	}
 }
 
+// TestTimelineAddJobEvents: a job-events slot reserved at launch and
+// filled after later scheduler events materializes exactly as if the ring
+// had been merged at launch.
 func TestTimelineAddJobEvents(t *testing.T) {
-	tl := NewTimeline(2, 1, 0)
 	jobRing := trace.NewEvents(16)
 	jobRing.Emit(trace.Event{Name: "step", Cat: "phase", Ph: trace.PhBegin, TS: 0, Pid: 0, Tid: 0})
 	jobRing.Emit(trace.Event{Name: "step", Cat: "phase", Ph: trace.PhEnd, TS: 40, Pid: 0, Tid: 0})
+	eager := NewTimeline(2, 1, 0)
+	eager.JobStart(100, 3, "j3", []int{1}, nil)
+	eager.FillJobEvents(eager.ReserveJobEvents(3, 100), jobRing.Snapshot(), jobRing.Dropped())
+	eager.Sample(120, 0, 1)
+	eager.JobEnd(150, 3)
+
+	tl := NewTimeline(2, 1, 0)
 	tl.JobStart(100, 3, "j3", []int{1}, nil)
-	tl.AddJobEvents(3, 100, jobRing.Snapshot(), jobRing.Dropped())
+	slot := tl.ReserveJobEvents(3, 100)
+	tl.Sample(120, 0, 1)
 	tl.JobEnd(150, 3)
+	tl.FillJobEvents(slot, jobRing.Snapshot(), jobRing.Dropped())
+	if !bytes.Equal(tl.JSON(), eager.JSON()) {
+		t.Fatal("late-filled job-events slot materialized differently from an eager merge")
+	}
 
 	var onJobTrack int
 	for _, ev := range tl.Events().Snapshot() {
@@ -104,7 +118,7 @@ func TestTimelineAddJobEvents(t *testing.T) {
 
 func TestTimelineAddJobEventsFoldsDropped(t *testing.T) {
 	tl := NewTimeline(1, 1, 0)
-	tl.AddJobEvents(0, 0, nil, 7)
+	tl.FillJobEvents(tl.ReserveJobEvents(0, 0), nil, 7)
 	if got := tl.Events().Dropped(); got != 7 {
 		t.Fatalf("Dropped() = %d after folding a lossy job ring, want 7", got)
 	}
@@ -115,7 +129,7 @@ func TestTimelineNilSafe(t *testing.T) {
 	tl.JobStart(0, 0, "j", []int{0}, nil)
 	tl.JobEnd(1, 0)
 	tl.Sample(2, 1, 1)
-	tl.AddJobEvents(0, 0, nil, 3)
+	tl.FillJobEvents(tl.ReserveJobEvents(0, 0), nil, 3)
 	if tl.Open() != 0 || tl.Events() != nil || tl.JSON() != nil {
 		t.Fatal("nil Timeline should observe nothing")
 	}

@@ -60,8 +60,8 @@ type Timeline struct {
 
 	ops  []tlOp
 	jobs []jobSpan
-	// merged holds the job-local event batches AddJobEvents received
-	// (Options.JobEvents), rescoped lazily at materialization.
+	// merged holds the job-local event batches (Options.JobEvents), one
+	// per ReserveJobEvents slot, rescoped lazily at materialization.
 	merged  []jobEvents
 	dropped int64
 }
@@ -91,7 +91,7 @@ type jobSpan struct {
 	slot  []int
 }
 
-// jobEvents is one AddJobEvents batch, kept in the job's run-local frame.
+// jobEvents is one job-events merge slot, kept in the job's run-local frame.
 type jobEvents struct {
 	job     int
 	startTS int64
@@ -213,22 +213,35 @@ func (t *Timeline) Sample(ts int64, queueDepth, occupiedNodes int) {
 	t.ops = append(t.ops, tlOp{kind: opSample, ts: ts, a: int64(queueDepth), b: int64(occupiedNodes)})
 }
 
-// AddJobEvents merges a job-local event ring onto the job's own track: every
-// event re-homed to JobPid(job) and shifted from the job's run-local clock
-// onto the facility clock by startTS (the job's launch time). dropped is the
-// job ring's own eviction count, folded into the timeline's so the exported
-// document reports the loss. Call in job (batch) order after the par join —
-// the rings themselves are built inside the worker closures.
-func (t *Timeline) AddJobEvents(job int, startTS int64, evs []trace.Event, dropped int64) {
+// ReserveJobEvents records, at the job's launch, where its job-local event
+// ring merges into the recording log, and returns the slot FillJobEvents
+// later completes once the job has run. Every merged event is re-homed to
+// JobPid(job) and shifted from the job's run-local clock onto the facility
+// clock by startTS (the job's launch time). Reserving in launch order and
+// filling whenever the ring arrives keeps the materialized document
+// identical to merging every ring at launch. Returns -1 on the nil
+// timeline.
+func (t *Timeline) ReserveJobEvents(job int, startTS int64) int {
 	if t == nil {
+		return -1
+	}
+	idx := int32(len(t.merged))
+	t.merged = append(t.merged, jobEvents{job: job, startTS: startTS})
+	t.ops = append(t.ops, tlOp{kind: opMerge, idx: idx})
+	return int(idx)
+}
+
+// FillJobEvents supplies the events of a reserved merge slot. dropped is the
+// job ring's own eviction count, folded into the timeline's so the exported
+// document reports the loss. A slot never filled materializes as empty.
+func (t *Timeline) FillJobEvents(slot int, evs []trace.Event, dropped int64) {
+	if t == nil || slot < 0 {
 		return
 	}
 	if dropped > 0 {
 		t.dropped += dropped
 	}
-	idx := int32(len(t.merged))
-	t.merged = append(t.merged, jobEvents{job: job, startTS: startTS, evs: evs})
-	t.ops = append(t.ops, tlOp{kind: opMerge, idx: idx})
+	t.merged[slot].evs = evs
 }
 
 // materialize replays the op log into a trace ring: the expanded event
