@@ -9,6 +9,7 @@ import (
 	"mklite/internal/mckernel"
 	"mklite/internal/mos"
 	"mklite/internal/sim"
+	"mklite/internal/trace"
 )
 
 func run(t *testing.T, j Job) Result {
@@ -271,6 +272,46 @@ func TestHeapOpsPerStepCalledOnce(t *testing.T) {
 	}
 	if r.Breakdown.Heap <= 0 {
 		t.Fatal("hoisted trace produced no heap time")
+	}
+}
+
+// TestHeapCountersExactWhenMemoized: the LWK heaps go steady after their
+// first growth and the step loop then skips their replay, yet a counting
+// run must still report every brk call of every rank and step — the
+// counters equal the per-step trace replayed ranks × timesteps times.
+func TestHeapCountersExactWhenMemoized(t *testing.T) {
+	app := apps.Lulesh()
+	const nodes = 8
+	var queries, grows, shrinks, grown int64
+	for _, d := range app.HeapOpsPerStep(nodes) {
+		switch {
+		case d == 0:
+			queries++
+		case d > 0:
+			grows++
+			grown += d
+		default:
+			shrinks++
+		}
+	}
+	reps := int64(app.RanksPerNode * app.Timesteps)
+	for _, kt := range []kernel.Type{kernel.TypeLinux, kernel.TypeMcKernel, kernel.TypeMOS} {
+		ctrs := trace.NewCounters()
+		run(t, Job{App: app, Kernel: kt, Nodes: nodes, Seed: 3, Sink: trace.NewSink(ctrs, nil)})
+		for _, c := range []struct {
+			name string
+			want int64
+		}{
+			{"heap.queries", reps * queries},
+			{"heap.grows", reps * grows},
+			{"heap.shrinks", reps * shrinks},
+			{"heap.grown_bytes", reps * grown},
+			{"syscall.brk", reps * (queries + grows + shrinks)},
+		} {
+			if got := ctrs.Get(c.name); got != c.want {
+				t.Errorf("%v: %s = %d, want %d", kt, c.name, got, c.want)
+			}
+		}
 	}
 }
 

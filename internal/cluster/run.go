@@ -246,14 +246,25 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 	// growth; the Linux heap never does (shrink frees pages, so each
 	// balanced cycle faults anew) and keeps paying full price — which is
 	// its cost model. Rank 0 is always replayed so Result.HeapStats keeps
-	// exact whole-run accounting, and memoization is disabled entirely
-	// when counting: the per-call counter emission inside Sbrk/TouchUpTo
-	// is part of the contract then. -1 marks "not steady yet".
-	var heapMemo []sim.Duration
-	if heapOps != nil && !counting {
-		heapMemo = make([]sim.Duration, len(ns.heaps))
-		for i := range heapMemo {
-			heapMemo[i] = -1
+	// exact whole-run accounting. A cost of -1 marks "not steady yet".
+	//
+	// When counting, the per-call counter emission inside Sbrk/TouchUpTo
+	// is part of the contract, so the first replay after a rank goes
+	// steady emits into a private counter set (then merged into the
+	// run's) that holds exactly one steady step's counts; every skipped
+	// step owes those counts again, and they are paid after the loop. A
+	// steady step only adds: it never raises the heap's peak, so it emits
+	// no max-style counter that a merge would sum.
+	type heapMemo struct {
+		cost   sim.Duration
+		counts *trace.Counters // one steady step's counts; nil until captured
+		owed   int64           // skipped steps whose counts are not yet merged
+	}
+	var memo []heapMemo
+	if heapOps != nil {
+		memo = make([]heapMemo, len(ns.heaps))
+		for i := range memo {
+			memo[i].cost = -1
 		}
 	}
 
@@ -271,15 +282,21 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 		var heapMax sim.Duration
 		if heapOps != nil {
 			for ri, h := range ns.heaps {
-				if heapMemo != nil && heapMemo[ri] >= 0 {
-					cost := heapMemo[ri]
-					if cost > heapMax {
-						heapMax = cost
+				m := &memo[ri]
+				if m.cost >= 0 && (!counting || m.counts != nil) {
+					if m.cost > heapMax {
+						heapMax = m.cost
 					}
 					if observing {
-						sink.ObserveRank("heap.cost_ns", ri, int64(cost))
+						sink.ObserveRank("heap.cost_ns", ri, int64(m.cost))
 					}
+					m.owed++
 					continue
+				}
+				capture := m.cost >= 0
+				if capture {
+					m.counts = trace.NewCounters()
+					ns.ranks[ri].as.SetSink(trace.NewSinkObs(m.counts, sink.Events(), sink.Observer()))
 				}
 				sizeBefore := h.Size()
 				var cost sim.Duration
@@ -297,14 +314,18 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 					}
 				}
 				cost += costs.WorkTime(work)
+				if capture {
+					ns.ranks[ri].as.SetSink(sink)
+					sink.Counters().Merge(m.counts)
+				}
 				if cost > heapMax {
 					heapMax = cost
 				}
 				if observing {
 					sink.ObserveRank("heap.cost_ns", ri, int64(cost))
 				}
-				if heapMemo != nil && ri != 0 && h.Size() == sizeBefore && work.PureSyscall() {
-					heapMemo[ri] = cost
+				if ri != 0 && h.Size() == sizeBefore && work.PureSyscall() {
+					m.cost = cost
 				}
 			}
 			if counting {
@@ -504,6 +525,12 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 			res0Steps = append(res0Steps, parts.record())
 		}
 		parts.addTo(&bd)
+	}
+
+	for _, m := range memo {
+		if m.owed > 0 && m.counts != nil {
+			sink.Counters().MergeScaled(m.counts, m.owed)
+		}
 	}
 
 	if stragglerPending > 0 {

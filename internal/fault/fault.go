@@ -25,6 +25,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 
 	"mklite/internal/sim"
 )
@@ -268,6 +269,9 @@ func (p *Plan) Validate() error {
 		if s.Node < 0 {
 			return fmt.Errorf("fault: straggler %d: negative node %d", i, s.Node)
 		}
+		if !finite(s.Factor) {
+			return fmt.Errorf("fault: straggler %d: non-finite factor %g", i, s.Factor)
+		}
 		if s.Factor < 0 || (s.Factor != 0 && s.Factor < 1) {
 			return fmt.Errorf("fault: straggler %d: factor %g must be 0 (unset) or >= 1", i, s.Factor)
 		}
@@ -279,7 +283,7 @@ func (p *Plan) Validate() error {
 		}
 	}
 	if o := p.Offload; o != nil {
-		if o.StallProb < 0 || o.StallProb > 1 {
+		if !finite(o.StallProb) || o.StallProb < 0 || o.StallProb > 1 {
 			return fmt.Errorf("fault: offload stall probability %g outside [0, 1]", o.StallProb)
 		}
 		if o.Stall < 0 {
@@ -290,7 +294,7 @@ func (p *Plan) Validate() error {
 		}
 	}
 	if l := p.Link; l != nil {
-		if l.LossProb < 0 || l.LossProb >= 1 {
+		if !finite(l.LossProb) || l.LossProb < 0 || l.LossProb >= 1 {
 			return fmt.Errorf("fault: link loss probability %g outside [0, 1)", l.LossProb)
 		}
 		if l.Timeout < 0 {
@@ -301,7 +305,7 @@ func (p *Plan) Validate() error {
 		}
 	}
 	if n := p.NodeFail; n != nil {
-		if n.Prob < 0 || n.Prob > 1 {
+		if !finite(n.Prob) || n.Prob < 0 || n.Prob > 1 {
 			return fmt.Errorf("fault: node failure probability %g outside [0, 1]", n.Prob)
 		}
 		if n.FailFirst < 0 {
@@ -311,6 +315,9 @@ func (p *Plan) Validate() error {
 	if s := p.Storm; s != nil {
 		if s.Period < 0 || s.Burst < 0 {
 			return fmt.Errorf("fault: daemon storm with negative period or burst")
+		}
+		if !finite(s.CV) || !finite(s.OffloadFactor) {
+			return fmt.Errorf("fault: daemon storm with non-finite CV %g or offload factor %g", s.CV, s.OffloadFactor)
 		}
 		if s.CV < 0 {
 			return fmt.Errorf("fault: daemon storm with negative CV %g", s.CV)
@@ -327,6 +334,11 @@ func (p *Plan) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf. Every float a Plan
+// carries must be: NaN fails every range comparison, so without this check
+// a NaN probability or factor would pass validation and inject nothing.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // MaxRetries returns the job-level retry bound (with defaults applied); 0
 // when the plan injects no node failures.

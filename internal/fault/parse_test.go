@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -55,6 +56,17 @@ func TestParsePlanNegativeAndOutOfDomain(t *testing.T) {
 		{"straggler:node=-1,factor=2", "negative node"},
 		{"straggler:extra=-5ms", "negative extra detour"},
 		{"straggler:factor=2,start=-3", "negative start step"},
+		// Non-finite values: NaN fails every range comparison and would
+		// otherwise pass as a plan that silently injects nothing.
+		{"straggler:node=0,factor=NaN", "non-finite factor"},
+		{"straggler:factor=+Inf", "non-finite factor"},
+		{"offload:prob=NaN", "outside [0, 1]"},
+		{"link:loss=NaN", "outside [0, 1)"},
+		{"nodefail:prob=NaN", "outside [0, 1]"},
+		{"storm:cv=NaN", "non-finite CV"},
+		{"storm:cv=Inf", "non-finite CV"},
+		{"storm:offload=NaN", "offload factor NaN"},
+		{"storm:offload=+Inf", "offload factor +Inf"},
 	}
 	for _, c := range cases {
 		if _, err := ParsePlan(c.spec); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -111,4 +123,47 @@ func TestParsePlanAccumulatesStragglers(t *testing.T) {
 	if p.Stragglers[0].Factor != 2 || p.Stragglers[1].Extra != sim.Millisecond {
 		t.Fatalf("stragglers %+v", p.Stragglers)
 	}
+}
+
+// FuzzParsePlan: ParsePlan never panics, and every plan it accepts passes
+// Validate with every float field finite. The seed corpus lives in
+// testdata/fuzz/FuzzParsePlan.
+func FuzzParsePlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParsePlan(spec)
+		if err != nil || p == nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("ParsePlan(%q) accepted a plan Validate rejects: %v", spec, err)
+		}
+		for _, x := range floatFields(reflect.ValueOf(p)) {
+			if !finite(x) {
+				t.Fatalf("ParsePlan(%q) accepted a non-finite value %g: %+v", spec, x, p)
+			}
+		}
+	})
+}
+
+// floatFields returns every float64 reachable from v through pointers,
+// slices and struct fields.
+func floatFields(v reflect.Value) []float64 {
+	var out []float64
+	switch v.Kind() {
+	case reflect.Float64:
+		out = append(out, v.Float())
+	case reflect.Pointer:
+		if !v.IsNil() {
+			out = floatFields(v.Elem())
+		}
+	case reflect.Slice:
+		for i := range v.Len() {
+			out = append(out, floatFields(v.Index(i))...)
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			out = append(out, floatFields(v.Field(i))...)
+		}
+	}
+	return out
 }

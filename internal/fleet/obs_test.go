@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"maps"
 	"slices"
@@ -41,6 +42,47 @@ func TestObsDisabledByteInvisible(t *testing.T) {
 		if bytes.Contains(base, []byte(`"`+field+`"`)) {
 			t.Fatalf("disabled run leaked %q into the result JSON", field)
 		}
+	}
+}
+
+// TestObsOffIsByteInvisible is the off-side half of the obs overhead
+// budget, at the benchmark's own scale (the quick facility stream that
+// BenchmarkObsOverhead in the root package times): a run with no
+// observability options and one with a zero-value Options produce identical
+// result bytes — disabled observability leaves no trace in the artifact.
+func TestObsOffIsByteInvisible(t *testing.T) {
+	marshal := func(observe *obs.Options) []byte {
+		cfg := Config{
+			Nodes:    64,
+			Jobs:     150,
+			Seed:     1,
+			Workers:  1,
+			Backfill: true,
+			Share:    2,
+			Counters: true,
+			Observe:  observe,
+		}
+		pol, err := ParsePolicy("heuristic", cfg.Seed, cfg.Workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Policy = pol
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	base := marshal(nil)
+	if zero := marshal(&obs.Options{}); !bytes.Equal(base, zero) {
+		t.Fatal("zero-value obs.Options changed the result bytes")
+	}
+	if bytes.Contains(base, []byte("job_counters")) || bytes.Contains(base, []byte(`"slo"`)) {
+		t.Fatalf("unobserved result leaks observability fields:\n%.300s", base)
 	}
 }
 

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -231,11 +233,45 @@ func TestParseSLO(t *testing.T) {
 }
 
 func TestParseSLOErrors(t *testing.T) {
-	for _, spec := range []string{"", ";;", "wait_p99_sec=2", "<=5", "x<=notanumber"} {
+	for _, spec := range []string{
+		"", ";;", "wait_p99_sec=2", "<=5", "x<=notanumber",
+		// A NaN threshold fails every comparison, ±Inf every or no value.
+		"wait_p99_sec<=NaN", "utilization_pct>=+Inf", "x<=-Inf",
+		// Two operators: the metrics would parse as "a>=1" and "b>=".
+		"a>=1<=2", "b>=<=3",
+	} {
 		if _, err := ParseSLO(spec); err == nil {
 			t.Errorf("ParseSLO(%q) accepted a bad spec", spec)
 		}
 	}
+}
+
+// FuzzParseSLO: ParseSLO never panics; every rule it accepts has a finite
+// threshold and an operator-free metric name; and the rendered String
+// parses back to the same SLO. The seed corpus lives in
+// testdata/fuzz/FuzzParseSLO.
+func FuzzParseSLO(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := ParseSLO(spec)
+		if err != nil {
+			return
+		}
+		for _, r := range s.Rules {
+			if math.IsNaN(r.Threshold) || math.IsInf(r.Threshold, 0) {
+				t.Fatalf("ParseSLO(%q) accepted non-finite threshold in %+v", spec, r)
+			}
+			if strings.Contains(r.Metric, OpLE) || strings.Contains(r.Metric, OpGE) {
+				t.Fatalf("ParseSLO(%q) accepted metric %q containing an operator", spec, r.Metric)
+			}
+		}
+		back, err := ParseSLO(s.String())
+		if err != nil {
+			t.Fatalf("ParseSLO(%q).String() = %q does not parse: %v", spec, s.String(), err)
+		}
+		if !reflect.DeepEqual(back, s) {
+			t.Fatalf("round trip of %q: got %+v, want %+v", spec, back, s)
+		}
+	})
 }
 
 func TestSLOEval(t *testing.T) {

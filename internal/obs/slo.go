@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -14,10 +15,10 @@ import (
 //	wait_p99_sec<=2.5;utilization_pct>=60;degraded_jobs<=0
 //
 // Metric names come from the run's metric-value map (fleet publishes its
-// summary metrics there — see fleet.Result.SLO); thresholds are float64
-// literals. Evaluation is strict: a rule naming a metric the run did not
-// publish is an error, not a silent pass, so a typo cannot masquerade as a
-// green watchdog.
+// summary metrics there — see fleet.Result.SLO); thresholds are finite
+// float64 literals, and a rule holds exactly one operator. Evaluation is
+// strict: a rule naming a metric the run did not publish is an error, not a
+// silent pass, so a typo cannot masquerade as a green watchdog.
 
 // Op values for SLORule.
 const (
@@ -60,9 +61,15 @@ func ParseSLO(spec string) (*SLO, error) {
 		if metric == "" {
 			return nil, fmt.Errorf("obs: SLO rule %q: empty metric name", part)
 		}
+		if strings.Contains(metric, OpLE) || strings.Contains(metric, OpGE) {
+			return nil, fmt.Errorf("obs: SLO rule %q: more than one operator", part)
+		}
 		threshold, err := strconv.ParseFloat(strings.TrimSpace(raw), 64)
 		if err != nil {
 			return nil, fmt.Errorf("obs: SLO rule %q: bad threshold: %w", part, err)
+		}
+		if math.IsNaN(threshold) || math.IsInf(threshold, 0) {
+			return nil, fmt.Errorf("obs: SLO rule %q: non-finite threshold", part)
 		}
 		s.Rules = append(s.Rules, SLORule{Metric: metric, Op: op, Threshold: threshold})
 	}

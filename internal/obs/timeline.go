@@ -46,7 +46,7 @@ const DefaultTimelineCap = 1 << 17
 // recording-side footprint small keeps the simulator's caches clean:
 // emitting the expanded events inline measurably slowed the surrounding
 // simulation even though the timeline's own functions never showed in a
-// CPU profile (BENCH_PR9's obs_on_overhead_percent guards the budget).
+// CPU profile (the root package's BenchmarkObsOverhead guards the budget).
 type Timeline struct {
 	capacity int
 	nodes    int

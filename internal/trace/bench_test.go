@@ -34,8 +34,8 @@ func BenchmarkSinkEventing(b *testing.B) {
 
 // BenchmarkSinkCountingKeyed is the interned fast path: one array index per
 // CountKey. The gap between this and BenchmarkSinkCounting is what the key
-// interning buys at every hot emission site (BENCH_PR4.json's counters
-// budget rides on it).
+// interning buys at every hot emission site (the root package's
+// BenchmarkCountersOverhead budget rides on it).
 func BenchmarkSinkCountingKeyed(b *testing.B) {
 	s := NewSink(NewCounters(), nil)
 	for i := 0; i < b.N; i++ {

@@ -143,18 +143,22 @@ func (c *Counters) Map() map[string]int64 {
 // Merge adds every counter of o into c. Merging is commutative for Add-style
 // counters; callers that mix in Max-style counters should merge in a fixed
 // (index) order anyway, which par's ordered results provide for free.
-func (c *Counters) Merge(o *Counters) {
+func (c *Counters) Merge(o *Counters) { c.MergeScaled(o, 1) }
+
+// MergeScaled adds n times every counter of o into c, the same as n calls
+// to Merge in one pass.
+func (c *Counters) MergeScaled(o *Counters, n int64) {
 	if o == nil {
 		return
 	}
 	for k, t := range o.touched {
 		if t {
-			c.keys[k] += o.keys[k]
+			c.keys[k] += n * o.keys[k]
 			c.touched[k] = true
 		}
 	}
 	for _, k := range slices.Sorted(maps.Keys(o.m)) {
-		c.m[k] += o.m[k]
+		c.m[k] += n * o.m[k]
 	}
 }
 

@@ -4,8 +4,8 @@ package trace
 // counter names the simulation's hot paths emit. Sink.CountKey /
 // Sink.CountMaxKey resolve a Key with one array index instead of hashing a
 // string per emission — the difference between the string-map counting path
-// (+25% on figure4-quick, BENCH_PR3.json) and the ≤5% budget BENCH_PR4.json
-// tracks. Dynamic names (per-noise-source attribution, rare syscalls) keep
+// (+25% on the quick Figure 4 sweep) and the ≤5% counters budget that
+// BenchmarkCountersOverhead enforces. Dynamic names (per-noise-source attribution, rare syscalls) keep
 // using the string API; Counters.Add routes a string that happens to name a
 // Key to the dense slot, so both APIs always agree on the same counter.
 type Key int32

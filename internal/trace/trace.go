@@ -15,8 +15,8 @@
 //     analyzer rejects both.
 //  3. Off is free. The nil *Sink is the off switch: every method is
 //     nil-receiver safe and compiles to a branch, so instrumented hot paths
-//     cost ≤2% when tracing is disabled (BENCH_PR3.json tracks this on the
-//     Figure 4 smoke).
+//     cost one pointer test per site when tracing is disabled
+//     (BenchmarkSinkDisabled).
 //
 // All timestamps are virtual nanoseconds (the same int64 unit as
 // sim.Time); the package deliberately does not import sim so that sim can
