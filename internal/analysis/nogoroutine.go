@@ -9,10 +9,9 @@ import (
 // its bounded worker pool collects results in index order, confines panics,
 // and is covered by the seed-isolation rules the parshare analyzer
 // enforces at every call site. Everything else — model code, experiment
-// generators, commands — must fan out through it. (The one other
-// legitimate `go` in the tree is inside sim.Proc, the cooperative
-// abstraction itself, carrying an explicit //mklint:ignore with the
-// invariant that justifies it.)
+// generators, commands — must fan out through it. (sim.Proc, the
+// cooperative abstraction itself, needs no go statement: its bodies run as
+// iter.Pull coroutines.)
 var goroutineAllowedPackages = []string{
 	"internal/par",
 }

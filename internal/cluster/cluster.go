@@ -94,22 +94,36 @@ func (s StepRecord) Total() sim.Duration {
 	return s.Compute + s.Memory + s.Heap + s.Syscall + s.Sched + s.Comm + s.Noise
 }
 
+// jobDefaults holds the defaults normalized fills in, so a run takes one
+// allocation for all of them.
+type jobDefaults struct {
+	fabric fabric.Spec
+	mck    mckernel.Options
+	mos    mos.Config
+	linux  linuxos.Config
+}
+
 // normalized fills defaults.
 func (j Job) normalized() Job {
+	if j.Fabric != nil && j.McK != nil && j.MOS != nil && j.Linux != nil {
+		return j
+	}
+	d := new(jobDefaults)
 	if j.Fabric == nil {
-		j.Fabric = fabric.OmniPath()
+		d.fabric = *fabric.OmniPath()
+		j.Fabric = &d.fabric
 	}
 	if j.McK == nil {
-		opts := mckernel.DefaultOptions()
-		j.McK = &opts
+		d.mck = mckernel.DefaultOptions()
+		j.McK = &d.mck
 	}
 	if j.MOS == nil {
-		cfg := mos.DefaultConfig()
-		j.MOS = &cfg
+		d.mos = mos.DefaultConfig()
+		j.MOS = &d.mos
 	}
 	if j.Linux == nil {
-		cfg := linuxos.DefaultConfig()
-		j.Linux = &cfg
+		d.linux = linuxos.DefaultConfig()
+		j.Linux = &d.linux
 	}
 	return j
 }

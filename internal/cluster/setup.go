@@ -70,31 +70,28 @@ func (ns *nodeState) buildColumns() {
 	}
 }
 
-// rotateLocalFirst orders domain ids so that the rank's home-quadrant
-// domain of each kind comes first — the NUMA-aware placement both LWKs
-// implement.
-func rotateLocalFirst(ids []int, home int) []int {
-	out := make([]int, 0, len(ids))
+// rotateLocalFirst appends ids to dst with the rank's home-quadrant domain
+// of each kind first — the NUMA-aware placement both LWKs implement.
+func rotateLocalFirst(dst, ids []int, home int) []int {
 	for _, id := range ids {
 		if id == home {
-			out = append(out, id)
+			dst = append(dst, id)
 		}
 	}
 	for _, id := range ids {
 		if id != home {
-			out = append(out, id)
+			dst = append(dst, id)
 		}
 	}
-	return out
+	return dst
 }
 
 // homeDomains maps a rank's quadrant index onto its local DDR domain and
 // the MCDRAM domain nearest to it, for any clustering mode (SNC-4 has four
-// of each; quadrant mode one of each).
-func homeDomains(node *hw.NodeSpec, quad int) (mcHome, ddrHome int) {
-	ddr := node.DomainsOfKind(hw.DDR4)
+// of each; quadrant mode one of each). mc and ddr are the node's MCDRAM and
+// DDR4 domain ids.
+func homeDomains(node *hw.NodeSpec, mc, ddr []int, quad int) (mcHome, ddrHome int) {
 	ddrHome = ddr[quad%len(ddr)]
-	mc := node.DomainsOfKind(hw.MCDRAM)
 	mcHome, err := node.NearestDomain(ddrHome, mc)
 	if err != nil {
 		mcHome = mc[0]
@@ -102,52 +99,92 @@ func homeDomains(node *hw.NodeSpec, quad int) (mcHome, ddrHome int) {
 	return mcHome, ddrHome
 }
 
-// wsPolicy derives the working-set placement policy for one rank,
-// reproducing each kernel's behaviour described in section II-D.
-func wsPolicy(k kernel.Kernel, j Job, quad int, wsBytes int64) mem.Policy {
+// quadOrders are the NUMA preference orders of every rank homed in one
+// quadrant. They are derived once per quadrant of a node, and all of the
+// quadrant's ranks map through the same slices: mem never writes a
+// policy's Domains, and each slice's capacity equals its length, so an
+// append through one rank's policy copies.
+type quadOrders struct {
+	mcHome int
+	// ws is the working-set order; nil keeps the kernel's MapPolicy order.
+	ws []int
+	// heap is the heap order; nil selects the kernel's default.
+	heap []int
+	// shm is the MPI shared-memory window order.
+	shm []int
+}
+
+// newQuadOrders derives quadrant quad's orders, reproducing each kernel's
+// placement behaviour described in section II-D. mc and ddr are the node's
+// MCDRAM and DDR4 domain ids.
+func newQuadOrders(k kernel.Kernel, j Job, mc, ddr []int, quad int) *quadOrders {
 	node := k.Partition().Node
-	mcHome, ddrHome := homeDomains(node, quad)
-	mc := rotateLocalFirst(node.DomainsOfKind(hw.MCDRAM), mcHome)
-	ddr := rotateLocalFirst(node.DomainsOfKind(hw.DDR4), ddrHome)
-	pol := k.MapPolicy(mem.VMAAnon)
+	mcHome, ddrHome := homeDomains(node, mc, ddr, quad)
+	// Local MCDRAM first, then local DDR4 first, in one slice: its two
+	// halves are the per-kind local-first orders.
+	local := make([]int, 0, len(mc)+len(ddr))
+	local = rotateLocalFirst(local, mc, mcHome)
+	local = rotateLocalFirst(local, ddr, ddrHome)
+	mcLocal, ddrLocal := local[:len(mc):len(mc)], local[len(mc):]
 
-	if j.ForceDDROnly {
-		pol.Domains = ddr
-		pol.FallbackDemand = false
-		return pol
+	o := &quadOrders{mcHome: mcHome, shm: local}
+	if j.ForceDDROnly || (k.Type() == kernel.TypeLinux && !fitsInMCDRAM(j)) {
+		// DDR-pinned job (Table I) or a Linux job that cannot express
+		// MCDRAM preference in SNC-4.
+		o.shm = ddrLocal
 	}
-
+	if j.ForceDDROnly {
+		o.ws, o.heap = ddrLocal, ddrLocal
+		return o
+	}
 	switch k.Type() {
 	case kernel.TypeLinux:
 		switch {
 		case fitsInMCDRAM(j):
 			// numactl --membind on the MCDRAM domains: no
 			// fallback needed because the job is sized to fit.
-			pol.Domains = mc
+			o.ws = mcLocal
 		case node.Mode == hw.Quadrant:
 			// In quadrant mode numactl -p can express "prefer
 			// MCDRAM, spill to DDR" — the tuning route the paper
 			// notes most KNL clusters take.
-			pol.Domains = append(append([]int{}, mc...), ddr...)
+			o.ws = local
 		default:
 			// SNC-4 prevents "prefer all MCDRAM, spill to DDR":
 			// the paper runs such jobs from DDR4 only.
-			pol.Domains = ddr
+			o.ws = ddrLocal
 		}
 	case kernel.TypeMcKernel:
-		pol.Domains = append(append([]int{}, mc...), ddr...)
-		// McKernel's distinctive fallback: when the preferred NUMA
-		// domain cannot back the mapping, switch to demand paging
-		// for best-effort placement instead of dividing upfront.
-		if k.Caps().Has(kernel.CapDemandPagingFallback) &&
-			k.Phys().FreeBytes(mcHome) < wsBytes {
-			pol.Demand = true
-		}
+		o.ws = local
 	case kernel.TypeMOS:
 		// Rigid launch-time division respecting NUMA boundaries:
 		// local MCDRAM, then local DDR, then the rest.
-		rest := append(rotateLocalFirst(mc, mcHome)[1:], rotateLocalFirst(ddr, ddrHome)[1:]...)
-		pol.Domains = append([]int{mcHome, ddrHome}, rest...)
+		ws := make([]int, 0, len(local))
+		ws = append(ws, mcHome, ddrHome)
+		ws = append(ws, mcLocal[1:]...)
+		o.ws = append(ws, ddrLocal[1:]...)
+	}
+	return o
+}
+
+// wsPolicy derives one rank's working-set placement policy from the
+// kernel's anonymous-mapping policy and the rank's quadrant orders.
+func wsPolicy(k kernel.Kernel, j Job, anon mem.Policy, o *quadOrders, wsBytes int64) mem.Policy {
+	pol := anon
+	if o.ws != nil {
+		pol.Domains = o.ws
+	}
+	if j.ForceDDROnly {
+		pol.FallbackDemand = false
+		return pol
+	}
+	// McKernel's distinctive fallback: when the preferred NUMA domain
+	// cannot back the mapping, switch to demand paging for best-effort
+	// placement instead of dividing upfront. Free memory shrinks as
+	// ranks map, so this is decided per rank.
+	if k.Type() == kernel.TypeMcKernel && k.Caps().Has(kernel.CapDemandPagingFallback) &&
+		k.Phys().FreeBytes(o.mcHome) < wsBytes {
+		pol.Demand = true
 	}
 	return pol
 }
@@ -167,44 +204,42 @@ func setupNode(k kernel.Kernel, j Job, rng *sim.RNG) (*nodeState, error) {
 	ns := &nodeState{}
 	costs := k.Costs()
 
+	// Everything that is the same for every rank is derived here, once:
+	// the kernel's mapping policies (pure functions of the mapping kind)
+	// and, per quadrant on first use, the NUMA orders.
+	node := k.Partition().Node
+	mc, ddr := node.DomainsOfKind(hw.MCDRAM), node.DomainsOfKind(hw.DDR4)
+	anonPol := k.MapPolicy(mem.VMAAnon)
+	shmPol := k.MapPolicy(mem.VMAShared)
+	var quads [4]*quadOrders
+	ns.ranks = make([]*rankState, 0, app.RanksPerNode)
 	for r := 0; r < app.RanksPerNode; r++ {
 		quad := r * 4 / app.RanksPerNode
+		if quads[quad] == nil {
+			quads[quad] = newQuadOrders(k, j, mc, ddr, quad)
+		}
+		o := quads[quad]
 		rs := &rankState{id: r, homeQuad: quad, as: mem.NewAddrSpace(k.Phys())}
 		// Attach the run's sink before any mapping so placement, fault
 		// and heap counters cover the whole setup.
 		rs.as.SetSink(j.Sink)
 
-		pol := wsPolicy(k, j, quad, ws)
-		v, err := rs.as.Map(ws, mem.VMAAnon, pol)
+		v, err := rs.as.Map(ws, mem.VMAAnon, wsPolicy(k, j, anonPol, o, ws))
 		if err != nil {
 			return nil, fmt.Errorf("cluster: rank %d working set: %w", r, err)
 		}
 		rs.ws = v
 
-		var heapDomains []int
-		if j.ForceDDROnly {
-			_, ddrHome := homeDomains(k.Partition().Node, quad)
-			heapDomains = rotateLocalFirst(k.Partition().Node.DomainsOfKind(hw.DDR4), ddrHome)
-		}
-		h, err := k.NewHeap(rs.as, app.HeapLimitOrDefault(), heapDomains)
+		h, err := k.NewHeap(rs.as, app.HeapLimitOrDefault(), o.heap)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: rank %d heap: %w", r, err)
 		}
 		rs.heap = h
 
 		if app.ShmWindowBytes > 0 {
-			shmPol := k.MapPolicy(mem.VMAShared)
-			node := k.Partition().Node
-			mcHome, ddrHome := homeDomains(node, quad)
-			mcLocal := rotateLocalFirst(node.DomainsOfKind(hw.MCDRAM), mcHome)
-			ddrLocal := rotateLocalFirst(node.DomainsOfKind(hw.DDR4), ddrHome)
-			shmPol.Domains = append(append([]int{}, mcLocal...), ddrLocal...)
-			if j.ForceDDROnly || (k.Type() == kernel.TypeLinux && !fitsInMCDRAM(j)) {
-				// DDR-pinned job (Table I) or a Linux job that
-				// cannot express MCDRAM preference in SNC-4.
-				shmPol.Domains = ddrLocal
-			}
-			sv, err := rs.as.Map(app.ShmWindowBytes, mem.VMAShared, shmPol)
+			pol := shmPol
+			pol.Domains = o.shm
+			sv, err := rs.as.Map(app.ShmWindowBytes, mem.VMAShared, pol)
 			if err != nil {
 				return nil, fmt.Errorf("cluster: rank %d shm window: %w", r, err)
 			}
@@ -326,41 +361,29 @@ func memTimeFor(k kernel.Kernel, j Job, rs *rankState) sim.Duration {
 		ws = float64(rs.ws.Size)
 	}
 
-	// Bytes and page mix by kind for the working-set area.
+	// Bytes, page mix and physical contiguity (extent count) by kind for
+	// the working-set area, in fixed arrays indexed by kind and page size.
 	var mcBytes, ddrBytes float64
-	mixByKind := map[hw.MemKind]map[hw.PageSize]int64{
-		hw.MCDRAM: {}, hw.DDR4: {},
-	}
+	var mix [hw.NumMemKinds][len(hw.PageSizes)]int64
+	var extBytes, extCount [hw.NumMemKinds]int64
 	for _, b := range rs.ws.Backings {
 		d, err := node.Domain(b.Ext.Domain)
 		if err != nil {
 			continue
 		}
-		mixByKind[d.Mem.Kind][b.Page] += b.Ext.Size
-		if d.Mem.Kind == hw.MCDRAM {
+		kind := d.Mem.Kind
+		mix[kind][b.Page.Index()] += b.Ext.Size
+		extBytes[kind] += b.Ext.Size
+		extCount[kind]++
+		if kind == hw.MCDRAM {
 			mcBytes += float64(b.Ext.Size)
 		} else {
 			ddrBytes += float64(b.Ext.Size)
 		}
 	}
 
-	// Physical contiguity per kind (average extent size) feeds the
-	// cache-benefit credit below.
-	type extStat struct{ bytes, count int64 }
-	extStats := map[hw.MemKind]extStat{}
-	for _, b := range rs.ws.Backings {
-		d, err := node.Domain(b.Ext.Domain)
-		if err != nil {
-			continue
-		}
-		e := extStats[d.Mem.Kind]
-		e.bytes += b.Ext.Size
-		e.count++
-		extStats[d.Mem.Kind] = e
-	}
-
 	// Per-rank bandwidth share of each kind, TLB-derated and credited
-	// for physical contiguity.
+	// for physical contiguity (average extent size).
 	bwShare := func(kind hw.MemKind) float64 {
 		var total float64
 		var dev hw.MemDeviceSpec
@@ -371,20 +394,16 @@ func memTimeFor(k kernel.Kernel, j Job, rs *rankState) sim.Duration {
 			}
 		}
 		share := total / float64(app.RanksPerNode)
-		kindBytes := int64(0)
-		frac := map[hw.PageSize]float64{}
-		for _, b := range mixByKind[kind] {
-			kindBytes += b
-		}
-		if kindBytes > 0 {
-			for p, b := range mixByKind[kind] {
-				frac[p] = float64(b) / float64(kindBytes)
+		if kindBytes := extBytes[kind]; kindBytes > 0 {
+			var frac [len(hw.PageSizes)]float64
+			for i, b := range mix[kind] {
+				frac[i] = float64(b) / float64(kindBytes)
 			}
 			derate := node.TLB.EffectiveBandwidth(dev, kindBytes, frac) / dev.StreamBandwidth
 			share *= derate
 		}
-		if e := extStats[kind]; e.count > 0 {
-			share *= contiguityFactor(e.bytes / e.count)
+		if n := extCount[kind]; n > 0 {
+			share *= contiguityFactor(extBytes[kind] / n)
 		}
 		return share * float64(hw.GiB) // bytes/s
 	}

@@ -22,6 +22,10 @@ const (
 	MCDRAM
 )
 
+// NumMemKinds is the number of memory kinds; arrays indexed by MemKind
+// have this length.
+const NumMemKinds = 2
+
 // String returns the conventional name of the memory kind.
 func (k MemKind) String() string {
 	switch k {
@@ -45,6 +49,24 @@ const (
 	Page2M PageSize = 2 << 20
 	Page1G PageSize = 1 << 30
 )
+
+// PageSizes lists the supported page sizes in ascending order. Arrays
+// indexed by PageSize.Index follow this order.
+var PageSizes = [...]PageSize{Page4K, Page2M, Page1G}
+
+// Index returns p's position in PageSizes, or -1 for an unsupported size.
+func (p PageSize) Index() int {
+	switch p {
+	case Page4K:
+		return 0
+	case Page2M:
+		return 1
+	case Page1G:
+		return 2
+	default:
+		return -1
+	}
+}
 
 // String formats the page size in conventional units.
 func (p PageSize) String() string {

@@ -222,6 +222,12 @@ func TestTLBMissRateGrowsOutsideReach(t *testing.T) {
 	}
 }
 
+// pureMix is the page-size mix of a working set mapped entirely with p.
+func pureMix(p PageSize) (frac [len(PageSizes)]float64) {
+	frac[p.Index()] = 1
+	return frac
+}
+
 func TestTLBLargePagesBeatSmallPages(t *testing.T) {
 	// For a 4 GiB working set, 2 MiB pages must deliver strictly higher
 	// effective bandwidth than 4 KiB pages, and 1 GiB at least as high
@@ -229,9 +235,9 @@ func TestTLBLargePagesBeatSmallPages(t *testing.T) {
 	n := KNL7250SNC4()
 	dev := n.Domains[0].Mem
 	ws := int64(4 * GiB)
-	bw4k := n.TLB.EffectiveBandwidth(dev, ws, map[PageSize]float64{Page4K: 1})
-	bw2m := n.TLB.EffectiveBandwidth(dev, ws, map[PageSize]float64{Page2M: 1})
-	bw1g := n.TLB.EffectiveBandwidth(dev, ws, map[PageSize]float64{Page1G: 1})
+	bw4k := n.TLB.EffectiveBandwidth(dev, ws, pureMix(Page4K))
+	bw2m := n.TLB.EffectiveBandwidth(dev, ws, pureMix(Page2M))
+	bw1g := n.TLB.EffectiveBandwidth(dev, ws, pureMix(Page1G))
 	if !(bw4k < bw2m && bw2m <= bw1g) {
 		t.Fatalf("bandwidth ordering violated: 4K=%v 2M=%v 1G=%v", bw4k, bw2m, bw1g)
 	}
@@ -243,10 +249,10 @@ func TestTLBLargePagesBeatSmallPages(t *testing.T) {
 func TestTLBEffectiveBandwidthEdges(t *testing.T) {
 	n := KNL7250SNC4()
 	dev := n.Domains[0].Mem
-	if bw := n.TLB.EffectiveBandwidth(dev, 0, nil); bw != dev.StreamBandwidth {
+	if bw := n.TLB.EffectiveBandwidth(dev, 0, pureMix(Page4K)); bw != dev.StreamBandwidth {
 		t.Fatal("zero working set should return peak bandwidth")
 	}
-	if bw := n.TLB.EffectiveBandwidth(dev, GiB, map[PageSize]float64{}); bw != dev.StreamBandwidth {
+	if bw := n.TLB.EffectiveBandwidth(dev, GiB, [len(PageSizes)]float64{}); bw != dev.StreamBandwidth {
 		t.Fatal("empty mix should return peak bandwidth")
 	}
 }
@@ -260,7 +266,7 @@ func TestEffectiveBandwidthBoundsProperty(t *testing.T) {
 	check := func(wsMiB uint16, pick uint8) bool {
 		ws := int64(wsMiB) * MiB
 		p := sizes[int(pick)%len(sizes)]
-		bw := n.TLB.EffectiveBandwidth(dev, ws, map[PageSize]float64{p: 1})
+		bw := n.TLB.EffectiveBandwidth(dev, ws, pureMix(p))
 		return bw > 0 && bw <= dev.StreamBandwidth+1e-9
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {

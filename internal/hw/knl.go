@@ -1,5 +1,7 @@
 package hw
 
+import "slices"
+
 // Knights Landing (Xeon Phi 7250) presets matching the Oakforest-PACS
 // compute-node configuration of the paper: 68 cores x 4 hyperthreads,
 // 16 GiB MCDRAM + 96 GiB DDR4, flat memory mode.
@@ -37,26 +39,40 @@ const (
 //
 // Logical CPU numbering follows Linux on KNL: CPUs 0..67 are the first
 // hyperthread of each core; siblings are at +68, +136, +204.
+//
+// Every run boots a fresh node, so the spec is built with its final sizes:
+// the core and domain tables are allocated once, and all CPU lists are
+// windows of one backing array, clipped so that an append through one list
+// copies instead of overwriting its neighbour.
 func KNL7250SNC4() *NodeSpec {
 	n := &NodeSpec{
 		Name:           "KNL-7250-SNC4",
 		Mode:           SNC4,
+		Cores:          make([]CoreSpec, 0, knlCores),
+		Domains:        make([]DomainSpec, 0, 8),
 		ThreadsPerCore: knlThreadsPerCore,
 		TLB:            knlTLB(),
 		CoreFreqGHz:    knlFreqGHz,
 	}
+	// Each core's hyperthreads, then each DDR domain's CPUs.
+	cpus := make([]int, 0, 2*knlCores*knlThreadsPerCore)
 	// 68 cores split into quadrants of 17.
 	const perQuad = knlCores / 4
 	for c := 0; c < knlCores; c++ {
-		quad := c / perQuad
-		core := CoreSpec{ID: c, Domain: quad}
+		from := len(cpus)
 		for t := 0; t < knlThreadsPerCore; t++ {
-			core.CPUs = append(core.CPUs, c+t*knlCores)
+			cpus = append(cpus, c+t*knlCores)
 		}
-		n.Cores = append(n.Cores, core)
+		n.Cores = append(n.Cores, CoreSpec{ID: c, Domain: c / perQuad, CPUs: slices.Clip(cpus[from:])})
 	}
 	for q := 0; q < 4; q++ {
-		dom := DomainSpec{
+		from := len(cpus)
+		for c := q * perQuad; c < (q+1)*perQuad; c++ {
+			for t := 0; t < knlThreadsPerCore; t++ {
+				cpus = append(cpus, c+t*knlCores)
+			}
+		}
+		n.Domains = append(n.Domains, DomainSpec{
 			ID: q,
 			Mem: MemDeviceSpec{
 				Kind:            DDR4,
@@ -64,13 +80,8 @@ func KNL7250SNC4() *NodeSpec {
 				StreamBandwidth: knlDDRBWPerQuad,
 				LoadLatency:     knlDDRLatencyNs,
 			},
-		}
-		for c := q * perQuad; c < (q+1)*perQuad; c++ {
-			for t := 0; t < knlThreadsPerCore; t++ {
-				dom.CPUs = append(dom.CPUs, c+t*knlCores)
-			}
-		}
-		n.Domains = append(n.Domains, dom)
+			CPUs: slices.Clip(cpus[from:]),
+		})
 	}
 	for q := 0; q < 4; q++ {
 		n.Domains = append(n.Domains, DomainSpec{
@@ -90,11 +101,14 @@ func KNL7250SNC4() *NodeSpec {
 // snc4Distance builds the 8x8 SLIT-style matrix the OFP nodes report:
 // local 10, remote DDR quadrant 21, own-quadrant MCDRAM 31, remote MCDRAM
 // 41. The >=31 MCDRAM distances are what breaks numactl-based MCDRAM
-// preference on Linux in SNC-4 mode (paper, section II-D3).
+// preference on Linux in SNC-4 mode (paper, section II-D3). The rows are
+// clipped windows of one backing array.
 func snc4Distance() [][]int {
-	d := make([][]int, 8)
+	const n = 8
+	cells := make([]int, n*n)
+	d := make([][]int, n)
 	for i := range d {
-		d[i] = make([]int, 8)
+		d[i] = cells[i*n : (i+1)*n : (i+1)*n]
 		for j := range d[i] {
 			switch {
 			case i == j:
@@ -133,11 +147,24 @@ func KNL7250Quadrant() *NodeSpec {
 	n := &NodeSpec{
 		Name:           "KNL-7250-Quadrant",
 		Mode:           Quadrant,
+		Cores:          make([]CoreSpec, 0, knlCores),
+		Domains:        make([]DomainSpec, 0, 2),
 		ThreadsPerCore: knlThreadsPerCore,
 		TLB:            knlTLB(),
 		CoreFreqGHz:    knlFreqGHz,
 	}
-	ddr := DomainSpec{
+	// Each core's hyperthreads, then the DDR domain's CPUs in core order.
+	const nCPU = knlCores * knlThreadsPerCore
+	cpus := make([]int, 0, 2*nCPU)
+	for c := 0; c < knlCores; c++ {
+		from := len(cpus)
+		for t := 0; t < knlThreadsPerCore; t++ {
+			cpus = append(cpus, c+t*knlCores)
+		}
+		n.Cores = append(n.Cores, CoreSpec{ID: c, Domain: 0, CPUs: slices.Clip(cpus[from:])})
+	}
+	cpus = append(cpus, cpus[:nCPU]...)
+	n.Domains = append(n.Domains, DomainSpec{
 		ID: 0,
 		Mem: MemDeviceSpec{
 			Kind:            DDR4,
@@ -145,17 +172,8 @@ func KNL7250Quadrant() *NodeSpec {
 			StreamBandwidth: 4 * knlDDRBWPerQuad * quadrantMeshPenalty,
 			LoadLatency:     knlDDRLatencyNs,
 		},
-	}
-	for c := 0; c < knlCores; c++ {
-		core := CoreSpec{ID: c, Domain: 0}
-		for t := 0; t < knlThreadsPerCore; t++ {
-			cpu := c + t*knlCores
-			core.CPUs = append(core.CPUs, cpu)
-			ddr.CPUs = append(ddr.CPUs, cpu)
-		}
-		n.Cores = append(n.Cores, core)
-	}
-	n.Domains = append(n.Domains, ddr, DomainSpec{
+		CPUs: slices.Clip(cpus[nCPU:]),
+	}, DomainSpec{
 		ID: 1,
 		Mem: MemDeviceSpec{
 			Kind:            MCDRAM,

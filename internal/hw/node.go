@@ -2,7 +2,7 @@ package hw
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // DomainSpec is one NUMA domain: a memory device plus the logical CPUs
@@ -60,15 +60,25 @@ func (n *NodeSpec) Domain(id int) (*DomainSpec, error) {
 }
 
 // DomainsOfKind returns the ids of all domains backed by the given memory
-// kind, in id order.
-func (n *NodeSpec) DomainsOfKind(kind MemKind) []int {
-	var out []int
+// kinds: those of kinds[0] in id order, then those of kinds[1], and so on.
+// The result is freshly allocated with its capacity equal to its length.
+func (n *NodeSpec) DomainsOfKind(kinds ...MemKind) []int {
+	count := 0
 	for _, d := range n.Domains {
-		if d.Mem.Kind == kind {
-			out = append(out, d.ID)
+		if slices.Contains(kinds, d.Mem.Kind) {
+			count++
 		}
 	}
-	sort.Ints(out)
+	out := make([]int, 0, count)
+	for _, kind := range kinds {
+		from := len(out)
+		for _, d := range n.Domains {
+			if d.Mem.Kind == kind {
+				out = append(out, d.ID)
+			}
+		}
+		slices.Sort(out[from:])
+	}
 	return out
 }
 
@@ -138,27 +148,39 @@ func (n *NodeSpec) Validate() error {
 	if n.CoreFreqGHz <= 0 {
 		return fmt.Errorf("hw: node %s has non-positive core frequency", n.Name)
 	}
-	cpuSeen := map[int]int{} // cpu -> core id
+	// coreOf[cpu-lo] is 1 + the id of the core owning cpu, 0 if none:
+	// logical CPU ids are dense on every real node, so one slice spanning
+	// [lo, hi] replaces a map keyed by CPU id.
+	lo, hi := 0, -1
+	for _, core := range n.Cores {
+		for _, cpu := range core.CPUs {
+			if hi < lo {
+				lo, hi = cpu, cpu
+			}
+			lo, hi = min(lo, cpu), max(hi, cpu)
+		}
+	}
+	coreOf := make([]int, hi-lo+1)
 	for _, core := range n.Cores {
 		if len(core.CPUs) == 0 {
 			return fmt.Errorf("hw: core %d has no logical CPUs", core.ID)
 		}
 		for _, cpu := range core.CPUs {
-			if prev, dup := cpuSeen[cpu]; dup {
-				return fmt.Errorf("hw: logical CPU %d on both core %d and core %d", cpu, prev, core.ID)
+			if prev := coreOf[cpu-lo]; prev != 0 {
+				return fmt.Errorf("hw: logical CPU %d on both core %d and core %d", cpu, prev-1, core.ID)
 			}
-			cpuSeen[cpu] = core.ID
+			coreOf[cpu-lo] = core.ID + 1
 		}
 		if _, err := n.Domain(core.Domain); err != nil {
 			return fmt.Errorf("hw: core %d references missing domain %d", core.ID, core.Domain)
 		}
 	}
-	domSeen := map[int]bool{}
-	for _, d := range n.Domains {
-		if domSeen[d.ID] {
-			return fmt.Errorf("hw: duplicate domain id %d", d.ID)
+	for i, d := range n.Domains {
+		for _, prev := range n.Domains[:i] {
+			if prev.ID == d.ID {
+				return fmt.Errorf("hw: duplicate domain id %d", d.ID)
+			}
 		}
-		domSeen[d.ID] = true
 		if d.Mem.Capacity <= 0 {
 			return fmt.Errorf("hw: domain %d has non-positive capacity", d.ID)
 		}
@@ -166,11 +188,9 @@ func (n *NodeSpec) Validate() error {
 			return fmt.Errorf("hw: domain %d has non-positive bandwidth", d.ID)
 		}
 		for _, cpu := range d.CPUs {
-			core, ok := cpuSeen[cpu]
-			if !ok {
+			if cpu < lo || cpu > hi || coreOf[cpu-lo] == 0 {
 				return fmt.Errorf("hw: domain %d lists unknown CPU %d", d.ID, cpu)
 			}
-			_ = core
 		}
 	}
 	if len(n.Distance) != len(n.Domains) {

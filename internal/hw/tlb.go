@@ -1,10 +1,5 @@
 package hw
 
-import (
-	"maps"
-	"slices"
-)
-
 // TLBSpec models the translation lookaside buffer's reach per page size.
 // The paper attributes part of the LWK advantage to "aggressive" large-page
 // use; this model turns page-size choices made by the memory managers into a
@@ -72,12 +67,12 @@ func (t TLBSpec) WalkOverhead(workingSet int64, p PageSize) float64 {
 }
 
 // EffectiveBandwidth derates a device's stream bandwidth for TLB effects on
-// a working set mapped with a mix of page sizes. frac maps page size to the
-// fraction of the working set it covers (fractions should sum to ~1).
+// a working set mapped with a mix of page sizes. frac[i] is the fraction of
+// the working set mapped with PageSizes[i] (fractions should sum to ~1).
 //
 // The derating compares the ideal per-access cost (line transfer at stream
 // bandwidth) with the cost including page-walk overhead.
-func (t TLBSpec) EffectiveBandwidth(dev MemDeviceSpec, workingSet int64, frac map[PageSize]float64) float64 {
+func (t TLBSpec) EffectiveBandwidth(dev MemDeviceSpec, workingSet int64, frac [len(PageSizes)]float64) float64 {
 	if workingSet <= 0 {
 		return dev.StreamBandwidth
 	}
@@ -85,10 +80,10 @@ func (t TLBSpec) EffectiveBandwidth(dev MemDeviceSpec, workingSet int64, frac ma
 	idealNsPerLine := lineBytes / (dev.StreamBandwidth * float64(GiB)) * 1e9
 	total := 0.0
 	weight := 0.0
-	// Sorted iteration: the float accumulation below must not depend on
-	// map order or the derated bandwidth would vary between runs.
-	for _, p := range slices.Sorted(maps.Keys(frac)) {
-		f := frac[p]
+	// Ascending page-size order: the float accumulation below is fixed
+	// by the array layout, so the derated bandwidth never varies.
+	for i, p := range PageSizes {
+		f := frac[i]
 		if f <= 0 {
 			continue
 		}

@@ -8,6 +8,7 @@ package linuxos
 
 import (
 	"fmt"
+	"slices"
 
 	"mklite/internal/hw"
 	"mklite/internal/kernel"
@@ -63,6 +64,11 @@ type Kernel struct {
 	kernel.Base
 	cfg    Config
 	procfs *ProcFS
+	// ddr is the DDR4 order default heaps use; mapDomains is the mapping
+	// order, ddr behind the preferred domain when one is set. Both are
+	// derived once at boot and handed out as they are: their capacity
+	// equals their length, so a caller's append copies.
+	ddr, mapDomains []int
 }
 
 // Boot constructs a Linux kernel on the given node.
@@ -118,8 +124,13 @@ func Boot(node *hw.NodeSpec, cfg Config) (*Kernel, error) {
 			KPhys:  phys,
 			KSched: pol,
 		},
-		cfg:    cfg,
-		procfs: NewProcFS(node),
+		cfg:        cfg,
+		procfs:     NewProcFS(node),
+		ddr:        ddr,
+		mapDomains: ddr,
+	}
+	if cfg.PreferredDomain >= 0 {
+		k.mapDomains = slices.Clip(slices.Concat([]int{cfg.PreferredDomain}, ddr))
 	}
 	return k, nil
 }
@@ -151,17 +162,12 @@ func (k *Kernel) Config() Config { return k.cfg }
 // SNC-4 MCDRAM spill cannot be expressed (section III-B: "We chose to use
 // DDR4 RAM only for CCS-QCD when running on Linux").
 func (k *Kernel) MapPolicy(kind mem.VMAKind) mem.Policy {
-	node := k.Partition().Node
-	domains := node.DomainsOfKind(hw.DDR4)
-	if k.cfg.PreferredDomain >= 0 {
-		domains = append([]int{k.cfg.PreferredDomain}, domains...)
-	}
 	maxPage := hw.Page4K
 	if k.cfg.THP && kind != mem.VMADevice {
 		maxPage = hw.Page2M
 	}
 	return mem.Policy{
-		Domains: domains,
+		Domains: k.mapDomains,
 		MaxPage: maxPage,
 		Demand:  true,
 	}
@@ -170,7 +176,7 @@ func (k *Kernel) MapPolicy(kind mem.VMAKind) mem.Policy {
 // NewHeap implements kernel.Kernel with the demand-paged Linux heap.
 func (k *Kernel) NewHeap(as *mem.AddrSpace, limit int64, domains []int) (mem.Heap, error) {
 	if domains == nil {
-		domains = k.Partition().Node.DomainsOfKind(hw.DDR4)
+		domains = k.ddr
 	}
 	return mem.NewLinuxHeap(as, limit, domains, k.cfg.THP)
 }

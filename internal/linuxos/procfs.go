@@ -21,11 +21,14 @@ type ProcFS struct {
 	// Construction inputs, retained so the file map can be synthesised
 	// lazily: every kernel boot creates a ProcFS, but most simulated runs
 	// never read a pseudo-file, and formatting cpuinfo for 272 logical
-	// CPUs per boot dominated setup time. The content is a pure function
+	// CPUs per boot dominated setup time. Even the visible CPU and domain
+	// lists are derived on first access. The content is a pure function
 	// of these inputs, so deferral is invisible to readers.
-	node    *hw.NodeSpec
-	cpus    []int
-	domains []hw.DomainSpec
+	node *hw.NodeSpec
+	// part restricts the view to an LWK's resource partition when
+	// partial is set; otherwise the whole node is visible.
+	part    kernel.Partition
+	partial bool
 
 	files map[string]string
 }
@@ -33,7 +36,7 @@ type ProcFS struct {
 // NewProcFS builds the full Linux pseudo-filesystem view of a node: all
 // CPUs and all NUMA domains are visible.
 func NewProcFS(node *hw.NodeSpec) *ProcFS {
-	return &ProcFS{node: node, cpus: allCPUs(node), domains: node.Domains}
+	return &ProcFS{node: node}
 }
 
 // NewPartitionProcFS builds the view an LWK exposes: only the partition's
@@ -41,22 +44,31 @@ func NewProcFS(node *hw.NodeSpec) *ProcFS {
 // implement various /sys and /proc files to reflect the resource partition
 // assigned to the LWK".
 func NewPartitionProcFS(node *hw.NodeSpec, part kernel.Partition) *ProcFS {
+	return &ProcFS{node: node, part: part, partial: true}
+}
+
+// view returns the logical CPUs (sorted) and NUMA domains the surface
+// shows.
+func (p *ProcFS) view() ([]int, []hw.DomainSpec) {
+	if !p.partial {
+		return allCPUs(p.node), p.node.Domains
+	}
 	var cpus []int
-	for _, c := range part.AppCores {
-		cpus = append(cpus, node.Cores[c].CPUs...)
+	for _, c := range p.part.AppCores {
+		cpus = append(cpus, p.node.Cores[c].CPUs...)
 	}
 	sort.Ints(cpus)
 	var domains []hw.DomainSpec
 	appDoms := map[int]bool{}
-	for _, d := range part.AppDomains() {
+	for _, d := range p.part.AppDomains() {
 		appDoms[d] = true
 	}
-	for _, d := range node.Domains {
+	for _, d := range p.node.Domains {
 		if appDoms[d.ID] || d.Mem.Kind == hw.MCDRAM {
 			domains = append(domains, d)
 		}
 	}
-	return &ProcFS{node: node, cpus: cpus, domains: domains}
+	return cpus, domains
 }
 
 func allCPUs(node *hw.NodeSpec) []int {
@@ -71,7 +83,8 @@ func allCPUs(node *hw.NodeSpec) []int {
 // ensure synthesises the file map on first access.
 func (p *ProcFS) ensure() {
 	if p.files == nil {
-		buildProcFS(p, p.node, p.cpus, p.domains)
+		cpus, domains := p.view()
+		buildProcFS(p, p.node, cpus, domains)
 	}
 }
 

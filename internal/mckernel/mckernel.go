@@ -55,6 +55,10 @@ type Kernel struct {
 	opts   Options
 	grant  *ihk.Grant
 	procfs *linuxos.ProcFS
+	// domains is the MCDRAM-then-DDR4 order every mapping and default heap
+	// starts from, derived once at boot. Policies hand out this slice
+	// itself; its capacity equals its length, so a caller's append copies.
+	domains []int
 }
 
 // Boot starts McKernel on an IHK grant carved from the given Linux.
@@ -82,8 +86,9 @@ func Boot(lin *linuxos.Kernel, g *ihk.Grant, opts Options) (*Kernel, error) {
 			KPhys:  g.Phys,
 			KSched: pol,
 		},
-		opts:  opts,
-		grant: g,
+		opts:    opts,
+		grant:   g,
+		domains: g.Part.Node.DomainsOfKind(hw.MCDRAM, hw.DDR4),
 		// McKernel re-implements the /proc and /sys subset that
 		// reflects its own resource partition (section II-D4).
 		procfs: linuxos.NewPartitionProcFS(g.Part.Node, g.Part),
@@ -166,10 +171,8 @@ func (k *Kernel) ProcFS() *linuxos.ProcFS { return k.procfs }
 // paging "to allow best effort allocation from the specific NUMA domain
 // when enough physical memory is not available".
 func (k *Kernel) MapPolicy(kind mem.VMAKind) mem.Policy {
-	node := k.Partition().Node
-	domains := append(node.DomainsOfKind(hw.MCDRAM), node.DomainsOfKind(hw.DDR4)...)
 	pol := mem.Policy{
-		Domains:        domains,
+		Domains:        k.domains,
 		MaxPage:        hw.Page1G,
 		FallbackDemand: true,
 	}
@@ -183,9 +186,8 @@ func (k *Kernel) MapPolicy(kind mem.VMAKind) mem.Policy {
 
 // NewHeap implements kernel.Kernel.
 func (k *Kernel) NewHeap(as *mem.AddrSpace, limit int64, domains []int) (mem.Heap, error) {
-	node := k.Partition().Node
 	if domains == nil {
-		domains = append(node.DomainsOfKind(hw.MCDRAM), node.DomainsOfKind(hw.DDR4)...)
+		domains = k.domains
 	}
 	if k.opts.HPCBrk {
 		return mem.NewHPCHeap(as, limit, mem.DefaultHPCHeapConfig(domains))

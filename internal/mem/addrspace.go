@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mklite/internal/hw"
@@ -50,7 +51,10 @@ func (k VMAKind) String() string {
 type Policy struct {
 	// Domains is the NUMA preference order; allocation spills down the
 	// list as domains fill. Empty means "any domain" is an error — the
-	// kernel must always decide.
+	// kernel must always decide. Kernels derive their orders once per
+	// boot and share one slice among every policy they hand out, so the
+	// order is read-only: mem never writes it, and shared orders have no
+	// spare capacity, so appending to one copies.
 	Domains []int
 	// MaxPage is the largest page size the mapping may use. Both LWKs
 	// use 1 GiB "if the size of the mapping allows it"; Linux
@@ -120,6 +124,9 @@ type AddrSpace struct {
 	vmas []*VMA // sorted by Start
 	next int64  // bump pointer for new mappings
 	sink *trace.Sink
+	// exts is populate's reused buffer for the extents of one
+	// allocation; they are copied into the VMA's backings at once.
+	exts []Extent
 
 	// TotalFaults counts demand faults across the whole space.
 	TotalFaults int64
@@ -240,6 +247,12 @@ func (as *AddrSpace) Map(size int64, kind VMAKind, pol Policy) (*VMA, error) {
 // insert keeps vmas sorted by start.
 func (as *AddrSpace) insert(v *VMA) {
 	i := sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].Start >= v.Start })
+	if len(as.vmas) == cap(as.vmas) {
+		// A process holds a handful of areas (working set, heap, shm
+		// window, ...): start with room for them instead of growing
+		// one element at a time.
+		as.vmas = slices.Grow(as.vmas, max(4, len(as.vmas)))
+	}
 	as.vmas = append(as.vmas, nil)
 	copy(as.vmas[i+1:], as.vmas[i:])
 	as.vmas[i] = v
@@ -294,7 +307,7 @@ func (as *AddrSpace) populate(v *VMA, want int64) int64 {
 					continue
 				}
 			}
-			exts, n := as.phys.AllocUpTo(dom, need, int64(p))
+			exts, n := as.allocUpTo(dom, need, int64(p))
 			for _, e := range exts {
 				v.Backings = append(v.Backings, Backing{Ext: e, Page: p})
 			}
@@ -306,6 +319,14 @@ func (as *AddrSpace) populate(v *VMA, want int64) int64 {
 	}
 	v.Populated += got
 	return got
+}
+
+// allocUpTo is Phys.AllocUpTo into the space's reused extent buffer. The
+// result is valid until the next call.
+func (as *AddrSpace) allocUpTo(domain int, size, align int64) ([]Extent, int64) {
+	exts, n := as.phys.appendUpTo(as.exts[:0], domain, size, align)
+	as.exts = exts
+	return exts, n
 }
 
 // Touch services a first-touch traversal of [offset, offset+length) of v.
@@ -422,7 +443,7 @@ func (as *AddrSpace) demandPopulate(v *VMA, end int64, maxPage hw.PageSize, faul
 				}
 				pages = 1 // final partial page
 			}
-			exts, n := as.phys.AllocUpTo(dom, pages*granule, granule)
+			exts, n := as.allocUpTo(dom, pages*granule, granule)
 			var faults int64
 			for _, e := range exts {
 				v.Backings = append(v.Backings, Backing{Ext: e, Page: p})
@@ -469,9 +490,10 @@ func (as *AddrSpace) PageMix() map[MixKey]float64 {
 	return out
 }
 
-// BytesByKind returns populated bytes per memory kind.
-func (as *AddrSpace) BytesByKind() map[hw.MemKind]int64 {
-	out := map[hw.MemKind]int64{}
+// BytesByKind returns populated bytes per memory kind, indexed by
+// hw.MemKind.
+func (as *AddrSpace) BytesByKind() [hw.NumMemKinds]int64 {
+	var out [hw.NumMemKinds]int64
 	for _, v := range as.vmas {
 		for _, b := range v.Backings {
 			out[as.kindOfDomain(b.Ext.Domain)] += b.Ext.Size

@@ -177,20 +177,33 @@ func (p *Phys) Alloc(domain int, size, align int64) (Extent, error) {
 		if f.size < pad+size {
 			continue
 		}
-		// Split the free range into [pre][allocated][post].
-		var repl []freeRange
-		if pad > 0 {
-			repl = append(repl, freeRange{start: f.start, size: pad})
-		}
-		if rest := f.size - pad - size; rest > 0 {
-			repl = append(repl, freeRange{start: start + size, size: rest})
-		}
-		d.free = append(d.free[:i], append(repl, d.free[i+1:]...)...)
-		d.freeSum -= size
+		d.split(i, start, size)
 		return Extent{Domain: domain, Start: start, Size: size}, nil
 	}
 	return Extent{}, fmt.Errorf("mem: domain %d cannot satisfy %d bytes contiguous (free %d, largest %d)",
 		domain, size, d.freeSum, p.LargestFree(domain))
+}
+
+// split removes [start, start+size) from free range i, which must contain
+// it: the range is replaced, in place, by its nonempty [pre] and [post]
+// remainders, shifting the tail by at most one entry.
+func (d *physDomain) split(i int, start, size int64) {
+	f := d.free[i]
+	pre := freeRange{start: f.start, size: start - f.start}
+	post := freeRange{start: start + size, size: f.start + f.size - (start + size)}
+	switch {
+	case pre.size > 0 && post.size > 0:
+		d.free = append(d.free, freeRange{})
+		copy(d.free[i+2:], d.free[i+1:])
+		d.free[i], d.free[i+1] = pre, post
+	case pre.size > 0:
+		d.free[i] = pre
+	case post.size > 0:
+		d.free[i] = post
+	default:
+		d.free = append(d.free[:i], d.free[i+1:]...)
+	}
+	d.freeSum -= size
 }
 
 // AllocUpTo allocates as much of size as the domain can provide, possibly
@@ -198,7 +211,14 @@ func (p *Phys) Alloc(domain int, size, align int64) (Extent, error) {
 // returns the extents and the total bytes obtained (<= size). Used for
 // best-effort spill allocation.
 func (p *Phys) AllocUpTo(domain int, size, align int64) ([]Extent, int64) {
-	var out []Extent
+	return p.appendUpTo(nil, domain, size, align)
+}
+
+// appendUpTo is AllocUpTo appending the extents to out. Callers that
+// consume the extents at once pass a reused buffer; a nil out is allocated
+// at the first extent with room for one per free range of the domain, the
+// usual bound on how many chunks one request takes.
+func (p *Phys) appendUpTo(out []Extent, domain int, size, align int64) ([]Extent, int64) {
 	var got int64
 	for got < size {
 		want := size - got
@@ -212,6 +232,9 @@ func (p *Phys) AllocUpTo(domain int, size, align int64) ([]Extent, int64) {
 			if chunk == 0 {
 				break
 			}
+		}
+		if out == nil {
+			out = make([]Extent, 0, len(p.domains[domain].free))
 		}
 		e, err := p.Alloc(domain, chunk, align)
 		if err != nil {
@@ -317,15 +340,7 @@ func (p *Phys) allocAt(domain int, start, size int64) (Extent, error) {
 	}
 	for i, f := range d.free {
 		if f.start <= start && start+size <= f.start+f.size {
-			var repl []freeRange
-			if pre := start - f.start; pre > 0 {
-				repl = append(repl, freeRange{start: f.start, size: pre})
-			}
-			if post := f.start + f.size - (start + size); post > 0 {
-				repl = append(repl, freeRange{start: start + size, size: post})
-			}
-			d.free = append(d.free[:i], append(repl, d.free[i+1:]...)...)
-			d.freeSum -= size
+			d.split(i, start, size)
 			return Extent{Domain: domain, Start: start, Size: size}, nil
 		}
 	}

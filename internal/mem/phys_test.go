@@ -248,3 +248,36 @@ func TestExtentEnd(t *testing.T) {
 		t.Fatalf("End = %d", e.End())
 	}
 }
+
+// BenchmarkPhysAlloc measures the extent allocator on the patterns node
+// setup drives: a DDR domain fragmented the way Linux's boot leaves it, then
+// first-fit Allocs that split free ranges (aligned 1 GiB, 2 MiB and 4 KiB
+// requests) and a multi-extent AllocUpTo spill, all freed again so every
+// iteration starts from the same free list.
+func BenchmarkPhysAlloc(b *testing.B) {
+	p := newKNLPhys()
+	if _, err := p.Fragment(0, 64*hw.MiB, 3*hw.GiB); err != nil {
+		b.Fatal(err)
+	}
+	got := make([]Extent, 0, 64)
+	b.ReportAllocs()
+	for b.Loop() {
+		got = got[:0]
+		for _, r := range []struct{ size, align int64 }{
+			{hw.GiB, int64(hw.Page1G)},
+			{6 * hw.MiB, int64(hw.Page2M)},
+			{12 * hw.KiB, int64(hw.Page4K)},
+		} {
+			for range 8 {
+				e, err := p.Alloc(0, r.size, r.align)
+				if err != nil {
+					b.Fatal(err)
+				}
+				got = append(got, e)
+			}
+		}
+		exts, _ := p.AllocUpTo(0, 12*hw.GiB, int64(hw.Page2M))
+		got = append(got, exts...)
+		p.FreeAll(got)
+	}
+}

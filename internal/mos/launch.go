@@ -84,7 +84,7 @@ func (j *Job) MapWithinBudget(r *Rank, size int64, kind mem.VMAKind) (*mem.VMA, 
 
 // usedOfKind apportions a rank's per-kind usage back to domains; the
 // division is per kind because the budget slices every domain equally.
-func usedOfKind(used map[hw.MemKind]int64, kind hw.MemKind, r *Rank, node *hw.NodeSpec) int64 {
+func usedOfKind(used [hw.NumMemKinds]int64, kind hw.MemKind, r *Rank, node *hw.NodeSpec) int64 {
 	doms := node.DomainsOfKind(kind)
 	if len(doms) == 0 {
 		return 0

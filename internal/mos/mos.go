@@ -53,6 +53,10 @@ type Kernel struct {
 	kernel.Base
 	cfg    Config
 	procfs *linuxos.ProcFS
+	// domains is the MCDRAM-then-DDR4 order every mapping and default heap
+	// starts from, derived once at boot. Policies hand out this slice
+	// itself; its capacity equals its length, so a caller's append copies.
+	domains []int
 }
 
 // Boot constructs an mOS node. Unlike McKernel, the LWK memory is taken
@@ -120,7 +124,8 @@ func Boot(node *hw.NodeSpec, cfg Config) (*Kernel, error) {
 			KPhys:  mem.NewPhysView(node, grants),
 			KSched: pol,
 		},
-		cfg: cfg,
+		cfg:     cfg,
+		domains: node.DomainsOfKind(hw.MCDRAM, hw.DDR4),
 		// mOS "mostly reuses the Linux implementation" of /proc and
 		// /sys: the full surface is visible.
 		procfs: linuxos.NewProcFS(node),
@@ -175,19 +180,16 @@ func (k *Kernel) ProcFS() *linuxos.ProcFS { return k.procfs }
 // version of mOS is more rigid: Only physically available memory can be
 // allocated."
 func (k *Kernel) MapPolicy(kind mem.VMAKind) mem.Policy {
-	node := k.Partition().Node
-	domains := append(node.DomainsOfKind(hw.MCDRAM), node.DomainsOfKind(hw.DDR4)...)
 	return mem.Policy{
-		Domains: domains,
+		Domains: k.domains,
 		MaxPage: hw.Page1G,
 	}
 }
 
 // NewHeap implements kernel.Kernel, honouring the heap-management toggle.
 func (k *Kernel) NewHeap(as *mem.AddrSpace, limit int64, domains []int) (mem.Heap, error) {
-	node := k.Partition().Node
 	if domains == nil {
-		domains = append(node.DomainsOfKind(hw.MCDRAM), node.DomainsOfKind(hw.DDR4)...)
+		domains = k.domains
 	}
 	if k.cfg.HeapManagement {
 		return mem.NewHPCHeap(as, limit, mem.DefaultHPCHeapConfig(domains))

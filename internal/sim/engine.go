@@ -44,7 +44,6 @@ type Engine struct {
 	// teardown paths (Drain) can order processes deterministically.
 	procs   map[*Proc]uint64
 	procSeq uint64
-	yieldCh chan struct{} // proc -> engine: "I have blocked or finished"
 
 	// sink is the run's trace destination; subsystems built on the engine
 	// (ihk, nodesim) key their events to the engine clock. Nil when
@@ -57,9 +56,8 @@ type Engine struct {
 // from the given seed.
 func NewEngine(seed uint64) *Engine {
 	e := &Engine{
-		rng:     NewRNG(seed),
-		procs:   make(map[*Proc]uint64),
-		yieldCh: make(chan struct{}),
+		rng:   NewRNG(seed),
+		procs: make(map[*Proc]uint64),
 	}
 	e.events.init()
 	return e
@@ -164,11 +162,12 @@ func (e *Engine) RunUntil(deadline Time) Time {
 
 // Drain cancels every pending event and kills every live process, then runs
 // the resulting kill deliveries so each killed process unwinds (running its
-// deferred cleanup) before Drain returns. Processes are killed in spawn
-// order — iterating the procs map directly would make the teardown order,
-// and therefore any trace output or side effects of the unwinding, vary
-// between runs. The engine remains usable afterwards; the clock does not
-// move.
+// deferred cleanup) and its goroutine is gone before Drain returns.
+// Processes are killed in spawn order — iterating the procs map directly
+// would make the teardown order, and therefore any trace output or side
+// effects of the unwinding, vary between runs. A process whose start event
+// was cancelled never ran and is simply retired. The engine remains usable
+// afterwards; the clock does not move.
 func (e *Engine) Drain() {
 	// Clearing the queue nils the stored slots: the old truncate-in-place
 	// retained every Event (and its fn closure) in the backing array.
@@ -180,6 +179,11 @@ func (e *Engine) Drain() {
 	}
 	sort.Slice(live, func(i, j int) bool { return e.procs[live[i]] < e.procs[live[j]] })
 	for _, p := range live {
+		if p.resume == nil {
+			p.done = true
+			delete(e.procs, p)
+			continue
+		}
 		p.Kill()
 	}
 	// Deliver the kill dispatches now: dropping them (as the old Drain

@@ -1,24 +1,33 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a cooperative simulation process: a goroutine whose execution is
+// Proc is a cooperative simulation process: a coroutine whose execution is
 // interleaved with the engine so that exactly one goroutine — either the
 // engine loop or a single process — runs at any moment. Processes express
 // protocols that are awkward as raw event callbacks (a thread that computes,
 // blocks in a syscall, is woken by a message, computes again, ...).
 //
 // A process may only call its blocking methods (Sleep, WaitSignal, ...) from
-// its own goroutine; the engine resumes it by scheduling wake events.
+// its own body; the engine resumes it by scheduling wake events.
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan procMsg
-	done   bool
-	killed bool
+	eng  *Engine
+	name string
+	// The body runs as an iter.Pull coroutine, so control passes by
+	// direct switches rather than goroutine scheduling. resume runs it
+	// until it blocks (true) or returns (false); stop unwinds it and
+	// returns once its goroutine is gone. Both are nil until the start
+	// event runs. suspend, called from inside the body, hands control
+	// back; it reports false once the process has been killed.
+	resume  func() (struct{}, bool)
+	stop    func()
+	suspend func(struct{}) bool
+	done    bool
+	killed  bool
 }
-
-type procMsg struct{ kill bool }
 
 // procKilled is the panic payload used to unwind a killed process.
 type procKilled struct{ p *Proc }
@@ -27,66 +36,56 @@ type procKilled struct{ p *Proc }
 // body begins executing when the engine processes the start event). The
 // name is used in diagnostics only.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan procMsg)}
+	p := &Proc{eng: e, name: name}
 	e.procs[p] = e.procSeq
 	e.procSeq++
 	e.After(0, func() {
-		// The engine's dispatch/yield handshake guarantees this is the
-		// only runnable goroutine until the process blocks or exits,
-		// so it cannot race with simulation state.
-		go p.run(fn) //mklint:ignore nogoroutine Proc is the cooperative abstraction itself; the handshake serialises execution
-		// Hand control to the process body and wait for it to block
-		// or finish.
+		p.resume, p.stop = iter.Pull(func(suspend func(struct{}) bool) {
+			p.suspend = suspend
+			p.run(fn)
+		})
 		p.dispatch()
 	})
 	return p
 }
 
+// run executes the body, absorbing the unwind of a kill.
 func (p *Proc) run(fn func(*Proc)) {
 	defer func() {
-		p.done = true
-		delete(p.eng.procs, p)
 		if r := recover(); r != nil {
 			if pk, ok := r.(procKilled); ok && pk.p == p {
-				// Normal teardown of a killed process.
-				p.eng.yieldCh <- struct{}{}
-				return
+				return // normal teardown of a killed process
 			}
-			// Real panic: surface it in the engine goroutine by
-			// re-panicking there is not possible; crash loudly
-			// here with context instead.
+			// A real panic: iter.Pull re-raises it in the engine
+			// goroutine, named after the process.
 			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 		}
-		p.eng.yieldCh <- struct{}{}
 	}()
-	// Wait for the initial dispatch before running the body.
-	p.block()
 	fn(p)
 }
 
-// dispatch resumes the process goroutine and blocks the engine until the
-// process yields (blocks or finishes).
+// dispatch switches into the process until it blocks or finishes; a killed
+// process is unwound instead. Either way the engine continues only once the
+// process has yielded, and a finished process's goroutine no longer exists.
 func (p *Proc) dispatch() {
 	if p.done {
 		return
 	}
-	p.resume <- procMsg{kill: p.killed}
-	<-p.eng.yieldCh
-}
-
-// block suspends the process goroutine until the engine dispatches it again.
-// It must only be called from the process goroutine.
-func (p *Proc) block() {
-	msg := <-p.resume
-	if msg.kill {
-		panic(procKilled{p: p})
+	if p.killed {
+		p.stop()
+	} else if _, blocked := p.resume(); blocked {
+		return
 	}
+	p.done = true
+	delete(p.eng.procs, p)
 }
 
 // yield hands control back to the engine and suspends until re-dispatched.
+// It must only be called from the process body.
 func (p *Proc) yield() {
-	p.eng.yieldCh <- struct{}{}
-	p.block()
+	if !p.suspend(struct{}{}) {
+		panic(procKilled{p: p})
+	}
 }
 
 // Name returns the diagnostic name given at Spawn.

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func TestProcSleepAdvancesClock(t *testing.T) {
 	e := NewEngine(1)
@@ -201,6 +204,36 @@ func TestEngineDrainKillsProcs(t *testing.T) {
 	if reached {
 		t.Fatal("drained process continued")
 	}
+}
+
+// Drain returns only after each killed process's goroutine is gone, and
+// retires a process whose start event it cancelled.
+func TestEngineDrainWaitsForExits(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine(1)
+	var sig Signal
+	var parked []*Proc
+	for i := 0; i < 8; i++ {
+		parked = append(parked, e.Spawn("parked", func(p *Proc) { p.WaitSignal(&sig) }))
+	}
+	e.Run()
+	if got := runtime.NumGoroutine(); got != before+8 {
+		t.Fatalf("%d goroutines with 8 parked processes, want %d", got, before+8)
+	}
+	unstarted := e.Spawn("never-started", func(p *Proc) { t.Error("cancelled process ran") })
+	e.Drain()
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("%d goroutines right after Drain, want %d", got, before)
+	}
+	for _, p := range append(parked, unstarted) {
+		if !p.Done() {
+			t.Fatalf("process %q not done after Drain", p.Name())
+		}
+	}
+	if len(e.procs) != 0 {
+		t.Fatalf("%d processes still live", len(e.procs))
+	}
+	e.Run()
 }
 
 func TestProcName(t *testing.T) {
