@@ -21,8 +21,11 @@ const exactMaxRanks = 1024
 // For small rank counts the maximum is sampled exactly (per-rank). For
 // large counts it uses the order-statistic identity max(X_1..X_K) ~
 // F^{-1}(U^{1/K}): one inverse-CDF draw per source component instead of K
-// samples. Per-source maxima are summed, a slight over-estimate of the true
-// max-of-sums that is conservative in the same direction for every kernel.
+// samples. Per-source maxima are summed in place of the true max over ranks
+// of each rank's summed detour. That is an approximation whose bias has no
+// fixed sign: against exact sampling it reads high at K = 4,096 with 1 ms
+// windows and low at K = 131,072 with 30 ms windows under the facility
+// storm (ROADMAP item 1, stage 2, which replaces it).
 func MaxDetour(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) sim.Duration {
 	d, _ := MaxDetourRank(rng, p, ranks, window)
 	return d
@@ -39,25 +42,107 @@ func MaxDetourRank(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) (si
 		return 0, -1
 	}
 	if ranks <= exactMaxRanks {
-		var max sim.Duration
-		argmax := -1
-		for r := 0; r < ranks; r++ {
-			// Core index 1: a generic application core (core 0 is
-			// partitioned away from applications in all three
-			// kernels' deployments).
-			if d := p.DetourIn(rng, 1, window); d > max {
-				max = d
-				argmax = r
-			}
-		}
-		return max, argmax
+		return exactMax(rng, p, ranks, window)
 	}
 	var total sim.Duration
 	for i := range p.Sources {
-		//mklint:ignore seedflow the exact branch above returns first, so only one of the two loops ever draws in a given call
 		total += sourceMax(rng, &p.Sources[i], ranks, window)
 	}
 	return total, -1
+}
+
+// rankPlan holds one source's per-call invariants for exactMax.
+type rankPlan struct {
+	s     *Source
+	lam   float64 // Poisson mean of the per-rank occurrence count
+	l     float64 // exp(-lam), Knuth's stopping product
+	zero  uint64  // the count is 0 iff the first uniform's mantissa is <= zero
+	knuth bool    // lam <= sim.PoissonNormalCutoff
+}
+
+// plansOnStack is how many sources exactMax plans without allocating; the
+// canonical profiles have at most five, six with a daemon storm added.
+const plansOnStack = 8
+
+// exactMax is MaxDetourRank's exact per-rank path. It makes exactly the
+// draws of `ranks` successive p.DetourIn(rng, 1, window) calls — core 1
+// being a generic application core, since core 0 is partitioned away from
+// applications in all three kernels' deployments — and returns their
+// maximum and its first rank. Nearly every (rank, source) count is 0, so
+// each source's invariants are resolved once per call, and the first step
+// of Knuth's product method is taken on the uniform's integer mantissa:
+// sim.RNG.Float64 is float64(Uint64()>>11)/2^53, so the first uniform is
+// <= exp(-λ), making the count 0, exactly when its mantissa is
+// <= floor(exp(-λ)·2^53). A larger mantissa goes on to
+// sim.RNG.PoissonKnuthFrom with that same uniform, as PoissonExp does.
+func exactMax(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) (sim.Duration, int) {
+	var buf [plansOnStack]rankPlan
+	plans := buf[:0]
+	for i := range p.Sources {
+		s := &p.Sources[i]
+		if !s.appliesTo(1) || s.Period <= 0 {
+			continue // SampleWindow draws nothing for it
+		}
+		lam, l := s.lambda(window)
+		plans = append(plans, rankPlan{s: s, lam: lam, l: l, zero: uint64(l * (1 << 53)), knuth: lam <= sim.PoissonNormalCutoff})
+	}
+	var max, total sim.Duration
+	argmax := -1
+	cur := 0 // the rank `total` sums; ranks skipped by nextCount sum to 0
+	r, i := 0, 0
+	for {
+		var m uint64
+		r, i, m = nextCount(rng, plans, ranks, r, i)
+		if r != cur {
+			if total > max {
+				max, argmax = total, cur
+			}
+			cur, total = r, 0
+		}
+		if r == ranks {
+			return max, argmax
+		}
+		total += plans[i].occurrences(rng, m)
+		i++
+	}
+}
+
+// nextCount draws the counts of exactMax's (rank, plan) positions from
+// (r, i) on, in rank-major order, and stops at the first one it cannot
+// settle as 0 from its first uniform: a Knuth count whose mantissa m is
+// above the plan's zero threshold, or a normal-approximation count. It
+// returns that position and m, or r == ranks once every position is
+// settled. It makes no calls, so the loop that nearly every draw takes
+// keeps its state in registers.
+func nextCount(rng *sim.RNG, plans []rankPlan, ranks, r, i int) (int, int, uint64) {
+	for ; r < ranks; r, i = r+1, 0 {
+		for ; i < len(plans); i++ {
+			if !plans[i].knuth {
+				return r, i, 0
+			}
+			if m := rng.Uint64() >> 11; m > plans[i].zero {
+				return r, i, m
+			}
+		}
+	}
+	return r, 0, 0
+}
+
+// occurrences draws the rest of one rank's count for the source and sums
+// that many detours. For a Knuth count, m is the first uniform's mantissa,
+// already known to be above pl.zero.
+func (pl *rankPlan) occurrences(rng *sim.RNG, m uint64) sim.Duration {
+	var n int
+	if pl.knuth {
+		n = rng.PoissonKnuthFrom(float64(m)/(1<<53), pl.l)
+	} else {
+		n = rng.PoissonExp(pl.lam, 0)
+	}
+	var total sim.Duration
+	for ; n > 0; n-- {
+		total += pl.s.sampleDetour(rng)
+	}
+	return total
 }
 
 // sourceMax approximates the maximum single-rank detour from one source

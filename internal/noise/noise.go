@@ -77,7 +77,7 @@ type Source struct {
 	// step into one per run.
 	lamWindow sim.Duration
 	lamVal    float64
-	lamExp    float64 // exp(-lamVal); consulted only when lamVal <= 30
+	lamExp    float64 // exp(-lamVal); consulted only when lamVal <= sim.PoissonNormalCutoff
 }
 
 // lnParams returns the (mu, sigma) of the log-normal detour model, cached.
@@ -150,22 +150,30 @@ func (s *Source) appliesTo(core int) bool {
 	return s.CoreFilter == nil || s.CoreFilter(core)
 }
 
+// lambda returns the Poisson mean window/period of the occurrence count and
+// exp of its negation (0 above sim.PoissonNormalCutoff, where PoissonExp
+// ignores it), cached for the last window seen. The caller has checked
+// Period > 0 and window > 0.
+func (s *Source) lambda(window sim.Duration) (lam, expNegLam float64) {
+	if window != s.lamWindow {
+		s.lamWindow = window
+		s.lamVal = float64(window) / float64(s.Period)
+		if s.lamVal <= sim.PoissonNormalCutoff {
+			s.lamExp = math.Exp(-s.lamVal)
+		} else {
+			s.lamExp = 0
+		}
+	}
+	return s.lamVal, s.lamExp
+}
+
 // sampleCount draws the number of occurrences in a window (Poisson with
 // mean window/period).
 func (s *Source) sampleCount(rng *sim.RNG, window sim.Duration) int {
 	if s.Period <= 0 || window <= 0 {
 		return 0
 	}
-	if window != s.lamWindow {
-		s.lamWindow = window
-		s.lamVal = float64(window) / float64(s.Period)
-		if s.lamVal <= 30 {
-			s.lamExp = math.Exp(-s.lamVal)
-		} else {
-			s.lamExp = 0
-		}
-	}
-	return rng.PoissonExp(s.lamVal, s.lamExp)
+	return rng.PoissonExp(s.lambda(window))
 }
 
 // sampleDetour draws one detour duration: the base length (log-normal with

@@ -217,7 +217,8 @@ func BenchmarkSampleDetour(b *testing.B) {
 
 // BenchmarkMaxDetourRank times one max-of-K draw on LinuxTuned with and
 // without the facility storm. K 64 and 1,024 take the exact per-rank path,
-// 131,072 the order-statistic path.
+// timed as /sampler beside the retired per-rank loop as /reference (the two
+// make identical draws); 131,072 takes the order-statistic path.
 func BenchmarkMaxDetourRank(b *testing.B) {
 	for _, storm := range []bool{false, true} {
 		p := LinuxTuned()
@@ -226,10 +227,20 @@ func BenchmarkMaxDetourRank(b *testing.B) {
 		}
 		for _, window := range []sim.Duration{sim.Millisecond, 30 * sim.Millisecond} {
 			for _, k := range []int{64, 1024, 131072} {
-				b.Run(fmt.Sprintf("storm=%v/window=%v/K=%d", storm, window, k), func(b *testing.B) {
+				cell := fmt.Sprintf("storm=%v/window=%v/K=%d", storm, window, k)
+				b.Run(cell+"/sampler", func(b *testing.B) {
 					rng := sim.NewRNG(1)
 					for b.Loop() {
 						MaxDetourRank(rng, p, k, window)
+					}
+				})
+				if k > exactMaxRanks {
+					continue
+				}
+				b.Run(cell+"/reference", func(b *testing.B) {
+					rng := sim.NewRNG(1)
+					for b.Loop() {
+						refLoopMax(rng, p, k, window)
 					}
 				})
 			}

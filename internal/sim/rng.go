@@ -71,9 +71,13 @@ func (r *RNG) SplitN(n int) []*RNG {
 	return out
 }
 
-// Float64 returns a uniform value in [0, 1).
+// Float64 returns a uniform value in [0, 1): the top 53 bits of the next
+// Uint64 scaled by 2^-53, so Float64() == float64(Uint64()>>11)/2^53
+// exactly (both steps are exact in float64). Callers may rely on this: the
+// noise layer's exact max-of-K path decides Float64() <= l on the integer
+// mantissa, as Uint64()>>11 <= uint64(l·2^53), and stays draw-for-draw
+// identical to PoissonExp only while it holds (TestFloat64MantissaContract).
 func (r *RNG) Float64() float64 {
-	// 53 random mantissa bits.
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
@@ -131,9 +135,9 @@ func (r *RNG) Pareto(xm, alpha float64) float64 {
 	return xm / math.Pow(1-r.Float64(), 1/alpha)
 }
 
-// poissonNormalCutoff is the mean above which Poisson switches from Knuth's
-// product method to the normal approximation.
-const poissonNormalCutoff = 30
+// PoissonNormalCutoff is the mean above which Poisson and PoissonExp switch
+// from Knuth's product method to the normal approximation.
+const PoissonNormalCutoff = 30
 
 // Poisson returns a Poisson(lambda) variate: Knuth's product method for
 // small means, the normal approximation above. Occurrence counts in a
@@ -143,7 +147,7 @@ func (r *RNG) Poisson(lambda float64) int {
 	if lambda <= 0 {
 		return 0
 	}
-	if lambda > poissonNormalCutoff {
+	if lambda > PoissonNormalCutoff {
 		return r.PoissonExp(lambda, 0)
 	}
 	return r.PoissonExp(lambda, math.Exp(-lambda))
@@ -160,23 +164,33 @@ func (r *RNG) PoissonExp(lambda, expNegLambda float64) int {
 	if lambda <= 0 {
 		return 0
 	}
-	if lambda > poissonNormalCutoff {
+	if lambda > PoissonNormalCutoff {
 		v := lambda + math.Sqrt(lambda)*r.NormFloat64()
 		if v < 0 {
 			return 0
 		}
 		return int(v + 0.5)
 	}
-	l := expNegLambda
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
+	u := r.Float64()
+	if u <= expNegLambda {
+		return 0
+	}
+	return r.PoissonKnuthFrom(u, expNegLambda)
+}
+
+// PoissonKnuthFrom finishes a Knuth's-product Poisson draw whose first
+// uniform u was above expNegLambda (so the count is at least 1): it keeps
+// multiplying uniforms into the product until it drops to expNegLambda and
+// returns the count. PoissonExp's Knuth branch is exactly one Float64 and,
+// when it exceeds expNegLambda, this call, so a caller that settles the
+// common zero count from the first uniform itself (the noise layer's exact
+// max-of-K path) makes PoissonExp's draws.
+func (r *RNG) PoissonKnuthFrom(u, expNegLambda float64) int {
+	k := 1
+	for p := u * r.Float64(); p > expNegLambda; p *= r.Float64() {
 		k++
 	}
+	return k
 }
 
 // Perm returns a random permutation of [0, n).

@@ -87,6 +87,99 @@ func TestFloat64Mean(t *testing.T) {
 	}
 }
 
+// rngEmitting returns a generator whose next Uint64 is v, by inverting the
+// SplitMix64 output function (each xorshift and odd multiply is a bijection
+// on 64-bit words).
+func rngEmitting(v uint64) *RNG {
+	unshift := func(y uint64, k uint) uint64 {
+		z := y
+		for i := uint(0); i < 64; i += k {
+			z = y ^ (z >> k)
+		}
+		return z
+	}
+	// inverse of an odd a mod 2^64 by Newton's iteration, which doubles
+	// the correct low bits each round.
+	inverse := func(a uint64) uint64 {
+		x := a
+		for range 6 {
+			x *= 2 - a*x
+		}
+		return x
+	}
+	z := unshift(v, 31)
+	z = unshift(z*inverse(0x94d049bb133111eb), 27)
+	z = unshift(z*inverse(0xbf58476d1ce4e5b9), 30)
+	return &RNG{state: z - splitMixGamma}
+}
+
+// Float64 is the top 53 bits of Uint64 scaled by 2^-53, exactly. The noise
+// layer's exact max-of-K path depends on it: it decides Float64() <= l from
+// the integer mantissa, as Uint64()>>11 <= uint64(l·2^53). Pinned here on
+// mantissas either side of that threshold for l = exp(-λ) over the range of
+// Poisson means the noise sources take, so a change to Float64 fails a test
+// instead of silently changing noise draws.
+func TestFloat64MantissaContract(t *testing.T) {
+	a, b := NewRNG(8), NewRNG(8)
+	for i := 0; i < 10000; i++ {
+		if got, want := a.Float64(), float64(b.Uint64()>>11)/(1<<53); got != want {
+			t.Fatalf("draw %d: Float64 %v, want float64(Uint64()>>11)/2^53 = %v", i, got, want)
+		}
+	}
+	if got := rngEmitting(0xdeadbeefcafef00d).Uint64(); got != 0xdeadbeefcafef00d {
+		t.Fatalf("rngEmitting: next draw %#x", got)
+	}
+	const top = 1<<53 - 1 // largest mantissa
+	for _, lambda := range []float64{1e-17, 1e-9, 0.01, 1, 30} {
+		l := math.Exp(-lambda)
+		th := uint64(l * (1 << 53))
+		for _, m := range []uint64{0, 1, th - 1, th, th + 1, th + 2, top} {
+			if m > top {
+				continue // l rounds to 1: every mantissa is below the threshold
+			}
+			for _, low := range []uint64{0, 1<<11 - 1} {
+				v := m<<11 | low
+				got := rngEmitting(v).Float64() <= l
+				if want := m <= th; got != want {
+					t.Errorf("λ=%g mantissa %d (threshold %d): Float64() <= exp(-λ) is %v, mantissa test says %v",
+						lambda, m, th, got, want)
+				}
+			}
+		}
+	}
+}
+
+// refPoissonKnuth is Knuth's product method as PoissonExp ran it before
+// its first step was split off into PoissonKnuthFrom.
+func refPoissonKnuth(r *RNG, l float64) int {
+	k := 0
+	p := 1.0
+	for {
+		p *= r.Float64()
+		if p <= l {
+			return k
+		}
+		k++
+	}
+}
+
+// PoissonExp's Knuth branch, first uniform plus PoissonKnuthFrom, makes the
+// draws of the single product loop: same counts, same generator state.
+func TestPoissonKnuthFromMatchesProductLoop(t *testing.T) {
+	for _, lambda := range []float64{1e-9, 0.01, 0.5, 1, 4, 30} {
+		l := math.Exp(-lambda)
+		r, ref := NewRNG(9), NewRNG(9)
+		for i := 0; i < 20000; i++ {
+			if got, want := r.PoissonExp(lambda, l), refPoissonKnuth(ref, l); got != want {
+				t.Fatalf("λ=%g draw %d: PoissonExp %d, product loop %d", lambda, i, got, want)
+			}
+		}
+		if r.Uint64() != ref.Uint64() {
+			t.Fatalf("λ=%g: generators diverged", lambda)
+		}
+	}
+}
+
 func TestIntnRange(t *testing.T) {
 	r := NewRNG(5)
 	counts := make([]int, 7)
