@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 
 	"mklite/internal/apps"
 	"mklite/internal/kernel"
+	"mklite/internal/mpi"
 	"mklite/internal/sim"
 )
 
@@ -99,6 +101,60 @@ func TestSetupNodeAllocs(t *testing.T) {
 			if limit := budget[name] + headroom; perRank > limit {
 				t.Errorf("%s: setupNode allocates %.2f times per rank, budget %.2f", name, perRank, limit)
 			}
+		}
+	}
+}
+
+// BenchmarkRunSteps measures the timestep loop of one 64-node Lulesh run
+// on each kernel — the heap replay's layer benchmark. Boot, node setup and
+// communicator construction run outside the timer.
+func BenchmarkRunSteps(b *testing.B) {
+	for _, bk := range benchKernels {
+		b.Run("lulesh-"+bk.name, func(b *testing.B) {
+			j := Job{App: apps.Lulesh(), Kernel: bk.kt, Nodes: 64, Seed: 1}.normalized()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				k, err := bootKernel(j)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ns, err := setupNode(k, j, sim.NewRNG(1))
+				if err != nil {
+					b.Fatal(err)
+				}
+				comm, err := mpi.New(j.Fabric, j.Nodes, j.App.RanksPerNode)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := runSteps(context.Background(), k, j, comm, ns, sim.NewRNG(2), nil, -1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestLuleshRunAllocs is the allocation budget of a whole Lulesh run
+// (boot, setup and 40 timesteps) on each kernel: the count measured
+// before the node-level heap memo replaced the per-rank one. The memo's
+// snapshot buffer is sized exactly once per state length, so a buffer that
+// grows by appending — about ten more allocations a run — fails here.
+func TestLuleshRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race are not comparable with the budget")
+	}
+	budget := map[string]float64{"linux": 1594, "mckernel": 1125, "mos": 1079}
+	for _, bk := range benchKernels {
+		j := Job{App: apps.Lulesh(), Kernel: bk.kt, Nodes: 64, Seed: 1}
+		got := testing.AllocsPerRun(3, func() {
+			if _, err := Run(j); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > budget[bk.name] {
+			t.Errorf("%s: a Lulesh run allocates %.0f times, budget %.0f", bk.name, got, budget[bk.name])
 		}
 	}
 }

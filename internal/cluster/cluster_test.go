@@ -275,14 +275,19 @@ func TestHeapOpsPerStepCalledOnce(t *testing.T) {
 	}
 }
 
-// TestHeapCountersExactWhenMemoized: the LWK heaps go steady after their
-// first growth and the step loop then skips their replay, yet a counting
-// run must still report every brk call of every rank and step — the
-// counters equal the per-step trace replayed ranks × timesteps times.
+// TestHeapCountersExactWhenMemoized: every kernel's node reaches its
+// memory fixed point within two steps and the step loop then skips the
+// replay, yet a counting run must still report every brk call of every
+// rank and step — the counters equal the per-step trace replayed ranks ×
+// timesteps times. Linux steps fault and zero pages, and reach the heap's
+// peak (a max-style counter a scaled merge must not sum): heap.faults and
+// heap.zeroed_bytes are timesteps times one step's, and heap.peak_bytes is
+// the trace's own peak. A Linux run replays at most two steps per rank:
+// the first, and the capture step after the fixed point.
 func TestHeapCountersExactWhenMemoized(t *testing.T) {
 	app := apps.Lulesh()
 	const nodes = 8
-	var queries, grows, shrinks, grown int64
+	var queries, grows, shrinks, grown, size, peak int64
 	for _, d := range app.HeapOpsPerStep(nodes) {
 		switch {
 		case d == 0:
@@ -290,24 +295,44 @@ func TestHeapCountersExactWhenMemoized(t *testing.T) {
 		case d > 0:
 			grows++
 			grown += d
+			size += d
+			peak = max(peak, size)
 		default:
 			shrinks++
+			size -= min(-d, size)
 		}
 	}
 	reps := int64(app.RanksPerNode * app.Timesteps)
 	for _, kt := range []kernel.Type{kernel.TypeLinux, kernel.TypeMcKernel, kernel.TypeMOS} {
 		ctrs := trace.NewCounters()
-		run(t, Job{App: app, Kernel: kt, Nodes: nodes, Seed: 3, Sink: trace.NewSink(ctrs, nil)})
-		for _, c := range []struct {
+		j := Job{App: app, Kernel: kt, Nodes: nodes, Seed: 3, Sink: trace.NewSink(ctrs, nil)}
+		run(t, j)
+		type check struct {
 			name string
 			want int64
-		}{
+		}
+		checks := []check{
 			{"heap.queries", reps * queries},
 			{"heap.grows", reps * grows},
 			{"heap.shrinks", reps * shrinks},
 			{"heap.grown_bytes", reps * grown},
+			{"heap.peak_bytes", peak},
 			{"syscall.brk", reps * (queries + grows + shrinks)},
-		} {
+		}
+		if kt == kernel.TypeLinux {
+			step := replayHeap(t, j, 1, false).counters
+			if step["heap.faults"] <= 0 || step["heap.zeroed_bytes"] <= 0 {
+				t.Fatalf("a Linux step neither faults nor zeroes: %v", step)
+			}
+			steps := int64(app.Timesteps)
+			checks = append(checks,
+				check{"heap.faults", steps * step["heap.faults"]},
+				check{"heap.zeroed_bytes", steps * step["heap.zeroed_bytes"]})
+			if n := replayHeap(t, j, app.Timesteps, true).replayed; n > 2 {
+				t.Errorf("linux: replayed %d of %d steps, want at most 2", n, app.Timesteps)
+			}
+		}
+		for _, c := range checks {
 			if got := ctrs.Get(c.name); got != c.want {
 				t.Errorf("%v: %s = %d, want %d", kt, c.name, got, c.want)
 			}

@@ -236,36 +236,9 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 		res0Steps = make([]StepRecord, 0, steps)
 	}
 
-	// Steady-state memoization of the heap replay. A step whose replay
-	// issued only kernel crossings (no faults, mappings, zeroing,
-	// allocation or freeing) and whose break returned to its starting
-	// offset left the heap engine — and the physical allocator behind it
-	// — in exactly its pre-step state, so every later step replays
-	// identically; its cost is cached and the replay skipped. The LWK
-	// heaps reach this state right after their initial over-reserving
-	// growth; the Linux heap never does (shrink frees pages, so each
-	// balanced cycle faults anew) and keeps paying full price — which is
-	// its cost model. Rank 0 is always replayed so Result.HeapStats keeps
-	// exact whole-run accounting. A cost of -1 marks "not steady yet".
-	//
-	// When counting, the per-call counter emission inside Sbrk/TouchUpTo
-	// is part of the contract, so the first replay after a rank goes
-	// steady emits into a private counter set (then merged into the
-	// run's) that holds exactly one steady step's counts; every skipped
-	// step owes those counts again, and they are paid after the loop. A
-	// steady step only adds: it never raises the heap's peak, so it emits
-	// no max-style counter that a merge would sum.
-	type heapMemo struct {
-		cost   sim.Duration
-		counts *trace.Counters // one steady step's counts; nil until captured
-		owed   int64           // skipped steps whose counts are not yet merged
-	}
-	var memo []heapMemo
+	var heap *heapReplay
 	if heapOps != nil {
-		memo = make([]heapMemo, len(ns.heaps))
-		for i := range memo {
-			memo[i].cost = -1
-		}
+		heap = newHeapReplay(ns, heapOps, brkTime, costs, sink)
 	}
 
 	for step := 0; step < steps; step++ {
@@ -276,58 +249,10 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 		}
 		stepStart := sim.Time(elapsed)
 
-		// Heap activity: every rank replays the per-step brk trace on
-		// its own heap engine (columnar slice — the loop body touches no
-		// rankState); the slowest rank gates the node.
+		// Heap activity: the slowest rank's brk replay gates the node.
 		var heapMax sim.Duration
-		if heapOps != nil {
-			for ri, h := range ns.heaps {
-				m := &memo[ri]
-				if m.cost >= 0 && (!counting || m.counts != nil) {
-					if m.cost > heapMax {
-						heapMax = m.cost
-					}
-					if observing {
-						sink.ObserveRank("heap.cost_ns", ri, int64(m.cost))
-					}
-					m.owed++
-					continue
-				}
-				capture := m.cost >= 0
-				if capture {
-					m.counts = trace.NewCounters()
-					ns.ranks[ri].as.SetSink(trace.NewSinkObs(m.counts, sink.Events(), sink.Observer()))
-				}
-				sizeBefore := h.Size()
-				var cost sim.Duration
-				var work mem.Work
-				for _, delta := range heapOps {
-					cost += brkTime
-					if _, w, err := h.Sbrk(delta); err == nil {
-						work.Accumulate(w)
-					}
-					if delta > 0 {
-						// The application uses what it just
-						// allocated before the next call —
-						// first touch happens here.
-						work.Accumulate(h.TouchUpTo(h.Size()))
-					}
-				}
-				cost += costs.WorkTime(work)
-				if capture {
-					ns.ranks[ri].as.SetSink(sink)
-					sink.Counters().Merge(m.counts)
-				}
-				if cost > heapMax {
-					heapMax = cost
-				}
-				if observing {
-					sink.ObserveRank("heap.cost_ns", ri, int64(cost))
-				}
-				if ri != 0 && h.Size() == sizeBefore && work.PureSyscall() {
-					m.cost = cost
-				}
-			}
+		if heap != nil {
+			heapMax = heap.step()
 			if counting {
 				sink.CountKey(trace.KeySyscallBrk, int64(len(heapOps)*len(ns.ranks)))
 			}
@@ -527,10 +452,13 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 		parts.addTo(&bd)
 	}
 
-	for _, m := range memo {
-		if m.owed > 0 && m.counts != nil {
-			sink.Counters().MergeScaled(m.counts, m.owed)
-		}
+	// An empty-rank job (a zero-rank app spec) has no heap to report;
+	// indexing ranks[0] unconditionally panicked here.
+	var heapStats mem.HeapStats
+	if heap != nil {
+		heapStats = heap.finish()
+	} else if len(ns.ranks) > 0 {
+		heapStats = ns.ranks[0].heap.Stats()
 	}
 
 	if stragglerPending > 0 {
@@ -570,12 +498,6 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 		if !app.PerNode {
 			fom *= float64(j.Nodes)
 		}
-	}
-	// An empty-rank job (a zero-rank app spec) has no heap to report;
-	// indexing ranks[0] unconditionally panicked here.
-	var heapStats mem.HeapStats
-	if len(ns.ranks) > 0 {
-		heapStats = ns.ranks[0].heap.Stats()
 	}
 	return Result{
 		Elapsed:     elapsed,

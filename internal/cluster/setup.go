@@ -36,6 +36,8 @@ type rankState struct {
 
 // nodeState is the fully set-up model node.
 type nodeState struct {
+	// phys is the node's physical allocator, shared by every rank.
+	phys  *mem.Phys
 	ranks []*rankState
 	// setup is the untimed initialisation cost (max over ranks).
 	setup sim.Duration
@@ -43,30 +45,26 @@ type nodeState struct {
 	// windows (avoided by --mpol-shm-premap).
 	shmFault sim.Duration
 
-	// Columnar (struct-of-arrays) mirrors of the per-rank state the step
-	// loop reads every iteration: the hot loop walks these dense slices
-	// instead of chasing a *rankState per rank per step. Built once by
-	// buildColumns after setup; rankState stays the construction-time
-	// view.
-	heaps    []mem.Heap
-	memTimes []sim.Duration
-	// memMax is the maximum of memTimes — step-invariant (memory service
-	// time depends only on placement, fixed after setup), so the step
-	// loop reads it instead of re-scanning the ranks every timestep.
+	// heaps is the columnar (struct-of-arrays) mirror of the ranks' heap
+	// engines: the heap replay walks this dense slice instead of chasing
+	// a *rankState per rank per step. Built once by buildColumns after
+	// setup; rankState stays the construction-time view.
+	heaps []mem.Heap
+	// memMax is the maximum of the ranks' memTime — step-invariant
+	// (memory service time depends only on placement, fixed after
+	// setup), so the step loop reads it instead of re-scanning the ranks
+	// every timestep.
 	memMax sim.Duration
 }
 
-// buildColumns populates the columnar mirrors from the per-rank structs.
+// buildColumns populates the columnar mirror and memMax from the per-rank
+// structs.
 func (ns *nodeState) buildColumns() {
 	ns.heaps = make([]mem.Heap, len(ns.ranks))
-	ns.memTimes = make([]sim.Duration, len(ns.ranks))
 	ns.memMax = 0
 	for i, rs := range ns.ranks {
 		ns.heaps[i] = rs.heap
-		ns.memTimes[i] = rs.memTime
-		if rs.memTime > ns.memMax {
-			ns.memMax = rs.memTime
-		}
+		ns.memMax = max(ns.memMax, rs.memTime)
 	}
 }
 
@@ -201,7 +199,7 @@ func fitsInMCDRAM(j Job) bool {
 func setupNode(k kernel.Kernel, j Job, rng *sim.RNG) (*nodeState, error) {
 	app := j.App
 	ws := app.WorkingSetPerRank(j.Nodes)
-	ns := &nodeState{}
+	ns := &nodeState{phys: k.Phys()}
 	costs := k.Costs()
 
 	// Everything that is the same for every rank is derived here, once:

@@ -80,6 +80,22 @@ func TestTableDefaultAndOverride(t *testing.T) {
 	}
 }
 
+// TestTableOutsideInventory: a number outside the inventory has the
+// table's default, and setting one changes nothing.
+func TestTableOutsideInventory(t *testing.T) {
+	tb := NewTable(Offloaded)
+	for _, n := range []Sysno{-1, numSysno, numSysno + 40} {
+		tb.Set(n, Unsupported)
+		tb.SetAll([]Sysno{n}, Native)
+		if got := tb.Get(n); got != Offloaded {
+			t.Errorf("Get(%d) = %v, want the default", int(n), got)
+		}
+	}
+	if c := tb.Count(Offloaded); c != NumSyscalls {
+		t.Fatalf("out-of-inventory sets leaked: %d of %d offloaded", c, NumSyscalls)
+	}
+}
+
 func TestTableSetClass(t *testing.T) {
 	tb := NewTable(Offloaded)
 	tb.SetClass(ClassMemory, Native)

@@ -3,7 +3,7 @@ package kernel
 import "fmt"
 
 // Disposition says how a kernel handles a system call.
-type Disposition int
+type Disposition uint8
 
 const (
 	// Native: serviced in the local kernel.
@@ -33,52 +33,60 @@ func (d Disposition) String() string {
 // Table maps every syscall to its disposition for one kernel.
 type Table struct {
 	def Disposition
-	d   map[Sysno]Disposition
+	d   [numSysno]Disposition
 }
 
 // NewTable creates a table whose unlisted syscalls get the given default.
 func NewTable(def Disposition) *Table {
-	return &Table{def: def, d: make(map[Sysno]Disposition)}
+	t := &Table{def: def}
+	for i := range t.d {
+		t.d[i] = def
+	}
+	return t
 }
 
-// Set records the disposition of one syscall.
+// Set records the disposition of one syscall. Numbers outside the
+// inventory are ignored: Get answers them with the default.
 func (t *Table) Set(n Sysno, d Disposition) *Table {
-	t.d[n] = d
+	if n.Valid() {
+		t.d[n] = d
+	}
 	return t
 }
 
 // SetAll records the disposition for a list of syscalls.
 func (t *Table) SetAll(ns []Sysno, d Disposition) *Table {
 	for _, n := range ns {
-		t.d[n] = d
+		t.Set(n, d)
 	}
 	return t
 }
 
 // SetClass records the disposition for every syscall in a class.
 func (t *Table) SetClass(c Class, d Disposition) *Table {
-	for _, n := range All() {
-		if ClassOf(n) == c {
+	for n := range t.d {
+		if ClassOf(Sysno(n)) == c {
 			t.d[n] = d
 		}
 	}
 	return t
 }
 
-// Get returns the disposition of a syscall.
+// Get returns the disposition of a syscall, the default for a number
+// outside the inventory.
 func (t *Table) Get(n Sysno) Disposition {
-	if d, ok := t.d[n]; ok {
-		return d
+	if !n.Valid() {
+		return t.def
 	}
-	return t.def
+	return t.d[n]
 }
 
 // Count returns how many syscalls in the inventory have the given
 // disposition.
 func (t *Table) Count(d Disposition) int {
 	c := 0
-	for _, n := range All() {
-		if t.Get(n) == d {
+	for _, got := range t.d {
+		if got == d {
 			c++
 		}
 	}

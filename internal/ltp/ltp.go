@@ -131,7 +131,8 @@ func Catalogue() []Case {
 		}
 	}
 
-	var cases []Case
+	// The counts sum to TotalCases; the two probes below come on top.
+	cases := make([]Case, 0, TotalCases+2)
 	for _, s := range kernel.All() {
 		n := counts[s]
 		forks := forkPlan[s]

@@ -99,6 +99,25 @@ type VMA struct {
 // End returns the first address after the area.
 func (v *VMA) End() int64 { return v.Start + v.Size }
 
+// stateLen is the number of words appendState appends.
+func (v *VMA) stateLen() int { return 3 + 4*len(v.Backings) }
+
+// appendState appends what populating or trimming the area reads of it —
+// Populated, DemandActive and every backing — to dst. The geometry and
+// policy are fixed at Map time and Faults only accumulates, so neither is
+// part of the state.
+func (v *VMA) appendState(dst []int64) []int64 {
+	demand := int64(0)
+	if v.DemandActive {
+		demand = 1
+	}
+	dst = append(dst, v.Populated, demand, int64(len(v.Backings)))
+	for _, b := range v.Backings {
+		dst = append(dst, int64(b.Ext.Domain), b.Ext.Start, b.Ext.Size, int64(b.Page))
+	}
+	return dst
+}
+
 // MixKey identifies a (memory kind, page size) class for page-mix
 // accounting.
 type MixKey struct {
@@ -503,7 +522,7 @@ func (as *AddrSpace) BytesByKind() [hw.NumMemKinds]int64 {
 }
 
 func (as *AddrSpace) kindOfDomain(id int) hw.MemKind {
-	if d, ok := as.phys.domains[id]; ok {
+	if d := as.phys.lookup(id); d != nil {
 		return d.kind
 	}
 	return hw.DDR4

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 
 	"mklite/internal/hw"
 	"mklite/internal/trace"
@@ -19,19 +20,6 @@ type Work struct {
 	CopiedBytes    int64 // bytes copied during page migration
 	FailedBytes    int64 // bytes a migration could not move
 	SyscallIssued  bool  // a kernel crossing happened
-}
-
-// PureSyscall reports whether the work consists of kernel crossings only —
-// every physical component (faults, mappings, zeroing, allocation, freeing,
-// migration) is zero. A brk-trace replay whose per-step work is pure
-// syscall and whose size returned to its starting point left the heap and
-// the physical allocator in exactly the state they started the step in, so
-// every subsequent replay of the same trace is identical — the condition
-// the cluster hot loop's steady-state memoization keys on.
-func (w Work) PureSyscall() bool {
-	return w.Faults == 0 && w.PagesMapped == 0 && w.ZeroedBytes == 0 &&
-		w.AllocatedBytes == 0 && w.FreedBytes == 0 && w.CopiedBytes == 0 &&
-		w.FailedBytes == 0
 }
 
 // Accumulate adds w2 into w.
@@ -62,6 +50,23 @@ type HeapStats struct {
 // Calls returns the total number of brk/sbrk invocations observed.
 func (s HeapStats) Calls() int64 { return s.Queries + s.Grows + s.Shrinks }
 
+// Repeat returns s extended by n more repetitions of the change from
+// before to s, keeping s's Peak: the accounting of a heap that replays the
+// same trace n more times from the state it ended in, having ended it where
+// it started (a repetition then retraces sizes the first one reached).
+func (s HeapStats) Repeat(before HeapStats, n int64) HeapStats {
+	return HeapStats{
+		Queries:     s.Queries + n*(s.Queries-before.Queries),
+		Grows:       s.Grows + n*(s.Grows-before.Grows),
+		Shrinks:     s.Shrinks + n*(s.Shrinks-before.Shrinks),
+		GrownBytes:  s.GrownBytes + n*(s.GrownBytes-before.GrownBytes),
+		ShrunkBytes: s.ShrunkBytes + n*(s.ShrunkBytes-before.ShrunkBytes),
+		Peak:        s.Peak,
+		Faults:      s.Faults + n*(s.Faults-before.Faults),
+		ZeroedBytes: s.ZeroedBytes + n*(s.ZeroedBytes-before.ZeroedBytes),
+	}
+}
+
 // Heap is the interface shared by the Linux and HPC heap engines.
 type Heap interface {
 	// Sbrk adjusts the program break by delta bytes (0 queries). It
@@ -76,6 +81,13 @@ type Heap interface {
 	Size() int64
 	// Stats returns the accumulated accounting.
 	Stats() HeapStats
+	// AppendState appends every field a later Sbrk or TouchUpTo reads
+	// (the engine's own cursor state and its area's backing) to dst and
+	// returns the extended slice. A heap whose state equals an earlier
+	// one, over a node allocator whose state (Phys.AppendState) does too,
+	// replays any brk trace exactly as it did then. Accounting (Stats)
+	// is not part of the state: it only accumulates.
+	AppendState(dst []int64) []int64
 }
 
 // --------------------------------------------------------------------------
@@ -227,6 +239,17 @@ func (h *LinuxHeap) Size() int64 { return h.size }
 
 // Stats implements Heap.
 func (h *LinuxHeap) Stats() HeapStats { return h.st }
+
+// AppendState implements Heap: the break, the touch cursor, the growth
+// segments and the area's backing.
+func (h *LinuxHeap) AppendState(dst []int64) []int64 {
+	dst = slices.Grow(dst, 3+2*len(h.segs)+h.vma.stateLen())
+	dst = append(dst, h.size, int64(h.touchIdx), int64(len(h.segs)))
+	for _, s := range h.segs {
+		dst = append(dst, s.start, s.end)
+	}
+	return h.vma.appendState(dst)
+}
 
 // --------------------------------------------------------------------------
 // HPC heap (LWK)
@@ -383,3 +406,10 @@ func (h *HPCHeap) Reserved() int64 { return h.reserved }
 
 // Stats implements Heap.
 func (h *HPCHeap) Stats() HeapStats { return h.st }
+
+// AppendState implements Heap: the break, the reserved watermark and the
+// area's backing.
+func (h *HPCHeap) AppendState(dst []int64) []int64 {
+	dst = slices.Grow(dst, 2+h.vma.stateLen())
+	return h.vma.appendState(append(dst, h.size, h.reserved))
+}

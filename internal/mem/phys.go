@@ -8,6 +8,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mklite/internal/hw"
@@ -42,22 +43,39 @@ type physDomain struct {
 // domain. It is the single authority on physical occupancy — every kernel
 // and every process address space on a node allocates through it.
 type Phys struct {
-	node    *hw.NodeSpec
-	domains map[int]*physDomain
+	node *hw.NodeSpec
+	// domains is indexed by domain id; ids are small and dense on every
+	// node, and a gap holds nil.
+	domains []*physDomain
+}
+
+// newPhys returns an allocator with one empty physDomain per domain of the
+// node, each owning nothing yet.
+func newPhys(node *hw.NodeSpec) *Phys {
+	n := 0
+	for _, d := range node.Domains {
+		if d.ID < 0 {
+			panic(fmt.Sprintf("mem: negative NUMA domain id %d", d.ID))
+		}
+		n = max(n, d.ID+1)
+	}
+	p := &Phys{node: node, domains: make([]*physDomain, n)}
+	for _, d := range node.Domains {
+		p.domains[d.ID] = &physDomain{id: d.ID, kind: d.Mem.Kind, bound: d.Mem.Capacity}
+	}
+	return p
 }
 
 // NewPhys returns an allocator with every domain of the node entirely free.
 func NewPhys(node *hw.NodeSpec) *Phys {
-	p := &Phys{node: node, domains: make(map[int]*physDomain)}
-	for _, d := range node.Domains {
-		p.domains[d.ID] = &physDomain{
-			id:       d.ID,
-			kind:     d.Mem.Kind,
-			capacity: d.Mem.Capacity,
-			bound:    d.Mem.Capacity,
-			free:     []freeRange{{start: 0, size: d.Mem.Capacity}},
-			freeSum:  d.Mem.Capacity,
+	p := newPhys(node)
+	for _, d := range p.domains {
+		if d == nil {
+			continue
 		}
+		d.capacity = d.bound
+		d.free = []freeRange{{start: 0, size: d.bound}}
+		d.freeSum = d.bound
 	}
 	return p
 }
@@ -69,17 +87,10 @@ func NewPhys(node *hw.NodeSpec) *Phys {
 // inherits Linux's fragmentation, one booted early gets pristine ranges
 // (section II-D5).
 func NewPhysView(node *hw.NodeSpec, grants []Extent) *Phys {
-	p := &Phys{node: node, domains: make(map[int]*physDomain)}
-	for _, d := range node.Domains {
-		p.domains[d.ID] = &physDomain{
-			id:    d.ID,
-			kind:  d.Mem.Kind,
-			bound: d.Mem.Capacity,
-		}
-	}
+	p := newPhys(node)
 	for _, g := range grants {
-		d, ok := p.domains[g.Domain]
-		if !ok {
+		d, err := p.domain(g.Domain)
+		if err != nil {
 			panic(fmt.Sprintf("mem: grant in unknown domain %d", g.Domain))
 		}
 		d.capacity += g.Size
@@ -92,6 +103,9 @@ func NewPhysView(node *hw.NodeSpec, grants []Extent) *Phys {
 	}
 	// Coalesce adjacent grants.
 	for _, d := range p.domains {
+		if d == nil {
+			continue
+		}
 		var out []freeRange
 		for _, f := range d.free {
 			if n := len(out); n > 0 && out[n-1].start+out[n-1].size == f.start {
@@ -108,9 +122,17 @@ func NewPhysView(node *hw.NodeSpec, grants []Extent) *Phys {
 // Node returns the hardware spec the allocator was built for.
 func (p *Phys) Node() *hw.NodeSpec { return p.node }
 
+// lookup returns the domain with the given id, nil for unknown ids.
+func (p *Phys) lookup(id int) *physDomain {
+	if id < 0 || id >= len(p.domains) {
+		return nil
+	}
+	return p.domains[id]
+}
+
 func (p *Phys) domain(id int) (*physDomain, error) {
-	d, ok := p.domains[id]
-	if !ok {
+	d := p.lookup(id)
+	if d == nil {
 		return nil, fmt.Errorf("mem: no NUMA domain %d", id)
 	}
 	return d, nil
@@ -118,7 +140,7 @@ func (p *Phys) domain(id int) (*physDomain, error) {
 
 // FreeBytes returns the total free bytes in a domain (0 for unknown ids).
 func (p *Phys) FreeBytes(domain int) int64 {
-	if d, ok := p.domains[domain]; ok {
+	if d := p.lookup(domain); d != nil {
 		return d.freeSum
 	}
 	return 0
@@ -126,7 +148,7 @@ func (p *Phys) FreeBytes(domain int) int64 {
 
 // Capacity returns the domain capacity in bytes (0 for unknown ids).
 func (p *Phys) Capacity(domain int) int64 {
-	if d, ok := p.domains[domain]; ok {
+	if d := p.lookup(domain); d != nil {
 		return d.capacity
 	}
 	return 0
@@ -134,18 +156,44 @@ func (p *Phys) Capacity(domain int) int64 {
 
 // UsedBytes returns allocated bytes in a domain.
 func (p *Phys) UsedBytes(domain int) int64 {
-	if d, ok := p.domains[domain]; ok {
+	if d := p.lookup(domain); d != nil {
 		return d.capacity - d.freeSum
 	}
 	return 0
+}
+
+// AppendState appends the allocator's occupancy to dst and returns the
+// extended slice: for every domain in id order, the length of its free
+// list, each free range's start and size, then its free byte count. Two
+// allocators over the same node with equal states answer every Alloc and
+// Free identically.
+func (p *Phys) AppendState(dst []int64) []int64 {
+	n := 0
+	for _, d := range p.domains {
+		if d != nil {
+			n += 2 + 2*len(d.free)
+		}
+	}
+	dst = slices.Grow(dst, n)
+	for _, d := range p.domains {
+		if d == nil {
+			continue
+		}
+		dst = append(dst, int64(len(d.free)))
+		for _, f := range d.free {
+			dst = append(dst, f.start, f.size)
+		}
+		dst = append(dst, d.freeSum)
+	}
+	return dst
 }
 
 // LargestFree returns the size of the largest free contiguous range in the
 // domain. Large-page eligibility depends on this, which is how early-boot
 // reservation (mOS) beats late requests (McKernel) for 1 GiB pages.
 func (p *Phys) LargestFree(domain int) int64 {
-	d, ok := p.domains[domain]
-	if !ok {
+	d := p.lookup(domain)
+	if d == nil {
 		return 0
 	}
 	var max int64
@@ -234,7 +282,7 @@ func (p *Phys) appendUpTo(out []Extent, domain int, size, align int64) ([]Extent
 			}
 		}
 		if out == nil {
-			out = make([]Extent, 0, len(p.domains[domain].free))
+			out = make([]Extent, 0, len(p.lookup(domain).free))
 		}
 		e, err := p.Alloc(domain, chunk, align)
 		if err != nil {
@@ -249,8 +297,8 @@ func (p *Phys) appendUpTo(out []Extent, domain int, size, align int64) ([]Extent
 // largestAlignedChunk returns the largest multiple of align obtainable as a
 // single extent from the domain.
 func (p *Phys) largestAlignedChunk(domain int, align int64) int64 {
-	d, ok := p.domains[domain]
-	if !ok {
+	d := p.lookup(domain)
+	if d == nil {
 		return 0
 	}
 	var best int64
@@ -351,6 +399,9 @@ func (p *Phys) allocAt(domain int, start, size int64) (Extent, error) {
 // and consistent with freeSum. Exposed to tests via export_test.go.
 func (p *Phys) checkInvariants() error {
 	for id, d := range p.domains {
+		if d == nil {
+			continue
+		}
 		var sum int64
 		var prevEnd int64 = -1
 		for i, f := range d.free {
