@@ -6,9 +6,11 @@ import (
 	"mklite/internal/sim"
 )
 
-// exactMaxRanks bounds the per-rank exact sampling path; beyond it the
-// order-statistic approximation is used (sampling 131,072 ranks per
-// timestep would dominate the harness's own runtime).
+// exactMaxRanks bounds MaxDetourRank's exact path. Up to this many ranks the
+// maximum is sampled exactly by colouring (exactMax), whose draws grow with
+// the number of detour events, not with the rank count; it keeps one sum per
+// rank in a buffer of this length. Beyond it the order-statistic
+// approximation is used (ROADMAP item 1, stage 2).
 const exactMaxRanks = 1024
 
 // MaxDetour samples the worst per-rank interference over `ranks` ranks
@@ -18,8 +20,10 @@ const exactMaxRanks = 1024
 // the system grows, but the *maximum* over 131,072 ranks climbs into the
 // heavy tail.
 //
-// For small rank counts the maximum is sampled exactly (per-rank). For
-// large counts it uses the order-statistic identity max(X_1..X_K) ~
+// Up to exactMaxRanks ranks the maximum is exact: it has the law of the
+// largest of `ranks` independent single-rank detours on an application
+// core, sampled by colouring each source's events onto ranks (exactMax).
+// For larger counts it uses the order-statistic identity max(X_1..X_K) ~
 // F^{-1}(U^{1/K}): one inverse-CDF draw per source component instead of K
 // samples. Per-source maxima are summed in place of the true max over ranks
 // of each rank's summed detour. That is an approximation whose bias has no
@@ -32,9 +36,10 @@ func MaxDetour(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) sim.Dur
 }
 
 // MaxDetourRank is MaxDetour that also reports which rank contributed the
-// maximum — the straggler a collective waited for. On the exact per-rank
-// path the argmax is known; on the order-statistic path individual ranks are
-// never materialised, so the rank is -1 (source-level attribution only).
+// maximum — the straggler a collective waited for: on the exact path the
+// lowest rank whose detour is the maximum, or -1 when no rank was hit. On
+// the order-statistic path individual ranks are never materialised, so the
+// rank is -1 (source-level attribution only).
 // The sampling sequence is identical to MaxDetour's, so callers may switch
 // between them without perturbing the run.
 func MaxDetourRank(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) (sim.Duration, int) {
@@ -51,98 +56,56 @@ func MaxDetourRank(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) (si
 	return total, -1
 }
 
-// rankPlan holds one source's per-call invariants for exactMax.
-type rankPlan struct {
-	s     *Source
-	lam   float64 // Poisson mean of the per-rank occurrence count
-	l     float64 // exp(-lam), Knuth's stopping product
-	zero  uint64  // the count is 0 iff the first uniform's mantissa is <= zero
-	knuth bool    // lam <= sim.PoissonNormalCutoff
+// exactMax is MaxDetourRank's exact path. It samples the maximum over
+// `ranks` ranks of p.DetourIn(rng, 1, window) — core 1 being a generic
+// application core, since core 0 is partitioned away from applications in
+// all three kernels' deployments — and its lowest argmax, by the colouring
+// theorem (Kingman, Poisson Processes, 1993): `ranks` independent
+// Poisson(λ) counts have the joint law of one Poisson(ranks·λ) count whose
+// events each land on an independently, uniformly chosen rank. So each
+// source that fires on core 1 draws its events over all ranks at once, and
+// each event adds one detour to the sum of a rank drawn without bias. The
+// draws are O(sources + events), where a walk over ranks takes O(ranks ×
+// sources) even though nearly every per-rank count is 0. Detours are never
+// negative, so sums only grow: the running maximum over the updates is the
+// maximum of the final sums, and taking the argmax on a tie at a lower rank
+// leaves it at the lowest rank that reaches that maximum, with no scan over
+// ranks.
+func exactMax(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) (sim.Duration, int) {
+	// The sums live on the stack, zeroed on entry. Halo neighbourhoods and
+	// single nodes, most calls, take the small array and skip clearing a
+	// full exactMaxRanks of them.
+	if ranks <= smallRanks {
+		var sums [smallRanks]sim.Duration
+		return colour(rng, p, sums[:ranks], window)
+	}
+	var sums [exactMaxRanks]sim.Duration
+	return colour(rng, p, sums[:ranks], window)
 }
 
-// plansOnStack is how many sources exactMax plans without allocating; the
-// canonical profiles have at most five, six with a daemon storm added.
-const plansOnStack = 8
+// smallRanks is the rank count of one 64-rank node.
+const smallRanks = 64
 
-// exactMax is MaxDetourRank's exact per-rank path. It makes exactly the
-// draws of `ranks` successive p.DetourIn(rng, 1, window) calls — core 1
-// being a generic application core, since core 0 is partitioned away from
-// applications in all three kernels' deployments — and returns their
-// maximum and its first rank. Nearly every (rank, source) count is 0, so
-// each source's invariants are resolved once per call, and the first step
-// of Knuth's product method is taken on the uniform's integer mantissa:
-// sim.RNG.Float64 is float64(Uint64()>>11)/2^53, so the first uniform is
-// <= exp(-λ), making the count 0, exactly when its mantissa is
-// <= floor(exp(-λ)·2^53). A larger mantissa goes on to
-// sim.RNG.PoissonKnuthFrom with that same uniform, as PoissonExp does.
-func exactMax(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) (sim.Duration, int) {
-	var buf [plansOnStack]rankPlan
-	plans := buf[:0]
+// colour is exactMax over len(sums) ranks, every sum 0 on entry.
+func colour(rng *sim.RNG, p *Profile, sums []sim.Duration, window sim.Duration) (sim.Duration, int) {
+	ranks := uint64(len(sums))
+	var max sim.Duration
+	argmax := -1
 	for i := range p.Sources {
 		s := &p.Sources[i]
 		if !s.appliesTo(1) || s.Period <= 0 {
-			continue // SampleWindow draws nothing for it
+			continue // DetourIn draws nothing for it
 		}
-		lam, l := s.lambda(window)
-		plans = append(plans, rankPlan{s: s, lam: lam, l: l, zero: uint64(l * (1 << 53)), knuth: lam <= sim.PoissonNormalCutoff})
-	}
-	var max, total sim.Duration
-	argmax := -1
-	cur := 0 // the rank `total` sums; ranks skipped by nextCount sum to 0
-	r, i := 0, 0
-	for {
-		var m uint64
-		r, i, m = nextCount(rng, plans, ranks, r, i)
-		if r != cur {
-			if total > max {
-				max, argmax = total, cur
-			}
-			cur, total = r, 0
-		}
-		if r == ranks {
-			return max, argmax
-		}
-		total += plans[i].occurrences(rng, m)
-		i++
-	}
-}
-
-// nextCount draws the counts of exactMax's (rank, plan) positions from
-// (r, i) on, in rank-major order, and stops at the first one it cannot
-// settle as 0 from its first uniform: a Knuth count whose mantissa m is
-// above the plan's zero threshold, or a normal-approximation count. It
-// returns that position and m, or r == ranks once every position is
-// settled. It makes no calls, so the loop that nearly every draw takes
-// keeps its state in registers.
-func nextCount(rng *sim.RNG, plans []rankPlan, ranks, r, i int) (int, int, uint64) {
-	for ; r < ranks; r, i = r+1, 0 {
-		for ; i < len(plans); i++ {
-			if !plans[i].knuth {
-				return r, i, 0
-			}
-			if m := rng.Uint64() >> 11; m > plans[i].zero {
-				return r, i, m
+		lam, _ := s.lambda(window)
+		for n := rng.Poisson(float64(ranks) * lam); n > 0; n-- {
+			r := int(rng.Uint64n(ranks))
+			sums[r] += s.sampleDetour(rng)
+			if d := sums[r]; d > max || d == max && r < argmax {
+				max, argmax = d, r
 			}
 		}
 	}
-	return r, 0, 0
-}
-
-// occurrences draws the rest of one rank's count for the source and sums
-// that many detours. For a Knuth count, m is the first uniform's mantissa,
-// already known to be above pl.zero.
-func (pl *rankPlan) occurrences(rng *sim.RNG, m uint64) sim.Duration {
-	var n int
-	if pl.knuth {
-		n = rng.PoissonKnuthFrom(float64(m)/(1<<53), pl.l)
-	} else {
-		n = rng.PoissonExp(pl.lam, 0)
-	}
-	var total sim.Duration
-	for ; n > 0; n-- {
-		total += pl.s.sampleDetour(rng)
-	}
-	return total
+	return max, argmax
 }
 
 // sourceMax approximates the maximum single-rank detour from one source

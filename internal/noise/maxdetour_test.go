@@ -1,6 +1,7 @@
 package noise
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -143,10 +144,11 @@ func TestMaxDetourAtLeastSingleRankDetour(t *testing.T) {
 	}
 }
 
-// refLoopMax is the retired exact branch of MaxDetourRank, kept as the
-// reference exactMax is held to draw for draw, the way sampler_test.go keeps
-// the polar sampler: `ranks` successive single-rank draws on application
-// core 1, the first rank with the largest total winning.
+// refLoopMax is the retired per-rank walk of MaxDetourRank's exact branch,
+// kept as the reference the colouring path is held to in distribution, the
+// way sampler_test.go keeps the polar sampler: `ranks` successive
+// single-rank draws on application core 1, the first rank with the largest
+// total winning.
 func refLoopMax(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) (sim.Duration, int) {
 	var max sim.Duration
 	argmax := -1
@@ -159,12 +161,39 @@ func refLoopMax(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) (sim.D
 	return max, argmax
 }
 
+// refColourMax is the plain colouring exactMax is held to draw for draw: a
+// fresh slice of per-rank sums, each source's Poisson(ranks·λ) events
+// coloured onto uniform ranks in source order, then one scan for the first
+// largest sum.
+func refColourMax(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) (sim.Duration, int) {
+	sums := make([]sim.Duration, ranks)
+	for i := range p.Sources {
+		s := &p.Sources[i]
+		if !s.appliesTo(1) || s.Period <= 0 {
+			continue
+		}
+		events := rng.Poisson(float64(ranks) * (float64(window) / float64(s.Period)))
+		for range events {
+			r := rng.Uint64n(uint64(ranks))
+			sums[r] += s.sampleDetour(rng)
+		}
+	}
+	var max sim.Duration
+	argmax := -1
+	for r, d := range sums {
+		if d > max {
+			max, argmax = d, r
+		}
+	}
+	return max, argmax
+}
+
 // exactOracleProfiles are the profiles the exact path is checked on against
-// refLoopMax: the four canonical kernels, tuned Linux under the facility
+// refColourMax: the four canonical kernels, tuned Linux under the facility
 // storm and under a storm whose per-rank mean exceeds the Knuth cutoff at
-// 30 ms (normal-approximation counts), a profile with a zero-Period and a
-// core-0-only source among live ones, and one with more sources than
-// exactMax plans on the stack.
+// 30 ms, a profile with a zero-Period and a core-0-only source among live
+// ones, a profile whose detours tie (fixed lengths, so equal sums pick the
+// lowest rank), and one with ten sources.
 func exactOracleProfiles() []*Profile {
 	edge := &Profile{Name: "edge", Sources: []Source{
 		{Name: "no-period", Mean: sim.Millisecond, CV: 0.5},
@@ -172,8 +201,12 @@ func exactOracleProfiles() []*Profile {
 			CoreFilter: func(core int) bool { return core == 0 }},
 		{Name: "fixed", Period: 3 * sim.Millisecond, Mean: 7 * sim.Microsecond},
 	}}
+	ties := &Profile{Name: "ties", Sources: []Source{
+		{Name: "tick", Period: 2 * sim.Millisecond, Mean: 5 * sim.Microsecond},
+		{Name: "zero", Period: sim.Millisecond},
+	}}
 	wide := LinuxUntuned().WithSource(facilityStorm())
-	for len(wide.Sources) <= plansOnStack {
+	for len(wide.Sources) < 10 {
 		wide = wide.WithSource(Source{Name: "extra", Period: 20 * sim.Millisecond, Mean: 9 * sim.Microsecond, CV: 0.7})
 	}
 	return []*Profile{
@@ -184,105 +217,108 @@ func exactOracleProfiles() []*Profile {
 		LinuxTuned().WithSource(facilityStorm()),
 		LinuxTuned().WithSource(Storm(100*sim.Microsecond, 20*sim.Microsecond, 0.5)),
 		edge,
+		ties,
 		wide,
 	}
 }
 
-// checkExactMatchesLoop runs MaxDetourRank and refLoopMax from twin
+// checkColourMatchesRef runs MaxDetourRank and refColourMax from twin
 // generators and fails unless they return the same maximum and argmax and
 // leave their generators at the same state.
-func checkExactMatchesLoop(t *testing.T, seed uint64, p *Profile, ranks int, window sim.Duration) {
+func checkColourMatchesRef(t *testing.T, seed uint64, p *Profile, ranks int, window sim.Duration) {
 	t.Helper()
 	rng, ref := sim.NewRNG(seed), sim.NewRNG(seed)
 	d, r := MaxDetourRank(rng, p, ranks, window)
-	wd, wr := refLoopMax(ref, p, ranks, window)
+	wd, wr := refColourMax(ref, p, ranks, window)
 	if d != wd || r != wr {
-		t.Fatalf("%s K=%d window=%v seed=%d: got (%v, rank %d), loop gives (%v, rank %d)",
+		t.Fatalf("%s K=%d window=%v seed=%d: got (%v, rank %d), reference colouring gives (%v, rank %d)",
 			p.Name, ranks, window, seed, d, r, wd, wr)
 	}
 	if got, want := rng.Uint64(), ref.Uint64(); got != want {
-		t.Fatalf("%s K=%d window=%v seed=%d: next draw %#x, loop leaves %#x",
+		t.Fatalf("%s K=%d window=%v seed=%d: next draw %#x, reference colouring leaves %#x",
 			p.Name, ranks, window, seed, got, want)
 	}
 }
 
-// The exact path draws exactly what the per-rank loop drew: same maximum,
-// same argmax, same generator state afterwards, on every oracle profile,
-// at K from 1 to the exact path's limit and windows from 0 to 60 ms.
-func TestExactMaxMatchesLoop(t *testing.T) {
+// The exact path draws exactly what the plain colouring draws: same maximum,
+// same argmax, same generator state afterwards, on every oracle profile, at
+// K from 1 to the exact path's limit, on both sides of the small-array
+// bound, and windows from 0 to 60 ms.
+func TestColourMaxMatchesRef(t *testing.T) {
 	windows := []sim.Duration{0, sim.Microsecond, sim.Millisecond, 10 * sim.Millisecond,
 		30 * sim.Millisecond, 60 * sim.Millisecond}
 	for pi, p := range exactOracleProfiles() {
-		for _, k := range []int{1, 2, 63, 64, exactMaxRanks} {
+		for _, k := range []int{1, 2, 3, 27, smallRanks, smallRanks + 1, 1000, exactMaxRanks} {
 			for wi, window := range windows {
 				for s := range uint64(4) {
-					checkExactMatchesLoop(t, sim.StreamSeed(uint64(pi)<<16|uint64(k)<<4|uint64(wi), s), p, k, window)
+					checkColourMatchesRef(t, sim.StreamSeed(uint64(pi)<<16|uint64(k)<<4|uint64(wi), s), p, k, window)
 				}
 			}
 		}
 	}
 }
 
-// seedEmitting returns a seed whose generator's first Uint64 is v, by
-// inverting the SplitMix64 output function (each xorshift and odd multiply
-// is a bijection on 64-bit words).
-func seedEmitting(v uint64) uint64 {
-	unshift := func(y uint64, k uint) uint64 {
-		z := y
-		for i := uint(0); i < 64; i += k {
-			z = y ^ (z >> k)
-		}
-		return z
-	}
-	// inverse of an odd a mod 2^64 by Newton's iteration.
-	inverse := func(a uint64) uint64 {
-		x := a
-		for range 6 {
-			x *= 2 - a*x
-		}
-		return x
-	}
-	z := unshift(v, 31)
-	z = unshift(z*inverse(0x94d049bb133111eb), 27)
-	z = unshift(z*inverse(0xbf58476d1ce4e5b9), 30)
-	return z - 0x9e3779b97f4a7c15
-}
-
-// A first uniform exactly at exp(-λ) makes a zero count, as in Knuth's
-// `p <= l`, and one a mantissa above does not. Random draws land on the
-// boundary with probability 2^-53, so the generators here are built to
-// emit it: at λ = 0.1, exp(-λ)·2^53 is an integer, and at λ = 30 it is not.
-func TestExactMaxZeroBoundary(t *testing.T) {
-	const window = 30 * sim.Millisecond
-	for _, period := range []sim.Duration{300 * sim.Millisecond, sim.Millisecond} {
-		p := &Profile{Name: "boundary", Sources: []Source{{Name: "one", Period: period, Mean: sim.Microsecond, CV: 0.3}}}
-		_, l := p.Sources[0].lambda(window)
-		zero := uint64(l * (1 << 53))
-		for _, m := range []uint64{zero - 1, zero, zero + 1} {
-			checkExactMatchesLoop(t, seedEmitting(m<<11|0x5a5), p, 1, window)
-		}
-		if d, _ := MaxDetourRank(sim.NewRNG(seedEmitting((zero+1)<<11)), p, 1, window); d == 0 {
-			t.Fatalf("λ=%v: a mantissa above the threshold drew no detour", float64(window)/float64(period))
-		}
-	}
-}
-
-// FuzzExactMaxMatchesLoop draws (seed, K, window, profile) and checks the
-// exact path against refLoopMax draw for draw. K is folded into
+// FuzzColourMaxMatchesRef draws (seed, K, window, profile) and checks the
+// exact path against refColourMax draw for draw. K is folded into
 // [1, exactMaxRanks] and the window into [0, 60 ms]. The seed corpus in
 // testdata/fuzz covers every profile.
-func FuzzExactMaxMatchesLoop(f *testing.F) {
+func FuzzColourMaxMatchesRef(f *testing.F) {
 	profiles := exactOracleProfiles()
 	f.Fuzz(func(t *testing.T, seed uint64, k uint16, windowNs uint32, pi uint8) {
 		p := profiles[int(pi)%len(profiles)]
 		ranks := 1 + int(k)%exactMaxRanks
 		window := sim.Duration(windowNs%(60_000_000+1)) * sim.Nanosecond
-		checkExactMatchesLoop(t, seed, p, ranks, window)
+		checkColourMatchesRef(t, seed, p, ranks, window)
 	})
 }
 
-// The exact path plans its sources on the stack: a max-of-K draw on the
-// facility's noisiest profile allocates nothing.
+// The colouring path has the law of the retired per-rank walk: over the 12
+// cells storm off/on × 1/30 ms windows × K ∈ {1, 64, 1,024}, the two-sample
+// KS distance between MaxDetour's draws and refLoopMax's stays below the
+// 99% critical value (20,000 draws per side, 4,000 at K = 1,024). The cells
+// run in parallel, each on its own profile instances.
+func TestColourMaxMatchesLoopInLaw(t *testing.T) {
+	for _, storm := range []bool{false, true} {
+		for _, window := range []sim.Duration{sim.Millisecond, 30 * sim.Millisecond} {
+			for _, k := range []int{1, 64, exactMaxRanks} {
+				name := fmt.Sprintf("storm=%v/window=%v/K=%d", storm, window, k)
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					n := 20_000
+					if k == exactMaxRanks {
+						n = 4_000
+					}
+					prof := func() *Profile {
+						if storm {
+							return LinuxTuned().WithSource(facilityStorm())
+						}
+						return LinuxTuned()
+					}
+					p, ref := prof(), prof()
+					cell := uint64(k)<<8 | uint64(window/sim.Millisecond)<<1
+					if storm {
+						cell |= 1
+					}
+					rng, refRNG := sim.NewRNG(sim.StreamSeed(51, cell)), sim.NewRNG(sim.StreamSeed(52, cell))
+					got, want := make([]float64, n), make([]float64, n)
+					for i := range got {
+						got[i] = float64(MaxDetour(rng, p, k, window))
+						d, _ := refLoopMax(refRNG, ref, k, window)
+						want[i] = float64(d)
+					}
+					d, crit := ksDistance(got, want), ksCritical99(n, n)
+					t.Logf("%s: KS %.4f (critical %.4f, %d draws per side)", name, d, crit, n)
+					if d >= crit {
+						t.Errorf("KS distance %.4f >= 99%% critical value %.4f", d, crit)
+					}
+				})
+			}
+		}
+	}
+}
+
+// The exact path keeps its per-rank sums on the stack: a max-of-K draw on
+// the facility's noisiest profile allocates nothing.
 func TestExactMaxAllocatesNothing(t *testing.T) {
 	p := LinuxUntuned().WithSource(facilityStorm())
 	rng := sim.NewRNG(5)

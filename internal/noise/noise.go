@@ -77,7 +77,7 @@ type Source struct {
 	// step into one per run.
 	lamWindow sim.Duration
 	lamVal    float64
-	lamExp    float64 // exp(-lamVal); consulted only when lamVal <= sim.PoissonNormalCutoff
+	lamExp    float64 // exp(-lamVal); consulted only when lamVal <= sim.PoissonKnuthCutoff
 }
 
 // lnParams returns the (mu, sigma) of the log-normal detour model, cached.
@@ -151,14 +151,14 @@ func (s *Source) appliesTo(core int) bool {
 }
 
 // lambda returns the Poisson mean window/period of the occurrence count and
-// exp of its negation (0 above sim.PoissonNormalCutoff, where PoissonExp
+// exp of its negation (0 above sim.PoissonKnuthCutoff, where PoissonExp
 // ignores it), cached for the last window seen. The caller has checked
 // Period > 0 and window > 0.
 func (s *Source) lambda(window sim.Duration) (lam, expNegLam float64) {
 	if window != s.lamWindow {
 		s.lamWindow = window
 		s.lamVal = float64(window) / float64(s.Period)
-		if s.lamVal <= sim.PoissonNormalCutoff {
+		if s.lamVal <= sim.PoissonKnuthCutoff {
 			s.lamExp = math.Exp(-s.lamVal)
 		} else {
 			s.lamExp = 0

@@ -39,8 +39,9 @@ func refDetour(rng *sim.RNG, s *Source) sim.Duration {
 	return d
 }
 
-// refMaxDetour is the exact per-rank max-of-K path of MaxDetourRank over the
-// reference sampler, on application core 1.
+// refMaxDetour is the max-of-K over a per-rank walk, as MaxDetourRank's
+// exact branch ran before colouring, over the reference sampler, on
+// application core 1.
 func refMaxDetour(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) sim.Duration {
 	var worst sim.Duration
 	for r := 0; r < ranks; r++ {
@@ -167,7 +168,7 @@ func TestSampleLogNormalExactTails(t *testing.T) {
 // absorbs — has the same distribution under the table sampler as under the
 // reference, on the facility's noisiest configuration (tuned Linux plus the
 // co-tenancy storm) and without the storm. Every K here takes MaxDetourRank's
-// exact per-rank path.
+// exact path.
 func TestMaxDetourMatchesReference(t *testing.T) {
 	stormy := LinuxTuned().WithSource(facilityStorm())
 	for _, tc := range []struct {
@@ -216,9 +217,10 @@ func BenchmarkSampleDetour(b *testing.B) {
 }
 
 // BenchmarkMaxDetourRank times one max-of-K draw on LinuxTuned with and
-// without the facility storm. K 64 and 1,024 take the exact per-rank path,
-// timed as /sampler beside the retired per-rank loop as /reference (the two
-// make identical draws); 131,072 takes the order-statistic path.
+// without the facility storm. K 64 and 1,024 take the exact path (Poisson
+// colouring), timed as /sampler beside the retired per-rank walk as
+// /reference (the same law from different draws); 131,072 takes the
+// order-statistic path.
 func BenchmarkMaxDetourRank(b *testing.B) {
 	for _, storm := range []bool{false, true} {
 		p := LinuxTuned()

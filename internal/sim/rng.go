@@ -8,7 +8,10 @@
 // random state, so a run is a pure function of (model, seed).
 package sim
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a small, fast, deterministic pseudo random number generator based
 // on SplitMix64. It is not safe for concurrent use; derive per-goroutine
@@ -73,12 +76,29 @@ func (r *RNG) SplitN(n int) []*RNG {
 
 // Float64 returns a uniform value in [0, 1): the top 53 bits of the next
 // Uint64 scaled by 2^-53, so Float64() == float64(Uint64()>>11)/2^53
-// exactly (both steps are exact in float64). Callers may rely on this: the
-// noise layer's exact max-of-K path decides Float64() <= l on the integer
-// mantissa, as Uint64()>>11 <= uint64(l·2^53), and stays draw-for-draw
-// identical to PoissonExp only while it holds (TestFloat64MantissaContract).
+// exactly (both steps are exact in float64), so a caller may compare
+// Float64() <= l on the integer mantissa, as Uint64()>>11 <= uint64(l·2^53)
+// (TestFloat64MantissaContract).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
+}
+
+// Uint64n returns a uniform value in [0, n) with no bias, by Lemire's
+// multiply-shift with rejection ("Fast random integer generation in an
+// interval", ACM TOMACS 29(1), 2019): the high word of Uint64()·n, redrawn
+// while the low word falls in the 2^64 mod n values that would favour some
+// results. A power-of-two n never redraws. It panics if n == 0.
+func (r *RNG) Uint64n(n uint64) uint64 {
+	if n == 0 {
+		panic("sim: Uint64n called with n == 0")
+	}
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	if lo < n {
+		for thresh := -n % n; lo < thresh; {
+			hi, lo = bits.Mul64(r.Uint64(), n)
+		}
+	}
+	return hi
 }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
@@ -135,20 +155,20 @@ func (r *RNG) Pareto(xm, alpha float64) float64 {
 	return xm / math.Pow(1-r.Float64(), 1/alpha)
 }
 
-// PoissonNormalCutoff is the mean above which Poisson and PoissonExp switch
-// from Knuth's product method to the normal approximation.
-const PoissonNormalCutoff = 30
+// PoissonKnuthCutoff is the mean above which Poisson and PoissonExp switch
+// from Knuth's product method to PTRS.
+const PoissonKnuthCutoff = 30
 
 // Poisson returns a Poisson(lambda) variate: Knuth's product method for
-// small means, the normal approximation above. Occurrence counts in a
-// window (noise events, lost messages, stalled offloads) are drawn from
-// this family.
+// small means, PTRS above PoissonKnuthCutoff. Both are exact. Occurrence
+// counts in a window (noise events, lost messages, stalled offloads) are
+// drawn from this family.
 func (r *RNG) Poisson(lambda float64) int {
 	if lambda <= 0 {
 		return 0
 	}
-	if lambda > PoissonNormalCutoff {
-		return r.PoissonExp(lambda, 0)
+	if lambda > PoissonKnuthCutoff {
+		return r.poissonPTRS(lambda)
 	}
 	return r.PoissonExp(lambda, math.Exp(-lambda))
 }
@@ -164,12 +184,8 @@ func (r *RNG) PoissonExp(lambda, expNegLambda float64) int {
 	if lambda <= 0 {
 		return 0
 	}
-	if lambda > PoissonNormalCutoff {
-		v := lambda + math.Sqrt(lambda)*r.NormFloat64()
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
+	if lambda > PoissonKnuthCutoff {
+		return r.poissonPTRS(lambda)
 	}
 	u := r.Float64()
 	if u <= expNegLambda {
@@ -178,13 +194,43 @@ func (r *RNG) PoissonExp(lambda, expNegLambda float64) int {
 	return r.PoissonKnuthFrom(u, expNegLambda)
 }
 
+// poissonPTRS draws an exact Poisson(lambda) variate for lambda >= 10 by
+// Hörmann's transformed rejection with squeeze (PTRS; "The transformed
+// rejection method for generating Poisson random variables", Insurance:
+// Mathematics and Economics 12, 1993). Each attempt takes two uniforms;
+// most are settled by the squeeze without a log or lgamma. The candidate is
+// kept as a float until it is accepted, so a uniform at the edge of its
+// range (us = 0 makes it -Inf) is rejected without an overflowing integer
+// conversion.
+func (r *RNG) poissonPTRS(lambda float64) int {
+	b := 0.931 + 2.53*math.Sqrt(lambda)
+	a := -0.059 + 0.02483*b
+	vr := 0.9277 - 3.6224/(b-2)
+	for {
+		u := r.Float64() - 0.5
+		v := r.Float64()
+		us := 0.5 - math.Abs(u)
+		k := math.Floor((2*a/us+b)*u + lambda + 0.43)
+		if us >= 0.07 && v <= vr {
+			return int(k)
+		}
+		if k < 0 || (us < 0.013 && v > us) {
+			continue
+		}
+		invAlpha := 1.1239 + 1.1328/(b-3.4)
+		lg, _ := math.Lgamma(k + 1)
+		if math.Log(v*invAlpha/(a/(us*us)+b)) <= -lambda+k*math.Log(lambda)-lg {
+			return int(k)
+		}
+	}
+}
+
 // PoissonKnuthFrom finishes a Knuth's-product Poisson draw whose first
 // uniform u was above expNegLambda (so the count is at least 1): it keeps
 // multiplying uniforms into the product until it drops to expNegLambda and
 // returns the count. PoissonExp's Knuth branch is exactly one Float64 and,
 // when it exceeds expNegLambda, this call, so a caller that settles the
-// common zero count from the first uniform itself (the noise layer's exact
-// max-of-K path) makes PoissonExp's draws.
+// common zero count from the first uniform itself makes PoissonExp's draws.
 func (r *RNG) PoissonKnuthFrom(u, expNegLambda float64) int {
 	k := 1
 	for p := u * r.Float64(); p > expNegLambda; p *= r.Float64() {

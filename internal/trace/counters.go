@@ -191,7 +191,9 @@ func (c *Counters) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// ReadCounters parses a dump produced by WriteJSON, checking the schema.
+// ReadCounters parses a dump produced by WriteJSON, checking the schema and
+// that the counters object is present (WriteJSON writes `{}` for an empty
+// set), so a truncated or foreign file is an error, not an empty map.
 func ReadCounters(data []byte) (map[string]int64, error) {
 	var f counterFile
 	if err := json.Unmarshal(data, &f); err != nil {
@@ -199,6 +201,9 @@ func ReadCounters(data []byte) (map[string]int64, error) {
 	}
 	if f.Schema != CountersSchema {
 		return nil, fmt.Errorf("trace: counter schema %q, want %q", f.Schema, CountersSchema)
+	}
+	if f.Counters == nil {
+		return nil, fmt.Errorf("trace: counter file has no counters object")
 	}
 	return f.Counters, nil
 }

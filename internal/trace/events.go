@@ -137,15 +137,21 @@ func (e *Events) JSON() []byte {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, `{"name":%q,"cat":%q,"ph":%q,"ts":%d.%03d,"pid":%d,"tid":%d`,
-			ev.Name, ev.Cat, string(ev.Ph), ev.TS/1000, ev.TS%1000, ev.Pid, ev.Tid)
+		b.WriteString(`{"name":`)
+		writeJSONString(&b, ev.Name)
+		b.WriteString(`,"cat":`)
+		writeJSONString(&b, ev.Cat)
+		b.WriteString(`,"ph":`)
+		writeJSONString(&b, string(ev.Ph))
+		fmt.Fprintf(&b, `,"ts":%d.%03d,"pid":%d,"tid":%d`, ev.TS/1000, ev.TS%1000, ev.Pid, ev.Tid)
 		if len(ev.Args) > 0 {
 			b.WriteString(`,"args":{`)
 			for j, k := range slices.Sorted(maps.Keys(ev.Args)) {
 				if j > 0 {
 					b.WriteByte(',')
 				}
-				fmt.Fprintf(&b, `%q:%d`, k, ev.Args[k])
+				writeJSONString(&b, k)
+				fmt.Fprintf(&b, `:%d`, ev.Args[k])
 			}
 			b.WriteByte('}')
 		}
@@ -155,4 +161,30 @@ func (e *Events) JSON() []byte {
 		EventsSchema, e.dropped)
 	b.WriteByte('\n')
 	return b.Bytes()
+}
+
+// writeJSONString writes s as a JSON string. Printable text comes out as
+// %q would write it; control characters are escaped the way JSON allows
+// (where %q's \a, \v and \x.. are not JSON), and invalid UTF-8 becomes
+// U+FFFD, which is what a JSON reader makes of it anyway.
+func writeJSONString(b *bytes.Buffer, s string) {
+	b.WriteByte('"')
+	for _, r := range s {
+		switch {
+		case r == '"' || r == '\\':
+			b.WriteByte('\\')
+			b.WriteRune(r)
+		case r == '\n':
+			b.WriteString(`\n`)
+		case r == '\r':
+			b.WriteString(`\r`)
+		case r == '\t':
+			b.WriteString(`\t`)
+		case r < 0x20:
+			fmt.Fprintf(b, `\u%04x`, r)
+		default:
+			b.WriteRune(r)
+		}
+	}
+	b.WriteByte('"')
 }

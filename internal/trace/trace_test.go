@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -130,5 +132,40 @@ func TestValidateRejectsMalformed(t *testing.T) {
 	dropped := `{"traceEvents":[{"name":"a","ph":"E","ts":0,"pid":0,"tid":0}],"otherData":{"schema":"mklite-trace/v1","dropped":4}}`
 	if err := Validate([]byte(dropped)); err != nil {
 		t.Errorf("dropped trace rejected: %v", err)
+	}
+}
+
+// ParseEvents and Validate share their per-event checks: both reject a
+// missing traceEvents array, a negative dropped count, an unknown phase, an
+// empty name, a pid or tid outside 32 bits, and a timestamp outside
+// [0, maxEventTS] ns, rather than returning truncated or zero values.
+func TestParseEventsRejectsMalformed(t *testing.T) {
+	trace := func(event string, dropped int) string {
+		return `{"traceEvents":[` + event + `],"otherData":{"schema":"mklite-trace/v1","dropped":` + strconv.Itoa(dropped) + `}}`
+	}
+	cases := map[string]string{
+		"no traceEvents":   `{"otherData":{"schema":"mklite-trace/v1","dropped":0}}`,
+		"null traceEvents": `{"traceEvents":null,"otherData":{"schema":"mklite-trace/v1","dropped":0}}`,
+		"negative dropped": trace(`{"name":"a","ph":"i","ts":0,"pid":0,"tid":0}`, -1),
+		"unknown phase":    trace(`{"name":"a","ph":"X","ts":0,"pid":0,"tid":0}`, 0),
+		"empty name":       trace(`{"name":"","ph":"i","ts":0,"pid":0,"tid":0}`, 0),
+		"pid over 32 bits": trace(`{"name":"a","ph":"i","ts":0,"pid":4294967296,"tid":0}`, 0),
+		"tid over 32 bits": trace(`{"name":"a","ph":"i","ts":0,"pid":0,"tid":-2147483649}`, 0),
+		"negative ts":      trace(`{"name":"a","ph":"i","ts":-0.001,"pid":0,"tid":0}`, 0),
+		"ts past the cap":  trace(`{"name":"a","ph":"i","ts":1125899906842.625,"pid":0,"tid":0}`, 0),
+	}
+	for name, data := range cases {
+		if evs, _, err := ParseEvents([]byte(data)); err == nil {
+			t.Errorf("%s: ParseEvents accepted it as %+v", name, evs)
+		}
+		if err := Validate([]byte(data)); err == nil {
+			t.Errorf("%s: Validate accepted it", name)
+		}
+	}
+	// The cap itself and 32-bit extremes are accepted.
+	edge := trace(`{"name":"a","ph":"i","ts":1125899906842.624,"pid":2147483647,"tid":-2147483648}`, 0)
+	evs, _, err := ParseEvents([]byte(edge))
+	if err != nil || len(evs) != 1 || evs[0].TS != maxEventTS || evs[0].Pid != math.MaxInt32 || evs[0].Tid != math.MinInt32 {
+		t.Fatalf("edge trace: %+v, %v", evs, err)
 	}
 }

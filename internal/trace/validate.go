@@ -18,24 +18,61 @@ type rawEvent struct {
 	Tid  int64   `json:"tid"`
 }
 
+// maxEventTS bounds an event's timestamp in virtual nanoseconds (about 13
+// days). Below it the export's microsecond decimal converts back to the
+// same nanosecond exactly.
+const maxEventTS = 1 << 50
+
+// parseTrace decodes a trace-event export and checks what ParseEvents and
+// Validate share: the schema, a traceEvents array, a dropped count of at
+// least 0, and for every event a known phase, a name, 32-bit pid and tid,
+// and a timestamp in [0, maxEventTS] ns.
+func parseTrace(data []byte) (*rawTrace, error) {
+	var tr rawTrace
+	if err := json.Unmarshal(data, &tr); err != nil {
+		return nil, fmt.Errorf("trace: invalid JSON: %w", err)
+	}
+	if tr.OtherData.Schema != EventsSchema {
+		return nil, fmt.Errorf("trace: schema %q, want %q", tr.OtherData.Schema, EventsSchema)
+	}
+	if tr.TraceEvents == nil {
+		return nil, fmt.Errorf("trace: no traceEvents array")
+	}
+	if tr.OtherData.Dropped < 0 {
+		return nil, fmt.Errorf("trace: negative dropped count %d", tr.OtherData.Dropped)
+	}
+	for i, ev := range tr.TraceEvents {
+		switch ev.Ph {
+		case "B", "E", "i", "C":
+		default:
+			return nil, fmt.Errorf("trace: event %d: unknown phase %q", i, ev.Ph)
+		}
+		if ev.Name == "" {
+			return nil, fmt.Errorf("trace: event %d: empty name", i)
+		}
+		if ev.Pid != int64(int32(ev.Pid)) || ev.Tid != int64(int32(ev.Tid)) {
+			return nil, fmt.Errorf("trace: event %d (%s): pid %d tid %d outside 32 bits", i, ev.Name, ev.Pid, ev.Tid)
+		}
+		if !(ev.TS >= 0 && ev.TS*1000 <= maxEventTS) {
+			return nil, fmt.Errorf("trace: event %d (%s): ts %g µs outside [0, %d ns]", i, ev.Name, ev.TS, maxEventTS)
+		}
+	}
+	return &tr, nil
+}
+
 // ParseEvents parses a Chrome trace-event export produced by Events.JSON
 // back into Event records — timestamps converted from the format's
 // microsecond floats back to virtual nanoseconds — plus the ring's
-// dropped-event count. It checks the schema but not span balance; run
-// Validate first when that matters (the flame exporter does).
+// dropped-event count. It checks the schema and each event but not span
+// balance or ordering; run Validate first when those matter (the flame
+// exporter does).
 func ParseEvents(data []byte) ([]Event, int64, error) {
-	var tr rawTrace
-	if err := json.Unmarshal(data, &tr); err != nil {
-		return nil, 0, fmt.Errorf("trace: invalid JSON: %w", err)
-	}
-	if tr.OtherData.Schema != EventsSchema {
-		return nil, 0, fmt.Errorf("trace: schema %q, want %q", tr.OtherData.Schema, EventsSchema)
+	tr, err := parseTrace(data)
+	if err != nil {
+		return nil, 0, err
 	}
 	out := make([]Event, 0, len(tr.TraceEvents))
-	for i, ev := range tr.TraceEvents {
-		if len(ev.Ph) != 1 {
-			return nil, 0, fmt.Errorf("trace: event %d: phase %q", i, ev.Ph)
-		}
+	for _, ev := range tr.TraceEvents {
 		out = append(out, Event{
 			Name: ev.Name,
 			Cat:  ev.Cat,
@@ -57,31 +94,20 @@ type rawTrace struct {
 }
 
 // Validate checks that data is a well-formed Chrome trace-event JSON dump as
-// this package emits it: parseable, known phases, per-(pid,tid) monotone
+// this package emits it: everything ParseEvents checks, per-(pid,tid) monotone
 // timestamps, and balanced B/E spans with matching names. When the ring
 // dropped events the balance check is skipped (eviction can orphan spans)
 // but monotonicity still must hold. CI's trace-smoke step runs this on the
 // mktrace artifact.
 func Validate(data []byte) error {
-	var tr rawTrace
-	if err := json.Unmarshal(data, &tr); err != nil {
-		return fmt.Errorf("trace: invalid JSON: %w", err)
-	}
-	if tr.OtherData.Schema != EventsSchema {
-		return fmt.Errorf("trace: schema %q, want %q", tr.OtherData.Schema, EventsSchema)
+	tr, err := parseTrace(data)
+	if err != nil {
+		return err
 	}
 	type lane struct{ pid, tid int64 }
 	lastTS := map[lane]float64{}
 	stacks := map[lane][]string{}
 	for i, ev := range tr.TraceEvents {
-		switch ev.Ph {
-		case "B", "E", "i", "C":
-		default:
-			return fmt.Errorf("trace: event %d: unknown phase %q", i, ev.Ph)
-		}
-		if ev.Name == "" {
-			return fmt.Errorf("trace: event %d: empty name", i)
-		}
 		l := lane{ev.Pid, ev.Tid}
 		if prev, ok := lastTS[l]; ok && ev.TS < prev {
 			return fmt.Errorf("trace: event %d (%s): non-monotonic ts %.3f after %.3f on pid %d tid %d",
