@@ -9,6 +9,11 @@
 //	mkfleet -policy specialize -share 2       # MultiK-style per-app specialization
 //	mkfleet -compare -jobs 200 -nodes 64      # all policies on the same stream
 //	mkfleet -json -seed 7                     # byte-stable JSON (CI diffs two runs)
+//	mkfleet -obs-timeline tl.json -obs-decisions dl.json -json > result.json
+//
+// The -obs-* flags record the facility's observability artifacts; mkobs
+// validates and diffs them and judges the result against an SLO (see
+// docs/OBSERVABILITY.md).
 //
 // Output is a pure function of the flags: same flags, same bytes, at any
 // -workers width.
@@ -51,6 +56,7 @@ func main() {
 		obsTimeline  = flag.String("obs-timeline", "", "write the facility occupancy timeline (Chrome trace JSON) to this file")
 		obsDecisions = flag.String("obs-decisions", "", "write the backfill decision log to this file")
 		obsJobCtrs   = flag.Bool("obs-job-counters", false, "namespace per-job counters as job/<id>/... in the result")
+		obsJobEvents = flag.Bool("obs-job-events", false, "merge each job's cluster/kernel events onto its own timeline track (needs -obs-timeline)")
 		obsSLO       = flag.String("obs-slo", "", "SLO spec evaluated into the result (exit 1 on failure), e.g. 'wait_p99_sec<=2;utilization_pct>=60'")
 	)
 	flag.Parse()
@@ -85,13 +91,16 @@ func main() {
 		return fleet.WithSched(p, kind)
 	}
 
-	obsOn := *obsTimeline != "" || *obsDecisions != "" || *obsJobCtrs || *obsSLO != ""
+	obsOn := *obsTimeline != "" || *obsDecisions != "" || *obsJobCtrs || *obsJobEvents || *obsSLO != ""
 	if obsOn && *compare {
-		fatal(fmt.Errorf("-obs-* flags apply to a single run; drop -compare or use mkobs run per policy"))
+		fatal(fmt.Errorf("-obs-* flags apply to a single run; drop -compare and run once per -policy"))
+	}
+	if *obsJobEvents && *obsTimeline == "" {
+		fatal(fmt.Errorf("-obs-job-events needs -obs-timeline to merge into"))
 	}
 	var obsOpts *obs.Options
 	if obsOn {
-		obsOpts = &obs.Options{JobCounters: *obsJobCtrs}
+		obsOpts = &obs.Options{JobCounters: *obsJobCtrs, JobEvents: *obsJobEvents}
 		if *obsTimeline != "" {
 			obsOpts.Timeline = obs.NewTimeline(cfg.Nodes, max(cfg.Share, 1), 0)
 		}

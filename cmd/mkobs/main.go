@@ -1,307 +1,316 @@
-// Command mkobs is the facility observability CLI (see
-// docs/OBSERVABILITY.md): it runs an observed fleet simulation and exports
-// the cross-layer artifacts — the node-occupancy timeline (Chrome
-// trace-event JSON, loadable in Perfetto), the backfill decision log, and
-// the job-namespaced counter view — and it judges artifacts after the fact:
-// SLO evaluation with a pass/fail exit status, timeline validation, and
-// decision-log diffing.
+// Command mkobs inspects mklite's observability artifacts. It runs no
+// simulation: mkrun records one run's trace, counters and metrics
+// (-trace-json, -counters-json, -metrics-json) and mkfleet one facility's
+// timeline, decision log and result (-obs-timeline, -obs-decisions, -json).
+// mkobs reads each file's schema id — otherData.schema of a trace or
+// timeline, the top-level schema of the others — and dispatches on it
+// (see docs/OBSERVABILITY.md).
 //
 // Usage:
 //
-//	mkobs run -nodes 64 -jobs 120 -timeline tl.json -decisions dl.json -json
-//	mkobs run -job-counters -job-events -timeline tl.json
-//	mkobs check -slo 'wait_p99_sec<=2;utilization_pct>=60;degraded_jobs<=0' result.json
-//	mkobs check -slo 'utilization_pct>=60' -nodes 64 -jobs 120   # run, then check
-//	mkobs validate tl.json
-//	mkobs diff dl-a.json dl-b.json
+//	mkobs validate FILE              any mklite-*/v1 artifact
+//	mkobs diff A B                   two counter, metrics or decision files of one schema
+//	mkobs report FILE                render a metrics report
+//	mkobs flame FILE                 fold a trace into flame-graph stacks on stdout
+//	mkobs check -slo SPEC RESULT     judge a saved mkfleet -json result
 //
-// Everything is a pure function of the flags: same flags, same artifact
-// bytes, at any -workers width. check and diff exit 1 on failure/difference,
-// so they slot straight into CI.
+// Exit status: 0 on success, 1 on an invalid artifact, a difference or a
+// failed SLO, 2 on a usage error (wrong arguments, mixed schemas, or a
+// schema the subcommand does not handle).
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"mklite/internal/fleet"
+	"mklite/internal/metrics"
 	"mklite/internal/obs"
-	"mklite/internal/sim"
 	"mklite/internal/trace"
 )
 
+const usage = `usage:
+  mkobs validate FILE
+  mkobs diff A B
+  mkobs report FILE
+  mkobs flame FILE
+  mkobs check -slo SPEC RESULT
+`
+
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// usageError is a command line the subcommand cannot act on (exit 2).
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// errFailed reports a difference or a failed SLO already printed to stdout
+// (exit 1).
+var errFailed = errors.New("failed")
+
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprint(stderr, usage)
+		return 2
 	}
-	switch os.Args[1] {
-	case "run":
-		run(os.Args[2:])
-	case "check":
-		check(os.Args[2:])
+	var err error
+	switch cmd, rest := args[0], args[1:]; cmd {
 	case "validate":
-		validate(os.Args[2:])
+		err = validate(rest, stdout)
 	case "diff":
-		diff(os.Args[2:])
+		err = diff(rest, stdout)
+	case "report":
+		err = report(rest, stdout)
+	case "flame":
+		err = flame(rest, stdout)
+	case "check":
+		err = check(rest, stdout)
 	case "-h", "-help", "--help", "help":
-		usage()
+		fmt.Fprint(stdout, usage)
+		return 0
 	default:
-		fmt.Fprintf(os.Stderr, "mkobs: unknown subcommand %q\n\n", os.Args[1])
-		usage()
+		err = usageError(fmt.Sprintf("unknown subcommand %q", cmd))
 	}
+	var uerr usageError
+	switch {
+	case err == nil:
+		return 0
+	case errors.Is(err, errFailed):
+		return 1
+	case errors.As(err, &uerr):
+		fmt.Fprintf(stderr, "mkobs: %v\n%s", err, usage)
+		return 2
+	}
+	fmt.Fprintln(stderr, "mkobs:", err)
+	return 1
 }
 
-func usage() {
-	fmt.Fprint(os.Stderr, `usage:
-  mkobs run [fleet flags] [-timeline file] [-decisions file] [-job-counters] [-job-events] [-slo spec] [-json]
-  mkobs check -slo spec [fleet flags | result.json]
-  mkobs validate timeline.json
-  mkobs diff decisions-a.json decisions-b.json
-`)
-	os.Exit(2)
+// artifact is one input file and the schema id it declares.
+type artifact struct {
+	path, schema string
+	data         []byte
 }
 
-// fleetFlags registers the fleet-shaping subset of mkfleet's flags on fs and
-// returns a builder that assembles the Config after parsing.
-func fleetFlags(fs *flag.FlagSet) func() fleet.Config {
-	var (
-		nodes    = fs.Int("nodes", 256, "facility size in nodes")
-		jobs     = fs.Int("jobs", 1000, "number of jobs in the stream")
-		seed     = fs.Uint64("seed", 1, "facility seed")
-		workers  = fs.Int("workers", 0, "par fan-out width (0 = GOMAXPROCS); output is identical at any width")
-		policy   = fs.String("policy", "heuristic", "kernel-selection policy")
-		backfill = fs.Bool("backfill", true, "conservative backfill (false = strict FIFO)")
-		depth    = fs.Int("backfill-depth", 0, "max queued jobs examined per backfill pass (0 = default)")
-		share    = fs.Int("share", 1, "node oversubscription factor")
-		arrival  = fs.Duration("arrival-mean", 0, "mean job interarrival gap (virtual time; 0 = default)")
-		counters = fs.Bool("counters", false, "merge per-job mechanism counters into the result")
-	)
-	return func() fleet.Config {
-		cfg := fleet.Config{
-			Nodes:         *nodes,
-			Jobs:          *jobs,
-			Seed:          *seed,
-			Workers:       *workers,
-			Backfill:      *backfill,
-			BackfillDepth: *depth,
-			Share:         *share,
-			ArrivalMean:   sim.Duration(*arrival),
-			Counters:      *counters,
-		}
-		pol, err := fleet.ParsePolicy(*policy, cfg.Seed, cfg.Workers, nil)
+// load reads the files a subcommand takes — exactly n of them — and sniffs
+// each one's schema id. A file with no schema id, or one mkobs does not
+// know, is an invalid artifact.
+func load(cmd string, args []string, n int) ([]artifact, error) {
+	if len(args) != n {
+		return nil, usageError(fmt.Sprintf("%s takes %d file(s), got %d argument(s): %s",
+			cmd, n, len(args), strings.Join(args, " ")))
+	}
+	arts := make([]artifact, n)
+	for i, path := range args {
+		data, err := os.ReadFile(path)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		cfg.Policy = pol
-		return cfg
+		var head struct {
+			Schema    string `json:"schema"`
+			OtherData struct {
+				Schema string `json:"schema"`
+			} `json:"otherData"`
+		}
+		if err := json.Unmarshal(data, &head); err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		schema := head.Schema
+		if schema == "" {
+			schema = head.OtherData.Schema
+		}
+		switch schema {
+		case trace.EventsSchema, trace.CountersSchema, metrics.Schema, obs.DecisionsSchema:
+		default:
+			return nil, fmt.Errorf("%s: unknown schema %q (want %s, %s, %s or %s)", path, schema,
+				trace.EventsSchema, trace.CountersSchema, metrics.Schema, obs.DecisionsSchema)
+		}
+		arts[i] = artifact{path: path, schema: schema, data: data}
 	}
+	return arts, nil
 }
 
-func run(args []string) {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	buildCfg := fleetFlags(fs)
-	var (
-		tlPath      = fs.String("timeline", "", "write the facility timeline (Chrome trace JSON) to this file ('-' = stdout)")
-		dlPath      = fs.String("decisions", "", "write the backfill decision log to this file ('-' = stdout)")
-		jobCounters = fs.Bool("job-counters", false, "namespace per-job counters as job/<id>/... in the result")
-		jobEvents   = fs.Bool("job-events", false, "merge each job's cluster/kernel events onto its own timeline track (needs -timeline)")
-		sloSpec     = fs.String("slo", "", "SLO spec evaluated into the result, e.g. 'wait_p99_sec<=2;utilization_pct>=60'")
-		jsonOut     = fs.Bool("json", false, "emit the fleet result as JSON (byte-stable)")
-	)
-	if err := fs.Parse(args); err != nil {
-		fatal(err)
-	}
-	if *jobEvents && *tlPath == "" {
-		fatal(fmt.Errorf("-job-events needs -timeline to merge into"))
-	}
-	cfg := buildCfg()
+// unsupported is the usage error for a schema cmd does not handle.
+func unsupported(cmd string, a artifact) error {
+	return usageError(fmt.Sprintf("%s does not handle %s (%s)", cmd, a.schema, a.path))
+}
 
-	o := &obs.Options{JobCounters: *jobCounters, JobEvents: *jobEvents}
-	if *tlPath != "" {
-		o.Timeline = obs.NewTimeline(cfg.Nodes, max(cfg.Share, 1), 0)
-	}
-	if *dlPath != "" {
-		o.Decisions = obs.NewDecisionLog()
-	}
-	cfg.Observe = o
-	if *sloSpec != "" {
-		slo, err := obs.ParseSLO(*sloSpec)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.SLO = slo
-	}
-
-	res, err := fleet.Run(cfg)
+// read parses a with its schema's reader, naming the file on error.
+func read[T any](a artifact, parse func([]byte) (T, error)) (T, error) {
+	v, err := parse(a.data)
 	if err != nil {
-		fatal(err)
+		err = fmt.Errorf("%s: %w", a.path, err)
 	}
-	if *tlPath != "" {
-		writeArtifact(*tlPath, o.Timeline.JSON())
-	}
-	if *dlPath != "" {
-		out, err := o.Decisions.JSON()
-		if err != nil {
-			fatal(err)
-		}
-		writeArtifact(*dlPath, out)
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	fmt.Printf("facility: %d nodes (share %d), %d jobs, policy %s\n",
-		res.FacilityNodes, res.Share, res.Jobs, res.Policy)
-	fmt.Printf("  throughput %.1f jobs/h, utilization %.1f%%, wait p99 %.3fs\n",
-		res.JobsPerHour, res.UtilizationPct, res.WaitP99Sec)
-	if *tlPath != "" {
-		fmt.Printf("  timeline:  %s (%d events)\n", *tlPath, o.Timeline.Events().Len())
-	}
-	if *dlPath != "" {
-		fmt.Printf("  decisions: %s (%d records)\n", *dlPath, o.Decisions.Len())
-	}
-	if res.SLO != nil {
-		printSLO(res.SLO)
-		if !res.SLO.Passed {
-			os.Exit(1)
-		}
-	}
+	return v, err
 }
 
-func check(args []string) {
-	fs := flag.NewFlagSet("check", flag.ExitOnError)
-	buildCfg := fleetFlags(fs)
-	sloSpec := fs.String("slo", "", "SLO spec to enforce (required)")
-	if err := fs.Parse(args); err != nil {
-		fatal(err)
-	}
-	if *sloSpec == "" {
-		fatal(fmt.Errorf("check needs -slo"))
-	}
-	slo, err := obs.ParseSLO(*sloSpec)
+func validate(args []string, stdout io.Writer) error {
+	arts, err := load("validate", args, 1)
 	if err != nil {
-		fatal(err)
+		return err
 	}
+	a := arts[0]
+	switch a.schema {
+	case trace.EventsSchema:
+		err = trace.Validate(a.data)
+	case trace.CountersSchema:
+		_, err = trace.ReadCounters(a.data)
+	case metrics.Schema:
+		_, err = metrics.ReadReport(a.data)
+	case obs.DecisionsSchema:
+		_, err = obs.ReadDecisions(a.data)
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", a.path, err)
+	}
+	fmt.Fprintf(stdout, "%s: valid %s\n", a.path, a.schema)
+	return nil
+}
 
-	var res *fleet.Result
-	switch fs.NArg() {
-	case 0:
-		// No artifact: run the configured fleet and judge it.
-		res, err = fleet.Run(buildCfg())
+// diff prints one row per difference and fails on any, for every schema it
+// compares.
+func diff(args []string, stdout io.Writer) error {
+	arts, err := load("diff", args, 2)
+	if err != nil {
+		return err
+	}
+	a, b := arts[0], arts[1]
+	if a.schema != b.schema {
+		return usageError(fmt.Sprintf("diff needs two files of one schema: %s is %s, %s is %s",
+			a.path, a.schema, b.path, b.schema))
+	}
+	var rows []string
+	switch a.schema {
+	case trace.CountersSchema:
+		ca, cb, err := readPair(a, b, trace.ReadCounters)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-	case 1:
-		// Judge a saved mkfleet/mkobs result after the fact, using the same
-		// metric map the in-run watchdog sees (Result.SLOValues).
-		data, err := os.ReadFile(fs.Arg(0))
+		for _, r := range trace.DiffCounters(ca, cb) {
+			rows = append(rows, fmt.Sprintf("%-28s %14d %14d %+14d", r.Name, r.Old, r.New, r.Delta()))
+		}
+		if rows != nil {
+			rows = append([]string{fmt.Sprintf("%-28s %14s %14s %14s", "counter", "old", "new", "delta")}, rows...)
+		}
+	case metrics.Schema:
+		ra, rb, err := readPair(a, b, metrics.ReadReport)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		res = &fleet.Result{}
-		if err := json.Unmarshal(data, res); err != nil {
-			fatal(fmt.Errorf("%s: %w", fs.Arg(0), err))
+		if out := metrics.Diff(ra, rb); out != "" {
+			rows = []string{strings.TrimSuffix(out, "\n")}
 		}
+	case obs.DecisionsSchema:
+		da, db, err := readPair(a, b, obs.ReadDecisions)
+		if err != nil {
+			return err
+		}
+		rows = obs.DiffDecisions(da, db)
 	default:
-		fatal(fmt.Errorf("check takes at most one result file, got %d args", fs.NArg()))
+		return unsupported("diff", a)
 	}
+	if len(rows) == 0 {
+		fmt.Fprintf(stdout, "identical %s files\n", a.schema)
+		return nil
+	}
+	for _, row := range rows {
+		fmt.Fprintln(stdout, row)
+	}
+	return errFailed
+}
 
-	// Evaluate the requested spec regardless of any report stored in the
-	// artifact — check judges with ITS rules, via the same metric map the
-	// in-run watchdog uses.
+func readPair[T any](a, b artifact, parse func([]byte) (T, error)) (T, T, error) {
+	va, err := read(a, parse)
+	if err != nil {
+		return va, va, err
+	}
+	vb, err := read(b, parse)
+	return va, vb, err
+}
+
+func report(args []string, stdout io.Writer) error {
+	arts, err := load("report", args, 1)
+	if err != nil {
+		return err
+	}
+	a := arts[0]
+	if a.schema != metrics.Schema {
+		return unsupported("report", a)
+	}
+	rep, err := read(a, metrics.ReadReport)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(stdout, rep.Render())
+	return nil
+}
+
+// flame writes the folded stacks of a trace (or facility timeline) to
+// stdout, for flamegraph.pl or speedscope.
+func flame(args []string, stdout io.Writer) error {
+	arts, err := load("flame", args, 1)
+	if err != nil {
+		return err
+	}
+	a := arts[0]
+	if a.schema != trace.EventsSchema {
+		return unsupported("flame", a)
+	}
+	folded, err := read(a, metrics.FoldedFromJSON)
+	if err != nil {
+		return err
+	}
+	_, err = io.WriteString(stdout, folded)
+	return err
+}
+
+// check judges a saved facility result — the one artifact without a schema
+// id — with the spec's rules, through the same metric map the in-run
+// watchdog uses (Result.SLOValues), regardless of any report stored in it.
+func check(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("check", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	spec := fs.String("slo", "", "SLO spec to enforce, e.g. 'wait_p99_sec<=2;utilization_pct>=60' (required)")
+	if err := fs.Parse(args); err != nil {
+		return usageError("check: " + err.Error())
+	}
+	if *spec == "" || fs.NArg() != 1 {
+		return usageError("check needs -slo SPEC and exactly one mkfleet -json result")
+	}
+	slo, err := obs.ParseSLO(*spec)
+	if err != nil {
+		return usageError(err.Error())
+	}
+	data, err := os.ReadFile(fs.Arg(0))
+	if err != nil {
+		return err
+	}
+	res, err := fleet.ReadResult(data)
+	if err != nil {
+		return fmt.Errorf("%s: %w", fs.Arg(0), err)
+	}
 	rep, err := slo.Eval(res.SLOValues())
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	printSLO(rep)
-	if !rep.Passed {
-		os.Exit(1)
-	}
-}
-
-func printSLO(rep *obs.SLOReport) {
-	fmt.Println("  slo:")
+	fmt.Fprintln(stdout, "  slo:")
 	for _, r := range rep.Results {
 		verdict := "pass"
 		if !r.Pass {
 			verdict = "FAIL"
 		}
-		fmt.Printf("    %-4s %s%s%g (observed %g)\n", verdict, r.Metric, r.Op, r.Threshold, r.Value)
+		fmt.Fprintf(stdout, "    %-4s %s%s%g (observed %g)\n", verdict, r.Metric, r.Op, r.Threshold, r.Value)
 	}
-	if rep.Passed {
-		fmt.Println("  slo: PASS")
-	} else {
-		fmt.Println("  slo: FAIL")
+	if !rep.Passed {
+		fmt.Fprintln(stdout, "  slo: FAIL")
+		return errFailed
 	}
-}
-
-func validate(args []string) {
-	fs := flag.NewFlagSet("validate", flag.ExitOnError)
-	if err := fs.Parse(args); err != nil {
-		fatal(err)
-	}
-	if fs.NArg() != 1 {
-		fatal(fmt.Errorf("validate needs exactly one timeline file, got %d args", fs.NArg()))
-	}
-	data, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	if err := trace.Validate(data); err != nil {
-		fatal(fmt.Errorf("%s: %w", fs.Arg(0), err))
-	}
-	fmt.Printf("%s: valid %s timeline\n", fs.Arg(0), trace.EventsSchema)
-}
-
-func diff(args []string) {
-	fs := flag.NewFlagSet("diff", flag.ExitOnError)
-	if err := fs.Parse(args); err != nil {
-		fatal(err)
-	}
-	if fs.NArg() != 2 {
-		fatal(fmt.Errorf("diff needs two decision logs, got %d args", fs.NArg()))
-	}
-	logs := make([][]obs.Decision, 2)
-	for i := range 2 {
-		data, err := os.ReadFile(fs.Arg(i))
-		if err != nil {
-			fatal(err)
-		}
-		logs[i], err = obs.ReadDecisions(data)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", fs.Arg(i), err))
-		}
-	}
-	rows := obs.DiffDecisions(logs[0], logs[1])
-	if len(rows) == 0 {
-		fmt.Printf("identical: %d decisions\n", len(logs[0]))
-		return
-	}
-	for _, row := range rows {
-		fmt.Println(row)
-	}
-	os.Exit(1)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mkobs:", err)
-	os.Exit(1)
-}
-
-func writeArtifact(path string, data []byte) {
-	if path == "-" {
-		if _, err := os.Stdout.Write(data); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fatal(err)
-	}
+	fmt.Fprintln(stdout, "  slo: PASS")
+	return nil
 }

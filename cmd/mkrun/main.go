@@ -1,24 +1,33 @@
 // Command mkrun executes one application benchmark on one kernel
 // configuration and prints the figure of merit with a mechanism breakdown.
 //
+// It is also where a run's observability artifacts are recorded:
+// -trace-json (mklite-trace/v1), -counters-json (mklite-counters/v1) and
+// -metrics-json (mklite-metrics/v1), which mkobs then validates, diffs,
+// renders and folds into flame graphs (see docs/OBSERVABILITY.md).
+//
 // Usage:
 //
 //	mkrun -app minife -kernel mckernel -nodes 1024
 //	mkrun -app lulesh2.0 -compare -nodes 64
 //	mkrun -app ccs-qcd -kernel mckernel -nodes 2048 -ddr-only
+//	mkrun -app minife -nodes 16 -trace-json t.json -counters-json c.json -metrics-json m.json
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"maps"
 	"os"
+	"runtime/pprof"
 	"slices"
 	"strings"
 
 	"mklite"
 	"mklite/internal/cliflags"
+	"mklite/internal/trace"
 )
 
 func main() {
@@ -36,15 +45,33 @@ func main() {
 		schedF    = cliflags.Sched(flag.CommandLine)
 		jsonOut   = flag.Bool("json", false, "emit results as JSON")
 		sweep     = flag.Bool("sweep", false, "sweep the app's full node-count list")
-		trace     = flag.Bool("trace", false, "print a per-timestep breakdown (first 12 steps)")
+		steps     = flag.Bool("trace", false, "print a per-timestep breakdown (first 12 steps)")
 		counters  = cliflags.Counters(flag.CommandLine)
+		countersJ = flag.String("counters-json", "", "write the run's mklite-counters/v1 JSON dump to this file (implies -counters)")
 		metricsF  = cliflags.Metrics(flag.CommandLine)
 		metricsJ  = flag.String("metrics-json", "", "write the run's mklite-metrics/v1 JSON report to this file (implies -metrics)")
-		traceOut  = flag.String("trace-json", "", "write the run's Chrome trace-event JSON to this file")
+		traceOut  = flag.String("trace-json", "", "write the run's mklite-trace/v1 Chrome trace-event JSON to this file")
+		cpuprof   = flag.String("cpuprofile", "", "write a Go CPU profile of the simulator itself to this file (wall clock, not virtual time)")
 		faults    = cliflags.Faults(flag.CommandLine)
 		list      = flag.Bool("list", false, "list applications and exit")
 	)
 	flag.Parse()
+
+	if *cpuprof != "" {
+		f, err := os.Create(*cpuprof)
+		if err != nil {
+			fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fatal(err)
+			}
+		}()
+	}
 
 	if *list {
 		for _, a := range mklite.Apps() {
@@ -62,8 +89,8 @@ func main() {
 		Quadrant:          *quadrant,
 		Sched:             *schedF,
 		Observe: mklite.Observe{
-			Trace:    *trace,
-			Counters: *counters,
+			Trace:    *steps,
+			Counters: *counters || *countersJ != "",
 			Metrics:  *metricsF || *metricsJ != "",
 			Events:   *traceOut != "",
 		},
@@ -129,16 +156,23 @@ func main() {
 		fatal(err)
 	}
 	if *traceOut != "" {
-		if err := os.WriteFile(*traceOut, r.TraceJSON, 0o644); err != nil {
+		// Never ship a trace mkobs validate would reject.
+		if err := trace.Validate(r.TraceJSON); err != nil {
+			fatal(fmt.Errorf("internal error: emitted trace fails validation: %w", err))
+		}
+		writeArtifact(*traceOut, r.TraceJSON)
+	}
+	if *countersJ != "" {
+		ctrs := trace.NewCounters()
+		ctrs.MergeMap(r.Counters)
+		var buf bytes.Buffer
+		if err := ctrs.WriteJSON(&buf); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "mkrun: wrote %s (%d bytes)\n", *traceOut, len(r.TraceJSON))
+		writeArtifact(*countersJ, buf.Bytes())
 	}
 	if *metricsJ != "" {
-		if err := os.WriteFile(*metricsJ, r.MetricsJSON, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "mkrun: wrote %s (%d bytes)\n", *metricsJ, len(r.MetricsJSON))
+		writeArtifact(*metricsJ, r.MetricsJSON)
 	}
 	if *jsonOut {
 		emitJSON(r)
@@ -164,7 +198,7 @@ func main() {
 		}
 		fmt.Println()
 	}
-	if *counters && len(r.Counters) > 0 {
+	if opts.Observe.Counters && len(r.Counters) > 0 {
 		fmt.Println("  mechanism counters:")
 		for line := range strings.Lines(mklite.FormatCounters(r.Counters)) {
 			fmt.Print("    ", line)
@@ -176,7 +210,7 @@ func main() {
 			fmt.Print("    ", line)
 		}
 	}
-	if *trace && len(r.StepTrace) > 0 {
+	if *steps && len(r.StepTrace) > 0 {
 		fmt.Println("  per-step trace (ms):")
 		fmt.Printf("    %4s %9s %9s %9s %9s %9s %9s %9s\n",
 			"step", "compute", "memory", "heap", "syscall", "sched", "comm", "noise")
@@ -189,6 +223,13 @@ func main() {
 				s.Compute*1e3, s.Memory*1e3, s.Heap*1e3, s.Syscall*1e3, s.Sched*1e3, s.Comm*1e3, s.Noise*1e3)
 		}
 	}
+}
+
+func writeArtifact(path string, data []byte) {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		fatal(err)
+	}
+	fmt.Fprintf(os.Stderr, "mkrun: wrote %s (%d bytes)\n", path, len(data))
 }
 
 func emitJSON(v any) {

@@ -2,7 +2,7 @@ package mklite
 
 // The passivity half of the metrics contract (ISSUE PR4): the metrics
 // registry observes the run, it never steers it. Every simulated output
-// must be byte-identical with metrics off, metrics on, and flame capture
+// must be byte-identical with metrics off, metrics on, and the event ring
 // on — sequentially and across par fan-out widths — and the aggregated
 // profile itself must be width-independent. Run under -race this also
 // proves registry isolation across workers (one registry per repetition,
@@ -15,11 +15,12 @@ import (
 	"testing"
 
 	"mklite/internal/experiments"
+	"mklite/internal/metrics"
 )
 
 // metricsModeDigest hashes a three-kernel comparison excluding the
 // observation outputs themselves (Counters/TraceJSON are stripped like in
-// traceModeDigest; MetricsJSON/MetricsText/Folded are json:"-" and never
+// traceModeDigest; MetricsJSON/MetricsText are json:"-" and never
 // encoded).
 func metricsModeDigest(t *testing.T, opts *Options) string {
 	t.Helper()
@@ -39,8 +40,8 @@ func metricsModeDigest(t *testing.T, opts *Options) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// TestMetricsArePassive: attaching the registry, the flame recorder, or
-// both must leave every simulated output byte-identical to a bare run —
+// TestMetricsArePassive: attaching the registry, the event ring, or both
+// must leave every simulated output byte-identical to a bare run —
 // no RNG draws, no feedback into costs or scheduling.
 func TestMetricsArePassive(t *testing.T) {
 	want := metricsModeDigest(t, &Options{Observe: Observe{Trace: true}})
@@ -49,8 +50,8 @@ func TestMetricsArePassive(t *testing.T) {
 		opts *Options
 	}{
 		{"metrics", &Options{Observe: Observe{Trace: true, Metrics: true}}},
-		{"flame", &Options{Observe: Observe{Trace: true, Flame: true}}},
-		{"metrics+flame+counters", &Options{Observe: Observe{Trace: true, Metrics: true, Flame: true, Counters: true}}},
+		{"events", &Options{Observe: Observe{Trace: true, Events: true}}},
+		{"metrics+events+counters", &Options{Observe: Observe{Trace: true, Metrics: true, Events: true, Counters: true}}},
 	}
 	for _, m := range modes {
 		if got := metricsModeDigest(t, m.opts); got != want {
@@ -63,26 +64,31 @@ func TestMetricsArePassive(t *testing.T) {
 // the same run records the same report bytes and the same folded stacks,
 // twice over.
 func TestMetricsAreReproducible(t *testing.T) {
-	run := func() Result {
-		r, err := Run("minife", McKernel, 32, 1, &Options{Observe: Observe{Metrics: true, Flame: true}})
+	run := func() (Result, string) {
+		r, err := Run("minife", McKernel, 32, 1, &Options{Observe: Observe{Metrics: true, Events: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r
+		folded, err := metrics.FoldedFromJSON(r.TraceJSON)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, folded
 	}
-	a, b := run(), run()
+	a, aFolded := run()
+	b, bFolded := run()
 	if string(a.MetricsJSON) != string(b.MetricsJSON) {
 		t.Fatal("same run, different metrics report bytes")
 	}
 	if a.MetricsText != b.MetricsText {
 		t.Fatal("same run, different rendered metrics text")
 	}
-	if a.Folded != b.Folded {
+	if aFolded != bFolded {
 		t.Fatal("same run, different folded flame stacks")
 	}
-	if len(a.MetricsJSON) == 0 || a.MetricsText == "" || a.Folded == "" {
+	if len(a.MetricsJSON) == 0 || a.MetricsText == "" || aFolded == "" {
 		t.Fatalf("metrics outputs empty: json=%d text=%d folded=%d",
-			len(a.MetricsJSON), len(a.MetricsText), len(a.Folded))
+			len(a.MetricsJSON), len(a.MetricsText), len(aFolded))
 	}
 }
 

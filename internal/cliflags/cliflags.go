@@ -1,8 +1,12 @@
 // Package cliflags declares the command-line flags shared by the mklite
-// commands (mkrun, mkexperiments, mknoise, mkfleet). Each shared flag is
-// defined exactly once here — name, default and help text — so the commands
-// cannot drift apart and a new cross-cutting flag (such as -sched) is added
-// in one place. Flags unique to a single command stay in that command.
+// commands that run simulations (mkrun, mkexperiments, mknoise, mkfleet).
+// Each shared flag is defined exactly once here — name, default and help
+// text — so the commands cannot drift apart and a new cross-cutting flag
+// (such as -sched) is added in one place. Flags unique to a single command
+// stay in that command: mkrun's artifact writers (-trace-json,
+// -counters-json, -metrics-json, -cpuprofile), mkfleet's -obs-* flags and
+// mkobs check's -slo. mkobs, which only inspects artifacts, registers no
+// flag from this package.
 package cliflags
 
 import (

@@ -43,7 +43,11 @@
 package fleet
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 
 	"mklite/internal/fault"
 	"mklite/internal/kernel"
@@ -343,6 +347,26 @@ type Result struct {
 
 	// PerJob is the per-job record in job-ID order (Config.PerJob).
 	PerJob []JobOutcome `json:"per_job,omitempty"`
+}
+
+// ReadResult parses one facility result as mkfleet -json writes it. Unknown
+// fields, trailing data, and a result with facility_nodes or jobs below 1
+// are errors, so a foreign JSON document (a metrics report, `{}`) is
+// rejected rather than judged as a zero-valued run.
+func ReadResult(data []byte) (*Result, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var r Result
+	if err := dec.Decode(&r); err != nil {
+		return nil, fmt.Errorf("fleet: parsing result: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return nil, errors.New("fleet: trailing data after the result")
+	}
+	if r.FacilityNodes < 1 || r.Jobs < 1 {
+		return nil, fmt.Errorf("fleet: result has facility_nodes %d and jobs %d, want both >= 1", r.FacilityNodes, r.Jobs)
+	}
+	return &r, nil
 }
 
 // SLOValues publishes the run's summary metrics for obs.SLO evaluation.

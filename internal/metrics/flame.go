@@ -78,9 +78,9 @@ func Folded(events []trace.Event) string {
 	return b.String()
 }
 
-// FoldedFromJSON parses a Chrome trace-event export (an mktrace/mkrun
-// .trace.json artifact) and folds it. The schema check rides
-// trace.ParseEvents.
+// FoldedFromJSON parses a Chrome trace-event export (an mkrun -trace-json
+// artifact or an mkfleet timeline) and folds it; mkobs flame is its CLI.
+// The schema check rides trace.ParseEvents.
 func FoldedFromJSON(data []byte) (string, error) {
 	events, _, err := trace.ParseEvents(data)
 	if err != nil {

@@ -19,7 +19,7 @@
 // nanosecond-resolution detour and a millisecond daemon tail fit the same
 // fixed-resolution structure — the paper's FWQ story is exactly such a
 // spread. All quantiles derive from the internal/stats Rank rule, so an
-// mkprof report and a figure table can never disagree on the same data.
+// mkobs report and a figure table can never disagree on the same data.
 package metrics
 
 import (

@@ -261,8 +261,32 @@ func TestDiff(t *testing.T) {
 	if !strings.Contains(out, "1 -> 2") {
 		t.Fatalf("diff missing count delta:\n%s", out)
 	}
-	if same := Diff(a.Report(), a.Report()); !strings.Contains(same, "no metric differences") {
+	if same := Diff(a.Report(), a.Report()); same != "" {
 		t.Fatalf("self-diff not empty:\n%s", same)
+	}
+
+	// Every field counts, not only the phase and headline columns.
+	mk := func() *Report {
+		return &Report{
+			Schema: Schema,
+			Gauges: map[string]int64{"g": 1},
+			Hists:  map[string]HistReport{"h": {Count: 1, Sum: 5}},
+			Ranked: map[string][]HistReport{"r": {{Count: 1}}},
+		}
+	}
+	for _, tc := range []struct {
+		key  string
+		edit func(*Report)
+	}{
+		{"g", func(r *Report) { r.Gauges["g"] = 2 }},
+		{"h", func(r *Report) { r.Hists["h"] = HistReport{Count: 1, Sum: 6} }},
+		{"r", func(r *Report) { r.Ranked["r"][0].P90 = 1 }},
+	} {
+		other := mk()
+		tc.edit(other)
+		if out := Diff(mk(), other); !strings.Contains(out, "\n"+tc.key+" ") {
+			t.Fatalf("diff misses a change to %q:\n%s", tc.key, out)
+		}
 	}
 }
 
@@ -328,5 +352,23 @@ func TestFoldedFromJSON(t *testing.T) {
 	}
 	if _, err := FoldedFromJSON([]byte(`{"traceEvents":[],"otherData":{"schema":"x"}}`)); err == nil {
 		t.Fatal("wrong schema accepted")
+	}
+
+	// An evicting ring: the export drops the oldest events (leaving
+	// orphaned ends) and must fold exactly as the retained events do.
+	ring := trace.NewEvents(4)
+	rs := trace.NewSink(nil, ring)
+	rs.Begin(0, 0, 0, "run", "cluster")
+	for i := range int64(3) {
+		rs.Begin(1000*i, 0, 0, "step", "cluster")
+		rs.End(1000*i+500, 0, 0, "step", "cluster")
+	}
+	rs.End(5000, 0, 0, "run", "cluster")
+	folded, err = FoldedFromJSON(ring.JSON())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := Folded(ring.Snapshot()); folded != want || want != "pid0/tid0;step 500\n" {
+		t.Fatalf("evicting ring: FoldedFromJSON %q, Folded(Snapshot) %q", folded, want)
 	}
 }

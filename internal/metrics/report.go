@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"reflect"
 	"slices"
 	"strings"
 
@@ -12,7 +13,7 @@ import (
 )
 
 // Schema versions the metrics report format and its key namespace. Bump when
-// a field is renamed or its meaning changes; mkprof diff refuses to compare
+// a field is renamed or its meaning changes; mkobs diff refuses to compare
 // files with different schemas.
 const Schema = "mklite-metrics/v1"
 
@@ -38,9 +39,9 @@ type HistReport struct {
 	Bkts  []BucketCount `json:"buckets,omitempty"`
 }
 
-// Report is the schema-versioned export of one registry: the shape mkprof
-// writes, reads, renders and diffs. encoding/json sorts map keys, so the
-// bytes are deterministic.
+// Report is the schema-versioned export of one registry: the shape mkrun
+// -metrics-json writes and mkobs reads, renders and diffs. encoding/json
+// sorts map keys, so the bytes are deterministic.
 type Report struct {
 	Schema string                  `json:"schema"`
 	Phases map[string]int64        `json:"phases,omitempty"`
@@ -211,20 +212,21 @@ func (rep *Report) Render() string {
 	return b.String()
 }
 
-// Diff renders the comparison of two reports: phases whose accumulated time
-// moved, and distributions whose count or tail percentiles moved. Rows are
-// sorted by name; identical entries are omitted.
+// Diff renders the comparison of two reports: phases and gauges whose value
+// moved, distributions whose export differs in any field (the row shows the
+// count and tail percentiles), and per-rank distributions that differ. Rows
+// are sorted by name and identical entries are omitted, so two equal
+// reports diff to "".
 func Diff(oldR, newR *Report) string {
 	var b strings.Builder
-	phaseKeys := map[string]bool{}
-	for k := range oldR.Phases {
-		phaseKeys[k] = true
-	}
-	for k := range newR.Phases {
-		phaseKeys[k] = true
+	section := func(title string, tb *stats.Table) {
+		if tb != nil {
+			b.WriteString("-- " + title + " --\n")
+			b.WriteString(tb.Render())
+		}
 	}
 	var ptb *stats.Table
-	for _, k := range slices.Sorted(maps.Keys(phaseKeys)) {
+	for _, k := range unionKeys(oldR.Phases, newR.Phases) {
 		o, n := oldR.Phases[k], newR.Phases[k]
 		if o == n {
 			continue
@@ -238,21 +240,23 @@ func Diff(oldR, newR *Report) string {
 		}
 		ptb.AddRow(k, fmt.Sprintf("%.6f", float64(o)/1e9), fmt.Sprintf("%.6f", float64(n)/1e9), delta)
 	}
-	if ptb != nil {
-		b.WriteString("-- phase deltas --\n")
-		b.WriteString(ptb.Render())
+	section("phase deltas", ptb)
+	var gtb *stats.Table
+	for _, k := range unionKeys(oldR.Gauges, newR.Gauges) {
+		o, n := oldR.Gauges[k], newR.Gauges[k]
+		if o == n {
+			continue
+		}
+		if gtb == nil {
+			gtb = stats.NewTable("gauge", "old", "new")
+		}
+		gtb.AddRow(k, fmt.Sprintf("%d", o), fmt.Sprintf("%d", n))
 	}
-	histKeys := map[string]bool{}
-	for k := range oldR.Hists {
-		histKeys[k] = true
-	}
-	for k := range newR.Hists {
-		histKeys[k] = true
-	}
+	section("gauge deltas", gtb)
 	var htb *stats.Table
-	for _, k := range slices.Sorted(maps.Keys(histKeys)) {
+	for _, k := range unionKeys(oldR.Hists, newR.Hists) {
 		o, n := oldR.Hists[k], newR.Hists[k]
-		if o.Count == n.Count && o.P50 == n.P50 && o.P999 == n.P999 && o.Max == n.Max {
+		if reflect.DeepEqual(o, n) {
 			continue
 		}
 		if htb == nil {
@@ -264,12 +268,25 @@ func Diff(oldR, newR *Report) string {
 			fmt.Sprintf("%s -> %s", ns(o.P999), ns(n.P999)),
 			fmt.Sprintf("%s -> %s", ns(float64(o.Max)), ns(float64(n.Max))))
 	}
-	if htb != nil {
-		b.WriteString("-- distribution deltas --\n")
-		b.WriteString(htb.Render())
+	section("distribution deltas", htb)
+	var rtb *stats.Table
+	for _, k := range unionKeys(oldR.Ranked, newR.Ranked) {
+		o, n := oldR.Ranked[k], newR.Ranked[k]
+		if reflect.DeepEqual(o, n) {
+			continue
+		}
+		if rtb == nil {
+			rtb = stats.NewTable("per-rank distribution", "ranks")
+		}
+		rtb.AddRow(k, fmt.Sprintf("%d -> %d", len(o), len(n)))
 	}
-	if b.Len() == 0 {
-		return "(no metric differences)\n"
-	}
+	section("per-rank distributions that differ", rtb)
 	return b.String()
+}
+
+// unionKeys returns the keys of a and b, sorted.
+func unionKeys[V any](a, b map[string]V) []string {
+	keys := append(slices.Sorted(maps.Keys(a)), slices.Sorted(maps.Keys(b))...)
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // DecisionsSchema versions the decision-log file format. Bump when a field
-// is renamed or its meaning changes; DiffDecisions refuses to compare files
+// is renamed or its meaning changes; mkobs diff refuses to compare files
 // with different schemas.
 const DecisionsSchema = "mklite-decisions/v1"
 
@@ -128,7 +128,9 @@ func (l *DecisionLog) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// ReadDecisions parses a dump produced by WriteJSON, checking the schema.
+// ReadDecisions parses a dump produced by WriteJSON, checking the schema and
+// that the decisions array is present (JSON writes `[]` for an empty log),
+// so a truncated or foreign file is an error, not an empty log.
 func ReadDecisions(data []byte) ([]Decision, error) {
 	var f decisionFile
 	if err := json.Unmarshal(data, &f); err != nil {
@@ -136,6 +138,9 @@ func ReadDecisions(data []byte) ([]Decision, error) {
 	}
 	if f.Schema != DecisionsSchema {
 		return nil, fmt.Errorf("obs: decision schema %q, want %q", f.Schema, DecisionsSchema)
+	}
+	if f.Decisions == nil {
+		return nil, fmt.Errorf("obs: decision log has no decisions array")
 	}
 	return f.Decisions, nil
 }

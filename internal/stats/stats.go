@@ -74,7 +74,7 @@ func Median(xs []float64) float64 {
 // position p/100*(n-1), linearly interpolated between the samples at
 // positions lo and hi with weight frac on hi. Every percentile in the module
 // — Percentile, Histogram.Percentile and the metrics histograms — derives
-// from this one rule, so a figure table and an mkprof report can never
+// from this one rule, so a figure table and an mkobs report can never
 // disagree on the same data. It panics on n <= 0.
 func Rank(n int, p float64) (lo, hi int, frac float64) {
 	if n <= 0 {

@@ -10,8 +10,8 @@ import (
 )
 
 // CountersSchema versions the counter file format and the key namespace.
-// Bump when a key is renamed or its meaning changes; mktrace -diff refuses
-// to compare files with different schemas.
+// Bump when a key is renamed or its meaning changes; mkobs diff refuses to
+// compare files with different schemas.
 const CountersSchema = "mklite-counters/v1"
 
 // Counters is the aggregating backend: monotonic mechanism counts keyed by
@@ -237,8 +237,7 @@ func DiffCounters(oldC, newC map[string]int64) []CounterDiff {
 }
 
 // FormatCounters renders a counter map as aligned "name value" lines sorted
-// by name — the human-readable summary mktrace and the -counters flags
-// print.
+// by name — the human-readable summary the -counters flags print.
 func FormatCounters(m map[string]int64) string {
 	var b strings.Builder
 	width := 0

@@ -12,7 +12,7 @@ type Key int32
 
 // The interned counter keys, one per hot emission site. The String values —
 // keyNames below — are the exact dotted names the map-keyed API used, so
-// exports, golden tests and mktrace -diff see identical bytes.
+// exports, golden tests and mkobs diff see identical bytes.
 const (
 	KeyHeapQueries Key = iota
 	KeyHeapGrows

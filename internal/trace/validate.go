@@ -97,8 +97,8 @@ type rawTrace struct {
 // this package emits it: everything ParseEvents checks, per-(pid,tid) monotone
 // timestamps, and balanced B/E spans with matching names. When the ring
 // dropped events the balance check is skipped (eviction can orphan spans)
-// but monotonicity still must hold. CI's trace-smoke step runs this on the
-// mktrace artifact.
+// but monotonicity still must hold. mkrun -trace-json runs it before
+// writing, and mkobs validate runs it on trace and timeline artifacts.
 func Validate(data []byte) error {
 	tr, err := parseTrace(data)
 	if err != nil {

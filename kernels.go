@@ -288,7 +288,7 @@ type NoiseDistribution struct {
 	P99Ns    float64
 	P999Ns   float64
 	MeanNs   float64
-	Rendered string // the mkprof-style table for this kernel's registry
+	Rendered string // the mkobs report table for this kernel's registry
 }
 
 // TailRatio returns p99.9 over p50 (0 when the median is 0).

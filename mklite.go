@@ -75,32 +75,26 @@ func (k Kernel) internalType() (kernel.Type, error) {
 }
 
 // Observe groups a run's observability attachments: the per-step trace,
-// mechanism counters, the virtual-time event timeline, the metrics registry
-// and the flame-graph export. All of them are purely observational — every
-// simulated output is byte-identical with or without them attached.
+// mechanism counters, the virtual-time event timeline and the metrics
+// registry. All of them are purely observational — every simulated output
+// is byte-identical with or without them attached.
 type Observe struct {
 	// Trace records a per-timestep breakdown into Result.StepTrace.
 	Trace bool
 	// Counters attaches a mechanism-counter sink to the run; the
 	// aggregated counts land in Result.Counters.
 	Counters bool
-	// Events records the run's virtual-time event timeline (bounded
-	// ring); Result.TraceJSON holds the Chrome trace-event export.
+	// Events records the run's virtual-time event timeline (a ring of
+	// trace.DefaultEventCap events); Result.TraceJSON holds the Chrome
+	// trace-event export, which metrics.FoldedFromJSON folds into a
+	// flame graph (mkobs flame).
 	Events bool
-	// EventCap bounds the event ring (0 = trace.DefaultEventCap;
-	// negative values are rejected). When the ring overflows, the oldest
-	// events are evicted and the export notes the count.
-	EventCap int
 	// Metrics attaches a metrics registry to the run: latency
 	// histograms, per-rank distributions, per-phase virtual-time
 	// accounting and gauges. Result.MetricsJSON holds the
 	// mklite-metrics/v1 report and Result.MetricsText its rendered
 	// tables.
 	Metrics bool
-	// Flame additionally exports the run's event timeline as a
-	// virtual-time-weighted folded-stack flame graph (Result.Folded,
-	// loadable by speedscope/inferno/flamegraph.pl). Implies Events.
-	Flame bool
 }
 
 // Options carries per-run tunables: the model configuration, the Observe
@@ -150,14 +144,10 @@ func (o *Options) observe() Observe {
 	return o.Observe
 }
 
-// validate rejects malformed options with a proper error (a negative
-// EventCap used to be silently treated as the default).
+// validate rejects malformed options with a proper error.
 func (o *Options) validate() error {
 	if o == nil {
 		return nil
-	}
-	if o.Observe.EventCap < 0 {
-		return fmt.Errorf("mklite: negative Observe.EventCap %d", o.Observe.EventCap)
 	}
 	if o.Sched != "" {
 		if _, err := sched.Parse(o.Sched); err != nil {
@@ -264,9 +254,6 @@ type Result struct {
 	// own, like TraceJSON.
 	MetricsJSON []byte `json:"-"`
 	MetricsText string `json:"-"`
-	// Folded holds the collapsed-stack flame-graph export when
-	// Options.Flame was set.
-	Folded string `json:"-"`
 }
 
 func toJob(appName string, k Kernel, nodes int, seed uint64, opts *Options) (cluster.Job, error) {
@@ -339,8 +326,8 @@ func RunContext(ctx context.Context, appName string, k Kernel, nodes int, seed u
 		if observe.Counters {
 			ctrs = trace.NewCounters()
 		}
-		if observe.Events || observe.Flame {
-			evs = trace.NewEvents(observe.EventCap)
+		if observe.Events {
+			evs = trace.NewEvents(0)
 		}
 		var obs trace.Observer
 		if observe.Metrics {
@@ -391,9 +378,6 @@ func RunContext(ctx context.Context, appName string, k Kernel, nodes int, seed u
 	}
 	if evs != nil {
 		out.TraceJSON = evs.JSON()
-		if observe.Flame {
-			out.Folded = metrics.Folded(evs.Snapshot())
-		}
 	}
 	if reg != nil {
 		rep := reg.Report()
