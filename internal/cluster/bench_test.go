@@ -6,8 +6,6 @@ import (
 
 	"mklite/internal/apps"
 	"mklite/internal/kernel"
-	"mklite/internal/mpi"
-	"mklite/internal/sim"
 )
 
 // benchKernels are the three kernels every node-construction benchmark and
@@ -22,7 +20,7 @@ var benchKernels = []struct {
 }
 
 // BenchmarkBoot measures one kernel boot on a fresh KNL SNC-4 node, the
-// per-run (and per-retry) cost runAttempt pays before any rank exists.
+// per-image cost Prepare pays before any rank exists.
 func BenchmarkBoot(b *testing.B) {
 	for _, bk := range benchKernels {
 		b.Run(bk.name, func(b *testing.B) {
@@ -54,7 +52,7 @@ func BenchmarkSetupNode(b *testing.B) {
 						b.Fatal(err)
 					}
 					b.StartTimer()
-					if _, err := setupNode(k, j, sim.NewRNG(1)); err != nil {
+					if _, err := setupNode(k, j); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -93,7 +91,7 @@ func TestSetupNodeAllocs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := setupNode(k, j, sim.NewRNG(1)); err != nil {
+				if _, err := setupNode(k, j); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -105,30 +103,39 @@ func TestSetupNodeAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkRunSteps measures the timestep loop of one 64-node Lulesh run
-// on each kernel — the heap replay's layer benchmark. Boot, node setup and
-// communicator construction run outside the timer.
-func BenchmarkRunSteps(b *testing.B) {
+// BenchmarkPrepare measures building one 64-node Lulesh image on each
+// kernel: boot, node setup and the heap phase replayed to its fixed point —
+// the seed-free work a measurement pays once per cell.
+func BenchmarkPrepare(b *testing.B) {
 	for _, bk := range benchKernels {
 		b.Run("lulesh-"+bk.name, func(b *testing.B) {
-			j := Job{App: apps.Lulesh(), Kernel: bk.kt, Nodes: 64, Seed: 1}.normalized()
+			j := Job{App: apps.Lulesh(), Kernel: bk.kt, Nodes: 64}
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				k, err := bootKernel(j)
-				if err != nil {
+			for b.Loop() {
+				if _, err := Prepare(context.Background(), j); err != nil {
 					b.Fatal(err)
 				}
-				ns, err := setupNode(k, j, sim.NewRNG(1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				comm, err := mpi.New(j.Fabric, j.Nodes, j.App.RanksPerNode)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := runSteps(context.Background(), k, j, comm, ns, sim.NewRNG(2), nil, -1); err != nil {
+			}
+		})
+	}
+}
+
+// BenchmarkImageRun measures one seeded run of a 64-node Lulesh image on
+// each kernel — the timestep loop every repetition pays: scheduler state,
+// noise draws, the recorded heap phase and step composition. The image is
+// prepared once, outside the timer.
+func BenchmarkImageRun(b *testing.B) {
+	for _, bk := range benchKernels {
+		b.Run("lulesh-"+bk.name, func(b *testing.B) {
+			img, err := Prepare(context.Background(), Job{App: apps.Lulesh(), Kernel: bk.kt, Nodes: 64})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			seed := uint64(0)
+			for b.Loop() {
+				seed++
+				if _, err := img.Run(context.Background(), seed, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

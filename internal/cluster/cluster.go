@@ -9,6 +9,12 @@
 // node's full memory image and reuses the derived per-rank parameters for
 // all nodes; per-step noise maxima are still sampled across the entire
 // job's rank count, which is where scale enters.
+//
+// Nothing that builds the image draws a random number, so the image is
+// reused across repetitions as well as nodes: Prepare boots the kernel,
+// lays the node out and replays its heap phase once, and each Image.Run
+// adds only the seeded work (scheduler state, fault injection, noise
+// draws and step composition). Concurrent runs may share one image.
 package cluster
 
 import (
@@ -25,8 +31,6 @@ import (
 	"mklite/internal/mckernel"
 	"mklite/internal/mem"
 	"mklite/internal/mos"
-	"mklite/internal/mpi"
-	"mklite/internal/noise"
 	"mklite/internal/sched"
 	"mklite/internal/sim"
 	"mklite/internal/trace"
@@ -220,162 +224,14 @@ func Run(j Job) (Result, error) {
 	return RunContext(context.Background(), j)
 }
 
-// RunContext executes the job, honouring ctx between attempts and
-// periodically inside the step loop — fault plans with retries can re-execute
-// a job several times, and callers may want to abandon the wait. A cancelled
-// run returns ctx's error and never a partial Result, so cancellation cannot
-// leak a timing-dependent output into a determinism-checked pipeline.
+// RunContext executes the job: Prepare, then one Run of the image with the
+// job's seed and sink. It honours ctx as Run does.
 func RunContext(ctx context.Context, j Job) (Result, error) {
-	j = j.normalized()
-	if j.App == nil {
-		return Result{}, fmt.Errorf("cluster: job without application")
-	}
-	if err := j.App.Validate(); err != nil {
+	img, err := Prepare(ctx, j)
+	if err != nil {
 		return Result{}, err
 	}
-	if j.Nodes <= 0 {
-		return Result{}, fmt.Errorf("cluster: bad node count %d", j.Nodes)
-	}
-	if err := j.Faults.Validate(); err != nil {
-		return Result{}, err
-	}
-	if j.Sched != "" {
-		// Per-job policy override: copy each OS config — they may be the
-		// caller's — and let whichever kernel boots honour it.
-		kind, err := sched.Parse(string(j.Sched))
-		if err != nil {
-			return Result{}, fmt.Errorf("cluster: %w", err)
-		}
-		lin, mck, mosCfg := *j.Linux, *j.McK, *j.MOS
-		lin.Sched, mck.Sched, mosCfg.Sched = kind, kind, kind
-		j.Linux, j.McK, j.MOS = &lin, &mck, &mosCfg
-	}
-	// The injector draws from its own stream — never from the run RNG —
-	// so a nil injector (empty plan) leaves the draw sequence untouched.
-	inj := fault.NewInjector(j.Faults, sim.StreamSeed(j.Seed, fault.StreamCluster))
-	if st := inj.Storm(); st != nil && j.Kernel == kernel.TypeLinux {
-		// The daemon storm lands on Linux's application cores directly;
-		// the LWKs feel it only through inflated offload round trips
-		// (handled in runSteps). Copy the config — j.Linux may be the
-		// caller's.
-		cfg := *j.Linux
-		cfg.ExtraNoise = append(append([]noise.Source{}, cfg.ExtraNoise...),
-			noise.Storm(st.Period, st.Burst, st.CV))
-		j.Linux = &cfg
-	}
-
-	sink := j.Sink
-	var recovery sim.Duration
-	retries, lost := 0, 0
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return Result{}, fmt.Errorf("cluster: run cancelled: %w", err)
-		}
-		res, failNode, failStep, failed, err := runAttempt(ctx, j, inj, attempt)
-		if err != nil {
-			return Result{}, err
-		}
-		if !failed {
-			res.Retries = retries
-			res.LostNodes = lost
-			res.Degraded = lost > 0
-			if recovery > 0 {
-				// Recovery time counts against the job's wall clock;
-				// the figure of merit degrades accordingly.
-				total := res.Elapsed + recovery
-				res.FOM *= float64(res.Elapsed) / float64(total)
-				res.Elapsed = total
-				res.Recovery = recovery
-				if sink.Counting() {
-					sink.CountKey(trace.KeyFaultRecoveryNs, int64(recovery))
-				}
-				if sink.Observing() {
-					sink.Observe("fault.recovery_ns", int64(recovery))
-					sink.Gauge("fault.retries", int64(retries))
-				}
-			}
-			if lost > 0 && sink.Observing() {
-				sink.Gauge("fault.degraded_nodes", int64(lost))
-			}
-			return res, nil
-		}
-
-		// The attempt died at failStep: its partial elapsed time is the
-		// time-to-failure, lost to the job along with the retry backoff.
-		recovery += res.Elapsed
-		if sink.Counting() {
-			sink.CountKey(trace.KeyFaultNodeFailures, 1)
-		}
-		if sink.Eventing() {
-			sink.Instant(int64(recovery), 0, laneMPI, "node-failure", "fault",
-				map[string]int64{"attempt": int64(attempt), "node": int64(failNode),
-					"step": int64(failStep)})
-		}
-		if retries < inj.MaxRetries() {
-			retries++
-			recovery += inj.Backoff(retries - 1)
-			if sink.Counting() {
-				sink.CountKey(trace.KeyFaultRetries, 1)
-			}
-			continue
-		}
-		if inj.AllowDegraded() && j.Nodes > 1 {
-			// Out of retries: drop the dead node and finish on the
-			// survivors. Further failures are disabled so the shrunken
-			// job is guaranteed to terminate.
-			j.Nodes--
-			lost++
-			inj.DisableNodeFailures()
-			recovery += inj.Backoff(retries)
-			if sink.Counting() {
-				sink.CountKey(trace.KeyFaultDegradedNodes, 1)
-			}
-			continue
-		}
-		return Result{}, fmt.Errorf("cluster: node %d failed at step %d; retries exhausted after %d attempts",
-			failNode, failStep, attempt+1)
-	}
-}
-
-// runAttempt boots a fresh node image, lays the job out, draws this
-// attempt's node-failure fate and executes the steps — all of them, or only
-// up to the failure step when the attempt is doomed.
-func runAttempt(ctx context.Context, j Job, inj *fault.Injector, attempt int) (res Result, failNode, failStep int, failed bool, err error) {
-	k, err := bootKernel(j)
-	if err != nil {
-		return Result{}, 0, 0, false, err
-	}
-	comm, err := mpi.New(j.Fabric, j.Nodes, j.App.RanksPerNode)
-	if err != nil {
-		return Result{}, 0, 0, false, err
-	}
-	seed := j.Seed ^ 0x6d6b6c697465 // "mklite"
-	if attempt > 0 {
-		// Re-executions derive their own stream; attempt 0 keeps the
-		// historical derivation so faults-off runs stay byte-identical.
-		seed = sim.StreamSeed(seed, uint64(attempt))
-	}
-	rng := sim.NewRNG(seed)
-
-	node, err := setupNode(k, j, rng.Split())
-	if err != nil {
-		return Result{}, 0, 0, false, err
-	}
-	failNode, failStep, failed = inj.NodeFailure(attempt, j.Nodes, j.App.Timesteps)
-	stop := -1
-	if failed {
-		stop = failStep
-	}
-	res, err = runSteps(ctx, k, j, comm, node, rng.Split(), inj, stop)
-	if err != nil {
-		return Result{}, 0, 0, false, err
-	}
-	res.App = j.App.Name
-	res.Kernel = k.Type().String()
-	res.Nodes = j.Nodes
-	res.Ranks = comm.Ranks()
-	res.Unit = j.App.Unit
-	return res, failNode, failStep, failed, nil
+	return img.Run(ctx, j.Seed, j.Sink)
 }
 
 // stepCompute is one timestep's pure-flop time at the given node count —

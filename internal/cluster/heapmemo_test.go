@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/binary"
 	"maps"
 	"reflect"
@@ -75,45 +76,50 @@ type heapOutcome struct {
 	obs      []obsEvent
 	mcdram   int64
 	demand   int
-	replayed int // steps heapReplay replayed; 0 for the reference
+	replayed int // steps Prepare replayed; 0 for the reference
 }
 
-// replayHeap sets j's node up afresh, with counters and an observation log
-// attached from the start, and runs steps steps of its heap phase:
-// through heapReplay when memo is set, through refHeapReplay otherwise.
+// replayHeap runs steps steps of j's heap phase on a fresh node, with
+// counters and an observation log attached from the start: through the
+// prepared image when memo is set — setup's recorded emissions, then each
+// step's as a run plays them — and through refHeapReplay otherwise.
 func replayHeap(t testing.TB, j Job, steps int, memo bool) heapOutcome {
 	t.Helper()
 	j = j.normalized()
 	ctrs, log := trace.NewCounters(), &obsLog{}
 	j.Sink = trace.NewSinkObs(ctrs, nil, log)
-	k, err := bootKernel(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ns, err := setupNode(k, j, sim.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := j.App.HeapOpsPerStep(j.Nodes)
-	brkTime := k.SyscallTime(kernel.SysBrk)
 	var out heapOutcome
 	if memo {
-		r := newHeapReplay(ns, ops, brkTime, k.Costs(), j.Sink)
-		for range steps {
-			out.maxes = append(out.maxes, r.step())
+		img, err := Prepare(context.Background(), j)
+		if err != nil {
+			t.Fatal(err)
 		}
-		out.stats = r.finish()
-		out.replayed = r.replayed
+		img.setupEmits.play(j.Sink)
+		for s := range steps {
+			out.maxes = append(out.maxes, img.heap.play(s, j.Sink))
+		}
+		img.heap.finish(steps, j.Sink)
+		out.stats, out.mcdram, out.demand = img.heapStats, img.mcdram, img.demandRanks
+		out.replayed = len(img.heap.costs)
 	} else {
-		out.maxes = refHeapReplay(ns, ops, brkTime, k.Costs(), j.Sink, steps)
+		k, err := bootKernel(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ns, err := setupNode(k, j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := j.App.HeapOpsPerStep(j.Nodes)
+		out.maxes = refHeapReplay(ns, ops, k.SyscallTime(kernel.SysBrk), k.Costs(), j.Sink, steps)
 		if len(ns.heaps) > 0 {
 			out.stats = ns.heaps[0].Stats()
 		}
+		out.mcdram = mcdramResidency(ns)
+		out.demand = countDemandRanks(ns)
 	}
 	out.counters = ctrs.Map()
 	out.obs = log.events
-	out.mcdram = mcdramResidency(ns)
-	out.demand = countDemandRanks(ns)
 	return out
 }
 
@@ -318,11 +324,11 @@ func TestHeapMemoSnapshotLayout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ns, err := setupNode(k, j, sim.NewRNG(1))
+		ns, err := setupNode(k, j)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := newHeapReplay(ns, j.App.HeapOpsPerStep(j.Nodes), 0, k.Costs(), nil)
+		r := newHeapReplay(ns, j.App.HeapOpsPerStep(j.Nodes), 0, k.Costs(), false, false)
 		r.snapshot()
 		want := ns.phys.AppendState(nil)
 		for _, h := range ns.heaps {

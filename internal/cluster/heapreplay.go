@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"fmt"
 	"slices"
 
 	"mklite/internal/kernel"
@@ -9,85 +11,73 @@ import (
 	"mklite/internal/trace"
 )
 
-// heapReplay is the step loop's heap phase: every rank replays the
-// application's per-step brk trace on its own heap engine, and the slowest
-// rank gates the node.
+// heapReplay is the step loop's heap phase as Prepare runs it: every rank
+// replays the application's per-step brk trace on its own heap engine, and
+// the slowest rank gates the node. The phase draws no random numbers, so
+// Prepare replays it once per image and records it (heapRecord); runs play
+// the record.
 //
-// The replay is memoised at the node's memory fixed point. A rank's replay
-// reads only its heap engine's state, its heap area's backing and the
-// node's physical allocator, all of which the node's memory snapshot
-// covers (Phys.AppendState, then every Heap.AppendState in rank order),
-// and it draws no random numbers. So when a step starts in the same
-// snapshot as the step before it, it replays exactly as that step did and
-// ends in the same snapshot again; by induction so does every later step.
-// From there on the per-rank costs of
+// The replay stops at the node's memory fixed point. A rank's replay reads
+// only its heap engine's state, its heap area's backing and the node's
+// physical allocator, all of which the node's memory snapshot covers
+// (Phys.AppendState, then every Heap.AppendState in rank order). So when a
+// step starts in the same snapshot as the step before it, it replays
+// exactly as that step did and ends in the same snapshot again; by
+// induction so does every later step. From there on the per-rank costs of
 // the last replayed step are exact for the rest of the run, and no rank
 // (rank 0 included) replays again. The LWK heaps reach the fixed point
 // once their over-reserving growth has settled; the Linux heap's trace
 // trims back to where it started, so its node returns to the same
 // snapshot after every step.
 //
-// Counters and observations stay exact. When the run counts or observes,
-// the first step after the fixed point is replayed once more as a capture
-// step: its counters go to a private set, merged into the run's at once
-// and again once per skipped step by finish, and each rank's
-// observations are recorded so skipped steps emit them again, in order,
-// before that rank's heap.cost_ns sample. The capture step starts in a
-// state its predecessor also started in, so every size it reaches was
-// already reached: it raises no peak and emits no max-style counter a
-// scaled merge would sum.
+// Counters and observations stay exact. When the image records them, the
+// first step at the fixed point is replayed once more as a capture step,
+// and every later step plays its emissions again: its observations at the
+// step, in order, and its counters scaled by the steps skipped. The
+// capture step starts in a state its predecessor also started in, so every
+// size it reaches was already reached: it raises no peak a later step
+// could raise further.
 type heapReplay struct {
 	ns      *nodeState
 	ops     []int64
 	brkTime sim.Duration
 	costs   kernel.Costs
-	sink    *trace.Sink
+	// counting and observing select the emissions each step records.
+	counting, observing bool
 
-	// max is the slowest rank's cost in the last replayed step, and
-	// rankCost each rank's (kept when observing, for heap.cost_ns).
-	max      sim.Duration
-	rankCost []sim.Duration
+	rec heapRecord
 
 	// snap is the latest step-start snapshot, overwritten in place by
 	// the next one while the two are compared; part holds one
 	// component's state at a time.
 	snap, part []int64
-	// steady reports that the fixed point was reached: every later step
-	// costs what the last replayed step cost.
-	steady bool
-	// captured reports that a counting or observing run has replayed
-	// its capture step; counts and rec hold that step's emissions.
-	captured bool
-	counts   *trace.Counters
-	rec      *obsRecorder
-	// owed counts the steps skipped since the fixed point.
-	owed int64
 	// before is rank 0's accounting at the start of the last replayed
-	// step, from which finish extends it over the skipped steps.
+	// step, from which stats extends it over the skipped steps.
 	before mem.HeapStats
-	// replayed counts the steps every rank replayed.
-	replayed int
 }
 
-func newHeapReplay(ns *nodeState, ops []int64, brkTime sim.Duration, costs kernel.Costs, sink *trace.Sink) *heapReplay {
-	r := &heapReplay{ns: ns, ops: ops, brkTime: brkTime, costs: costs, sink: sink}
-	if sink.Observing() {
-		r.rankCost = make([]sim.Duration, len(ns.heaps))
-	}
-	return r
+func newHeapReplay(ns *nodeState, ops []int64, brkTime sim.Duration, costs kernel.Costs, counting, observing bool) *heapReplay {
+	return &heapReplay{ns: ns, ops: ops, brkTime: brkTime, costs: costs,
+		counting: counting, observing: observing,
+		rec: heapRecord{brkCalls: int64(len(ops) * len(ns.heaps))}}
 }
 
-// step runs one timestep's heap phase and returns the slowest rank's cost.
-func (r *heapReplay) step() sim.Duration {
-	if !r.steady {
-		r.steady = r.snapshot() && r.replayed > 0
+// run replays up to steps steps of the heap phase, stopping at the node's
+// fixed point (after the capture step, when recording).
+func (r *heapReplay) run(ctx context.Context, steps int) error {
+	for step := range steps {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("cluster: cancelled at heap step %d: %w", step, err)
+		}
+		if r.snapshot() && step > 0 {
+			if r.counting || r.observing {
+				r.replay()
+			}
+			return nil
+		}
+		r.replay()
 	}
-	if r.steady && (r.captured || !(r.sink.Counting() || r.sink.Observing())) {
-		r.skip()
-	} else {
-		r.replay(r.steady)
-	}
-	return r.max
+	return nil
 }
 
 // snapshot overwrites snap with the node's current memory state and
@@ -127,48 +117,18 @@ func (r *heapReplay) appendPart(dst []int64, i int) []int64 {
 	return r.ns.heaps[i-1].AppendState(dst)
 }
 
-// skip charges one more step at the fixed point, emitting the capture
-// step's observations again.
-func (r *heapReplay) skip() {
-	r.owed++
-	if !r.sink.Observing() {
-		return
-	}
-	start := 0
-	for ri, c := range r.rankCost {
-		end := r.rec.ends[ri]
-		for _, o := range r.rec.samples[start:end] {
-			r.sink.Observe(o.name, o.v)
-		}
-		start = end
-		r.sink.ObserveRank("heap.cost_ns", ri, int64(c))
-	}
-}
-
-// replay runs the brk trace on every rank. A capture replay routes the
-// heaps' emissions through a private counter set and an observation
-// recorder as well as the run's observer.
-func (r *heapReplay) replay(capture bool) {
+// replay runs the brk trace on every rank and records the step: its
+// slowest rank's cost and, when recording, everything the heaps emit and
+// each rank's heap.cost_ns sample, in order.
+func (r *heapReplay) replay() {
 	if len(r.ns.heaps) > 0 {
 		r.before = r.ns.heaps[0].Stats()
 	}
-	var capSink *trace.Sink
-	if capture {
-		var obs trace.Observer
-		if r.sink.Observing() {
-			r.rec = &obsRecorder{Observer: r.sink.Observer(), ends: make([]int, len(r.ns.heaps))}
-			obs = r.rec
-		}
-		if r.sink.Counting() {
-			r.counts = trace.NewCounters()
-		}
-		capSink = trace.NewSinkObs(r.counts, r.sink.Events(), obs)
-	}
-	r.max = 0
+	e := newEmissions(r.counting, r.observing)
+	sink := e.sink()
+	var slowest sim.Duration
 	for ri, h := range r.ns.heaps {
-		if capture {
-			r.ns.ranks[ri].as.SetSink(capSink)
-		}
+		r.ns.ranks[ri].as.SetSink(sink)
 		var cost sim.Duration
 		var work mem.Work
 		for _, delta := range r.ops {
@@ -184,53 +144,57 @@ func (r *heapReplay) replay(capture bool) {
 			}
 		}
 		cost += r.costs.WorkTime(work)
-		if capture {
-			r.ns.ranks[ri].as.SetSink(r.sink)
-			if r.rec != nil {
-				r.rec.ends[ri] = len(r.rec.samples)
-			}
-		}
-		r.max = max(r.max, cost)
-		if r.rankCost != nil {
-			r.rankCost[ri] = cost
-			r.sink.ObserveRank("heap.cost_ns", ri, int64(cost))
-		}
+		slowest = max(slowest, cost)
+		sink.ObserveRank("heap.cost_ns", ri, int64(cost))
 	}
-	if capture {
-		r.sink.Counters().Merge(r.counts)
-		r.captured = true
+	r.rec.costs = append(r.rec.costs, slowest)
+	if e != nil {
+		r.rec.emits = append(r.rec.emits, e)
 	}
-	r.replayed++
 }
 
-// finish pays the counters the skipped steps owe and returns rank 0's
-// accounting for the whole run: its replayed steps plus one steady step's
-// change per skipped step.
-func (r *heapReplay) finish() mem.HeapStats {
-	if r.counts != nil {
-		r.sink.Counters().MergeScaled(r.counts, r.owed)
-	}
+// stats returns rank 0's accounting after a run of steps steps: its
+// replayed steps plus one fixed-point step's change per skipped step.
+func (r *heapReplay) stats(steps int) mem.HeapStats {
 	if len(r.ns.heaps) == 0 {
 		return mem.HeapStats{}
 	}
-	return r.ns.heaps[0].Stats().Repeat(r.before, r.owed)
+	return r.ns.heaps[0].Stats().Repeat(r.before, int64(steps-len(r.rec.costs)))
 }
 
-// obsRecorder forwards observations to the run's observer and keeps the
-// Observe samples, in order, with each rank's end offset. The heap engines
-// emit only Observe samples (mem.fault_pages).
-type obsRecorder struct {
-	trace.Observer
-	samples []obsSample
-	ends    []int
+// heapRecord is a heap phase as Prepare replayed it, played by every run.
+// It is read-only once recorded.
+type heapRecord struct {
+	// costs holds the slowest rank's cost in each replayed step. A step
+	// past the last is at the fixed point and repeats the last.
+	costs []sim.Duration
+	// emits holds each replayed step's emissions when the image records
+	// them.
+	emits []*emissions
+	// brkCalls is the brk calls the node makes per step.
+	brkCalls int64
 }
 
-type obsSample struct {
-	name string
-	v    int64
+// play returns step's heap cost and emits what the step emits into sink:
+// a replayed step's recording, or at the fixed point the capture step's
+// observations (finish pays its counters).
+func (h *heapRecord) play(step int, sink *trace.Sink) sim.Duration {
+	if step < len(h.costs) {
+		if step < len(h.emits) {
+			h.emits[step].play(sink)
+		}
+		return h.costs[step]
+	}
+	if n := len(h.emits); n > 0 {
+		h.emits[n-1].observe(sink)
+	}
+	return h.costs[len(h.costs)-1]
 }
 
-func (o *obsRecorder) Observe(name string, v int64) {
-	o.Observer.Observe(name, v)
-	o.samples = append(o.samples, obsSample{name: name, v: v})
+// finish pays the counters a run of steps steps owes for the steps it
+// played past the record.
+func (h *heapRecord) finish(steps int, sink *trace.Sink) {
+	if owed := steps - len(h.costs); owed > 0 && len(h.emits) > 0 {
+		h.emits[len(h.emits)-1].count(sink, int64(owed))
+	}
 }

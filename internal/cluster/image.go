@@ -1,0 +1,389 @@
+package cluster
+
+import (
+	"context"
+	"fmt"
+
+	"mklite/internal/fault"
+	"mklite/internal/kernel"
+	"mklite/internal/mem"
+	"mklite/internal/mpi"
+	"mklite/internal/noise"
+	"mklite/internal/sched"
+	"mklite/internal/sim"
+	"mklite/internal/trace"
+)
+
+// Image is one job's node, booted and laid out, with its heap phase
+// replayed to its fixed point: everything a run computes that its seed
+// never reaches. Booting a kernel, laying out a node and replaying brk
+// traces draw no random numbers, so a run's seed enters only through the
+// scheduler state, the fault injector and the noise draws. Every
+// repetition of a measurement therefore runs against one image.
+//
+// An image is read-only once Prepare returns: Run writes nothing in it, so
+// any number of Run calls may share one image concurrently. It holds no
+// trace sink and no RNG. What node setup and the heap phase emit is
+// recorded when the preparing job's sink counts or observes, and each run
+// plays the recording into its own sink.
+type Image struct {
+	// j is the prepared job: normalized and validated, with its
+	// scheduling override and the Linux daemon storm applied, and with
+	// neither seed nor sink.
+	j    Job
+	k    kernel.Kernel
+	comm *mpi.Comm
+	// prof is the kernel's noise profile with its quantile tables built;
+	// each run draws from a clone of it.
+	prof *noise.Profile
+
+	// counting and observing record which emissions the image carries.
+	counting, observing bool
+	// setupEmits is what node setup emitted.
+	setupEmits *emissions
+
+	// setup, shmFault and memMax are the node's untimed setup cost, the
+	// timed first touch of its MPI windows and its slowest rank's
+	// per-step memory time.
+	setup, shmFault, memMax sim.Duration
+	// mcdram and demandRanks are the node's final MCDRAM residency and
+	// demand-paged rank count.
+	mcdram      int64
+	demandRanks int
+	// heap is the recorded heap phase (empty without a brk trace), and
+	// heapStats rank 0's accounting after a whole run.
+	heap      heapRecord
+	heapStats mem.HeapStats
+}
+
+// Prepare boots the job's kernel, lays its node out and replays its heap
+// phase to the fixed point. The job's Seed is ignored. Its Sink only says
+// what the image records: the counters setup and the heap phase emit when
+// it counts, their observations when it observes. Prepare emits nothing
+// into it.
+func Prepare(ctx context.Context, j Job) (*Image, error) {
+	j = j.normalized()
+	if j.App == nil {
+		return nil, fmt.Errorf("cluster: job without application")
+	}
+	if err := j.App.Validate(); err != nil {
+		return nil, err
+	}
+	if j.Nodes <= 0 {
+		return nil, fmt.Errorf("cluster: bad node count %d", j.Nodes)
+	}
+	if err := j.Faults.Validate(); err != nil {
+		return nil, err
+	}
+	if j.Sched != "" {
+		// Per-job policy override: copy each OS config — they may be the
+		// caller's — and let whichever kernel boots honour it.
+		kind, err := sched.Parse(string(j.Sched))
+		if err != nil {
+			return nil, fmt.Errorf("cluster: %w", err)
+		}
+		lin, mck, mosCfg := *j.Linux, *j.McK, *j.MOS
+		lin.Sched, mck.Sched, mosCfg.Sched = kind, kind, kind
+		j.Linux, j.McK, j.MOS = &lin, &mck, &mosCfg
+	}
+	if p := j.Faults; !p.Empty() && p.Storm != nil && j.Kernel == kernel.TypeLinux {
+		// The daemon storm lands on Linux's application cores directly;
+		// the LWKs feel it only through inflated offload round trips
+		// (handled in runSteps). Copy the config — j.Linux may be the
+		// caller's.
+		cfg := *j.Linux
+		cfg.ExtraNoise = append(append([]noise.Source{}, cfg.ExtraNoise...),
+			noise.Storm(p.Storm.Period, p.Storm.Burst, p.Storm.CV))
+		j.Linux = &cfg
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("cluster: run cancelled: %w", err)
+	}
+	counting, observing := j.Sink.Counting(), j.Sink.Observing()
+	j.Seed, j.Sink = 0, nil
+	return prepare(ctx, j, counting, observing)
+}
+
+// prepare builds the image of a job Prepare has normalized and adjusted.
+func prepare(ctx context.Context, j Job, counting, observing bool) (*Image, error) {
+	k, err := bootKernel(j)
+	if err != nil {
+		return nil, err
+	}
+	comm, err := mpi.New(j.Fabric, j.Nodes, j.App.RanksPerNode)
+	if err != nil {
+		return nil, err
+	}
+	img := &Image{j: j, k: k, comm: comm, prof: k.Noise(),
+		counting: counting, observing: observing,
+		setupEmits: newEmissions(counting, observing)}
+	img.prof.Warm()
+
+	js := j
+	js.Sink = img.setupEmits.sink()
+	ns, err := setupNode(k, js)
+	if err != nil {
+		return nil, err
+	}
+	img.setup, img.shmFault, img.memMax = ns.setup, ns.shmFault, ns.memMax
+
+	// The brk trace depends only on the node count: one lookup serves
+	// every rank of every step.
+	var heapOps []int64
+	if j.App.HeapOpsPerStep != nil {
+		heapOps = j.App.HeapOpsPerStep(j.Nodes)
+	}
+	if heapOps != nil {
+		r := newHeapReplay(ns, heapOps, k.SyscallTime(kernel.SysBrk), k.Costs(), counting, observing)
+		if err := r.run(ctx, j.App.Timesteps); err != nil {
+			return nil, err
+		}
+		img.heap = r.rec
+		img.heapStats = r.stats(j.App.Timesteps)
+	} else if len(ns.ranks) > 0 {
+		// An empty-rank job (a zero-rank app spec) has no heap to
+		// report.
+		img.heapStats = ns.ranks[0].heap.Stats()
+	}
+	img.mcdram = mcdramResidency(ns)
+	img.demandRanks = countDemandRanks(ns)
+	// Nothing the image keeps may reach a sink, the kernel included.
+	for _, rs := range ns.ranks {
+		rs.as.SetSink(nil)
+	}
+	return img, nil
+}
+
+// Run executes the seeded part of the job against the image: the
+// scheduler state, the fault injector, the noise draws and the step
+// composition, with retries and degraded completion as the job's fault
+// plan directs. Seed drives every draw; same image and seed, identical
+// result. Sink receives the run's counters, events and observations, the
+// recorded setup and heap emissions included, and may ask for no more than
+// the image records. Run honours ctx between attempts and periodically
+// inside the step loop; a cancelled run returns ctx's error and never a
+// partial Result, so cancellation cannot leak a timing-dependent output
+// into a determinism-checked pipeline.
+func (img *Image) Run(ctx context.Context, seed uint64, sink *trace.Sink) (Result, error) {
+	if sink.Counting() && !img.counting || sink.Observing() && !img.observing {
+		return Result{}, fmt.Errorf("cluster: the run's sink asks for counters or observations the image was prepared without")
+	}
+	// Every stream the run draws from derives from seed here. The
+	// injector and the scheduler state draw from streams of their own —
+	// never from the step RNG — so a nil injector (empty plan) or a
+	// zero-charge policy leaves the step draws untouched. The step RNG
+	// keeps its historical derivation so every output stays byte-identical.
+	inj := fault.NewInjector(img.j.Faults, sim.StreamSeed(seed, fault.StreamCluster))
+	schedSeed := sim.StreamSeed(seed, sched.StreamState)
+	stepSeed := seed ^ 0x6d6b6c697465 // "mklite"
+	cur := img
+	var recovery sim.Duration
+	retries, lost := 0, 0
+	for attempt := 0; ; attempt++ {
+		if err := ctx.Err(); err != nil {
+			return Result{}, fmt.Errorf("cluster: run cancelled: %w", err)
+		}
+		res, failNode, failStep, failed, err := cur.attempt(ctx, stepSeed, schedSeed, sink, inj, attempt)
+		if err != nil {
+			return Result{}, err
+		}
+		if !failed {
+			res.Retries = retries
+			res.LostNodes = lost
+			res.Degraded = lost > 0
+			if recovery > 0 {
+				// Recovery time counts against the job's wall clock;
+				// the figure of merit degrades accordingly.
+				total := res.Elapsed + recovery
+				res.FOM *= float64(res.Elapsed) / float64(total)
+				res.Elapsed = total
+				res.Recovery = recovery
+				if sink.Counting() {
+					sink.CountKey(trace.KeyFaultRecoveryNs, int64(recovery))
+				}
+				if sink.Observing() {
+					sink.Observe("fault.recovery_ns", int64(recovery))
+					sink.Gauge("fault.retries", int64(retries))
+				}
+			}
+			if lost > 0 && sink.Observing() {
+				sink.Gauge("fault.degraded_nodes", int64(lost))
+			}
+			return res, nil
+		}
+
+		// The attempt died at failStep: its partial elapsed time is the
+		// time-to-failure, lost to the job along with the retry backoff.
+		recovery += res.Elapsed
+		if sink.Counting() {
+			sink.CountKey(trace.KeyFaultNodeFailures, 1)
+		}
+		if sink.Eventing() {
+			sink.Instant(int64(recovery), 0, laneMPI, "node-failure", "fault",
+				map[string]int64{"attempt": int64(attempt), "node": int64(failNode),
+					"step": int64(failStep)})
+		}
+		if retries < inj.MaxRetries() {
+			// A retry re-executes on the same nodes: same image.
+			retries++
+			recovery += inj.Backoff(retries - 1)
+			if sink.Counting() {
+				sink.CountKey(trace.KeyFaultRetries, 1)
+			}
+			continue
+		}
+		if inj.AllowDegraded() && cur.j.Nodes > 1 {
+			// Out of retries: drop the dead node and finish on the
+			// survivors, whose image this run prepares for itself.
+			// Further failures are disabled so the shrunken job is
+			// guaranteed to terminate.
+			j := cur.j
+			j.Nodes--
+			if cur, err = prepare(ctx, j, img.counting, img.observing); err != nil {
+				return Result{}, err
+			}
+			lost++
+			inj.DisableNodeFailures()
+			recovery += inj.Backoff(retries)
+			if sink.Counting() {
+				sink.CountKey(trace.KeyFaultDegradedNodes, 1)
+			}
+			continue
+		}
+		return Result{}, fmt.Errorf("cluster: node %d failed at step %d; retries exhausted after %d attempts",
+			failNode, failStep, attempt+1)
+	}
+}
+
+// attempt plays the node's setup emissions, draws this attempt's
+// node-failure fate and executes the steps — all of them, or only up to
+// the failure step when the attempt is doomed.
+func (img *Image) attempt(ctx context.Context, stepSeed, schedSeed uint64, sink *trace.Sink, inj *fault.Injector, attempt int) (res Result, failNode, failStep int, failed bool, err error) {
+	rseed := stepSeed
+	if attempt > 0 {
+		// Re-executions derive their own stream; attempt 0 keeps the
+		// historical derivation so faults-off runs stay byte-identical.
+		rseed = sim.StreamSeed(rseed, uint64(attempt))
+	}
+	rng := sim.NewRNG(rseed)
+	// The first split once went to node setup, which draws nothing.
+	// Discarding it keeps the step loop on the stream it has always had,
+	// so every run's output is unchanged.
+	rng.Split()
+	img.setupEmits.play(sink)
+
+	failNode, failStep, failed = inj.NodeFailure(attempt, img.j.Nodes, img.j.App.Timesteps)
+	stop := -1
+	if failed {
+		stop = failStep
+	}
+	res, err = img.runSteps(ctx, schedSeed, sink, rng.Split(), inj, stop)
+	if err != nil {
+		return Result{}, 0, 0, false, err
+	}
+	res.App = img.j.App.Name
+	res.Kernel = img.k.Type().String()
+	res.Nodes = img.j.Nodes
+	res.Ranks = img.comm.Ranks()
+	res.Unit = img.j.App.Unit
+	return res, failNode, failStep, failed, nil
+}
+
+// emissions is one recorded stretch of a run's counters and observations:
+// what node setup, or one step of the heap phase, emits. Prepare records
+// each stretch once, and every run plays it into its own sink. The nil
+// *emissions records and plays nothing.
+type emissions struct {
+	// counters is nil unless the image counts.
+	counters  *trace.Counters
+	observing bool
+	obs       []observation
+}
+
+// observation is one recorded trace.Observer call.
+type observation struct {
+	kind obsKind
+	name string
+	rank int
+	v    int64
+}
+
+type obsKind uint8
+
+const (
+	obsSample obsKind = iota
+	obsRank
+	obsPhase
+	obsGauge
+)
+
+func newEmissions(counting, observing bool) *emissions {
+	if !counting && !observing {
+		return nil
+	}
+	e := &emissions{observing: observing}
+	if counting {
+		e.counters = trace.NewCounters()
+	}
+	return e
+}
+
+// sink returns a sink that records into e.
+func (e *emissions) sink() *trace.Sink {
+	if e == nil {
+		return nil
+	}
+	var obs trace.Observer
+	if e.observing {
+		obs = e
+	}
+	return trace.NewSinkObs(e.counters, nil, obs)
+}
+
+func (e *emissions) Observe(name string, v int64) {
+	e.obs = append(e.obs, observation{kind: obsSample, name: name, v: v})
+}
+
+func (e *emissions) ObserveRank(name string, rank int, v int64) {
+	e.obs = append(e.obs, observation{kind: obsRank, name: name, rank: rank, v: v})
+}
+
+func (e *emissions) AddPhase(name string, d int64) {
+	e.obs = append(e.obs, observation{kind: obsPhase, name: name, v: d})
+}
+
+func (e *emissions) SetGauge(name string, v int64) {
+	e.obs = append(e.obs, observation{kind: obsGauge, name: name, v: v})
+}
+
+// play emits the recording into sink, as far as sink asks for it.
+func (e *emissions) play(sink *trace.Sink) {
+	e.count(sink, 1)
+	e.observe(sink)
+}
+
+// count applies n repetitions of the recorded counters to sink's.
+func (e *emissions) count(sink *trace.Sink, n int64) {
+	if e != nil && e.counters != nil && sink.Counting() {
+		sink.Counters().Replay(e.counters, n)
+	}
+}
+
+// observe emits the recorded observations into sink, in order.
+func (e *emissions) observe(sink *trace.Sink) {
+	if e == nil || !sink.Observing() {
+		return
+	}
+	for _, o := range e.obs {
+		switch o.kind {
+		case obsSample:
+			sink.Observe(o.name, o.v)
+		case obsRank:
+			sink.ObserveRank(o.name, o.rank, o.v)
+		case obsPhase:
+			sink.Phase(o.name, o.v)
+		case obsGauge:
+			sink.Gauge(o.name, o.v)
+		}
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"mklite/internal/kernel"
 	"mklite/internal/linuxos"
 	"mklite/internal/mem"
-	"mklite/internal/sim"
 )
 
 // orderKernels boots every kernel the harness runs, plus Linux with a
@@ -89,7 +88,7 @@ func TestRankVMAsShareQuadrantOrdersIndependently(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ns, err := setupNode(k, j, sim.NewRNG(1))
+			ns, err := setupNode(k, j)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,9 +6,7 @@ import (
 
 	"mklite/internal/apps"
 	"mklite/internal/fault"
-	"mklite/internal/hw"
 	"mklite/internal/kernel"
-	"mklite/internal/mem"
 	"mklite/internal/mpi"
 	"mklite/internal/noise"
 	"mklite/internal/sched"
@@ -89,16 +87,19 @@ func (p stepParts) emitSpans(sink *trace.Sink, start sim.Time) {
 	sink.End(int64(start)+int64(p.total()), 0, 0, "step", "cluster")
 }
 
-// runSteps executes the application's timestep loop. inj is this run's
-// fault injector (nil when faults are off — the fast path adds one pointer
-// test per site); stopStep, when >= 0, truncates the run at that step to
-// model an attempt dying mid-flight, in which case the partial result
-// carries the time-to-failure and the end-of-run metrics emission is
-// skipped (only the surviving attempt reports phases and gauges).
-func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *nodeState, rng *sim.RNG, inj *fault.Injector, stopStep int) (Result, error) {
+// runSteps executes the application's timestep loop against the image,
+// drawing from rng and emitting into sink; schedSeed seeds the scheduler
+// state. inj is this run's fault injector (nil when faults are off — the
+// fast path adds one pointer test per site); stopStep, when >= 0,
+// truncates the run at that step to model an attempt dying mid-flight, in
+// which case the partial result carries the time-to-failure and the
+// end-of-run metrics emission is skipped (only the surviving attempt
+// reports phases and gauges).
+func (img *Image) runSteps(ctx context.Context, schedSeed uint64, sink *trace.Sink, rng *sim.RNG, inj *fault.Injector, stopStep int) (Result, error) {
+	j, k, comm := img.j, img.k, img.comm
 	app := j.App
 	costs := k.Costs()
-	prof := k.Noise()
+	prof := img.prof.Clone()
 	totalRanks := comm.Ranks()
 
 	// Scheduler seam: the booted kernel's policy charges each step's
@@ -109,10 +110,9 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 	// aligned, a detour at a synchronisation point is absorbed inside one
 	// shared window instead of max-combined across ranks.
 	pol := k.Sched()
-	schedSt := pol.NewState(sim.StreamSeed(j.Seed, sched.StreamState))
+	schedSt := pol.NewState(schedSeed)
 	gangAligned := pol.Kind() == sched.Gang
 
-	sink := j.Sink
 	counting := sink.Counting()
 	eventing := sink.Eventing()
 	observing := sink.Observing()
@@ -176,7 +176,6 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 	dsPerMsg := j.Fabric.SyscallsPerMessage * factor
 	ioctlTime := k.SyscallTime(kernel.SysIoctl)
 	yieldTime := k.SyscallTime(kernel.SysSchedYield)
-	brkTime := k.SyscallTime(kernel.SysBrk)
 
 	cpuTime := stepCompute(app, j.Nodes)
 
@@ -194,20 +193,11 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 
 	var bd Breakdown
 	var res0Steps []StepRecord
-	bd.SetupShm = ns.shmFault
-	elapsed := ns.shmFault
-	if eventing && ns.shmFault > 0 {
+	bd.SetupShm = img.shmFault
+	elapsed := img.shmFault
+	if eventing && img.shmFault > 0 {
 		sink.Begin(0, 0, 0, "shm-fault", "cluster")
-		sink.End(int64(ns.shmFault), 0, 0, "shm-fault", "cluster")
-	}
-
-	// The brk trace depends only on the node count: one lookup serves
-	// every rank of every step. (Calling it inside the per-rank loop was
-	// the harness's own hot-path bug — ranks x timesteps rebuilds of an
-	// identical slice.)
-	var heapOps []int64
-	if app.HeapOpsPerStep != nil {
-		heapOps = app.HeapOpsPerStep(j.Nodes)
+		sink.End(int64(img.shmFault), 0, 0, "shm-fault", "cluster")
 	}
 
 	ioctlOffloaded := k.Table().Get(kernel.SysIoctl) == kernel.Offloaded
@@ -236,11 +226,6 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 		res0Steps = make([]StepRecord, 0, steps)
 	}
 
-	var heap *heapReplay
-	if heapOps != nil {
-		heap = newHeapReplay(ns, heapOps, brkTime, costs, sink)
-	}
-
 	for step := 0; step < steps; step++ {
 		if step&0x3f == 0 {
 			if err := ctx.Err(); err != nil {
@@ -249,12 +234,13 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 		}
 		stepStart := sim.Time(elapsed)
 
-		// Heap activity: the slowest rank's brk replay gates the node.
+		// Heap activity: the slowest rank's brk replay gates the node,
+		// played from the image's record of the heap phase.
 		var heapMax sim.Duration
-		if heap != nil {
-			heapMax = heap.step()
+		if heap := &img.heap; len(heap.costs) > 0 {
+			heapMax = heap.play(step, sink)
 			if counting {
-				sink.CountKey(trace.KeySyscallBrk, int64(len(heapOps)*len(ns.ranks)))
+				sink.CountKey(trace.KeySyscallBrk, heap.brkCalls)
 			}
 		}
 
@@ -320,7 +306,7 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 		// The slowest rank's local phase gates the node (ranks differ
 		// only in memory placement); placement is fixed after setup, so
 		// the maximum was hoisted out of the step loop entirely.
-		memMax := ns.memMax
+		memMax := img.memMax
 		base := cpuTime + memMax + heapMax + sysTime
 
 		// Explicit scheduling overhead for this step's busy time. Zero
@@ -452,14 +438,7 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 		parts.addTo(&bd)
 	}
 
-	// An empty-rank job (a zero-rank app spec) has no heap to report;
-	// indexing ranks[0] unconditionally panicked here.
-	var heapStats mem.HeapStats
-	if heap != nil {
-		heapStats = heap.finish()
-	} else if len(ns.ranks) > 0 {
-		heapStats = ns.ranks[0].heap.Stats()
-	}
+	img.heap.finish(steps, sink)
 
 	if stragglerPending > 0 {
 		// The run ends with the job waiting out the straggler one last
@@ -502,29 +481,11 @@ func runSteps(ctx context.Context, k kernel.Kernel, j Job, comm *mpi.Comm, ns *n
 	return Result{
 		Elapsed:     elapsed,
 		FOM:         fom,
-		Setup:       ns.setup,
+		Setup:       img.setup,
 		Breakdown:   bd,
-		HeapStats:   heapStats,
-		MCDRAMBytes: mcdramResidency(ns),
-		DemandRanks: countDemandRanks(ns),
+		HeapStats:   img.heapStats,
+		MCDRAMBytes: img.mcdram,
+		DemandRanks: img.demandRanks,
 		Steps:       res0Steps,
 	}, nil
-}
-
-func mcdramResidency(ns *nodeState) int64 {
-	var total int64
-	for _, rs := range ns.ranks {
-		total += rs.as.BytesByKind()[hw.MCDRAM]
-	}
-	return total
-}
-
-func countDemandRanks(ns *nodeState) int {
-	n := 0
-	for _, rs := range ns.ranks {
-		if rs.ws.DemandActive {
-			n++
-		}
-	}
-	return n
 }

@@ -195,8 +195,9 @@ func fitsInMCDRAM(j Job) bool {
 }
 
 // setupNode builds every rank's address space, working set, heap and MPI
-// shared-memory window through the kernel's real memory paths.
-func setupNode(k kernel.Kernel, j Job, rng *sim.RNG) (*nodeState, error) {
+// shared-memory window through the kernel's real memory paths. It draws no
+// random numbers: a node's layout is a function of the job alone.
+func setupNode(k kernel.Kernel, j Job) (*nodeState, error) {
 	app := j.App
 	ws := app.WorkingSetPerRank(j.Nodes)
 	ns := &nodeState{phys: k.Phys()}
@@ -320,6 +321,24 @@ func setupNode(k kernel.Kernel, j Job, rng *sim.RNG) (*nodeState, error) {
 	}
 	ns.buildColumns()
 	return ns, nil
+}
+
+func mcdramResidency(ns *nodeState) int64 {
+	var total int64
+	for _, rs := range ns.ranks {
+		total += rs.as.BytesByKind()[hw.MCDRAM]
+	}
+	return total
+}
+
+func countDemandRanks(ns *nodeState) int {
+	n := 0
+	for _, rs := range ns.ranks {
+		if rs.ws.DemandActive {
+			n++
+		}
+	}
+	return n
 }
 
 // contiguityFactor credits physically contiguous backing with up to 4%

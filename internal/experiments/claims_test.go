@@ -19,13 +19,16 @@ var claimSeeds = flag.Int("claims.seeds", 1, "TestPaperClaims checks and logs se
 
 // claimRuns holds one seed's experiment outputs at the benchmark's scale:
 // the full Figure 4 sweep and the scheduler sweep at 5 repetitions, the four
-// single-application figures, and four quick facility streams.
+// single-application figures, four quick facility streams, Table I at 5
+// repetitions and the LTP reports.
 type claimRuns struct {
 	fig4         []*stats.Figure
 	fig5a, fig5b *stats.Figure
 	fig6a, fig6b *stats.Figure
 	sched        []*stats.Figure
 	facility     [][]*fleet.Result
+	tableI       []TableIRow
+	ltp          map[string]int // failures by kernel
 }
 
 func runClaims(seed uint64) (*claimRuns, error) {
@@ -54,6 +57,17 @@ func runClaims(seed uint64) (*claimRuns, error) {
 		}
 		r.facility = append(r.facility, cmp.Results)
 	}
+	if r.tableI, _, err = TableI(cfg); err != nil {
+		return nil, err
+	}
+	reports, _, err := LTPResults()
+	if err != nil {
+		return nil, err
+	}
+	r.ltp = map[string]int{}
+	for _, rep := range reports {
+		r.ltp[rep.Kernel] = rep.Failed
+	}
 	return &r, nil
 }
 
@@ -65,6 +79,16 @@ func runClaims(seed uint64) (*claimRuns, error) {
 func atLeast(x, bound float64) float64 { return x/bound - 1 }
 func below(x, bound float64) float64   { return bound/x - 1 }
 func within(x, lo, hi float64) float64 { return min(atLeast(x, lo), below(x, hi)) }
+
+// exactly is the margin of an exact count: one count relative to the
+// claimed count (the smallest move that breaks the claim) when it holds,
+// and minus the miss in the same unit when it does not.
+func exactly(x, want float64) float64 {
+	if x != want {
+		return -math.Abs(x-want) / max(want, 1)
+	}
+	return 1 / max(want, 1)
+}
 
 // median returns one series' median at a node count (NaN when absent, which
 // fails every claim).
@@ -125,7 +149,26 @@ func whoWins(app string, linuxWins bool) paperClaim {
 	}}
 }
 
-// paperClaims are the noise-dependent shape claims, with the bounds of the
+// ltpFailures is E7's claim for one kernel: exactly want of the 3,328 LTP
+// cases fail.
+func ltpFailures(kern string, want int) paperClaim {
+	return paperClaim{"E7 (Section III-D, LTP)", fmt.Sprintf("%s fails exactly %d LTP cases", kern, want), func(r *claimRuns) (float64, float64) {
+		x := float64(r.ltp[kern])
+		return x, exactly(x, float64(want))
+	}}
+}
+
+// tableIRatio is one of E6's ratios: Table I row num over row den (0 Linux,
+// 1 mOS without heap management, 2 mOS with regular heap management) in
+// (lo, hi).
+func tableIRatio(claim string, num, den int, lo, hi float64) paperClaim {
+	return paperClaim{"E6 (Table I)", claim, func(r *claimRuns) (float64, float64) {
+		x := r.tableI[num].ZonesPS / r.tableI[den].ZonesPS
+		return x, within(x, lo, hi)
+	}}
+}
+
+// paperClaims are the paper's shape claims, with the bounds of the
 // assertions they gather: the benchmark's checks and the per-figure tests.
 func paperClaims() []paperClaim {
 	claims := []paperClaim{
@@ -189,6 +232,12 @@ func paperClaims() []paperClaim {
 			x := median(r.fig6b, "McKernel", n) / median(r.fig6b, "Linux", n)
 			return x, atLeast(x, 0.99)
 		}},
+		tableIRatio("mOS without heap management / Linux in (1.00, 1.15)", 1, 0, 1, 1.15),
+		tableIRatio("mOS regular heap / mOS without heap management > 1", 2, 1, 1, math.Inf(1)),
+		tableIRatio("mOS regular heap / Linux in (1.10, 1.35)", 2, 0, 1.10, 1.35),
+		ltpFailures("linux", 0),
+		ltpFailures("mckernel", 32),
+		ltpFailures("mos", 111),
 		paperClaim{"E16 (scheduler sweep)", "SchedSeparation(MiniFE, Linux, 2,048 nodes) >= 2 pp", func(r *claimRuns) (float64, float64) {
 			pp, ok := SchedSeparation(figure(r.sched, "schedsweep-minife"), kernel.TypeLinux, 2048)
 			if !ok {
@@ -235,7 +284,7 @@ func shape5a(f *stats.Figure, series string, lo, hi float64) (float64, float64) 
 	return last, min(atLeast(first, lo), below(last, hi), atLeast(last, first))
 }
 
-// TestPaperClaims checks the paper's noise-dependent shapes in one table,
+// TestPaperClaims checks the paper's shapes in one table,
 // keyed to EXPERIMENTS.md, at the benchmark's scale, and logs each claim's
 // measured value and margin. It runs seed 1; -claims.seeds=N runs seeds
 // 1..N and logs each claim's smallest and median margin over them:

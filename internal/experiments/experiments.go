@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mklite/internal/apps"
@@ -119,30 +120,26 @@ type repResult struct {
 // inside the worker closure — sinks must never cross par workers) and the
 // per-rep counter sets are merged in index order after the join, keeping the
 // aggregate independent of scheduling.
+//
+// The repetitions differ only in their seed, and nothing seed-free depends
+// on it, so the cell's node is prepared once, before the fan-out, and every
+// repetition runs against the one read-only image.
 func measureCounted(cfg Config, job cluster.Job) (stats.Summary, *trace.Counters, *metrics.Registry, error) {
+	if job.Faults == nil {
+		job.Faults = cfg.Faults
+	}
+	if job.Sched == "" {
+		job.Sched = cfg.Sched
+	}
+	// The prepared job's sink only tells the image what to record.
+	job.Sink, _, _ = repSink(cfg)
+	img, err := cluster.Prepare(context.TODO(), job)
+	if err != nil {
+		return stats.Summary{}, nil, nil, err
+	}
 	reps, err := par.MapWidthErr(cfg.Workers, cfg.Reps, func(rep int) (repResult, error) {
-		j := job // per-job copy; the closure shares nothing mutable
-		j.Seed = sim.StreamSeed(cfg.Seed, uint64(rep))
-		if j.Faults == nil {
-			j.Faults = cfg.Faults
-		}
-		if j.Sched == "" {
-			j.Sched = cfg.Sched
-		}
-		var ctrs *trace.Counters
-		var reg *metrics.Registry
-		if cfg.Counters || cfg.Metrics {
-			if cfg.Counters {
-				ctrs = trace.NewCounters()
-			}
-			var obs trace.Observer
-			if cfg.Metrics {
-				reg = metrics.NewRegistry()
-				obs = reg
-			}
-			j.Sink = trace.NewSinkObs(ctrs, nil, obs)
-		}
-		res, err := cluster.Run(j)
+		sink, ctrs, reg := repSink(cfg)
+		res, err := img.Run(context.TODO(), sim.StreamSeed(cfg.Seed, uint64(rep)), sink)
 		if err != nil {
 			return repResult{}, err
 		}
@@ -168,6 +165,23 @@ func measureCounted(cfg Config, job cluster.Job) (stats.Summary, *trace.Counters
 		mergedReg.Merge(r.metrics)
 	}
 	return stats.Summarize(foms), merged, mergedReg, nil
+}
+
+// repSink builds one repetition's sink and its backends: counters when
+// cfg.Counters, a metrics registry when cfg.Metrics, and a nil sink when
+// neither.
+func repSink(cfg Config) (*trace.Sink, *trace.Counters, *metrics.Registry) {
+	var ctrs *trace.Counters
+	var reg *metrics.Registry
+	var obs trace.Observer
+	if cfg.Counters {
+		ctrs = trace.NewCounters()
+	}
+	if cfg.Metrics {
+		reg = metrics.NewRegistry()
+		obs = reg
+	}
+	return trace.NewSinkObs(ctrs, nil, obs), ctrs, reg
 }
 
 // appFigure builds the three-kernel figure for one application by fanning

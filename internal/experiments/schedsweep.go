@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mklite/internal/apps"
@@ -26,15 +27,18 @@ func SchedSweepApps() []*apps.Spec {
 // metric: the FWQ-style percentage of elapsed time lost to interference plus
 // explicit scheduler charges, 100·(Breakdown.Noise+Breakdown.Sched)/Elapsed.
 // Unlike a FOM comparison this isolates exactly the time a scheduling policy
-// can move — compute, memory and wire time are policy-invariant.
+// can move — compute, memory and wire time are policy-invariant. As in
+// measureCounted, every repetition runs against one prepared image.
 func measureNoiseGap(cfg Config, job cluster.Job) (stats.Summary, error) {
+	if job.Faults == nil {
+		job.Faults = cfg.Faults
+	}
+	img, err := cluster.Prepare(context.TODO(), job)
+	if err != nil {
+		return stats.Summary{}, err
+	}
 	gaps, err := par.MapWidthErr(cfg.Workers, cfg.Reps, func(rep int) (float64, error) {
-		j := job // per-job copy; the closure shares nothing mutable
-		j.Seed = sim.StreamSeed(cfg.Seed, uint64(rep))
-		if j.Faults == nil {
-			j.Faults = cfg.Faults
-		}
-		res, err := cluster.Run(j)
+		res, err := img.Run(context.TODO(), sim.StreamSeed(cfg.Seed, uint64(rep)), nil)
 		if err != nil {
 			return 0, err
 		}

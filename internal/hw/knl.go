@@ -40,7 +40,7 @@ const (
 // Logical CPU numbering follows Linux on KNL: CPUs 0..67 are the first
 // hyperthread of each core; siblings are at +68, +136, +204.
 //
-// Every run boots a fresh node, so the spec is built with its final sizes:
+// Every cluster.Prepare boots a fresh node, so the spec is built with its final sizes:
 // the core and domain tables are allocated once, and all CPU lists are
 // windows of one backing array, clipped so that an append through one list
 // copies instead of overwriting its neighbour.

@@ -14,6 +14,7 @@ package noise
 
 import (
 	"math"
+	"slices"
 	"strings"
 
 	"mklite/internal/sim"
@@ -113,6 +114,28 @@ func (s *Source) lnQuantile(u float64) float64 {
 	return math.Exp(mu + sigma*normInv(u))
 }
 
+// lnKnotZ holds the standard-normal quantile at each knot of the log-normal
+// table, normInv(lnTableLo + i/lnTableScale). It is filled once, at package
+// initialisation, and never written again: every source's table shares it.
+var lnKnotZ = func() (z [lnTableSize]float64) {
+	for i := range z {
+		z[i] = normInv(lnTableLo + float64(i)/lnTableScale)
+	}
+	return z
+}()
+
+// buildTable fills tab (lnTableSize long) and makes it lnTab. Knot i is
+// lnQuantile at the knot's probability, computed from the shared
+// standard-normal knot, so a build costs one math.Exp per knot and no
+// normInv.
+func (s *Source) buildTable(tab []float64) {
+	mu, sigma := s.lnParams()
+	for i, z := range lnKnotZ {
+		tab[i] = math.Exp(mu + sigma*z)
+	}
+	s.lnTab = tab
+}
+
 // sampleLogNormal draws one log-normal detour length in seconds by inverse
 // transform from a single uniform: table interpolation in the body, the
 // exact inverse CDF in both tails. Detour draws are the noise layer's hottest
@@ -124,11 +147,7 @@ func (s *Source) sampleLogNormal(rng *sim.RNG) float64 {
 		return s.lnQuantile(u)
 	}
 	if s.lnTab == nil {
-		tab := make([]float64, lnTableSize)
-		for i := range tab {
-			tab[i] = s.lnQuantile(lnTableLo + float64(i)/lnTableScale)
-		}
-		s.lnTab = tab
+		s.buildTable(make([]float64, lnTableSize))
 	}
 	x := (u - lnTableLo) * lnTableScale
 	// Rounding can carry u just below lnTableHi onto the last knot.
@@ -251,6 +270,35 @@ func (p *Profile) DetourInTo(rng *sim.RNG, core int, window sim.Duration, sink *
 		total += d
 	}
 	return total
+}
+
+// Warm builds every source's log-normal quantile table that is not built
+// yet, all in one allocation, so that the copies Clone makes afterwards
+// share them instead of each building its own. Draws are unchanged: a
+// table is a pure function of its source.
+func (p *Profile) Warm() {
+	cold := func(s *Source) bool { return s.CV > 0 && s.Mean > 0 && s.lnTab == nil }
+	n := 0
+	for i := range p.Sources {
+		if cold(&p.Sources[i]) {
+			n++
+		}
+	}
+	tabs := make([]float64, n*lnTableSize)
+	for i := range p.Sources {
+		if s := &p.Sources[i]; cold(s) {
+			s.buildTable(tabs[:lnTableSize:lnTableSize])
+			tabs = tabs[lnTableSize:]
+		}
+	}
+}
+
+// Clone returns a copy of the profile with a Sources slice of its own. One
+// profile may be cloned from several goroutines at once and each clone
+// drawn from by its own: a clone's caches are its own, apart from the
+// quantile tables, which are never written once built (see Warm).
+func (p *Profile) Clone() *Profile {
+	return &Profile{Name: p.Name, Sources: slices.Clone(p.Sources)}
 }
 
 // ExpectedRate returns the summed mean stolen-time fraction for a core.

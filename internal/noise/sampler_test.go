@@ -136,6 +136,55 @@ func TestSampleLogNormalMatchesReference(t *testing.T) {
 	}
 }
 
+// Every knot of a built table equals lnQuantile at the knot's probability,
+// bit for bit, for each (Mean, CV) the canonical profiles draw from and for
+// the daemon storms the fault layer adds: the fault plan's default storm
+// (20 ms bursts, CV 0.5) and the facility's co-tenancy storm (150 µs).
+func TestTableKnotsMatchQuantile(t *testing.T) {
+	sources := []Source{
+		Storm(250*sim.Millisecond, 20*sim.Millisecond, 0.5),
+		Storm(2*sim.Millisecond, 150*sim.Microsecond, 0.5),
+	}
+	for _, p := range []*Profile{LinuxTuned(), LinuxUntuned(), McKernelProfile(), MOSProfile()} {
+		sources = append(sources, p.Sources...)
+	}
+	for _, src := range sources {
+		if src.CV <= 0 || src.Mean <= 0 {
+			continue
+		}
+		s := src
+		s.buildTable(make([]float64, lnTableSize))
+		for i, v := range s.lnTab {
+			if want := s.lnQuantile(lnTableLo + float64(i)/lnTableScale); math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("%s (Mean %v, CV %g): knot %d = %v, lnQuantile %v", s.Name, s.Mean, s.CV, i, v, want)
+			}
+		}
+	}
+}
+
+// A clone of a warmed profile shares its quantile tables and draws exactly
+// what a fresh, never-warmed copy draws.
+func TestWarmCloneDrawsAsFresh(t *testing.T) {
+	warm := LinuxTuned()
+	warm.Warm()
+	clone := warm.Clone()
+	for i := range clone.Sources {
+		if got, want := clone.Sources[i].lnTab, warm.Sources[i].lnTab; len(want) > 0 && &got[0] != &want[0] {
+			t.Errorf("%s: clone rebuilt its table", clone.Sources[i].Name)
+		}
+	}
+	fresh := LinuxTuned()
+	a, b := sim.NewRNG(5), sim.NewRNG(5)
+	for range 2000 {
+		if x, y := clone.DetourIn(a, 1, 50*sim.Millisecond), fresh.DetourIn(b, 1, 50*sim.Millisecond); x != y {
+			t.Fatalf("clone drew %v, fresh profile %v", x, y)
+		}
+	}
+	if clone.Sources[0].lamWindow == 0 || warm.Sources[0].lamWindow != 0 {
+		t.Error("window caches are not per clone")
+	}
+}
+
 // Outside the table's body every draw is the exact inverse CDF of its
 // uniform, bit for bit.
 func TestSampleLogNormalExactTails(t *testing.T) {

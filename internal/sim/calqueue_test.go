@@ -185,3 +185,57 @@ func TestEngineDrainReleasesEventReferences(t *testing.T) {
 		t.Fatal("post-Drain event did not run")
 	}
 }
+
+// BenchmarkCalQueueHold is the calendar queue's layer benchmark, by the
+// classic hold model: a queue of n pending events where each operation pops
+// the earliest and pushes it back a random distance into the future, with
+// a same-timestamp pair every eighth push. One op is one pop plus one push.
+// The retired binary heap (refHeap) runs the same sequence beside it
+// (/calqueue against /heap).
+func BenchmarkCalQueueHold(b *testing.B) {
+	for _, n := range []int{64, 4096} {
+		rng := NewRNG(uint64(n))
+		steps := make([]Time, 1024)
+		for i := range steps {
+			steps[i] = Time(1 + rng.Intn(5000))
+			if i%8 == 7 {
+				steps[i] = 0
+			}
+		}
+		b.Run(fmt.Sprintf("n=%d/calqueue", n), func(b *testing.B) {
+			var q calQueue
+			q.init()
+			for i := range n {
+				q.push(&Event{at: steps[i%len(steps)], seq: uint64(i)})
+			}
+			seq := uint64(n)
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				ev := q.pop()
+				ev.at += steps[i%len(steps)]
+				ev.seq = seq
+				q.push(ev)
+				seq++
+				i++
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/heap", n), func(b *testing.B) {
+			var h refHeap
+			for i := range n {
+				heap.Push(&h, &Event{at: steps[i%len(steps)], seq: uint64(i)})
+			}
+			seq := uint64(n)
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				ev := heap.Pop(&h).(*Event)
+				ev.at += steps[i%len(steps)]
+				ev.seq = seq
+				heap.Push(&h, ev)
+				seq++
+				i++
+			}
+		})
+	}
+}

@@ -30,6 +30,10 @@ type Counters struct {
 	m       map[string]int64
 	keys    [numKeys]int64
 	touched [numKeys]bool
+	// peak and peakNames mark the counters Max has raised, which Replay
+	// raises rather than adds.
+	peak      [numKeys]bool
+	peakNames map[string]bool
 }
 
 // NewCounters returns an empty counter set.
@@ -50,6 +54,7 @@ func (c *Counters) MaxKey(k Key, v int64) {
 	if v > c.keys[k] {
 		c.keys[k] = v
 		c.touched[k] = true
+		c.peak[k] = true
 	}
 }
 
@@ -71,6 +76,10 @@ func (c *Counters) Max(name string, v int64) {
 	}
 	if v > c.m[name] {
 		c.m[name] = v
+		if c.peakNames == nil {
+			c.peakNames = map[string]bool{}
+		}
+		c.peakNames[name] = true
 	}
 }
 
@@ -159,6 +168,33 @@ func (c *Counters) MergeScaled(o *Counters, n int64) {
 	}
 	for _, k := range slices.Sorted(maps.Keys(o.m)) {
 		c.m[k] += n * o.m[k]
+	}
+}
+
+// Replay applies to c what n repetitions (n >= 1) of the emissions
+// recorded in o would have done: each Add-style counter adds n times its
+// value, and each peak counter (one that Max raised in o) rises to its
+// value, which n repetitions reach as one does. A recorded stretch of
+// emissions — node setup, one step of a heap phase — can so be played into
+// any number of runs' counters without replaying the model that emitted
+// it. A counter must be either Add-style or peak in o, not both.
+func (c *Counters) Replay(o *Counters, n int64) {
+	for k, t := range o.touched {
+		switch {
+		case !t:
+		case o.peak[k]:
+			c.MaxKey(Key(k), o.keys[k])
+		default:
+			c.keys[k] += n * o.keys[k]
+			c.touched[k] = true
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(o.m)) {
+		if o.peakNames[name] {
+			c.Max(name, o.m[name])
+		} else {
+			c.m[name] += n * o.m[name]
+		}
 	}
 }
 

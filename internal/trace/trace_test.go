@@ -48,6 +48,41 @@ func TestCountersAddMaxMerge(t *testing.T) {
 	}
 }
 
+// TestCountersReplay: replaying a recorded stretch n times leaves the same
+// counters as emitting it n times over, for interned and dynamic names,
+// sums and peaks alike.
+func TestCountersReplay(t *testing.T) {
+	emit := func(c *Counters) {
+		c.AddKey(KeyHeapGrows, 2)
+		c.MaxKey(KeyHeapPeakBytes, 300)
+		c.Add("noise.src.kworker_ns", 7)
+		c.Max("fleet.batch_max", 4)
+		c.AddKey(KeyHeapShrinks, 0)
+	}
+	for _, n := range []int64{1, 3} {
+		want, got, rec := NewCounters(), NewCounters(), NewCounters()
+		for _, c := range []*Counters{want, got} {
+			c.MaxKey(KeyHeapPeakBytes, 100)
+			c.Max("fleet.batch_max", 9)
+			c.AddKey(KeyHeapGrows, 1)
+		}
+		for range n {
+			emit(want)
+		}
+		emit(rec)
+		got.Replay(rec, n)
+		if g, w := got.Map(), want.Map(); len(g) != len(w) {
+			t.Fatalf("n=%d: replay %v, emitted %v", n, g, w)
+		} else {
+			for k, v := range w {
+				if g[k] != v {
+					t.Errorf("n=%d: %s = %d after replay, %d emitted", n, k, g[k], v)
+				}
+			}
+		}
+	}
+}
+
 func TestCountersRoundTripAndDiff(t *testing.T) {
 	c := NewCounters()
 	c.Add("syscall.brk", 7526)
