@@ -96,7 +96,8 @@ func replayHeap(t testing.TB, j Job, steps int, memo bool) heapOutcome {
 		}
 		img.setupEmits.play(j.Sink)
 		for s := range steps {
-			out.maxes = append(out.maxes, img.heap.play(s, j.Sink))
+			img.heap.emit(s, j.Sink)
+			out.maxes = append(out.maxes, img.heap.cost(s))
 		}
 		img.heap.finish(steps, j.Sink)
 		out.stats, out.mcdram, out.demand = img.heapStats, img.mcdram, img.demandRanks

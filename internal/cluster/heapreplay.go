@@ -175,20 +175,28 @@ type heapRecord struct {
 	brkCalls int64
 }
 
-// play returns step's heap cost and emits what the step emits into sink:
-// a replayed step's recording, or at the fixed point the capture step's
-// observations (finish pays its counters).
-func (h *heapRecord) play(step int, sink *trace.Sink) sim.Duration {
+// cost returns step's heap cost: a replayed step's, or at the fixed point
+// the last replayed step's. An empty record costs nothing.
+func (h *heapRecord) cost(step int) sim.Duration {
+	if len(h.costs) == 0 {
+		return 0
+	}
+	return h.costs[min(step, len(h.costs)-1)]
+}
+
+// emit emits what step emits into sink: a replayed step's recording, or at
+// the fixed point the capture step's observations (finish pays its
+// counters).
+func (h *heapRecord) emit(step int, sink *trace.Sink) {
 	if step < len(h.costs) {
 		if step < len(h.emits) {
 			h.emits[step].play(sink)
 		}
-		return h.costs[step]
+		return
 	}
 	if n := len(h.emits); n > 0 {
 		h.emits[n-1].observe(sink)
 	}
-	return h.costs[len(h.costs)-1]
 }
 
 // finish pays the counters a run of steps steps owes for the steps it

@@ -33,9 +33,12 @@ type Image struct {
 	j    Job
 	k    kernel.Kernel
 	comm *mpi.Comm
-	// prof is the kernel's noise profile with its quantile tables built;
-	// each run draws from a clone of it.
+	// prof is the kernel's noise profile with its quantile tables and its
+	// dense-window tables built; each run draws from a clone of it.
 	prof *noise.Profile
+	// plan is what every step takes from the job and the node without a
+	// draw.
+	plan stepPlan
 
 	// counting and observing record which emissions the image carries.
 	counting, observing bool
@@ -147,6 +150,11 @@ func prepare(ctx context.Context, j Job, counting, observing bool) (*Image, erro
 	}
 	img.mcdram = mcdramResidency(ns)
 	img.demandRanks = countDemandRanks(ns)
+	// Every step's window is known now that the heap phase is recorded:
+	// tabulate the per-rank detour law at each one where the profile is
+	// dense.
+	img.plan = newStepPlan(j, k, comm)
+	img.prof.Tabulate(img.denseWindows())
 	// Nothing the image keeps may reach a sink, the kernel included.
 	for _, rs := range ns.ranks {
 		rs.as.SetSink(nil)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mklite/internal/apps"
@@ -153,29 +154,40 @@ func mustPlan(t testing.TB, spec string) *fault.Plan {
 // plan in imagePlans (retries, truncated attempts, a storm, degraded
 // completion); its cells rotate through the sink modes and per-step
 // tracing, so each kernel, application and plan meets several of them.
-// Under -race it also checks that concurrent runs share the image without
-// a data race.
+// Two more cells run both applications on Linux under the facility storm,
+// whose windows are dense, so their runs draw from the image's
+// dense-window tables. Under -race it also checks that concurrent runs
+// share the image without a data race.
 func TestImageRunsMatchFresh(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 	cell := 0
-	for _, app := range []*apps.Spec{apps.Lulesh(), apps.MiniFE()} {
+	run := func(name string, j Job) {
+		mode, tracing := sinkMode(cell)%numSinkModes, cell/int(numSinkModes)%2 == 1
+		cell++
+		j.Trace = tracing
+		t.Run(fmt.Sprintf("%s/%v/trace=%v", name, mode, tracing), func(t *testing.T) {
+			got := imageRuns(t, j, mode, seeds)
+			for i, seed := range seeds {
+				j.Seed = seed
+				if got[i].err != "" {
+					t.Fatalf("seed %d: %s", seed, got[i].err)
+				}
+				checkSame(t, seed, got[i], freshRun(t, j, mode))
+			}
+		})
+	}
+	imageApps := []*apps.Spec{apps.Lulesh(), apps.MiniFE()}
+	for _, app := range imageApps {
 		for _, bk := range benchKernels {
 			for pi, spec := range imagePlans {
-				mode, tracing := sinkMode(cell)%numSinkModes, cell/int(numSinkModes)%2 == 1
-				cell++
-				j := Job{App: app, Kernel: bk.kt, Nodes: 8, Faults: mustPlan(t, spec), Trace: tracing}
-				t.Run(fmt.Sprintf("%s/%s/plan%d/%v/trace=%v", app.Name, bk.name, pi, mode, tracing), func(t *testing.T) {
-					got := imageRuns(t, j, mode, seeds)
-					for i, seed := range seeds {
-						j.Seed = seed
-						if got[i].err != "" {
-							t.Fatalf("seed %d: %s", seed, got[i].err)
-						}
-						checkSame(t, seed, got[i], freshRun(t, j, mode))
-					}
-				})
+				run(fmt.Sprintf("%s/%s/plan%d", app.Name, bk.name, pi),
+					Job{App: app, Kernel: bk.kt, Nodes: 8, Faults: mustPlan(t, spec)})
 			}
 		}
+	}
+	for _, app := range imageApps {
+		run(app.Name+"/linux/dense-storm",
+			Job{App: app, Kernel: kernel.TypeLinux, Nodes: 8, Faults: mustPlan(t, facilityStormPlan)})
 	}
 }
 
@@ -191,6 +203,21 @@ func TestImageDegradedAndRetried(t *testing.T) {
 	j.Faults = mustPlan(t, imagePlans[2])
 	if r := freshRun(t, j, sinkOff).res; !r.Degraded || r.Nodes != 7 || r.LostNodes != 1 {
 		t.Errorf("plan 2: degraded %v on %d nodes (%d lost); want degraded on 7", r.Degraded, r.Nodes, r.LostNodes)
+	}
+}
+
+// TestImagePlansReachTables pins that TestImageRunsMatchFresh's
+// dense-storm cells build dense-window tables.
+func TestImagePlansReachTables(t *testing.T) {
+	for _, app := range []*apps.Spec{apps.Lulesh(), apps.MiniFE()} {
+		img, err := Prepare(context.Background(), Job{App: app, Kernel: kernel.TypeLinux, Nodes: 8,
+			Faults: mustPlan(t, facilityStormPlan)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(img.denseWindows()) == 0 {
+			t.Errorf("%s: the facility storm plan builds no tables", app.Name)
+		}
 	}
 }
 
@@ -216,18 +243,21 @@ func TestImageRunRejectsRicherSink(t *testing.T) {
 // FuzzImageMatchesFresh draws (kernel, application, node count, seed, fault
 // plan, sink mode and tracing) and checks two runs of one image, seeds
 // seed+1 then seed, against fresh runs of the same seeds, as
-// TestImageRunsMatchFresh does. A run that fails (a single node cannot
-// complete degraded) must fail with the same error both ways.
+// TestImageRunsMatchFresh does. The plans are imagePlans and the facility
+// storm, whose Linux runs draw from dense-window tables. A run that fails
+// (a single node cannot complete degraded) must fail with the same error
+// both ways.
 func FuzzImageMatchesFresh(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(7), uint64(1), uint8(0))
 	f.Add(uint8(1), uint8(3), uint8(15), uint64(9), uint8(7))
 	f.Add(uint8(2), uint8(1), uint8(3), uint64(4), uint8(14))
 	all := apps.All()
 	kts := []kernel.Type{kernel.TypeLinux, kernel.TypeMcKernel, kernel.TypeMOS}
+	plans := append(slices.Clone(imagePlans), facilityStormPlan)
 	f.Fuzz(func(t *testing.T, kind, app, nodes uint8, seed uint64, plan uint8) {
-		mode := sinkMode(plan/uint8(len(imagePlans))) % numSinkModes
+		mode := sinkMode(plan/uint8(len(plans))) % numSinkModes
 		j := Job{App: all[int(app)%len(all)], Kernel: kts[int(kind)%len(kts)], Nodes: 1 + int(nodes)%16,
-			Faults: mustPlan(t, imagePlans[int(plan)%len(imagePlans)]), Trace: plan&0x80 != 0}
+			Faults: mustPlan(t, plans[int(plan)%len(plans)]), Trace: plan&0x80 != 0}
 		seeds := []uint64{seed + 1, seed}
 		got := imageRuns(t, j, mode, seeds)
 		for i, s := range seeds {

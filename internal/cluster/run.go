@@ -4,12 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"mklite/internal/apps"
 	"mklite/internal/fault"
-	"mklite/internal/kernel"
-	"mklite/internal/mpi"
 	"mklite/internal/noise"
-	"mklite/internal/sched"
 	"mklite/internal/sim"
 	"mklite/internal/trace"
 )
@@ -101,6 +97,7 @@ func (img *Image) runSteps(ctx context.Context, schedSeed uint64, sink *trace.Si
 	costs := k.Costs()
 	prof := img.prof.Clone()
 	totalRanks := comm.Ranks()
+	plan := &img.plan
 
 	// Scheduler seam: the booted kernel's policy charges each step's
 	// explicit overhead. The state's RNG stream is derived from the job
@@ -111,73 +108,10 @@ func (img *Image) runSteps(ctx context.Context, schedSeed uint64, sink *trace.Si
 	// shared window instead of max-combined across ranks.
 	pol := k.Sched()
 	schedSt := pol.NewState(schedSeed)
-	gangAligned := pol.Kind() == sched.Gang
 
 	counting := sink.Counting()
 	eventing := sink.Eventing()
 	observing := sink.Observing()
-
-	// Wire costs are identical every step; precompute.
-	var haloWire sim.Duration
-	var haloMsgs float64
-	haloRounds := 0
-	if app.Halo != nil {
-		if h := app.Halo(j.Nodes); h != nil && h.Rounds > 0 {
-			res := comm.HaloExchange(h.Bytes, h.Neighbors)
-			haloWire = res.Time * sim.Duration(h.Rounds)
-			haloMsgs = res.Messages * float64(h.Rounds)
-			haloRounds = h.Rounds
-		}
-	}
-	type collRun struct {
-		every int
-		wire  sim.Duration
-		msgs  float64
-	}
-	// Collectives that run every step contribute identically each
-	// iteration; fold them into static per-step totals so the step loop
-	// only re-evaluates the periodic ones.
-	var colls []collRun
-	var everyStepMsgs float64
-	var everyStepWire sim.Duration
-	everyStepColls := 0
-	if app.Colls != nil {
-		for _, c := range app.Colls(j.Nodes) {
-			every := c.Every
-			if every <= 0 {
-				every = 1
-			}
-			var res mpi.CollResult
-			switch c.Kind {
-			case apps.CollBcast:
-				res = comm.Bcast(c.Bytes)
-			case apps.CollAllgather:
-				res = comm.Allgather(c.Bytes)
-			case apps.CollAlltoall:
-				res = comm.Alltoall(c.Bytes)
-			default:
-				res = comm.Allreduce(c.Bytes)
-			}
-			if every == 1 {
-				everyStepMsgs += res.Messages
-				everyStepWire += res.Time
-				everyStepColls++
-				continue
-			}
-			colls = append(colls, collRun{every: every, wire: res.Time, msgs: res.Messages})
-		}
-	}
-
-	// Deterministic per-rank, per-step syscall overheads.
-	factor := app.DeviceSyscallFactor
-	if factor == 0 {
-		factor = 1
-	}
-	dsPerMsg := j.Fabric.SyscallsPerMessage * factor
-	ioctlTime := k.SyscallTime(kernel.SysIoctl)
-	yieldTime := k.SyscallTime(kernel.SysSchedYield)
-
-	cpuTime := stepCompute(app, j.Nodes)
 
 	// When core 0 belongs to the application (no core specialisation —
 	// the 68-core configuration the paper's section III-A discusses),
@@ -200,18 +134,11 @@ func (img *Image) runSteps(ctx context.Context, schedSeed uint64, sink *trace.Si
 		sink.End(int64(img.shmFault), 0, 0, "shm-fault", "cluster")
 	}
 
-	ioctlOffloaded := k.Table().Get(kernel.SysIoctl) == kernel.Offloaded
-
 	// Fault-layer precomputation: the resend wire time for a degraded
-	// link, and the LWK-side offload inflation while a daemon storm
-	// rages. Both are invariant across steps.
+	// link, invariant across steps.
 	var linkResend sim.Duration
-	stormScale := 1.0
 	if inj.Active() {
 		linkResend = comm.Retransmit(inj.LinkBytes())
-		if ioctlOffloaded {
-			stormScale = inj.StormOffloadScale()
-		}
 	}
 	// A straggler's excess is absorbed at the next synchronisation point;
 	// steps without one let it accumulate (the healthy nodes run ahead
@@ -234,36 +161,26 @@ func (img *Image) runSteps(ctx context.Context, schedSeed uint64, sink *trace.Si
 		}
 		stepStart := sim.Time(elapsed)
 
-		// Heap activity: the slowest rank's brk replay gates the node,
-		// played from the image's record of the heap phase.
-		var heapMax sim.Duration
+		// The step's seed-free timing: compute, memory, the slowest
+		// rank's brk replay (played from the image's record of the heap
+		// phase), message-driven device syscalls and spin waiting.
+		win := img.window(step)
 		if heap := &img.heap; len(heap.costs) > 0 {
-			heapMax = heap.play(step, sink)
+			heap.emit(step, sink)
 			if counting {
 				sink.CountKey(trace.KeySyscallBrk, heap.brkCalls)
 			}
 		}
-
-		// Per-step message-driven device syscalls and spin waiting.
-		msgs := haloMsgs + everyStepMsgs
-		collWire := everyStepWire
-		collsDue := everyStepColls
-		for _, c := range colls {
-			if step%c.every == 0 {
-				msgs += c.msgs
-				collWire += c.wire
-				collsDue++
-			}
-		}
-		sysTime := sim.DurationOf(msgs*dsPerMsg*ioctlTime.Seconds()) +
-			sim.DurationOf(float64(app.SchedYieldsPerStep)*yieldTime.Seconds())
+		msgs, collWire, collsDue := win.msgs, win.collWire, win.collsDue
+		heapMax, sysTime, base := win.heap, win.sys, win.base
+		dsPerMsg := plan.dsPerMsg
 		if counting {
 			devCalls := int64(msgs * dsPerMsg)
 			sink.CountKey(trace.KeyFabricMessages, int64(msgs))
 			sink.CountKey(trace.KeyFabricDevSyscalls, devCalls)
 			sink.CountKey(trace.KeySyscallIoctl, devCalls)
 			sink.CountKey(trace.KeySyscallSchedYield, int64(app.SchedYieldsPerStep))
-			if ioctlOffloaded && devCalls > 0 {
+			if plan.ioctlOffloaded && devCalls > 0 {
 				// Every device-file call on the comm path pays the
 				// kernel's IKC/migration round trip.
 				sink.CountKey(trace.KeyOffloadCalls, devCalls)
@@ -272,26 +189,25 @@ func (img *Image) runSteps(ctx context.Context, schedSeed uint64, sink *trace.Si
 		}
 
 		// Fault layer: a flaky offload channel stalls calls until the
-		// re-issue timeout, and a daemon storm inflates the round trip
-		// (LWKs only — Linux executes natively and never crosses the
-		// channel); a degraded link loses messages, each waiting out the
-		// retransmit timer and paying the wire again.
+		// re-issue timeout — seeded time, which joins the step's window
+		// here — and a daemon storm inflates the round trip (LWKs only —
+		// Linux executes natively and never crosses the channel; the
+		// window holds the inflation); a degraded link loses messages,
+		// each waiting out the retransmit timer and paying the wire
+		// again.
 		var linkDelay sim.Duration
 		if inj.Active() {
-			if ioctlOffloaded {
+			if plan.ioctlOffloaded {
 				if stalls, stallTime := inj.OffloadStalls(int(msgs * dsPerMsg)); stalls > 0 {
 					sysTime += stallTime
+					base += stallTime
 					if counting {
 						sink.CountKey(trace.KeyFaultOffloadStalls, int64(stalls))
 						sink.CountKey(trace.KeyFaultOffloadStallNs, int64(stallTime))
 					}
 				}
-				if stormScale > 1 {
-					extra := sim.DurationOf(msgs * dsPerMsg * costs.OffloadRTT.Seconds() * (stormScale - 1))
-					sysTime += extra
-					if counting {
-						sink.CountKey(trace.KeyFaultStormOffloadNs, int64(extra))
-					}
+				if counting && plan.stormScale > 1 {
+					sink.CountKey(trace.KeyFaultStormOffloadNs, int64(win.stormExtra))
 				}
 			}
 			if n, d := inj.LinkRetransmits(msgs, linkResend); n > 0 {
@@ -302,12 +218,6 @@ func (img *Image) runSteps(ctx context.Context, schedSeed uint64, sink *trace.Si
 				}
 			}
 		}
-
-		// The slowest rank's local phase gates the node (ranks differ
-		// only in memory placement); placement is fixed after setup, so
-		// the maximum was hoisted out of the step loop entirely.
-		memMax := img.memMax
-		base := cpuTime + memMax + heapMax + sysTime
 
 		// Explicit scheduling overhead for this step's busy time. Zero
 		// under the default disciplines (their cost is embedded in the
@@ -336,7 +246,7 @@ func (img *Image) runSteps(ctx context.Context, schedSeed uint64, sink *trace.Si
 		var stragglerAbs sim.Duration
 		if inj.Active() {
 			stragglerPending += inj.StragglerExcess(step, j.Nodes, base)
-			if stragglerPending > 0 && (collsDue > 0 || haloWire > 0) {
+			if stragglerPending > 0 && (collsDue > 0 || plan.haloWire > 0) {
 				stragglerAbs = stragglerPending
 				stragglerPending = 0
 				if counting {
@@ -360,7 +270,7 @@ func (img *Image) runSteps(ctx context.Context, schedSeed uint64, sink *trace.Si
 		for i := 0; i < collsDue; i++ {
 			var d sim.Duration
 			maxRank := -1
-			if gangAligned {
+			if plan.gangAligned {
 				// Aligned gang windows: every rank's detours land in
 				// the same co-scheduling window, so the collective
 				// absorbs one rank's worth of interference instead of
@@ -384,9 +294,9 @@ func (img *Image) runSteps(ctx context.Context, schedSeed uint64, sink *trace.Si
 						"skew_ns": int64(d)})
 			}
 		}
-		if haloWire > 0 {
+		if plan.haloWire > 0 {
 			var d sim.Duration
-			if gangAligned {
+			if plan.gangAligned {
 				// Same alignment argument as the collective path, over
 				// the stencil neighbourhood.
 				d = prof.DetourInTo(rng, 1, base, sink)
@@ -399,14 +309,14 @@ func (img *Image) runSteps(ctx context.Context, schedSeed uint64, sink *trace.Si
 			}
 			detour += d
 			if counting {
-				sink.CountKey(trace.KeyMPIHaloExchanges, int64(haloRounds))
+				sink.CountKey(trace.KeyMPIHaloExchanges, int64(plan.haloRounds))
 				sink.CountKey(trace.KeyNoiseHaloMaxNs, int64(d))
 			}
 			if observing {
 				sink.Observe("noise.halo_max_ns", int64(d))
 			}
 		}
-		if collsDue == 0 && haloWire == 0 {
+		if collsDue == 0 && plan.haloWire == 0 {
 			// No synchronisation: only the rank's own detour counts.
 			detour = prof.DetourInTo(rng, 1, base, sink)
 		}
@@ -416,9 +326,12 @@ func (img *Image) runSteps(ctx context.Context, schedSeed uint64, sink *trace.Si
 			}
 		}
 
-		parts := stepParts{compute: cpuTime, memory: memMax, heap: heapMax,
+		// The slowest rank's local phase gates the node (ranks differ
+		// only in memory placement); placement is fixed after setup, so
+		// the image holds the maximum.
+		parts := stepParts{compute: plan.cpuTime, memory: img.memMax, heap: heapMax,
 			syscall: sysTime, sched: schedCost.Overhead,
-			comm:  haloWire + collWire + linkDelay,
+			comm:  plan.haloWire + collWire + linkDelay,
 			noise: detour + stragglerAbs}
 		if counting {
 			sink.CountKey(trace.KeyNoiseDetourNs, int64(detour))

@@ -1,0 +1,416 @@
+package noise
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"mklite/internal/sim"
+)
+
+// newTable builds p's dense-window table at window whether or not p is
+// dense there: the table's law does not depend on the threshold that
+// decides when MaxDetourRank uses it.
+func newTable(p *Profile, window sim.Duration) *denseTable {
+	t := &denseTable{window: window}
+	t.build(p, new(grid), make([]float32, denseGrid))
+	return t
+}
+
+// tableMoments returns the mean and variance of the table's law, the
+// piecewise-linear survival function integrated exactly: E[D] = ∫S and
+// E[D²] = ∫2x·S.
+func tableMoments(t *denseTable) (mean, variance float64) {
+	var m1, m2 float64
+	seg := func(a, b, sa, sb float64) {
+		m1 += (b - a) * (sa + sb) / 2
+		m2 += (b - a) * ((2*a+b)*sa + (a+2*b)*sb) / 3
+	}
+	seg(0, t.h/2, t.g0, float64(t.sv[0]))
+	for i := 1; i < len(t.sv); i++ {
+		seg((float64(i)-0.5)*t.h, (float64(i)+0.5)*t.h, float64(t.sv[i-1]), float64(t.sv[i]))
+	}
+	return m1, m2 - m1*m1
+}
+
+// detourLaw returns the exact mean and variance of one rank's summed
+// detour on core 1, Σλ·E[X] and Σλ·E[X²], and Σλ·(1 + [tail]), the rate
+// of discretised detour parts.
+func detourLaw(p *Profile, window sim.Duration) (mean, variance, parts float64) {
+	for i := range p.Sources {
+		s := &p.Sources[i]
+		if !s.drawsOnAppCore() {
+			continue
+		}
+		lam := float64(window) / float64(s.Period)
+		m1, m2 := s.detourMoments()
+		mean += lam * m1
+		variance += lam * m2
+		parts += lam
+		if s.hasTail() {
+			parts += lam
+		}
+	}
+	return mean, variance, parts
+}
+
+// checkMoments holds the table's mean and variance to the exact ones
+// within the grid tolerance. Each detour part (a base, or a tail) is split
+// between neighbouring grid points so its mean is kept, which adds at most
+// h²/4 to its second moment, except a log-normal base's thin upper tail
+// (survival below denseRound), which is rounded: that moves each detour's
+// mean by at most denseRound·h/2. Spreading each grid point's mass over its
+// cell adds h²/12. The mass ε = g0 − sv[0] of the
+// zero cell that is spread over [0, h/2] moves the mean by at most ε·h/4
+// and the variance by at most ε·h·(mean/2 + h). Mass beyond the grid and
+// below denseFloor, FFT round-off and the survival's float32 storage (2⁻²⁴
+// relative) move either moment by under 1e-6 of E[D] or E[D²].
+func checkMoments(t *testing.T, p *Profile, tab *denseTable) {
+	t.Helper()
+	mean, variance, parts := detourLaw(p, tab.window)
+	gotMean, gotVar := tableMoments(tab)
+	h := tab.h
+	eps := tab.g0 - float64(tab.sv[0])
+	meanTol := eps*h/4 + parts*denseRound*h/2 + 1e-6*mean
+	varTol := parts*h*h/4 + h*h/12 + eps*h*(mean/2+h) + 1e-6*(variance+mean*mean)
+	if d := math.Abs(gotMean - mean); !(d <= meanTol) {
+		t.Errorf("window %v: table mean %.6g ns, exact %.6g (off %.3g, tolerance %.3g, h %.4g)",
+			tab.window, gotMean, mean, d, meanTol, h)
+	}
+	if d := math.Abs(gotVar - variance); !(d <= varTol) {
+		t.Errorf("window %v: table variance %.6g ns², exact %.6g (off %.3g, tolerance %.3g, h %.4g)",
+			tab.window, gotVar, variance, d, varTol, h)
+	}
+}
+
+// denseCells are the law cells: LinuxTuned with the facility storm at 1 ms
+// (λ = 0.5 for the storm, not dense, so only a direct build reaches it) and
+// 30 ms, and the storm alone at 80 ms, λ = 40 > 30.
+func denseCells() []struct {
+	name   string
+	prof   func() *Profile
+	window sim.Duration
+} {
+	stormy := func() *Profile { return LinuxTuned().WithSource(facilityStorm()) }
+	stormOnly := func() *Profile { return &Profile{Name: "storm", Sources: []Source{facilityStorm()}} }
+	return []struct {
+		name   string
+		prof   func() *Profile
+		window sim.Duration
+	}{
+		{"linux-tuned+storm/1ms", stormy, sim.Millisecond},
+		{"linux-tuned+storm/30ms", stormy, 30 * sim.Millisecond},
+		{"storm/80ms", stormOnly, 80 * sim.Millisecond},
+	}
+}
+
+// The table path has the law of Poisson colouring, the exact path: in each
+// law cell at K ∈ {1, 27, 64, 1,024, 4,096}, the two-sample KS distance
+// between 20,000 table draws and colouring's draws stays below the 99%
+// critical value. Colouring draws are budgeted at about 2×10⁷ detours per
+// cell (4,000 at most, 400 at least; a quarter under -race); at K = 4,096
+// the reference colours into a heap buffer, since the exact path stops at
+// 1,024 ranks.
+func TestDenseTableMatchesColouring(t *testing.T) {
+	for ci, c := range denseCells() {
+		for _, k := range []int{1, 27, smallRanks, exactMaxRanks, 4096} {
+			name := fmt.Sprintf("%s/K=%d", c.name, k)
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				p, ref := c.prof(), c.prof()
+				tab := newTable(p, c.window)
+				_, _, rate := detourLaw(ref, c.window)
+				m := int(min(4000, max(400, 2e7/(rate*float64(k)))))
+				if raceEnabled {
+					m /= 4
+				}
+				const n = 20_000
+				cell := uint64(ci)<<16 | uint64(k)
+				rng, refRNG := sim.NewRNG(sim.StreamSeed(61, cell)), sim.NewRNG(sim.StreamSeed(62, cell))
+				got, want := make([]float64, n), make([]float64, m)
+				for i := range got {
+					d, _ := tab.max(rng, k)
+					got[i] = float64(d)
+				}
+				sums := make([]sim.Duration, k)
+				for i := range want {
+					clear(sums)
+					d, _ := colour(refRNG, ref, sums, c.window)
+					want[i] = float64(d)
+				}
+				d, crit := ksDistance(got, want), ksCritical99(n, m)
+				t.Logf("%s: KS %.4f (critical %.4f, %d table and %d colouring draws)", name, d, crit, n, m)
+				if d >= crit {
+					t.Errorf("KS distance %.4f >= 99%% critical value %.4f", d, crit)
+				}
+			})
+		}
+	}
+}
+
+// A table's mean and variance are the compound-Poisson law's, Σλ·E[X] and
+// Σλ·E[X²], within the grid tolerance of checkMoments, in the law cells and
+// at the facility's windows.
+func TestDenseTableMoments(t *testing.T) {
+	for _, c := range denseCells() {
+		checkMoments(t, c.prof(), newTable(c.prof(), c.window))
+	}
+	p := LinuxTuned().WithSource(facilityStorm())
+	for _, w := range []sim.Duration{2 * sim.Millisecond, 10 * sim.Millisecond, 35 * sim.Millisecond, 90 * sim.Millisecond} {
+		checkMoments(t, p, newTable(p, w))
+	}
+}
+
+// The table path costs the same at any rank count: a call draws exactly two
+// uniforms (the order statistic's and the argmax's) at K = 64 and at
+// K = 131,072 alike, and colouring, at K = 64, draws more.
+func TestDenseTableCostFlatInK(t *testing.T) {
+	const window = 30 * sim.Millisecond
+	p := LinuxTuned().WithSource(facilityStorm())
+	p.Tabulate([]sim.Duration{window})
+	for _, k := range []int{smallRanks, 131072} {
+		rng, ref := sim.NewRNG(9), sim.NewRNG(9)
+		for range 100 {
+			MaxDetourRank(rng, p, k, window)
+			ref.Uint64()
+			ref.Uint64()
+		}
+		if rng.Uint64() != ref.Uint64() {
+			t.Errorf("K=%d: the table path drew other than two uniforms per call", k)
+		}
+	}
+	bare := LinuxTuned().WithSource(facilityStorm())
+	rng, ref := sim.NewRNG(9), sim.NewRNG(9)
+	MaxDetourRank(rng, bare, smallRanks, window)
+	ref.Uint64()
+	ref.Uint64()
+	if rng.Uint64() == ref.Uint64() {
+		t.Error("an untabulated profile drew two uniforms: the check cannot tell the paths apart")
+	}
+}
+
+// Tabulate builds tables at dense windows only, once per window, shares
+// them with clones, and leaves every other window's draws untouched: off a
+// tabulated window, MaxDetourRank draws exactly what it draws from a
+// profile without tables.
+func TestTabulateDenseWindowsOnly(t *testing.T) {
+	p := LinuxTuned().WithSource(facilityStorm())
+	windows := []sim.Duration{sim.Millisecond, 2 * sim.Millisecond, 30 * sim.Millisecond, 2 * sim.Millisecond}
+	p.Tabulate(windows)
+	if len(p.dense) != 2 || p.denseAt(sim.Millisecond) != nil ||
+		p.denseAt(2*sim.Millisecond) == nil || p.denseAt(30*sim.Millisecond) == nil {
+		t.Fatalf("tables at %d windows, want 2 ms and 30 ms only", len(p.dense))
+	}
+	if c := p.Clone(); len(c.dense) != 2 || &c.dense[0].sv[0] != &p.dense[0].sv[0] {
+		t.Error("a clone does not share the profile's tables")
+	}
+	if LinuxTuned().Dense(50*sim.Millisecond) || !LinuxTuned().Dense(100*sim.Millisecond) {
+		t.Error("LinuxTuned's densest core-1 source has a 100 ms period")
+	}
+	bare := LinuxTuned().WithSource(facilityStorm())
+	for _, k := range []int{1, smallRanks, exactMaxRanks, 4096} {
+		rng, ref := sim.NewRNG(uint64(k)), sim.NewRNG(uint64(k))
+		for range 50 {
+			d, r := MaxDetourRank(rng, p, k, sim.Millisecond)
+			wd, wr := MaxDetourRank(ref, bare, k, sim.Millisecond)
+			if d != wd || r != wr {
+				t.Fatalf("K=%d at an untabulated window: (%v, %d), without tables (%v, %d)", k, d, r, wd, wr)
+			}
+		}
+	}
+	uncapped := LinuxTuned().WithSource(facilityStorm())
+	uncapped.Sources[2].TailCap = 0
+	uncapped.Tabulate(windows)
+	if len(uncapped.dense) != 0 {
+		t.Error("a profile with an uncapped tail got tables")
+	}
+}
+
+// Every path draws the same law for the three degenerate sources: a Mean-0
+// source with a Pareto tail (its detours are the tail alone), a CV-0 source
+// (every detour is exactly Mean) and a Period-0 source (it never fires).
+// At λ = 0.1 a rank is rarely hit twice, so DetourIn (one rank), colouring
+// and the table at K = 1, and sourceMax at K = 1, each estimate
+// P(detour > 0) and the mean detour from 40,000 draws; they must meet the
+// exact values (1 − e^{−λ(1−a)}, a the chance a detour is 0, and λ·E[X])
+// within five standard errors, plus 15% for sourceMax, which takes the
+// largest of a rank's events instead of their sum and thins tails by a
+// Poisson count. A Period-0 source draws 0 on every path.
+func TestDegenerateSourcesAgree(t *testing.T) {
+	const window = 100 * sim.Microsecond
+	cases := []struct {
+		name string
+		src  Source
+	}{
+		{"mean0-tail", Source{Name: "m0", Period: sim.Millisecond, CV: 0.5,
+			TailProb: 0.05, TailScale: 100 * sim.Microsecond, TailAlpha: 2, TailCap: sim.Millisecond}},
+		{"cv0", Source{Name: "cv0", Period: sim.Millisecond, Mean: 100 * sim.Microsecond}},
+		{"period0", Source{Name: "p0", Mean: 100 * sim.Microsecond, CV: 0.5,
+			TailProb: 0.05, TailScale: 100 * sim.Microsecond, TailAlpha: 2, TailCap: sim.Millisecond}},
+	}
+	const n = 40_000
+	for ci, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := &Profile{Name: c.name, Sources: []Source{c.src}}
+			s := &p.Sources[0]
+			wantMean, _, _ := detourLaw(p, window)
+			var wantHit float64
+			if s.Period > 0 {
+				a := 0.0
+				if s.baseMean() == 0 {
+					a = 1 - s.tailProb()
+				}
+				wantHit = -math.Expm1(-float64(window) / float64(s.Period) * (1 - a))
+			}
+			tab := newTable(p, window)
+			if math.Abs(tab.g0-wantHit) > 1e-12 {
+				t.Errorf("table P(D > 0) = %v, exact %v", tab.g0, wantHit)
+			}
+			var sums [1]sim.Duration
+			paths := []struct {
+				name  string
+				slack float64
+				draw  func(rng *sim.RNG) sim.Duration
+			}{
+				{"DetourIn", 0, func(rng *sim.RNG) sim.Duration { return p.DetourIn(rng, 1, window) }},
+				{"colour", 0, func(rng *sim.RNG) sim.Duration {
+					sums[0] = 0
+					d, _ := colour(rng, p, sums[:], window)
+					return d
+				}},
+				{"table", 0, func(rng *sim.RNG) sim.Duration { d, _ := tab.max(rng, 1); return d }},
+				{"sourceMax", 0.15, func(rng *sim.RNG) sim.Duration { return sourceMax(rng, s, 1, window) }},
+			}
+			for pi, path := range paths {
+				rng := sim.NewRNG(sim.StreamSeed(71, uint64(ci)<<8|uint64(pi)))
+				var hits, sum, sum2 float64
+				for range n {
+					d := float64(path.draw(rng))
+					if d > 0 {
+						hits++
+					}
+					sum += d
+					sum2 += d * d
+				}
+				hit, mean := hits/n, sum/n
+				if s.Period <= 0 {
+					if hits != 0 {
+						t.Errorf("%s: a Period-0 source drew %v nonzero detours", path.name, hits)
+					}
+					continue
+				}
+				sdMean := math.Sqrt((sum2/n - mean*mean) / n)
+				if tol := 5*math.Sqrt(wantHit*(1-wantHit)/n) + path.slack*wantHit; math.Abs(hit-wantHit) > tol {
+					t.Errorf("%s: P(detour > 0) = %.5f, exact %.5f (tolerance %.5f)", path.name, hit, wantHit, tol)
+				}
+				if tol := 5*sdMean + path.slack*wantMean; math.Abs(mean-wantMean) > tol {
+					t.Errorf("%s: mean detour %.1f ns, exact %.1f (tolerance %.1f)", path.name, mean, wantMean, tol)
+				}
+			}
+		})
+	}
+}
+
+// checkTable checks a table's invariants: the survival function is finite
+// and non-increasing from g0 ≤ 1 down to exactly 0; draws at K ranks are
+// finite, at least 0 and non-decreasing in U; the mean and variance meet
+// the exact ones within checkMoments' grid tolerance.
+func checkTable(t *testing.T, p *Profile, tab *denseTable, ranks int) {
+	t.Helper()
+	if !(tab.g0 >= 0 && tab.g0 <= 1) || !(tab.h > 0) || math.IsInf(tab.h, 0) {
+		t.Fatalf("window %v: g0 %v, h %v", tab.window, tab.g0, tab.h)
+	}
+	prev := tab.g0
+	for i, v := range tab.sv {
+		if x := float64(v); !(x >= 0 && x <= prev) {
+			t.Fatalf("window %v: survival %v at knot %d after %v", tab.window, x, i, prev)
+		}
+		prev = float64(v)
+	}
+	if tab.sv[len(tab.sv)-1] != 0 {
+		t.Fatalf("window %v: survival ends at %v, not 0", tab.window, tab.sv[len(tab.sv)-1])
+	}
+	last := 0.0
+	for i := 0; i <= 256; i++ {
+		u := float64(i) / 256
+		if i == 256 {
+			u = 1 - 0x1p-53
+		}
+		x := tab.quantile(-math.Expm1(math.Log(u) / float64(ranks)))
+		if !(x >= last) || math.IsInf(x, 0) {
+			t.Fatalf("window %v, K=%d: draw %v at U=%v after %v", tab.window, ranks, x, u, last)
+		}
+		last = x
+	}
+	checkMoments(t, p, tab)
+}
+
+// FuzzDenseTable builds the table of one random source at a random window
+// by itself, and through Tabulate beside a second window up to twice as
+// long (the two may share a grid), and checks every table with
+// checkTable. Tabulate must build a table exactly at the dense windows,
+// and none for an uncapped tail. Periods and windows are folded into
+// [0, 1 s] and [1 µs, 1 s] with λ ≤ 1,000, means and tail scales into
+// [0, 10 ms], CVs into [0, 4], tail indices into (0, 5] and caps into
+// [0, 50 ms] (0 is uncapped).
+func FuzzDenseTable(f *testing.F) {
+	f.Fuzz(func(t *testing.T, period, mean uint32, cv, tailProb uint16, tailScale uint32,
+		tailAlpha uint16, tailCap, window uint32, spread uint16, k uint32) {
+		s := Source{Name: "fuzz",
+			Period:    sim.Duration(period % 1_000_000_001),
+			Mean:      sim.Duration(mean % 10_000_001),
+			CV:        float64(cv%4001) / 1000,
+			TailProb:  float64(tailProb%1001) / 1000,
+			TailScale: sim.Duration(tailScale % 10_000_001),
+			TailAlpha: float64(tailAlpha%5000+1) / 1000,
+			TailCap:   sim.Duration(tailCap % 50_000_001),
+		}
+		w := sim.Duration(window%1_000_000_000) + sim.Microsecond
+		w2 := w + w*sim.Duration(spread%1001)/1000
+		if s.Period > 0 && w2 > 1000*s.Period {
+			s.Period = w2 / 1000
+		}
+		ranks := 1 + int(k%131072)
+		p := &Profile{Name: "fuzz", Sources: []Source{s}}
+		p.Tabulate([]sim.Duration{w, w2})
+		if !p.tabulable() {
+			if len(p.dense) != 0 {
+				t.Fatal("a profile with an uncapped tail got a table")
+			}
+			return
+		}
+		for _, x := range []sim.Duration{w, w2} {
+			if got := p.denseAt(x) != nil; got != p.Dense(x) {
+				t.Fatalf("table built %v at window %v where Dense is %v", got, x, p.Dense(x))
+			}
+		}
+		for i := range p.dense {
+			checkTable(t, p, &p.dense[i], ranks)
+		}
+		checkTable(t, p, newTable(p, w), ranks)
+	})
+}
+
+// BenchmarkDenseTable times one table build at the facility's windows, on
+// LinuxTuned with the facility storm, and /tabulate-pair a Tabulate call
+// for two windows 0.3% apart (a facility image's typical pair), whose
+// second table shares the first one's grid.
+func BenchmarkDenseTable(b *testing.B) {
+	p := LinuxTuned().WithSource(facilityStorm())
+	for _, w := range []sim.Duration{2 * sim.Millisecond, 10 * sim.Millisecond, 35 * sim.Millisecond, 90 * sim.Millisecond} {
+		b.Run(fmt.Sprintf("window=%v", w), func(b *testing.B) {
+			buf := make([]float32, denseGrid)
+			for b.Loop() {
+				t := denseTable{window: w}
+				t.build(p, new(grid), buf)
+			}
+		})
+	}
+	b.Run("tabulate-pair", func(b *testing.B) {
+		windows := []sim.Duration{10_304_716, 10_275_916}
+		for b.Loop() {
+			p.dense = nil
+			p.Tabulate(windows)
+		}
+	})
+}

@@ -18,33 +18,43 @@ const exactMaxRanks = 1024
 // (MPI_Allreduce, barrier) absorbs every round. This is the mechanism of
 // the paper's Linux cliffs: each rank's detour distribution is unchanged as
 // the system grows, but the *maximum* over 131,072 ranks climbs into the
-// heavy tail.
+// heavy tail. A rank's detour is p.DetourIn on application core 1.
 //
-// Up to exactMaxRanks ranks the maximum is exact: it has the law of the
-// largest of `ranks` independent single-rank detours on an application
-// core, sampled by colouring each source's events onto ranks (exactMax).
-// For larger counts it uses the order-statistic identity max(X_1..X_K) ~
-// F^{-1}(U^{1/K}): one inverse-CDF draw per source component instead of K
-// samples. Per-source maxima are summed in place of the true max over ranks
-// of each rank's summed detour. That is an approximation whose bias has no
-// fixed sign: against exact sampling it reads high at K = 4,096 with 1 ms
-// windows and low at K = 131,072 with 30 ms windows under the facility
-// storm (ROADMAP item 1, stage 2, which replaces it).
+// It takes one of three paths:
+//   - At a window the profile has a dense-window table for (Tabulate), the
+//     maximum is one inverse-CDF lookup in the table of one rank's detour
+//     law, F_D⁻¹(U^{1/K}), at any rank count. The table is exact up to its
+//     grid (see denseTable).
+//   - Otherwise, up to exactMaxRanks ranks, the maximum is exact: it has the
+//     law of the largest of `ranks` independent single-rank detours,
+//     sampled by colouring each source's events onto ranks (exactMax).
+//   - Otherwise it uses the order-statistic identity max(X_1..X_K) ~
+//     F^{-1}(U^{1/K}) per source component and sums the per-source maxima
+//     in place of the true max over ranks of each rank's summed detour.
+//     That is an approximation whose bias has no fixed sign: against exact
+//     sampling it reads high at K = 4,096 with 1 ms windows and low at
+//     K = 131,072 with 30 ms windows under a daemon storm (ROADMAP item 1,
+//     stage 2, which replaces it).
 func MaxDetour(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) sim.Duration {
 	d, _ := MaxDetourRank(rng, p, ranks, window)
 	return d
 }
 
 // MaxDetourRank is MaxDetour that also reports which rank contributed the
-// maximum — the straggler a collective waited for: on the exact path the
-// lowest rank whose detour is the maximum, or -1 when no rank was hit. On
-// the order-statistic path individual ranks are never materialised, so the
-// rank is -1 (source-level attribution only).
-// The sampling sequence is identical to MaxDetour's, so callers may switch
-// between them without perturbing the run.
+// maximum — the straggler a collective waited for. On the table path it is
+// a uniformly drawn rank: ranks are independent and identically
+// distributed, so the argmax is uniform and independent of the maximum. On
+// the exact path it is the lowest rank whose detour is the maximum. Both
+// report -1 when the maximum is 0. On the order-statistic path individual
+// ranks are never materialised, so the rank is -1 (source-level
+// attribution only). The sampling sequence is identical to MaxDetour's, so
+// callers may switch between them without perturbing the run.
 func MaxDetourRank(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) (sim.Duration, int) {
 	if ranks <= 0 || window <= 0 {
 		return 0, -1
+	}
+	if t := p.denseAt(window); t != nil {
+		return t.max(rng, ranks)
 	}
 	if ranks <= exactMaxRanks {
 		return exactMax(rng, p, ranks, window)
@@ -93,7 +103,7 @@ func colour(rng *sim.RNG, p *Profile, sums []sim.Duration, window sim.Duration) 
 	argmax := -1
 	for i := range p.Sources {
 		s := &p.Sources[i]
-		if !s.appliesTo(1) || s.Period <= 0 {
+		if !s.drawsOnAppCore() {
 			continue // DetourIn draws nothing for it
 		}
 		lam, _ := s.lambda(window)
@@ -109,12 +119,11 @@ func colour(rng *sim.RNG, p *Profile, sums []sim.Duration, window sim.Duration) 
 }
 
 // sourceMax approximates the maximum single-rank detour from one source
-// across `ranks` ranks.
+// across `ranks` ranks. Like sampleDetour it draws a base of exactly Mean
+// when CV is 0 and of 0 when Mean is 0, and a source with Period 0 never
+// fires.
 func sourceMax(rng *sim.RNG, s *Source, ranks int, window sim.Duration) sim.Duration {
-	if s.Period <= 0 || s.Mean <= 0 {
-		return 0
-	}
-	if s.CoreFilter != nil && !s.CoreFilter(1) {
+	if !s.drawsOnAppCore() {
 		// Core-restricted sources (core 0 services) do not hit
 		// application cores.
 		return 0
@@ -127,7 +136,7 @@ func sourceMax(rng *sim.RNG, s *Source, ranks int, window sim.Duration) sim.Dura
 	}
 	// Base (log-normal) component maximum via inverse CDF.
 	var max sim.Duration
-	if s.CV > 0 {
+	if s.baseLogNormal() {
 		u := math.Pow(rng.Float64(), 1/k)
 		max = sim.DurationOf(s.lnQuantile(u))
 	} else {

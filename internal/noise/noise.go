@@ -200,7 +200,7 @@ func (s *Source) sampleCount(rng *sim.RNG, window sim.Duration) int {
 // is 0) plus, with probability TailProb, a capped Pareto tail.
 func (s *Source) sampleDetour(rng *sim.RNG) sim.Duration {
 	d := s.Mean
-	if s.CV > 0 && s.Mean > 0 {
+	if s.baseLogNormal() {
 		d = sim.DurationOf(s.sampleLogNormal(rng))
 	}
 	if s.TailProb > 0 && rng.Bool(s.TailProb) {
@@ -248,6 +248,10 @@ func poisson(rng *sim.RNG, lambda float64) int {
 type Profile struct {
 	Name    string
 	Sources []Source
+
+	// dense holds the per-rank detour tables Tabulate built, one per
+	// dense window; read-only once built and shared by clones.
+	dense []denseTable
 }
 
 // DetourIn samples the total interference on one core during a window.
@@ -277,7 +281,7 @@ func (p *Profile) DetourInTo(rng *sim.RNG, core int, window sim.Duration, sink *
 // share them instead of each building its own. Draws are unchanged: a
 // table is a pure function of its source.
 func (p *Profile) Warm() {
-	cold := func(s *Source) bool { return s.CV > 0 && s.Mean > 0 && s.lnTab == nil }
+	cold := func(s *Source) bool { return s.baseLogNormal() && s.lnTab == nil }
 	n := 0
 	for i := range p.Sources {
 		if cold(&p.Sources[i]) {
@@ -296,9 +300,10 @@ func (p *Profile) Warm() {
 // Clone returns a copy of the profile with a Sources slice of its own. One
 // profile may be cloned from several goroutines at once and each clone
 // drawn from by its own: a clone's caches are its own, apart from the
-// quantile tables, which are never written once built (see Warm).
+// quantile tables and the dense-window tables, which are never written once
+// built (see Warm and Tabulate).
 func (p *Profile) Clone() *Profile {
-	return &Profile{Name: p.Name, Sources: slices.Clone(p.Sources)}
+	return &Profile{Name: p.Name, Sources: slices.Clone(p.Sources), dense: p.dense}
 }
 
 // ExpectedRate returns the summed mean stolen-time fraction for a core.

@@ -269,7 +269,9 @@ func BenchmarkSampleDetour(b *testing.B) {
 // without the facility storm. K 64 and 1,024 take the exact path (Poisson
 // colouring), timed as /sampler beside the retired per-rank walk as
 // /reference (the same law from different draws); 131,072 takes the
-// order-statistic path.
+// order-statistic path. /sampler draws from the profile as built, without
+// dense-window tables; /table times the table path on a copy of the profile
+// given a table at the cell's window, dense or not.
 func BenchmarkMaxDetourRank(b *testing.B) {
 	for _, storm := range []bool{false, true} {
 		p := LinuxTuned()
@@ -277,12 +279,20 @@ func BenchmarkMaxDetourRank(b *testing.B) {
 			p = p.WithSource(facilityStorm())
 		}
 		for _, window := range []sim.Duration{sim.Millisecond, 30 * sim.Millisecond} {
+			tabled := p.Clone()
+			tabled.dense = []denseTable{*newTable(p, window)}
 			for _, k := range []int{64, 1024, 131072} {
 				cell := fmt.Sprintf("storm=%v/window=%v/K=%d", storm, window, k)
 				b.Run(cell+"/sampler", func(b *testing.B) {
 					rng := sim.NewRNG(1)
 					for b.Loop() {
 						MaxDetourRank(rng, p, k, window)
+					}
+				})
+				b.Run(cell+"/table", func(b *testing.B) {
+					rng := sim.NewRNG(1)
+					for b.Loop() {
+						MaxDetourRank(rng, tabled, k, window)
 					}
 				})
 				if k > exactMaxRanks {
