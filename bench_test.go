@@ -12,22 +12,25 @@ package mklite
 
 import (
 	"testing"
+
+	"mklite/internal/experiments"
 )
 
-func benchCfg() ExperimentConfig { return ExperimentConfig{Reps: 3, Seed: 1, Quick: true} }
+func benchCfg() experiments.Config { return experiments.Config{Reps: 3, Seed: 1, Quick: true} }
 
 // BenchmarkFigure4 regenerates the headline comparison (all eight
 // applications on three kernels) and reports the cross-application median
 // improvement (paper: 1.09x) and the best point (paper: up to 3.8x).
 func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		figs, sum, err := ReproduceFigure4(benchCfg())
+		figs, err := experiments.Figure4(benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
 		if len(figs) != 8 {
 			b.Fatal("figure count")
 		}
+		sum := experiments.SummarizeFigure4(figs)
 		b.ReportMetric(sum.MedianImprovement, "median-x")
 		b.ReportMetric(sum.BestImprovement, "best-x")
 	}
@@ -38,7 +41,7 @@ func BenchmarkFigure4(b *testing.B) {
 // median (paper: up to 139%).
 func BenchmarkFigure5aCCSQCD(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := ReproduceFigure5a(benchCfg())
+		fig, err := experiments.Figure5a(benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -52,7 +55,7 @@ func BenchmarkFigure5aCCSQCD(b *testing.B) {
 // nodes).
 func BenchmarkFigure5bMiniFE(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := ReproduceFigure5b(benchCfg())
+		fig, err := experiments.Figure5b(benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -72,7 +75,7 @@ func BenchmarkFigure5bMiniFE(b *testing.B) {
 // the mid-scale McKernel advantage (paper: ~1.2-1.3x).
 func BenchmarkFigure6aLulesh(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := ReproduceFigure6a(benchCfg())
+		fig, err := experiments.Figure6a(benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -92,7 +95,7 @@ func BenchmarkFigure6aLulesh(b *testing.B) {
 // largest-scale McKernel/Linux ratio (paper: below 1 — Linux wins).
 func BenchmarkFigure6bLAMMPS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := ReproduceFigure6b(benchCfg())
+		fig, err := experiments.Figure6b(benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,7 +115,7 @@ func BenchmarkFigure6bLAMMPS(b *testing.B) {
 // row's relative performance (paper: 121.0%).
 func BenchmarkTableILuleshBrk(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, _, err := ReproduceTableI(benchCfg())
+		rows, _, err := experiments.TableI(benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,7 +128,7 @@ func BenchmarkTableILuleshBrk(b *testing.B) {
 // three kernels and reports the failure counts (paper: 0 / 32 / 111).
 func BenchmarkLTPSuite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reports, _, err := Conformance()
+		reports, _, err := experiments.LTPResultsWorkers(0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,7 +147,7 @@ func BenchmarkLTPSuite(b *testing.B) {
 // the Linux fault count that the LWK heaps avoid entirely.
 func BenchmarkBrkTrace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		traces, err := ReproduceBrkTrace(benchCfg())
+		traces, err := experiments.BrkTrace(benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +164,7 @@ func BenchmarkBrkTrace(b *testing.B) {
 // study (paper: +9% AMG 2013, +2% MiniFE at 16 nodes).
 func BenchmarkProxyOptions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := ReproduceProxyOptions(ExperimentConfig{Reps: 3, Seed: 1})
+		res, err := experiments.ProxyOptions(experiments.Config{Reps: 3, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -203,13 +206,13 @@ func BenchmarkAblationNoise(b *testing.B) {
 // round trip (McKernel) vs thread migration (mOS) vs a native Linux trap.
 func BenchmarkAblationOffload(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := ReproduceAblations(ExperimentConfig{Reps: 1, Seed: uint64(i + 1), Quick: true})
+		a, err := experiments.Ablations(experiments.Config{Reps: 1, Seed: uint64(i + 1), Quick: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(rep.OffloadRoundTripSecs["mckernel-proxy"]*1e9, "proxy-ns")
-		b.ReportMetric(rep.OffloadRoundTripSecs["mos-migration"]*1e9, "migration-ns")
-		b.ReportMetric(rep.IKCQueueingTailSecs*1e6, "ikc-tail-us")
+		b.ReportMetric(a.OffloadRoundTrip["mckernel-proxy"].Seconds()*1e9, "proxy-ns")
+		b.ReportMetric(a.OffloadRoundTrip["mos-migration"].Seconds()*1e9, "migration-ns")
+		b.ReportMetric(a.IKCQueueingTail.Seconds()*1e6, "ikc-tail-us")
 	}
 }
 
@@ -228,7 +231,7 @@ func BenchmarkSingleRun(b *testing.B) {
 // Linux recovers.
 func BenchmarkQuadrantMode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := ReproduceQuadrant(benchCfg())
+		rows, err := experiments.QuadrantComparison(benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -241,7 +244,7 @@ func BenchmarkQuadrantMode(b *testing.B) {
 // ("mOS using 64 cores beats Linux on 68 cores").
 func BenchmarkCoreSpecialization(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := ReproduceCoreSpecialization(benchCfg())
+		rows, err := experiments.CoreSpecialization(benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -43,16 +43,17 @@ func main() {
 	}
 	fmt.Println("\n(paper: 100.0% / 106.6% / 121.0%)")
 
-	// The brk trace itself, as logged in section IV.
-	traces, err := mklite.ReproduceBrkTrace(mklite.ExperimentConfig{Reps: 1, Seed: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
+	// The brk trace itself, as logged in section IV: rank 0's heap
+	// accounting of one default run per kernel.
 	fmt.Println("\nPer-rank brk trace over the run (paper -s30: 7,526/3,028/1,499; 87 MB peak, 22 GB cumulative):")
-	for _, tr := range traces {
+	for _, k := range mklite.Kernels() {
+		r, err := mklite.Run("lulesh2.0", k, 1, 1, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  %-9s %4d queries %4d grows %4d shrinks; peak %.1f MiB; cumulative %.2f GiB; %d faults\n",
-			tr.Kernel, tr.Queries, tr.Grows, tr.Shrinks,
-			float64(tr.PeakBytes)/(1<<20), float64(tr.CumulativeBytes)/(1<<30), tr.HeapFaults)
+			r.Kernel, r.HeapQueries, r.HeapGrows, r.HeapShrinks,
+			float64(r.HeapPeakBytes)/(1<<20), float64(r.HeapGrownBytes)/(1<<30), r.HeapFaults)
 	}
 	fmt.Println("\nNote the asymmetry: identical call trace, wildly different kernel work.")
 	fmt.Println("Growing 2 MiB at a time and retaining shrunk memory is exactly what a")

@@ -52,7 +52,7 @@ func ParseFaults(spec string) (*fault.Plan, error) {
 }
 
 // SLO registers the -slo flag; the literal value "default" is resolved by
-// the command (the stock facility SLO lives in the public API).
+// the command (the stock facility SLO is experiments.DefaultFacilitySLO).
 func SLO(fs *flag.FlagSet) *string {
 	return fs.String("slo", "", "SLO spec, e.g. 'utilization_pct>=50;wait_p99_sec<=7200'; 'default' selects the stock facility SLO (see docs/OBSERVABILITY.md)")
 }

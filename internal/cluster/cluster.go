@@ -25,7 +25,6 @@ import (
 	"mklite/internal/fabric"
 	"mklite/internal/fault"
 	"mklite/internal/hw"
-	"mklite/internal/ihk"
 	"mklite/internal/kernel"
 	"mklite/internal/linuxos"
 	"mklite/internal/mckernel"
@@ -202,20 +201,23 @@ func bootKernel(j Job) (kernel.Kernel, error) {
 	case kernel.TypeLinux:
 		return linuxos.Boot(node, *j.Linux)
 	case kernel.TypeMcKernel:
-		lin, err := linuxos.Boot(node, linuxos.DefaultConfig())
+		k, _, err := mckernel.Deploy(node, *j.McK)
 		if err != nil {
 			return nil, err
 		}
-		g, err := ihk.Reserve(lin, ihk.DefaultReserveOptions())
-		if err != nil {
-			return nil, err
-		}
-		return mckernel.Boot(lin, g, *j.McK)
+		return k, nil
 	case kernel.TypeMOS:
 		return mos.Boot(node, *j.MOS)
 	default:
 		return nil, fmt.Errorf("cluster: unknown kernel type %v", j.Kernel)
 	}
+}
+
+// BootDefault boots kernel type kt with its default configuration on a
+// fresh SNC-4 KNL node: the one boot behind the LTP catalogue, the exact
+// brk-trace replay and the node-level API. An unknown type is an error.
+func BootDefault(kt kernel.Type) (kernel.Kernel, error) {
+	return bootKernel(Job{Kernel: kt}.normalized())
 }
 
 // Run executes the job and returns its result. It is the

@@ -37,6 +37,21 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+func TestBootDefault(t *testing.T) {
+	for _, kt := range []kernel.Type{kernel.TypeLinux, kernel.TypeMcKernel, kernel.TypeMOS} {
+		k, err := BootDefault(kt)
+		if err != nil {
+			t.Fatalf("BootDefault(%v): %v", kt, err)
+		}
+		if k.Type() != kt {
+			t.Fatalf("BootDefault(%v) booted %v", kt, k.Type())
+		}
+	}
+	if _, err := BootDefault(kernel.Type(99)); err == nil {
+		t.Fatal("unknown kernel type booted")
+	}
+}
+
 func TestDeterministicWithSeed(t *testing.T) {
 	j := Job{App: apps.MILC(), Kernel: kernel.TypeLinux, Nodes: 32, Seed: 11}
 	a := run(t, j)

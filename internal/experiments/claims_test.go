@@ -60,7 +60,7 @@ func runClaims(seed uint64) (*claimRuns, error) {
 	if r.tableI, _, err = TableI(cfg); err != nil {
 		return nil, err
 	}
-	reports, _, err := LTPResults()
+	reports, _, err := LTPResultsWorkers(0)
 	if err != nil {
 		return nil, err
 	}

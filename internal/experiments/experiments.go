@@ -73,9 +73,6 @@ type Config struct {
 	Faults *fault.Plan
 }
 
-// DefaultConfig mirrors the paper's methodology.
-func DefaultConfig() Config { return Config{Reps: 5, Seed: 1} }
-
 // normalize fills defaults.
 func (c Config) normalize() Config {
 	if c.Reps <= 0 {
@@ -234,7 +231,8 @@ func appFigure(cfg Config, app *apps.Spec, id string) (*stats.Figure, error) {
 
 // RelativeFigure converts an absolute three-kernel figure into the paper's
 // normalised form: McKernel and mOS medians relative to the Linux median at
-// the same node count (Figure 4 / Figure 5a presentation).
+// the same node count, in unit "x Linux" (Figure 4 / Figure 5a
+// presentation).
 func RelativeFigure(fig *stats.Figure) *stats.Figure {
 	base := fig.Get("Linux")
 	out := &stats.Figure{ID: fig.ID + "-rel", Title: fig.Title + " (relative to Linux)"}
@@ -244,6 +242,7 @@ func RelativeFigure(fig *stats.Figure) *stats.Figure {
 		}
 		rel := s.RelativeTo(base)
 		rel.Name = s.Name
+		rel.Unit = "x Linux"
 		out.Series = append(out.Series, rel)
 	}
 	return out
@@ -260,7 +259,7 @@ func Figure4(cfg Config) ([]*stats.Figure, error) {
 	})
 }
 
-// Figure4Medians summarises Figure 4 the way the paper's abstract does:
+// Figure4Summary summarises Figure 4 the way the paper's abstract does:
 // the median relative improvement across all applications and node counts,
 // and the best observed point.
 type Figure4Summary struct {

@@ -86,6 +86,9 @@ func TestFigure5bCliff(t *testing.T) {
 		t.Fatal(err)
 	}
 	lin, mck := fig.Get("Linux"), fig.Get("McKernel")
+	if lin == nil || mck == nil || fig.Get("mOS") == nil || !strings.Contains(fig.Render(), "fig5b") {
+		t.Fatalf("Figure 5b series:\n%s", fig.Render())
+	}
 	nodes := mck.NodeCounts()
 	biggest := nodes[len(nodes)-1]
 	lp, _ := lin.At(biggest)
@@ -151,8 +154,8 @@ func TestTableI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 || tb.NumRows() != 3 {
-		t.Fatalf("Table I rows: %d", len(rows))
+	if len(rows) != 3 || tb.NumRows() != 3 || !strings.Contains(tb.Render(), "zones/s") {
+		t.Fatalf("Table I rows: %d\n%s", len(rows), tb.Render())
 	}
 	if rows[0].Percent != 100 {
 		t.Fatalf("Linux row not 100%%: %v", rows[0].Percent)
@@ -172,7 +175,7 @@ func TestTableI(t *testing.T) {
 }
 
 func TestLTPResults(t *testing.T) {
-	reports, tb, err := LTPResults()
+	reports, tb, err := LTPResultsWorkers(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +187,12 @@ func TestLTPResults(t *testing.T) {
 		if rep.Failed != want[rep.Kernel] {
 			t.Fatalf("%s failed %d, want %d", rep.Kernel, rep.Failed, want[rep.Kernel])
 		}
+		if rep.Total != 3328 {
+			t.Fatalf("%s ran %d cases, want 3328", rep.Kernel, rep.Total)
+		}
+	}
+	if !strings.Contains(tb.Render(), "mckernel") {
+		t.Fatalf("LTP table:\n%s", tb.Render())
 	}
 }
 
@@ -200,7 +209,7 @@ func TestBrkTrace(t *testing.T) {
 		if tr.Queries != 600 || tr.Grows != 240 || tr.Shrinks != 120 {
 			t.Fatalf("%s: trace %d:%d:%d", tr.Kernel, tr.Queries, tr.Grows, tr.Shrinks)
 		}
-		if tr.Calls != 960 {
+		if tr.Calls != 960 || tr.Calls != tr.Queries+tr.Grows+tr.Shrinks {
 			t.Fatalf("calls = %d", tr.Calls)
 		}
 		// Cumulative growth dwarfs the peak (the 22 GB vs 87 MB
@@ -328,6 +337,13 @@ func TestRelativeFigureDropsBaseline(t *testing.T) {
 	if len(rel.Series) != 2 {
 		t.Fatal("relative series count")
 	}
+	mck := rel.Get("McKernel")
+	if mck == nil || mck.Unit != "x Linux" {
+		t.Fatalf("relative series: %+v", mck)
+	}
+	if last := mck.Points[len(mck.Points)-1]; last.Median < 2 {
+		t.Fatalf("relative miniFE at %d nodes = %v, expected a cliff", last.Nodes, last.Median)
+	}
 }
 
 func TestConfigNormalize(t *testing.T) {
@@ -342,8 +358,8 @@ func TestQuadrantComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatal("row count")
+	if len(rows) != 4 || rows[0].Percent != 100 {
+		t.Fatalf("rows: %+v", rows)
 	}
 	linSNC, linQuad, mck := rows[0], rows[1], rows[2]
 	// Quadrant-mode Linux must recover a large share of the LWK

@@ -67,28 +67,14 @@ func TableI(cfg Config) ([]TableIRow, *stats.Table, error) {
 	return rows, tb, nil
 }
 
-// LTPResults runs the conformance suite against all three kernels and
-// renders the section III-D comparison.
-func LTPResults() ([]ltp.Report, *stats.Table, error) {
-	return LTPResultsWorkers(0)
-}
-
-// LTPResultsWorkers is LTPResults with an explicit fan-out width (0 =
+// LTPResultsWorkers runs the conformance suite against all three kernels and
+// renders the section III-D comparison. workers is the fan-out width (0 =
 // GOMAXPROCS, 1 = sequential); each kernel boots and runs the 3,328-case
 // catalogue on its own worker. The equivalence tests sweep the width.
 func LTPResultsWorkers(workers int) ([]ltp.Report, *stats.Table, error) {
 	kts := []kernel.Type{kernel.TypeLinux, kernel.TypeMcKernel, kernel.TypeMOS}
 	reports, err := par.MapWidthErr(workers, len(kts), func(i int) (ltp.Report, error) {
-		var k kernel.Kernel
-		var err error
-		switch kts[i] {
-		case kernel.TypeLinux:
-			k, err = linuxos.Boot(hw.KNL7250SNC4(), linuxos.DefaultConfig())
-		case kernel.TypeMcKernel:
-			k, _, err = mckernel.Deploy(hw.KNL7250SNC4(), mckernel.DefaultOptions())
-		default:
-			k, err = mos.Boot(hw.KNL7250SNC4(), mos.DefaultConfig())
-		}
+		k, err := cluster.BootDefault(kts[i])
 		if err != nil {
 			return ltp.Report{}, err
 		}
@@ -342,16 +328,7 @@ type BrkTraceS30Result struct {
 // The caller owns the returned process (and must Exit it); faultWork is the
 // demand-fault work the application's first touches generated.
 func replayBrkS30(kt kernel.Type, sink *trace.Sink) (*kernel.Process, kernel.Kernel, mem.Work, error) {
-	var k kernel.Kernel
-	var err error
-	switch kt {
-	case kernel.TypeLinux:
-		k, err = linuxos.Boot(hw.KNL7250SNC4(), linuxos.DefaultConfig())
-	case kernel.TypeMcKernel:
-		k, _, err = mckernel.Deploy(hw.KNL7250SNC4(), mckernel.DefaultOptions())
-	default:
-		k, err = mos.Boot(hw.KNL7250SNC4(), mos.DefaultConfig())
-	}
+	k, err := cluster.BootDefault(kt)
 	if err != nil {
 		return nil, nil, mem.Work{}, err
 	}

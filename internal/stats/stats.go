@@ -13,13 +13,16 @@ import (
 
 // Summary condenses a set of repeated measurements the way the paper's plots
 // do: median with min/max error bars across (typically five) repetitions.
+//
+// JSON carries only what a plot draws: a Point marshals as {Nodes, Median,
+// Min, Max}, the schema of mkexperiments -json.
 type Summary struct {
-	N      int
+	N      int `json:"-"`
 	Median float64
 	Min    float64
 	Max    float64
-	Mean   float64
-	Stddev float64
+	Mean   float64 `json:"-"`
+	Stddev float64 `json:"-"`
 }
 
 // Summarize computes a Summary over xs. It panics on an empty input: a

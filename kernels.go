@@ -4,33 +4,15 @@ import (
 	"fmt"
 	"strings"
 
-	"mklite/internal/hw"
+	"mklite/internal/cluster"
 	"mklite/internal/kernel"
-	"mklite/internal/linuxos"
-	"mklite/internal/mckernel"
 	"mklite/internal/metrics"
-	"mklite/internal/mos"
 	"mklite/internal/nodesim"
 	"mklite/internal/noise"
 	"mklite/internal/sim"
 	"mklite/internal/stats"
 	"mklite/internal/trace"
 )
-
-// bootForType builds a default-configured kernel model on a fresh KNL node.
-func bootForType(kt kernel.Type) (kernel.Kernel, error) {
-	node := hw.KNL7250SNC4()
-	switch kt {
-	case kernel.TypeLinux:
-		return linuxos.Boot(node, linuxos.DefaultConfig())
-	case kernel.TypeMcKernel:
-		k, _, err := mckernel.Deploy(node, mckernel.DefaultOptions())
-		return k, err
-	case kernel.TypeMOS:
-		return mos.Boot(node, mos.DefaultConfig())
-	}
-	return nil, fmt.Errorf("mklite: unknown kernel type %v", kt)
-}
 
 // KernelInfo summarises one kernel model's behaviour surface.
 type KernelInfo struct {
@@ -57,7 +39,7 @@ func Describe(k Kernel) (KernelInfo, error) {
 	if err != nil {
 		return KernelInfo{}, err
 	}
-	kern, err := bootForType(kt)
+	kern, err := cluster.BootDefault(kt)
 	if err != nil {
 		return KernelInfo{}, err
 	}
@@ -84,26 +66,32 @@ type NoiseSample struct {
 	MaxStretchPercent float64
 }
 
+// noiseProfiles maps each kernel to the constructor of its application-core
+// noise profile.
+var noiseProfiles = map[Kernel]func() *noise.Profile{
+	Linux:    noise.LinuxTuned,
+	McKernel: noise.McKernelProfile,
+	MOS:      noise.MOSProfile,
+}
+
+// fwqIterations defaults a non-positive FWQ/FTQ iteration count to 5,000.
+func fwqIterations(n int) int {
+	if n <= 0 {
+		return 5000
+	}
+	return n
+}
+
 // MeasureNoise runs the FWQ microbenchmark (1 ms quanta) on each kernel's
 // noise profile.
 func MeasureNoise(seed uint64, iterations int) []NoiseSample {
-	if iterations <= 0 {
-		iterations = 5000
-	}
+	iterations = fwqIterations(iterations)
 	rng := sim.NewRNG(seed)
-	profiles := []struct {
-		k Kernel
-		p *noise.Profile
-	}{
-		{Linux, noise.LinuxTuned()},
-		{McKernel, noise.McKernelProfile()},
-		{MOS, noise.MOSProfile()},
-	}
 	var out []NoiseSample
-	for _, e := range profiles {
-		r := noise.RunFWQ(rng.Split(), e.p, 1, sim.Millisecond, iterations)
+	for _, k := range Kernels() {
+		r := noise.RunFWQ(rng.Split(), noiseProfiles[k](), 1, sim.Millisecond, iterations)
 		out = append(out, NoiseSample{
-			Kernel:            e.k,
+			Kernel:            k,
 			NoisePercent:      r.NoisePercent(),
 			MaxStretchPercent: r.MaxStretchPercent(),
 		})
@@ -117,22 +105,13 @@ func MeasureNoise(seed uint64, iterations int) []NoiseSample {
 // subsystem's counters, so the sampling sequence — and therefore every
 // NoiseSample metric — is identical to MeasureNoise at the same seed.
 func NoiseSourceBreakdown(k Kernel, seed uint64, iterations int) (map[string]float64, error) {
-	if iterations <= 0 {
-		iterations = 5000
-	}
-	var p *noise.Profile
-	switch k {
-	case Linux:
-		p = noise.LinuxTuned()
-	case McKernel:
-		p = noise.McKernelProfile()
-	case MOS:
-		p = noise.MOSProfile()
-	default:
+	iterations = fwqIterations(iterations)
+	newProfile, ok := noiseProfiles[k]
+	if !ok {
 		return nil, fmt.Errorf("mklite: unknown kernel %q", string(k))
 	}
 	ctrs := trace.NewCounters()
-	noise.RunFWQTo(sim.NewRNG(seed), p, 1, sim.Millisecond, iterations, trace.NewSink(ctrs, nil))
+	noise.RunFWQTo(sim.NewRNG(seed), newProfile(), 1, sim.Millisecond, iterations, trace.NewSink(ctrs, nil))
 	out := map[string]float64{}
 	for _, name := range ctrs.Names() {
 		src, ok := strings.CutPrefix(name, "noise.src.")
@@ -191,7 +170,7 @@ func SimulateNode(k Kernel, cfg NodeSimConfig) (NodeSimResult, error) {
 	if err != nil {
 		return NodeSimResult{}, err
 	}
-	kern, err := bootForType(kt)
+	kern, err := cluster.BootDefault(kt)
 	if err != nil {
 		return NodeSimResult{}, err
 	}
@@ -247,24 +226,14 @@ type UtilizationSample struct {
 // MeasureUtilization runs the FTQ microbenchmark (1 ms windows) on each
 // kernel's noise profile.
 func MeasureUtilization(seed uint64, iterations int) []UtilizationSample {
-	if iterations <= 0 {
-		iterations = 5000
-	}
+	iterations = fwqIterations(iterations)
 	rng := sim.NewRNG(seed)
-	profiles := []struct {
-		k Kernel
-		p *noise.Profile
-	}{
-		{Linux, noise.LinuxTuned()},
-		{McKernel, noise.McKernelProfile()},
-		{MOS, noise.MOSProfile()},
-	}
 	var out []UtilizationSample
-	for _, e := range profiles {
-		r := noise.RunFTQ(rng.Split(), e.p, 1, sim.Millisecond, iterations)
+	for _, k := range Kernels() {
+		r := noise.RunFTQ(rng.Split(), noiseProfiles[k](), 1, sim.Millisecond, iterations)
 		s := r.Summary()
 		out = append(out, UtilizationSample{
-			Kernel:          e.k,
+			Kernel:          k,
 			MeanUtilization: s.Mean,
 			WorstWindow:     s.Min,
 		})
@@ -304,29 +273,19 @@ func (d NoiseDistribution) TailRatio() float64 {
 // distributions. The sampling sequence is identical to MeasureNoise at the
 // same seed and iteration count — the registry only observes.
 func MeasureNoiseDistributions(seed uint64, quantumSecs float64, iterations int) []NoiseDistribution {
-	if iterations <= 0 {
-		iterations = 5000
-	}
+	iterations = fwqIterations(iterations)
 	quantum := sim.DurationOf(quantumSecs)
 	if quantum <= 0 {
 		quantum = sim.Millisecond
 	}
-	profiles := []struct {
-		k Kernel
-		p *noise.Profile
-	}{
-		{Linux, noise.LinuxTuned()},
-		{McKernel, noise.McKernelProfile()},
-		{MOS, noise.MOSProfile()},
-	}
 	var out []NoiseDistribution
-	for _, e := range profiles {
+	for _, k := range Kernels() {
 		reg := metrics.NewRegistry()
-		noise.RunFWQTo(sim.NewRNG(seed), e.p, 1, quantum, iterations,
+		noise.RunFWQTo(sim.NewRNG(seed), noiseProfiles[k](), 1, quantum, iterations,
 			trace.NewSinkObs(nil, nil, reg))
 		h := reg.Histogram("fwq.detour_ns")
 		out = append(out, NoiseDistribution{
-			Kernel:   e.k,
+			Kernel:   k,
 			Count:    h.Count(),
 			MinNs:    h.Min(),
 			MaxNs:    h.Max(),
@@ -344,21 +303,12 @@ func MeasureNoiseDistributions(seed uint64, quantumSecs float64, iterations int)
 // NoiseSamplesMicros returns the raw FWQ iteration times (microseconds)
 // for one kernel — the distribution behind MeasureNoise, for histogramming.
 func NoiseSamplesMicros(k Kernel, seed uint64, iterations int) ([]float64, error) {
-	if iterations <= 0 {
-		iterations = 5000
-	}
-	var p *noise.Profile
-	switch k {
-	case Linux:
-		p = noise.LinuxTuned()
-	case McKernel:
-		p = noise.McKernelProfile()
-	case MOS:
-		p = noise.MOSProfile()
-	default:
+	iterations = fwqIterations(iterations)
+	newProfile, ok := noiseProfiles[k]
+	if !ok {
 		return nil, fmt.Errorf("mklite: unknown kernel %q", string(k))
 	}
-	r := noise.RunFWQ(sim.NewRNG(seed), p, 1, sim.Millisecond, iterations)
+	r := noise.RunFWQ(sim.NewRNG(seed), newProfile(), 1, sim.Millisecond, iterations)
 	return r.Samples, nil
 }
 

@@ -9,9 +9,9 @@
 // offloading) and mOS (thread-migration offloading) — an Omni-Path-like
 // fabric whose host driver needs kernel involvement, a hierarchical MPI
 // collective model, OS-noise generators, and phase-level workload models
-// of the paper's eight evaluation applications. On top of that, the
-// experiments API regenerates every table and figure of the evaluation
-// section.
+// of the paper's eight evaluation applications. This package runs one
+// application or one node model at a time; cmd/mkexperiments regenerates
+// every table and figure of the evaluation section.
 //
 // Quick start:
 //
@@ -195,6 +195,15 @@ func Apps() []AppInfo {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+// AppNodeCounts returns the node counts an app is evaluated on.
+func AppNodeCounts(appName string) ([]int, error) {
+	s, err := apps.Get(appName)
+	if err != nil {
+		return nil, err
+	}
+	return append([]int(nil), s.NodeCounts...), nil
 }
 
 // Result is one run's outcome.
@@ -411,8 +420,7 @@ func stepTrace(steps []cluster.StepRecord) []StepTrace {
 }
 
 // FormatCounters renders a counter map as aligned "name value" lines,
-// sorted by counter name — the human-readable form of Result.Counters and
-// Figure.Counters.
+// sorted by counter name — the human-readable form of Result.Counters.
 func FormatCounters(m map[string]int64) string { return trace.FormatCounters(m) }
 
 // Compare runs the application on all three kernels with the same seed. A

@@ -156,84 +156,6 @@ func TestMeasureNoise(t *testing.T) {
 	}
 }
 
-func TestConformanceFacade(t *testing.T) {
-	reports, rendered, err := Conformance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]int{"linux": 0, "mckernel": 32, "mos": 111}
-	for _, rep := range reports {
-		if rep.Failed != want[rep.Kernel] {
-			t.Fatalf("%s: %d failures", rep.Kernel, rep.Failed)
-		}
-		if rep.Total != 3328 {
-			t.Fatalf("total %d", rep.Total)
-		}
-	}
-	if !strings.Contains(rendered, "mckernel") {
-		t.Fatal("render")
-	}
-}
-
-func TestEvaluateLTPCase(t *testing.T) {
-	pass, reason, err := EvaluateLTPCase("brk-shrink-fault", MOS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pass || reason == "" {
-		t.Fatalf("mOS should fail brk-shrink-fault: pass=%v reason=%q", pass, reason)
-	}
-	pass, _, err = EvaluateLTPCase("brk-shrink-fault", Linux)
-	if err != nil || !pass {
-		t.Fatal("Linux should pass")
-	}
-	if _, _, err := EvaluateLTPCase("no-such-case", Linux); err == nil {
-		t.Fatal("unknown case accepted")
-	}
-}
-
-func TestReproduceTableIFacade(t *testing.T) {
-	rows, rendered, err := ReproduceTableI(ExperimentConfig{Reps: 2, Seed: 1, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 || rows[0].Percent != 100 {
-		t.Fatalf("rows: %+v", rows)
-	}
-	if !strings.Contains(rendered, "zones/s") {
-		t.Fatal("render")
-	}
-}
-
-func TestReproduceFigure5bFacade(t *testing.T) {
-	fig, err := ReproduceFigure5b(ExperimentConfig{Reps: 2, Seed: 1, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fig.Get("Linux") == nil || fig.Get("McKernel") == nil || fig.Get("mOS") == nil {
-		t.Fatal("missing series")
-	}
-	out := fig.Render()
-	if !strings.Contains(out, "fig5b") || !strings.Contains(out, "McKernel") {
-		t.Fatalf("render:\n%s", out)
-	}
-}
-
-func TestReproduceBrkTraceFacade(t *testing.T) {
-	traces, err := ReproduceBrkTrace(ExperimentConfig{Reps: 1, Seed: 1, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traces) != 3 {
-		t.Fatal("trace count")
-	}
-	for _, tr := range traces {
-		if tr.Calls != tr.Queries+tr.Grows+tr.Shrinks {
-			t.Fatal("call arithmetic")
-		}
-	}
-}
-
 func TestAppNodeCounts(t *testing.T) {
 	counts, err := AppNodeCounts("lulesh2.0")
 	if err != nil {
@@ -263,29 +185,6 @@ func TestQuadrantOption(t *testing.T) {
 	}
 	if quad.MCDRAMBytes == 0 {
 		t.Fatal("quadrant Linux did not use MCDRAM")
-	}
-}
-
-func TestReproduceQuadrantFacade(t *testing.T) {
-	rows, err := ReproduceQuadrant(ExperimentConfig{Reps: 2, Seed: 1, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 || rows[0].Percent != 100 {
-		t.Fatalf("rows: %+v", rows)
-	}
-}
-
-func TestReproduceCoreSpecializationFacade(t *testing.T) {
-	rows, err := ReproduceCoreSpecialization(ExperimentConfig{Reps: 2, Seed: 1, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatal("row count")
-	}
-	if rows[2].FOM <= rows[0].FOM {
-		t.Fatal("mOS-64 should beat Linux-68")
 	}
 }
 
@@ -355,16 +254,6 @@ func TestTraceOption(t *testing.T) {
 	}
 }
 
-func TestReproduceBrkTraceS30Facade(t *testing.T) {
-	res, err := ReproduceBrkTraceS30()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 3 || res[0].Calls != 12053 {
-		t.Fatalf("res: %+v", res)
-	}
-}
-
 func TestNoiseSamplesAndHistogram(t *testing.T) {
 	samples, err := NoiseSamplesMicros(Linux, 1, 2000)
 	if err != nil || len(samples) != 2000 {
@@ -376,24 +265,5 @@ func TestNoiseSamplesAndHistogram(t *testing.T) {
 	}
 	if _, err := NoiseSamplesMicros(Kernel("bad"), 1, 10); err == nil {
 		t.Fatal("bad kernel accepted")
-	}
-}
-
-func TestRelativeFacade(t *testing.T) {
-	fig, err := ReproduceFigure5b(ExperimentConfig{Reps: 2, Seed: 1, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := Relative(fig)
-	if rel.Get("Linux") != nil {
-		t.Fatal("baseline series kept")
-	}
-	mck := rel.Get("McKernel")
-	if mck == nil || mck.Unit != "x Linux" {
-		t.Fatalf("relative series: %+v", mck)
-	}
-	last := mck.Points[len(mck.Points)-1]
-	if last.Median < 2 {
-		t.Fatalf("relative miniFE at scale = %v, expected a cliff", last.Median)
 	}
 }

@@ -41,6 +41,7 @@ import (
 	"testing"
 	"time"
 
+	"mklite/internal/experiments"
 	"mklite/internal/fault"
 	"mklite/internal/fleet"
 	"mklite/internal/obs"
@@ -98,7 +99,7 @@ func benchOverhead(b *testing.B, minPairs int, budgetPct float64, base, probe fu
 
 // figure4Run returns a closure running one quick Figure 4 sweep at width 1
 // with the given config tweak.
-func figure4Run(b *testing.B, mutate func(*ExperimentConfig)) func() {
+func figure4Run(b *testing.B, mutate func(*experiments.Config)) func() {
 	b.Helper()
 	cfg := benchCfg()
 	cfg.Workers = 1
@@ -106,7 +107,7 @@ func figure4Run(b *testing.B, mutate func(*ExperimentConfig)) func() {
 		mutate(&cfg)
 	}
 	return func() {
-		figs, _, err := ReproduceFigure4(cfg)
+		figs, err := experiments.Figure4(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -123,7 +124,7 @@ func figure4Run(b *testing.B, mutate func(*ExperimentConfig)) func() {
 func BenchmarkCountersOverhead(b *testing.B) {
 	benchOverhead(b, 5, 5,
 		figure4Run(b, nil),
-		figure4Run(b, func(cfg *ExperimentConfig) { cfg.Counters = true }))
+		figure4Run(b, func(cfg *experiments.Config) { cfg.Counters = true }))
 }
 
 // BenchmarkFaultsOffOverhead attaches an empty fault.Plan to every job of
@@ -134,7 +135,7 @@ func BenchmarkCountersOverhead(b *testing.B) {
 func BenchmarkFaultsOffOverhead(b *testing.B) {
 	benchOverhead(b, 9, 2,
 		figure4Run(b, nil),
-		figure4Run(b, func(cfg *ExperimentConfig) { cfg.Faults = &fault.Plan{} }))
+		figure4Run(b, func(cfg *experiments.Config) { cfg.Faults = &fault.Plan{} }))
 }
 
 // BenchmarkObsOverhead runs the quick facility stream (64 nodes, 150 jobs,
@@ -167,7 +168,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 					Decisions:   obs.NewDecisionLog(),
 					JobCounters: true,
 				}
-				if cfg.SLO, err = obs.ParseSLO(DefaultFacilitySLO); err != nil {
+				if cfg.SLO, err = obs.ParseSLO(experiments.DefaultFacilitySLO); err != nil {
 					b.Fatal(err)
 				}
 			}
