@@ -47,20 +47,6 @@ func TestReproduceTableIFacade(t *testing.T) {
 	}
 }
 
-func TestReproduceFigure5bFacade(t *testing.T) {
-	fig, err := experiments.Figure5b(artifactCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fig.Get("Linux") == nil || fig.Get("McKernel") == nil || fig.Get("mOS") == nil {
-		t.Fatal("missing series")
-	}
-	out := fig.Render()
-	if !strings.Contains(out, "fig5b") || !strings.Contains(out, "McKernel") {
-		t.Fatalf("render:\n%s", out)
-	}
-}
-
 func TestReproduceBrkTraceFacade(t *testing.T) {
 	traces, err := experiments.BrkTrace(experiments.Config{Reps: 1, Seed: 1, Quick: true})
 	if err != nil {

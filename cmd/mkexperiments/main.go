@@ -27,11 +27,8 @@ import (
 	"slices"
 	"strings"
 
-	"mklite/internal/apps"
 	"mklite/internal/cliflags"
-	"mklite/internal/cluster"
 	"mklite/internal/experiments"
-	"mklite/internal/kernel"
 	"mklite/internal/stats"
 	"mklite/internal/trace"
 )
@@ -320,25 +317,15 @@ func runBrkTrace(w io.Writer, s *session) error {
 	return nil
 }
 
-// runCCSQCDDDR is part of the Figure 5a discussion: one McKernel run with
-// MCDRAM spill against one pinned to DDR4, at the base seed.
+// runCCSQCDDDR is part of the Figure 5a discussion: McKernel with MCDRAM
+// spill against McKernel pinned to DDR4, each the median of the repetitions.
 func runCCSQCDDDR(w io.Writer, s *session) error {
-	nodes := 2048
-	if s.cfg.Quick {
-		nodes = 64
-	}
-	job := cluster.Job{App: apps.CCSQCD(), Kernel: kernel.TypeMcKernel, Nodes: nodes, Seed: s.cfg.Seed}
-	spill, err := cluster.Run(job)
-	if err != nil {
-		return err
-	}
-	job.ForceDDROnly = true
-	ddr, err := cluster.Run(job)
+	res, err := experiments.CCSQCDDDROnly(s.cfg)
 	if err != nil {
 		return err
 	}
 	section(w, "Section IV: CCS-QCD on McKernel, DDR4-only vs MCDRAM spill", "(paper: ~5% slowdown at 2,048 nodes)")
-	fmt.Fprintf(w, "spill %.4g vs DDR-only %.4g: %.1f%% slowdown\n", spill.FOM, ddr.FOM, (1-ddr.FOM/spill.FOM)*100)
+	fmt.Fprintf(w, "spill %.4g vs DDR-only %.4g: %.1f%% slowdown\n", res.SpillFOM, res.DDROnlyFOM, res.SlowdownPercent)
 	return nil
 }
 

@@ -23,7 +23,7 @@ func main() {
 	var (
 		iters    = flag.Int("iters", 10000, "FWQ/FTQ iterations")
 		seed     = cliflags.Seed(flag.CommandLine)
-		ftq      = flag.Bool("ftq", false, "also run the fixed-time-quanta benchmark")
+		ftq      = flag.Bool("ftq", false, "also print the fixed-time-quanta utilisation of the same run")
 		hist     = flag.Bool("hist", false, "print the FWQ sample distribution per kernel")
 		counters = cliflags.Counters(flag.CommandLine)
 		metricsF = cliflags.Metrics(flag.CommandLine)
@@ -32,13 +32,14 @@ func main() {
 
 	fmt.Printf("FWQ, 1 ms work quanta, %d iterations per kernel\n\n", *iters)
 	fmt.Printf("%-10s %16s %18s\n", "kernel", "noise (mean %)", "max stretch (%)")
-	for _, s := range mklite.MeasureNoise(*seed, *iters) {
+	samples := mklite.MeasureNoise(*seed, *iters)
+	for _, s := range samples {
 		fmt.Printf("%-10s %16.5f %18.3f\n", s.Kernel, s.NoisePercent, s.MaxStretchPercent)
 	}
 	if *ftq {
 		fmt.Printf("\nFTQ, 1 ms windows, %d iterations per kernel\n\n", *iters)
 		fmt.Printf("%-10s %18s %18s\n", "kernel", "mean utilisation", "worst window")
-		for _, s := range mklite.MeasureUtilization(*seed, *iters) {
+		for _, s := range samples {
 			fmt.Printf("%-10s %18.6f %18.6f\n", s.Kernel, s.MeanUtilization, s.WorstWindow)
 		}
 	}

@@ -86,7 +86,7 @@ func TestFigure5bCliff(t *testing.T) {
 		t.Fatal(err)
 	}
 	lin, mck := fig.Get("Linux"), fig.Get("McKernel")
-	if lin == nil || mck == nil || fig.Get("mOS") == nil || !strings.Contains(fig.Render(), "fig5b") {
+	if lin == nil || mck == nil || fig.Get("mOS") == nil || !strings.Contains(fig.Render(), "fig5b") || !strings.Contains(fig.Render(), "McKernel") {
 		t.Fatalf("Figure 5b series:\n%s", fig.Render())
 	}
 	nodes := mck.NodeCounts()

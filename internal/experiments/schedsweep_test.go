@@ -95,26 +95,3 @@ func TestSchedSweepSeparatesPolicies(t *testing.T) {
 			pg.Median, pc.Median, top)
 	}
 }
-
-// TestSchedSweepLWKsBarelyMove: on McKernel the default policies' noise gap
-// is tiny (sub-1%) at every node count — the isolation argument. The
-// explicitly charged policies may add overhead but the default gap must not
-// silently grow.
-func TestSchedSweepLWKsBarelyMove(t *testing.T) {
-	figs, err := SchedSweep(sweepCfg(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range figs {
-		s := f.Get("McKernel/coop")
-		if s == nil {
-			t.Fatalf("%s: no McKernel/coop series", f.ID)
-		}
-		for _, p := range s.Points {
-			if p.Median >= 1 {
-				t.Fatalf("%s: McKernel/coop noise gap %.3f%% at %d nodes, want < 1%%",
-					f.ID, p.Median, p.Nodes)
-			}
-		}
-	}
-}

@@ -1,6 +1,8 @@
 package noise
 
 import (
+	"math"
+
 	"mklite/internal/sim"
 	"mklite/internal/stats"
 	"mklite/internal/trace"
@@ -64,27 +66,19 @@ func (r FWQResult) MaxStretchPercent() float64 {
 	return (s.Max - s.Min) / s.Min * 100
 }
 
-// FTQResult holds fixed-time-quantum samples: work completed per fixed
-// window, normalised to the ideal.
-type FTQResult struct {
-	Window  sim.Duration
-	Samples []float64 // fraction of the window spent on application work
-}
-
-// RunFTQ executes the Fixed Time Quanta benchmark: for iters windows of the
-// given length, measure the fraction of each window available to the
-// application after interference.
-func RunFTQ(rng *sim.RNG, p *Profile, core int, window sim.Duration, iters int) FTQResult {
-	res := FTQResult{Window: window, Samples: make([]float64, iters)}
-	for i := 0; i < iters; i++ {
-		stolen := p.DetourIn(rng, core, window)
-		if stolen > window {
-			stolen = window
-		}
-		res.Samples[i] = float64(window-stolen) / float64(window)
+// Utilization is the Fixed Time Quanta view of the same run: per iteration,
+// the fraction of the quantum left to the application once its detour is
+// taken, 1 − min(detour, quantum)/quantum (1.0 = noiseless). A detour is
+// drawn for a span of time whether that span is a work quantum or a fixed
+// window, so this is FTQ's utilisation at a window of one quantum, from the
+// FWQ run's own draws.
+func (r FWQResult) Utilization() stats.Summary {
+	u := make([]float64, len(r.Samples))
+	for i, us := range r.Samples {
+		// Samples hold whole nanoseconds in microseconds; rounding
+		// recovers the nanoseconds exactly.
+		detour := sim.Duration(math.Round(us*float64(sim.Microsecond))) - r.Quantum
+		u[i] = float64(r.Quantum-min(detour, r.Quantum)) / float64(r.Quantum)
 	}
-	return res
+	return stats.Summarize(u)
 }
-
-// Summary returns the per-window utilisation summary (1.0 = noiseless).
-func (r FTQResult) Summary() stats.Summary { return stats.Summarize(r.Samples) }

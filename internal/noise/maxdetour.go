@@ -13,42 +13,35 @@ import (
 // approximation is used (ROADMAP item 1, stage 2).
 const exactMaxRanks = 1024
 
-// MaxDetour samples the worst per-rank interference over `ranks` ranks
+// MaxDetourRank samples the worst per-rank interference over `ranks` ranks
 // during a window — the quantity a globally synchronising collective
-// (MPI_Allreduce, barrier) absorbs every round. This is the mechanism of
-// the paper's Linux cliffs: each rank's detour distribution is unchanged as
-// the system grows, but the *maximum* over 131,072 ranks climbs into the
-// heavy tail. A rank's detour is p.DetourIn on application core 1.
+// (MPI_Allreduce, barrier) absorbs every round — and which rank contributed
+// it, the straggler the collective waited for. This is the mechanism of the
+// paper's Linux cliffs: each rank's detour distribution is unchanged as the
+// system grows, but the *maximum* over 131,072 ranks climbs into the heavy
+// tail. A rank's detour is p.DetourIn on application core 1.
 //
 // It takes one of three paths:
 //   - At a window the profile has a dense-window table for (Tabulate), the
 //     maximum is one inverse-CDF lookup in the table of one rank's detour
 //     law, F_D⁻¹(U^{1/K}), at any rank count. The table is exact up to its
-//     grid (see denseTable).
+//     grid (see denseTable). The rank is drawn uniformly: ranks are
+//     independent and identically distributed, so the argmax is uniform and
+//     independent of the maximum.
 //   - Otherwise, up to exactMaxRanks ranks, the maximum is exact: it has the
 //     law of the largest of `ranks` independent single-rank detours,
-//     sampled by colouring each source's events onto ranks (exactMax).
+//     sampled by colouring each source's events onto ranks (exactMax). The
+//     rank is the lowest one whose detour is the maximum.
 //   - Otherwise it uses the order-statistic identity max(X_1..X_K) ~
 //     F^{-1}(U^{1/K}) per source component and sums the per-source maxima
 //     in place of the true max over ranks of each rank's summed detour.
 //     That is an approximation whose bias has no fixed sign: against exact
 //     sampling it reads high at K = 4,096 with 1 ms windows and low at
 //     K = 131,072 with 30 ms windows under a daemon storm (ROADMAP item 1,
-//     stage 2, which replaces it).
-func MaxDetour(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) sim.Duration {
-	d, _ := MaxDetourRank(rng, p, ranks, window)
-	return d
-}
-
-// MaxDetourRank is MaxDetour that also reports which rank contributed the
-// maximum — the straggler a collective waited for. On the table path it is
-// a uniformly drawn rank: ranks are independent and identically
-// distributed, so the argmax is uniform and independent of the maximum. On
-// the exact path it is the lowest rank whose detour is the maximum. Both
-// report -1 when the maximum is 0. On the order-statistic path individual
-// ranks are never materialised, so the rank is -1 (source-level
-// attribution only). The sampling sequence is identical to MaxDetour's, so
-// callers may switch between them without perturbing the run.
+//     stage 2, which replaces it). Individual ranks are never materialised,
+//     so the rank is -1 (source-level attribution only).
+//
+// The rank is -1 when the maximum is 0.
 func MaxDetourRank(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) (sim.Duration, int) {
 	if ranks <= 0 || window <= 0 {
 		return 0, -1
@@ -130,7 +123,7 @@ func sourceMax(rng *sim.RNG, s *Source, ranks int, window sim.Duration) sim.Dura
 	}
 	lambda := float64(window) / float64(s.Period)
 	// Total occurrences across the whole job.
-	k := float64(poisson(rng, float64(ranks)*lambda))
+	k := float64(rng.Poisson(float64(ranks) * lambda))
 	if k < 1 {
 		return 0
 	}
@@ -144,7 +137,7 @@ func sourceMax(rng *sim.RNG, s *Source, ranks int, window sim.Duration) sim.Dura
 	}
 	// Heavy-tail component maximum.
 	if s.TailProb > 0 {
-		kt := float64(poisson(rng, k*s.TailProb))
+		kt := float64(rng.Poisson(k * s.TailProb))
 		if kt >= 1 {
 			u := math.Pow(rng.Float64(), 1/kt)
 			tail := sim.DurationOf(s.TailScale.Seconds() / math.Pow(1-u, 1/s.TailAlpha))

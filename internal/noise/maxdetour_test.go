@@ -40,17 +40,23 @@ func TestNormInvAgainstSampler(t *testing.T) {
 	}
 }
 
+// maxDetour is MaxDetourRank's maximum alone.
+func maxDetour(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) sim.Duration {
+	d, _ := MaxDetourRank(rng, p, ranks, window)
+	return d
+}
+
 func TestMaxDetourZeroCases(t *testing.T) {
 	p := LinuxTuned()
 	rng := sim.NewRNG(1)
-	if MaxDetour(rng, p, 0, sim.Millisecond) != 0 {
+	if maxDetour(rng, p, 0, sim.Millisecond) != 0 {
 		t.Fatal("zero ranks")
 	}
-	if MaxDetour(rng, p, 64, 0) != 0 {
+	if maxDetour(rng, p, 64, 0) != 0 {
 		t.Fatal("zero window")
 	}
 	quiet := &Profile{Name: "quiet"}
-	if MaxDetour(rng, quiet, 1<<20, sim.Second) != 0 {
+	if maxDetour(rng, quiet, 1<<20, sim.Second) != 0 {
 		t.Fatal("quiet profile")
 	}
 }
@@ -64,7 +70,7 @@ func TestMaxDetourGrowsWithRanks(t *testing.T) {
 	med := func(ranks int) float64 {
 		var xs []float64
 		for i := 0; i < 200; i++ {
-			xs = append(xs, float64(MaxDetour(rng, p, ranks, window)))
+			xs = append(xs, float64(maxDetour(rng, p, ranks, window)))
 		}
 		return stats.Median(xs)
 	}
@@ -80,7 +86,7 @@ func TestMaxDetourLWKStaysTiny(t *testing.T) {
 	window := 10 * sim.Millisecond
 	var worst sim.Duration
 	for i := 0; i < 100; i++ {
-		if d := MaxDetour(rng, p, 131072, window); d > worst {
+		if d := maxDetour(rng, p, 131072, window); d > worst {
 			worst = d
 		}
 	}
@@ -100,7 +106,7 @@ func TestMaxDetourApproxConsistentWithExact(t *testing.T) {
 		rng := sim.NewRNG(seed)
 		var xs []float64
 		for i := 0; i < 300; i++ {
-			xs = append(xs, float64(MaxDetour(rng, p, ranks, window)))
+			xs = append(xs, float64(maxDetour(rng, p, ranks, window)))
 		}
 		return stats.Median(xs)
 	}
@@ -122,7 +128,7 @@ func TestMaxDetourCoreFilteredSourceExcluded(t *testing.T) {
 		CoreFilter: func(core int) bool { return core == 0 },
 	}}}
 	rng := sim.NewRNG(6)
-	if d := MaxDetour(rng, p, 1<<20, 10*sim.Millisecond); d != 0 {
+	if d := maxDetour(rng, p, 1<<20, 10*sim.Millisecond); d != 0 {
 		t.Fatalf("filtered source leaked %v", d)
 	}
 }
@@ -137,7 +143,7 @@ func TestMaxDetourAtLeastSingleRankDetour(t *testing.T) {
 	const n = 300
 	for i := 0; i < n; i++ {
 		one += float64(p.DetourIn(rng, 1, window))
-		many += float64(MaxDetour(rng, p, 65536, window))
+		many += float64(maxDetour(rng, p, 65536, window))
 	}
 	if many <= one {
 		t.Fatalf("max over 64k ranks (%v) not above single rank (%v)", many/n, one/n)
@@ -274,7 +280,7 @@ func FuzzColourMaxMatchesRef(f *testing.F) {
 
 // The colouring path has the law of the retired per-rank walk: over the 12
 // cells storm off/on × 1/30 ms windows × K ∈ {1, 64, 1,024}, the two-sample
-// KS distance between MaxDetour's draws and refLoopMax's stays below the
+// KS distance between MaxDetourRank's draws and refLoopMax's stays below the
 // 99% critical value (20,000 draws per side, 4,000 at K = 1,024). The cells
 // run in parallel, each on its own profile instances.
 func TestColourMaxMatchesLoopInLaw(t *testing.T) {
@@ -302,7 +308,7 @@ func TestColourMaxMatchesLoopInLaw(t *testing.T) {
 					rng, refRNG := sim.NewRNG(sim.StreamSeed(51, cell)), sim.NewRNG(sim.StreamSeed(52, cell))
 					got, want := make([]float64, n), make([]float64, n)
 					for i := range got {
-						got[i] = float64(MaxDetour(rng, p, k, window))
+						got[i] = float64(maxDetour(rng, p, k, window))
 						d, _ := refLoopMax(refRNG, ref, k, window)
 						want[i] = float64(d)
 					}

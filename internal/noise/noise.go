@@ -236,13 +236,6 @@ func (s *Source) ExpectedRate() float64 {
 	return float64(s.Mean) / float64(s.Period)
 }
 
-// poisson draws a Poisson variate. The algorithm lives on sim.RNG so the
-// fault injector draws occurrence counts from the identical distribution
-// code; the draw sequence is unchanged by the delegation.
-func poisson(rng *sim.RNG, lambda float64) int {
-	return rng.Poisson(lambda)
-}
-
 // Profile is a named set of noise sources — the interference signature of
 // one kernel configuration.
 type Profile struct {

@@ -64,14 +64,14 @@ func TestPoissonMean(t *testing.T) {
 		sum := 0
 		const n = 20000
 		for i := 0; i < n; i++ {
-			sum += poisson(rng, lambda)
+			sum += rng.Poisson(lambda)
 		}
 		mean := float64(sum) / n
 		if math.Abs(mean-lambda)/lambda > 0.05 {
 			t.Fatalf("poisson(%v) mean = %v", lambda, mean)
 		}
 	}
-	if poisson(rng, 0) != 0 || poisson(rng, -1) != 0 {
+	if rng.Poisson(0) != 0 || rng.Poisson(-1) != 0 {
 		t.Fatal("poisson of non-positive lambda")
 	}
 }
@@ -168,21 +168,19 @@ func TestFWQSampleCountAndQuantum(t *testing.T) {
 }
 
 func TestFTQUtilisationBounds(t *testing.T) {
-	r := RunFTQ(sim.NewRNG(10), LinuxTuned(), 1, sim.Millisecond, 1000)
-	for _, s := range r.Samples {
-		if s < 0 || s > 1 {
-			t.Fatalf("utilisation %v out of [0,1]", s)
-		}
+	u := RunFWQ(sim.NewRNG(10), LinuxTuned(), 1, sim.Millisecond, 1000).Utilization()
+	if u.Min < 0 || u.Max > 1 {
+		t.Fatalf("utilisation spans [%v, %v], outside [0,1]", u.Min, u.Max)
 	}
-	if r.Summary().Mean > 1 {
+	if u.Mean > 1 {
 		t.Fatal("mean utilisation above 1")
 	}
 }
 
 func TestFTQLWKNearIdeal(t *testing.T) {
-	r := RunFTQ(sim.NewRNG(11), McKernelProfile(), 1, sim.Millisecond, 1000)
-	if r.Summary().Mean < 0.999 {
-		t.Fatalf("LWK FTQ utilisation %v, want ~1", r.Summary().Mean)
+	u := RunFWQ(sim.NewRNG(11), McKernelProfile(), 1, sim.Millisecond, 1000).Utilization()
+	if u.Mean < 0.999 {
+		t.Fatalf("LWK FTQ utilisation %v, want ~1", u.Mean)
 	}
 }
 

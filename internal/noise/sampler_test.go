@@ -231,7 +231,7 @@ func TestMaxDetourMatchesReference(t *testing.T) {
 				rng, ref := sim.NewRNG(sim.StreamSeed(41, seed)), sim.NewRNG(sim.StreamSeed(42, seed))
 				got, want := make([]float64, tc.n), make([]float64, tc.n)
 				for k := range got {
-					got[k] = float64(MaxDetour(rng, p, tc.ranks, window))
+					got[k] = float64(maxDetour(rng, p, tc.ranks, window))
 					want[k] = float64(refMaxDetour(ref, p, tc.ranks, window))
 				}
 				d, crit := ksDistance(got, want), ksCritical99(tc.n, tc.n)

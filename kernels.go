@@ -64,6 +64,11 @@ type NoiseSample struct {
 	NoisePercent float64
 	// MaxStretchPercent is the worst single iteration's slowdown.
 	MaxStretchPercent float64
+	// MeanUtilization and WorstWindow are the FTQ (fixed time quanta)
+	// view of the same detours: the mean and the smallest fraction of a
+	// 1 ms window left to the application (1.0 = noiseless).
+	MeanUtilization float64
+	WorstWindow     float64
 }
 
 // noiseProfiles maps each kernel to the constructor of its application-core
@@ -83,17 +88,21 @@ func fwqIterations(n int) int {
 }
 
 // MeasureNoise runs the FWQ microbenchmark (1 ms quanta) on each kernel's
-// noise profile.
+// noise profile. Kernel i draws from the i-th Split of sim.NewRNG(seed), in
+// Kernels() order.
 func MeasureNoise(seed uint64, iterations int) []NoiseSample {
 	iterations = fwqIterations(iterations)
 	rng := sim.NewRNG(seed)
 	var out []NoiseSample
 	for _, k := range Kernels() {
 		r := noise.RunFWQ(rng.Split(), noiseProfiles[k](), 1, sim.Millisecond, iterations)
+		u := r.Utilization()
 		out = append(out, NoiseSample{
 			Kernel:            k,
 			NoisePercent:      r.NoisePercent(),
 			MaxStretchPercent: r.MaxStretchPercent(),
+			MeanUtilization:   u.Mean,
+			WorstWindow:       u.Min,
 		})
 	}
 	return out
@@ -102,8 +111,10 @@ func MeasureNoise(seed uint64, iterations int) []NoiseSample {
 // NoiseSourceBreakdown attributes an FWQ run's total detour to the noise
 // sources that caused it (timer ticks, daemons, kworkers, ...): source name
 // to stolen seconds over the whole run. The attribution rides the trace
-// subsystem's counters, so the sampling sequence — and therefore every
-// NoiseSample metric — is identical to MeasureNoise at the same seed.
+// subsystem's counters. The run draws from sim.NewRNG(seed) itself, not
+// from MeasureNoise's per-kernel Split, so it is a different run of the
+// same profile from the one MeasureNoise reports; it draws the same as
+// MeasureNoiseDistributions and NoiseSamplesMicros at the same seed.
 func NoiseSourceBreakdown(k Kernel, seed uint64, iterations int) (map[string]float64, error) {
 	iterations = fwqIterations(iterations)
 	newProfile, ok := noiseProfiles[k]
@@ -212,35 +223,6 @@ func SimulateNode(k Kernel, cfg NodeSimConfig) (NodeSimResult, error) {
 	return out, nil
 }
 
-// UtilizationSample holds an FTQ (fixed time quanta) measurement: the
-// fraction of each fixed window available to the application.
-type UtilizationSample struct {
-	Kernel Kernel
-	// MeanUtilization is the average fraction of the window spent on
-	// application work (1.0 = noiseless).
-	MeanUtilization float64
-	// WorstWindow is the minimum utilisation observed.
-	WorstWindow float64
-}
-
-// MeasureUtilization runs the FTQ microbenchmark (1 ms windows) on each
-// kernel's noise profile.
-func MeasureUtilization(seed uint64, iterations int) []UtilizationSample {
-	iterations = fwqIterations(iterations)
-	rng := sim.NewRNG(seed)
-	var out []UtilizationSample
-	for _, k := range Kernels() {
-		r := noise.RunFTQ(rng.Split(), noiseProfiles[k](), 1, sim.Millisecond, iterations)
-		s := r.Summary()
-		out = append(out, UtilizationSample{
-			Kernel:          k,
-			MeanUtilization: s.Mean,
-			WorstWindow:     s.Min,
-		})
-	}
-	return out
-}
-
 // NoiseDistribution is one kernel's FWQ detour distribution measured
 // through the metrics histogram path: every positive per-iteration detour
 // recorded into a log-bucketed histogram, with the headline percentiles in
@@ -270,8 +252,9 @@ func (d NoiseDistribution) TailRatio() float64 {
 
 // MeasureNoiseDistributions runs the FWQ microbenchmark on each kernel's
 // noise profile with a metrics registry attached and returns the detour
-// distributions. The sampling sequence is identical to MeasureNoise at the
-// same seed and iteration count — the registry only observes.
+// distributions. Each kernel draws from sim.NewRNG(seed), as in
+// NoiseSourceBreakdown and NoiseSamplesMicros, not from MeasureNoise's
+// per-kernel Split; the registry only observes.
 func MeasureNoiseDistributions(seed uint64, quantumSecs float64, iterations int) []NoiseDistribution {
 	iterations = fwqIterations(iterations)
 	quantum := sim.DurationOf(quantumSecs)
@@ -301,7 +284,9 @@ func MeasureNoiseDistributions(seed uint64, quantumSecs float64, iterations int)
 }
 
 // NoiseSamplesMicros returns the raw FWQ iteration times (microseconds)
-// for one kernel — the distribution behind MeasureNoise, for histogramming.
+// for one kernel, for histogramming. The run draws from sim.NewRNG(seed),
+// as in NoiseSourceBreakdown and MeasureNoiseDistributions: the same law as
+// MeasureNoise's run of that kernel, but other draws.
 func NoiseSamplesMicros(k Kernel, seed uint64, iterations int) ([]float64, error) {
 	iterations = fwqIterations(iterations)
 	newProfile, ok := noiseProfiles[k]

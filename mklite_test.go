@@ -219,8 +219,10 @@ func TestSimulateNode(t *testing.T) {
 	}
 }
 
+// TestMeasureUtilization checks MeasureNoise's FTQ view: utilisation in
+// (0, 1], the worst window no better than the mean, McKernel above Linux.
 func TestMeasureUtilization(t *testing.T) {
-	samples := MeasureUtilization(1, 2000)
+	samples := MeasureNoise(1, 2000)
 	if len(samples) != 3 {
 		t.Fatal("sample count")
 	}
