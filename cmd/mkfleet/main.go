@@ -80,15 +80,11 @@ func main() {
 		}
 		cfg.Interference = plan
 	}
-	kind, err := cliflags.ParseSched(*schedF)
-	if err != nil {
-		fatal(err)
-	}
-	withSched := func(p fleet.KernelPolicy) fleet.KernelPolicy {
-		if kind == "" {
-			return p
-		}
-		return fleet.WithSched(p, kind)
+	// -sched becomes the policy name's ":<sched>" suffix, so ParsePolicy
+	// validates it and rejects a name that already pins a scheduler.
+	schedSuffix := ""
+	if *schedF != "" {
+		schedSuffix = ":" + *schedF
 	}
 
 	obsOn := *obsTimeline != "" || *obsDecisions != "" || *obsJobCtrs || *obsJobEvents || *obsSLO != ""
@@ -120,12 +116,12 @@ func main() {
 	if *compare {
 		results := make([]*fleet.Result, 0, len(fleet.PolicyNames()))
 		for _, name := range fleet.PolicyNames() {
-			pol, err := fleet.ParsePolicy(name, cfg.Seed, cfg.Workers, cfg.Interference)
+			pol, err := fleet.ParsePolicy(name+schedSuffix, cfg.Seed, cfg.Workers, cfg.Interference)
 			if err != nil {
 				fatal(err)
 			}
 			c := cfg
-			c.Policy = withSched(pol)
+			c.Policy = pol
 			res, err := fleet.Run(c)
 			if err != nil {
 				fatal(err)
@@ -146,11 +142,11 @@ func main() {
 		return
 	}
 
-	pol, err := fleet.ParsePolicy(*policy, cfg.Seed, cfg.Workers, cfg.Interference)
+	pol, err := fleet.ParsePolicy(*policy+schedSuffix, cfg.Seed, cfg.Workers, cfg.Interference)
 	if err != nil {
 		fatal(err)
 	}
-	cfg.Policy = withSched(pol)
+	cfg.Policy = pol
 	res, err := fleet.Run(cfg)
 	if err != nil {
 		fatal(err)

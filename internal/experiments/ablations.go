@@ -52,7 +52,7 @@ func Ablations(cfg Config) (AblationResults, error) {
 		"mos":           noise.MOSProfile(),
 	}
 	for _, name := range slices.Sorted(maps.Keys(profiles)) {
-		fwq := noise.RunFWQ(rng.Split(), profiles[name], 1, sim.Millisecond, 5000)
+		fwq := noise.RunFWQ(rng.Split(), profiles[name], 1, sim.Millisecond, 5000, nil)
 		res.FWQNoisePercent[name] = fwq.NoisePercent()
 	}
 

@@ -57,9 +57,9 @@ type schedOverride struct {
 	kind sched.Kind
 }
 
-// WithSched wraps a policy so every selected kernel boots with the given
+// withSched wraps a policy so every selected kernel boots with the given
 // scheduler instead of its default.
-func WithSched(p KernelPolicy, kind sched.Kind) KernelPolicy {
+func withSched(p KernelPolicy, kind sched.Kind) KernelPolicy {
 	return schedOverride{base: p, kind: kind}
 }
 
@@ -239,7 +239,7 @@ func ParsePolicy(name string, seed uint64, workers int, interference *fault.Plan
 		return nil, fmt.Errorf("fleet: unknown kernel policy %q (known: %v, each with an optional :<sched> suffix)", name, PolicyNames())
 	}
 	if hasSched {
-		pol = WithSched(pol, kind)
+		pol = withSched(pol, kind)
 	}
 	return pol, nil
 }

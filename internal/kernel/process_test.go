@@ -268,6 +268,13 @@ func TestProcessExitReleasesMemory(t *testing.T) {
 	k := newTestKernel(t, false)
 	p, _ := NewProcess(k, 1, hw.GiB)
 	p.Mmap(32*hw.MiB, mem.VMAAnon)
+	v, _ := p.Mmap(8*hw.MiB, mem.VMAAnon)
+	if _, err := p.SetMempolicy(v, []int{4}); err != nil {
+		t.Fatal(err)
+	}
+	if k.Phys().UsedBytes(4) == 0 {
+		t.Fatal("no MCDRAM in use before exit")
+	}
 	p.Exit()
 	for d := 0; d < 8; d++ {
 		if k.Phys().UsedBytes(d) != 0 {

@@ -203,71 +203,3 @@ func TestNoiseIsQuiet(t *testing.T) {
 		t.Fatalf("McKernel noise rate %v too high", k.Noise().ExpectedRate(1))
 	}
 }
-
-func TestLaunchBindsRanksNUMAAware(t *testing.T) {
-	k := deploy(t, DefaultOptions())
-	job, err := k.Launch(16, hw.GiB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer job.Exit()
-	if len(job.Ranks()) != 16 {
-		t.Fatalf("%d ranks", len(job.Ranks()))
-	}
-	seen := map[int]bool{}
-	quads := map[int]int{}
-	node := k.Partition().Node
-	for _, r := range job.Ranks() {
-		if seen[r.Core] {
-			t.Fatalf("core %d double-booked", r.Core)
-		}
-		seen[r.Core] = true
-		if r.Proc.Proxy == nil {
-			t.Fatalf("rank %d has no proxy", r.ID)
-		}
-		// The offload target is NUMA-nearest: same-quadrant when an
-		// OS core is local, else the closest.
-		if r.OSCore < 0 || r.OSCore > 3 {
-			t.Fatalf("rank %d offloads to core %d", r.ID, r.OSCore)
-		}
-		quads[node.Cores[r.Core].Domain]++
-	}
-	// Block distribution spreads over all four quadrants.
-	if len(quads) != 4 {
-		t.Fatalf("ranks concentrated: %v", quads)
-	}
-}
-
-func TestLaunchValidation(t *testing.T) {
-	k := deploy(t, DefaultOptions())
-	if _, err := k.Launch(0, hw.GiB); err == nil {
-		t.Fatal("zero ranks accepted")
-	}
-	if _, err := k.Launch(1000, hw.GiB); err == nil {
-		t.Fatal("oversubscription accepted")
-	}
-}
-
-func TestLaunchExitReleasesEverything(t *testing.T) {
-	k := deploy(t, DefaultOptions())
-	before := k.Phys().FreeBytes(4)
-	job, err := k.Launch(8, hw.GiB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range job.Ranks() {
-		if _, err := r.Proc.Mmap(64*hw.MiB, mem.VMAAnon); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if job.MCDRAMResident() == 0 {
-		t.Fatal("launched ranks did not use MCDRAM")
-	}
-	job.Exit()
-	if k.Phys().FreeBytes(4) != before {
-		t.Fatal("exit leaked MCDRAM")
-	}
-	if job.TotalSyscallTime() != 0 {
-		t.Fatal("exited job still reports ranks")
-	}
-}

@@ -169,57 +169,3 @@ func TestMOSSlightlyNoisierThanMcKernel(t *testing.T) {
 		t.Fatal("mOS noise floor should be nonzero")
 	}
 }
-
-func TestLaunchDividesResources(t *testing.T) {
-	k := boot(t, DefaultConfig())
-	job, err := k.Launch(4, hw.GiB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer job.Exit()
-	if len(job.Ranks()) != 4 {
-		t.Fatalf("%d ranks", len(job.Ranks()))
-	}
-	// Each rank's MCDRAM slice is a quarter of the grant.
-	for _, r := range job.Ranks() {
-		if r.Budget[4] != k.Phys().Capacity(4)/4 {
-			t.Fatalf("rank %d MCDRAM budget %d", r.ID, r.Budget[4])
-		}
-	}
-	// Cores spread across quadrants, no double booking.
-	seen := map[int]bool{}
-	for _, r := range job.Ranks() {
-		if seen[r.Core] {
-			t.Fatal("core double-booked")
-		}
-		seen[r.Core] = true
-	}
-}
-
-func TestLaunchBudgetEnforced(t *testing.T) {
-	k := boot(t, DefaultConfig())
-	job, err := k.Launch(4, hw.GiB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer job.Exit()
-	r := job.Ranks()[0]
-	// Within budget: fine.
-	if _, err := job.MapWithinBudget(r, 1*hw.GiB, mem.VMAAnon); err != nil {
-		t.Fatal(err)
-	}
-	// The whole node's memory is far beyond one rank's quarter slice.
-	if _, err := job.MapWithinBudget(r, 60*hw.GiB, mem.VMAAnon); err == nil {
-		t.Fatal("budget not enforced")
-	}
-}
-
-func TestLaunchValidationMOS(t *testing.T) {
-	k := boot(t, DefaultConfig())
-	if _, err := k.Launch(0, hw.GiB); err == nil {
-		t.Fatal("zero ranks accepted")
-	}
-	if _, err := k.Launch(500, hw.GiB); err == nil {
-		t.Fatal("oversubscription accepted")
-	}
-}

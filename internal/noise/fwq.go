@@ -17,14 +17,10 @@ type FWQResult struct {
 
 // RunFWQ executes the Fixed Work Quanta benchmark: iters iterations of a
 // loop whose pure compute time is quantum, on the given core under the
-// given noise profile. Interference stretches individual iterations.
-func RunFWQ(rng *sim.RNG, p *Profile, core int, quantum sim.Duration, iters int) FWQResult {
-	return RunFWQTo(rng, p, core, quantum, iters, nil)
-}
-
-// RunFWQTo is RunFWQ with per-source detour attribution into a trace sink
-// (nil sink = exactly RunFWQ, same draws, same samples).
-func RunFWQTo(rng *sim.RNG, p *Profile, core int, quantum sim.Duration, iters int, sink *trace.Sink) FWQResult {
+// given noise profile. Interference stretches individual iterations. A sink
+// receives per-source detour attribution and the detour and iteration
+// distributions; it only observes (a nil sink draws the same samples).
+func RunFWQ(rng *sim.RNG, p *Profile, core int, quantum sim.Duration, iters int, sink *trace.Sink) FWQResult {
 	res := FWQResult{Quantum: quantum, Samples: make([]float64, iters)}
 	for i := 0; i < iters; i++ {
 		detour := p.DetourInTo(rng, core, quantum, sink)

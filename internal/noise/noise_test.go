@@ -141,8 +141,8 @@ func TestDeterministicSampling(t *testing.T) {
 func TestFWQSeparatesKernels(t *testing.T) {
 	rng := sim.NewRNG(8)
 	q := 1 * sim.Millisecond
-	lwk := RunFWQ(rng.Split(), McKernelProfile(), 1, q, 2000)
-	lin := RunFWQ(rng.Split(), LinuxTuned(), 1, q, 2000)
+	lwk := RunFWQ(rng.Split(), McKernelProfile(), 1, q, 2000, nil)
+	lin := RunFWQ(rng.Split(), LinuxTuned(), 1, q, 2000, nil)
 	if lwk.NoisePercent() >= lin.NoisePercent() {
 		t.Fatalf("FWQ: lwk %.4f%% >= linux %.4f%%", lwk.NoisePercent(), lin.NoisePercent())
 	}
@@ -152,7 +152,7 @@ func TestFWQSeparatesKernels(t *testing.T) {
 }
 
 func TestFWQSampleCountAndQuantum(t *testing.T) {
-	r := RunFWQ(sim.NewRNG(9), McKernelProfile(), 0, sim.Millisecond, 100)
+	r := RunFWQ(sim.NewRNG(9), McKernelProfile(), 0, sim.Millisecond, 100, nil)
 	if len(r.Samples) != 100 {
 		t.Fatalf("samples = %d", len(r.Samples))
 	}
@@ -168,7 +168,7 @@ func TestFWQSampleCountAndQuantum(t *testing.T) {
 }
 
 func TestFTQUtilisationBounds(t *testing.T) {
-	u := RunFWQ(sim.NewRNG(10), LinuxTuned(), 1, sim.Millisecond, 1000).Utilization()
+	u := RunFWQ(sim.NewRNG(10), LinuxTuned(), 1, sim.Millisecond, 1000, nil).Utilization()
 	if u.Min < 0 || u.Max > 1 {
 		t.Fatalf("utilisation spans [%v, %v], outside [0,1]", u.Min, u.Max)
 	}
@@ -178,7 +178,7 @@ func TestFTQUtilisationBounds(t *testing.T) {
 }
 
 func TestFTQLWKNearIdeal(t *testing.T) {
-	u := RunFWQ(sim.NewRNG(11), McKernelProfile(), 1, sim.Millisecond, 1000).Utilization()
+	u := RunFWQ(sim.NewRNG(11), McKernelProfile(), 1, sim.Millisecond, 1000, nil).Utilization()
 	if u.Mean < 0.999 {
 		t.Fatalf("LWK FTQ utilisation %v, want ~1", u.Mean)
 	}
@@ -186,7 +186,7 @@ func TestFTQLWKNearIdeal(t *testing.T) {
 
 func TestNoisePercentZeroOnQuiet(t *testing.T) {
 	quiet := &Profile{Name: "none"}
-	r := RunFWQ(sim.NewRNG(12), quiet, 0, sim.Millisecond, 50)
+	r := RunFWQ(sim.NewRNG(12), quiet, 0, sim.Millisecond, 50, nil)
 	if r.NoisePercent() != 0 {
 		t.Fatalf("quiet profile noise %v", r.NoisePercent())
 	}

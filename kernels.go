@@ -1,7 +1,6 @@
 package mklite
 
 import (
-	"fmt"
 	"strings"
 
 	"mklite/internal/cluster"
@@ -10,7 +9,6 @@ import (
 	"mklite/internal/nodesim"
 	"mklite/internal/noise"
 	"mklite/internal/sim"
-	"mklite/internal/stats"
 	"mklite/internal/trace"
 )
 
@@ -56,7 +54,9 @@ func Describe(k Kernel) (KernelInfo, error) {
 	}, nil
 }
 
-// NoiseSample holds an FWQ measurement of one kernel's application cores.
+// NoiseSample holds an FWQ measurement of one kernel's application cores:
+// the FWQ and FTQ statistics, the per-source attribution and the detour
+// distribution, all of one run.
 type NoiseSample struct {
 	Kernel Kernel
 	// NoisePercent is the FWQ metric: mean slowdown over the minimum
@@ -69,6 +69,27 @@ type NoiseSample struct {
 	// 1 ms window left to the application (1.0 = noiseless).
 	MeanUtilization float64
 	WorstWindow     float64
+	// Sources attributes the run's total detour to the noise sources that
+	// caused it (timer ticks, daemons, kworkers, ...): source name to
+	// stolen seconds. The attribution rides the trace counters.
+	Sources map[string]float64
+	// Detours counts the detoured iterations; the percentiles and MaxNs
+	// describe their detours (ns) through the metrics histogram path.
+	Detours                     int64
+	P50Ns, P90Ns, P99Ns, P999Ns float64
+	MaxNs                       int64
+	// Samples are the iteration times in microseconds.
+	Samples []float64
+}
+
+// TailRatio returns p99.9 over p50 of the detours (0 when the median is
+// 0): the paper's noise fingerprint. Linux's daemon tail pushes it past
+// 10x while the LWKs' residual housekeeping keeps it small.
+func (s NoiseSample) TailRatio() float64 {
+	if s.P50Ns == 0 {
+		return 0
+	}
+	return s.P999Ns / s.P50Ns
 }
 
 // noiseProfiles maps each kernel to the constructor of its application-core
@@ -79,60 +100,44 @@ var noiseProfiles = map[Kernel]func() *noise.Profile{
 	MOS:      noise.MOSProfile,
 }
 
-// fwqIterations defaults a non-positive FWQ/FTQ iteration count to 5,000.
-func fwqIterations(n int) int {
-	if n <= 0 {
-		return 5000
-	}
-	return n
-}
-
-// MeasureNoise runs the FWQ microbenchmark (1 ms quanta) on each kernel's
-// noise profile. Kernel i draws from the i-th Split of sim.NewRNG(seed), in
-// Kernels() order.
+// MeasureNoise runs the FWQ microbenchmark (1 ms quanta) once on each
+// kernel's noise profile, every kernel drawing from sim.NewRNG(seed), with
+// a sink whose counters and metrics registry only observe. A non-positive
+// iteration count means 5,000.
 func MeasureNoise(seed uint64, iterations int) []NoiseSample {
-	iterations = fwqIterations(iterations)
-	rng := sim.NewRNG(seed)
+	if iterations <= 0 {
+		iterations = 5000
+	}
 	var out []NoiseSample
 	for _, k := range Kernels() {
-		r := noise.RunFWQ(rng.Split(), noiseProfiles[k](), 1, sim.Millisecond, iterations)
+		ctrs, reg := trace.NewCounters(), metrics.NewRegistry()
+		r := noise.RunFWQ(sim.NewRNG(seed), noiseProfiles[k](), 1, sim.Millisecond, iterations,
+			trace.NewSinkObs(ctrs, nil, reg))
 		u := r.Utilization()
-		out = append(out, NoiseSample{
+		h := reg.Histogram("fwq.detour_ns")
+		s := NoiseSample{
 			Kernel:            k,
 			NoisePercent:      r.NoisePercent(),
 			MaxStretchPercent: r.MaxStretchPercent(),
 			MeanUtilization:   u.Mean,
 			WorstWindow:       u.Min,
-		})
+			Sources:           map[string]float64{},
+			Detours:           h.Count(),
+			P50Ns:             h.Percentile(50),
+			P90Ns:             h.Percentile(90),
+			P99Ns:             h.Percentile(99),
+			P999Ns:            h.Percentile(99.9),
+			MaxNs:             h.Max(),
+			Samples:           r.Samples,
+		}
+		for _, name := range ctrs.Names() {
+			if src, ok := strings.CutPrefix(name, "noise.src."); ok {
+				s.Sources[strings.TrimSuffix(src, "_ns")] = sim.Duration(ctrs.Get(name)).Seconds()
+			}
+		}
+		out = append(out, s)
 	}
 	return out
-}
-
-// NoiseSourceBreakdown attributes an FWQ run's total detour to the noise
-// sources that caused it (timer ticks, daemons, kworkers, ...): source name
-// to stolen seconds over the whole run. The attribution rides the trace
-// subsystem's counters. The run draws from sim.NewRNG(seed) itself, not
-// from MeasureNoise's per-kernel Split, so it is a different run of the
-// same profile from the one MeasureNoise reports; it draws the same as
-// MeasureNoiseDistributions and NoiseSamplesMicros at the same seed.
-func NoiseSourceBreakdown(k Kernel, seed uint64, iterations int) (map[string]float64, error) {
-	iterations = fwqIterations(iterations)
-	newProfile, ok := noiseProfiles[k]
-	if !ok {
-		return nil, fmt.Errorf("mklite: unknown kernel %q", string(k))
-	}
-	ctrs := trace.NewCounters()
-	noise.RunFWQTo(sim.NewRNG(seed), newProfile(), 1, sim.Millisecond, iterations, trace.NewSink(ctrs, nil))
-	out := map[string]float64{}
-	for _, name := range ctrs.Names() {
-		src, ok := strings.CutPrefix(name, "noise.src.")
-		if !ok {
-			continue
-		}
-		src = strings.TrimSuffix(src, "_ns")
-		out[src] = sim.Duration(ctrs.Get(name)).Seconds()
-	}
-	return out, nil
 }
 
 // NodeSimConfig configures a discrete-event single-node simulation (see
@@ -221,83 +226,4 @@ func SimulateNode(k Kernel, cfg NodeSimConfig) (NodeSimResult, error) {
 		}
 	}
 	return out, nil
-}
-
-// NoiseDistribution is one kernel's FWQ detour distribution measured
-// through the metrics histogram path: every positive per-iteration detour
-// recorded into a log-bucketed histogram, with the headline percentiles in
-// nanoseconds. TailRatio (p99.9 over p50) is the paper's noise
-// fingerprint: Linux's daemon tail pushes it past 10x while the LWKs'
-// residual housekeeping keeps it near 1.
-type NoiseDistribution struct {
-	Kernel   Kernel
-	Count    int64
-	MinNs    int64
-	MaxNs    int64
-	P50Ns    float64
-	P90Ns    float64
-	P99Ns    float64
-	P999Ns   float64
-	MeanNs   float64
-	Rendered string // the mkobs report table for this kernel's registry
-}
-
-// TailRatio returns p99.9 over p50 (0 when the median is 0).
-func (d NoiseDistribution) TailRatio() float64 {
-	if d.P50Ns == 0 {
-		return 0
-	}
-	return d.P999Ns / d.P50Ns
-}
-
-// MeasureNoiseDistributions runs the FWQ microbenchmark on each kernel's
-// noise profile with a metrics registry attached and returns the detour
-// distributions. Each kernel draws from sim.NewRNG(seed), as in
-// NoiseSourceBreakdown and NoiseSamplesMicros, not from MeasureNoise's
-// per-kernel Split; the registry only observes.
-func MeasureNoiseDistributions(seed uint64, quantumSecs float64, iterations int) []NoiseDistribution {
-	iterations = fwqIterations(iterations)
-	quantum := sim.DurationOf(quantumSecs)
-	if quantum <= 0 {
-		quantum = sim.Millisecond
-	}
-	var out []NoiseDistribution
-	for _, k := range Kernels() {
-		reg := metrics.NewRegistry()
-		noise.RunFWQTo(sim.NewRNG(seed), noiseProfiles[k](), 1, quantum, iterations,
-			trace.NewSinkObs(nil, nil, reg))
-		h := reg.Histogram("fwq.detour_ns")
-		out = append(out, NoiseDistribution{
-			Kernel:   k,
-			Count:    h.Count(),
-			MinNs:    h.Min(),
-			MaxNs:    h.Max(),
-			P50Ns:    h.Percentile(50),
-			P90Ns:    h.Percentile(90),
-			P99Ns:    h.Percentile(99),
-			P999Ns:   h.Percentile(99.9),
-			MeanNs:   h.Mean(),
-			Rendered: reg.Report().Render(),
-		})
-	}
-	return out
-}
-
-// NoiseSamplesMicros returns the raw FWQ iteration times (microseconds)
-// for one kernel, for histogramming. The run draws from sim.NewRNG(seed),
-// as in NoiseSourceBreakdown and MeasureNoiseDistributions: the same law as
-// MeasureNoise's run of that kernel, but other draws.
-func NoiseSamplesMicros(k Kernel, seed uint64, iterations int) ([]float64, error) {
-	iterations = fwqIterations(iterations)
-	newProfile, ok := noiseProfiles[k]
-	if !ok {
-		return nil, fmt.Errorf("mklite: unknown kernel %q", string(k))
-	}
-	r := noise.RunFWQ(sim.NewRNG(seed), newProfile(), 1, sim.Millisecond, iterations)
-	return r.Samples, nil
-}
-
-// RenderHistogram bins values into buckets and renders a text histogram.
-func RenderHistogram(values []float64, buckets int, unit string) string {
-	return stats.NewHistogram(values, buckets).Render(unit)
 }

@@ -1,8 +1,11 @@
 package mklite
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"mklite/internal/stats"
 )
 
 func TestAppsList(t *testing.T) {
@@ -257,15 +260,44 @@ func TestTraceOption(t *testing.T) {
 }
 
 func TestNoiseSamplesAndHistogram(t *testing.T) {
-	samples, err := NoiseSamplesMicros(Linux, 1, 2000)
-	if err != nil || len(samples) != 2000 {
-		t.Fatalf("samples: %d, %v", len(samples), err)
+	for _, s := range MeasureNoise(1, 2000) {
+		if len(s.Samples) != 2000 {
+			t.Fatalf("%s: %d samples", s.Kernel, len(s.Samples))
+		}
+		if out := stats.NewHistogram(s.Samples, 8).Render("us"); !strings.Contains(out, "#") {
+			t.Fatalf("%s histogram render:\n%s", s.Kernel, out)
+		}
 	}
-	out := RenderHistogram(samples, 8, "us")
-	if !strings.Contains(out, "#") {
-		t.Fatal("histogram render")
-	}
-	if _, err := NoiseSamplesMicros(Kernel("bad"), 1, 10); err == nil {
-		t.Fatal("bad kernel accepted")
+}
+
+// TestNoiseSectionsDescribeOneRun ties every section mknoise prints to the
+// FWQ row of the same kernel: the per-source seconds sum to the samples'
+// total detour, the histogram counts exactly the stretched iterations, and
+// the table's max stretch is the largest sample's.
+func TestNoiseSectionsDescribeOneRun(t *testing.T) {
+	const quantumUs = 1000.0
+	for _, s := range MeasureNoise(1, 10000) {
+		var detourUs, maxUs float64
+		var stretched int64
+		for _, us := range s.Samples {
+			detourUs += us - quantumUs
+			maxUs = max(maxUs, us)
+			if us > quantumUs {
+				stretched++
+			}
+		}
+		var stolen float64
+		for _, sec := range s.Sources {
+			stolen += sec
+		}
+		if math.Abs(stolen-detourUs*1e-6) > 1e-9 {
+			t.Errorf("%s: sources steal %.9fs, samples detour %.9fs", s.Kernel, stolen, detourUs*1e-6)
+		}
+		if s.Detours != stretched {
+			t.Errorf("%s: %d detours in the histogram, %d stretched iterations", s.Kernel, s.Detours, stretched)
+		}
+		if want := (maxUs - quantumUs) / quantumUs * 100; math.Abs(s.MaxStretchPercent-want) > 1e-9 {
+			t.Errorf("%s: max stretch %.6f%%, largest sample stretches %.6f%%", s.Kernel, s.MaxStretchPercent, want)
+		}
 	}
 }

@@ -13,20 +13,23 @@ package mklite
 // below are tight. If a noise-profile or histogram change moves these
 // numbers, that is a behaviour change to be reviewed, not a flaky test.
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestFWQDetourDistributionShape(t *testing.T) {
-	dists := MeasureNoiseDistributions(3, 1e-3, 5000)
-	if len(dists) != 3 {
-		t.Fatalf("want 3 kernels, got %d", len(dists))
+	runs := MeasureNoise(3, 5000)
+	if len(runs) != 3 {
+		t.Fatalf("want 3 kernels, got %d", len(runs))
 	}
-	byKernel := map[Kernel]NoiseDistribution{}
-	for _, d := range dists {
+	byKernel := map[Kernel]NoiseSample{}
+	for _, d := range runs {
 		byKernel[d.Kernel] = d
 	}
 
 	linux := byKernel[Linux]
-	if linux.Count == 0 {
+	if linux.Detours == 0 {
 		t.Fatal("Linux recorded no detours: the noise profile is gone")
 	}
 	// Linux: heavy tail. p99.9 at least 10x the median detour.
@@ -37,7 +40,7 @@ func TestFWQDetourDistributionShape(t *testing.T) {
 
 	for _, k := range []Kernel{McKernel, MOS} {
 		d := byKernel[k]
-		if d.Count == 0 {
+		if d.Detours == 0 {
 			// A perfectly silent LWK would also satisfy the paper's
 			// claim, but the profiles do model residual housekeeping.
 			t.Errorf("%s recorded no detours: residual housekeeping is gone", k)
@@ -55,12 +58,11 @@ func TestFWQDetourDistributionShape(t *testing.T) {
 		}
 	}
 
-	// The registry path must agree with itself on replay.
-	again := MeasureNoiseDistributions(3, 1e-3, 5000)
-	for i := range dists {
-		if dists[i] != again[i] {
-			t.Fatalf("FWQ distribution for %s not reproducible:\n  first:  %+v\n  second: %+v",
-				dists[i].Kernel, dists[i], again[i])
+	// The run must agree with itself on replay.
+	again := MeasureNoise(3, 5000)
+	for i := range runs {
+		if !reflect.DeepEqual(runs[i], again[i]) {
+			t.Fatalf("FWQ run for %s not reproducible", runs[i].Kernel)
 		}
 	}
 }
