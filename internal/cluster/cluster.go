@@ -14,7 +14,10 @@
 // reused across repetitions as well as nodes: Prepare boots the kernel,
 // lays the node out and replays its heap phase once, and each Image.Run
 // adds only the seeded work (scheduler state, fault injection, noise
-// draws and step composition). Concurrent runs may share one image.
+// draws and step composition). Concurrent runs may share one image, and
+// an image prepared for T timesteps runs the job for any fewer of them
+// through Image.Steps, so jobs that differ only in seed and timestep
+// budget share one image too (the facility's jobs of one shape).
 package cluster
 
 import (
@@ -169,7 +172,8 @@ type Result struct {
 	Breakdown Breakdown
 	// HeapStats is rank 0's heap accounting after the run.
 	HeapStats mem.HeapStats
-	// MCDRAMBytes is the model node's MCDRAM residency after setup.
+	// MCDRAMBytes is the model node's MCDRAM residency after the run:
+	// setup's, moved by the heap phase.
 	MCDRAMBytes int64
 	// DemandRanks counts ranks that ended up demand-paged.
 	DemandRanks int

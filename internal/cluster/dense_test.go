@@ -81,7 +81,7 @@ func TestNoTablesForPaperCells(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s on %v at %d nodes: %v", j.App.Name, j.Kernel, j.Nodes, err)
 		}
-		if ws := img.denseWindows(); len(ws) > 0 {
+		if ws, _ := img.denseWindows(); len(ws) > 0 {
 			t.Errorf("%s on %v/%s at %d nodes: tables at windows %v", j.App.Name, j.Kernel, j.Sched, j.Nodes, ws)
 		}
 		for step := range j.App.Timesteps {

@@ -100,8 +100,9 @@ func replayHeap(t testing.TB, j Job, steps int, memo bool) heapOutcome {
 			out.maxes = append(out.maxes, img.heap.cost(s))
 		}
 		img.heap.finish(steps, j.Sink)
-		out.stats, out.mcdram, out.demand = img.heapStats, img.mcdram, img.demandRanks
-		out.replayed = len(img.heap.costs)
+		acct := img.heap.acct(steps)
+		out.stats, out.mcdram, out.demand = acct.heap, acct.mcdram, img.demandRanks
+		out.replayed = len(img.heap.steps)
 	} else {
 		k, err := bootKernel(j)
 		if err != nil {

@@ -51,9 +51,6 @@ type heapReplay struct {
 	// the next one while the two are compared; part holds one
 	// component's state at a time.
 	snap, part []int64
-	// before is rank 0's accounting at the start of the last replayed
-	// step, from which stats extends it over the skipped steps.
-	before mem.HeapStats
 }
 
 func newHeapReplay(ns *nodeState, ops []int64, brkTime sim.Duration, costs kernel.Costs, counting, observing bool) *heapReplay {
@@ -121,9 +118,6 @@ func (r *heapReplay) appendPart(dst []int64, i int) []int64 {
 // slowest rank's cost and, when recording, everything the heaps emit and
 // each rank's heap.cost_ns sample, in order.
 func (r *heapReplay) replay() {
-	if len(r.ns.heaps) > 0 {
-		r.before = r.ns.heaps[0].Stats()
-	}
 	e := newEmissions(r.counting, r.observing)
 	sink := e.sink()
 	var slowest sim.Duration
@@ -147,48 +141,92 @@ func (r *heapReplay) replay() {
 		slowest = max(slowest, cost)
 		sink.ObserveRank("heap.cost_ns", ri, int64(cost))
 	}
-	r.rec.costs = append(r.rec.costs, slowest)
+	r.rec.steps = append(r.rec.steps, heapStep{cost: slowest, after: nodeAcctOf(r.ns)})
 	if e != nil {
 		r.rec.emits = append(r.rec.emits, e)
 	}
 }
 
-// stats returns rank 0's accounting after a run of steps steps: its
-// replayed steps plus one fixed-point step's change per skipped step.
-func (r *heapReplay) stats(steps int) mem.HeapStats {
-	if len(r.ns.heaps) == 0 {
-		return mem.HeapStats{}
-	}
-	return r.ns.heaps[0].Stats().Repeat(r.before, int64(steps-len(r.rec.costs)))
-}
-
 // heapRecord is a heap phase as Prepare replayed it, played by every run.
 // It is read-only once recorded.
+//
+// A record made for T steps serves a run of any T′ ≤ T steps exactly. The
+// replay of T′ steps is the first min(T′, len(steps)) steps of the replay
+// of T: both stop at the same fixed point, unless T′ ends first. So every
+// step of a T′ run costs and emits what a record made for T′ holds, and
+// the counters it owes past the record (finish) are the same. Only the
+// accounting after the run depends on where it ends, and each replayed
+// step keeps its own.
 type heapRecord struct {
-	// costs holds the slowest rank's cost in each replayed step. A step
-	// past the last is at the fixed point and repeats the last.
-	costs []sim.Duration
+	// steps holds each replayed step. A step past the last is at the
+	// fixed point and repeats the last.
+	steps []heapStep
 	// emits holds each replayed step's emissions when the image records
 	// them.
 	emits []*emissions
 	// brkCalls is the brk calls the node makes per step.
 	brkCalls int64
+	// start is the node's accounting before the first step.
+	start nodeAcct
+}
+
+// heapStep is one replayed step: its slowest rank's cost and the node's
+// accounting after it.
+type heapStep struct {
+	cost  sim.Duration
+	after nodeAcct
+}
+
+// nodeAcct is what a run reports of the node's memory after its last
+// step: rank 0's heap accounting and the node's MCDRAM residency.
+type nodeAcct struct {
+	heap   mem.HeapStats
+	mcdram int64
+}
+
+// nodeAcctOf returns the node's accounting as it stands.
+func nodeAcctOf(ns *nodeState) nodeAcct {
+	a := nodeAcct{mcdram: mcdramResidency(ns)}
+	if len(ns.heaps) > 0 {
+		a.heap = ns.heaps[0].Stats()
+	}
+	return a
+}
+
+// acct returns the node's accounting after a run of steps steps: a
+// replayed step's, or past the fixed point the last replayed step's with
+// rank 0's heap extended by the fixed-point step's change per skipped
+// step. The residency does not move at the fixed point.
+func (h *heapRecord) acct(steps int) nodeAcct {
+	after := func(i int) nodeAcct {
+		if i == 0 {
+			return h.start
+		}
+		return h.steps[i-1].after
+	}
+	n := len(h.steps)
+	if steps <= n || n == 0 {
+		return after(min(steps, n))
+	}
+	a := after(n)
+	a.heap = a.heap.Repeat(after(n-1).heap, int64(steps-n))
+	return a
 }
 
 // cost returns step's heap cost: a replayed step's, or at the fixed point
 // the last replayed step's. An empty record costs nothing.
 func (h *heapRecord) cost(step int) sim.Duration {
-	if len(h.costs) == 0 {
+	if len(h.steps) == 0 {
 		return 0
 	}
-	return h.costs[min(step, len(h.costs)-1)]
+	return h.steps[min(step, len(h.steps)-1)].cost
 }
 
 // emit emits what step emits into sink: a replayed step's recording, or at
 // the fixed point the capture step's observations (finish pays its
 // counters).
 func (h *heapRecord) emit(step int, sink *trace.Sink) {
-	if step < len(h.costs) {
+	if step < len(h.steps) {
 		if step < len(h.emits) {
 			h.emits[step].play(sink)
 		}
@@ -202,7 +240,7 @@ func (h *heapRecord) emit(step int, sink *trace.Sink) {
 // finish pays the counters a run of steps steps owes for the steps it
 // played past the record.
 func (h *heapRecord) finish(steps int, sink *trace.Sink) {
-	if owed := steps - len(h.costs); owed > 0 && len(h.emits) > 0 {
+	if owed := steps - len(h.steps); owed > 0 && len(h.emits) > 0 {
 		h.emits[len(h.emits)-1].count(sink, int64(owed))
 	}
 }

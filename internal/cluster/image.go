@@ -6,7 +6,6 @@ import (
 
 	"mklite/internal/fault"
 	"mklite/internal/kernel"
-	"mklite/internal/mem"
 	"mklite/internal/mpi"
 	"mklite/internal/noise"
 	"mklite/internal/sched"
@@ -19,7 +18,10 @@ import (
 // never reaches. Booting a kernel, laying out a node and replaying brk
 // traces draw no random numbers, so a run's seed enters only through the
 // scheduler state, the fault injector and the noise draws. Every
-// repetition of a measurement therefore runs against one image.
+// repetition of a measurement therefore runs against one image, and so
+// does every job of one shape in a facility run: an image prepared for T
+// steps runs the job for any T′ ≤ T of them through the view Steps
+// returns, exactly as an image prepared for T′ would.
 //
 // An image is read-only once Prepare returns: Run writes nothing in it, so
 // any number of Run calls may share one image concurrently. It holds no
@@ -29,13 +31,17 @@ import (
 type Image struct {
 	// j is the prepared job: normalized and validated, with its
 	// scheduling override and the Linux daemon storm applied, and with
-	// neither seed nor sink.
+	// neither seed nor sink. Its App.Timesteps is the run's length, which
+	// a view shortens.
 	j    Job
 	k    kernel.Kernel
 	comm *mpi.Comm
 	// prof is the kernel's noise profile with its quantile tables and its
 	// dense-window tables built; each run draws from a clone of it.
 	prof *noise.Profile
+	// denseFirst holds, for each of prof's dense-window tables in the
+	// order Tabulate built them, the first step whose window it is.
+	denseFirst []int
 	// plan is what every step takes from the job and the node without a
 	// draw.
 	plan stepPlan
@@ -49,14 +55,11 @@ type Image struct {
 	// timed first touch of its MPI windows and its slowest rank's
 	// per-step memory time.
 	setup, shmFault, memMax sim.Duration
-	// mcdram and demandRanks are the node's final MCDRAM residency and
-	// demand-paged rank count.
-	mcdram      int64
+	// demandRanks is the node's demand-paged rank count.
 	demandRanks int
-	// heap is the recorded heap phase (empty without a brk trace), and
-	// heapStats rank 0's accounting after a whole run.
-	heap      heapRecord
-	heapStats mem.HeapStats
+	// heap is the recorded heap phase (no steps without a brk trace),
+	// with the node's accounting after each recorded step.
+	heap heapRecord
 }
 
 // Prepare boots the job's kernel, lays its node out and replays its heap
@@ -136,30 +139,53 @@ func prepare(ctx context.Context, j Job, counting, observing bool) (*Image, erro
 	if j.App.HeapOpsPerStep != nil {
 		heapOps = j.App.HeapOpsPerStep(j.Nodes)
 	}
+	start := nodeAcctOf(ns)
 	if heapOps != nil {
 		r := newHeapReplay(ns, heapOps, k.SyscallTime(kernel.SysBrk), k.Costs(), counting, observing)
 		if err := r.run(ctx, j.App.Timesteps); err != nil {
 			return nil, err
 		}
 		img.heap = r.rec
-		img.heapStats = r.stats(j.App.Timesteps)
-	} else if len(ns.ranks) > 0 {
-		// An empty-rank job (a zero-rank app spec) has no heap to
-		// report.
-		img.heapStats = ns.ranks[0].heap.Stats()
 	}
-	img.mcdram = mcdramResidency(ns)
+	img.heap.start = start
 	img.demandRanks = countDemandRanks(ns)
 	// Every step's window is known now that the heap phase is recorded:
 	// tabulate the per-rank detour law at each one where the profile is
 	// dense.
 	img.plan = newStepPlan(j, k, comm)
-	img.prof.Tabulate(img.denseWindows())
+	var windows []sim.Duration
+	windows, img.denseFirst = img.denseWindows()
+	img.prof.Tabulate(windows)
 	// Nothing the image keeps may reach a sink, the kernel included.
 	for _, rs := range ns.ranks {
 		rs.as.SetSink(nil)
 	}
 	return img, nil
+}
+
+// Steps returns a view of the image that runs the job for n of the
+// App.Timesteps steps it was prepared for: the image itself when n is all
+// of them, an error when n is below 1 or above them. A run of the view
+// equals a run of an image prepared for n steps, in its Result and in
+// everything it emits. The heap record of an n-step run is a prefix of
+// this one's (heapRecord), and so is its list of dense windows, in the
+// order the tables were built (denseWindows); Tabulate builds the tables
+// of a prefix exactly as it built them here. The view draws from those
+// first tables alone, so that a window a seeded offload stall stretches
+// cannot meet a table only a later step's window built. The view shares
+// everything else with the image and is read-only like it.
+func (img *Image) Steps(n int) (*Image, error) {
+	if n == img.j.App.Timesteps {
+		return img, nil
+	}
+	if n < 1 || n > img.j.App.Timesteps {
+		return nil, fmt.Errorf("cluster: %d steps of an image prepared for %d", n, img.j.App.Timesteps)
+	}
+	v := *img
+	app := *img.j.App
+	app.Timesteps = n
+	v.j.App = &app
+	return &v, nil
 }
 
 // Run executes the seeded part of the job against the image: the

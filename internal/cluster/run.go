@@ -95,7 +95,7 @@ func (img *Image) runSteps(ctx context.Context, schedSeed uint64, sink *trace.Si
 	j, k, comm := img.j, img.k, img.comm
 	app := j.App
 	costs := k.Costs()
-	prof := img.prof.Clone()
+	prof := img.prof.CloneTables(img.tables(app.Timesteps))
 	totalRanks := comm.Ranks()
 	plan := &img.plan
 
@@ -165,7 +165,7 @@ func (img *Image) runSteps(ctx context.Context, schedSeed uint64, sink *trace.Si
 		// rank's brk replay (played from the image's record of the heap
 		// phase), message-driven device syscalls and spin waiting.
 		win := img.window(step)
-		if heap := &img.heap; len(heap.costs) > 0 {
+		if heap := &img.heap; len(heap.steps) > 0 {
 			heap.emit(step, sink)
 			if counting {
 				sink.CountKey(trace.KeySyscallBrk, heap.brkCalls)
@@ -383,6 +383,7 @@ func (img *Image) runSteps(ctx context.Context, schedSeed uint64, sink *trace.Si
 		sink.Gauge("cluster.timesteps", int64(app.Timesteps))
 	}
 
+	acct := img.heap.acct(app.Timesteps)
 	work := app.WorkPerStepPerNode(j.Nodes) * float64(app.Timesteps)
 	fom := 0.0
 	if elapsed > 0 {
@@ -396,8 +397,8 @@ func (img *Image) runSteps(ctx context.Context, schedSeed uint64, sink *trace.Si
 		FOM:         fom,
 		Setup:       img.setup,
 		Breakdown:   bd,
-		HeapStats:   img.heapStats,
-		MCDRAMBytes: img.mcdram,
+		HeapStats:   acct.heap,
+		MCDRAMBytes: acct.mcdram,
 		DemandRanks: img.demandRanks,
 		Steps:       res0Steps,
 	}, nil

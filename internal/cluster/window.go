@@ -151,22 +151,31 @@ func (img *Image) window(step int) stepWindow {
 }
 
 // denseWindows returns the distinct windows at which runSteps draws a
-// max-over-ranks detour from a profile that is dense there: every step's
-// base, unless gang alignment or the absence of any synchronisation keeps
-// the step from calling noise.MaxDetourRank.
-func (img *Image) denseWindows() []sim.Duration {
+// max-over-ranks detour from a profile that is dense there, in the order
+// of the steps that first draw at them, and each one's first step: every
+// step's base, unless gang alignment or the absence of any
+// synchronisation keeps the step from calling noise.MaxDetourRank. The
+// windows of a shorter run are a prefix of the list.
+func (img *Image) denseWindows() (windows []sim.Duration, first []int) {
 	if img.plan.gangAligned {
-		return nil
+		return nil, nil
 	}
-	var ws []sim.Duration
 	for step := 0; step < img.j.App.Timesteps; step++ {
 		w := img.window(step)
 		if w.collsDue == 0 && img.plan.haloWire == 0 {
 			continue
 		}
-		if img.prof.Dense(w.base) && !slices.Contains(ws, w.base) {
-			ws = append(ws, w.base)
+		if img.prof.Dense(w.base) && !slices.Contains(windows, w.base) {
+			windows = append(windows, w.base)
+			first = append(first, step)
 		}
 	}
-	return ws
+	return windows, first
+}
+
+// tables returns how many of the profile's dense-window tables a run of
+// steps steps draws from: those of the windows its steps reach.
+func (img *Image) tables(steps int) int {
+	n, _ := slices.BinarySearch(img.denseFirst, steps)
+	return n
 }

@@ -6,7 +6,11 @@
 // facility scheduler chooses Linux vs McKernel vs mOS per job), allocates
 // nodes from a finite facility — optionally oversubscribed, with cross-job
 // interference on shared nodes expressed as daemon-storm / offload-contention
-// fault plans — and drives every launched job through cluster.Run.
+// fault plans — and runs every launched job on a cluster node image. Jobs
+// of one shape (application, kernel, scheduler, node count, co-tenancy)
+// share one image per facility run, prepared once by cluster.Prepare at
+// the longest timestep budget; each job runs it at its own budget and seed
+// (cluster.Image.Steps, Image.Run).
 //
 // The determinism contract is the module's usual one, lifted one level up:
 // a facility run is a pure function of (Config, seed).

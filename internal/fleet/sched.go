@@ -1,15 +1,19 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"maps"
 	"slices"
 	"strconv"
+	"sync"
 
 	"mklite/internal/cluster"
+	"mklite/internal/kernel"
 	"mklite/internal/metrics"
 	"mklite/internal/obs"
 	"mklite/internal/par"
+	"mklite/internal/sched"
 	"mklite/internal/sim"
 	"mklite/internal/trace"
 )
@@ -35,6 +39,9 @@ type Scheduler struct {
 	// order (every one is also in running).
 	pipe    *par.Pipe[runOut]
 	pending []*runningJob
+	// images holds one node image per job shape launched so far, each
+	// prepared once by the first job of its shape to run (see image).
+	images map[shape]func() (*cluster.Image, error)
 
 	// busyNodeNs accumulates occupied-nodes x virtual-time, the
 	// utilization numerator (int64 node-nanoseconds).
@@ -102,6 +109,7 @@ func newScheduler(cfg Config) *Scheduler {
 		alloc:      NewAllocator(cfg.Nodes, cfg.Share),
 		reg:        metrics.NewRegistry(),
 		kernelJobs: map[string]int{},
+		images:     map[shape]func() (*cluster.Image, error){},
 	}
 	if cfg.Counters {
 		s.counters = trace.NewCounters()
@@ -231,11 +239,53 @@ type runOut struct {
 	events   *trace.Events
 }
 
-// execute runs one launched job. It reads only the immutable launch spec
-// and builds its own counters and event ring, so its outcome depends only
-// on the spec and the job's own seed — never on when, or on which worker,
-// it runs.
-func execute(l *launch, counting, eventing bool, ringCap int) (runOut, error) {
+// shape is what a job's node image depends on: everything of its launch
+// spec but its seed and its timestep budget. The co-tenancy stands for
+// the interference plan, which is a function of it.
+type shape struct {
+	app       string
+	kernel    kernel.Type
+	sched     sched.Kind
+	nodes     int
+	cotenancy int
+}
+
+// image returns the node image of l's shape as a function that prepares
+// it on its first call and returns the same image, or error, on every
+// call; jobs of one shape share it. The image is prepared for the
+// facility's longest timestep budget and counts when counting is set, so
+// it serves every job of the shape (cluster.Image.Steps). A job closure
+// makes the first call: the pipeline starts jobs in launch order, so the
+// first job of a shape prepares its image while the later ones wait for
+// it. Preparing draws nothing, so which job prepares cannot reach the
+// outputs, and the images die with the Scheduler.
+func (s *Scheduler) image(l *launch, counting bool) func() (*cluster.Image, error) {
+	key := shape{app: l.job.App.Name, kernel: l.kernel, sched: l.sched,
+		nodes: l.job.Nodes, cotenancy: l.cotenancy}
+	if prep, ok := s.images[key]; ok {
+		return prep
+	}
+	j := l.runJob(nil)
+	app := *j.App
+	app.Timesteps = s.cfg.MaxTimesteps
+	j.App = &app
+	prep := sync.OnceValues(func() (*cluster.Image, error) {
+		var c *trace.Counters
+		if counting {
+			c = trace.NewCounters()
+		}
+		j.Sink = trace.NewSink(c, nil)
+		return cluster.Prepare(context.TODO(), j)
+	})
+	s.images[key] = prep
+	return prep
+}
+
+// execute runs one launched job on its shape's image. It reads only the
+// immutable launch spec and the image, and builds its own counters and
+// event ring, so its outcome depends only on the spec and the job's own
+// seed — never on when, or on which worker, it runs.
+func execute(l *launch, image func() (*cluster.Image, error), counting, eventing bool, ringCap int) (runOut, error) {
 	var c *trace.Counters
 	if counting {
 		c = trace.NewCounters()
@@ -244,7 +294,14 @@ func execute(l *launch, counting, eventing bool, ringCap int) (runOut, error) {
 	if eventing {
 		ev = trace.NewEvents(ringCap)
 	}
-	res, err := cluster.Run(l.runJob(trace.NewSink(c, ev)))
+	img, err := image()
+	if err == nil {
+		img, err = img.Steps(l.job.Timesteps)
+	}
+	var res cluster.Result
+	if err == nil {
+		res, err = img.Run(context.TODO(), l.job.Seed, trace.NewSink(c, ev))
+	}
 	if err != nil {
 		return runOut{}, fmt.Errorf("fleet: job %d (%s on %s): %w",
 			l.job.ID, l.job.App.Name, kernelName(l.kernel), err)
@@ -263,8 +320,9 @@ func (s *Scheduler) launch(l *launch) {
 	counting := s.cfg.Counters || s.cfg.Observe.JobCountersOn()
 	eventing := s.cfg.Observe.JobEventsOn()
 	ringCap := s.cfg.Observe.JobEventRingCap()
+	image := s.image(l, counting)
 	fut := s.pipe.Submit(func() (runOut, error) {
-		return execute(l, counting, eventing, ringCap)
+		return execute(l, image, counting, eventing, ringCap)
 	})
 
 	r := &runningJob{

@@ -275,7 +275,7 @@ func TestEffectiveBandwidthBoundsProperty(t *testing.T) {
 }
 
 func TestDualSocketXeonPreset(t *testing.T) {
-	n := DualSocketXeon(24, 192*GiB)
+	n := dualSocketXeon(24, 192*GiB)
 	if err := n.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestDualSocketXeonPreset(t *testing.T) {
 		t.Fatalf("capacity %d", n.TotalCapacity(DDR4))
 	}
 	// Defaults kick in for non-positive arguments.
-	d := DualSocketXeon(0, 0)
+	d := dualSocketXeon(0, 0)
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestDualSocketXeonPreset(t *testing.T) {
 func TestXeonWorksWithAllocator(t *testing.T) {
 	// The memory substrate is node-agnostic: a Xeon node allocates and
 	// maps exactly like a KNL one.
-	n := DualSocketXeon(24, 192*GiB)
+	n := dualSocketXeon(24, 192*GiB)
 	if n.Distance[0][1] != 21 {
 		t.Fatal("cross-socket distance")
 	}
@@ -306,4 +306,57 @@ func TestXeonWorksWithAllocator(t *testing.T) {
 	if err != nil || nearest != 0 {
 		t.Fatalf("nearest: %d, %v", nearest, err)
 	}
+}
+
+// dualSocketXeon returns a conventional two-socket server node: two DDR4
+// NUMA domains with their cores, no on-package memory. The tests use it to
+// show that the node model is parametric: nothing in it is KNL-specific.
+func dualSocketXeon(coresPerSocket int, memPerSocket int64) *NodeSpec {
+	if coresPerSocket <= 0 {
+		coresPerSocket = 24
+	}
+	if memPerSocket <= 0 {
+		memPerSocket = 192 * GiB
+	}
+	n := &NodeSpec{
+		Name:           "dual-xeon",
+		Mode:           Quadrant, // single-level NUMA, no sub-clustering
+		ThreadsPerCore: 2,
+		TLB: TLBSpec{
+			Entries4K:       1536,
+			Entries2M:       1536,
+			Entries1G:       16,
+			MissCostNs:      60,
+			AccessesPerByte: 1.0 / 64.0,
+		},
+		CoreFreqGHz: 2.4,
+	}
+	total := 2 * coresPerSocket
+	for c := 0; c < total; c++ {
+		socket := c / coresPerSocket
+		core := CoreSpec{ID: c, Domain: socket}
+		for t := 0; t < n.ThreadsPerCore; t++ {
+			core.CPUs = append(core.CPUs, c+t*total)
+		}
+		n.Cores = append(n.Cores, core)
+	}
+	for s := 0; s < 2; s++ {
+		dom := DomainSpec{
+			ID: s,
+			Mem: MemDeviceSpec{
+				Kind:            DDR4,
+				Capacity:        memPerSocket,
+				StreamBandwidth: 110,
+				LoadLatency:     90,
+			},
+		}
+		for _, core := range n.Cores {
+			if core.Domain == s {
+				dom.CPUs = append(dom.CPUs, core.CPUs...)
+			}
+		}
+		n.Domains = append(n.Domains, dom)
+	}
+	n.Distance = [][]int{{10, 21}, {21, 10}}
+	return n
 }

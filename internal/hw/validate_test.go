@@ -122,7 +122,7 @@ func TestValidateMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(15, 4))
 	presets := []func() *NodeSpec{
 		KNL7250SNC4, KNL7250Quadrant,
-		func() *NodeSpec { return DualSocketXeon(3, GiB) },
+		func() *NodeSpec { return dualSocketXeon(3, GiB) },
 	}
 	outcomes := map[bool]int{}
 	for i := 0; i < 3000; i++ {

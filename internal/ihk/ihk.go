@@ -79,14 +79,3 @@ func Reserve(lin *linuxos.Kernel, opts ReserveOptions) (*Grant, error) {
 	g.Phys = mem.NewPhysView(node, g.Extents)
 	return g, nil
 }
-
-// Release returns the grant's memory to Linux. The LWK must have freed
-// everything first; releasing while the LWK still holds allocations panics
-// in the donor's allocator (double accounting is a model bug).
-func Release(lin *linuxos.Kernel, g *Grant) {
-	for _, e := range g.Extents {
-		lin.Phys().Free(e)
-	}
-	g.Extents = nil
-	g.Phys = nil
-}

@@ -88,19 +88,6 @@ func TestReserveBadOptions(t *testing.T) {
 	}
 }
 
-func TestRelease(t *testing.T) {
-	lin := bootLinux(t)
-	free4 := lin.Phys().FreeBytes(4)
-	g, err := Reserve(lin, DefaultReserveOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	Release(lin, g)
-	if lin.Phys().FreeBytes(4) != free4 {
-		t.Fatalf("MCDRAM not fully returned: %d vs %d", lin.Phys().FreeBytes(4), free4)
-	}
-}
-
 func TestIKCTopologyAwareLatency(t *testing.T) {
 	lin := bootLinux(t)
 	ikc := NewIKC(lin.Partition())

@@ -125,6 +125,12 @@ func (p *Profile) denseAt(window sim.Duration) *denseTable {
 // grid cannot hold it. Like Warm, Tabulate is called before the profile is
 // cloned, and the clones share the tables, which are never written again.
 // Changing the profile's sources afterwards is not supported.
+//
+// Tables are built in the order their windows first appear, and each one's
+// grid depends only on the windows before it. So over any prefix of the
+// list, Tabulate builds exactly the first tables it builds over the whole
+// list, and CloneTables keeps them. A node image prepared for T steps
+// relies on this to serve runs of fewer steps (cluster.Image.Steps).
 func (p *Profile) Tabulate(windows []sim.Duration) {
 	if !p.tabulable() {
 		return
@@ -518,8 +524,7 @@ func pointPMF(pmf *[denseGrid]float64, h, w, x float64) {
 	pmf[i+1] += w * frac
 }
 
-// phi and phiC are the standard normal CDF and its complement.
-func phi(z float64) float64  { return 0.5 * math.Erfc(-z/math.Sqrt2) }
+// phiC is the complement of the standard normal CDF.
 func phiC(z float64) float64 { return 0.5 * math.Erfc(z/math.Sqrt2) }
 
 // tailSurvInt returns ∫_x^y P(T > t) dt for the tail T = min(P, c), P

@@ -3,6 +3,7 @@ package noise
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"mklite/internal/sim"
@@ -223,6 +224,49 @@ func TestTabulateDenseWindowsOnly(t *testing.T) {
 	uncapped.Tabulate(windows)
 	if len(uncapped.dense) != 0 {
 		t.Error("a profile with an uncapped tail got tables")
+	}
+}
+
+// Tabulate over a window list builds, at each window of a prefix of the
+// list, the table Tabulate over the prefix alone builds: grid state passes
+// only from earlier windows to later ones. CloneTables keeps exactly the
+// prefix's tables. A node image prepared for T steps relies on both to
+// serve a shorter run (cluster.Image.Steps). The windows below refit the
+// grid between some tables and share it between others, and include a
+// window that is not dense and repeats.
+func TestTabulatePrefix(t *testing.T) {
+	windows := []sim.Duration{2 * sim.Millisecond, 10 * sim.Millisecond, sim.Millisecond,
+		35 * sim.Millisecond, 3 * sim.Millisecond, 10 * sim.Millisecond, 90 * sim.Millisecond,
+		30 * sim.Millisecond, 12 * sim.Millisecond, 250 * sim.Millisecond, 4 * sim.Millisecond}
+	for _, c := range []struct {
+		name string
+		prof func() *Profile
+	}{
+		{"storm", func() *Profile { return &Profile{Name: "storm", Sources: []Source{facilityStorm()}} }},
+		{"linux-tuned+storm", func() *Profile { return LinuxTuned().WithSource(facilityStorm()) }},
+	} {
+		all := c.prof()
+		all.Tabulate(windows)
+		if len(all.dense) < 8 {
+			t.Fatalf("%s: %d tables over %d windows", c.name, len(all.dense), len(windows))
+		}
+		for i := range len(windows) + 1 {
+			head := c.prof()
+			head.Tabulate(windows[:i])
+			kept := all.CloneTables(len(head.dense))
+			for n, got := range []*Profile{head, kept} {
+				if len(got.dense) != len(head.dense) {
+					t.Fatalf("%s: CloneTables(%d) keeps %d tables", c.name, len(head.dense), len(got.dense))
+				}
+				for k := range got.dense {
+					g, w := &got.dense[k], &all.dense[k]
+					if g.window != w.window || g.h != w.h || g.g0 != w.g0 || !slices.Equal(g.sv, w.sv) {
+						t.Errorf("%s, prefix %d (%s): table %d at %v differs from the whole list's at %v",
+							c.name, i, [...]string{"Tabulate", "CloneTables"}[n], k, g.window, w.window)
+					}
+				}
+			}
+		}
 	}
 }
 

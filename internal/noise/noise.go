@@ -299,6 +299,15 @@ func (p *Profile) Clone() *Profile {
 	return &Profile{Name: p.Name, Sources: slices.Clone(p.Sources), dense: p.dense}
 }
 
+// CloneTables is Clone keeping only the first n dense-window tables, in the
+// order Tabulate built them: the tables Tabulate builds over a prefix of
+// the same window list.
+func (p *Profile) CloneTables(n int) *Profile {
+	c := p.Clone()
+	c.dense = c.dense[:min(n, len(c.dense))]
+	return c
+}
+
 // ExpectedRate returns the summed mean stolen-time fraction for a core.
 func (p *Profile) ExpectedRate(core int) float64 {
 	rate := 0.0

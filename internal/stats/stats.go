@@ -150,33 +150,6 @@ func BucketPercentile(total int64, p float64, buckets int, count func(int) int64
 	return a*(1-frac) + valueAt(rhi)*frac
 }
 
-// GeoMean returns the geometric mean of xs. All inputs must be positive.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: GeoMean of empty sample")
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			panic(fmt.Sprintf("stats: GeoMean of non-positive value %v", x))
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}
-
-// Ratio returns a/b, guarding against division by zero (returns +Inf/-Inf
-// with the sign of a, or NaN for 0/0, mirroring IEEE semantics explicitly).
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		if a == 0 {
-			return math.NaN()
-		}
-		return math.Inf(int(math.Copysign(1, a)))
-	}
-	return a / b
-}
-
 // Histogram bins samples into equal-width buckets for text rendering.
 type Histogram struct {
 	Min, Max float64

@@ -104,36 +104,6 @@ func TestPercentileClamps(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 100}); math.Abs(g-10) > 1e-9 {
-		t.Fatalf("GeoMean = %v, want 10", g)
-	}
-}
-
-func TestGeoMeanRejectsNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on non-positive input")
-		}
-	}()
-	GeoMean([]float64{1, 0})
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(10, 4) != 2.5 {
-		t.Fatal("Ratio(10,4)")
-	}
-	if !math.IsInf(Ratio(1, 0), 1) {
-		t.Fatal("Ratio(1,0) not +Inf")
-	}
-	if !math.IsInf(Ratio(-1, 0), -1) {
-		t.Fatal("Ratio(-1,0) not -Inf")
-	}
-	if !math.IsNaN(Ratio(0, 0)) {
-		t.Fatal("Ratio(0,0) not NaN")
-	}
-}
-
 func TestSeriesAddKeepsOrder(t *testing.T) {
 	s := &Series{Name: "x"}
 	s.Add(64, Summarize([]float64{1}))

@@ -16,12 +16,12 @@ func TestKeyNamesComplete(t *testing.T) {
 			t.Fatalf("keys %d and %d share the name %q", prev, k, name)
 		}
 		seen[name] = k
-		if got, ok := LookupKey(name); !ok || got != k {
-			t.Fatalf("LookupKey(%q) = %v, %v; want %v, true", name, got, ok, k)
+		if got, ok := keyByName[name]; !ok || got != k {
+			t.Fatalf("keyByName[%q] = %v, %v; want %v, true", name, got, ok, k)
 		}
 	}
-	if _, ok := LookupKey("no.such.counter"); ok {
-		t.Fatal("LookupKey invented a key for an unknown name")
+	if _, ok := keyByName["no.such.counter"]; ok {
+		t.Fatal("keyByName holds a key for an unknown name")
 	}
 	if Key(-1).String() != "trace.Key(invalid)" {
 		t.Fatal("out-of-range Key.String")
