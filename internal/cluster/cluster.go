@@ -17,7 +17,9 @@
 // draws and step composition). Concurrent runs may share one image, and
 // an image prepared for T timesteps runs the job for any fewer of them
 // through Image.Steps, so jobs that differ only in seed and timestep
-// budget share one image too (the facility's jobs of one shape).
+// budget share one image too (the facility's jobs of one shape). Image.Sched
+// runs the job under another scheduling policy, so the scheduler sweep
+// prepares one image for all six.
 package cluster
 
 import (

@@ -6,6 +6,7 @@ import (
 
 	"mklite/internal/fault"
 	"mklite/internal/kernel"
+	"mklite/internal/linuxos"
 	"mklite/internal/mpi"
 	"mklite/internal/noise"
 	"mklite/internal/sched"
@@ -21,7 +22,8 @@ import (
 // repetition of a measurement therefore runs against one image, and so
 // does every job of one shape in a facility run: an image prepared for T
 // steps runs the job for any T′ ≤ T of them through the view Steps
-// returns, exactly as an image prepared for T′ would.
+// returns, exactly as an image prepared for T′ would. Sched returns the
+// view under another scheduling policy in the same way.
 //
 // An image is read-only once Prepare returns: Run writes nothing in it, so
 // any number of Run calls may share one image concurrently. It holds no
@@ -36,6 +38,9 @@ type Image struct {
 	j    Job
 	k    kernel.Kernel
 	comm *mpi.Comm
+	// pol is the job's scheduling policy: the booted kernel's, or a
+	// view's (Sched). Nothing after boot reads the kernel's own.
+	pol sched.Policy
 	// prof is the kernel's noise profile with its quantile tables and its
 	// dense-window tables built; each run draws from a clone of it.
 	prof *noise.Profile
@@ -82,15 +87,11 @@ func Prepare(ctx context.Context, j Job) (*Image, error) {
 		return nil, err
 	}
 	if j.Sched != "" {
-		// Per-job policy override: copy each OS config — they may be the
-		// caller's — and let whichever kernel boots honour it.
 		kind, err := sched.Parse(string(j.Sched))
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %w", err)
 		}
-		lin, mck, mosCfg := *j.Linux, *j.McK, *j.MOS
-		lin.Sched, mck.Sched, mosCfg.Sched = kind, kind, kind
-		j.Linux, j.McK, j.MOS = &lin, &mck, &mosCfg
+		j = j.withSched(kind)
 	}
 	if p := j.Faults; !p.Empty() && p.Storm != nil && j.Kernel == kernel.TypeLinux {
 		// The daemon storm lands on Linux's application cores directly;
@@ -108,6 +109,17 @@ func Prepare(ctx context.Context, j Job) (*Image, error) {
 	counting, observing := j.Sink.Counting(), j.Sink.Observing()
 	j.Seed, j.Sink = 0, nil
 	return prepare(ctx, j, counting, observing)
+}
+
+// withSched returns the job under scheduling policy kind: a per-job
+// override, copied into each OS config — they may be the caller's — so that
+// whichever kernel boots honours it.
+func (j Job) withSched(kind sched.Kind) Job {
+	lin, mck, mosCfg := *j.Linux, *j.McK, *j.MOS
+	lin.Sched, mck.Sched, mosCfg.Sched = kind, kind, kind
+	j.Linux, j.McK, j.MOS = &lin, &mck, &mosCfg
+	j.Sched = kind
+	return j
 }
 
 // prepare builds the image of a job Prepare has normalized and adjusted.
@@ -153,14 +165,62 @@ func prepare(ctx context.Context, j Job, counting, observing bool) (*Image, erro
 	// tabulate the per-rank detour law at each one where the profile is
 	// dense.
 	img.plan = newStepPlan(j, k, comm)
-	var windows []sim.Duration
-	windows, img.denseFirst = img.denseWindows()
-	img.prof.Tabulate(windows)
+	img.setPolicy(k.Sched(), img.prof)
 	// Nothing the image keeps may reach a sink, the kernel included.
 	for _, rs := range ns.ranks {
 		rs.as.SetSink(nil)
 	}
 	return img, nil
+}
+
+// setPolicy sets what of the image its scheduling policy decides: the
+// policy, whether gang windows align the ranks, and the noise profile with
+// its dense-window tables, built at the windows where the policy has a step
+// draw a max over ranks. Prepare and Sched both end here, so a view cannot
+// drift from an image prepared under its policy. prof must be warm and hold
+// no tables; the image takes it.
+func (img *Image) setPolicy(pol sched.Policy, prof *noise.Profile) {
+	img.pol = pol
+	img.plan.gangAligned = pol.Kind() == sched.Gang
+	img.prof = prof
+	var windows []sim.Duration
+	windows, img.denseFirst = img.denseWindows()
+	img.prof.Tabulate(windows)
+}
+
+// Sched returns a view of the image that runs the job under scheduling
+// policy kind: the image itself when kind is its policy. A run of the view
+// equals a run of an image prepared with Job.Sched set to kind, in its
+// Result and in everything it emits, since a policy reaches nothing a boot
+// lays out but the policy itself and, on Linux, the noise profile
+// (tickless drops the tick-class sources). The view's job carries kind, so
+// degraded completion re-prepares under it; its profile is Linux's under
+// kind, or the LWK's own, with the dense-window tables built again for its
+// policy. The view shares everything else with the image and is read-only
+// like it.
+func (img *Image) Sched(kind sched.Kind) (*Image, error) {
+	kind, err := sched.Parse(string(kind))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	if kind == img.pol.Kind() {
+		return img, nil
+	}
+	pol, err := kernel.NewPolicy(kind, img.k.Costs())
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	v := *img
+	v.j = img.j.withSched(kind)
+	var prof *noise.Profile
+	if img.k.Type() == kernel.TypeLinux {
+		prof = linuxos.NoiseProfile(*v.j.Linux)
+		prof.Warm()
+	} else {
+		prof = img.prof.CloneTables(0)
+	}
+	v.setPolicy(pol, prof)
+	return &v, nil
 }
 
 // Steps returns a view of the image that runs the job for n of the

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"reflect"
@@ -13,6 +14,8 @@ import (
 	"mklite/internal/kernel"
 	"mklite/internal/metrics"
 	"mklite/internal/par"
+	"mklite/internal/sched"
+	"mklite/internal/sim"
 	"mklite/internal/trace"
 )
 
@@ -90,11 +93,15 @@ func freshRun(t testing.TB, j Job, mode sinkMode) observed {
 	return done(RunContext(context.Background(), j))
 }
 
-// imageRun is one run of a shared image: its seed and its step count, 0
-// for every step the image was prepared for.
+// imageRun is one run of a shared image: its seed, its step count (0 for
+// every step the image was prepared for) and its scheduling policy (empty
+// for the image's own). A run with both takes the Steps view and then the
+// Sched view, or the other way round when schedFirst is set.
 type imageRun struct {
-	seed  uint64
-	steps int
+	seed       uint64
+	steps      int
+	sched      sched.Kind
+	schedFirst bool
 }
 
 // seedRuns returns a run of every step for each seed.
@@ -106,21 +113,50 @@ func seedRuns(seeds ...uint64) []imageRun {
 	return runs
 }
 
-// withSteps returns j with a copy of its application that runs steps
-// timesteps (all of them for 0).
-func withSteps(j Job, steps int) Job {
-	if steps > 0 {
+// view returns the view of img that r runs.
+func (r imageRun) view(img *Image) (*Image, error) {
+	steps := func(v *Image) (*Image, error) {
+		if r.steps == 0 {
+			return v, nil
+		}
+		return v.Steps(r.steps)
+	}
+	pol := func(v *Image) (*Image, error) {
+		if r.sched == "" {
+			return v, nil
+		}
+		return v.Sched(r.sched)
+	}
+	first, second := steps, pol
+	if r.schedFirst {
+		first, second = pol, steps
+	}
+	v, err := first(img)
+	if err != nil {
+		return nil, err
+	}
+	return second(v)
+}
+
+// job returns j as a fresh run of r: r's seed, with a copy of its
+// application that runs r's steps, under r's policy.
+func (r imageRun) job(j Job) Job {
+	j.Seed = r.seed
+	if r.steps > 0 {
 		app := *j.App
-		app.Timesteps = steps
+		app.Timesteps = r.steps
 		j.App = &app
+	}
+	if r.sched != "" {
+		j.Sched = r.sched
 	}
 	return j
 }
 
 // imageRuns prepares j once and makes every run against the one image,
-// a shorter one through the view Steps returns, concurrently at par width
-// 4, each run with its own sink for mode. When Prepare fails, every run
-// reports its error and an empty sink.
+// through the views each run takes, concurrently at par width 4, each run
+// with its own sink for mode. When Prepare fails, every run reports its
+// error and an empty sink.
 func imageRuns(t testing.TB, j Job, mode sinkMode, runs []imageRun) []observed {
 	proto, _ := newModeSink(t, mode)
 	j.Sink = proto
@@ -130,26 +166,26 @@ func imageRuns(t testing.TB, j Job, mode sinkMode, runs []imageRun) []observed {
 		if err != nil {
 			return done(Result{}, err)
 		}
-		v := img
-		if n := runs[i].steps; n > 0 {
-			var err error
-			if v, err = img.Steps(n); err != nil {
-				return done(Result{}, err)
-			}
+		v, err := runs[i].view(img)
+		if err != nil {
+			return done(Result{}, err)
 		}
 		return done(v.Run(context.Background(), runs[i].seed, sink))
 	})
 }
 
-// checkRuns checks each image run against a fresh run of the same seed
-// and step count, and returns the image runs.
+// checkRuns checks each image run against a fresh run of the same seed,
+// step count and policy, and returns the image runs.
 func checkRuns(t testing.TB, j Job, mode sinkMode, runs []imageRun) []observed {
 	t.Helper()
 	got := imageRuns(t, j, mode, runs)
 	for i, r := range runs {
-		fj := withSteps(j, r.steps)
-		fj.Seed = r.seed
-		checkSame(t, fmt.Sprintf("seed %d, %d steps", r.seed, fj.App.Timesteps), got[i], freshRun(t, fj, mode))
+		fj := r.job(j)
+		label := fmt.Sprintf("seed %d, %d steps", r.seed, fj.App.Timesteps)
+		if r.sched != "" {
+			label += fmt.Sprintf(", sched %s (first %v)", r.sched, r.schedFirst)
+		}
+		checkSame(t, label, got[i], freshRun(t, fj, mode))
 	}
 	return got
 }
@@ -208,25 +244,32 @@ func mustPlan(t testing.TB, spec string) *fault.Plan {
 // every plan, the two storm cells again and AMG2013 under the storm, whose
 // second dense window first appears at step 1, at shorter step counts of
 // the one image (stepCounts), each against a fresh run prepared for that
-// many steps. Under -race it also checks that concurrent runs share the
-// image without a data race.
+// many steps. The "sched" cells run Lulesh on every kernel under the
+// facility storm (dense windows on Linux) and under the degraded-completion
+// plan, from an image prepared under the kernel's default policy and one
+// prepared under tickless, and take every policy of sched.Kinds as a view
+// (Sched): alone, and composed with Steps in both orders, each against a
+// fresh run prepared under that policy (checkSchedView also compares what
+// the view holds). Under -race it also checks that concurrent runs share
+// the image without a data race.
 func TestImageRunsMatchFresh(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+	allSeeds := func(testing.TB, Job) []imageRun { return seedRuns(seeds...) }
+	shortRuns := func(t testing.TB, j Job) (runs []imageRun) {
+		for _, n := range stepCounts(t, j) {
+			for _, seed := range seeds[:2] {
+				runs = append(runs, imageRun{seed: seed, steps: n})
+			}
+		}
+		return runs
+	}
 	cell := 0
-	run := func(name string, j Job, short bool) {
+	run := func(name string, j Job, runsOf func(testing.TB, Job) []imageRun) {
 		mode, tracing := sinkMode(cell)%numSinkModes, cell/int(numSinkModes)%2 == 1
 		cell++
 		j.Trace = tracing
 		t.Run(fmt.Sprintf("%s/%v/trace=%v", name, mode, tracing), func(t *testing.T) {
-			runs := seedRuns(seeds...)
-			if short {
-				runs = nil
-				for _, n := range stepCounts(t, j) {
-					for _, seed := range seeds[:2] {
-						runs = append(runs, imageRun{seed: seed, steps: n})
-					}
-				}
-			}
+			runs := runsOf(t, j)
 			for i, o := range checkRuns(t, j, mode, runs) {
 				if o.err != "" {
 					t.Fatalf("seed %d: %s", runs[i].seed, o.err)
@@ -239,7 +282,7 @@ func TestImageRunsMatchFresh(t *testing.T) {
 		for _, bk := range benchKernels {
 			for pi, spec := range imagePlans {
 				run(fmt.Sprintf("%s/%s/plan%d", app.Name, bk.name, pi),
-					Job{App: app, Kernel: bk.kt, Nodes: 8, Faults: mustPlan(t, spec)}, false)
+					Job{App: app, Kernel: bk.kt, Nodes: 8, Faults: mustPlan(t, spec)}, allSeeds)
 			}
 		}
 	}
@@ -247,16 +290,76 @@ func TestImageRunsMatchFresh(t *testing.T) {
 		return Job{App: app, Kernel: kernel.TypeLinux, Nodes: 8, Faults: mustPlan(t, facilityStormPlan)}
 	}
 	for _, app := range imageApps {
-		run(app.Name+"/linux/dense-storm", storm(app), false)
+		run(app.Name+"/linux/dense-storm", storm(app), allSeeds)
 	}
 	for _, bk := range benchKernels {
 		for pi, spec := range imagePlans {
 			run(fmt.Sprintf("%s/%s/plan%d/steps", apps.Lulesh().Name, bk.name, pi),
-				Job{App: apps.Lulesh(), Kernel: bk.kt, Nodes: 8, Faults: mustPlan(t, spec)}, true)
+				Job{App: apps.Lulesh(), Kernel: bk.kt, Nodes: 8, Faults: mustPlan(t, spec)}, shortRuns)
 		}
 	}
 	for _, app := range append(imageApps, apps.AMG2013()) {
-		run(app.Name+"/linux/dense-storm/steps", storm(app), true)
+		run(app.Name+"/linux/dense-storm/steps", storm(app), shortRuns)
+	}
+	for _, bk := range benchKernels {
+		for _, base := range []sched.Kind{"", sched.Tickless} {
+			for _, plan := range []struct{ name, spec string }{{"dense-storm", facilityStormPlan}, {"degraded", imagePlans[2]}} {
+				// Policies vary fastest, so each image meets every sink
+				// mode.
+				for _, kind := range sched.Kinds() {
+					j := Job{App: apps.Lulesh(), Kernel: bk.kt, Nodes: 8, Sched: base, Faults: mustPlan(t, plan.spec)}
+					run(fmt.Sprintf("%s/%s/%s/from=%s/sched=%s", apps.Lulesh().Name, bk.name, plan.name,
+						cmp.Or(base, "default"), kind), j, func(t testing.TB, j Job) []imageRun {
+						checkSchedView(t, j, kind)
+						n := stepCounts(t, j)[1]
+						return []imageRun{{seed: 1, sched: kind}, {seed: 2, steps: n, sched: kind},
+							{seed: 3, steps: n, sched: kind, schedFirst: true}}
+					})
+				}
+			}
+		}
+	}
+}
+
+// checkSchedView checks that the view under kind of j's image holds what an
+// image prepared under kind holds wherever a policy reaches: the policy,
+// gang alignment, the noise profile's sources in order (a Linux view drops
+// the tick sources or puts them back, before any storm) and the dense
+// windows its tables were built at.
+func checkSchedView(t testing.TB, j Job, kind sched.Kind) {
+	t.Helper()
+	img, err := Prepare(context.Background(), j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := img.Sched(kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Sched = kind
+	want, err := Prepare(context.Background(), j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := func(img *Image) (names []string) {
+		for _, s := range img.prof.Sources {
+			names = append(names, s.Name)
+		}
+		return names
+	}
+	windows := func(img *Image) []sim.Duration {
+		ws, _ := img.denseWindows()
+		return ws
+	}
+	switch {
+	case v.pol.Kind() != want.pol.Kind() || v.plan.gangAligned != want.plan.gangAligned:
+		t.Fatalf("view policy %s (gang aligned %v), prepared %s (%v)",
+			v.pol.Kind(), v.plan.gangAligned, want.pol.Kind(), want.plan.gangAligned)
+	case !slices.Equal(sources(v), sources(want)):
+		t.Fatalf("view noise sources %q, prepared %q", sources(v), sources(want))
+	case !slices.Equal(windows(v), windows(want)) || !slices.Equal(v.denseFirst, want.denseFirst):
+		t.Fatalf("view dense windows %v from steps %v, prepared %v from %v",
+			windows(v), v.denseFirst, windows(want), want.denseFirst)
 	}
 }
 
@@ -335,25 +438,31 @@ func TestImageRunRejectsRicherSink(t *testing.T) {
 }
 
 // FuzzImageMatchesFresh draws (kernel, application, node count, seed, fault
-// plan, sink mode, tracing and a step count) and checks two runs of one
-// image, seeds seed+1 then seed, against fresh runs of the same seeds, as
-// TestImageRunsMatchFresh does. The second run takes 1 + steps mod the
-// application's timesteps of them through Steps, and its fresh run is
-// prepared for as many. The plans are imagePlans and the facility storm,
+// plan, sink mode, tracing, a step count and a scheduling policy) and checks
+// two runs of one image, seeds seed+1 then seed, against fresh runs of the
+// same seeds, as TestImageRunsMatchFresh does. Both runs take the view of
+// the image under the policy sched.Kinds()[sched mod 6] (Sched), and the
+// fresh runs are prepared under it. The second run also takes 1 + steps
+// mod the application's timesteps of them through Steps, after the policy
+// view when sched's high bit is set and before it otherwise, and its fresh
+// run is prepared for as many. The plans are imagePlans and the facility storm,
 // whose Linux runs draw from dense-window tables. A run that fails (a
-// single node cannot complete degraded) must fail with the same error
-// both ways.
+// single node cannot complete degraded) must fail with the same error both
+// ways.
 func FuzzImageMatchesFresh(f *testing.F) {
-	f.Add(uint8(0), uint8(0), uint8(7), uint64(1), uint8(0), uint8(0))
-	f.Add(uint8(1), uint8(3), uint8(15), uint64(9), uint8(7), uint8(3))
-	f.Add(uint8(2), uint8(1), uint8(3), uint64(4), uint8(14), uint8(11))
+	f.Add(uint8(0), uint8(0), uint8(7), uint64(1), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(1), uint8(3), uint8(15), uint64(9), uint8(7), uint8(3), uint8(3))
+	f.Add(uint8(2), uint8(1), uint8(3), uint64(4), uint8(14), uint8(11), uint8(4))
 	all := apps.All()
 	kts := []kernel.Type{kernel.TypeLinux, kernel.TypeMcKernel, kernel.TypeMOS}
 	plans := append(slices.Clone(imagePlans), facilityStormPlan)
-	f.Fuzz(func(t *testing.T, kind, app, nodes uint8, seed uint64, plan, steps uint8) {
+	kinds := sched.Kinds()
+	f.Fuzz(func(t *testing.T, kind, app, nodes uint8, seed uint64, plan, steps, sched uint8) {
 		mode := sinkMode(plan/uint8(len(plans))) % numSinkModes
 		j := Job{App: all[int(app)%len(all)], Kernel: kts[int(kind)%len(kts)], Nodes: 1 + int(nodes)%16,
 			Faults: mustPlan(t, plans[int(plan)%len(plans)]), Trace: plan&0x80 != 0}
-		checkRuns(t, j, mode, []imageRun{{seed: seed + 1}, {seed: seed, steps: 1 + int(steps)%j.App.Timesteps}})
+		k := kinds[int(sched)%len(kinds)]
+		checkRuns(t, j, mode, []imageRun{{seed: seed + 1, sched: k},
+			{seed: seed, steps: 1 + int(steps)%j.App.Timesteps, sched: k, schedFirst: sched&0x80 != 0}})
 	})
 }

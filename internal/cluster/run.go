@@ -99,15 +99,14 @@ func (img *Image) runSteps(ctx context.Context, schedSeed uint64, sink *trace.Si
 	totalRanks := comm.Ranks()
 	plan := &img.plan
 
-	// Scheduler seam: the booted kernel's policy charges each step's
+	// Scheduler seam: the image's policy charges each step's
 	// explicit overhead. The state's RNG stream is derived from the job
 	// seed, never the run RNG, so the default (zero-charge) policies leave
 	// the draw sequence — and the run output — untouched. Gang scheduling
 	// additionally reshapes noise absorption: with every rank's windows
 	// aligned, a detour at a synchronisation point is absorbed inside one
 	// shared window instead of max-combined across ranks.
-	pol := k.Sched()
-	schedSt := pol.NewState(schedSeed)
+	schedSt := img.pol.NewState(schedSeed)
 
 	counting := sink.Counting()
 	eventing := sink.Eventing()

@@ -7,7 +7,6 @@ import (
 	"mklite/internal/fault"
 	"mklite/internal/kernel"
 	"mklite/internal/mpi"
-	"mklite/internal/sched"
 	"mklite/internal/sim"
 )
 
@@ -40,7 +39,7 @@ type stepPlan struct {
 	offloadRTT     sim.Duration
 	// gangAligned is set when gang scheduling aligns every rank's
 	// windows, so synchronisation points take one rank's detour instead
-	// of a max over ranks.
+	// of a max over ranks. The image's policy sets it (setPolicy).
 	gangAligned bool
 }
 
@@ -53,8 +52,7 @@ type collRun struct {
 
 func newStepPlan(j Job, k kernel.Kernel, comm *mpi.Comm) stepPlan {
 	app := j.App
-	pl := stepPlan{cpuTime: stepCompute(app, j.Nodes), stormScale: 1,
-		gangAligned: k.Sched().Kind() == sched.Gang}
+	pl := stepPlan{cpuTime: stepCompute(app, j.Nodes), stormScale: 1}
 	if app.Halo != nil {
 		if h := app.Halo(j.Nodes); h != nil && h.Rounds > 0 {
 			res := comm.HaloExchange(h.Bytes, h.Neighbors)

@@ -329,7 +329,10 @@ func shape5a(f *stats.Figure, series string, lo, hi float64) (float64, float64) 
 // TestPaperClaims checks the paper's shapes in one table,
 // keyed to EXPERIMENTS.md, at the benchmark's scale, and logs each claim's
 // measured value and margin. It runs seed 1; -claims.seeds=N runs seeds
-// 1..N and logs each claim's smallest and median margin over them:
+// 1..N and logs each claim's smallest, 5th-percentile and median margin
+// over them, so the gate's output shows how close each row runs to its
+// bound (the 5th percentile interpolates between the two smallest margins
+// below 21 seeds):
 //
 //	go test ./internal/experiments -run TestPaperClaims -v -claims.seeds=10
 func TestPaperClaims(t *testing.T) {
@@ -350,11 +353,12 @@ func TestPaperClaims(t *testing.T) {
 		}
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "margins over seeds 1-%d (smallest, median):\n", *claimSeeds)
+	fmt.Fprintf(&b, "margins over seeds 1-%d (smallest, 5th percentile, median):\n", *claimSeeds)
 	for i, c := range claims {
 		ms := margins[i]
 		slices.Sort(ms)
-		fmt.Fprintf(&b, "  %-28s %-85s %+8.2f%% %+8.2f%%\n", c.row, c.claim, 100*ms[0], 100*stats.Median(ms))
+		fmt.Fprintf(&b, "  %-28s %-85s %+8.2f%% %+8.2f%% %+8.2f%%\n", c.row, c.claim,
+			100*ms[0], 100*stats.Percentile(ms, 5), 100*stats.Median(ms))
 	}
 	t.Log(b.String())
 }

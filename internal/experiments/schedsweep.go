@@ -23,17 +23,15 @@ func SchedSweepApps() []*apps.Spec {
 	return []*apps.Spec{apps.MiniFE(), apps.LAMMPS()}
 }
 
-// measureNoiseGap runs the job Reps times and summarises the noise-gap
-// metric: the FWQ-style percentage of elapsed time lost to interference plus
-// explicit scheduler charges, 100·(Breakdown.Noise+Breakdown.Sched)/Elapsed.
-// Unlike a FOM comparison this isolates exactly the time a scheduling policy
-// can move — compute, memory and wire time are policy-invariant. As in
-// measureCounted, every repetition runs against one prepared image.
-func measureNoiseGap(cfg Config, job cluster.Job) (stats.Summary, error) {
-	if job.Faults == nil {
-		job.Faults = cfg.Faults
-	}
-	img, err := cluster.Prepare(context.TODO(), job)
+// measureNoiseGap runs the image's view under policy kind Reps times and
+// summarises the noise-gap metric: the FWQ-style percentage of elapsed time
+// lost to interference plus explicit scheduler charges,
+// 100·(Breakdown.Noise+Breakdown.Sched)/Elapsed. Unlike a FOM comparison
+// this isolates exactly the time a scheduling policy can move — compute,
+// memory and wire time are policy-invariant. As in measureCounted, every
+// repetition runs against the one view.
+func measureNoiseGap(cfg Config, img *cluster.Image, kind sched.Kind) (stats.Summary, error) {
+	img, err := img.Sched(kind)
 	if err != nil {
 		return stats.Summary{}, err
 	}
@@ -65,6 +63,11 @@ func measureNoiseGap(cfg Config, job cluster.Job) (stats.Summary, error) {
 // outright, while rr pays for its naive quantum timer. On the LWKs the gap
 // barely moves — there is almost no noise to reshape, which is the paper's
 // isolation argument restated as a scheduling result.
+//
+// A policy reaches nothing a node's boot lays out but the policy itself and
+// Linux's noise profile, so the sweep prepares one image per (application,
+// kernel, node count) and runs each policy as a view of it (Image.Sched).
+// The images live only as long as the call.
 func SchedSweep(cfg Config) ([]*stats.Figure, error) {
 	cfg = cfg.normalize()
 	kts := []kernel.Type{kernel.TypeLinux, kernel.TypeMcKernel, kernel.TypeMOS}
@@ -74,17 +77,26 @@ func SchedSweep(cfg Config) ([]*stats.Figure, error) {
 	return par.MapWidthErr(cfg.Workers, len(sweepApps), func(ai int) (*stats.Figure, error) {
 		app := sweepApps[ai]
 		nodes := cfg.nodeCounts(app)
-		type cell struct{ sum stats.Summary }
-		cells, err := par.MapWidthErr(cfg.Workers, len(kts)*len(kinds)*len(nodes), func(i int) (cell, error) {
-			kt := kts[i/(len(kinds)*len(nodes))]
-			kind := kinds[(i/len(nodes))%len(kinds)]
-			n := nodes[i%len(nodes)]
-			sum, err := measureNoiseGap(cfg, cluster.Job{App: app, Kernel: kt, Nodes: n, Sched: kind})
+		images, err := par.MapWidthErr(cfg.Workers, len(kts)*len(nodes), func(i int) (*cluster.Image, error) {
+			kt, n := kts[i/len(nodes)], nodes[i%len(nodes)]
+			img, err := cluster.Prepare(context.TODO(), cluster.Job{App: app, Kernel: kt, Nodes: n, Faults: cfg.Faults})
 			if err != nil {
-				return cell{}, fmt.Errorf("experiments: schedsweep %s on %v/%s at %d nodes: %w",
+				return nil, fmt.Errorf("experiments: schedsweep %s on %v at %d nodes: %w", app.Name, kt, n, err)
+			}
+			return img, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		cells, err := par.MapWidthErr(cfg.Workers, len(kts)*len(kinds)*len(nodes), func(i int) (stats.Summary, error) {
+			ki, ni := i/(len(kinds)*len(nodes)), i%len(nodes)
+			kt, kind, n := kts[ki], kinds[(i/len(nodes))%len(kinds)], nodes[ni]
+			sum, err := measureNoiseGap(cfg, images[ki*len(nodes)+ni], kind)
+			if err != nil {
+				return stats.Summary{}, fmt.Errorf("experiments: schedsweep %s on %v/%s at %d nodes: %w",
 					app.Name, kt, kind, n, err)
 			}
-			return cell{sum: sum}, nil
+			return sum, nil
 		})
 		if err != nil {
 			return nil, err
@@ -97,7 +109,7 @@ func SchedSweep(cfg Config) ([]*stats.Figure, error) {
 			for pi, kind := range kinds {
 				s := &stats.Series{Name: kt.String() + "/" + string(kind), Unit: "% of elapsed"}
 				for ni, n := range nodes {
-					s.Add(n, cells[(ki*len(kinds)+pi)*len(nodes)+ni].sum)
+					s.Add(n, cells[(ki*len(kinds)+pi)*len(nodes)+ni])
 				}
 				fig.Series = append(fig.Series, s)
 			}

@@ -62,8 +62,7 @@ func DefaultConfig() Config {
 // Kernel is the Linux model.
 type Kernel struct {
 	kernel.Base
-	cfg    Config
-	procfs *ProcFS
+	cfg Config
 	// ddr is the DDR4 order default heaps use; mapDomains is the mapping
 	// order, ddr behind the preferred domain when one is set. Both are
 	// derived once at boot and handed out as they are: their capacity
@@ -100,18 +99,6 @@ func Boot(node *hw.NodeSpec, cfg Config) (*Kernel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("linuxos: %w", err)
 	}
-	prof := noise.LinuxTuned()
-	if !cfg.Tuned {
-		prof = noise.LinuxUntuned()
-	}
-	if kind == sched.Tickless {
-		// Dyntick: with a single HPC task per core the tick is switched
-		// off outright, so the tick-class interference sources vanish.
-		prof = prof.WithoutTicks()
-	}
-	for _, s := range cfg.ExtraNoise {
-		prof = prof.WithSource(s)
-	}
 	k := &Kernel{
 		Base: kernel.Base{
 			KName:  "linux",
@@ -119,13 +106,12 @@ func Boot(node *hw.NodeSpec, cfg Config) (*Kernel, error) {
 			KCaps:  linuxCaps(),
 			KTable: kernel.NewTable(kernel.Native),
 			KCosts: kernel.LinuxCosts(),
-			KNoise: prof,
+			KNoise: NoiseProfile(cfg),
 			KPart:  part,
 			KPhys:  phys,
 			KSched: pol,
 		},
 		cfg:        cfg,
-		procfs:     NewProcFS(node),
 		ddr:        ddr,
 		mapDomains: ddr,
 	}
@@ -135,8 +121,25 @@ func Boot(node *hw.NodeSpec, cfg Config) (*Kernel, error) {
 	return k, nil
 }
 
-// ProcFS returns the full Linux pseudo-filesystem surface.
-func (k *Kernel) ProcFS() *ProcFS { return k.procfs }
+// NoiseProfile returns the noise profile Linux boots with under cfg: the
+// tuned or untuned sources, without the tick-class ones under
+// sched.Tickless, then cfg.ExtraNoise. A node image prepared under one
+// policy calls it for a view under another (cluster.Image.Sched).
+func NoiseProfile(cfg Config) *noise.Profile {
+	prof := noise.LinuxTuned()
+	if !cfg.Tuned {
+		prof = noise.LinuxUntuned()
+	}
+	if cfg.Sched == sched.Tickless {
+		// Dyntick: with a single HPC task per core the tick is switched
+		// off outright, so the tick-class interference sources vanish.
+		prof = prof.WithoutTicks()
+	}
+	for _, s := range cfg.ExtraNoise {
+		prof = prof.WithSource(s)
+	}
+	return prof
+}
 
 // linuxCaps: Linux has every capability the suite knows about.
 func linuxCaps() kernel.CapSet {

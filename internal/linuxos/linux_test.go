@@ -1,7 +1,6 @@
 package linuxos
 
 import (
-	"strings"
 	"testing"
 
 	"mklite/internal/hw"
@@ -145,111 +144,5 @@ func TestUntunedNoisier(t *testing.T) {
 	untuned, _ := Boot(hw.KNL7250SNC4(), cfg)
 	if untuned.Noise().ExpectedRate(1) <= tuned.Noise().ExpectedRate(1) {
 		t.Fatal("untuned kernel should be noisier")
-	}
-}
-
-func TestProcFSBasicFiles(t *testing.T) {
-	k := bootDefault(t)
-	fs := k.ProcFS()
-	for _, path := range []string{
-		"/proc/cpuinfo", "/proc/meminfo", "/proc/stat",
-		"/sys/devices/system/cpu/online", "/sys/devices/system/node/online",
-		"/sys/devices/system/node/node0/cpulist",
-		"/sys/devices/system/node/node7/meminfo",
-	} {
-		if !fs.Has(path) {
-			t.Fatalf("missing %s", path)
-		}
-	}
-	if _, err := fs.Read("/proc/nonexistent"); err == nil {
-		t.Fatal("phantom file read")
-	}
-}
-
-func TestProcFSCpuinfoCounts(t *testing.T) {
-	k := bootDefault(t)
-	content, err := k.ProcFS().Read("/proc/cpuinfo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(content, "processor\t:"); got != 272 {
-		t.Fatalf("cpuinfo lists %d CPUs, want 272", got)
-	}
-}
-
-func TestProcFSOnlineRanges(t *testing.T) {
-	k := bootDefault(t)
-	online, _ := k.ProcFS().Read("/sys/devices/system/cpu/online")
-	if online != "0-271" {
-		t.Fatalf("cpu online = %q", online)
-	}
-	nodes, _ := k.ProcFS().Read("/sys/devices/system/node/online")
-	if nodes != "0-7" {
-		t.Fatalf("node online = %q", nodes)
-	}
-}
-
-func TestPartitionProcFSRestrictsView(t *testing.T) {
-	node := hw.KNL7250SNC4()
-	part, _ := kernel.DefaultPartition(node, 4)
-	fs := NewPartitionProcFS(node, part)
-	content, _ := fs.Read("/proc/cpuinfo")
-	// 64 app cores x 4 threads = 256 logical CPUs visible.
-	if got := strings.Count(content, "processor\t:"); got != 256 {
-		t.Fatalf("partition cpuinfo lists %d CPUs, want 256", got)
-	}
-	// MCDRAM domains stay visible (memory-only).
-	if !fs.Has("/sys/devices/system/node/node4/meminfo") {
-		t.Fatal("MCDRAM domain hidden")
-	}
-}
-
-func TestRangeString(t *testing.T) {
-	cases := []struct {
-		in   []int
-		want string
-	}{
-		{nil, ""},
-		{[]int{3}, "3"},
-		{[]int{0, 1, 2, 3}, "0-3"},
-		{[]int{0, 1, 5, 7, 8}, "0-1,5,7-8"},
-	}
-	for _, c := range cases {
-		if got := rangeString(c.in); got != c.want {
-			t.Fatalf("rangeString(%v) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
-func TestProcFSList(t *testing.T) {
-	k := bootDefault(t)
-	list := k.ProcFS().List()
-	if len(list) < 10 {
-		t.Fatalf("only %d pseudo-files", len(list))
-	}
-	for i := 1; i < len(list); i++ {
-		if list[i-1] >= list[i] {
-			t.Fatal("List not sorted")
-		}
-	}
-}
-
-func TestNumaMaps(t *testing.T) {
-	k := bootDefault(t)
-	as := mem.NewAddrSpace(k.Phys())
-	v, err := as.Map(8*1024*1024, mem.VMAAnon, mem.Policy{Domains: []int{4}, MaxPage: hw.Page2M})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = v
-	out := NumaMaps(as)
-	if !strings.Contains(out, "N4=2048") { // 8 MiB / 4 KiB pages
-		t.Fatalf("numa_maps missing residency:\n%s", out)
-	}
-	if !strings.Contains(out, "kernelpagesize_kB=2048") {
-		t.Fatalf("numa_maps missing page size:\n%s", out)
-	}
-	if !strings.Contains(out, "bind:4") {
-		t.Fatalf("numa_maps missing policy:\n%s", out)
 	}
 }

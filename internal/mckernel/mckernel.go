@@ -52,9 +52,8 @@ func DefaultOptions() Options {
 // Kernel is the McKernel model.
 type Kernel struct {
 	kernel.Base
-	opts   Options
-	grant  *ihk.Grant
-	procfs *linuxos.ProcFS
+	opts  Options
+	grant *ihk.Grant
 	// domains is the MCDRAM-then-DDR4 order every mapping and default heap
 	// starts from, derived once at boot. Policies hand out this slice
 	// itself; its capacity equals its length, so a caller's append copies.
@@ -89,9 +88,6 @@ func Boot(lin *linuxos.Kernel, g *ihk.Grant, opts Options) (*Kernel, error) {
 		opts:    opts,
 		grant:   g,
 		domains: g.Part.Node.DomainsOfKind(hw.MCDRAM, hw.DDR4),
-		// McKernel re-implements the /proc and /sys subset that
-		// reflects its own resource partition (section II-D4).
-		procfs: linuxos.NewPartitionProcFS(g.Part.Node, g.Part),
 	}
 	return k, nil
 }
@@ -161,9 +157,6 @@ func (k *Kernel) Options() Options { return k.opts }
 
 // Grant returns the IHK resource grant backing this kernel.
 func (k *Kernel) Grant() *ihk.Grant { return k.grant }
-
-// ProcFS returns McKernel's partial /proc and /sys surface.
-func (k *Kernel) ProcFS() *linuxos.ProcFS { return k.procfs }
 
 // MapPolicy implements kernel.Kernel: MCDRAM first with transparent DDR4
 // spill, the largest pages the grant's contiguity allows, physical backing

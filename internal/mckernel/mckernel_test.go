@@ -172,19 +172,6 @@ func TestCaps(t *testing.T) {
 	}
 }
 
-func TestProcFSIsPartitionView(t *testing.T) {
-	k := deploy(t, DefaultOptions())
-	// McKernel's procfs shows only the LWK partition: fewer pseudo
-	// files / CPUs than full Linux would expose.
-	online, err := k.ProcFS().Read("/sys/devices/system/cpu/online")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if online == "0-271" {
-		t.Fatal("McKernel procfs should not show all 272 CPUs")
-	}
-}
-
 func TestLWKMemoryComesFromGrant(t *testing.T) {
 	k := deploy(t, DefaultOptions())
 	// The LWK's MCDRAM capacity is large but below the raw 4 GiB per

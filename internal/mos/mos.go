@@ -14,7 +14,6 @@ import (
 
 	"mklite/internal/hw"
 	"mklite/internal/kernel"
-	"mklite/internal/linuxos"
 	"mklite/internal/mem"
 	"mklite/internal/noise"
 	"mklite/internal/sched"
@@ -51,8 +50,7 @@ func DefaultConfig() Config {
 // Kernel is the mOS model.
 type Kernel struct {
 	kernel.Base
-	cfg    Config
-	procfs *linuxos.ProcFS
+	cfg Config
 	// domains is the MCDRAM-then-DDR4 order every mapping and default heap
 	// starts from, derived once at boot. Policies hand out this slice
 	// itself; its capacity equals its length, so a caller's append copies.
@@ -126,9 +124,6 @@ func Boot(node *hw.NodeSpec, cfg Config) (*Kernel, error) {
 		},
 		cfg:     cfg,
 		domains: node.DomainsOfKind(hw.MCDRAM, hw.DDR4),
-		// mOS "mostly reuses the Linux implementation" of /proc and
-		// /sys: the full surface is visible.
-		procfs: linuxos.NewProcFS(node),
 	}
 	return k, nil
 }
@@ -171,9 +166,6 @@ func caps() kernel.CapSet {
 
 // Config returns the boot configuration.
 func (k *Kernel) Config() Config { return k.cfg }
-
-// ProcFS returns the (reused) Linux pseudo-filesystem surface.
-func (k *Kernel) ProcFS() *linuxos.ProcFS { return k.procfs }
 
 // MapPolicy implements kernel.Kernel: MCDRAM first with transparent DDR4
 // spill and the largest pages available, strictly upfront — "The current

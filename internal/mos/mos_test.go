@@ -149,17 +149,6 @@ func TestHeapToggle(t *testing.T) {
 	}
 }
 
-func TestProcFSIsFullLinuxSurface(t *testing.T) {
-	k := boot(t, DefaultConfig())
-	online, err := k.ProcFS().Read("/sys/devices/system/cpu/online")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if online != "0-271" {
-		t.Fatalf("mOS reuses the Linux procfs; cpu online = %q", online)
-	}
-}
-
 func TestMOSSlightlyNoisierThanMcKernel(t *testing.T) {
 	k := boot(t, DefaultConfig())
 	// Stray Linux tasks give mOS a marginally higher noise floor —
