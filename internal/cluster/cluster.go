@@ -19,7 +19,9 @@
 // through Image.Steps, so jobs that differ only in seed and timestep
 // budget share one image too (the facility's jobs of one shape). Image.Sched
 // runs the job under another scheduling policy, so the scheduler sweep
-// prepares one image for all six.
+// prepares one image for all six, and Image.Nodes on another node count
+// whose ranks lay out the same node (SameLayout), so Figure 4 prepares one
+// image per application, kernel and layout.
 package cluster
 
 import (

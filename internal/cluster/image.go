@@ -23,7 +23,10 @@ import (
 // does every job of one shape in a facility run: an image prepared for T
 // steps runs the job for any T′ ≤ T of them through the view Steps
 // returns, exactly as an image prepared for T′ would. Sched returns the
-// view under another scheduling policy in the same way.
+// view under another scheduling policy in the same way, and Nodes the view
+// on another node count whose ranks lay out the same node (SameLayout), so
+// one image serves every node count of a weak-scaled application's sweep.
+// The views compose in any order.
 //
 // An image is read-only once Prepare returns: Run writes nothing in it, so
 // any number of Run calls may share one image concurrently. It holds no
@@ -212,14 +215,47 @@ func (img *Image) Sched(kind sched.Kind) (*Image, error) {
 	}
 	v := *img
 	v.j = img.j.withSched(kind)
-	var prof *noise.Profile
-	if img.k.Type() == kernel.TypeLinux {
+	// Linux's profile differs between two policies only in the tick
+	// sources tickless drops; otherwise the view keeps the image's sources.
+	prof := img.prof.CloneTables(0)
+	if img.k.Type() == kernel.TypeLinux && (kind == sched.Tickless) != (img.pol.Kind() == sched.Tickless) {
 		prof = linuxos.NoiseProfile(*v.j.Linux)
 		prof.Warm()
-	} else {
-		prof = img.prof.CloneTables(0)
 	}
 	v.setPolicy(pol, prof)
+	return &v, nil
+}
+
+// Nodes returns a view of the image that runs the job on n nodes: the image
+// itself when n is its node count, an error when n is below 1 or when the
+// application lays out a different node at n (SameLayout). A run of the
+// view equals a run of an image prepared for n nodes, in its Result and in
+// everything it emits: boot, node setup and the heap phase reach the node
+// count only through the inputs SameLayout compares, so the view rebuilds
+// only what is built after them at n, the communicator, the step plan and
+// the dense-window tables of the plan's windows. The view's job carries n,
+// so degraded completion re-prepares on n − 1 nodes. The view shares
+// everything else with the image and is read-only like it.
+func (img *Image) Nodes(n int) (*Image, error) {
+	if n == img.j.Nodes {
+		return img, nil
+	}
+	if n < 1 {
+		return nil, fmt.Errorf("cluster: bad node count %d", n)
+	}
+	if !SameLayout(img.j.App, img.j.Nodes, n) {
+		return nil, fmt.Errorf("cluster: %s lays out a different node at %d nodes than at %d",
+			img.j.App.Name, n, img.j.Nodes)
+	}
+	comm, err := mpi.New(img.j.Fabric, n, img.j.App.RanksPerNode)
+	if err != nil {
+		return nil, err
+	}
+	v := *img
+	v.j.Nodes = n
+	v.comm = comm
+	v.plan = newStepPlan(v.j, v.k, comm)
+	v.setPolicy(img.pol, img.prof.CloneTables(0))
 	return &v, nil
 }
 

@@ -94,15 +94,20 @@ func freshRun(t testing.TB, j Job, mode sinkMode) observed {
 }
 
 // imageRun is one run of a shared image: its seed, its step count (0 for
-// every step the image was prepared for) and its scheduling policy (empty
-// for the image's own). A run with both takes the Steps view and then the
-// Sched view, or the other way round when schedFirst is set.
+// every step the image was prepared for), its scheduling policy (empty for
+// the image's own) and its node count (0 for the image's own). The run
+// takes the views it needs in the order order spells them, 't' for Steps,
+// 's' for Sched and 'n' for Nodes; the empty order is "tsn".
 type imageRun struct {
-	seed       uint64
-	steps      int
-	sched      sched.Kind
-	schedFirst bool
+	seed  uint64
+	steps int
+	sched sched.Kind
+	nodes int
+	order string
 }
+
+// viewOrders are the six orders of the three views.
+var viewOrders = []string{"tsn", "tns", "stn", "snt", "nts", "nst"}
 
 // seedRuns returns a run of every step for each seed.
 func seedRuns(seeds ...uint64) []imageRun {
@@ -115,31 +120,26 @@ func seedRuns(seeds ...uint64) []imageRun {
 
 // view returns the view of img that r runs.
 func (r imageRun) view(img *Image) (*Image, error) {
-	steps := func(v *Image) (*Image, error) {
-		if r.steps == 0 {
-			return v, nil
+	v := img
+	for _, c := range cmp.Or(r.order, "tsn") {
+		var err error
+		switch {
+		case c == 't' && r.steps > 0:
+			v, err = v.Steps(r.steps)
+		case c == 's' && r.sched != "":
+			v, err = v.Sched(r.sched)
+		case c == 'n' && r.nodes > 0:
+			v, err = v.Nodes(r.nodes)
 		}
-		return v.Steps(r.steps)
-	}
-	pol := func(v *Image) (*Image, error) {
-		if r.sched == "" {
-			return v, nil
+		if err != nil {
+			return nil, err
 		}
-		return v.Sched(r.sched)
 	}
-	first, second := steps, pol
-	if r.schedFirst {
-		first, second = pol, steps
-	}
-	v, err := first(img)
-	if err != nil {
-		return nil, err
-	}
-	return second(v)
+	return v, nil
 }
 
 // job returns j as a fresh run of r: r's seed, with a copy of its
-// application that runs r's steps, under r's policy.
+// application that runs r's steps, under r's policy, on r's nodes.
 func (r imageRun) job(j Job) Job {
 	j.Seed = r.seed
 	if r.steps > 0 {
@@ -149,6 +149,9 @@ func (r imageRun) job(j Job) Job {
 	}
 	if r.sched != "" {
 		j.Sched = r.sched
+	}
+	if r.nodes > 0 {
+		j.Nodes = r.nodes
 	}
 	return j
 }
@@ -181,9 +184,12 @@ func checkRuns(t testing.TB, j Job, mode sinkMode, runs []imageRun) []observed {
 	got := imageRuns(t, j, mode, runs)
 	for i, r := range runs {
 		fj := r.job(j)
-		label := fmt.Sprintf("seed %d, %d steps", r.seed, fj.App.Timesteps)
+		label := fmt.Sprintf("seed %d, %d steps, %d nodes", r.seed, fj.App.Timesteps, fj.Nodes)
 		if r.sched != "" {
-			label += fmt.Sprintf(", sched %s (first %v)", r.sched, r.schedFirst)
+			label += ", sched " + string(r.sched)
+		}
+		if r.order != "" {
+			label += ", views " + r.order
 		}
 		checkSame(t, label, got[i], freshRun(t, fj, mode))
 	}
@@ -250,8 +256,12 @@ func mustPlan(t testing.TB, spec string) *fault.Plan {
 // prepared under tickless, and take every policy of sched.Kinds as a view
 // (Sched): alone, and composed with Steps in both orders, each against a
 // fresh run prepared under that policy (checkSchedView also compares what
-// the view holds). Under -race it also checks that concurrent runs share
-// the image without a data race.
+// the view holds). The "nodes" cells run Lulesh on every kernel under the
+// facility storm and the degraded-completion plan on 16, 4 and 2 nodes of
+// one 8-node image (Nodes), composed with Steps and Sched in each of
+// viewOrders, each against a fresh run prepared on that many nodes
+// (checkNodesView compares what the view holds). Under -race it also
+// checks that concurrent runs share the image without a data race.
 func TestImageRunsMatchFresh(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 	allSeeds := func(testing.TB, Job) []imageRun { return seedRuns(seeds...) }
@@ -313,10 +323,146 @@ func TestImageRunsMatchFresh(t *testing.T) {
 						checkSchedView(t, j, kind)
 						n := stepCounts(t, j)[1]
 						return []imageRun{{seed: 1, sched: kind}, {seed: 2, steps: n, sched: kind},
-							{seed: 3, steps: n, sched: kind, schedFirst: true}}
+							{seed: 3, steps: n, sched: kind, order: "stn"}}
 					})
 				}
 			}
+		}
+	}
+	for _, bk := range benchKernels {
+		for _, plan := range []struct{ name, spec string }{{"dense-storm", facilityStormPlan}, {"degraded", imagePlans[2]}} {
+			// Orders vary fastest, so each kernel and plan meets every
+			// sink mode; each order takes its own policy.
+			for oi, order := range viewOrders {
+				kind := sched.Kinds()[oi%len(sched.Kinds())]
+				j := Job{App: apps.Lulesh(), Kernel: bk.kt, Nodes: 8, Faults: mustPlan(t, plan.spec)}
+				run(fmt.Sprintf("%s/%s/%s/nodes/views=%s/sched=%s", apps.Lulesh().Name, bk.name, plan.name,
+					order, kind), j, func(t testing.TB, j Job) []imageRun {
+					checkNodesView(t, j, 16)
+					n := stepCounts(t, j)[1]
+					return []imageRun{{seed: 1, nodes: 16}, {seed: 2, nodes: 4},
+						{seed: 3, steps: n, sched: kind, nodes: 16, order: order},
+						{seed: 4, steps: n, sched: kind, nodes: 2, order: order}}
+				})
+			}
+		}
+	}
+}
+
+// checkNodesView checks that the view on n nodes of j's image holds what an
+// image prepared on n nodes holds wherever the node count reaches past the
+// layout: the communicator's rank count, the step plan and the dense
+// windows its tables were built at.
+func checkNodesView(t testing.TB, j Job, n int) {
+	t.Helper()
+	img, err := Prepare(context.Background(), j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := img.Nodes(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Nodes = n
+	want, err := Prepare(context.Background(), j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vw, _ := v.denseWindows()
+	ww, _ := want.denseWindows()
+	switch {
+	case v.comm.Ranks() != want.comm.Ranks() || v.j.Nodes != n:
+		t.Fatalf("view on %d nodes has %d ranks, prepared %d", v.j.Nodes, v.comm.Ranks(), want.comm.Ranks())
+	case !reflect.DeepEqual(v.plan, want.plan):
+		t.Fatalf("view step plan %+v, prepared %+v", v.plan, want.plan)
+	case !slices.Equal(vw, ww) || !slices.Equal(v.denseFirst, want.denseFirst):
+		t.Fatalf("view dense windows %v from steps %v, prepared %v from %v", vw, v.denseFirst, ww, want.denseFirst)
+	}
+}
+
+// TestNodeViewsMatchFresh sweeps every application, kernel and node count
+// the paper evaluates: the first node count of each layout (SameLayout)
+// prepares an image, and every node count runs its view of its layout's
+// image (Nodes) at seed 1 against a fresh run on that many nodes, counters
+// included. A node-dependent input that SameLayout does not compare shows
+// here as a difference. Every other layout's image refuses the node count;
+// the weak-scaled applications keep one layout, and MiniFE, strong-scaled,
+// has one per node count.
+func TestNodeViewsMatchFresh(t *testing.T) {
+	for _, app := range apps.All() {
+		for _, bk := range benchKernels {
+			t.Run(app.Name+"/"+bk.name, func(t *testing.T) {
+				var images []*Image
+				for _, n := range app.NodeCounts {
+					j := Job{App: app, Kernel: bk.kt, Nodes: n, Seed: 1}
+					var v *Image
+					for _, img := range images {
+						w, err := img.Nodes(n)
+						if same := SameLayout(app, img.j.Nodes, n); same != (err == nil) {
+							t.Fatalf("image on %d nodes: view on %d: %v (same layout %v)", img.j.Nodes, n, err, same)
+						}
+						if err == nil && v == nil {
+							v = w
+						}
+					}
+					if v == nil {
+						proto, _ := newModeSink(t, sinkCounters)
+						j.Sink = proto
+						img, err := Prepare(context.Background(), j)
+						if err != nil {
+							t.Fatal(err)
+						}
+						images, v = append(images, img), img
+					}
+					sink, done := newModeSink(t, sinkCounters)
+					checkSame(t, fmt.Sprintf("%d nodes", n), done(v.Run(context.Background(), 1, sink)),
+						freshRun(t, j, sinkCounters))
+				}
+				want := 1
+				if app.Name == apps.MiniFE().Name {
+					want = len(app.NodeCounts)
+				}
+				if len(images) != want {
+					t.Errorf("%d node counts in %d layouts, want %d", len(app.NodeCounts), len(images), want)
+				}
+			})
+		}
+	}
+}
+
+// TestNodesViewErrors: a view on no nodes, or on a node count whose layout
+// differs, is an error; a view on the image's own node count is the image.
+func TestNodesViewErrors(t *testing.T) {
+	img, err := Prepare(context.Background(), Job{App: apps.MiniFE(), Kernel: kernel.TypeMOS, Nodes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, -1, 8} {
+		if _, err := img.Nodes(n); err == nil {
+			t.Errorf("MiniFE's image on 4 nodes gives a view on %d", n)
+		}
+	}
+	if v, err := img.Nodes(4); err != nil || v != img {
+		t.Errorf("view on the image's own node count: %p, %v; want the image", v, err)
+	}
+}
+
+// TestSameLayoutByValue: SameLayout compares the per-rank inputs, not the
+// application's scaling flag.
+func TestSameLayoutByValue(t *testing.T) {
+	weak := *apps.Lulesh()
+	weak.WorkingSetPerRank = func(n int) int64 { return int64(n) << 30 }
+	strong := *apps.MiniFE()
+	strong.WorkingSetPerRank = func(int) int64 { return 1 << 30 }
+	strong.MemTrafficPerStep = func(int) int64 { return 1 << 28 }
+	heap := *apps.Lulesh()
+	heap.HeapOpsPerStep = func(n int) []int64 { return make([]int64, n) }
+	for _, c := range []struct {
+		app  *apps.Spec
+		want bool
+	}{{&weak, false}, {&strong, true}, {&heap, false}, {apps.Lulesh(), true}, {apps.MiniFE(), false}} {
+		if got := SameLayout(c.app, 2, 4); got != c.want {
+			t.Errorf("%s (weak %v): SameLayout(2, 4) = %v, want %v", c.app.Name, c.app.Weak, got, c.want)
 		}
 	}
 }
@@ -438,31 +584,45 @@ func TestImageRunRejectsRicherSink(t *testing.T) {
 }
 
 // FuzzImageMatchesFresh draws (kernel, application, node count, seed, fault
-// plan, sink mode, tracing, a step count and a scheduling policy) and checks
-// two runs of one image, seeds seed+1 then seed, against fresh runs of the
-// same seeds, as TestImageRunsMatchFresh does. Both runs take the view of
-// the image under the policy sched.Kinds()[sched mod 6] (Sched), and the
-// fresh runs are prepared under it. The second run also takes 1 + steps
-// mod the application's timesteps of them through Steps, after the policy
-// view when sched's high bit is set and before it otherwise, and its fresh
-// run is prepared for as many. The plans are imagePlans and the facility storm,
-// whose Linux runs draw from dense-window tables. A run that fails (a
-// single node cannot complete degraded) must fail with the same error both
-// ways.
+// plan, sink mode, tracing, a step count, a scheduling policy and a second
+// node count) and checks two runs of one image, seeds seed+1 then seed,
+// against fresh runs of the same seeds, as TestImageRunsMatchFresh does.
+// Both runs take the view of the image under the policy
+// sched.Kinds()[sched mod 6] (Sched), and the fresh runs are prepared under
+// it. The second run also takes 1 + steps mod the application's timesteps
+// of them through Steps and runs on 1 + nodes mod 16 nodes through Nodes,
+// taking the three views in the order viewOrders[nodes/16 mod 6], and its
+// fresh run is prepared for as many steps on as many nodes. Where the
+// application lays out a different node there (SameLayout), Nodes must
+// refuse it and the second run stays on the image's node count. The plans
+// are imagePlans and the facility storm, whose Linux runs draw from
+// dense-window tables. A run that fails (a single node cannot complete
+// degraded) must fail with the same error both ways.
 func FuzzImageMatchesFresh(f *testing.F) {
-	f.Add(uint8(0), uint8(0), uint8(7), uint64(1), uint8(0), uint8(0), uint8(0))
-	f.Add(uint8(1), uint8(3), uint8(15), uint64(9), uint8(7), uint8(3), uint8(3))
-	f.Add(uint8(2), uint8(1), uint8(3), uint64(4), uint8(14), uint8(11), uint8(4))
+	f.Add(uint8(0), uint8(0), uint8(7), uint64(1), uint8(0), uint8(0), uint8(0), uint8(0x13))
+	f.Add(uint8(1), uint8(3), uint8(15), uint64(9), uint8(7), uint8(3), uint8(3), uint8(0x5f))
+	f.Add(uint8(2), uint8(1), uint8(3), uint64(4), uint8(14), uint8(11), uint8(4), uint8(0x21))
 	all := apps.All()
 	kts := []kernel.Type{kernel.TypeLinux, kernel.TypeMcKernel, kernel.TypeMOS}
 	plans := append(slices.Clone(imagePlans), facilityStormPlan)
 	kinds := sched.Kinds()
-	f.Fuzz(func(t *testing.T, kind, app, nodes uint8, seed uint64, plan, steps, sched uint8) {
+	f.Fuzz(func(t *testing.T, kind, app, size uint8, seed uint64, plan, steps, sched, nodes uint8) {
 		mode := sinkMode(plan/uint8(len(plans))) % numSinkModes
-		j := Job{App: all[int(app)%len(all)], Kernel: kts[int(kind)%len(kts)], Nodes: 1 + int(nodes)%16,
+		j := Job{App: all[int(app)%len(all)], Kernel: kts[int(kind)%len(kts)], Nodes: 1 + int(size)%16,
 			Faults: mustPlan(t, plans[int(plan)%len(plans)]), Trace: plan&0x80 != 0}
 		k := kinds[int(sched)%len(kinds)]
+		n := 1 + int(nodes)%16
+		if !SameLayout(j.App, j.Nodes, n) {
+			img, err := Prepare(context.Background(), j)
+			if err == nil {
+				if _, err := img.Nodes(n); err == nil {
+					t.Fatalf("%s on %d nodes: a view on %d nodes of another layout", j.App.Name, j.Nodes, n)
+				}
+			}
+			n = 0
+		}
 		checkRuns(t, j, mode, []imageRun{{seed: seed + 1, sched: k},
-			{seed: seed, steps: 1 + int(steps)%j.App.Timesteps, sched: k, schedFirst: sched&0x80 != 0}})
+			{seed: seed, steps: 1 + int(steps)%j.App.Timesteps, sched: k, nodes: n,
+				order: viewOrders[int(nodes)/16%len(viewOrders)]}})
 	})
 }

@@ -3,7 +3,9 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 
+	"mklite/internal/apps"
 	"mklite/internal/hw"
 	"mklite/internal/kernel"
 	"mklite/internal/mem"
@@ -194,9 +196,31 @@ func fitsInMCDRAM(j Job) bool {
 	return perNode <= 15*hw.GiB
 }
 
+// SameLayout reports whether app lays out the same node at a and at b nodes:
+// whether its per-rank working set, memory traffic and brk trace, the only
+// inputs through which the node count reaches setupNode, memTimeFor and the
+// heap replay, are equal at both. It decides by their values, so a
+// weak-scaled application shares one layout across node counts and a
+// strong-scaled one, whose ranks shrink as the job grows, does not. A node
+// image serves every node count that shares its layout (Image.Nodes).
+func SameLayout(app *apps.Spec, a, b int) bool {
+	if a == b {
+		return true
+	}
+	if app.WorkingSetPerRank(a) != app.WorkingSetPerRank(b) ||
+		app.MemTrafficPerStep(a) != app.MemTrafficPerStep(b) {
+		return false
+	}
+	if app.HeapOpsPerStep == nil {
+		return true
+	}
+	return slices.Equal(app.HeapOpsPerStep(a), app.HeapOpsPerStep(b))
+}
+
 // setupNode builds every rank's address space, working set, heap and MPI
 // shared-memory window through the kernel's real memory paths. It draws no
-// random numbers: a node's layout is a function of the job alone.
+// random numbers: a node's layout is a function of the job alone, and of
+// its node count only as far as SameLayout looks.
 func setupNode(k kernel.Kernel, j Job) (*nodeState, error) {
 	app := j.App
 	ws := app.WorkingSetPerRank(j.Nodes)

@@ -10,6 +10,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"mklite/internal/apps"
 	"mklite/internal/cluster"
@@ -112,16 +113,20 @@ type repResult struct {
 	metrics  *metrics.Registry
 }
 
-// measureCounted is measure plus optional mechanism counters: with
-// cfg.Counters set, every repetition runs with its own trace sink (created
-// inside the worker closure — sinks must never cross par workers) and the
-// per-rep counter sets are merged in index order after the join, keeping the
-// aggregate independent of scheduling.
-//
-// The repetitions differ only in their seed, and nothing seed-free depends
-// on it, so the cell's node is prepared once, before the fan-out, and every
-// repetition runs against the one read-only image.
+// measureCounted is measure plus optional mechanism counters: Prepare, then
+// measureImage.
 func measureCounted(cfg Config, job cluster.Job) (stats.Summary, *trace.Counters, *metrics.Registry, error) {
+	img, err := prepare(cfg, job)
+	if err != nil {
+		return stats.Summary{}, nil, nil, err
+	}
+	return measureImage(cfg, img)
+}
+
+// prepare prepares job's node image under cfg: cfg's fault plan and
+// scheduling policy where the job sets none of its own, recording what
+// cfg's repetition sinks ask for.
+func prepare(cfg Config, job cluster.Job) (*cluster.Image, error) {
 	if job.Faults == nil {
 		job.Faults = cfg.Faults
 	}
@@ -130,10 +135,19 @@ func measureCounted(cfg Config, job cluster.Job) (stats.Summary, *trace.Counters
 	}
 	// The prepared job's sink only tells the image what to record.
 	job.Sink, _, _ = repSink(cfg)
-	img, err := cluster.Prepare(context.TODO(), job)
-	if err != nil {
-		return stats.Summary{}, nil, nil, err
-	}
+	return cluster.Prepare(context.TODO(), job)
+}
+
+// measureImage runs img Reps times — in parallel, each repetition on its
+// own stream seed — and summarises the FOMs, with optional mechanism
+// counters: with cfg.Counters set, every repetition runs with its own trace
+// sink (created inside the worker closure — sinks must never cross par
+// workers) and the per-rep counter sets are merged in index order after
+// the join, keeping the aggregate independent of scheduling.
+//
+// The repetitions differ only in their seed, and nothing seed-free depends
+// on it, so every repetition runs against the one read-only image.
+func measureImage(cfg Config, img *cluster.Image) (stats.Summary, *trace.Counters, *metrics.Registry, error) {
 	reps, err := par.MapWidthErr(cfg.Workers, cfg.Reps, func(rep int) (repResult, error) {
 		sink, ctrs, reg := repSink(cfg)
 		res, err := img.Run(context.TODO(), sim.StreamSeed(cfg.Seed, uint64(rep)), sink)
@@ -182,22 +196,32 @@ func repSink(cfg Config) (*trace.Sink, *trace.Counters, *metrics.Registry) {
 }
 
 // appFigure builds the three-kernel figure for one application by fanning
-// the whole (kernel x node-count) grid out through one par.Map: every cell
-// is an independent job, so the grid parallelises without any coordination
-// and the series are assembled from the index-ordered results.
+// the whole (kernel x node-count) grid out through one par.Map: each cell
+// measures its node count's view of its kernel's image (layoutImages), so
+// the grid parallelises without any coordination and the series are
+// assembled from the index-ordered results. The images live only as long
+// as the call.
 func appFigure(cfg Config, app *apps.Spec, id string) (*stats.Figure, error) {
 	kts := []kernel.Type{kernel.TypeLinux, kernel.TypeMcKernel, kernel.TypeMOS}
 	nodes := cfg.nodeCounts(app)
+	cellErr := func(kt kernel.Type, n int, err error) error {
+		return fmt.Errorf("experiments: %s on %v at %d nodes: %w", app.Name, kt, n, err)
+	}
+	images, err := layoutImages(cfg, app, kts, nodes, func(kt kernel.Type, n int) (*cluster.Image, error) {
+		return prepare(cfg, cluster.Job{App: app, Kernel: kt, Nodes: n})
+	}, cellErr)
+	if err != nil {
+		return nil, err
+	}
 	type cell struct {
 		sum      stats.Summary
 		counters *trace.Counters
 		metrics  *metrics.Registry
 	}
 	cells, err := par.MapWidthErr(cfg.Workers, len(kts)*len(nodes), func(i int) (cell, error) {
-		kt, n := kts[i/len(nodes)], nodes[i%len(nodes)]
-		sum, ctrs, reg, err := measureCounted(cfg, cluster.Job{App: app, Kernel: kt, Nodes: n})
+		sum, ctrs, reg, err := measureImage(cfg, images[i])
 		if err != nil {
-			return cell{}, fmt.Errorf("experiments: %s on %v at %d nodes: %w", app.Name, kt, n, err)
+			return cell{}, cellErr(kts[i/len(nodes)], nodes[i%len(nodes)], err)
 		}
 		return cell{sum: sum, counters: ctrs, metrics: reg}, nil
 	})
@@ -227,6 +251,48 @@ func appFigure(cfg Config, app *apps.Spec, id string) (*stats.Figure, error) {
 		fig.MetricsText = merged.Report().Render()
 	}
 	return fig, nil
+}
+
+// layoutImages returns the node image of every (kernel, node count) cell of
+// an application's sweep, indexed kernel-major: one image per kernel of kts
+// and node layout of app's node counts nodes (cluster.SameLayout), prepared
+// by prep at the layout's first node count, and each cell's view of its
+// layout's image at the cell's node count (Image.Nodes). The images are
+// prepared concurrently and then the views built concurrently; cellErr
+// wraps a cell's error. The images live as long as the caller holds the
+// views.
+func layoutImages(cfg Config, app *apps.Spec, kts []kernel.Type, nodes []int,
+	prep func(kernel.Type, int) (*cluster.Image, error),
+	cellErr func(kernel.Type, int, error) error) ([]*cluster.Image, error) {
+	// layout[ni] indexes firsts, the node counts that open a layout.
+	layout := make([]int, len(nodes))
+	var firsts []int
+	for ni, n := range nodes {
+		layout[ni] = slices.IndexFunc(firsts, func(fi int) bool { return cluster.SameLayout(app, nodes[fi], n) })
+		if layout[ni] < 0 {
+			layout[ni] = len(firsts)
+			firsts = append(firsts, ni)
+		}
+	}
+	prepared, err := par.MapWidthErr(cfg.Workers, len(kts)*len(firsts), func(i int) (*cluster.Image, error) {
+		kt, n := kts[i/len(firsts)], nodes[firsts[i%len(firsts)]]
+		img, err := prep(kt, n)
+		if err != nil {
+			return nil, cellErr(kt, n, err)
+		}
+		return img, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return par.MapWidthErr(cfg.Workers, len(kts)*len(nodes), func(i int) (*cluster.Image, error) {
+		ki, ni := i/len(nodes), i%len(nodes)
+		img, err := prepared[ki*len(firsts)+layout[ni]].Nodes(nodes[ni])
+		if err != nil {
+			return nil, cellErr(kts[ki], nodes[ni], err)
+		}
+		return img, nil
+	})
 }
 
 // RelativeFigure converts an absolute three-kernel figure into the paper's

@@ -66,8 +66,9 @@ func measureNoiseGap(cfg Config, img *cluster.Image, kind sched.Kind) (stats.Sum
 //
 // A policy reaches nothing a node's boot lays out but the policy itself and
 // Linux's noise profile, so the sweep prepares one image per (application,
-// kernel, node count) and runs each policy as a view of it (Image.Sched).
-// The images live only as long as the call.
+// kernel, node layout), takes each node count's view of it (layoutImages)
+// and runs each policy as a view of that (Image.Sched). The images live
+// only as long as the call.
 func SchedSweep(cfg Config) ([]*stats.Figure, error) {
 	cfg = cfg.normalize()
 	kts := []kernel.Type{kernel.TypeLinux, kernel.TypeMcKernel, kernel.TypeMOS}
@@ -77,13 +78,10 @@ func SchedSweep(cfg Config) ([]*stats.Figure, error) {
 	return par.MapWidthErr(cfg.Workers, len(sweepApps), func(ai int) (*stats.Figure, error) {
 		app := sweepApps[ai]
 		nodes := cfg.nodeCounts(app)
-		images, err := par.MapWidthErr(cfg.Workers, len(kts)*len(nodes), func(i int) (*cluster.Image, error) {
-			kt, n := kts[i/len(nodes)], nodes[i%len(nodes)]
-			img, err := cluster.Prepare(context.TODO(), cluster.Job{App: app, Kernel: kt, Nodes: n, Faults: cfg.Faults})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: schedsweep %s on %v at %d nodes: %w", app.Name, kt, n, err)
-			}
-			return img, nil
+		images, err := layoutImages(cfg, app, kts, nodes, func(kt kernel.Type, n int) (*cluster.Image, error) {
+			return cluster.Prepare(context.TODO(), cluster.Job{App: app, Kernel: kt, Nodes: n, Faults: cfg.Faults})
+		}, func(kt kernel.Type, n int, err error) error {
+			return fmt.Errorf("experiments: schedsweep %s on %v at %d nodes: %w", app.Name, kt, n, err)
 		})
 		if err != nil {
 			return nil, err

@@ -8,9 +8,12 @@
 // interference on shared nodes expressed as daemon-storm / offload-contention
 // fault plans — and runs every launched job on a cluster node image. Jobs
 // of one shape (application, kernel, scheduler, node count, co-tenancy)
-// share one image per facility run, prepared once by cluster.Prepare at
-// the longest timestep budget; each job runs it at its own budget and seed
-// (cluster.Image.Steps, Image.Run).
+// share one image view per facility run, and shapes that differ only in
+// node counts whose ranks lay out the same node (cluster.SameLayout) share
+// one image, prepared once by cluster.Prepare at the longest timestep
+// budget; each shape runs the view at its node count (cluster.Image.Nodes)
+// and each job the view at its own budget and seed (cluster.Image.Steps,
+// Image.Run).
 //
 // The determinism contract is the module's usual one, lifted one level up:
 // a facility run is a pure function of (Config, seed).

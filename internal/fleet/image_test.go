@@ -2,11 +2,14 @@ package fleet
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"mklite/internal/apps"
 	"mklite/internal/cluster"
 	"mklite/internal/obs"
 	"mklite/internal/trace"
@@ -15,12 +18,13 @@ import (
 // TestFacilityMatchesFreshRuns is the differential check of the shared
 // node images: under each kernel policy, and heuristic:gang, a quick
 // facility with per-job outcomes, merged and per-job counters and per-job
-// event tracks runs its jobs on one image per shape, and every job's
-// outcome equals a fresh cluster.Run of its launch spec — the policy's
-// choice, its co-tenancy plan (interferenceFor), its own application,
-// timestep budget and seed. Elapsed time, FOM, the job's counters and its
-// event track must match exactly. The leg prepares as many images as its
-// jobs have distinct shapes, and fewer than it has jobs.
+// event tracks runs its jobs on one view per shape of one image per node
+// layout, and every job's outcome equals a fresh cluster.Run of its launch
+// spec — the policy's choice, its co-tenancy plan (interferenceFor), its
+// own application, timestep budget and seed. Elapsed time, FOM, the job's
+// counters and its event track must match exactly. The leg prepares one
+// image per layout (its shapes split by cluster.SameLayout), fewer than it
+// has shapes, and builds one view per shape, fewer than it has jobs.
 func TestFacilityMatchesFreshRuns(t *testing.T) {
 	for _, name := range []string{"fixed-linux", "fixed-mckernel", "fixed-mos", "heuristic", "specialize", "heuristic:gang"} {
 		t.Run(name, func(t *testing.T) {
@@ -49,25 +53,50 @@ func TestFacilityMatchesFreshRuns(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			shapes := map[shape]bool{}
+			shapes := map[shape]*apps.Spec{}
 			for _, out := range res.PerJob {
-				ch := pol.Select(stream[out.ID])
+				j := stream[out.ID]
+				ch := pol.Select(j)
 				shapes[shape{app: out.App, kernel: ch.Kernel, sched: ch.Sched,
-					nodes: out.Nodes, cotenancy: out.Cotenancy}] = true
+					nodes: out.Nodes, cotenancy: out.Cotenancy}] = j.App
 			}
-			images := map[*cluster.Image]bool{}
-			for _, prep := range s.images {
-				img, err := prep()
-				if err != nil {
-					t.Fatal(err)
+			layouts := map[shape][]int{}
+			nLayouts := 0
+			for key, app := range shapes {
+				family := key
+				family.nodes = 0
+				if !slices.ContainsFunc(layouts[family], func(n int) bool { return cluster.SameLayout(app, n, key.nodes) }) {
+					layouts[family] = append(layouts[family], key.nodes)
+					nLayouts++
 				}
-				images[img] = true
 			}
-			if len(images) != len(shapes) || len(s.images) != len(shapes) || len(shapes) >= len(res.PerJob) {
-				t.Fatalf("%d images in %d cells for %d shapes of %d jobs",
-					len(images), len(s.images), len(shapes), len(res.PerJob))
+			distinct := func(imgs []func() (*cluster.Image, error)) int {
+				seen := map[*cluster.Image]bool{}
+				for _, img := range imgs {
+					v, err := img()
+					if err != nil {
+						t.Fatal(err)
+					}
+					seen[v] = true
+				}
+				return len(seen)
 			}
-			t.Logf("%d jobs, %d shapes", len(res.PerJob), len(shapes))
+			var prepared []func() (*cluster.Image, error)
+			for _, ls := range s.layouts {
+				for _, li := range ls {
+					prepared = append(prepared, li.image)
+				}
+			}
+			if len(prepared) != nLayouts || distinct(prepared) != nLayouts || nLayouts >= len(shapes) {
+				t.Fatalf("%d images prepared (%d distinct) for %d layouts of %d shapes",
+					len(prepared), distinct(prepared), nLayouts, len(shapes))
+			}
+			if views := slices.Collect(maps.Values(s.images)); len(views) != len(shapes) ||
+				distinct(views) != len(shapes) || len(shapes) >= len(res.PerJob) {
+				t.Fatalf("%d views (%d distinct) for %d shapes of %d jobs",
+					len(views), distinct(views), len(shapes), len(res.PerJob))
+			}
+			t.Logf("%d jobs, %d shapes, %d layouts", len(res.PerJob), len(shapes), nLayouts)
 
 			tracks, starts := jobTracks(o.Timeline)
 			for _, out := range res.PerJob {

@@ -39,9 +39,12 @@ type Scheduler struct {
 	// order (every one is also in running).
 	pipe    *par.Pipe[runOut]
 	pending []*runningJob
-	// images holds one node image per job shape launched so far, each
-	// prepared once by the first job of its shape to run (see image).
-	images map[shape]func() (*cluster.Image, error)
+	// layouts holds, per job shape with its node count left out, one
+	// prepared node image per node layout launched so far, and images one
+	// view of them per job shape; each is built once, by the first job
+	// that needs it (see image).
+	layouts map[shape][]layoutImage
+	images  map[shape]func() (*cluster.Image, error)
 
 	// busyNodeNs accumulates occupied-nodes x virtual-time, the
 	// utilization numerator (int64 node-nanoseconds).
@@ -109,6 +112,7 @@ func newScheduler(cfg Config) *Scheduler {
 		alloc:      NewAllocator(cfg.Nodes, cfg.Share),
 		reg:        metrics.NewRegistry(),
 		kernelJobs: map[string]int{},
+		layouts:    map[shape][]layoutImage{},
 		images:     map[shape]func() (*cluster.Image, error){},
 	}
 	if cfg.Counters {
@@ -250,35 +254,66 @@ type shape struct {
 	cotenancy int
 }
 
-// image returns the node image of l's shape as a function that prepares
-// it on its first call and returns the same image, or error, on every
-// call; jobs of one shape share it. The image is prepared for the
-// facility's longest timestep budget and counts when counting is set, so
-// it serves every job of the shape (cluster.Image.Steps). A job closure
-// makes the first call: the pipeline starts jobs in launch order, so the
-// first job of a shape prepares its image while the later ones wait for
-// it. Preparing draws nothing, so which job prepares cannot reach the
-// outputs, and the images die with the Scheduler.
+// layoutImage is one prepared node layout of a shape family (the shapes
+// that differ only in their node count): the node count the image was
+// prepared at, and the function that prepares it once.
+type layoutImage struct {
+	nodes int
+	image func() (*cluster.Image, error)
+}
+
+// image returns the node image of l's shape as a function that builds it on
+// its first call and returns the same image, or error, on every call; jobs
+// of one shape share it. Shapes whose node counts lay out the same node
+// (cluster.SameLayout) share one prepared image, and each shape runs the
+// view of it at its own node count (cluster.Image.Nodes). The image is
+// prepared for the facility's longest timestep budget and counts when
+// counting is set, so it serves every job of the shape
+// (cluster.Image.Steps). A job closure makes the first call: the pipeline
+// starts jobs in launch order, so the first job of a layout prepares its
+// image, at its own node count, while the later ones wait for it. Which
+// node count that is follows from the launch order alone, preparing draws
+// nothing, and a view equals an image prepared at its node count, so which
+// job prepares cannot reach the outputs. The images die with the Scheduler.
 func (s *Scheduler) image(l *launch, counting bool) func() (*cluster.Image, error) {
 	key := shape{app: l.job.App.Name, kernel: l.kernel, sched: l.sched,
 		nodes: l.job.Nodes, cotenancy: l.cotenancy}
-	if prep, ok := s.images[key]; ok {
-		return prep
+	if view, ok := s.images[key]; ok {
+		return view
 	}
-	j := l.runJob(nil)
-	app := *j.App
-	app.Timesteps = s.cfg.MaxTimesteps
-	j.App = &app
-	prep := sync.OnceValues(func() (*cluster.Image, error) {
-		var c *trace.Counters
-		if counting {
-			c = trace.NewCounters()
-		}
-		j.Sink = trace.NewSink(c, nil)
-		return cluster.Prepare(context.TODO(), j)
+	family := key
+	family.nodes = 0
+	layouts := s.layouts[family]
+	i := slices.IndexFunc(layouts, func(li layoutImage) bool {
+		return cluster.SameLayout(l.job.App, li.nodes, key.nodes)
 	})
-	s.images[key] = prep
-	return prep
+	var view func() (*cluster.Image, error)
+	if i < 0 {
+		j := l.runJob(nil)
+		app := *j.App
+		app.Timesteps = s.cfg.MaxTimesteps
+		j.App = &app
+		view = sync.OnceValues(func() (*cluster.Image, error) {
+			var c *trace.Counters
+			if counting {
+				c = trace.NewCounters()
+			}
+			j.Sink = trace.NewSink(c, nil)
+			return cluster.Prepare(context.TODO(), j)
+		})
+		s.layouts[family] = append(layouts, layoutImage{nodes: key.nodes, image: view})
+	} else {
+		prep, n := layouts[i].image, key.nodes
+		view = sync.OnceValues(func() (*cluster.Image, error) {
+			img, err := prep()
+			if err != nil {
+				return nil, err
+			}
+			return img.Nodes(n)
+		})
+	}
+	s.images[key] = view
+	return view
 }
 
 // execute runs one launched job on its shape's image. It reads only the

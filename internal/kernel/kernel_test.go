@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"testing"
 
 	"mklite/internal/hw"
@@ -33,6 +34,15 @@ func TestSysnoStrings(t *testing.T) {
 	}
 	if Sysno(-5).String() != "sys_-5?" {
 		t.Fatalf("invalid sysno string: %q", Sysno(-5).String())
+	}
+	for _, n := range All() {
+		want, ok := sysnoNames[n]
+		if !ok {
+			want = fmt.Sprintf("sys_%d", int(n))
+		}
+		if got := n.String(); got != want {
+			t.Errorf("Sysno(%d).String() = %q, want %q", int(n), got, want)
+		}
 	}
 }
 

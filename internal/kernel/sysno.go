@@ -5,7 +5,10 @@
 // tick-driven time sharing).
 package kernel
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Sysno identifies a system call in the modelled ABI (a Linux-x86-64-like
 // surface; the numbers are internal, not Linux's).
@@ -283,7 +286,7 @@ func (n Sysno) String() string {
 	if n < 0 || n >= numSysno {
 		return fmt.Sprintf("sys_%d?", int(n))
 	}
-	return fmt.Sprintf("sys_%d", int(n))
+	return "sys_" + strconv.Itoa(int(n))
 }
 
 // Valid reports whether n is in the inventory.

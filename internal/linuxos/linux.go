@@ -123,14 +123,15 @@ func Boot(node *hw.NodeSpec, cfg Config) (*Kernel, error) {
 
 // NoiseProfile returns the noise profile Linux boots with under cfg: the
 // tuned or untuned sources, without the tick-class ones under
-// sched.Tickless, then cfg.ExtraNoise. A node image prepared under one
-// policy calls it for a view under another (cluster.Image.Sched).
+// sched.Tickless (in any spelling sched.Parse accepts), then
+// cfg.ExtraNoise. A node image prepared under one policy calls it for a
+// view under another (cluster.Image.Sched).
 func NoiseProfile(cfg Config) *noise.Profile {
 	prof := noise.LinuxTuned()
 	if !cfg.Tuned {
 		prof = noise.LinuxUntuned()
 	}
-	if cfg.Sched == sched.Tickless {
+	if tickless(cfg.Sched) {
 		// Dyntick: with a single HPC task per core the tick is switched
 		// off outright, so the tick-class interference sources vanish.
 		prof = prof.WithoutTicks()
@@ -139,6 +140,17 @@ func NoiseProfile(cfg Config) *noise.Profile {
 		prof = prof.WithSource(s)
 	}
 	return prof
+}
+
+// tickless reports whether kind parses as sched.Tickless. The empty kind,
+// each kernel's default, is not, and is decided without building Parse's
+// error.
+func tickless(kind sched.Kind) bool {
+	if kind == "" {
+		return false
+	}
+	k, err := sched.Parse(string(kind))
+	return err == nil && k == sched.Tickless
 }
 
 // linuxCaps: Linux has every capability the suite knows about.

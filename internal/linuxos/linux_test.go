@@ -1,11 +1,13 @@
 package linuxos
 
 import (
+	"slices"
 	"testing"
 
 	"mklite/internal/hw"
 	"mklite/internal/kernel"
 	"mklite/internal/mem"
+	"mklite/internal/sched"
 )
 
 func bootDefault(t *testing.T) *Kernel {
@@ -144,5 +146,29 @@ func TestUntunedNoisier(t *testing.T) {
 	untuned, _ := Boot(hw.KNL7250SNC4(), cfg)
 	if untuned.Noise().ExpectedRate(1) <= tuned.Noise().ExpectedRate(1) {
 		t.Fatal("untuned kernel should be noisier")
+	}
+}
+
+// TestNoiseProfileTicklessSpellings: every spelling of tickless that
+// sched.Parse accepts drops the tick sources, as "tickless" does, so a
+// profile cannot keep its tick under a tickless policy.
+func TestNoiseProfileTicklessSpellings(t *testing.T) {
+	names := func(kind sched.Kind) []string {
+		cfg := DefaultConfig()
+		cfg.Sched = kind
+		var out []string
+		for _, s := range NoiseProfile(cfg).Sources {
+			out = append(out, s.Name)
+		}
+		return out
+	}
+	want := names(sched.Tickless)
+	if slices.Equal(want, names("")) {
+		t.Fatalf("tickless keeps every default source: %q", want)
+	}
+	for _, kind := range []sched.Kind{"Tickless", " tickless ", "TICKLESS"} {
+		if got := names(kind); !slices.Equal(got, want) {
+			t.Errorf("sched %q: sources %q, tickless %q", kind, got, want)
+		}
 	}
 }

@@ -16,10 +16,10 @@
 package ltp
 
 import (
-	"fmt"
 	"maps"
 	"slices"
 	"sort"
+	"strconv"
 
 	"mklite/internal/kernel"
 )
@@ -136,9 +136,10 @@ func Catalogue() []Case {
 	for _, s := range kernel.All() {
 		n := counts[s]
 		forks := forkPlan[s]
+		name := s.String()
 		for v := 0; v < n; v++ {
 			c := Case{
-				ID:      fmt.Sprintf("%s%02d", s, v+1),
+				ID:      caseID(name, v),
 				Sysno:   s,
 				Variant: v,
 			}
@@ -164,6 +165,16 @@ func Catalogue() []Case {
 	)
 	// Keep the total pinned: the two probes displace two filler cases.
 	return trimTo(cases, TotalCases)
+}
+
+// caseID is the ID of variant v of the syscall named name: the name and
+// the variant's 1-based number in at least two digits, as "brk01".
+func caseID(name string, v int) string {
+	num := strconv.Itoa(v + 1)
+	if v+1 < 10 {
+		num = "0" + num
+	}
+	return name + num
 }
 
 // trimTo removes filler cases (highest-variant, requirement-free, from the

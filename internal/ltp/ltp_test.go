@@ -1,6 +1,7 @@
 package ltp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -39,6 +40,25 @@ func TestCatalogueDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i].ID != b[i].ID {
 			t.Fatalf("catalogue not deterministic at %d", i)
+		}
+	}
+}
+
+// TestCaseIDsMatchSprintf: every variant's ID is the syscall's name and
+// its 1-based number in at least two digits, as fmt's "%s%02d" spells it,
+// in the catalogue and past 99 variants.
+func TestCaseIDsMatchSprintf(t *testing.T) {
+	for _, c := range Catalogue() {
+		if c.Variant == 99 {
+			continue // the two semantic probes carry names of their own
+		}
+		if want := fmt.Sprintf("%s%02d", c.Sysno, c.Variant+1); c.ID != want {
+			t.Fatalf("case %q, want %q", c.ID, want)
+		}
+	}
+	for _, v := range []int{0, 8, 9, 10, 98, 99, 100, 1234} {
+		if got, want := caseID("brk", v), fmt.Sprintf("%s%02d", "brk", v+1); got != want {
+			t.Errorf("caseID(brk, %d) = %q, want %q", v, got, want)
 		}
 	}
 }
