@@ -197,7 +197,7 @@ func (img *Image) setPolicy(pol sched.Policy, prof *noise.Profile) {
 // Result and in everything it emits, since a policy reaches nothing a boot
 // lays out but the policy itself and, on Linux, the noise profile
 // (tickless drops the tick-class sources). The view's job carries kind, so
-// degraded completion re-prepares under it; its profile is Linux's under
+// degraded completion runs under it; its profile is Linux's under
 // kind, or the LWK's own, with the dense-window tables built again for its
 // policy. The view shares everything else with the image and is read-only
 // like it.
@@ -234,7 +234,7 @@ func (img *Image) Sched(kind sched.Kind) (*Image, error) {
 // count only through the inputs SameLayout compares, so the view rebuilds
 // only what is built after them at n, the communicator, the step plan and
 // the dense-window tables of the plan's windows. The view's job carries n,
-// so degraded completion re-prepares on n − 1 nodes. The view shares
+// so degraded completion runs on n − 1 nodes. The view shares
 // everything else with the image and is read-only like it.
 func (img *Image) Nodes(n int) (*Image, error) {
 	if n == img.j.Nodes {
@@ -364,12 +364,19 @@ func (img *Image) Run(ctx context.Context, seed uint64, sink *trace.Sink) (Resul
 		}
 		if inj.AllowDegraded() && cur.j.Nodes > 1 {
 			// Out of retries: drop the dead node and finish on the
-			// survivors, whose image this run prepares for itself.
-			// Further failures are disabled so the shrunken job is
-			// guaranteed to terminate.
+			// survivors: on the view of this image at one node fewer
+			// when the application lays the same node out there,
+			// else on an image this run prepares for itself. Further
+			// failures are disabled so the shrunken job is guaranteed
+			// to terminate.
 			j := cur.j
 			j.Nodes--
-			if cur, err = prepare(ctx, j, img.counting, img.observing); err != nil {
+			if SameLayout(j.App, cur.j.Nodes, j.Nodes) {
+				cur, err = cur.Nodes(j.Nodes)
+			} else {
+				cur, err = prepare(ctx, j, img.counting, img.observing)
+			}
+			if err != nil {
 				return Result{}, err
 			}
 			lost++

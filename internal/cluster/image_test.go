@@ -532,8 +532,14 @@ func stepCounts(t testing.TB, j Job) []int {
 
 // TestImageDegradedAndRetried pins that imagePlans reach what
 // TestImageRunsMatchFresh claims to cover: retries after truncated
-// attempts, and degraded completion on a re-prepared image.
+// attempts, and degraded completion both ways it finishes: on the image's
+// view at one node fewer (Lulesh, one layout at 8 and 7 nodes) and on a
+// freshly prepared image (MiniFE, whose layout changes with the node
+// count).
 func TestImageDegradedAndRetried(t *testing.T) {
+	if !SameLayout(apps.Lulesh(), 8, 7) || SameLayout(apps.MiniFE(), 8, 7) {
+		t.Fatal("Lulesh must keep its layout from 8 to 7 nodes and MiniFE change it")
+	}
 	j := Job{App: apps.Lulesh(), Kernel: kernel.TypeMcKernel, Nodes: 8, Seed: 1}
 	j.Faults = mustPlan(t, imagePlans[1])
 	if r := freshRun(t, j, sinkOff).res; r.Retries != 2 || r.Degraded {

@@ -18,6 +18,7 @@ type Allocator struct {
 	share    int
 	occ      []int
 	occupied int // nodes with occ > 0
+	avail    int // nodes with occ < share
 	busy     int // total resident jobs-on-nodes (sum of occ)
 }
 
@@ -27,7 +28,7 @@ func NewAllocator(nodes, share int) *Allocator {
 	if share < 1 {
 		share = 1
 	}
-	return &Allocator{share: share, occ: make([]int, nodes)}
+	return &Allocator{share: share, occ: make([]int, nodes), avail: nodes}
 }
 
 // Nodes returns the facility size.
@@ -40,18 +41,12 @@ func (a *Allocator) Share() int { return a.share }
 // the utilization numerator's instantaneous value.
 func (a *Allocator) Occupied() int { return a.occupied }
 
-// AvailableNodes returns how many nodes can admit one more job.
-func (a *Allocator) AvailableNodes() int {
-	free := 0
-	for _, o := range a.occ {
-		if o < a.share {
-			free++
-		}
-	}
-	return free
-}
+// AvailableNodes returns how many nodes can admit one more job, a count
+// Alloc and Free keep current.
+func (a *Allocator) AvailableNodes() int { return a.avail }
 
-// Fits reports whether a job needing n distinct nodes can be placed now.
+// Fits reports whether a job needing n distinct nodes can be placed now, in
+// constant time.
 func (a *Allocator) Fits(n int) bool {
 	if n <= 0 || n > len(a.occ) {
 		return false
@@ -88,6 +83,9 @@ func (a *Allocator) Alloc(n int) (nodes []int, cotenancy int, err error) {
 		}
 		a.occ[i]++
 		a.busy++
+		if a.occ[i] == a.share {
+			a.avail--
+		}
 	}
 	return nodes, cotenancy, nil
 }
@@ -95,6 +93,9 @@ func (a *Allocator) Alloc(n int) (nodes []int, cotenancy int, err error) {
 // Free releases a completed job's nodes.
 func (a *Allocator) Free(nodes []int) {
 	for _, i := range nodes {
+		if a.occ[i] == a.share {
+			a.avail++
+		}
 		a.occ[i]--
 		a.busy--
 		if a.occ[i] == 0 {

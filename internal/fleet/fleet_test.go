@@ -270,10 +270,10 @@ func TestAllocator(t *testing.T) {
 // TestProfile covers the backfill planning timeline.
 func TestProfile(t *testing.T) {
 	now := sim.Time(0)
-	p := newProfile(now, 2, []release{
+	p := availSnapshot{now: now, freeNow: 2, releases: []release{
 		{at: sim.Time(10 * sim.Second), slots: 4},
 		{at: sim.Time(20 * sim.Second), slots: 2},
-	})
+	}}.profile(&profile{})
 	if got := p.earliest(sim.Duration(5*sim.Second), 2); got != now {
 		t.Fatalf("earliest(2 slots) = %v, want now", got)
 	}

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"mklite/internal/cluster"
 	"mklite/internal/fault"
@@ -52,24 +54,28 @@ func (l *launch) runJob(sink *trace.Sink) cluster.Job {
 // (nodes x share); with Share > 1 a slot fit is an optimistic upper bound on
 // a distinct-node fit, so "start now" decisions additionally check the
 // Allocator — the profile only sizes reservations, where optimism merely
-// costs schedule quality, never correctness.
+// costs schedule quality, never correctness. Every call costs O(B) in the B
+// breakpoints; the Scheduler owns the buffers and rebuilds them every pass.
 type profile struct {
 	times []sim.Time
 	free  []int
 }
 
-// newProfile builds the availability timeline at the given instant from the
-// facility's running set: currently-free slots, rising at each running job's
-// reservation end (launch time + walltime limit; a job already past its
-// limit releases "any moment now", i.e. at now itself).
-func newProfile(now sim.Time, freeNow int, releases []release) *profile {
-	p := &profile{times: []sim.Time{now}, free: []int{freeNow}}
-	for _, r := range releases {
-		t := r.at
-		if t.Before(now) {
-			t = now
+// profile rebuilds p as the planning timeline of the snapshot: free slots
+// now, rising at each release. The releases must be clamped to now and
+// sorted by instant (clampSortReleases); releases at one instant merge
+// into one breakpoint.
+func (sn availSnapshot) profile(p *profile) *profile {
+	p.times = append(p.times[:0], sn.now)
+	p.free = append(p.free[:0], sn.freeNow)
+	for _, r := range sn.releases {
+		last := len(p.times) - 1
+		if r.at == p.times[last] {
+			p.free[last] += r.slots
+			continue
 		}
-		p.release(t, r.slots)
+		p.times = append(p.times, r.at)
+		p.free = append(p.free, p.free[last]+r.slots)
 	}
 	return p
 }
@@ -78,6 +84,18 @@ func newProfile(now sim.Time, freeNow int, releases []release) *profile {
 type release struct {
 	at    sim.Time
 	slots int
+}
+
+// clampSortReleases readies releases for a profile in place: a job already
+// past its walltime limit releases "any moment now", i.e. at now itself,
+// and the releases are sorted by instant.
+func clampSortReleases(now sim.Time, releases []release) {
+	for i := range releases {
+		if releases[i].at.Before(now) {
+			releases[i].at = now
+		}
+	}
+	slices.SortFunc(releases, func(a, b release) int { return cmp.Compare(a.at, b.at) })
 }
 
 // segment returns the index of the segment containing t (times[i] <= t).
@@ -110,13 +128,6 @@ func (p *profile) split(t sim.Time) int {
 	return i + 1
 }
 
-// release adds slots back to the timeline from t onward.
-func (p *profile) release(t sim.Time, slots int) {
-	for i := p.split(t); i < len(p.times); i++ {
-		p.free[i] += slots
-	}
-}
-
 // take reserves slots on [t, t+d).
 func (p *profile) take(t sim.Time, d sim.Duration, slots int) {
 	end := t.Add(d)
@@ -142,16 +153,27 @@ func (p *profile) fitsAt(t sim.Time, d sim.Duration, slots int) bool {
 }
 
 // earliest returns the earliest time >= the profile start at which slots are
-// free for d. Availability is piecewise constant, so only breakpoints need
-// checking; the final segment always has room (every reservation is finite),
-// so the scan terminates.
+// free for d. Availability is piecewise constant, so only breakpoints can be
+// starts. One sweep keeps a candidate start, moves it past every segment
+// short of slots, and returns it once a breakpoint reaches candidate + d;
+// the final segment always has room (every reservation is finite), so the
+// sweep ends at the last breakpoint at the latest.
 func (p *profile) earliest(d sim.Duration, slots int) sim.Time {
-	for _, t := range p.times {
-		if p.fitsAt(t, d, slots) {
-			return t
+	c := 0
+	end := p.times[0].Add(d)
+	for i, t := range p.times {
+		if !t.Before(end) {
+			break
+		}
+		if p.free[i] < slots {
+			c = i + 1
+			if c == len(p.times) {
+				panic(fmt.Sprintf("fleet: no feasible start for %d slots (capacity exceeded?)", slots))
+			}
+			end = p.times[c].Add(d)
 		}
 	}
-	panic(fmt.Sprintf("fleet: no feasible start for %d slots (capacity exceeded?)", slots))
+	return p.times[c]
 }
 
 // schedulePass decides which queued jobs start at the current virtual
@@ -169,14 +191,15 @@ func (p *profile) earliest(d sim.Duration, slots int) sim.Time {
 // their own, which later candidates must also respect. The invariant is
 // re-verified after the pass by recomputing the head's earliest start over
 // the launches actually made (checkHeadInvariant); a violation is a
-// scheduler bug and panics.
+// scheduler bug and panics. The returned launches live in a buffer the next
+// pass reuses.
 func (s *Scheduler) schedulePass() []*launch {
 	if len(s.queue) == 0 {
 		return nil
 	}
-	var out []*launch
+	out := s.launchScratch[:0]
 	snap := s.snapshot()
-	prof := snap.profile()
+	prof := snap.profile(&s.passProf)
 
 	// When the decision log is on, mirror the reservation plan the pass
 	// builds (head first, then each examined non-starting candidate) so a
@@ -186,7 +209,7 @@ func (s *Scheduler) schedulePass() []*launch {
 	reservations := s.resScratch[:0]
 	headJob := -1
 
-	remaining := s.queue[:0:0]
+	remaining := s.queueScratch[:0]
 	headBlocked := false
 	headStart := sim.Never
 	examined := 0
@@ -235,8 +258,9 @@ func (s *Scheduler) schedulePass() []*launch {
 				Job: j.ID, StartNs: int64(t), WallNs: int64(j.WallLimit), Slots: j.Nodes})
 		}
 	}
-	s.queue = remaining
+	s.queue, s.queueScratch = remaining, s.queue
 	s.resScratch = reservations
+	s.launchScratch = out
 
 	if headBlocked {
 		s.checkHeadInvariant(snap, out, headStart)
@@ -248,10 +272,11 @@ func (s *Scheduler) schedulePass() []*launch {
 // pass-start availability plus the launches this pass actually made — no
 // reservations, just committed work — and panics if it moved past the
 // reservation the backfill plan promised. This is the testable backfill
-// invariant from docs/FLEET.md.
+// invariant from docs/FLEET.md. It builds its profile in its own buffer, so
+// nothing the pass did to its profile reaches the check.
 func (s *Scheduler) checkHeadInvariant(snap availSnapshot, out []*launch, headStart sim.Time) {
 	head := s.queue[0]
-	prof := snap.profile()
+	prof := snap.profile(&s.checkProf)
 	for _, l := range out {
 		prof.take(s.clock, l.job.WallLimit, l.job.Nodes)
 	}
@@ -268,7 +293,8 @@ func (s *Scheduler) checkHeadInvariant(snap availSnapshot, out []*launch, headSt
 // plans against the limit, like a real conservative-backfill scheduler) — an early finish only
 // makes reservations conservative, never wrong. The snapshot is taken before
 // the pass allocates anything, so the invariant check can replay the pass's
-// launches against unmutated availability.
+// launches against unmutated availability. Its releases are clamped to now
+// and sorted, once per pass, in a buffer the next pass reuses.
 type availSnapshot struct {
 	now      sim.Time
 	freeNow  int
@@ -278,16 +304,13 @@ type availSnapshot struct {
 // snapshot captures the current availability.
 func (s *Scheduler) snapshot() availSnapshot {
 	capacity := s.alloc.Nodes() * s.alloc.Share()
-	releases := make([]release, 0, len(s.running))
+	releases := s.relScratch[:0]
 	for _, r := range s.running {
 		releases = append(releases, release{at: r.start.Add(r.job.WallLimit), slots: r.job.Nodes})
 	}
+	clampSortReleases(s.clock, releases)
+	s.relScratch = releases
 	return availSnapshot{now: s.clock, freeNow: capacity - s.alloc.busy, releases: releases}
-}
-
-// profile builds a fresh planning timeline from the snapshot.
-func (sn availSnapshot) profile() *profile {
-	return newProfile(sn.now, sn.freeNow, sn.releases)
 }
 
 // newLaunch fixes a job's launch decisions: the policy's kernel and

@@ -70,6 +70,15 @@ type Scheduler struct {
 	// copies its own evidence snapshot) so the mirror does not reallocate
 	// on every clock event.
 	resScratch []obs.Reservation
+	// The backfill pass's other buffers, each rebuilt in place by every
+	// schedulePass: the snapshot's releases, the pass's profile, the
+	// head-invariant check's own profile (never the pass's), the queue's
+	// spare backing array and the pass's launches.
+	relScratch    []release
+	passProf      profile
+	checkProf     profile
+	queueScratch  []*Job
+	launchScratch []*launch
 
 	backfilled int
 	interfered int

@@ -13,7 +13,9 @@ type File struct {
 // with the process; in McKernel's proxy model it lives in the Linux-side
 // proxy process — "The actual set of open files; i.e., file descriptor
 // table, file positions, etc., are tracked by the Linux kernel" — and the
-// LWK merely forwards the integer.
+// LWK merely forwards the integer. Every process builds one, but only the
+// E7 oracle behind ltp's TestExecutedCasesAgreeWithEvaluate uses it: no
+// binary links its methods.
 type FDTable struct {
 	next int
 	open map[int]*File

@@ -26,19 +26,23 @@ type ExecOutcome struct {
 type ExecFunc func(p *kernel.Process) ExecOutcome
 
 // Executable returns the execution function for a case id, if the case has
-// executable semantics.
+// executable semantics. It is part of the E7 oracle behind
+// TestExecutedCasesAgreeWithEvaluate, and no binary links it.
 func Executable(id string) (ExecFunc, bool) {
 	f, ok := execCases[id]
 	return f, ok
 }
 
-// ExecutableCaseIDs lists the cases with executable semantics, sorted.
+// ExecutableCaseIDs lists the cases with executable semantics, sorted. It is
+// part of the E7 oracle behind TestExecutedCasesAgreeWithEvaluate, and no
+// binary links it.
 func ExecutableCaseIDs() []string {
 	return slices.Sorted(maps.Keys(execCases))
 }
 
 // RunExecutable executes one case id against a fresh process on the given
-// kernel.
+// kernel. It is part of the E7 oracle behind
+// TestExecutedCasesAgreeWithEvaluate, and no binary links it.
 func RunExecutable(id string, k kernel.Kernel) (ExecOutcome, bool) {
 	f, ok := execCases[id]
 	if !ok {
