@@ -89,9 +89,9 @@ func (h *Histogram) RecordN(v int64, n int64) {
 	}
 	i := bucketIndex(v)
 	if i >= len(h.counts) {
-		grown := make([]int64, i+1)
-		copy(grown, h.counts)
-		h.counts = grown
+		// append amortises the growth: a histogram fed rising values
+		// reallocates O(log n) times, not once per new top bucket.
+		h.counts = append(h.counts, make([]int64, i+1-len(h.counts))...)
 	}
 	h.counts[i] += n
 	if h.total == 0 || v < h.min {

@@ -3,6 +3,8 @@ package metrics
 import (
 	"bytes"
 	"math"
+	"math/bits"
+	"slices"
 	"strings"
 	"testing"
 
@@ -99,6 +101,50 @@ func TestHistogramPercentileAccuracy(t *testing.T) {
 	}
 	if h.Percentile(0) != 1 {
 		t.Fatalf("p0 = %v, want the exact min 1", h.Percentile(0))
+	}
+}
+
+// A histogram fed rising values, each in a new top bucket, reallocates its
+// buckets O(log n) times over n buckets, not once per bucket, and exports
+// the same counts as one fed the same values falling, which sizes its
+// buckets on the first sample.
+func TestHistogramGrowthAmortised(t *testing.T) {
+	n := bucketIndex(1<<40) + 1
+	rising, falling := &Histogram{}, &Histogram{}
+	grows := 0
+	for i := range n {
+		lo, _ := bucketBounds(i)
+		c := cap(rising.counts)
+		rising.RecordN(lo, int64(i%3+1))
+		if cap(rising.counts) != c {
+			grows++
+		}
+		if len(rising.counts) != i+1 {
+			t.Fatalf("after bucket %d: %d buckets", i, len(rising.counts))
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		lo, _ := bucketBounds(i)
+		falling.RecordN(lo, int64(i%3+1))
+	}
+	if limit := 2 * bits.Len(uint(n)); grows > limit {
+		t.Errorf("%d buckets grown in %d reallocations, want at most %d", n, grows, limit)
+	}
+	type bucket struct{ lo, hi, count int64 }
+	var got, want []bucket
+	rising.Buckets(func(lo, hi, count int64) { got = append(got, bucket{lo, hi, count}) })
+	falling.Buckets(func(lo, hi, count int64) { want = append(want, bucket{lo, hi, count}) })
+	if !slices.Equal(got, want) || len(got) != n {
+		t.Fatalf("rising values export %d buckets, falling %d of %d, or their counts differ", len(got), len(want), n)
+	}
+	if rising.Count() != falling.Count() || rising.Sum() != falling.Sum() ||
+		rising.Min() != falling.Min() || rising.Max() != falling.Max() {
+		t.Fatal("rising and falling values disagree on the aggregates")
+	}
+	for _, p := range []float64{0, 50, 99, 100} {
+		if rising.Percentile(p) != falling.Percentile(p) {
+			t.Fatalf("rising and falling values disagree on Percentile(%v)", p)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"slices"
+	"sync"
 
 	"mklite/internal/sim"
 )
@@ -124,13 +125,16 @@ func (p *Profile) denseAt(window sim.Duration) *denseTable {
 // core-1 sources include an uncapped Pareto tail gets no tables: a finite
 // grid cannot hold it. Like Warm, Tabulate is called before the profile is
 // cloned, and the clones share the tables, which are never written again.
-// Changing the profile's sources afterwards is not supported.
+// A clone may Tabulate windows of its own; it fits Ψ in the cache it
+// shares with the profile (psiCache). Changing the profile's sources
+// afterwards is not supported.
 //
-// Tables are built in the order their windows first appear, and each one's
-// grid depends only on the windows before it. So over any prefix of the
-// list, Tabulate builds exactly the first tables it builds over the whole
-// list, and CloneTables keeps them. A node image prepared for T steps
-// relies on this to serve runs of fewer steps (cluster.Image.Steps).
+// Tables are built in the order their windows first appear, and each one
+// depends only on the profile's core-1 sources and its own window, which
+// fixes its grid step (gridStep). So over any prefix of the list, Tabulate
+// builds exactly the first tables it builds over the whole list, and
+// CloneTables keeps them. A node image prepared for T steps relies on this
+// to serve runs of fewer steps (cluster.Image.Steps).
 func (p *Profile) Tabulate(windows []sim.Duration) {
 	if !p.tabulable() {
 		return
@@ -156,13 +160,12 @@ func (p *Profile) Tabulate(windows []sim.Duration) {
 	all := make([]float32, n*denseGrid)
 	tabs := make([]denseTable, len(p.dense), len(p.dense)+n)
 	copy(tabs, p.dense)
-	var g grid
 	for i, w := range windows {
 		if !wanted(i) {
 			continue
 		}
 		t := denseTable{window: w}
-		t.build(p, &g, all[:denseGrid:denseGrid])
+		t.build(p, all[:denseGrid:denseGrid])
 		all = all[denseGrid:]
 		tabs = append(tabs, t)
 	}
@@ -275,12 +278,10 @@ func (s *Source) upper(delta float64) float64 {
 	return x
 }
 
-// build fills t from the profile's core-1 sources at t.window, with sv's
-// backing in buf (denseGrid long), on g's grid when it fits. The grid must
-// span the mean plus ten standard deviations plus the largest single
-// detour the tail bound allows; when more than denseTail of the mass still
-// reaches the grid's top eighth, the span doubles (at most three times).
-func (t *denseTable) build(p *Profile, g *grid, buf []float32) {
+// denseSpan returns the span a table's grid must cover at window, the
+// mean plus ten standard deviations plus the largest single detour the tail
+// bound allows, and g0 = P(D > 0).
+func (p *Profile) denseSpan(window sim.Duration) (span, g0 float64) {
 	var mean, variance, lam0, worst float64
 	nsrc := 0
 	for i := range p.Sources {
@@ -293,7 +294,7 @@ func (t *denseTable) build(p *Profile, g *grid, buf []float32) {
 		if !s.drawsOnAppCore() {
 			continue
 		}
-		lam := float64(t.window) / float64(s.Period)
+		lam := float64(window) / float64(s.Period)
 		m1, m2 := s.detourMoments()
 		mean += lam * m1
 		variance += lam * m2
@@ -308,22 +309,30 @@ func (t *denseTable) build(p *Profile, g *grid, buf []float32) {
 		}
 		worst = max(worst, s.upper(denseTail/(lam*float64(nsrc))))
 	}
-	t.g0 = -math.Expm1(-lam0)
-	span := mean + 10*math.Sqrt(variance) + worst
+	return mean + 10*math.Sqrt(variance) + worst, -math.Expm1(-lam0)
+}
+
+// build fills t from the profile's core-1 sources at t.window, with sv's
+// backing in buf (denseGrid long), on the profile's grid at the step
+// gridStep gives for the window's span (denseSpan). When more than
+// denseTail of the mass still reaches the grid's top eighth, the step
+// doubles (at most three times).
+func (t *denseTable) build(p *Profile, buf []float32) {
+	span, g0 := p.denseSpan(t.window)
+	t.g0 = g0
 	var sv [denseGrid]float64
 	if !(span > 0) || math.IsInf(span, 0) {
 		// Every detour is 0 (no source has a positive base or tail): the
 		// table is the atom at 0.
 		t.h, t.g0 = 1, 0
 	} else {
+		t.h = gridStep(span)
 		for try := 0; ; try++ {
-			g.fit(p, span)
-			t.h = g.h
-			g.compound(t.window, &sv)
+			p.gridAt(t.h).compound(t.window, &sv)
 			if sv[denseGrid*7/8] <= denseTail || try == 3 {
 				break
 			}
-			span = 2 * g.h * denseGrid
+			t.h *= 2
 		}
 	}
 	n := 1
@@ -345,23 +354,62 @@ func (t *denseTable) build(p *Profile, g *grid, buf []float32) {
 // grid is a grid step h and a profile's Ψ on it. Every rate λ_s =
 // window/Period_s scales with the window, so the exponent of D's
 // characteristic function, Σ λ_s(φ_s − 1), is window·(Ψ − Ψ₀) with
-// Ψ = Σ_s φ_s/Period_s, φ_s the DFT of one detour's grid pmf. The
-// windows of one Tabulate call whose spans fit a grid within a factor of
-// two share its Ψ, so a table after the first costs one exponentiation and
-// one inverse transform.
+// Ψ = Σ_s φ_s/Period_s, φ_s the DFT of one detour's grid pmf. Ψ depends
+// only on the profile's core-1 sources and h, so every table on the same
+// step shares it (psiCache), and a table after the first costs one
+// exponentiation and one inverse transform. A grid is never written after
+// fit.
 type grid struct {
 	h   float64
 	psi [denseGrid]complex128
 }
 
-// fit sets the grid to span/denseGrid and computes Ψ there, unless span
-// already fits the grid within a factor of two.
-func (g *grid) fit(p *Profile, span float64) {
-	if g.h > 0 && span <= g.h*denseGrid && 2*span >= g.h*denseGrid {
-		return
+// gridStep returns the grid step for a span: the smallest power of two h
+// with h·denseGrid ≥ span, so that span ≤ h·denseGrid < 2·span. Windows
+// whose spans lie in one octave get one step, and so share one Ψ.
+func gridStep(span float64) float64 {
+	frac, exp := math.Frexp(span / denseGrid)
+	if frac == 0.5 {
+		exp--
 	}
-	g.h = span / denseGrid
-	g.psi = [denseGrid]complex128{}
+	return math.Ldexp(1, exp)
+}
+
+// psiCache holds a profile's grids, one per step a table of it was built
+// on. A profile has one from its first table on, and Clone shares it the
+// way it shares the tables, so a node image and its views fit each step
+// once; WithSource, WithoutTicks and fresh profiles start their own, since
+// their sources differ. Clones tabulate concurrently (a facility's
+// node-count views), so the cache is locked. Whichever clone fits a step
+// first, the grid is the same: the clones' sources are equal.
+type psiCache struct {
+	mu    sync.Mutex
+	grids []*grid
+}
+
+// gridAt returns the profile's grid at step h, fitting it on first use.
+// The cache is made here, so a profile that builds no table allocates
+// none.
+func (p *Profile) gridAt(h float64) *grid {
+	if p.psi == nil {
+		p.psi = new(psiCache)
+	}
+	c := p.psi
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, g := range c.grids {
+		if g.h == h {
+			return g
+		}
+	}
+	g := &grid{h: h}
+	g.fit(p)
+	c.grids = append(c.grids, g)
+	return g
+}
+
+// fit computes Ψ at the grid's step h.
+func (g *grid) fit(p *Profile) {
 	// The DFT is linear: the sources without a tail add their rate-
 	// weighted pmfs in the time domain and share one transform.
 	var pmf [denseGrid]float64

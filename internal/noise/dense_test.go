@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"mklite/internal/par"
 	"mklite/internal/sim"
 )
 
@@ -14,7 +15,7 @@ import (
 // decides when MaxDetourRank uses it.
 func newTable(p *Profile, window sim.Duration) *denseTable {
 	t := &denseTable{window: window}
-	t.build(p, new(grid), make([]float32, denseGrid))
+	t.build(p, make([]float32, denseGrid))
 	return t
 }
 
@@ -270,6 +271,188 @@ func TestTabulatePrefix(t *testing.T) {
 	}
 }
 
+// Clones of one profile tabulate concurrently on the grids they share, as a
+// facility's node-count views of one image do, and each builds exactly the
+// tables a fresh profile builds serially from the same windows: the same
+// window, step, g0 and survival, bit for bit. The profile builds tables
+// first, so the clones meet grids it fitted and fit others between them.
+func TestTabulateClonesConcurrently(t *testing.T) {
+	stormy := func() *Profile { return LinuxTuned().WithSource(facilityStorm()) }
+	ms := func(x float64) sim.Duration { return sim.Duration(x * float64(sim.Millisecond)) }
+	parent := stormy()
+	parent.Warm()
+	parent.Tabulate([]sim.Duration{ms(10.285591), ms(35.233206)})
+	lists := [][]sim.Duration{
+		{ms(10.256741), ms(10.256716), ms(2), ms(88.846432)},
+		{ms(35.2332), ms(5.026009), ms(10.304816), ms(17.427284)},
+		{ms(45.108292), ms(46.356155), ms(42.807856), sim.Millisecond, ms(10.285591)},
+		{ms(250), ms(21.964222), ms(10.314441), ms(10.314316)},
+	}
+	const clones = 8
+	got := par.MapWidth(4, clones, func(i int) *Profile {
+		c := parent.CloneTables(0)
+		c.Tabulate(lists[i%len(lists)])
+		return c
+	})
+	for i, c := range got {
+		want := stormy()
+		want.Tabulate(lists[i%len(lists)])
+		if c.psi != parent.psi {
+			t.Errorf("clone %d does not share the profile's grids", i)
+		}
+		if len(c.dense) != len(want.dense) {
+			t.Fatalf("clone %d: %d tables, a fresh profile %d", i, len(c.dense), len(want.dense))
+		}
+		for k := range c.dense {
+			g, w := &c.dense[k], &want.dense[k]
+			same := g.window == w.window && math.Float64bits(g.h) == math.Float64bits(w.h) &&
+				math.Float64bits(g.g0) == math.Float64bits(w.g0) && len(g.sv) == len(w.sv)
+			for j := 0; same && j < len(g.sv); j++ {
+				same = math.Float32bits(g.sv[j]) == math.Float32bits(w.sv[j])
+			}
+			if !same {
+				t.Errorf("clone %d, table %d at %v: differs from a fresh serial build", i, k, g.window)
+			}
+		}
+	}
+}
+
+// A profile fits Ψ once per grid step, for itself and its clones, and
+// windows whose spans lie in one octave share a step: over 89 windows from
+// 2 to 90 ms the profile holds one grid per distinct table step, each step
+// once (no table of these windows doubles its step), far fewer than the
+// tables, and a clone tabulating the same windows fits none. A profile
+// with other sources starts its own grids.
+func TestTabulateFitsEachStepOnce(t *testing.T) {
+	p := LinuxTuned().WithSource(facilityStorm())
+	var windows []sim.Duration
+	for w := 2 * sim.Millisecond; w <= 90*sim.Millisecond; w += sim.Millisecond {
+		windows = append(windows, w)
+	}
+	p.Tabulate(windows)
+	if len(p.dense) != len(windows) {
+		t.Fatalf("%d tables over %d dense windows", len(p.dense), len(windows))
+	}
+	var steps, fitted []float64
+	for i := range p.dense {
+		steps = append(steps, p.dense[i].h)
+	}
+	for _, g := range p.psi.grids {
+		fitted = append(fitted, g.h)
+	}
+	slices.Sort(steps)
+	steps = slices.Compact(steps)
+	slices.Sort(fitted)
+	if !slices.Equal(fitted, slices.Compact(slices.Clone(fitted))) {
+		t.Errorf("a step was fitted twice: %v", fitted)
+	}
+	if !slices.Equal(fitted, steps) {
+		t.Errorf("fitted steps %v, the tables' steps %v", fitted, steps)
+	}
+	if len(steps) > len(windows)/8 {
+		t.Errorf("%d windows took %d steps: windows in one octave do not share", len(windows), len(steps))
+	}
+	c := p.CloneTables(0)
+	c.Tabulate(windows)
+	if c.psi != p.psi || len(p.psi.grids) != len(steps) {
+		t.Errorf("a clone tabulating the same windows fitted %d more grids", len(p.psi.grids)-len(steps))
+	}
+	for i := range c.dense {
+		if c.dense[i].h != p.dense[i].h {
+			t.Errorf("clone's table at %v on step %v, the profile's on %v", c.dense[i].window, c.dense[i].h, p.dense[i].h)
+		}
+	}
+	for _, q := range []*Profile{p.WithSource(facilityStorm()), p.WithoutTicks()} {
+		if q.psi != nil {
+			t.Error("a profile with other sources shares the grids")
+		}
+	}
+}
+
+// Every table's grid step is a power of two with span ≤ h·denseGrid <
+// 2·span, span the window's (denseSpan), except where the table doubled
+// its step: then the grid at half the step left more than denseTail of the
+// mass in its top eighth. The cells cover the law cells' profiles, the
+// degenerate sources and windows from 1 µs to 1 s, dense or not.
+func TestTableGridStep(t *testing.T) {
+	for _, c := range []struct{ span, h float64 }{
+		{1024, 1}, {1025, 2}, {2048, 2}, {2047, 2}, {3, 0x1p-8}, {1e6, 1024}, {0x1p-20, 0x1p-30},
+	} {
+		if h := gridStep(c.span); h != c.h {
+			t.Errorf("gridStep(%v) = %v, want %v", c.span, h, c.h)
+		}
+	}
+	profiles := []*Profile{
+		LinuxTuned().WithSource(facilityStorm()),
+		LinuxUntuned().WithSource(facilityStorm()),
+		{Name: "storm", Sources: []Source{facilityStorm()}},
+		{Name: "mean0-tail", Sources: []Source{{Name: "m0", Period: sim.Millisecond, CV: 0.5,
+			TailProb: 0.05, TailScale: 100 * sim.Microsecond, TailAlpha: 2, TailCap: sim.Millisecond}}},
+		{Name: "cv0", Sources: []Source{{Name: "cv0", Period: sim.Millisecond, Mean: 100 * sim.Microsecond}}},
+	}
+	for _, p := range profiles {
+		for w := sim.Microsecond; w <= sim.Second; w = w*3/2 + 7 {
+			tab := newTable(p, w)
+			span, _ := p.denseSpan(w)
+			if !(span > 0) {
+				if tab.h != 1 {
+					t.Errorf("%s at %v: the atom at 0 on step %v", p.Name, w, tab.h)
+				}
+				continue
+			}
+			if frac, _ := math.Frexp(tab.h); frac != 0.5 {
+				t.Fatalf("%s at %v: step %v is not a power of two", p.Name, w, tab.h)
+			}
+			if !(span <= tab.h*denseGrid) {
+				t.Fatalf("%s at %v: step %v covers %v of span %v", p.Name, w, tab.h, tab.h*denseGrid, span)
+			}
+			for h := tab.h; h*denseGrid >= 2*span; h /= 2 {
+				var sv [denseGrid]float64
+				p.gridAt(h/2).compound(w, &sv)
+				if !(sv[denseGrid*7/8] > denseTail) {
+					t.Fatalf("%s at %v: step %v for span %v, but step %v kept its top eighth below %v",
+						p.Name, w, tab.h, span, h/2, denseTail)
+				}
+			}
+		}
+	}
+}
+
+// A profile whose core-1 sources include an uncapped Pareto tail gets no
+// table, even at a dense window, and so takes the sparse paths there:
+// MaxDetourRank colours up to exactMaxRanks ranks, draw for draw what
+// refColourMax draws, and above that sums sourceMax over the sources.
+func TestUncappedTailTakesSparsePaths(t *testing.T) {
+	p := LinuxTuned().WithSource(facilityStorm())
+	p.Sources[2].TailCap = 0
+	windows := []sim.Duration{2 * sim.Millisecond, 30 * sim.Millisecond, 90 * sim.Millisecond}
+	p.Tabulate(windows)
+	if len(p.dense) != 0 || p.psi != nil {
+		t.Fatalf("a profile with an uncapped tail got %d tables", len(p.dense))
+	}
+	for wi, w := range windows {
+		if !p.Dense(w) {
+			t.Fatalf("window %v is not dense", w)
+		}
+		for _, k := range []int{1, smallRanks, 1000, exactMaxRanks} {
+			for s := range uint64(4) {
+				checkColourMatchesRef(t, sim.StreamSeed(uint64(wi)<<16|uint64(k), s), p, k, w)
+			}
+		}
+		for _, k := range []int{exactMaxRanks + 1, 4096} {
+			rng, ref := sim.NewRNG(uint64(k)), sim.NewRNG(uint64(k))
+			d, r := MaxDetourRank(rng, p, k, w)
+			var want sim.Duration
+			for i := range p.Sources {
+				want += sourceMax(ref, &p.Sources[i], k, w)
+			}
+			if d != want || r != -1 || rng.Uint64() != ref.Uint64() {
+				t.Errorf("K=%d at %v: (%v, rank %d), summed sourceMax %v", k, w, d, r, want)
+			}
+		}
+	}
+}
+
 // Every path draws the same law for the three degenerate sources: a Mean-0
 // source with a Pareto tail (its detours are the tail alone), a CV-0 source
 // (every detour is exactly Mean) and a Period-0 source (it never fires).
@@ -445,16 +628,43 @@ func BenchmarkDenseTable(b *testing.B) {
 		b.Run(fmt.Sprintf("window=%v", w), func(b *testing.B) {
 			buf := make([]float32, denseGrid)
 			for b.Loop() {
+				p.psi = nil
 				t := denseTable{window: w}
-				t.build(p, new(grid), buf)
+				t.build(p, buf)
 			}
 		})
 	}
 	b.Run("tabulate-pair", func(b *testing.B) {
 		windows := []sim.Duration{10_304_716, 10_275_916}
 		for b.Loop() {
-			p.dense = nil
+			p.dense, p.psi = nil, nil
 			p.Tabulate(windows)
 		}
 	})
+}
+
+// BenchmarkTabulateViews times the tables of one facility node layout: a
+// warm LinuxTuned profile with the facility storm, tabulated at the step
+// windows of the layout's image (10.29 ms, the heap phase's step and the
+// steady one) and then, each on a clone, at those of four node-count views
+// of it, windows from one seed-1 facility stream. Every iteration starts
+// from a fresh clone of the warm profile, as a prepared image does.
+func BenchmarkTabulateViews(b *testing.B) {
+	ms := func(x float64) sim.Duration { return sim.Duration(x * float64(sim.Millisecond)) }
+	image := []sim.Duration{ms(10.285591), ms(10.285516)}
+	views := [][]sim.Duration{
+		{ms(10.256741), ms(10.256716)},
+		{ms(10.304816), ms(10.304716)},
+		{ms(10.275966), ms(10.275916)},
+		{ms(10.314441), ms(10.314316)},
+	}
+	warm := LinuxTuned().WithSource(facilityStorm())
+	warm.Warm()
+	for b.Loop() {
+		img := warm.CloneTables(0)
+		img.Tabulate(image)
+		for _, w := range views {
+			img.CloneTables(0).Tabulate(w)
+		}
+	}
 }

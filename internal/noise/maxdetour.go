@@ -10,7 +10,7 @@ import (
 // maximum is sampled exactly by colouring (exactMax), whose draws grow with
 // the number of detour events, not with the rank count; it keeps one sum per
 // rank in a buffer of this length. Beyond it the order-statistic
-// approximation is used (ROADMAP item 1, stage 2).
+// approximation is used (ROADMAP item 3 replaces it).
 const exactMaxRanks = 1024
 
 // MaxDetourRank samples the worst per-rank interference over `ranks` ranks
@@ -37,9 +37,13 @@ const exactMaxRanks = 1024
 //     in place of the true max over ranks of each rank's summed detour.
 //     That is an approximation whose bias has no fixed sign: against exact
 //     sampling it reads high at K = 4,096 with 1 ms windows and low at
-//     K = 131,072 with 30 ms windows under a daemon storm (ROADMAP item 1,
-//     stage 2, which replaces it). Individual ranks are never materialised,
-//     so the rank is -1 (source-level attribution only).
+//     K = 131,072 with 30 ms windows under a daemon storm (ROADMAP item 3
+//     replaces it). Individual ranks are never materialised, so the rank is
+//     -1 (source-level attribution only).
+//
+// A profile whose core-1 sources include an uncapped Pareto tail gets no
+// table (a finite grid cannot hold the tail), so at a dense window it takes
+// the second path up to exactMaxRanks ranks and the third above.
 //
 // The rank is -1 when the maximum is 0.
 func MaxDetourRank(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) (sim.Duration, int) {

@@ -245,6 +245,9 @@ type Profile struct {
 	// dense holds the per-rank detour tables Tabulate built, one per
 	// dense window; read-only once built and shared by clones.
 	dense []denseTable
+	// psi holds Ψ at each grid step the tables were built on, shared by
+	// clones; nil until the first table.
+	psi *psiCache
 }
 
 // DetourIn samples the total interference on one core during a window.
@@ -294,9 +297,10 @@ func (p *Profile) Warm() {
 // profile may be cloned from several goroutines at once and each clone
 // drawn from by its own: a clone's caches are its own, apart from the
 // quantile tables and the dense-window tables, which are never written once
-// built (see Warm and Tabulate).
+// built (see Warm and Tabulate), and the grids the tables were built on,
+// which clones that tabulate share under a lock (psiCache).
 func (p *Profile) Clone() *Profile {
-	return &Profile{Name: p.Name, Sources: slices.Clone(p.Sources), dense: p.dense}
+	return &Profile{Name: p.Name, Sources: slices.Clone(p.Sources), dense: p.dense, psi: p.psi}
 }
 
 // CloneTables is Clone keeping only the first n dense-window tables, in the
@@ -321,7 +325,8 @@ func (p *Profile) ExpectedRate(core int) float64 {
 
 // WithSource returns a copy of the profile with an extra source appended —
 // used by the fault layer to add a daemon storm without mutating the
-// kernel's shared canonical profile.
+// kernel's shared canonical profile. The copy has no dense-window tables
+// and no grids: its sources differ.
 func (p *Profile) WithSource(s Source) *Profile {
 	out := &Profile{Name: p.Name, Sources: make([]Source, 0, len(p.Sources)+1)}
 	out.Sources = append(out.Sources, p.Sources...)
@@ -334,6 +339,7 @@ func (p *Profile) WithSource(s Source) *Profile {
 // the timer tick off entirely while a single task runs on a core, so neither
 // the residual nohz_full housekeeping tick nor a full periodic tick fires.
 // Profiles without tick sources (the LWKs) come back unchanged in content.
+// Like WithSource, the copy has no dense-window tables and no grids.
 func (p *Profile) WithoutTicks() *Profile {
 	out := &Profile{Name: p.Name, Sources: make([]Source, 0, len(p.Sources))}
 	for _, s := range p.Sources {
