@@ -45,11 +45,15 @@ type Image struct {
 	// view's (Sched). Nothing after boot reads the kernel's own.
 	pol sched.Policy
 	// prof is the kernel's noise profile with its quantile tables and its
-	// dense-window tables built; each run draws from a clone of it.
+	// max-of-K tables built; each run draws from a clone of it.
 	prof *noise.Profile
-	// denseFirst holds, for each of prof's dense-window tables in the
-	// order Tabulate built them, the first step whose window it is.
-	denseFirst []int
+	// tableFirst holds, for each of prof's max-of-K tables in the order
+	// Tabulate attached them, the first step whose window it is.
+	tableFirst []int
+	// store is the table store the image was prepared under
+	// (ShareTables), or nil; views and degraded completion warm their
+	// profiles in it.
+	store *noise.Store
 	// plan is what every step takes from the job and the node without a
 	// draw.
 	plan stepPlan
@@ -74,7 +78,8 @@ type Image struct {
 // phase to the fixed point. The job's Seed is ignored. Its Sink only says
 // what the image records: the counters setup and the heap phase emit when
 // it counts, their observations when it observes. Prepare emits nothing
-// into it.
+// into it. When ctx carries a table store (ShareTables), the image and its
+// views fit their Ψ grids and build their noise tables in it.
 func Prepare(ctx context.Context, j Job) (*Image, error) {
 	j = j.normalized()
 	if j.App == nil {
@@ -111,7 +116,22 @@ func Prepare(ctx context.Context, j Job) (*Image, error) {
 	}
 	counting, observing := j.Sink.Counting(), j.Sink.Observing()
 	j.Seed, j.Sink = 0, nil
-	return prepare(ctx, j, counting, observing)
+	store, _ := ctx.Value(tablesKey{}).(*noise.Store)
+	return prepare(ctx, j, counting, observing, store)
+}
+
+// tablesKey is the context key of the store ShareTables attaches.
+type tablesKey struct{}
+
+// ShareTables returns a context carrying a new noise table store. Every
+// image Prepare makes under it, and every view of those images, shares the
+// store's Ψ grids and max-of-K tables with the others whose noise sources
+// have the same law, so each grid is fitted and each window's table built
+// once per store. A table is a pure function of its sources and window, so
+// sharing cannot change an output. The store lives as long as the context
+// and the images: give each experiment call one and drop it with the call.
+func ShareTables(ctx context.Context) context.Context {
+	return context.WithValue(ctx, tablesKey{}, noise.NewStore())
 }
 
 // withSched returns the job under scheduling policy kind: a per-job
@@ -125,8 +145,9 @@ func (j Job) withSched(kind sched.Kind) Job {
 	return j
 }
 
-// prepare builds the image of a job Prepare has normalized and adjusted.
-func prepare(ctx context.Context, j Job, counting, observing bool) (*Image, error) {
+// prepare builds the image of a job Prepare has normalized and adjusted,
+// its profile warmed in store (nil for a store of its own).
+func prepare(ctx context.Context, j Job, counting, observing bool, store *noise.Store) (*Image, error) {
 	k, err := bootKernel(j)
 	if err != nil {
 		return nil, err
@@ -135,10 +156,10 @@ func prepare(ctx context.Context, j Job, counting, observing bool) (*Image, erro
 	if err != nil {
 		return nil, err
 	}
-	img := &Image{j: j, k: k, comm: comm, prof: k.Noise(),
+	img := &Image{j: j, k: k, comm: comm, prof: k.Noise(), store: store,
 		counting: counting, observing: observing,
 		setupEmits: newEmissions(counting, observing)}
-	img.prof.Warm()
+	store.Warm(img.prof)
 
 	js := j
 	js.Sink = img.setupEmits.sink()
@@ -165,8 +186,7 @@ func prepare(ctx context.Context, j Job, counting, observing bool) (*Image, erro
 	img.heap.start = start
 	img.demandRanks = countDemandRanks(ns)
 	// Every step's window is known now that the heap phase is recorded:
-	// tabulate the per-rank detour law at each one where the profile is
-	// dense.
+	// tabulate the per-rank detour law at each one that gets a table.
 	img.plan = newStepPlan(j, k, comm)
 	img.setPolicy(k.Sched(), img.prof)
 	// Nothing the image keeps may reach a sink, the kernel included.
@@ -178,17 +198,18 @@ func prepare(ctx context.Context, j Job, counting, observing bool) (*Image, erro
 
 // setPolicy sets what of the image its scheduling policy decides: the
 // policy, whether gang windows align the ranks, and the noise profile with
-// its dense-window tables, built at the windows where the policy has a step
-// draw a max over ranks. Prepare and Sched both end here, so a view cannot
-// drift from an image prepared under its policy. prof must be warm and hold
-// no tables; the image takes it.
+// its max-of-K tables, built at the windows where the policy has a step
+// draw a max over ranks and the profile gets a table (tableWindows).
+// Prepare and Sched both end here, so a view cannot drift from an image
+// prepared under its policy. prof must be warm and hold no tables; the
+// image takes it.
 func (img *Image) setPolicy(pol sched.Policy, prof *noise.Profile) {
 	img.pol = pol
 	img.plan.gangAligned = pol.Kind() == sched.Gang
 	img.prof = prof
 	var windows []sim.Duration
-	windows, img.denseFirst = img.denseWindows()
-	img.prof.Tabulate(windows)
+	windows, img.tableFirst = img.tableWindows()
+	img.prof.Tabulate(windows, img.tableRanks())
 }
 
 // Sched returns a view of the image that runs the job under scheduling
@@ -198,7 +219,7 @@ func (img *Image) setPolicy(pol sched.Policy, prof *noise.Profile) {
 // lays out but the policy itself and, on Linux, the noise profile
 // (tickless drops the tick-class sources). The view's job carries kind, so
 // degraded completion runs under it; its profile is Linux's under
-// kind, or the LWK's own, with the dense-window tables built again for its
+// kind, or the LWK's own, with the max-of-K tables built again for its
 // policy. The view shares everything else with the image and is read-only
 // like it.
 func (img *Image) Sched(kind sched.Kind) (*Image, error) {
@@ -220,7 +241,7 @@ func (img *Image) Sched(kind sched.Kind) (*Image, error) {
 	prof := img.prof.CloneTables(0)
 	if img.k.Type() == kernel.TypeLinux && (kind == sched.Tickless) != (img.pol.Kind() == sched.Tickless) {
 		prof = linuxos.NoiseProfile(*v.j.Linux)
-		prof.Warm()
+		img.store.Warm(prof)
 	}
 	v.setPolicy(pol, prof)
 	return &v, nil
@@ -233,7 +254,7 @@ func (img *Image) Sched(kind sched.Kind) (*Image, error) {
 // everything it emits: boot, node setup and the heap phase reach the node
 // count only through the inputs SameLayout compares, so the view rebuilds
 // only what is built after them at n, the communicator, the step plan and
-// the dense-window tables of the plan's windows. The view's job carries n,
+// the max-of-K tables of the plan's windows. The view's job carries n,
 // so degraded completion runs on n − 1 nodes. The view shares
 // everything else with the image and is read-only like it.
 func (img *Image) Nodes(n int) (*Image, error) {
@@ -265,7 +286,7 @@ func (img *Image) Nodes(n int) (*Image, error) {
 // equals a run of an image prepared for n steps, in its Result and in
 // everything it emits. The heap record of an n-step run is a prefix of
 // this one's (heapRecord), and so is its list of dense windows, in the
-// order the tables were built (denseWindows); Tabulate builds the tables
+// order the tables were built (tableWindows); Tabulate builds the tables
 // of a prefix exactly as it built them here. The view draws from those
 // first tables alone, so that a window a seeded offload stall stretches
 // cannot meet a table only a later step's window built. The view shares
@@ -374,7 +395,7 @@ func (img *Image) Run(ctx context.Context, seed uint64, sink *trace.Sink) (Resul
 			if SameLayout(j.App, cur.j.Nodes, j.Nodes) {
 				cur, err = cur.Nodes(j.Nodes)
 			} else {
-				cur, err = prepare(ctx, j, img.counting, img.observing)
+				cur, err = prepare(ctx, j, img.counting, img.observing, img.store)
 			}
 			if err != nil {
 				return Result{}, err

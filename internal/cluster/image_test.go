@@ -246,7 +246,7 @@ func mustPlan(t testing.TB, spec string) *fault.Plan {
 // tracing, so each kernel, application and plan meets several of them.
 // Two more cells run both applications on Linux under the facility storm,
 // whose windows are dense, so their runs draw from the image's
-// dense-window tables. The "steps" cells run Lulesh on every kernel under
+// max-of-K tables. The "steps" cells run Lulesh on every kernel under
 // every plan, the two storm cells again and AMG2013 under the storm, whose
 // second dense window first appears at step 1, at shorter step counts of
 // the one image (stepCounts), each against a fresh run prepared for that
@@ -368,15 +368,15 @@ func checkNodesView(t testing.TB, j Job, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vw, _ := v.denseWindows()
-	ww, _ := want.denseWindows()
+	vw, _ := v.tableWindows()
+	ww, _ := want.tableWindows()
 	switch {
 	case v.comm.Ranks() != want.comm.Ranks() || v.j.Nodes != n:
 		t.Fatalf("view on %d nodes has %d ranks, prepared %d", v.j.Nodes, v.comm.Ranks(), want.comm.Ranks())
 	case !reflect.DeepEqual(v.plan, want.plan):
 		t.Fatalf("view step plan %+v, prepared %+v", v.plan, want.plan)
-	case !slices.Equal(vw, ww) || !slices.Equal(v.denseFirst, want.denseFirst):
-		t.Fatalf("view dense windows %v from steps %v, prepared %v from %v", vw, v.denseFirst, ww, want.denseFirst)
+	case !slices.Equal(vw, ww) || !slices.Equal(v.tableFirst, want.tableFirst):
+		t.Fatalf("view dense windows %v from steps %v, prepared %v from %v", vw, v.tableFirst, ww, want.tableFirst)
 	}
 }
 
@@ -494,7 +494,7 @@ func checkSchedView(t testing.TB, j Job, kind sched.Kind) {
 		return names
 	}
 	windows := func(img *Image) []sim.Duration {
-		ws, _ := img.denseWindows()
+		ws, _ := img.tableWindows()
 		return ws
 	}
 	switch {
@@ -503,9 +503,9 @@ func checkSchedView(t testing.TB, j Job, kind sched.Kind) {
 			v.pol.Kind(), v.plan.gangAligned, want.pol.Kind(), want.plan.gangAligned)
 	case !slices.Equal(sources(v), sources(want)):
 		t.Fatalf("view noise sources %q, prepared %q", sources(v), sources(want))
-	case !slices.Equal(windows(v), windows(want)) || !slices.Equal(v.denseFirst, want.denseFirst):
+	case !slices.Equal(windows(v), windows(want)) || !slices.Equal(v.tableFirst, want.tableFirst):
 		t.Fatalf("view dense windows %v from steps %v, prepared %v from %v",
-			windows(v), v.denseFirst, windows(want), want.denseFirst)
+			windows(v), v.tableFirst, windows(want), want.tableFirst)
 	}
 }
 
@@ -522,8 +522,8 @@ func stepCounts(t testing.TB, j Job) []int {
 	}
 	all, fp := j.App.Timesteps, len(img.heap.steps)
 	counts := []int{1, fp - 1, fp, fp + 1, all}
-	if n := len(img.denseFirst); n > 0 {
-		counts = append(counts, img.denseFirst[n-1], img.denseFirst[n-1]+1)
+	if n := len(img.tableFirst); n > 0 {
+		counts = append(counts, img.tableFirst[n-1], img.tableFirst[n-1]+1)
 	}
 	counts = slices.DeleteFunc(counts, func(n int) bool { return n < 1 || n > all })
 	slices.Sort(counts)
@@ -552,7 +552,7 @@ func TestImageDegradedAndRetried(t *testing.T) {
 }
 
 // TestImagePlansReachTables pins that TestImageRunsMatchFresh's
-// dense-storm cells build dense-window tables, and that a one-step run of
+// dense-storm cells build max-of-K tables, and that a one-step run of
 // AMG2013's image leaves one of them out.
 func TestImagePlansReachTables(t *testing.T) {
 	for _, app := range []*apps.Spec{apps.Lulesh(), apps.MiniFE(), apps.AMG2013()} {
@@ -561,11 +561,11 @@ func TestImagePlansReachTables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ws, _ := img.denseWindows(); len(ws) == 0 {
+		if ws, _ := img.tableWindows(); len(ws) == 0 {
 			t.Errorf("%s: the facility storm plan builds no tables", app.Name)
 		}
-		if app.Name == apps.AMG2013().Name && img.tables(1) == len(img.denseFirst) {
-			t.Errorf("%s: a one-step run draws from all %d tables", app.Name, len(img.denseFirst))
+		if app.Name == apps.AMG2013().Name && img.tables(1) == len(img.tableFirst) {
+			t.Errorf("%s: a one-step run draws from all %d tables", app.Name, len(img.tableFirst))
 		}
 	}
 }
@@ -602,7 +602,7 @@ func TestImageRunRejectsRicherSink(t *testing.T) {
 // application lays out a different node there (SameLayout), Nodes must
 // refuse it and the second run stays on the image's node count. The plans
 // are imagePlans and the facility storm, whose Linux runs draw from
-// dense-window tables. A run that fails (a single node cannot complete
+// max-of-K tables. A run that fails (a single node cannot complete
 // degraded) must fail with the same error both ways.
 func FuzzImageMatchesFresh(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(7), uint64(1), uint8(0), uint8(0), uint8(0), uint8(0x13))

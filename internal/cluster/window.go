@@ -148,22 +148,27 @@ func (img *Image) window(step int) stepWindow {
 	return w
 }
 
-// denseWindows returns the distinct windows at which runSteps draws a
-// max-over-ranks detour from a profile that is dense there, in the order
-// of the steps that first draw at them, and each one's first step: every
-// step's base, unless gang alignment or the absence of any
-// synchronisation keeps the step from calling noise.MaxDetourRank. The
-// windows of a shorter run are a prefix of the list.
-func (img *Image) denseWindows() (windows []sim.Duration, first []int) {
-	if img.plan.gangAligned {
+// tableWindows returns the distinct windows at which runSteps draws a
+// max-over-ranks detour and the profile gets a table for tableRanks ranks
+// (noise.Profile.Tabled), in the order of the steps that first draw at
+// them, and each one's first step. A step draws at its base, unless gang
+// alignment or the absence of any synchronisation keeps it from calling
+// noise.MaxDetourRank. The predicate is evaluated once per distinct
+// window, and depends on the window and the image alone, so the windows of
+// a shorter run are a prefix of the list.
+func (img *Image) tableWindows() (windows []sim.Duration, first []int) {
+	ranks := img.tableRanks()
+	if ranks == 0 {
 		return nil, nil
 	}
+	seen := map[sim.Duration]bool{}
 	for step := 0; step < img.j.App.Timesteps; step++ {
 		w := img.window(step)
-		if w.collsDue == 0 && img.plan.haloWire == 0 {
+		if w.collsDue == 0 && img.plan.haloWire == 0 || seen[w.base] {
 			continue
 		}
-		if img.prof.Dense(w.base) && !slices.Contains(windows, w.base) {
+		seen[w.base] = true
+		if img.prof.Tabled(w.base, ranks) {
 			windows = append(windows, w.base)
 			first = append(first, step)
 		}
@@ -171,9 +176,28 @@ func (img *Image) denseWindows() (windows []sim.Duration, first []int) {
 	return windows, first
 }
 
-// tables returns how many of the profile's dense-window tables a run of
+// tableRanks returns the largest rank count the image's steps draw a
+// maximum over: the job's ranks when it runs collectives, the halo
+// neighbourhood when only halo exchanges synchronise, and 0 when gang
+// alignment or the absence of synchronisation keeps every step from
+// drawing one. Tables are built for it; a call at another rank count
+// checks the table resolves it.
+func (img *Image) tableRanks() int {
+	pl := &img.plan
+	switch {
+	case pl.gangAligned:
+		return 0
+	case pl.everyStepColls > 0 || len(pl.colls) > 0:
+		return img.comm.Ranks()
+	case pl.haloWire > 0:
+		return min(haloNeighborhood, img.comm.Ranks())
+	}
+	return 0
+}
+
+// tables returns how many of the profile's max-of-K tables a run of
 // steps steps draws from: those of the windows its steps reach.
 func (img *Image) tables(steps int) int {
-	n, _ := slices.BinarySearch(img.denseFirst, steps)
+	n, _ := slices.BinarySearch(img.tableFirst, steps)
 	return n
 }

@@ -116,7 +116,7 @@ type repResult struct {
 // measureCounted is measure plus optional mechanism counters: Prepare, then
 // measureImage.
 func measureCounted(cfg Config, job cluster.Job) (stats.Summary, *trace.Counters, *metrics.Registry, error) {
-	img, err := prepare(cfg, job)
+	img, err := prepare(context.TODO(), cfg, job)
 	if err != nil {
 		return stats.Summary{}, nil, nil, err
 	}
@@ -125,8 +125,9 @@ func measureCounted(cfg Config, job cluster.Job) (stats.Summary, *trace.Counters
 
 // prepare prepares job's node image under cfg: cfg's fault plan and
 // scheduling policy where the job sets none of its own, recording what
-// cfg's repetition sinks ask for.
-func prepare(cfg Config, job cluster.Job) (*cluster.Image, error) {
+// cfg's repetition sinks ask for, and sharing the noise tables of ctx's
+// store (cluster.ShareTables) if it carries one.
+func prepare(ctx context.Context, cfg Config, job cluster.Job) (*cluster.Image, error) {
 	if job.Faults == nil {
 		job.Faults = cfg.Faults
 	}
@@ -135,7 +136,7 @@ func prepare(cfg Config, job cluster.Job) (*cluster.Image, error) {
 	}
 	// The prepared job's sink only tells the image what to record.
 	job.Sink, _, _ = repSink(cfg)
-	return cluster.Prepare(context.TODO(), job)
+	return cluster.Prepare(ctx, job)
 }
 
 // measureImage runs img Reps times — in parallel, each repetition on its
@@ -200,15 +201,15 @@ func repSink(cfg Config) (*trace.Sink, *trace.Counters, *metrics.Registry) {
 // measures its node count's view of its kernel's image (layoutImages), so
 // the grid parallelises without any coordination and the series are
 // assembled from the index-ordered results. The images live only as long
-// as the call.
-func appFigure(cfg Config, app *apps.Spec, id string) (*stats.Figure, error) {
+// as the call; they share the noise tables of ctx's store.
+func appFigure(ctx context.Context, cfg Config, app *apps.Spec, id string) (*stats.Figure, error) {
 	kts := []kernel.Type{kernel.TypeLinux, kernel.TypeMcKernel, kernel.TypeMOS}
 	nodes := cfg.nodeCounts(app)
 	cellErr := func(kt kernel.Type, n int, err error) error {
 		return fmt.Errorf("experiments: %s on %v at %d nodes: %w", app.Name, kt, n, err)
 	}
 	images, err := layoutImages(cfg, app, kts, nodes, func(kt kernel.Type, n int) (*cluster.Image, error) {
-		return prepare(cfg, cluster.Job{App: app, Kernel: kt, Nodes: n})
+		return prepare(ctx, cfg, cluster.Job{App: app, Kernel: kt, Nodes: n})
 	}, cellErr)
 	if err != nil {
 		return nil, err
@@ -320,8 +321,9 @@ func RelativeFigure(fig *stats.Figure) *stats.Figure {
 func Figure4(cfg Config) ([]*stats.Figure, error) {
 	cfg = cfg.normalize()
 	all := apps.All()
+	ctx := cluster.ShareTables(context.TODO())
 	return par.MapWidthErr(cfg.Workers, len(all), func(i int) (*stats.Figure, error) {
-		return appFigure(cfg, all[i], "fig4-"+all[i].Name)
+		return appFigure(ctx, cfg, all[i], "fig4-"+all[i].Name)
 	})
 }
 
@@ -375,7 +377,7 @@ func SummarizeFigure4(figs []*stats.Figure) Figure4Summary {
 // Linux median ("% of Linux median" on the paper's y axis).
 func Figure5a(cfg Config) (*stats.Figure, error) {
 	cfg = cfg.normalize()
-	abs, err := appFigure(cfg, apps.CCSQCD(), "fig5a")
+	abs, err := appFigure(cluster.ShareTables(context.TODO()), cfg, apps.CCSQCD(), "fig5a")
 	if err != nil {
 		return nil, err
 	}
@@ -397,7 +399,7 @@ func Figure5a(cfg Config) (*stats.Figure, error) {
 // Figure5b reproduces the MiniFE strong-scaling plot (absolute Mflops).
 func Figure5b(cfg Config) (*stats.Figure, error) {
 	cfg = cfg.normalize()
-	fig, err := appFigure(cfg, apps.MiniFE(), "fig5b")
+	fig, err := appFigure(cluster.ShareTables(context.TODO()), cfg, apps.MiniFE(), "fig5b")
 	if err != nil {
 		return nil, err
 	}
@@ -408,7 +410,7 @@ func Figure5b(cfg Config) (*stats.Figure, error) {
 // Figure6a reproduces the Lulesh 2.0 scaling plot (zones/s).
 func Figure6a(cfg Config) (*stats.Figure, error) {
 	cfg = cfg.normalize()
-	fig, err := appFigure(cfg, apps.Lulesh(), "fig6a")
+	fig, err := appFigure(cluster.ShareTables(context.TODO()), cfg, apps.Lulesh(), "fig6a")
 	if err != nil {
 		return nil, err
 	}
@@ -419,7 +421,7 @@ func Figure6a(cfg Config) (*stats.Figure, error) {
 // Figure6b reproduces the LAMMPS scaling plot (timesteps/s).
 func Figure6b(cfg Config) (*stats.Figure, error) {
 	cfg = cfg.normalize()
-	fig, err := appFigure(cfg, apps.LAMMPS(), "fig6b")
+	fig, err := appFigure(cluster.ShareTables(context.TODO()), cfg, apps.LAMMPS(), "fig6b")
 	if err != nil {
 		return nil, err
 	}

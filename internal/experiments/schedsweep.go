@@ -68,9 +68,10 @@ func measureNoiseGap(cfg Config, img *cluster.Image, kind sched.Kind) (stats.Sum
 // Linux's noise profile, so the sweep prepares one image per (application,
 // kernel, node layout), takes each node count's view of it (layoutImages)
 // and runs each policy as a view of that (Image.Sched). The images live
-// only as long as the call.
+// only as long as the call, and share one noise table store.
 func SchedSweep(cfg Config) ([]*stats.Figure, error) {
 	cfg = cfg.normalize()
+	ctx := cluster.ShareTables(context.TODO())
 	kts := []kernel.Type{kernel.TypeLinux, kernel.TypeMcKernel, kernel.TypeMOS}
 	kinds := sched.Kinds()
 	sweepApps := SchedSweepApps()
@@ -79,7 +80,7 @@ func SchedSweep(cfg Config) ([]*stats.Figure, error) {
 		app := sweepApps[ai]
 		nodes := cfg.nodeCounts(app)
 		images, err := layoutImages(cfg, app, kts, nodes, func(kt kernel.Type, n int) (*cluster.Image, error) {
-			return cluster.Prepare(context.TODO(), cluster.Job{App: app, Kernel: kt, Nodes: n, Faults: cfg.Faults})
+			return cluster.Prepare(ctx, cluster.Job{App: app, Kernel: kt, Nodes: n, Faults: cfg.Faults})
 		}, func(kt kernel.Type, n int, err error) error {
 			return fmt.Errorf("experiments: schedsweep %s on %v at %d nodes: %w", app.Name, kt, n, err)
 		})

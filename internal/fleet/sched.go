@@ -45,6 +45,10 @@ type Scheduler struct {
 	// that needs it (see image).
 	layouts map[shape][]layoutImage
 	images  map[shape]func() (*cluster.Image, error)
+	// tables is the context the images are prepared under: it carries
+	// the run's noise table store (cluster.ShareTables), which dies with
+	// the Scheduler.
+	tables context.Context
 
 	// busyNodeNs accumulates occupied-nodes x virtual-time, the
 	// utilization numerator (int64 node-nanoseconds).
@@ -123,6 +127,7 @@ func newScheduler(cfg Config) *Scheduler {
 		kernelJobs: map[string]int{},
 		layouts:    map[shape][]layoutImage{},
 		images:     map[shape]func() (*cluster.Image, error){},
+		tables:     cluster.ShareTables(context.TODO()),
 	}
 	if cfg.Counters {
 		s.counters = trace.NewCounters()
@@ -308,7 +313,7 @@ func (s *Scheduler) image(l *launch, counting bool) func() (*cluster.Image, erro
 				c = trace.NewCounters()
 			}
 			j.Sink = trace.NewSink(c, nil)
-			return cluster.Prepare(context.TODO(), j)
+			return cluster.Prepare(s.tables, j)
 		})
 		s.layouts[family] = append(layouts, layoutImage{nodes: key.nodes, image: view})
 	} else {

@@ -9,17 +9,17 @@ import (
 	"mklite/internal/sim"
 )
 
-// Dense windows. A source is dense at a window when a rank expects at least
-// one of its occurrences there (λ = window/Period ≥ 1). Colouring then
-// draws O(ranks·λ) detours per max-of-K call — a collective under the
-// facility's daemon storm colours about 20 events per rank — although the
-// law of one rank's summed detour D depends only on the profile and the
-// window. D is compound Poisson: its characteristic function is
-// exp(Σ λ_s(φ_s − 1)) over the profile's core-1 sources, φ_s the
-// characteristic function of one detour of source s. A table of D's
-// survival function on a grid, built once per window by FFT, turns the
-// maximum over K independent ranks into one inverse-CDF lookup at any K:
-// max ~ F_D⁻¹(U^{1/K}).
+// Tabled windows. A max-of-K call colours O(K·Λ) detour events, Λ =
+// Σ window/Period over the profile's core-1 sources: a collective under the
+// facility's daemon storm colours about 20 events per rank, and a Linux
+// collective over 1,024 ranks in a 40 ms window about 900. Yet the law of
+// one rank's summed detour D depends only on the profile and the window. D
+// is compound Poisson: its characteristic function is exp(Σ λ_s(φ_s − 1))
+// over the profile's core-1 sources, φ_s the characteristic function of
+// one detour of source s. A table of D's survival function on a grid,
+// built once per window by FFT, turns the maximum over K independent ranks
+// into one inverse-CDF lookup at any K: max ~ F_D⁻¹(U^{1/K}). Tabled says
+// at which (window, K) a table is worth building and exact enough to use.
 
 // denseGrid is the number of grid points of a table and the length of the
 // FFT that builds it.
@@ -52,21 +52,50 @@ var denseTwiddle = func() (w [denseGrid / 2]complex128) {
 	return w
 }()
 
+// tableEvents is the expected number of detour events per call, K·Λ, from
+// which a window that is not dense is worth a table at K ranks. Colouring
+// costs about 22 ns per event (BenchmarkMaxDetourRank: 13.9 µs for the 645
+// events of K = 1,024 at 30 ms on LinuxTuned), so a call at 256 events
+// costs about 5.5 µs, where the table path costs 0.15 µs at any K. A table
+// costs about 30 µs on a grid its profile has fitted and 0.2 ms with the
+// fit (BenchmarkDenseTable), so at 256 events it has paid for itself after
+// 6 to 40 calls at its window; a full Figure 4 draws about 200 calls from
+// each of its tables. Below 256 events the saving per call shrinks with
+// the events, and windows met by few calls stop paying for their table.
+const tableEvents = 256
+
+// resolveSteps and resolveMiss set when a table's grid resolves a maximum
+// over K ranks: the probability that the maximum is positive but at most
+// resolveSteps grid steps is at most resolveMiss. Below a few steps the
+// maximum is a detour or two the grid has moved by up to a step each: a
+// 4 µs tick or a 25 µs kworker on a 16–33 µs grid. Two steps leave untuned
+// Linux at 30 ms and K = 256 failing a two-sample KS test against
+// colouring at the 1% level; four steps pass every cell. A law moved on at
+// most 1% of its mass moves the maximum's CDF by at most 0.01, below the
+// 0.028 critical value of those tests. The atom at 0 is exact in every
+// table and does not count.
+const (
+	resolveSteps = 4
+	resolveMiss  = 0.01
+)
+
 // denseTable is the law of one rank's summed detour from a profile's core-1
 // sources at one window. Between knots the survival function is linear:
 // it falls from g0 = P(D > 0) at 0 to sv[0] at h/2, and from sv[i−1] at
 // (i−½)h to sv[i] at (i+½)h. The grid point i carries the mass the grid
 // discretisation of the detours (basePMF, tailPMF) puts at i·h, spread
 // evenly over [(i−½)h, (i+½)h], so each grid point keeps its mean; the
-// atom at 0, P(D = 0) = e^{−Λ₀}, is exact. sv is non-increasing and ends at 0. A table
-// is never written after Tabulate builds it.
+// atom at 0, P(D = 0) = e^{−Λ₀}, is exact. sv is non-increasing and ends at
+// 0. A table is never written after it is built.
 type denseTable struct {
 	window sim.Duration
 	// h is the grid step in nanoseconds.
 	h float64
 	// g0 is P(D > 0) = 1 − e^{−Λ₀}, Λ₀ the rate of nonzero detours.
 	g0 float64
-	sv []float32
+	// rho is ρ at h (resolution) and lam0 is Λ₀: resolves reads them.
+	rho, lam0 float64
+	sv        []float32
 }
 
 // quantile returns the smallest detour whose survival is at most s, in
@@ -108,6 +137,20 @@ func (t *denseTable) max(rng *sim.RNG, ranks int) (sim.Duration, int) {
 	return d, r
 }
 
+// resolves reports whether the table's grid resolves the maximum over
+// ranks ranks (resolved).
+func (t *denseTable) resolves(ranks int) bool { return resolved(ranks, t.rho, t.lam0) }
+
+// resolved reports whether P(0 < max ≤ resolveSteps·h) ≤ resolveMiss for
+// the maximum over K ranks, by a bound: a rank whose detours include one
+// above x = resolveSteps·h has D > x, and such detours arrive at rate ρ =
+// Σ λ_s·P(X_s > x) (resolution), so P(max ≤ x) ≤ e^{−Kρ}, while
+// P(max = 0) = e^{−KΛ₀} exactly.
+func resolved(ranks int, rho, lam0 float64) bool {
+	k := float64(ranks)
+	return math.Exp(-k*rho)-math.Exp(-k*lam0) <= resolveMiss
+}
+
 // denseAt returns the profile's table for window, or nil.
 func (p *Profile) denseAt(window sim.Duration) *denseTable {
 	for i := range p.dense {
@@ -118,58 +161,58 @@ func (p *Profile) denseAt(window sim.Duration) *denseTable {
 	return nil
 }
 
-// Tabulate builds a table of the per-rank detour law at each of the given
-// windows where one of the profile's core-1 sources is dense, and attaches
-// them to the profile; MaxDetourRank draws from them at those windows.
-// Windows may repeat. Every table lives in one allocation. A profile whose
-// core-1 sources include an uncapped Pareto tail gets no tables: a finite
-// grid cannot hold it. Like Warm, Tabulate is called before the profile is
-// cloned, and the clones share the tables, which are never written again.
-// A clone may Tabulate windows of its own; it fits Ψ in the cache it
-// shares with the profile (psiCache). Changing the profile's sources
-// afterwards is not supported.
+// Tabulate attaches a table of the per-rank detour law to the profile at
+// each of the given windows where Tabled holds for ranks ranks;
+// MaxDetourRank draws from them at those windows, at the rank counts they
+// resolve. Windows may repeat. Tables come from the profile's table cache
+// (Warm, Store), built there on first use, so a profile, its clones and
+// every profile of a store with the same core-1 sources build each window's
+// table once. A profile whose core-1 sources include an uncapped Pareto
+// tail gets no tables: a finite grid cannot hold it. Like Warm, Tabulate is
+// called before the profile is cloned, and the clones share the tables,
+// which are never written again. A clone may Tabulate windows of its own.
+// Changing the profile's sources afterwards is not supported.
 //
-// Tables are built in the order their windows first appear, and each one
-// depends only on the profile's core-1 sources and its own window, which
-// fixes its grid step (gridStep). So over any prefix of the list, Tabulate
-// builds exactly the first tables it builds over the whole list, and
+// Tables are attached in the order their windows first appear, and whether
+// a window gets one, and which, depends only on the profile's core-1
+// sources, the window and ranks. So over any prefix of the list, Tabulate
+// attaches exactly the first tables it attaches over the whole list, and
 // CloneTables keeps them. A node image prepared for T steps relies on this
 // to serve runs of fewer steps (cluster.Image.Steps).
-func (p *Profile) Tabulate(windows []sim.Duration) {
-	if !p.tabulable() {
-		return
-	}
-	// wanted reports whether windows[i] needs a table: dense, not yet
-	// tabulated and not listed before.
-	wanted := func(i int) bool {
-		w := windows[i]
-		return p.Dense(w) && p.denseAt(w) == nil && !slices.Contains(windows[:i], w)
-	}
-	n := 0
-	for i := range windows {
-		if wanted(i) {
-			n++
-		}
-	}
-	if n == 0 {
-		return
-	}
-	// One allocation at the grid's full length per table: the trimmed
-	// lengths are known only after each build, and building twice would
-	// double the cost.
-	all := make([]float32, n*denseGrid)
-	tabs := make([]denseTable, len(p.dense), len(p.dense)+n)
-	copy(tabs, p.dense)
+func (p *Profile) Tabulate(windows []sim.Duration, ranks int) {
+	tabs := slices.Clip(p.dense) // never append into a parent's tables
 	for i, w := range windows {
-		if !wanted(i) {
-			continue
+		if p.denseAt(w) == nil && !slices.Contains(windows[:i], w) && p.Tabled(w, ranks) {
+			tabs = append(tabs, *p.tableAt(w))
 		}
-		t := denseTable{window: w}
-		t.build(p, all[:denseGrid:denseGrid])
-		all = all[denseGrid:]
-		tabs = append(tabs, t)
 	}
 	p.dense = tabs
+}
+
+// Tabled reports whether max-of-K calls over ranks ranks at window get a
+// table: where colouring them would be costly and the table's grid resolves
+// their maximum. Colouring is costly at a dense window (dense, λ_s ≥ 1 for
+// a core-1 source), at any rank count, and up to exactMaxRanks ranks where
+// a call draws at least tableEvents events, K·Λ ≥ tableEvents with Λ =
+// Σ window/Period over the core-1 sources. Above exactMaxRanks a window
+// that is not dense keeps the order-statistic path. The grid resolves the
+// maximum when resolved holds at the step gridStep gives the window's span;
+// a table whose build doubled that step resolves fewer rank counts, which
+// MaxDetourRank checks call by call. A profile with an uncapped Pareto tail
+// gets no table.
+func (p *Profile) Tabled(window sim.Duration, ranks int) bool {
+	if window <= 0 || ranks <= 0 || !p.tabulable() {
+		return false
+	}
+	if !p.Dense(window) && (ranks > exactMaxRanks || float64(ranks)*p.events(window) < tableEvents) {
+		return false
+	}
+	span, lam0 := p.denseSpan(window)
+	h := 1.0
+	if span > 0 && !math.IsInf(span, 0) {
+		h = gridStep(span)
+	}
+	return resolved(ranks, p.resolution(window, h), lam0)
 }
 
 // Dense reports whether one of the profile's core-1 sources is dense at
@@ -182,6 +225,59 @@ func (p *Profile) Dense(window sim.Duration) bool {
 		}
 	}
 	return false
+}
+
+// events returns Λ, the rate of one rank's detour events at window: Σ
+// window/Period over the core-1 sources.
+func (p *Profile) events(window sim.Duration) float64 {
+	var lam float64
+	for i := range p.Sources {
+		if s := &p.Sources[i]; s.drawsOnAppCore() {
+			lam += float64(window) / float64(s.Period)
+		}
+	}
+	return lam
+}
+
+// resolution returns ρ = Σ λ_s·P(X_s > resolveSteps·h) over the core-1
+// sources at window, with exceeds' lower bound for each P(X_s > x), so that
+// resolved's bound stays an upper bound.
+func (p *Profile) resolution(window sim.Duration, h float64) float64 {
+	x := resolveSteps * h
+	var rho float64
+	for i := range p.Sources {
+		if s := &p.Sources[i]; s.drawsOnAppCore() {
+			rho += float64(window) / float64(s.Period) * s.exceeds(x)
+		}
+	}
+	return rho
+}
+
+// exceeds returns a lower bound on P(X > x), x > 0, for one detour X, base
+// B plus, with probability q, a capped Pareto tail T: X is at least B and
+// at least its tail, so P(X > x) ≥ 1 − P(B ≤ x)·(1 − q·P(T > x)). B's
+// survival is the log-normal's (phiC) or the point mass's; T's is 1 below
+// its scale, (scale/x)^α up to its cap and 0 from the cap on.
+func (s *Source) exceeds(x float64) float64 {
+	var b float64
+	if s.baseLogNormal() {
+		mu, sigma := s.lnParamsNs()
+		b = phiC((math.Log(x) - mu) / sigma)
+	} else if s.baseMean() > x {
+		b = 1
+	}
+	var t float64
+	if s.hasTail() {
+		xm, c := float64(s.TailScale), float64(s.TailCap)
+		switch {
+		case x >= c:
+		case x < xm:
+			t = s.tailProb()
+		default:
+			t = s.tailProb() * math.Pow(xm/x, s.TailAlpha)
+		}
+	}
+	return 1 - (1-b)*(1-t)
 }
 
 // tabulable reports whether every core-1 source's detour law fits a
@@ -280,9 +376,9 @@ func (s *Source) upper(delta float64) float64 {
 
 // denseSpan returns the span a table's grid must cover at window, the
 // mean plus ten standard deviations plus the largest single detour the tail
-// bound allows, and g0 = P(D > 0).
-func (p *Profile) denseSpan(window sim.Duration) (span, g0 float64) {
-	var mean, variance, lam0, worst float64
+// bound allows, and Λ₀, the rate of nonzero detours: P(D > 0) = 1 − e^{−Λ₀}.
+func (p *Profile) denseSpan(window sim.Duration) (span, lam0 float64) {
+	var mean, variance, worst float64
 	nsrc := 0
 	for i := range p.Sources {
 		if p.Sources[i].drawsOnAppCore() {
@@ -309,22 +405,22 @@ func (p *Profile) denseSpan(window sim.Duration) (span, g0 float64) {
 		}
 		worst = max(worst, s.upper(denseTail/(lam*float64(nsrc))))
 	}
-	return mean + 10*math.Sqrt(variance) + worst, -math.Expm1(-lam0)
+	return mean + 10*math.Sqrt(variance) + worst, lam0
 }
 
 // build fills t from the profile's core-1 sources at t.window, with sv's
 // backing in buf (denseGrid long), on the profile's grid at the step
 // gridStep gives for the window's span (denseSpan). When more than
 // denseTail of the mass still reaches the grid's top eighth, the step
-// doubles (at most three times).
+// doubles (at most three times). ρ is taken at the step the table ends on.
 func (t *denseTable) build(p *Profile, buf []float32) {
-	span, g0 := p.denseSpan(t.window)
-	t.g0 = g0
+	span, lam0 := p.denseSpan(t.window)
+	t.g0, t.lam0 = -math.Expm1(-lam0), lam0
 	var sv [denseGrid]float64
 	if !(span > 0) || math.IsInf(span, 0) {
 		// Every detour is 0 (no source has a positive base or tail): the
 		// table is the atom at 0.
-		t.h, t.g0 = 1, 0
+		t.h, t.g0, t.lam0 = 1, 0, 0
 	} else {
 		t.h = gridStep(span)
 		for try := 0; ; try++ {
@@ -334,6 +430,7 @@ func (t *denseTable) build(p *Profile, buf []float32) {
 			}
 			t.h *= 2
 		}
+		t.rho = p.resolution(t.window, t.h)
 	}
 	n := 1
 	for i := range sv {
@@ -356,12 +453,14 @@ func (t *denseTable) build(p *Profile, buf []float32) {
 // characteristic function, Σ λ_s(φ_s − 1), is window·(Ψ − Ψ₀) with
 // Ψ = Σ_s φ_s/Period_s, φ_s the DFT of one detour's grid pmf. Ψ depends
 // only on the profile's core-1 sources and h, so every table on the same
-// step shares it (psiCache), and a table after the first costs one
-// exponentiation and one inverse transform. A grid is never written after
-// fit.
+// step shares it (tableCache), and a table after the first costs one
+// exponentiation and one inverse transform. Ψ is the DFT of a real
+// sequence, so it is Hermitian, and only its first half, k ≤ denseGrid/2,
+// is kept: compound mirrors the rest. A grid is written once, by fit.
 type grid struct {
-	h   float64
-	psi [denseGrid]complex128
+	h    float64
+	once sync.Once
+	psi  [denseGrid/2 + 1]complex128
 }
 
 // gridStep returns the grid step for a span: the smallest power of two h
@@ -375,39 +474,6 @@ func gridStep(span float64) float64 {
 	return math.Ldexp(1, exp)
 }
 
-// psiCache holds a profile's grids, one per step a table of it was built
-// on. A profile has one from its first table on, and Clone shares it the
-// way it shares the tables, so a node image and its views fit each step
-// once; WithSource, WithoutTicks and fresh profiles start their own, since
-// their sources differ. Clones tabulate concurrently (a facility's
-// node-count views), so the cache is locked. Whichever clone fits a step
-// first, the grid is the same: the clones' sources are equal.
-type psiCache struct {
-	mu    sync.Mutex
-	grids []*grid
-}
-
-// gridAt returns the profile's grid at step h, fitting it on first use.
-// The cache is made here, so a profile that builds no table allocates
-// none.
-func (p *Profile) gridAt(h float64) *grid {
-	if p.psi == nil {
-		p.psi = new(psiCache)
-	}
-	c := p.psi
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, g := range c.grids {
-		if g.h == h {
-			return g
-		}
-	}
-	g := &grid{h: h}
-	g.fit(p)
-	c.grids = append(c.grids, g)
-	return g
-}
-
 // fit computes Ψ at the grid's step h.
 func (g *grid) fit(p *Profile) {
 	// The DFT is linear: the sources without a tail add their rate-
@@ -418,11 +484,12 @@ func (g *grid) fit(p *Profile) {
 			s.basePMF(&pmf, g.h, 1/float64(s.Period))
 		}
 	}
-	for j := range g.psi {
-		g.psi[j] = complex(pmf[j], 0)
-	}
-	fft(&g.psi, false)
 	var z [denseGrid]complex128
+	for j := range z {
+		z[j] = complex(pmf[j], 0)
+	}
+	fft(&z, false)
+	copy(g.psi[:], z[:])
 	for i := range p.Sources {
 		s := &p.Sources[i]
 		if !s.drawsOnAppCore() || !s.hasTail() {
@@ -431,8 +498,7 @@ func (g *grid) fit(p *Profile) {
 		// A detour is base + tail with probability q: its DFT is
 		// φ_B·((1 − q) + q·φ_T). Transform both pmfs at once, base in
 		// the real part and tail in the imaginary part, and separate
-		// them by conjugate symmetry. Only the first half of Ψ is kept:
-		// the DFT of a real sequence is Hermitian.
+		// them by conjugate symmetry.
 		pmf = [denseGrid]float64{}
 		s.basePMF(&pmf, g.h, 1)
 		for j := range z {
@@ -446,7 +512,7 @@ func (g *grid) fit(p *Profile) {
 		fft(&z, false)
 		rate := complex(1/float64(s.Period), 0)
 		q := complex(s.tailProb(), 0)
-		for k := 0; k <= denseGrid/2; k++ {
+		for k := range g.psi {
 			zk, zc := z[k], cmplx.Conj(z[(denseGrid-k)%denseGrid])
 			base, tail := (zk+zc)*0.5, (zk-zc)*complex(0, -0.5)
 			g.psi[k] += rate * base * (1 - q + q*tail)
@@ -461,7 +527,7 @@ func (g *grid) fit(p *Profile) {
 func (g *grid) compound(window sim.Duration, sv *[denseGrid]float64) {
 	var z [denseGrid]complex128
 	w := complex(float64(window), 0)
-	for k := 0; k <= denseGrid/2; k++ {
+	for k := range g.psi {
 		z[k] = cmplx.Exp(w * (g.psi[k] - g.psi[0]))
 	}
 	for k := denseGrid/2 + 1; k < denseGrid; k++ {

@@ -3,6 +3,7 @@ package noise
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 	"slices"
 	"testing"
 
@@ -150,6 +151,122 @@ func TestDenseTableMatchesColouring(t *testing.T) {
 	}
 }
 
+// refFullTable builds the table at window as the grids did when they kept
+// all denseGrid entries of Ψ: the sources without a tail transformed into
+// the full array, each tailed source's term added to its first half, and
+// compound exponentiating that half and mirroring it. The step and the
+// doubling rule are build's.
+func refFullTable(p *Profile, window sim.Duration) (h, g0 float64, sv []float32) {
+	span, lam0 := p.denseSpan(window)
+	g0 = -math.Expm1(-lam0)
+	var surv [denseGrid]float64
+	if !(span > 0) || math.IsInf(span, 0) {
+		h, g0 = 1, 0
+	} else {
+		h = gridStep(span)
+		for try := 0; ; try++ {
+			var psi, z [denseGrid]complex128
+			var pmf [denseGrid]float64
+			for i := range p.Sources {
+				if s := &p.Sources[i]; s.drawsOnAppCore() && !s.hasTail() {
+					s.basePMF(&pmf, h, 1/float64(s.Period))
+				}
+			}
+			for j := range psi {
+				psi[j] = complex(pmf[j], 0)
+			}
+			fft(&psi, false)
+			for i := range p.Sources {
+				s := &p.Sources[i]
+				if !s.drawsOnAppCore() || !s.hasTail() {
+					continue
+				}
+				pmf = [denseGrid]float64{}
+				s.basePMF(&pmf, h, 1)
+				for j := range z {
+					z[j] = complex(pmf[j], 0)
+				}
+				pmf = [denseGrid]float64{}
+				s.tailPMF(&pmf, h)
+				for j := range z {
+					z[j] += complex(0, pmf[j])
+				}
+				fft(&z, false)
+				rate, q := complex(1/float64(s.Period), 0), complex(s.tailProb(), 0)
+				for k := 0; k <= denseGrid/2; k++ {
+					zk, zc := z[k], cmplx.Conj(z[(denseGrid-k)%denseGrid])
+					base, tail := (zk+zc)*0.5, (zk-zc)*complex(0, -0.5)
+					psi[k] += rate * base * (1 - q + q*tail)
+				}
+			}
+			w := complex(float64(window), 0)
+			for k := 0; k <= denseGrid/2; k++ {
+				z[k] = cmplx.Exp(w * (psi[k] - psi[0]))
+			}
+			for k := denseGrid/2 + 1; k < denseGrid; k++ {
+				z[k] = cmplx.Conj(z[denseGrid-k])
+			}
+			fft(&z, true)
+			var tail float64
+			for i := denseGrid - 1; i >= 0; i-- {
+				surv[i] = tail
+				if m := real(z[i]) / denseGrid; m >= denseFloor {
+					tail += m
+				}
+			}
+			if surv[denseGrid*7/8] <= denseTail || try == 3 {
+				break
+			}
+			h *= 2
+		}
+	}
+	n := 1
+	sv = make([]float32, denseGrid)
+	for i := range surv {
+		v := float32(surv[i])
+		for float64(v) > g0 {
+			v = math.Nextafter32(v, 0)
+		}
+		sv[i] = v
+		if v > 0 {
+			n = i + 2
+		}
+	}
+	sv = sv[:min(n, denseGrid)]
+	sv[len(sv)-1] = 0
+	return h, g0, sv
+}
+
+// A grid keeps Ψ's Hermitian half only, and every table it builds is the
+// one the full array built, bit for bit: the same step, g0 and survival in
+// the law cells and at the facility's windows.
+func TestHalfPsiMatchesFullArray(t *testing.T) {
+	type cell struct {
+		p      *Profile
+		window sim.Duration
+	}
+	var cells []cell
+	for _, c := range denseCells() {
+		cells = append(cells, cell{c.prof(), c.window})
+	}
+	for _, w := range []sim.Duration{2 * sim.Millisecond, 10 * sim.Millisecond, 35 * sim.Millisecond, 90 * sim.Millisecond} {
+		cells = append(cells, cell{LinuxTuned().WithSource(facilityStorm()), w})
+	}
+	for _, c := range cells {
+		tab := newTable(c.p, c.window)
+		h, g0, sv := refFullTable(c.p, c.window)
+		same := math.Float64bits(tab.h) == math.Float64bits(h) && math.Float64bits(tab.g0) == math.Float64bits(g0) &&
+			len(tab.sv) == len(sv)
+		for j := 0; same && j < len(sv); j++ {
+			same = math.Float32bits(tab.sv[j]) == math.Float32bits(sv[j])
+		}
+		if !same {
+			t.Errorf("%s at %v: the half-Ψ table differs from the full array's (h %v and %v, %d and %d knots)",
+				c.p.Name, c.window, tab.h, h, len(tab.sv), len(sv))
+		}
+	}
+}
+
 // A table's mean and variance are the compound-Poisson law's, Σλ·E[X] and
 // Σλ·E[X²], within the grid tolerance of checkMoments, in the law cells and
 // at the facility's windows.
@@ -169,7 +286,7 @@ func TestDenseTableMoments(t *testing.T) {
 func TestDenseTableCostFlatInK(t *testing.T) {
 	const window = 30 * sim.Millisecond
 	p := LinuxTuned().WithSource(facilityStorm())
-	p.Tabulate([]sim.Duration{window})
+	p.Tabulate([]sim.Duration{window}, smallRanks)
 	for _, k := range []int{smallRanks, 131072} {
 		rng, ref := sim.NewRNG(9), sim.NewRNG(9)
 		for range 100 {
@@ -191,14 +308,21 @@ func TestDenseTableCostFlatInK(t *testing.T) {
 	}
 }
 
-// Tabulate builds tables at dense windows only, once per window, shares
-// them with clones, and leaves every other window's draws untouched: off a
-// tabulated window, MaxDetourRank draws exactly what it draws from a
-// profile without tables.
-func TestTabulateDenseWindowsOnly(t *testing.T) {
+// Tabulate attaches tables exactly where Tabled holds for its rank count,
+// once per window, shares them with clones, and leaves every other
+// window's draws untouched: off a tabled window, MaxDetourRank draws
+// exactly what it draws from a profile without tables. Tabled holds at a
+// dense window at any rank count its grid resolves, and at a sparse one up
+// to exactMaxRanks ranks where a call expects tableEvents events: under
+// the facility storm at 1 ms (Λ ≈ 0.52) from K = 1,024, not at 64 or
+// 4,096; on LinuxTuned at the Figure 4 window 42.8 ms (Λ ≈ 0.90) at 512
+// and 1,024 ranks, not at 256 or 2,048. A profile with an uncapped tail
+// gets none.
+func TestTabulateTabledWindowsOnly(t *testing.T) {
+	ms := func(x float64) sim.Duration { return sim.Duration(x * float64(sim.Millisecond)) }
 	p := LinuxTuned().WithSource(facilityStorm())
 	windows := []sim.Duration{sim.Millisecond, 2 * sim.Millisecond, 30 * sim.Millisecond, 2 * sim.Millisecond}
-	p.Tabulate(windows)
+	p.Tabulate(windows, smallRanks)
 	if len(p.dense) != 2 || p.denseAt(sim.Millisecond) != nil ||
 		p.denseAt(2*sim.Millisecond) == nil || p.denseAt(30*sim.Millisecond) == nil {
 		t.Fatalf("tables at %d windows, want 2 ms and 30 ms only", len(p.dense))
@@ -209,6 +333,30 @@ func TestTabulateDenseWindowsOnly(t *testing.T) {
 	if LinuxTuned().Dense(50*sim.Millisecond) || !LinuxTuned().Dense(100*sim.Millisecond) {
 		t.Error("LinuxTuned's densest core-1 source has a 100 ms period")
 	}
+	for _, c := range []struct {
+		p      *Profile
+		window sim.Duration
+		ranks  int
+		want   bool
+	}{
+		{LinuxTuned().WithSource(facilityStorm()), sim.Millisecond, smallRanks, false},
+		{LinuxTuned().WithSource(facilityStorm()), sim.Millisecond, exactMaxRanks, true},
+		{LinuxTuned().WithSource(facilityStorm()), sim.Millisecond, 4096, false},
+		{LinuxTuned().WithSource(facilityStorm()), 30 * sim.Millisecond, 131072, true},
+		{LinuxTuned(), ms(42.807856), 256, false},
+		{LinuxTuned(), ms(42.807856), 512, true},
+		{LinuxTuned(), ms(42.807856), exactMaxRanks, true},
+		{LinuxTuned(), ms(42.807856), 2048, false},
+		{LinuxTuned(), ms(42.807856), 27, false},
+	} {
+		if got := c.p.Tabled(c.window, c.ranks); got != c.want {
+			t.Errorf("%s at %v, K=%d: Tabled %v, want %v", c.p.Name, c.window, c.ranks, got, c.want)
+		}
+		c.p.Tabulate([]sim.Duration{c.window}, c.ranks)
+		if got := c.p.denseAt(c.window) != nil; got != c.want {
+			t.Errorf("%s at %v, K=%d: table attached %v, want %v", c.p.Name, c.window, c.ranks, got, c.want)
+		}
+	}
 	bare := LinuxTuned().WithSource(facilityStorm())
 	for _, k := range []int{1, smallRanks, exactMaxRanks, 4096} {
 		rng, ref := sim.NewRNG(uint64(k)), sim.NewRNG(uint64(k))
@@ -216,15 +364,194 @@ func TestTabulateDenseWindowsOnly(t *testing.T) {
 			d, r := MaxDetourRank(rng, p, k, sim.Millisecond)
 			wd, wr := MaxDetourRank(ref, bare, k, sim.Millisecond)
 			if d != wd || r != wr {
-				t.Fatalf("K=%d at an untabulated window: (%v, %d), without tables (%v, %d)", k, d, r, wd, wr)
+				t.Fatalf("K=%d at an untabled window: (%v, %d), without tables (%v, %d)", k, d, r, wd, wr)
 			}
 		}
 	}
 	uncapped := LinuxTuned().WithSource(facilityStorm())
 	uncapped.Sources[2].TailCap = 0
-	uncapped.Tabulate(windows)
+	uncapped.Tabulate(windows, smallRanks)
 	if len(uncapped.dense) != 0 {
 		t.Error("a profile with an uncapped tail got tables")
+	}
+}
+
+// At a tabled window, a call at a rank count the table does not resolve
+// colours, draw for draw what refColourMax draws, while the rank count the
+// table was built for takes the table: a 27-rank halo at LinuxTuned's
+// 42.8 ms window tabled for 1,024 ranks, and 1 to 64 ranks at untuned
+// Linux's dense 5 ms and 30 ms windows, whose 3 µs tick a 16–33 µs grid
+// cannot hold (TestUnresolvedCellsColour).
+func TestUnresolvedRanksColour(t *testing.T) {
+	ms := func(x float64) sim.Duration { return sim.Duration(x * float64(sim.Millisecond)) }
+	for ci, c := range []struct {
+		p      *Profile
+		window sim.Duration
+		built  int
+		ranks  []int
+	}{
+		{LinuxTuned(), ms(42.807856), exactMaxRanks, []int{1, 27, smallRanks}},
+		{LinuxUntuned(), 5 * sim.Millisecond, 4096, []int{1, 27, smallRanks}},
+		{LinuxUntuned(), 30 * sim.Millisecond, 4096, []int{1, 27, smallRanks}},
+	} {
+		c.p.Tabulate([]sim.Duration{c.window}, c.built)
+		tab := c.p.denseAt(c.window)
+		if tab == nil || !tab.resolves(c.built) {
+			t.Fatalf("%s at %v: no table resolving K=%d", c.p.Name, c.window, c.built)
+		}
+		if !tablePath(c.p, c.built, c.window) {
+			t.Errorf("%s at %v, K=%d: the table it was built for is not drawn from", c.p.Name, c.window, c.built)
+		}
+		for _, k := range c.ranks {
+			if tab.resolves(k) {
+				t.Fatalf("%s at %v: the table resolves K=%d", c.p.Name, c.window, k)
+			}
+			for s := range uint64(8) {
+				checkColourMatchesRef(t, sim.StreamSeed(uint64(ci)<<16|uint64(k), s), c.p, k, c.window)
+			}
+		}
+	}
+}
+
+// tablePath reports whether MaxDetourRank takes the table path for ranks
+// ranks at window: that path draws exactly two uniforms, where colouring
+// and the order statistic draw at least one per source of a Linux profile.
+func tablePath(p *Profile, ranks int, window sim.Duration) bool {
+	rng, ref := sim.NewRNG(uint64(window)), sim.NewRNG(uint64(window))
+	MaxDetourRank(rng, p, ranks, window)
+	ref.Uint64()
+	ref.Uint64()
+	return rng.Uint64() == ref.Uint64()
+}
+
+// ksTableCell draws n maxima over k ranks from tab and m from colouring on
+// ref at the table's window, and returns their two-sample KS distance and
+// the 1% critical value. Colouring draws are budgeted at about 2×10⁷
+// detours (4,000 at most, 400 at least; a quarter under -race).
+func ksTableCell(tab *denseTable, ref *Profile, k int, seed uint64) (d, crit float64, m int) {
+	_, _, rate := detourLaw(ref, tab.window)
+	m = int(min(4000, max(400, 2e7/(rate*float64(k)))))
+	if raceEnabled {
+		m /= 4
+	}
+	const n = 20_000
+	rng, refRNG := sim.NewRNG(sim.StreamSeed(seed, 1)), sim.NewRNG(sim.StreamSeed(seed, 2))
+	got, want := make([]float64, n), make([]float64, m)
+	for i := range got {
+		d, _ := tab.max(rng, k)
+		got[i] = float64(d)
+	}
+	sums := make([]sim.Duration, k)
+	for i := range want {
+		clear(sums)
+		d, _ := colour(refRNG, ref, sums, tab.window)
+		want[i] = float64(d)
+	}
+	return ksDistance(got, want), ksCritical99(n, m), m
+}
+
+// resolvedCells are the profiles and windows the resolution bound is held
+// to: LinuxTuned at the Figure 4 and scheduler-sweep windows from 5 to
+// 89 ms, untuned Linux at a dense 5 ms and 30 ms, McKernel and mOS at 5 and
+// 42.8 ms, and tuned Linux under the facility storm at 1, 10 and 30 ms.
+func resolvedCells() []struct {
+	name   string
+	prof   func() *Profile
+	window sim.Duration
+} {
+	ms := func(x float64) sim.Duration { return sim.Duration(x * float64(sim.Millisecond)) }
+	stormy := func() *Profile { return LinuxTuned().WithSource(facilityStorm()) }
+	type cell = struct {
+		name   string
+		prof   func() *Profile
+		window sim.Duration
+	}
+	var cells []cell
+	for _, w := range []float64{5.03, 10.29, 42.8, 71.65, 88.85} {
+		cells = append(cells, cell{"linux-tuned", LinuxTuned, ms(w)})
+	}
+	for _, w := range []float64{5, 30} {
+		cells = append(cells, cell{"linux-untuned", LinuxUntuned, ms(w)})
+	}
+	for _, w := range []float64{5, 42.8} {
+		cells = append(cells, cell{"mckernel", McKernelProfile, ms(w)}, cell{"mos", MOSProfile, ms(w)})
+	}
+	for _, w := range []float64{1, 10, 30} {
+		cells = append(cells, cell{"linux-tuned+storm", stormy, ms(w)})
+	}
+	return cells
+}
+
+// At every resolved boundary cell, the smallest rank count up to
+// exactMaxRanks whose maximum a (profile, window)'s table resolves, the
+// table has the law of colouring: the two-sample KS distance between 20,000
+// table draws and colouring's draws stays below the 99% critical value.
+// The smallest resolved K is the hardest for the grid: the maximum sits
+// lowest there. A cell no K up to exactMaxRanks resolves colours at every
+// such K and has nothing to test.
+func TestResolvedBoundaryMatchesColouring(t *testing.T) {
+	tested := 0
+	for ci, c := range resolvedCells() {
+		tab := newTable(c.prof(), c.window)
+		k := 1
+		for k <= exactMaxRanks && !tab.resolves(k) {
+			k++
+		}
+		if k > exactMaxRanks {
+			t.Logf("%s at %v: no K up to %d resolved", c.name, c.window, exactMaxRanks)
+			continue
+		}
+		tested++
+		name := fmt.Sprintf("%s/%v/K=%d", c.name, c.window, k)
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			d, crit, m := ksTableCell(tab, c.prof(), k, sim.StreamSeed(63, uint64(ci)))
+			t.Logf("%s: KS %.4f (critical %.4f, %d colouring draws)", name, d, crit, m)
+			if d >= crit {
+				t.Errorf("KS distance %.4f >= 99%% critical value %.4f", d, crit)
+			}
+		})
+	}
+	if tested < 10 {
+		t.Errorf("only %d cells resolved", tested)
+	}
+}
+
+// At untuned Linux's dense 5 ms and 30 ms windows and K ≤ 64, MaxDetourRank
+// after Tabulate has the law of colouring. A table built there anyway puts
+// the 250 Hz tick's 3 µs detours on a 16–33 µs grid and misses the law by
+// a KS distance of about 0.1 to 0.3 (logged); the resolution bound keeps
+// those calls on colouring.
+func TestUnresolvedCellsColour(t *testing.T) {
+	for wi, w := range []sim.Duration{5 * sim.Millisecond, 30 * sim.Millisecond} {
+		for _, k := range []int{1, 27, smallRanks} {
+			name := fmt.Sprintf("window=%v/K=%d", w, k)
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				p, ref := LinuxUntuned(), LinuxUntuned()
+				p.Tabulate([]sim.Duration{w}, k)
+				if !p.Dense(w) {
+					t.Fatalf("%v is not dense", w)
+				}
+				tab := newTable(LinuxUntuned(), w)
+				raw, crit, _ := ksTableCell(tab, LinuxUntuned(), k, sim.StreamSeed(64, uint64(wi)<<16|uint64(k)))
+				t.Logf("%s: a table there would read KS %.4f (critical %.4f)", name, raw, crit)
+				const n, m = 4000, 4000
+				rng, refRNG := sim.NewRNG(sim.StreamSeed(65, uint64(wi)<<16|uint64(k))), sim.NewRNG(sim.StreamSeed(66, uint64(wi)<<16|uint64(k)))
+				got, want := make([]float64, n), make([]float64, m)
+				sums := make([]sim.Duration, k)
+				for i := range got {
+					d, _ := MaxDetourRank(rng, p, k, w)
+					got[i] = float64(d)
+					clear(sums)
+					d, _ = colour(refRNG, ref, sums, w)
+					want[i] = float64(d)
+				}
+				if d, crit := ksDistance(got, want), ksCritical99(n, m); d >= crit {
+					t.Errorf("KS distance %.4f >= 99%% critical value %.4f", d, crit)
+				}
+			})
+		}
 	}
 }
 
@@ -247,13 +574,13 @@ func TestTabulatePrefix(t *testing.T) {
 		{"linux-tuned+storm", func() *Profile { return LinuxTuned().WithSource(facilityStorm()) }},
 	} {
 		all := c.prof()
-		all.Tabulate(windows)
+		all.Tabulate(windows, smallRanks)
 		if len(all.dense) < 8 {
 			t.Fatalf("%s: %d tables over %d windows", c.name, len(all.dense), len(windows))
 		}
 		for i := range len(windows) + 1 {
 			head := c.prof()
-			head.Tabulate(windows[:i])
+			head.Tabulate(windows[:i], smallRanks)
 			kept := all.CloneTables(len(head.dense))
 			for n, got := range []*Profile{head, kept} {
 				if len(got.dense) != len(head.dense) {
@@ -281,7 +608,7 @@ func TestTabulateClonesConcurrently(t *testing.T) {
 	ms := func(x float64) sim.Duration { return sim.Duration(x * float64(sim.Millisecond)) }
 	parent := stormy()
 	parent.Warm()
-	parent.Tabulate([]sim.Duration{ms(10.285591), ms(35.233206)})
+	parent.Tabulate([]sim.Duration{ms(10.285591), ms(35.233206)}, smallRanks)
 	lists := [][]sim.Duration{
 		{ms(10.256741), ms(10.256716), ms(2), ms(88.846432)},
 		{ms(35.2332), ms(5.026009), ms(10.304816), ms(17.427284)},
@@ -291,13 +618,13 @@ func TestTabulateClonesConcurrently(t *testing.T) {
 	const clones = 8
 	got := par.MapWidth(4, clones, func(i int) *Profile {
 		c := parent.CloneTables(0)
-		c.Tabulate(lists[i%len(lists)])
+		c.Tabulate(lists[i%len(lists)], smallRanks)
 		return c
 	})
 	for i, c := range got {
 		want := stormy()
-		want.Tabulate(lists[i%len(lists)])
-		if c.psi != parent.psi {
+		want.Tabulate(lists[i%len(lists)], smallRanks)
+		if c.cache != parent.cache {
 			t.Errorf("clone %d does not share the profile's grids", i)
 		}
 		if len(c.dense) != len(want.dense) {
@@ -329,7 +656,7 @@ func TestTabulateFitsEachStepOnce(t *testing.T) {
 	for w := 2 * sim.Millisecond; w <= 90*sim.Millisecond; w += sim.Millisecond {
 		windows = append(windows, w)
 	}
-	p.Tabulate(windows)
+	p.Tabulate(windows, smallRanks)
 	if len(p.dense) != len(windows) {
 		t.Fatalf("%d tables over %d dense windows", len(p.dense), len(windows))
 	}
@@ -337,7 +664,7 @@ func TestTabulateFitsEachStepOnce(t *testing.T) {
 	for i := range p.dense {
 		steps = append(steps, p.dense[i].h)
 	}
-	for _, g := range p.psi.grids {
+	for _, g := range p.cache.grids {
 		fitted = append(fitted, g.h)
 	}
 	slices.Sort(steps)
@@ -353,9 +680,9 @@ func TestTabulateFitsEachStepOnce(t *testing.T) {
 		t.Errorf("%d windows took %d steps: windows in one octave do not share", len(windows), len(steps))
 	}
 	c := p.CloneTables(0)
-	c.Tabulate(windows)
-	if c.psi != p.psi || len(p.psi.grids) != len(steps) {
-		t.Errorf("a clone tabulating the same windows fitted %d more grids", len(p.psi.grids)-len(steps))
+	c.Tabulate(windows, smallRanks)
+	if c.cache != p.cache || len(p.cache.grids) != len(steps) {
+		t.Errorf("a clone tabulating the same windows fitted %d more grids", len(p.cache.grids)-len(steps))
 	}
 	for i := range c.dense {
 		if c.dense[i].h != p.dense[i].h {
@@ -363,7 +690,7 @@ func TestTabulateFitsEachStepOnce(t *testing.T) {
 		}
 	}
 	for _, q := range []*Profile{p.WithSource(facilityStorm()), p.WithoutTicks()} {
-		if q.psi != nil {
+		if q.cache != nil {
 			t.Error("a profile with other sources shares the grids")
 		}
 	}
@@ -426,8 +753,8 @@ func TestUncappedTailTakesSparsePaths(t *testing.T) {
 	p := LinuxTuned().WithSource(facilityStorm())
 	p.Sources[2].TailCap = 0
 	windows := []sim.Duration{2 * sim.Millisecond, 30 * sim.Millisecond, 90 * sim.Millisecond}
-	p.Tabulate(windows)
-	if len(p.dense) != 0 || p.psi != nil {
+	p.Tabulate(windows, smallRanks)
+	if len(p.dense) != 0 || p.cache != nil {
 		t.Fatalf("a profile with an uncapped tail got %d tables", len(p.dense))
 	}
 	for wi, w := range windows {
@@ -575,8 +902,11 @@ func checkTable(t *testing.T, p *Profile, tab *denseTable, ranks int) {
 // FuzzDenseTable builds the table of one random source at a random window
 // by itself, and through Tabulate beside a second window up to twice as
 // long (the two may share a grid), and checks every table with
-// checkTable. Tabulate must build a table exactly at the dense windows,
-// and none for an uncapped tail. Periods and windows are folded into
+// checkTable. Tabulate must attach a table exactly at the windows Tabled
+// holds at for the fuzzed rank count, and none for an uncapped tail; only
+// at a dense window or, up to exactMaxRanks ranks, where a call expects
+// tableEvents events; and a table on the step its window's span gives
+// resolves that rank count. Periods and windows are folded into
 // [0, 1 s] and [1 µs, 1 s] with λ ≤ 1,000, means and tail scales into
 // [0, 10 ms], CVs into [0, 4], tail indices into (0, 5] and caps into
 // [0, 50 ms] (0 is uncapped).
@@ -599,7 +929,7 @@ func FuzzDenseTable(f *testing.F) {
 		}
 		ranks := 1 + int(k%131072)
 		p := &Profile{Name: "fuzz", Sources: []Source{s}}
-		p.Tabulate([]sim.Duration{w, w2})
+		p.Tabulate([]sim.Duration{w, w2}, ranks)
 		if !p.tabulable() {
 			if len(p.dense) != 0 {
 				t.Fatal("a profile with an uncapped tail got a table")
@@ -607,8 +937,18 @@ func FuzzDenseTable(f *testing.F) {
 			return
 		}
 		for _, x := range []sim.Duration{w, w2} {
-			if got := p.denseAt(x) != nil; got != p.Dense(x) {
-				t.Fatalf("table built %v at window %v where Dense is %v", got, x, p.Dense(x))
+			tab := p.denseAt(x)
+			if got, want := tab != nil, p.Tabled(x, ranks); got != want {
+				t.Fatalf("table attached %v at window %v, K=%d, where Tabled is %v", got, x, ranks, want)
+			}
+			if tab == nil {
+				continue
+			}
+			if !p.Dense(x) && (ranks > exactMaxRanks || float64(ranks)*p.events(x) < tableEvents) {
+				t.Fatalf("a table at sparse window %v for K=%d, %.1f events per call", x, ranks, float64(ranks)*p.events(x))
+			}
+			if span, _ := p.denseSpan(x); span > 0 && tab.h == gridStep(span) && !tab.resolves(ranks) {
+				t.Fatalf("the table at %v on step %v does not resolve K=%d", x, tab.h, ranks)
 			}
 		}
 		for i := range p.dense {
@@ -628,7 +968,7 @@ func BenchmarkDenseTable(b *testing.B) {
 		b.Run(fmt.Sprintf("window=%v", w), func(b *testing.B) {
 			buf := make([]float32, denseGrid)
 			for b.Loop() {
-				p.psi = nil
+				p.cache = nil
 				t := denseTable{window: w}
 				t.build(p, buf)
 			}
@@ -637,8 +977,8 @@ func BenchmarkDenseTable(b *testing.B) {
 	b.Run("tabulate-pair", func(b *testing.B) {
 		windows := []sim.Duration{10_304_716, 10_275_916}
 		for b.Loop() {
-			p.dense, p.psi = nil, nil
-			p.Tabulate(windows)
+			p.dense, p.cache = nil, nil
+			p.Tabulate(windows, smallRanks)
 		}
 	})
 }
@@ -662,9 +1002,9 @@ func BenchmarkTabulateViews(b *testing.B) {
 	warm.Warm()
 	for b.Loop() {
 		img := warm.CloneTables(0)
-		img.Tabulate(image)
+		img.Tabulate(image, smallRanks)
 		for _, w := range views {
-			img.CloneTables(0).Tabulate(w)
+			img.CloneTables(0).Tabulate(w, smallRanks)
 		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 // exactMaxRanks bounds MaxDetourRank's exact path. Up to this many ranks the
 // maximum is sampled exactly by colouring (exactMax), whose draws grow with
 // the number of detour events, not with the rank count; it keeps one sum per
-// rank in a buffer of this length. Beyond it the order-statistic
-// approximation is used (ROADMAP item 3 replaces it).
+// rank in a buffer of this length. Beyond it a window without a table takes
+// the order-statistic approximation (sourceMax; ROADMAP item 5).
 const exactMaxRanks = 1024
 
 // MaxDetourRank samples the worst per-rank interference over `ranks` ranks
@@ -22,35 +22,38 @@ const exactMaxRanks = 1024
 // tail. A rank's detour is p.DetourIn on application core 1.
 //
 // It takes one of three paths:
-//   - At a window the profile has a dense-window table for (Tabulate), the
-//     maximum is one inverse-CDF lookup in the table of one rank's detour
-//     law, F_D⁻¹(U^{1/K}), at any rank count. The table is exact up to its
-//     grid (see denseTable). The rank is drawn uniformly: ranks are
-//     independent and identically distributed, so the argmax is uniform and
+//   - At a window the profile has a table for (Tabulate attaches one where
+//     Tabled holds), and at a rank count the table's grid resolves
+//     (resolved), the maximum is one inverse-CDF lookup in the table of one
+//     rank's detour law, F_D⁻¹(U^{1/K}). The table is exact up to its grid
+//     (see denseTable). The rank is drawn uniformly: ranks are independent
+//     and identically distributed, so the argmax is uniform and
 //     independent of the maximum.
 //   - Otherwise, up to exactMaxRanks ranks, the maximum is exact: it has the
 //     law of the largest of `ranks` independent single-rank detours,
 //     sampled by colouring each source's events onto ranks (exactMax). The
-//     rank is the lowest one whose detour is the maximum.
+//     rank is the lowest one whose detour is the maximum. A table's window
+//     takes this path at the rank counts its grid does not resolve, such
+//     as a 27-rank halo at a window tabled for a 1,024-rank collective.
 //   - Otherwise it uses the order-statistic identity max(X_1..X_K) ~
 //     F^{-1}(U^{1/K}) per source component and sums the per-source maxima
 //     in place of the true max over ranks of each rank's summed detour.
 //     That is an approximation whose bias has no fixed sign: against exact
 //     sampling it reads high at K = 4,096 with 1 ms windows and low at
-//     K = 131,072 with 30 ms windows under a daemon storm (ROADMAP item 3
-//     replaces it). Individual ranks are never materialised, so the rank is
-//     -1 (source-level attribution only).
+//     K = 131,072 with 30 ms windows under a daemon storm (ROADMAP item 5).
+//     Individual ranks are never materialised, so the rank is -1
+//     (source-level attribution only).
 //
 // A profile whose core-1 sources include an uncapped Pareto tail gets no
-// table (a finite grid cannot hold the tail), so at a dense window it takes
-// the second path up to exactMaxRanks ranks and the third above.
+// table (a finite grid cannot hold the tail), so it takes the second path
+// up to exactMaxRanks ranks and the third above.
 //
 // The rank is -1 when the maximum is 0.
 func MaxDetourRank(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) (sim.Duration, int) {
 	if ranks <= 0 || window <= 0 {
 		return 0, -1
 	}
-	if t := p.denseAt(window); t != nil {
+	if t := p.denseAt(window); t != nil && t.resolves(ranks) {
 		return t.max(rng, ranks)
 	}
 	if ranks <= exactMaxRanks {

@@ -242,12 +242,13 @@ type Profile struct {
 	Name    string
 	Sources []Source
 
-	// dense holds the per-rank detour tables Tabulate built, one per
-	// dense window; read-only once built and shared by clones.
+	// dense holds the per-rank detour tables Tabulate attached, one per
+	// tabled window; read-only once built and shared by clones.
 	dense []denseTable
-	// psi holds Ψ at each grid step the tables were built on, shared by
-	// clones; nil until the first table.
-	psi *psiCache
+	// cache holds the Ψ grids and tables of the profile's law, shared by
+	// clones and by the profiles of a Store; made by Warm, or by the first
+	// table of a profile never warmed.
+	cache *tableCache
 }
 
 // DetourIn samples the total interference on one core during a window.
@@ -273,10 +274,12 @@ func (p *Profile) DetourInTo(rng *sim.RNG, core int, window sim.Duration, sink *
 }
 
 // Warm builds every source's log-normal quantile table that is not built
-// yet, all in one allocation, so that the copies Clone makes afterwards
-// share them instead of each building its own. Draws are unchanged: a
-// table is a pure function of its source.
+// yet, all in one allocation, and gives the profile its table cache if it
+// has none (Store.Warm gives it a store's), so that the copies Clone makes
+// afterwards share them instead of each building its own. Draws are
+// unchanged: a table is a pure function of its source.
 func (p *Profile) Warm() {
+	p.tableCache()
 	cold := func(s *Source) bool { return s.baseLogNormal() && s.lnTab == nil }
 	n := 0
 	for i := range p.Sources {
@@ -296,15 +299,15 @@ func (p *Profile) Warm() {
 // Clone returns a copy of the profile with a Sources slice of its own. One
 // profile may be cloned from several goroutines at once and each clone
 // drawn from by its own: a clone's caches are its own, apart from the
-// quantile tables and the dense-window tables, which are never written once
-// built (see Warm and Tabulate), and the grids the tables were built on,
-// which clones that tabulate share under a lock (psiCache).
+// quantile tables and the tables Tabulate attached, which are never
+// written once built (see Warm and Tabulate), and the table cache, which
+// clones that tabulate share under a lock (tableCache).
 func (p *Profile) Clone() *Profile {
-	return &Profile{Name: p.Name, Sources: slices.Clone(p.Sources), dense: p.dense, psi: p.psi}
+	return &Profile{Name: p.Name, Sources: slices.Clone(p.Sources), dense: p.dense, cache: p.cache}
 }
 
-// CloneTables is Clone keeping only the first n dense-window tables, in the
-// order Tabulate built them: the tables Tabulate builds over a prefix of
+// CloneTables is Clone keeping only the first n of the tables Tabulate
+// attached, in their order: the tables Tabulate attaches over a prefix of
 // the same window list.
 func (p *Profile) CloneTables(n int) *Profile {
 	c := p.Clone()
@@ -325,8 +328,8 @@ func (p *Profile) ExpectedRate(core int) float64 {
 
 // WithSource returns a copy of the profile with an extra source appended —
 // used by the fault layer to add a daemon storm without mutating the
-// kernel's shared canonical profile. The copy has no dense-window tables
-// and no grids: its sources differ.
+// kernel's shared canonical profile. The copy has no tables and no table
+// cache: its sources differ.
 func (p *Profile) WithSource(s Source) *Profile {
 	out := &Profile{Name: p.Name, Sources: make([]Source, 0, len(p.Sources)+1)}
 	out.Sources = append(out.Sources, p.Sources...)
@@ -339,7 +342,7 @@ func (p *Profile) WithSource(s Source) *Profile {
 // the timer tick off entirely while a single task runs on a core, so neither
 // the residual nohz_full housekeeping tick nor a full periodic tick fires.
 // Profiles without tick sources (the LWKs) come back unchanged in content.
-// Like WithSource, the copy has no dense-window tables and no grids.
+// Like WithSource, the copy has no tables and no table cache.
 func (p *Profile) WithoutTicks() *Profile {
 	out := &Profile{Name: p.Name, Sources: make([]Source, 0, len(p.Sources))}
 	for _, s := range p.Sources {

@@ -31,7 +31,12 @@ type KernelInfo struct {
 	OSCores, AppCores int
 }
 
-// Describe returns the behaviour summary of a kernel.
+// Describe returns the behaviour summary of a kernel. No command calls
+// it: it is the facade's one way for a library user to read a kernel's
+// syscall dispositions, noise rate, scheduling policy and node partition
+// without the internal packages, which a module outside mklite cannot
+// import, and README lists it with Run, Compare, MeasureNoise and
+// SimulateNode as the public API.
 func Describe(k Kernel) (KernelInfo, error) {
 	kt, err := k.internalType()
 	if err != nil {

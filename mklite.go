@@ -441,8 +441,3 @@ func Compare(appName string, nodes int, seed uint64, opts *Options) ([]Result, e
 	}
 	return out, errors.Join(errs...)
 }
-
-// ParseFaults parses the -faults command-line syntax into a fault plan —
-// see fault.ParsePlan for the clause grammar. An empty spec returns a nil
-// plan (no faults).
-func ParseFaults(spec string) (*fault.Plan, error) { return fault.ParsePlan(spec) }
