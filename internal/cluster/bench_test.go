@@ -145,14 +145,17 @@ func BenchmarkImageRun(b *testing.B) {
 
 // TestLuleshRunAllocs is the allocation budget of a whole Lulesh run
 // (boot, setup and 40 timesteps) on each kernel: the count measured
-// before the node-level heap memo replaced the per-rank one. The memo's
-// snapshot buffer is sized exactly once per state length, so a buffer that
-// grows by appending — about ten more allocations a run — fails here.
+// before the node-level heap memo replaced the per-rank one, less the
+// one list allocation per rank that address spaces no longer make (48 to
+// 51 a run, net of the max-of-K tables the run's collectives over 4,096
+// ranks now build). The memo's snapshot buffer is sized exactly
+// once per state length, so a buffer that grows by appending — about ten
+// more allocations a run — fails here.
 func TestLuleshRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race are not comparable with the budget")
 	}
-	budget := map[string]float64{"linux": 1594, "mckernel": 1125, "mos": 1079}
+	budget := map[string]float64{"linux": 1543, "mckernel": 1076, "mos": 1031}
 	for _, bk := range benchKernels {
 		j := Job{App: apps.Lulesh(), Kernel: bk.kt, Nodes: 64, Seed: 1}
 		got := testing.AllocsPerRun(3, func() {

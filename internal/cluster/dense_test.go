@@ -48,7 +48,7 @@ func TestDenseWindowsTabulated(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				prof := img.prof.Clone()
+				prof := img.prof
 				ranks := img.tableRanks()
 				windows, _ := img.tableWindows()
 				for step := range app.Timesteps {
@@ -83,15 +83,19 @@ func TestDenseWindowsTabulated(t *testing.T) {
 // draw a maximum over: each such call takes the table. Without a daemon
 // storm no core-1 source is dense at a synchronising step's window (the
 // densest, LinuxTuned's residual tick and kworker, have a 100 ms period),
-// so the tables are those of Linux collectives over 256 to 1,024 ranks
-// that expect tableEvents detour events per call. The cells are every
-// application on every kernel at each of its node counts, under every
-// scheduling policy for the sweep's applications, and the single- and
-// few-node jobs of Table I, the brk traces, the proxy options, the MCDRAM
-// spill, the quadrant comparison and core specialisation.
+// so the tables are those of collectives over 256 to 1,024 ranks that
+// expect tableEvents detour events per call, and of every collective over
+// more than 1,024 ranks whose maximum the grid resolves. Above 1,024 ranks
+// every Linux collective draws from a table; the windows left to colouring
+// there are the lightweight kernels' few whose maximum is likely 0
+// (logged). The cells are every application on every kernel at each of
+// its node counts, under every scheduling policy for the sweep's
+// applications, and the single- and few-node jobs of Table I, the brk
+// traces, the proxy options, the MCDRAM spill, the quadrant comparison and
+// core specialisation.
 func TestPaperCellTablesResolved(t *testing.T) {
 	var longest sim.Duration
-	tables := 0
+	tables, coloured := 0, 0
 	check := func(j Job) {
 		t.Helper()
 		img, err := Prepare(context.Background(), j)
@@ -100,17 +104,28 @@ func TestPaperCellTablesResolved(t *testing.T) {
 		}
 		ws, _ := img.tableWindows()
 		tables += len(ws)
+		k := img.tableRanks()
 		for _, w := range ws {
 			if img.prof.Dense(w) {
 				t.Errorf("%s on %v/%s at %d nodes: dense window %v", j.App.Name, j.Kernel, j.Sched, j.Nodes, w)
 			}
-			if k := img.tableRanks(); !tablePath(img.prof.Clone(), k, w) {
+			if !tablePath(img.prof, k, w) {
 				t.Errorf("%s on %v/%s at %d nodes: the table at %v does not resolve K=%d",
 					j.App.Name, j.Kernel, j.Sched, j.Nodes, w, k)
 			}
 		}
 		for step := range j.App.Timesteps {
-			longest = max(longest, img.window(step).base)
+			win := img.window(step)
+			longest = max(longest, win.base)
+			// k is above 1,024 only for images whose steps run collectives.
+			if k <= 1024 || win.collsDue == 0 || slices.Contains(ws, win.base) {
+				continue
+			}
+			if j.Kernel == kernel.TypeLinux {
+				t.Errorf("%s on Linux/%s at %d nodes, step %d: a collective over %d ranks at %v colours",
+					j.App.Name, j.Sched, j.Nodes, step, k, win.base)
+			}
+			coloured++
 		}
 	}
 	sweep := map[string]bool{apps.MiniFE().Name: true, apps.LAMMPS().Name: true}
@@ -152,5 +167,6 @@ func TestPaperCellTablesResolved(t *testing.T) {
 	if tables == 0 {
 		t.Error("no paper cell built a table: the check is vacuous")
 	}
-	t.Logf("%d tables; longest step window: %v", tables, longest)
+	t.Logf("%d tables; %d collective steps above 1,024 ranks colour; longest step window: %v",
+		tables, coloured, longest)
 }

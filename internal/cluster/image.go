@@ -45,7 +45,8 @@ type Image struct {
 	// view's (Sched). Nothing after boot reads the kernel's own.
 	pol sched.Policy
 	// prof is the kernel's noise profile with its quantile tables and its
-	// max-of-K tables built; each run draws from a clone of it.
+	// max-of-K tables built; each run draws from a view of it
+	// (CloneTables), which shares its warmed sources.
 	prof *noise.Profile
 	// tableFirst holds, for each of prof's max-of-K tables in the order
 	// Tabulate attached them, the first step whose window it is.

@@ -146,6 +146,10 @@ type AddrSpace struct {
 	// exts is populate's reused buffer for the extents of one
 	// allocation; they are copied into the VMA's backings at once.
 	exts []Extent
+	// vmaBuf backs vmas while a process holds a handful of areas
+	// (working set, heap, shm window, ...), so that most spaces never
+	// allocate their list.
+	vmaBuf [4]*VMA
 
 	// TotalFaults counts demand faults across the whole space.
 	TotalFaults int64
@@ -157,7 +161,9 @@ const mapBase = int64(1) << 40
 
 // NewAddrSpace returns an empty address space drawing from phys.
 func NewAddrSpace(phys *Phys) *AddrSpace {
-	return &AddrSpace{phys: phys, next: mapBase}
+	as := &AddrSpace{phys: phys, next: mapBase}
+	as.vmas = as.vmaBuf[:0]
+	return as
 }
 
 // Phys returns the node allocator the space draws from.
@@ -267,9 +273,8 @@ func (as *AddrSpace) Map(size int64, kind VMAKind, pol Policy) (*VMA, error) {
 func (as *AddrSpace) insert(v *VMA) {
 	i := sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].Start >= v.Start })
 	if len(as.vmas) == cap(as.vmas) {
-		// A process holds a handful of areas (working set, heap, shm
-		// window, ...): start with room for them instead of growing
-		// one element at a time.
+		// Past vmaBuf, or after ReleaseAll, grow by at least four
+		// instead of one element at a time.
 		as.vmas = slices.Grow(as.vmas, max(4, len(as.vmas)))
 	}
 	as.vmas = append(as.vmas, nil)

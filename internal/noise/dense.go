@@ -53,7 +53,8 @@ var denseTwiddle = func() (w [denseGrid / 2]complex128) {
 }()
 
 // tableEvents is the expected number of detour events per call, K·Λ, from
-// which a window that is not dense is worth a table at K ranks. Colouring
+// which a window that is not dense is worth a table at K ≤ exactMaxRanks
+// ranks (above that every window is; see Tabled). Colouring
 // costs about 22 ns per event (BenchmarkMaxDetourRank: 13.9 µs for the 645
 // events of K = 1,024 at 30 ms on LinuxTuned), so a call at 256 events
 // costs about 5.5 µs, where the table path costs 0.15 µs at any K. A table
@@ -96,6 +97,10 @@ type denseTable struct {
 	// rho is ρ at h (resolution) and lam0 is Λ₀: resolves reads them.
 	rho, lam0 float64
 	sv        []float32
+	// ranks is the rank count Tabulate attached the table for when the
+	// table resolves it, so that the calls at that count, nearly all of
+	// them, skip resolves; 0 in the table cache.
+	ranks int
 }
 
 // quantile returns the smallest detour whose survival is at most s, in
@@ -165,12 +170,13 @@ func (p *Profile) denseAt(window sim.Duration) *denseTable {
 // each of the given windows where Tabled holds for ranks ranks;
 // MaxDetourRank draws from them at those windows, at the rank counts they
 // resolve. Windows may repeat. Tables come from the profile's table cache
-// (Warm, Store), built there on first use, so a profile, its clones and
+// (Warm, Store), built there on first use, so a profile, its views and
 // every profile of a store with the same core-1 sources build each window's
 // table once. A profile whose core-1 sources include an uncapped Pareto
 // tail gets no tables: a finite grid cannot hold it. Like Warm, Tabulate is
-// called before the profile is cloned, and the clones share the tables,
-// which are never written again. A clone may Tabulate windows of its own.
+// called before the profile is viewed (CloneTables), and the views share
+// the tables, which are never written again. A view may Tabulate windows
+// of its own.
 // Changing the profile's sources afterwards is not supported.
 //
 // Tables are attached in the order their windows first appear, and whether
@@ -183,7 +189,11 @@ func (p *Profile) Tabulate(windows []sim.Duration, ranks int) {
 	tabs := slices.Clip(p.dense) // never append into a parent's tables
 	for i, w := range windows {
 		if p.denseAt(w) == nil && !slices.Contains(windows[:i], w) && p.Tabled(w, ranks) {
-			tabs = append(tabs, *p.tableAt(w))
+			t := *p.tableAt(w)
+			if t.resolves(ranks) {
+				t.ranks = ranks
+			}
+			tabs = append(tabs, t)
 		}
 	}
 	p.dense = tabs
@@ -192,19 +202,22 @@ func (p *Profile) Tabulate(windows []sim.Duration, ranks int) {
 // Tabled reports whether max-of-K calls over ranks ranks at window get a
 // table: where colouring them would be costly and the table's grid resolves
 // their maximum. Colouring is costly at a dense window (dense, λ_s ≥ 1 for
-// a core-1 source), at any rank count, and up to exactMaxRanks ranks where
-// a call draws at least tableEvents events, K·Λ ≥ tableEvents with Λ =
-// Σ window/Period over the core-1 sources. Above exactMaxRanks a window
-// that is not dense keeps the order-statistic path. The grid resolves the
-// maximum when resolved holds at the step gridStep gives the window's span;
-// a table whose build doubled that step resolves fewer rank counts, which
+// a core-1 source) and above exactMaxRanks ranks, at any window, and up to
+// exactMaxRanks ranks where a call draws at least tableEvents events,
+// K·Λ ≥ tableEvents with Λ = Σ window/Period over the core-1 sources.
+// Above 1,024 ranks even the lightweight kernels' windows draw tens of
+// events per colouring call (about 100 for McKernel at 0.79 ms and
+// K = 131,072), and a paper figure makes hundreds of calls per window, so
+// a table pays for itself there at any K·Λ. The grid resolves the maximum
+// when resolved holds at the step gridStep gives the window's span; a
+// table whose build doubled that step resolves fewer rank counts, which
 // MaxDetourRank checks call by call. A profile with an uncapped Pareto tail
 // gets no table.
 func (p *Profile) Tabled(window sim.Duration, ranks int) bool {
 	if window <= 0 || ranks <= 0 || !p.tabulable() {
 		return false
 	}
-	if !p.Dense(window) && (ranks > exactMaxRanks || float64(ranks)*p.events(window) < tableEvents) {
+	if !p.Dense(window) && ranks <= exactMaxRanks && float64(ranks)*p.events(window) < tableEvents {
 		return false
 	}
 	span, lam0 := p.denseSpan(window)
@@ -408,12 +421,13 @@ func (p *Profile) denseSpan(window sim.Duration) (span, lam0 float64) {
 	return mean + 10*math.Sqrt(variance) + worst, lam0
 }
 
-// build fills t from the profile's core-1 sources at t.window, with sv's
-// backing in buf (denseGrid long), on the profile's grid at the step
-// gridStep gives for the window's span (denseSpan). When more than
-// denseTail of the mass still reaches the grid's top eighth, the step
-// doubles (at most three times). ρ is taken at the step the table ends on.
-func (t *denseTable) build(p *Profile, buf []float32) {
+// build fills t from the profile's core-1 sources at t.window, on the
+// profile's grid at the step gridStep gives for the window's span
+// (denseSpan). When more than denseTail of the mass still reaches the
+// grid's top eighth, the step doubles (at most three times). ρ is taken at
+// the step the table ends on. The survival is kept up to its first 0, in an
+// array of that length.
+func (t *denseTable) build(p *Profile) {
 	span, lam0 := p.denseSpan(t.window)
 	t.g0, t.lam0 = -math.Expm1(-lam0), lam0
 	var sv [denseGrid]float64
@@ -439,13 +453,15 @@ func (t *denseTable) build(p *Profile, buf []float32) {
 			// Rounding to float32 must not lift the survival above g0.
 			v = math.Nextafter32(v, 0)
 		}
-		buf[i] = v
+		sv[i] = float64(v)
 		if v > 0 {
 			n = i + 2
 		}
 	}
-	t.sv = buf[:min(n, denseGrid)]
-	t.sv[len(t.sv)-1] = 0
+	t.sv = make([]float32, min(n, denseGrid))
+	for i := range len(t.sv) - 1 {
+		t.sv[i] = float32(sv[i])
+	}
 }
 
 // grid is a grid step h and a profile's Ψ on it. Every rate λ_s =

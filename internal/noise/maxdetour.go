@@ -2,15 +2,14 @@ package noise
 
 import (
 	"math"
+	"math/bits"
 
 	"mklite/internal/sim"
 )
 
-// exactMaxRanks bounds MaxDetourRank's exact path. Up to this many ranks the
-// maximum is sampled exactly by colouring (exactMax), whose draws grow with
-// the number of detour events, not with the rank count; it keeps one sum per
-// rank in a buffer of this length. Beyond it a window without a table takes
-// the order-statistic approximation (sourceMax; ROADMAP item 5).
+// exactMaxRanks bounds the colouring that keeps one sum per rank: up to this
+// many ranks the sums live in a stack array of this length (exactMax), above
+// it in a table of the ranks an event hits (sparseMax).
 const exactMaxRanks = 1024
 
 // MaxDetourRank samples the worst per-rank interference over `ranks` ranks
@@ -21,7 +20,7 @@ const exactMaxRanks = 1024
 // system grows, but the *maximum* over 131,072 ranks climbs into the heavy
 // tail. A rank's detour is p.DetourIn on application core 1.
 //
-// It takes one of three paths:
+// It takes one of two paths, both exact in law:
 //   - At a window the profile has a table for (Tabulate attaches one where
 //     Tabled holds), and at a rank count the table's grid resolves
 //     (resolved), the maximum is one inverse-CDF lookup in the table of one
@@ -29,58 +28,45 @@ const exactMaxRanks = 1024
 //     (see denseTable). The rank is drawn uniformly: ranks are independent
 //     and identically distributed, so the argmax is uniform and
 //     independent of the maximum.
-//   - Otherwise, up to exactMaxRanks ranks, the maximum is exact: it has the
-//     law of the largest of `ranks` independent single-rank detours,
-//     sampled by colouring each source's events onto ranks (exactMax). The
-//     rank is the lowest one whose detour is the maximum. A table's window
-//     takes this path at the rank counts its grid does not resolve, such
-//     as a 27-rank halo at a window tabled for a 1,024-rank collective.
-//   - Otherwise it uses the order-statistic identity max(X_1..X_K) ~
-//     F^{-1}(U^{1/K}) per source component and sums the per-source maxima
-//     in place of the true max over ranks of each rank's summed detour.
-//     That is an approximation whose bias has no fixed sign: against exact
-//     sampling it reads high at K = 4,096 with 1 ms windows and low at
-//     K = 131,072 with 30 ms windows under a daemon storm (ROADMAP item 5).
-//     Individual ranks are never materialised, so the rank is -1
-//     (source-level attribution only).
+//   - Otherwise the maximum has the law of the largest of `ranks`
+//     independent single-rank detours, sampled by colouring each source's
+//     events onto ranks (exactMax up to exactMaxRanks ranks, sparseMax
+//     above). The rank is the lowest one whose detour is the maximum. A
+//     table's window takes this path at the rank counts its grid does not
+//     resolve, such as a 27-rank halo at a window tabled for a 1,024-rank
+//     collective, and a profile whose core-1 sources include an uncapped
+//     Pareto tail gets no table (a finite grid cannot hold the tail), so it
+//     takes this path at every window.
 //
-// A profile whose core-1 sources include an uncapped Pareto tail gets no
-// table (a finite grid cannot hold the tail), so it takes the second path
-// up to exactMaxRanks ranks and the third above.
-//
-// The rank is -1 when the maximum is 0.
+// On either path the rank is -1 only when the maximum is 0.
 func MaxDetourRank(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) (sim.Duration, int) {
 	if ranks <= 0 || window <= 0 {
 		return 0, -1
 	}
-	if t := p.denseAt(window); t != nil && t.resolves(ranks) {
+	if t := p.denseAt(window); t != nil && (ranks == t.ranks || t.resolves(ranks)) {
 		return t.max(rng, ranks)
 	}
 	if ranks <= exactMaxRanks {
 		return exactMax(rng, p, ranks, window)
 	}
-	var total sim.Duration
-	for i := range p.Sources {
-		total += sourceMax(rng, &p.Sources[i], ranks, window)
-	}
-	return total, -1
+	return sparseMax(rng, p, ranks, window)
 }
 
-// exactMax is MaxDetourRank's exact path. It samples the maximum over
-// `ranks` ranks of p.DetourIn(rng, 1, window) — core 1 being a generic
-// application core, since core 0 is partitioned away from applications in
-// all three kernels' deployments — and its lowest argmax, by the colouring
-// theorem (Kingman, Poisson Processes, 1993): `ranks` independent
-// Poisson(λ) counts have the joint law of one Poisson(ranks·λ) count whose
-// events each land on an independently, uniformly chosen rank. So each
-// source that fires on core 1 draws its events over all ranks at once, and
-// each event adds one detour to the sum of a rank drawn without bias. The
-// draws are O(sources + events), where a walk over ranks takes O(ranks ×
-// sources) even though nearly every per-rank count is 0. Detours are never
-// negative, so sums only grow: the running maximum over the updates is the
-// maximum of the final sums, and taking the argmax on a tie at a lower rank
-// leaves it at the lowest rank that reaches that maximum, with no scan over
-// ranks.
+// exactMax is MaxDetourRank's colouring path up to exactMaxRanks ranks. It
+// samples the maximum over `ranks` ranks of p.DetourIn(rng, 1, window) —
+// core 1 being a generic application core, since core 0 is partitioned
+// away from applications in all three kernels' deployments — and its
+// lowest argmax, by the colouring theorem (Kingman, Poisson Processes,
+// 1993): `ranks` independent Poisson(λ) counts have the joint law of one
+// Poisson(ranks·λ) count whose events each land on an independently,
+// uniformly chosen rank. So each source that fires on core 1 draws its
+// events over all ranks at once, and each event adds one detour to the sum
+// of a rank drawn without bias. The draws are O(sources + events), where a
+// walk over ranks takes O(ranks × sources) even though nearly every
+// per-rank count is 0. Detours are never negative, so sums only grow: the
+// running maximum over the updates is the maximum of the final sums, and
+// taking the argmax on a tie at a lower rank leaves it at the lowest rank
+// that reaches that maximum, with no scan over ranks.
 func exactMax(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) (sim.Duration, int) {
 	// The sums live on the stack, zeroed on entry. Halo neighbourhoods and
 	// single nodes, most calls, take the small array and skip clearing a
@@ -106,7 +92,7 @@ func colour(rng *sim.RNG, p *Profile, sums []sim.Duration, window sim.Duration) 
 		if !s.drawsOnAppCore() {
 			continue // DetourIn draws nothing for it
 		}
-		lam, _ := s.lambda(window)
+		lam := float64(window) / float64(s.Period)
 		for n := rng.Poisson(float64(ranks) * lam); n > 0; n-- {
 			r := int(rng.Uint64n(ranks))
 			sums[r] += s.sampleDetour(rng)
@@ -118,45 +104,84 @@ func colour(rng *sim.RNG, p *Profile, sums []sim.Duration, window sim.Duration) 
 	return max, argmax
 }
 
-// sourceMax approximates the maximum single-rank detour from one source
-// across `ranks` ranks. Like sampleDetour it draws a base of exactly Mean
-// when CV is 0 and of 0 when Mean is 0, and a source with Period 0 never
-// fires.
-func sourceMax(rng *sim.RNG, s *Source, ranks int, window sim.Duration) sim.Duration {
-	if !s.drawsOnAppCore() {
-		// Core-restricted sources (core 0 services) do not hit
-		// application cores.
-		return 0
+// sparseMax is exactMax above exactMaxRanks ranks, drawing exactly what it
+// would draw, with the sums of only the ranks an event hits: a call above
+// 1,024 ranks that no table serves draws few events (an unresolved window
+// is one whose maximum is likely 0), so a rank-long array would be nearly
+// all zeros. The sums live in an open-addressed table, at most half full:
+// on the stack when the call expects few enough events, else on the heap,
+// sized for twice the events it expects, and doubled whenever more ranks
+// are hit than it holds.
+func sparseMax(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) (sim.Duration, int) {
+	var slots [sparseSlots]rankSum
+	tab := slots[:]
+	if hits := min(float64(ranks)*p.events(window), float64(ranks)); 4*hits > sparseSlots {
+		tab = make([]rankSum, 1<<bits.Len(uint(2*hits)))
 	}
-	lambda := float64(window) / float64(s.Period)
-	// Total occurrences across the whole job.
-	k := float64(rng.Poisson(float64(ranks) * lambda))
-	if k < 1 {
-		return 0
-	}
-	// Base (log-normal) component maximum via inverse CDF.
+	used := 0
 	var max sim.Duration
-	if s.baseLogNormal() {
-		u := math.Pow(rng.Float64(), 1/k)
-		max = sim.DurationOf(s.lnQuantile(u))
-	} else {
-		max = s.Mean
-	}
-	// Heavy-tail component maximum.
-	if s.TailProb > 0 {
-		kt := float64(rng.Poisson(k * s.TailProb))
-		if kt >= 1 {
-			u := math.Pow(rng.Float64(), 1/kt)
-			tail := sim.DurationOf(s.TailScale.Seconds() / math.Pow(1-u, 1/s.TailAlpha))
-			if s.TailCap > 0 && tail > s.TailCap {
-				tail = s.TailCap
+	argmax := -1
+	for i := range p.Sources {
+		s := &p.Sources[i]
+		if !s.drawsOnAppCore() {
+			continue
+		}
+		lam := float64(window) / float64(s.Period)
+		for n := rng.Poisson(float64(ranks) * lam); n > 0; n-- {
+			r := int(rng.Uint64n(uint64(ranks)))
+			d := s.sampleDetour(rng)
+			j := slotOf(tab, r)
+			if tab[j].key == 0 {
+				if 2*(used+1) > len(tab) {
+					tab = regrow(tab)
+					j = slotOf(tab, r)
+				}
+				tab[j].key = r + 1
+				used++
 			}
-			if tail > max {
-				max = tail
+			tab[j].sum += d
+			if sum := tab[j].sum; sum > max || sum == max && r < argmax {
+				max, argmax = sum, r
 			}
 		}
 	}
-	return max
+	return max, argmax
+}
+
+// sparseSlots is the length of sparseMax's stack table, a power of two: it
+// serves calls that expect up to 64 events, and holds 128 ranks hit
+// before it moves to the heap, against 12 to 24 events for the calls a
+// paper figure leaves to colouring above 1,024 ranks.
+const sparseSlots = 256
+
+// rankSum is one slot of sparseMax's table: key is the rank plus one, 0 in
+// an empty slot, and sum its detour sum.
+type rankSum struct {
+	key int
+	sum sim.Duration
+}
+
+// slotOf returns the slot of rank r in tab, whose length is a power of two
+// and which has an empty slot: r's own, or the empty one where r goes.
+// Ranks are drawn uniformly, so their low bits spread them evenly.
+func slotOf(tab []rankSum, r int) int {
+	mask := len(tab) - 1
+	j := r & mask
+	for tab[j].key != 0 && tab[j].key != r+1 {
+		j = (j + 1) & mask
+	}
+	return j
+}
+
+// regrow returns a table twice as long holding tab's entries.
+func regrow(tab []rankSum) []rankSum {
+	grown := make([]rankSum, 2*len(tab))
+	for _, e := range tab {
+		if e.key != 0 {
+			grown[slotOf(grown, e.key-1)] = e
+		}
+	}
+	return grown
 }
 
 // normInv is the inverse of the standard normal CDF (Acklam's rational

@@ -97,30 +97,9 @@ func TestMaxDetourLWKStaysTiny(t *testing.T) {
 	}
 }
 
-func TestMaxDetourApproxConsistentWithExact(t *testing.T) {
-	// At the exact/approx boundary the two paths must agree in order of
-	// magnitude (medians within 4x).
-	p := LinuxTuned()
-	window := 20 * sim.Millisecond
-	medFor := func(ranks int, seed uint64) float64 {
-		rng := sim.NewRNG(seed)
-		var xs []float64
-		for i := 0; i < 300; i++ {
-			xs = append(xs, float64(maxDetour(rng, p, ranks, window)))
-		}
-		return stats.Median(xs)
-	}
-	exact := medFor(1024, 4)  // exact path
-	approx := medFor(1025, 5) // approximation path
-	ratio := approx / exact
-	if ratio < 0.25 || ratio > 4 {
-		t.Fatalf("exact %v vs approx %v: ratio %v", exact, approx, ratio)
-	}
-}
-
 func TestMaxDetourCoreFilteredSourceExcluded(t *testing.T) {
 	// A core-0-only source must not contribute to application-core
-	// maxima on the approximation path.
+	// maxima above exactMaxRanks ranks either.
 	p := &Profile{Sources: []Source{{
 		Name:       "core0-only",
 		Period:     sim.Millisecond,
@@ -264,16 +243,50 @@ func TestColourMaxMatchesRef(t *testing.T) {
 	}
 }
 
+// Above exactMaxRanks ranks colouring keeps only the ranks its events hit
+// (sparseMax) and still draws exactly what refColourMax draws: on every
+// oracle profile at K from 1,025 to 131,072, at windows short enough to
+// keep the reference's rank-long sums cheap, and at the mOS cells of
+// Figure 4 that no table resolves, whose calls draw 12 to 24 events.
+func TestSparseColourMatchesRef(t *testing.T) {
+	for pi, p := range exactOracleProfiles() {
+		for _, k := range []int{exactMaxRanks + 1, 2048, 4096, 65536, paperRanks} {
+			for wi, window := range []sim.Duration{0, sim.Microsecond, 10 * sim.Microsecond, 100 * sim.Microsecond} {
+				for s := range uint64(2) {
+					checkColourMatchesRef(t, sim.StreamSeed(uint64(pi)<<20|uint64(k)<<2|uint64(wi), s), p, k, window)
+				}
+			}
+		}
+	}
+	ms := func(x float64) sim.Duration { return sim.Duration(x * float64(sim.Millisecond)) }
+	for ci, c := range []struct {
+		window sim.Duration
+		ranks  int
+	}{{ms(4.87), 2048}, {ms(4.87), 4096}, {ms(10.66), 2048}} {
+		p := MOSProfile()
+		p.Tabulate([]sim.Duration{c.window}, c.ranks)
+		if p.denseAt(c.window) != nil {
+			t.Fatalf("mOS at %v, K=%d: a table resolves the maximum", c.window, c.ranks)
+		}
+		for s := range uint64(16) {
+			checkColourMatchesRef(t, sim.StreamSeed(uint64(ci), s), p, c.ranks, c.window)
+		}
+	}
+}
+
 // FuzzColourMaxMatchesRef draws (seed, K, window, profile) and checks the
-// exact path against refColourMax draw for draw. K is folded into
-// [1, exactMaxRanks] and the window into [0, 60 ms]. The seed corpus in
-// testdata/fuzz covers every profile.
+// colouring path against refColourMax draw for draw. K is folded into
+// [1, paperRanks] and the window into [0, 60 ms·1,024/max(K, 1,024)], so
+// that a call above exactMaxRanks ranks expects no more events than one at
+// 1,024 ranks and 60 ms. The seed corpus in testdata/fuzz covers every
+// profile and both sides of exactMaxRanks.
 func FuzzColourMaxMatchesRef(f *testing.F) {
 	profiles := exactOracleProfiles()
-	f.Fuzz(func(t *testing.T, seed uint64, k uint16, windowNs uint32, pi uint8) {
+	f.Fuzz(func(t *testing.T, seed uint64, k uint32, windowNs uint32, pi uint8) {
 		p := profiles[int(pi)%len(profiles)]
-		ranks := 1 + int(k)%exactMaxRanks
-		window := sim.Duration(windowNs%(60_000_000+1)) * sim.Nanosecond
+		ranks := 1 + int(k%paperRanks)
+		span := uint32(60_000_000 * exactMaxRanks / max(ranks, exactMaxRanks))
+		window := sim.Duration(windowNs%(span+1)) * sim.Nanosecond
 		checkColourMatchesRef(t, seed, p, ranks, window)
 	})
 }
@@ -323,13 +336,22 @@ func TestColourMaxMatchesLoopInLaw(t *testing.T) {
 	}
 }
 
-// The exact path keeps its per-rank sums on the stack: a max-of-K draw on
-// the facility's noisiest profile allocates nothing.
+// Colouring keeps its per-rank sums on the stack: a max-of-K draw on the
+// facility's noisiest profile at exactMaxRanks ranks allocates nothing, nor
+// does one above exactMaxRanks at the mOS cells of Figure 4 that no table
+// resolves.
 func TestExactMaxAllocatesNothing(t *testing.T) {
 	p := LinuxUntuned().WithSource(facilityStorm())
 	rng := sim.NewRNG(5)
 	MaxDetourRank(rng, p, exactMaxRanks, 30*sim.Millisecond) // build the lazy tables
 	if n := testing.AllocsPerRun(20, func() { MaxDetourRank(rng, p, exactMaxRanks, 30*sim.Millisecond) }); n != 0 {
 		t.Fatalf("exact max-of-K allocates %v times per call", n)
+	}
+	mos := MOSProfile()
+	mos.Warm()
+	for _, k := range []int{2048, 4096} {
+		if n := testing.AllocsPerRun(200, func() { MaxDetourRank(rng, mos, k, 4870*sim.Microsecond) }); n != 0 {
+			t.Fatalf("colouring over %d ranks allocates %v times per call", k, n)
+		}
 	}
 }

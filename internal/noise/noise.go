@@ -14,7 +14,6 @@ package noise
 
 import (
 	"math"
-	"slices"
 	"strings"
 
 	"mklite/internal/sim"
@@ -23,9 +22,10 @@ import (
 
 // Source is one recurring interference source on a set of cores: Poisson
 // occurrences, each a log-normal detour plus an optional capped Pareto tail.
-// A Source fills its sampling caches (below) on first use, so one instance is
-// drawn from by one goroutine at a time; copies share only the quantile
-// table, which is immutable once built.
+// A Source fills its sampling caches (below) on first use unless Warm filled
+// them, so one instance that was never warmed is drawn from by one goroutine
+// at a time; a warm one is read-only and any number of profile views
+// (CloneTables) draw from it at once.
 type Source struct {
 	Name string
 	// Period is the mean interval between occurrences.
@@ -51,34 +51,23 @@ type Source struct {
 	CoreFilter func(core int) bool
 
 	// ctr caches the per-source counter name so the hot sampling loop
-	// never concatenates strings. Lazily filled under the profile's
-	// per-run single-goroutine contract (profiles travel with the run's
-	// RNG, never shared across par closures).
+	// never concatenates strings. Filled by Warm, or lazily on first use.
 	ctr string
 
 	// lnMu/lnSigma cache the log-normal parameters derived from Mean and
 	// CV (two math.Log and a math.Sqrt per detour otherwise — a
 	// measurable share of the whole harness, since every source draws
-	// every timestep). Same lazy single-goroutine contract as ctr.
+	// every timestep). Filled by Warm, or lazily like ctr.
 	lnOK          bool
 	lnMu, lnSigma float64
 
 	// lnTab holds the log-normal quantile function at lnTableSize
 	// equally spaced probabilities spanning [lnTableLo, lnTableHi); see
-	// sampleLogNormal. Built on the first draw from (lnMu, lnSigma) under
-	// the same single-goroutine contract. The backing array is never
-	// written after the build, so a profile copied from this one (WithSource,
-	// WithoutTicks) may share it.
+	// sampleLogNormal. Built by Warm, or on the first draw, from (lnMu,
+	// lnSigma). The backing array is never written after the build, so a
+	// profile copied from this one (WithSource, WithoutTicks) may share
+	// it, and so may every source of a Store with the same Mean and CV.
 	lnTab []float64
-
-	// lamWindow/lamVal/lamExp cache the Poisson occurrence-count
-	// parameters for the last window seen. The detour window is constant
-	// across the timesteps of a run whenever the per-step base time is
-	// (the common case), so the cache turns a math.Exp per source per
-	// step into one per run.
-	lamWindow sim.Duration
-	lamVal    float64
-	lamExp    float64 // exp(-lamVal); consulted only when lamVal <= sim.PoissonKnuthCutoff
 }
 
 // lnParams returns the (mu, sigma) of the log-normal detour model, cached.
@@ -169,30 +158,42 @@ func (s *Source) appliesTo(core int) bool {
 	return s.CoreFilter == nil || s.CoreFilter(core)
 }
 
-// lambda returns the Poisson mean window/period of the occurrence count and
-// exp of its negation (0 above sim.PoissonKnuthCutoff, where PoissonExp
-// ignores it), cached for the last window seen. The caller has checked
-// Period > 0 and window > 0.
-func (s *Source) lambda(window sim.Duration) (lam, expNegLam float64) {
-	if window != s.lamWindow {
-		s.lamWindow = window
-		s.lamVal = float64(window) / float64(s.Period)
-		if s.lamVal <= sim.PoissonKnuthCutoff {
-			s.lamExp = math.Exp(-s.lamVal)
+// rate caches a source's Poisson occurrence-count parameters for the last
+// window it drew at. The detour window is constant across the timesteps of
+// a run whenever the per-step base time is (the common case), so the cache
+// turns a math.Exp per source per step into one per run. It is per-run
+// state: a profile keeps one per source (Profile.rates), and each view of a
+// shared profile its own.
+type rate struct {
+	window sim.Duration
+	lam    float64
+	expNeg float64 // exp(-lam); consulted only when lam <= sim.PoissonKnuthCutoff
+}
+
+// at returns the Poisson mean window/Period of s's occurrence count and exp
+// of its negation (0 above sim.PoissonKnuthCutoff, where PoissonExp ignores
+// it), cached for the last window seen. The caller has checked Period > 0
+// and window > 0.
+func (r *rate) at(s *Source, window sim.Duration) (lam, expNegLam float64) {
+	if window != r.window {
+		r.window = window
+		r.lam = float64(window) / float64(s.Period)
+		if r.lam <= sim.PoissonKnuthCutoff {
+			r.expNeg = math.Exp(-r.lam)
 		} else {
-			s.lamExp = 0
+			r.expNeg = 0
 		}
 	}
-	return s.lamVal, s.lamExp
+	return r.lam, r.expNeg
 }
 
 // sampleCount draws the number of occurrences in a window (Poisson with
-// mean window/period).
-func (s *Source) sampleCount(rng *sim.RNG, window sim.Duration) int {
+// mean window/period), with r caching the rate.
+func (s *Source) sampleCount(rng *sim.RNG, window sim.Duration, r *rate) int {
 	if s.Period <= 0 || window <= 0 {
 		return 0
 	}
-	return rng.PoissonExp(s.lambda(window))
+	return rng.PoissonExp(r.at(s, window))
 }
 
 // sampleDetour draws one detour duration: the base length (log-normal with
@@ -216,10 +217,16 @@ func (s *Source) sampleDetour(rng *sim.RNG) sim.Duration {
 // SampleWindow returns the total detour the source inflicts on the given
 // core during a window of the given length.
 func (s *Source) SampleWindow(rng *sim.RNG, core int, window sim.Duration) sim.Duration {
+	var r rate
+	return s.sampleWindow(rng, core, window, &r)
+}
+
+// sampleWindow is SampleWindow with r caching the rate.
+func (s *Source) sampleWindow(rng *sim.RNG, core int, window sim.Duration, r *rate) sim.Duration {
 	if !s.appliesTo(core) {
 		return 0
 	}
-	n := s.sampleCount(rng, window)
+	n := s.sampleCount(rng, window, r)
 	var total sim.Duration
 	for i := 0; i < n; i++ {
 		total += s.sampleDetour(rng)
@@ -243,12 +250,15 @@ type Profile struct {
 	Sources []Source
 
 	// dense holds the per-rank detour tables Tabulate attached, one per
-	// tabled window; read-only once built and shared by clones.
+	// tabled window; read-only once built and shared by views.
 	dense []denseTable
 	// cache holds the Ψ grids and tables of the profile's law, shared by
-	// clones and by the profiles of a Store; made by Warm, or by the first
+	// views and by the profiles of a Store; made by Warm, or by the first
 	// table of a profile never warmed.
 	cache *tableCache
+	// rates holds each source's Poisson rate cache, made on the first
+	// draw; the profile's own, never shared by a view.
+	rates []rate
 }
 
 // DetourIn samples the total interference on one core during a window.
@@ -262,9 +272,12 @@ func (p *Profile) DetourIn(rng *sim.RNG, core int, window sim.Duration) sim.Dura
 // so attaching one cannot perturb the run.
 func (p *Profile) DetourInTo(rng *sim.RNG, core int, window sim.Duration, sink *trace.Sink) sim.Duration {
 	counting := sink.Counting()
+	if len(p.rates) != len(p.Sources) {
+		p.rates = make([]rate, len(p.Sources))
+	}
 	var total sim.Duration
 	for i := range p.Sources {
-		d := p.Sources[i].SampleWindow(rng, core, window)
+		d := p.Sources[i].sampleWindow(rng, core, window, &p.rates[i])
 		if counting && d > 0 {
 			sink.Count(p.Sources[i].counterName(), int64(d))
 		}
@@ -273,46 +286,74 @@ func (p *Profile) DetourInTo(rng *sim.RNG, core int, window sim.Duration, sink *
 	return total
 }
 
-// Warm builds every source's log-normal quantile table that is not built
-// yet, all in one allocation, and gives the profile its table cache if it
-// has none (Store.Warm gives it a store's), so that the copies Clone makes
-// afterwards share them instead of each building its own. Draws are
-// unchanged: a table is a pure function of its source.
-func (p *Profile) Warm() {
+// Warm fills every source's sampling caches, its counter name, its
+// log-normal parameters and, in one allocation for all of them, its
+// quantile table, and gives the profile its table cache if it has none
+// (Store.Warm gives it a store's). After Warm the sources are read-only, so
+// the views CloneTables makes share them instead of each copying and
+// building its own. Draws are unchanged: every cache is a pure function of
+// its source.
+func (p *Profile) Warm() { p.warm(nil) }
+
+// warm is Warm with each quantile table taken from tabs by (Mean, CV) when
+// tabs holds it, and recorded there when it is built; tabs may be nil.
+func (p *Profile) warm(tabs map[lnKey][]float64) {
 	p.tableCache()
 	cold := func(s *Source) bool { return s.baseLogNormal() && s.lnTab == nil }
 	n := 0
 	for i := range p.Sources {
-		if cold(&p.Sources[i]) {
-			n++
+		s := &p.Sources[i]
+		s.counterName()
+		s.lnParams()
+		if cold(s) {
+			if t, ok := tabs[s.lnKey()]; ok {
+				s.lnTab = t
+			} else {
+				n++
+			}
 		}
 	}
-	tabs := make([]float64, n*lnTableSize)
+	if n == 0 {
+		return
+	}
+	buf := make([]float64, n*lnTableSize)
 	for i := range p.Sources {
 		if s := &p.Sources[i]; cold(s) {
-			s.buildTable(tabs[:lnTableSize:lnTableSize])
-			tabs = tabs[lnTableSize:]
+			if t, ok := tabs[s.lnKey()]; ok {
+				// An earlier source of this profile has the same law.
+				s.lnTab = t
+				continue
+			}
+			s.buildTable(buf[:lnTableSize:lnTableSize])
+			buf = buf[lnTableSize:]
+			if tabs != nil {
+				tabs[s.lnKey()] = s.lnTab
+			}
 		}
 	}
 }
 
-// Clone returns a copy of the profile with a Sources slice of its own. One
-// profile may be cloned from several goroutines at once and each clone
-// drawn from by its own: a clone's caches are its own, apart from the
-// quantile tables and the tables Tabulate attached, which are never
-// written once built (see Warm and Tabulate), and the table cache, which
-// clones that tabulate share under a lock (tableCache).
-func (p *Profile) Clone() *Profile {
-	return &Profile{Name: p.Name, Sources: slices.Clone(p.Sources), dense: p.dense, cache: p.cache}
+// lnKey is what of a source its quantile table depends on.
+type lnKey struct {
+	mean sim.Duration
+	cv   float64
 }
 
-// CloneTables is Clone keeping only the first n of the tables Tabulate
-// attached, in their order: the tables Tabulate attaches over a prefix of
-// the same window list.
+// lnKey returns the key of the source's quantile table.
+func (s *Source) lnKey() lnKey { return lnKey{s.Mean, s.CV} }
+
+// CloneTables returns a view of the profile that draws from its sources and
+// from the first n of the tables Tabulate attached, in their order: the
+// tables Tabulate attaches over a prefix of the same window list. The view
+// shares everything but its Poisson rate caches, which are its own, so any
+// number of views of a warm profile (Warm) draw at once, each from its own
+// goroutine; views of a profile never warmed fill the shared sources' caches
+// on first use and are drawn from one at a time. The tables are never
+// written once built, and the table cache is shared under a lock
+// (tableCache), so views may Tabulate windows of their own concurrently.
 func (p *Profile) CloneTables(n int) *Profile {
-	c := p.Clone()
-	c.dense = c.dense[:min(n, len(c.dense))]
-	return c
+	return &Profile{Name: p.Name, Sources: p.Sources, dense: p.dense[:min(n, len(p.dense))],
+		cache: p.cache, rates: make([]rate, len(p.Sources))}
 }
 
 // ExpectedRate returns the summed mean stolen-time fraction for a core.

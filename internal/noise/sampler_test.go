@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"mklite/internal/par"
 	"mklite/internal/sim"
 )
 
@@ -51,7 +52,8 @@ func refMaxDetour(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) sim.
 			if !s.appliesTo(1) {
 				continue
 			}
-			for n := s.sampleCount(rng, window); n > 0; n-- {
+			var r rate
+			for n := s.sampleCount(rng, window, &r); n > 0; n-- {
 				total += refDetour(rng, s)
 			}
 		}
@@ -162,26 +164,57 @@ func TestTableKnotsMatchQuantile(t *testing.T) {
 	}
 }
 
-// A clone of a warmed profile shares its quantile tables and draws exactly
-// what a fresh, never-warmed copy draws.
+// Views of a warmed profile (CloneTables) share its sources, filled caches
+// and quantile tables, keep their Poisson rate caches to themselves, and
+// draw exactly what a fresh, never-warmed copy draws, four at once from
+// their own goroutines. A store hands every source with the same (Mean,
+// CV) one quantile table, across profiles.
 func TestWarmCloneDrawsAsFresh(t *testing.T) {
 	warm := LinuxTuned()
 	warm.Warm()
-	clone := warm.Clone()
-	for i := range clone.Sources {
-		if got, want := clone.Sources[i].lnTab, warm.Sources[i].lnTab; len(want) > 0 && &got[0] != &want[0] {
-			t.Errorf("%s: clone rebuilt its table", clone.Sources[i].Name)
+	for i := range warm.Sources {
+		if s := &warm.Sources[i]; s.ctr == "" || !s.lnOK || s.baseLogNormal() != (s.lnTab != nil) {
+			t.Errorf("%s: Warm left a cache cold", s.Name)
 		}
 	}
-	fresh := LinuxTuned()
-	a, b := sim.NewRNG(5), sim.NewRNG(5)
-	for range 2000 {
-		if x, y := clone.DetourIn(a, 1, 50*sim.Millisecond), fresh.DetourIn(b, 1, 50*sim.Millisecond); x != y {
-			t.Fatalf("clone drew %v, fresh profile %v", x, y)
+	views := par.MapWidth(4, 4, func(int) *Profile {
+		v := warm.CloneTables(0)
+		fresh := LinuxTuned()
+		a, b := sim.NewRNG(5), sim.NewRNG(5)
+		for range 2000 {
+			if x, y := v.DetourIn(a, 1, 50*sim.Millisecond), fresh.DetourIn(b, 1, 50*sim.Millisecond); x != y {
+				t.Errorf("view drew %v, fresh profile %v", x, y)
+				break
+			}
+		}
+		return v
+	})
+	for i, v := range views {
+		if &v.Sources[0] != &warm.Sources[0] {
+			t.Error("a view copies the sources")
+		}
+		if i > 0 && &v.rates[0] == &views[0].rates[0] {
+			t.Error("views share their rate caches")
+		}
+		if v.rates[0].window != 50*sim.Millisecond {
+			t.Error("a view's rate cache was not filled")
 		}
 	}
-	if clone.Sources[0].lamWindow == 0 || warm.Sources[0].lamWindow != 0 {
-		t.Error("window caches are not per clone")
+	if warm.rates != nil {
+		t.Error("drawing from views filled the warmed profile's rate caches")
+	}
+	store := NewStore()
+	tuned, untuned, mck, mos := LinuxTuned(), LinuxUntuned(), McKernelProfile(), MOSProfile()
+	for _, p := range []*Profile{tuned, untuned, mck, mos} {
+		store.Warm(p)
+	}
+	for i := range tuned.Sources {
+		if got, want := untuned.Sources[i].lnTab, tuned.Sources[i].lnTab; &got[0] != &want[0] {
+			t.Errorf("%s: the store built its quantile table twice", tuned.Sources[i].Name)
+		}
+	}
+	if &mos.Sources[0].lnTab[0] != &mck.Sources[0].lnTab[0] {
+		t.Error("the LWKs' housekeeping sources do not share a quantile table")
 	}
 }
 
@@ -266,12 +299,12 @@ func BenchmarkSampleDetour(b *testing.B) {
 }
 
 // BenchmarkMaxDetourRank times one max-of-K draw on LinuxTuned with and
-// without the facility storm. K 64 and 1,024 take the exact path (Poisson
-// colouring), timed as /sampler beside the retired per-rank walk as
-// /reference (the same law from different draws); 131,072 takes the
-// order-statistic path. /sampler draws from the profile as built, without
-// dense-window tables; /table times the table path on a copy of the profile
-// given a table at the cell's window, dense or not.
+// without the facility storm. /sampler colours (Poisson colouring: into
+// per-rank sums at K 64 and 1,024, beside the retired per-rank walk as
+// /reference, the same law from different draws; into sparseMax's table of
+// the ranks hit at 131,072), drawing from the profile as built, without
+// tables; /table times the table path on a view of the profile given a
+// table at the cell's window, dense or not.
 func BenchmarkMaxDetourRank(b *testing.B) {
 	for _, storm := range []bool{false, true} {
 		p := LinuxTuned()
@@ -279,7 +312,7 @@ func BenchmarkMaxDetourRank(b *testing.B) {
 			p = p.WithSource(facilityStorm())
 		}
 		for _, window := range []sim.Duration{sim.Millisecond, 30 * sim.Millisecond} {
-			tabled := p.Clone()
+			tabled := p.CloneTables(0)
 			tabled.dense = []denseTable{*newTable(p, window)}
 			for _, k := range []int{64, 1024, 131072} {
 				cell := fmt.Sprintf("storm=%v/window=%v/K=%d", storm, window, k)

@@ -11,12 +11,13 @@ import (
 // sources: a grid per step some table was built on, and a table per window
 // some profile tabulated. Both are pure functions of the law and their
 // step or window, so whichever profile fills an entry first, its content is
-// the same. A profile gets a cache from Warm, or from a Store, and Clone
-// shares it the way it shares the tables, so a node image and its views
-// fit each step and build each window's table once; WithSource,
-// WithoutTicks and fresh profiles start their own, since their sources
-// differ. Clones tabulate concurrently (a facility's node-count views), so
-// the lists are locked and each entry is filled once, outside the lock.
+// the same. A profile gets a cache from Warm, or from a Store, and its
+// views (CloneTables) share it the way they share the tables, so a node
+// image and its views fit each step and build each window's table once;
+// WithSource, WithoutTicks and fresh profiles start their own, since their
+// sources differ. Views tabulate concurrently (a facility's node-count
+// views), so the lists are locked and each entry is filled once, outside
+// the lock.
 type tableCache struct {
 	// law is the key a Store finds the cache by; nil for a profile's own.
 	law    []law
@@ -52,35 +53,44 @@ func (p *Profile) laws() []law {
 
 // Store shares Ψ grids and tables between the profiles warmed in it that
 // have the same core-1 sources (by Period, Mean, CV, TailProb, TailScale,
-// TailAlpha and TailCap, in profile order), beyond the clones of one
+// TailAlpha and TailCap, in profile order), beyond the views of one
 // profile: the node images of one experiment call, whichever kernel
-// booted them. Every entry is a pure function of its key, so the order in
-// which profiles fill a store cannot reach a table. A store keeps
-// everything built in it until it is dropped, so it lives as long as one
-// call (cluster.ShareTables). It is safe for concurrent use.
+// booted them. It shares the log-normal quantile tables of every source
+// warmed in it by (Mean, CV) the same way. Every entry is a pure function
+// of its key, so the order in which profiles fill a store cannot reach a
+// table. A store keeps everything built in it until it is dropped, so it
+// lives as long as one call (cluster.ShareTables). It is safe for
+// concurrent use.
 type Store struct {
 	mu     sync.Mutex
 	caches []*tableCache
+	lnTabs map[lnKey][]float64
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store { return new(Store) }
+func NewStore() *Store { return &Store{lnTabs: map[lnKey][]float64{}} }
 
-// Warm is p.Warm with p's table cache taken from the store: the cache of
-// p's law, made on first use. A nil store warms p with a cache of its own.
+// Warm is p.Warm with p's table cache taken from the store, the cache of
+// p's law, made on first use, and each quantile table the store already
+// holds for a source's (Mean, CV) taken from it. A nil store warms p with
+// caches of its own.
 func (s *Store) Warm(p *Profile) {
-	if s != nil && p.cache == nil {
+	if s == nil {
+		p.Warm()
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if p.cache == nil {
 		ls := p.laws()
-		s.mu.Lock()
 		i := slices.IndexFunc(s.caches, func(c *tableCache) bool { return slices.Equal(c.law, ls) })
 		if i < 0 {
 			i = len(s.caches)
 			s.caches = append(s.caches, &tableCache{law: ls})
 		}
 		p.cache = s.caches[i]
-		s.mu.Unlock()
 	}
-	p.Warm()
+	p.warm(s.lnTabs)
 }
 
 // tableCache returns the profile's cache, making one of its own if it was
@@ -120,6 +130,6 @@ func (p *Profile) tableAt(window sim.Duration) *denseTable {
 		c.tables[window] = cell
 	}
 	c.mu.Unlock()
-	cell.once.Do(func() { cell.t.build(p, make([]float32, denseGrid)) })
+	cell.once.Do(func() { cell.t.build(p) })
 	return &cell.t
 }
