@@ -29,6 +29,7 @@ import (
 
 	"mklite/internal/cliflags"
 	"mklite/internal/experiments"
+	"mklite/internal/fault"
 	"mklite/internal/stats"
 	"mklite/internal/trace"
 )
@@ -156,7 +157,7 @@ func runArgs(args []string, stdout, stderr io.Writer) error {
 		jsonPath: *jsonOut,
 		stderr:   stderr,
 	}
-	if s.cfg.Faults, err = cliflags.ParseFaults(*faults); err != nil {
+	if s.cfg.Faults, err = fault.ParsePlan(*faults); err != nil {
 		return fmt.Errorf("-faults: %w", err)
 	}
 	if s.cfg.Sched, err = cliflags.ParseSched(*schedF); err != nil {

@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"mklite/internal/cliflags"
+	"mklite/internal/fault"
 	"mklite/internal/fleet"
 	"mklite/internal/obs"
 	"mklite/internal/sim"
@@ -74,7 +75,7 @@ func main() {
 		PerJob:        *perjob,
 	}
 	if *interf != "" {
-		plan, err := cliflags.ParseFaults(*interf)
+		plan, err := fault.ParsePlan(*interf)
 		if err != nil {
 			fatal(err)
 		}

@@ -105,7 +105,10 @@ func perturbed(t *testing.T, dir string, paths map[string]string, name string) s
 			for _, d := range ds {
 				l.Record(d)
 			}
-			err = l.WriteJSON(&out)
+			var b []byte
+			if b, err = l.JSON(); err == nil {
+				out.Write(b)
+			}
 		}
 	}
 	if err != nil || out.Len() == 0 {

@@ -27,6 +27,7 @@ import (
 
 	"mklite"
 	"mklite/internal/cliflags"
+	"mklite/internal/fault"
 	"mklite/internal/trace"
 )
 
@@ -96,7 +97,7 @@ func main() {
 		},
 	}
 	if *faults != "" {
-		plan, err := cliflags.ParseFaults(*faults)
+		plan, err := fault.ParsePlan(*faults)
 		if err != nil {
 			fatal(err)
 		}

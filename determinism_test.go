@@ -100,8 +100,8 @@ func ltpDigest(t *testing.T, workers int) string {
 }
 
 // TestParallelMatchesSequentialFigure4: fanning the Figure 4 grid out
-// through par.Map must reproduce the sequential bytes exactly — worker
-// scheduling must never leak into results. Run under -race this also
+// through par.MapWidthErr must reproduce the sequential bytes exactly —
+// worker scheduling must never leak into results. Run under -race this also
 // exercises the pool for real data races.
 func TestParallelMatchesSequentialFigure4(t *testing.T) {
 	want := figure4Digest(t, parWidths[0])

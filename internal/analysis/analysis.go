@@ -22,7 +22,7 @@
 //     internal/par, the sanctioned worker-pool fan-out; model concurrency
 //     must use the cooperative sim.Proc abstraction.
 //   - parshare:     forbids capturing a *sim.RNG (or sim.Engine/sim.Proc)
-//     across a par.Map closure — per-job streams must be derived inside
+//     across a par.MapWidthErr closure — per-job streams must be derived inside
 //     each job from (seed, index) with sim.StreamSeed.
 //   - seedflow:     fact-based, interprocedural seed hygiene — no ad-hoc
 //     seed arithmetic flowing into sim.NewRNG/sim.StreamSeed (directly or
@@ -31,7 +31,7 @@
 //   - floatorder:   flags order-sensitive floating-point accumulation whose
 //     iteration source is a map or channel range or a par closure.
 //   - errdrop:      forbids discarding the error results of module-internal
-//     APIs (par.MapErr, fault.ParsePlan, trace.Validate, …).
+//     APIs (par.MapWidthErr, fault.ParsePlan, trace.Validate, …).
 //   - ignoreaudit:  every //mklint:ignore directive must still suppress at
 //     least one live diagnostic; stale ignores are errors.
 //

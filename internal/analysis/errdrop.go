@@ -7,7 +7,7 @@ import (
 
 // modulePathPrefix identifies module-internal packages: errdrop guards the
 // module's own APIs, whose error returns all carry determinism- or
-// contract-relevant information (par.MapErr propagates job failures in
+// contract-relevant information (par.MapWidthErr propagates job failures in
 // lowest-index order, fault.ParsePlan rejects malformed plans,
 // trace.Validate rejects corrupt event streams, obs.ParseSLO rejects
 // non-finite thresholds). Discarding one silently turns a hard contract violation
@@ -21,7 +21,7 @@ const modulePathPrefix = "mklite"
 var ErrDrop = &Analyzer{
 	Name: "errdrop",
 	Doc: "forbid discarding error results of module-internal APIs " +
-		"(par.MapErr, fault.ParsePlan, trace.Validate, obs.ParseSLO, …): " +
+		"(par.MapWidthErr, fault.ParsePlan, trace.Validate, obs.ParseSLO, …): " +
 		"handle the error or annotate why the site cannot fail",
 	Run: runErrDrop,
 }

@@ -16,10 +16,9 @@ import (
 //   - the body of a `range` over a map: Go randomizes map order per run;
 //   - the body of a `range` over a channel: receive order is producer
 //     scheduling;
-//   - a closure passed to par.Map / par.MapErr / par.MapWidth /
-//     par.MapWidthErr accumulating into a captured variable: workers run
-//     concurrently, so beyond the data race the sum's grouping follows
-//     worker completion order.
+//   - a closure passed to par.MapWidthErr accumulating into a captured
+//     variable: workers run concurrently, so beyond the data race the sum's
+//     grouping follows worker completion order.
 //
 // Accumulating into a variable declared inside the context is fine (it dies
 // with the iteration), as is indexed accumulation (m[k] += v touches each

@@ -31,7 +31,7 @@ var simOnlyPackages = []string{
 var NoGoroutine = &Analyzer{
 	Name: "nogoroutine",
 	Doc: "forbid bare go statements outside internal/par; fan independent " +
-		"jobs out through par.Map, and inside the simulation model use the " +
+		"jobs out through par.MapWidthErr, and inside the simulation model use the " +
 		"cooperative sim.Proc abstraction",
 	AppliesTo: func(importPath string) bool {
 		return !pathInAny(importPath, goroutineAllowedPackages)
@@ -51,7 +51,7 @@ func runNoGoroutine(pass *Pass) error {
 				pass.Reportf(gs.Pos(), "bare go statement in simulation-model package %s: the engine requires exactly one runnable goroutine; use sim.Engine.Spawn and the cooperative sim.Proc API (determinism contract, see docs/LINTING.md)",
 					pass.Pkg.Path())
 			} else {
-				pass.Reportf(gs.Pos(), "bare go statement in %s: internal/par is the module's one sanctioned goroutine spawner; fan independent jobs out through par.Map / par.MapErr (determinism contract, see docs/LINTING.md)",
+				pass.Reportf(gs.Pos(), "bare go statement in %s: internal/par is the module's one sanctioned goroutine spawner; fan independent jobs out through par.MapWidthErr (determinism contract, see docs/LINTING.md)",
 					pass.Pkg.Path())
 			}
 			return true

@@ -7,12 +7,9 @@ import (
 )
 
 // parFuncs are the fan-out entry points of internal/par whose closure
-// arguments the analyzer inspects: the Map family and the Pipe's Submit,
+// arguments the analyzer inspects: MapWidthErr and the Pipe's Submit,
 // whose job runs on a worker while the submitting loop carries on.
 var parFuncs = map[string]bool{
-	"Map":         true,
-	"MapErr":      true,
-	"MapWidth":    true,
 	"MapWidthErr": true,
 	"Submit":      true,
 }
@@ -70,9 +67,10 @@ var sharedTypeGroups = []struct {
 	{"internal/sched", "sched", map[string]bool{"Policy": true, "State": true}},
 }
 
-// ParShare rejects par.Map closures that capture per-job state — a *sim.RNG
-// (or sim.Engine/sim.Proc) or a *trace.Sink (or trace.Counters/trace.Events)
-// — from an enclosing scope, and forbids package-level trace sinks outright.
+// ParShare rejects par.MapWidthErr closures that capture per-job state — a
+// *sim.RNG (or sim.Engine/sim.Proc) or a *trace.Sink (or
+// trace.Counters/trace.Events) — from an enclosing scope, and forbids
+// package-level trace sinks outright.
 // Each job derives its own stream and builds its own sink inside the
 // closure; merged aggregation happens after the join.
 var ParShare = &Analyzer{
@@ -82,7 +80,7 @@ var ParShare = &Analyzer{
 		"*metrics.Registry (or metrics.Histogram), a *fault.Injector, a " +
 		"*fleet.Scheduler (or fleet.Allocator), an *obs.Timeline (or " +
 		"obs.DecisionLog) or a sched.Policy (or *sched.State) across a " +
-		"par.Map or par.Pipe.Submit closure, " +
+		"par.MapWidthErr or par.Pipe.Submit closure, " +
 		"and forbid package-level trace sinks and metrics registries; " +
 		"per-job state is derived inside the job and merged after the join",
 	Run: runParShare,

@@ -75,13 +75,12 @@ func init() {
 }
 
 // rngDrawMethods are the *sim.RNG methods that consume the stream. Split
-// and SplitN are deliberately absent: deriving an independent generator is
-// the sanctioned way to open a new stream context.
+// is deliberately absent: deriving an independent generator is the
+// sanctioned way to open a new stream context.
 var rngDrawMethods = map[string]bool{
-	"Uint64": true, "Float64": true, "Intn": true, "Int63n": true,
+	"Uint64": true, "Float64": true, "Intn": true,
 	"Bool": true, "ExpFloat64": true, "NormFloat64": true,
 	"Pareto": true, "Poisson": true,
-	"Perm": true, "Shuffle": true,
 }
 
 // funcSeedInfo is the in-flight fact state for one function of the package

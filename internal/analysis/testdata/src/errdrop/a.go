@@ -22,7 +22,7 @@ func badBlank(spec string) *fault.Plan {
 }
 
 func badMapErr(n int) []int {
-	out, _ := par.MapErr(n, func(i int) (int, error) { return i, nil }) // want `par\.MapErr returns an error and the blank identifier discards it`
+	out, _ := par.MapWidthErr(0, n, func(i int) (int, error) { return i, nil }) // want `par\.MapWidthErr returns an error and the blank identifier discards it`
 	return out
 }
 

@@ -32,9 +32,9 @@ func badChanSum(ch chan float64) float64 {
 
 func badParSum(n int) float64 {
 	var total float64
-	par.Map(n, func(i int) int {
+	par.MapWidthErr(0, n, func(i int) (int, error) {
 		total += float64(i) // want `float accumulation into total inside a par closure`
-		return i
+		return i, nil
 	})
 	return total
 }
@@ -54,7 +54,7 @@ func goodSliceSum(xs []float64) float64 {
 func goodParThenReduce(n int) float64 {
 	// Collect per-job values index-ordered (par results are), reduce
 	// sequentially.
-	parts := par.Map(n, func(i int) float64 { return float64(i) })
+	parts, _ := par.MapWidthErr(0, n, func(i int) (float64, error) { return float64(i), nil })
 	var total float64
 	for _, p := range parts {
 		total += p

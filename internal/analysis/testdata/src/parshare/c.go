@@ -1,5 +1,5 @@
 // Fixture for the parshare metrics rules: capturing a metrics registry or
-// histogram across a par.Map closure must be flagged (recording is plain
+// histogram across a par closure must be flagged (recording is plain
 // int64 arithmetic under the single-goroutine contract), as must any
 // package-level registry; per-job registries built inside the closure and
 // merged after the join must not.
@@ -17,27 +17,29 @@ var globalHistogram metrics.Histogram // want `package-level metrics registry me
 
 func badSharedRegistry() []int {
 	reg := metrics.NewRegistry()
-	return par.Map(8, func(i int) int {
+	out, _ := par.MapWidthErr(0, 8, func(i int) (int, error) {
 		reg.Observe("latency_ns", int64(i)) // want `par closure captures \*metrics\.Registry "reg" from an enclosing scope`
-		return i
+		return i, nil
 	})
+	return out
 }
 
 func badSharedHistogram() []int {
 	var h metrics.Histogram
-	return par.Map(4, func(i int) int {
+	out, _ := par.MapWidthErr(0, 4, func(i int) (int, error) {
 		h.Record(int64(i)) // want `par closure captures metrics\.Histogram "h" from an enclosing scope`
-		return i
+		return i, nil
 	})
+	return out
 }
 
 func goodPerJobRegistry() *metrics.Registry {
 	merged := metrics.NewRegistry()
-	parts := par.Map(8, func(i int) *metrics.Registry {
+	parts, _ := par.MapWidthErr(0, 8, func(i int) (*metrics.Registry, error) {
 		reg := metrics.NewRegistry()
 		sink := trace.NewSinkObs(nil, nil, reg)
 		sink.Observe("latency_ns", int64(i))
-		return reg
+		return reg, nil
 	})
 	// Deterministic aggregation: merge in index order after the join.
 	for _, r := range parts {

@@ -1,7 +1,7 @@
 // Fixture for the parshare sched rule: a *sched.State is one run's mutable
 // scheduler state (the adaptive policy's EMA, live quantum and RNG stream
 // all advance on every Step), and a sched.Policy handle's only job-side use
-// is minting per-run State — so capturing either across a par.Map closure
+// is minting per-run State — so capturing either across a par closure
 // makes quantum adaptation depend on worker order and must be flagged;
 // deriving the policy and its state inside the closure must not.
 package parshare
@@ -15,27 +15,30 @@ import (
 func badSharedSchedState() []int {
 	pol, _ := sched.New(sched.Adaptive, sched.Params{})
 	st := pol.NewState(1)
-	return par.Map(4, func(i int) int {
+	out, _ := par.MapWidthErr(0, 4, func(i int) (int, error) {
 		cost := st.Step(sim.Duration(i)) // want `par closure captures \*sched\.State "st" from an enclosing scope`
-		return int(cost.Overhead)
+		return int(cost.Overhead), nil
 	})
+	return out
 }
 
 func badSharedSchedPolicy() []int {
 	pol, _ := sched.New(sched.Adaptive, sched.Params{})
-	return par.Map(4, func(i int) int {
+	out, _ := par.MapWidthErr(0, 4, func(i int) (int, error) {
 		st := pol.NewState(uint64(i)) // want `par closure captures sched\.Policy "pol" from an enclosing scope`
-		return int(st.Step(sim.Duration(i)).Overhead)
+		return int(st.Step(sim.Duration(i)).Overhead), nil
 	})
+	return out
 }
 
 func goodJobLocalSchedState() []int {
-	return par.Map(4, func(i int) int {
+	out, _ := par.MapWidthErr(0, 4, func(i int) (int, error) {
 		// Policy and state both derived inside the job: no shared draws.
 		pol, _ := sched.New(sched.Adaptive, sched.Params{})
 		st := pol.NewState(sim.StreamSeed(1, uint64(i)))
-		return int(st.Step(sim.Duration(i)).Overhead)
+		return int(st.Step(sim.Duration(i)).Overhead), nil
 	})
+	return out
 }
 
 func goodPolicyOutsideFanOut() sched.Kind {

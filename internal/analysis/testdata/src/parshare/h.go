@@ -1,8 +1,8 @@
 // Fixture for the parshare rule on par.Pipe.Submit: a pipeline job runs on
 // a worker while the submitting loop keeps mutating its own state, so a
 // submitted closure that captures the facility scheduler, its allocator or
-// an outer RNG must be flagged exactly like a par.Map closure; capturing an
-// immutable launch spec must not.
+// an outer RNG must be flagged exactly like a par.MapWidthErr closure;
+// capturing an immutable launch spec must not.
 package parshare
 
 import (

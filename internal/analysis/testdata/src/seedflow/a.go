@@ -53,10 +53,11 @@ func badDupStream(seed uint64) (a, b *sim.RNG) {
 // --- rule 3: seed captured into a par closure ---
 
 func badParSeed(seed uint64) []float64 {
-	return par.Map(4, func(i int) float64 {
+	out, _ := par.MapWidthErr(0, 4, func(i int) (float64, error) {
 		r := sim.NewRNG(seed) // want `seed "seed" is consumed inside a par closure`
-		return r.Float64()
+		return r.Float64(), nil
 	})
+	return out
 }
 
 // --- rule 4: one RNG drawn from in two sibling loops ---
@@ -94,10 +95,11 @@ func badHelperPhases(seed uint64) float64 {
 // --- sanctioned patterns ---
 
 func goodPerJob(seed uint64) []float64 {
-	return par.Map(4, func(i int) float64 {
+	out, _ := par.MapWidthErr(0, 4, func(i int) (float64, error) {
 		r := sim.NewRNG(sim.StreamSeed(seed, uint64(i)))
-		return r.Float64()
+		return r.Float64(), nil
 	})
+	return out
 }
 
 func goodSplitPhases(seed uint64) float64 {

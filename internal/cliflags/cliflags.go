@@ -11,9 +11,7 @@ package cliflags
 
 import (
 	"flag"
-	"strings"
 
-	"mklite/internal/fault"
 	"mklite/internal/sched"
 )
 
@@ -40,15 +38,9 @@ func Metrics(fs *flag.FlagSet) *bool {
 }
 
 // Faults registers the -faults fault-injection flag; parse the value with
-// ParseFaults after flag.Parse.
+// fault.ParsePlan after flag.Parse (an empty spec is a nil plan: no faults).
 func Faults(fs *flag.FlagSet) *string {
 	return fs.String("faults", "", "fault plan, e.g. 'straggler:node=3,factor=2;retry:max=2' (see docs/FAULTS.md)")
-}
-
-// ParseFaults parses a -faults value into a fault plan; an empty spec
-// returns a nil plan (no faults).
-func ParseFaults(spec string) (*fault.Plan, error) {
-	return fault.ParsePlan(spec)
 }
 
 // SLO registers the -slo flag; the literal value "default" is resolved by
@@ -60,7 +52,7 @@ func SLO(fs *flag.FlagSet) *string {
 // Sched registers the -sched scheduling-policy flag; parse the value with
 // ParseSched after flag.Parse.
 func Sched(fs *flag.FlagSet) *string {
-	return fs.String("sched", "", "scheduling policy: "+kindList()+" (empty = each kernel's default; see docs/SCHED.md)")
+	return fs.String("sched", "", "scheduling policy: "+sched.KindList()+" (empty = each kernel's default; see docs/SCHED.md)")
 }
 
 // ParseSched parses a -sched value; the empty string (the default: keep each
@@ -70,12 +62,4 @@ func ParseSched(s string) (sched.Kind, error) {
 		return "", nil
 	}
 	return sched.Parse(s)
-}
-
-func kindList() string {
-	names := make([]string, 0, len(sched.Kinds()))
-	for _, k := range sched.Kinds() {
-		names = append(names, string(k))
-	}
-	return strings.Join(names, ", ")
 }

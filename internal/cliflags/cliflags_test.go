@@ -4,6 +4,7 @@ import (
 	"flag"
 	"testing"
 
+	"mklite/internal/fault"
 	"mklite/internal/sched"
 )
 
@@ -33,9 +34,9 @@ func TestRegistration(t *testing.T) {
 	if *slo != "utilization_pct>=50" {
 		t.Fatalf("slo = %q", *slo)
 	}
-	plan, err := ParseFaults(*faults)
+	plan, err := fault.ParsePlan(*faults)
 	if err != nil || plan == nil {
-		t.Fatalf("ParseFaults: %v %v", plan, err)
+		t.Fatalf("ParsePlan: %v %v", plan, err)
 	}
 	kind, err := ParseSched(*schedF)
 	if err != nil || kind != sched.Gang {
@@ -55,10 +56,10 @@ func TestParseSchedEmpty(t *testing.T) {
 	}
 }
 
-// TestParseFaultsEmpty: empty spec is a nil plan.
+// TestParseFaultsEmpty: the -faults default, an empty spec, is a nil plan.
 func TestParseFaultsEmpty(t *testing.T) {
-	plan, err := ParseFaults("")
+	plan, err := fault.ParsePlan("")
 	if err != nil || plan != nil {
-		t.Fatalf("ParseFaults(\"\") = %v, %v", plan, err)
+		t.Fatalf("ParsePlan(\"\") = %v, %v", plan, err)
 	}
 }

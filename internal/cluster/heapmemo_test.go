@@ -168,7 +168,7 @@ func checkHeapMemo(t *testing.T, j Job) heapOutcome {
 			res.HeapStats, res.MCDRAMBytes, res.DemandRanks, ref.stats, ref.mcdram, ref.demand)
 	}
 	runCtrs := ctrs.Map()
-	want := map[string]int64{trace.KeySyscallBrk.String(): int64(len(j.App.HeapOpsPerStep(j.Nodes)) * j.App.RanksPerNode * steps)}
+	want := map[string]int64{"syscall.brk": int64(len(j.App.HeapOpsPerStep(j.Nodes)) * j.App.RanksPerNode * steps)}
 	for name, v := range ref.counters {
 		want[name] += v
 	}

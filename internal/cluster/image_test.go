@@ -164,17 +164,18 @@ func imageRuns(t testing.TB, j Job, mode sinkMode, runs []imageRun) []observed {
 	proto, _ := newModeSink(t, mode)
 	j.Sink = proto
 	img, err := Prepare(context.Background(), j)
-	return par.MapWidth(4, len(runs), func(i int) observed {
+	out, _ := par.MapWidthErr(4, len(runs), func(i int) (observed, error) {
 		sink, done := newModeSink(t, mode)
 		if err != nil {
-			return done(Result{}, err)
+			return done(Result{}, err), nil
 		}
 		v, err := runs[i].view(img)
 		if err != nil {
-			return done(Result{}, err)
+			return done(Result{}, err), nil
 		}
-		return done(v.Run(context.Background(), runs[i].seed, sink))
+		return done(v.Run(context.Background(), runs[i].seed, sink)), nil
 	})
+	return out
 }
 
 // checkRuns checks each image run against a fresh run of the same seed,

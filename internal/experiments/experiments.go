@@ -35,7 +35,7 @@ type Config struct {
 	// Quick restricts sweeps to three node counts per application so
 	// the full suite stays test-budget friendly.
 	Quick bool
-	// Workers bounds the experiment fan-out's worker pool (par.Map):
+	// Workers bounds the experiment fan-out's worker pool (par.MapWidthErr):
 	// 0 selects GOMAXPROCS, 1 forces sequential execution. Results are
 	// byte-identical at any width — every job derives its own RNG
 	// stream from (Seed, index), enforced by determinism_test.go.
@@ -101,8 +101,16 @@ func (c Config) nodeCounts(app *apps.Spec) []int {
 // additive derivation made two experiments with consecutive base seeds
 // share all but one rep seed, so their "independent" repetitions were
 // almost entirely correlated.
+//
+// No caller reads a measurement's counters or metrics, so measure records
+// neither, whatever cfg asks for.
 func measure(cfg Config, job cluster.Job) (stats.Summary, error) {
-	sum, _, _, err := measureCounted(cfg, job)
+	cfg.Counters, cfg.Metrics = false, false
+	img, err := prepare(context.TODO(), cfg, job)
+	if err != nil {
+		return stats.Summary{}, err
+	}
+	sum, _, _, err := measureImage(cfg, img)
 	return sum, err
 }
 
@@ -111,16 +119,6 @@ type repResult struct {
 	fom      float64
 	counters *trace.Counters
 	metrics  *metrics.Registry
-}
-
-// measureCounted is measure plus optional mechanism counters: Prepare, then
-// measureImage.
-func measureCounted(cfg Config, job cluster.Job) (stats.Summary, *trace.Counters, *metrics.Registry, error) {
-	img, err := prepare(context.TODO(), cfg, job)
-	if err != nil {
-		return stats.Summary{}, nil, nil, err
-	}
-	return measureImage(cfg, img)
 }
 
 // prepare prepares job's node image under cfg: cfg's fault plan and
@@ -197,8 +195,8 @@ func repSink(cfg Config) (*trace.Sink, *trace.Counters, *metrics.Registry) {
 }
 
 // appFigure builds the three-kernel figure for one application by fanning
-// the whole (kernel x node-count) grid out through one par.Map: each cell
-// measures its node count's view of its kernel's image (layoutImages), so
+// the whole (kernel x node-count) grid out through one par.MapWidthErr: each
+// cell measures its node count's view of its kernel's image (layoutImages), so
 // the grid parallelises without any coordination and the series are
 // assembled from the index-ordered results. The images live only as long
 // as the call; they share the noise tables of ctx's store.

@@ -28,7 +28,7 @@ func SchedSweepApps() []*apps.Spec {
 // lost to interference plus explicit scheduler charges,
 // 100·(Breakdown.Noise+Breakdown.Sched)/Elapsed. Unlike a FOM comparison
 // this isolates exactly the time a scheduling policy can move — compute,
-// memory and wire time are policy-invariant. As in measureCounted, every
+// memory and wire time are policy-invariant. As in measureImage, every
 // repetition runs against the one view.
 func measureNoiseGap(cfg Config, img *cluster.Image, kind sched.Kind) (stats.Summary, error) {
 	img, err := img.Sched(kind)

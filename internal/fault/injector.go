@@ -40,14 +40,6 @@ func NewInjector(p *Plan, seed uint64) *Injector {
 // Active reports whether any faults will be injected.
 func (in *Injector) Active() bool { return in != nil }
 
-// Plan returns the injector's plan (nil for a nil injector).
-func (in *Injector) Plan() *Plan {
-	if in == nil {
-		return nil
-	}
-	return in.plan
-}
-
 // --------------------------------------------------------------------------
 // Stragglers
 

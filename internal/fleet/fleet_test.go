@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"maps"
 	"testing"
 
 	"mklite/internal/apps"
@@ -350,18 +351,16 @@ func TestSpecializeCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, t0 := p1.(*specializePolicy).Table(), p0.(*specializePolicy).Table()
+	t1, t0 := p1.(*specializePolicy).table, p0.(*specializePolicy).table
 	if len(t1) == 0 {
 		t.Fatal("empty calibration table")
 	}
-	for i := range t1 {
-		if t1[i] != t0[i] {
-			t.Fatalf("calibration differs between widths: %v vs %v", t1, t0)
-		}
+	if !maps.Equal(t1, t0) {
+		t.Fatalf("calibration differs between widths: %v vs %v", t1, t0)
 	}
 	lwk := 0
-	for _, e := range t1 {
-		if e[len(e)-5:] != "linux" {
+	for _, k := range t1 {
+		if k != kernel.TypeLinux {
 			lwk++
 		}
 	}

@@ -297,7 +297,7 @@ func TestObsFullScaleTimeline(t *testing.T) {
 	if spans == 0 {
 		t.Fatal("timeline has no occupancy spans")
 	}
-	if got := o.Decisions.Len(); got != 1000 {
+	if got := len(o.Decisions.Decisions()); got != 1000 {
 		t.Fatalf("decision log has %d records, want 1000", got)
 	}
 }

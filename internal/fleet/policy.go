@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 	"strings"
 
 	"mklite/internal/apps"
@@ -187,16 +185,6 @@ func (p *specializePolicy) Select(j *Job) Choice {
 		return Choice{Kernel: k}
 	}
 	return Choice{Kernel: kernel.TypeMcKernel}
-}
-
-// Table returns the calibrated app -> kernel map in app-name order, for
-// reports and tests.
-func (p *specializePolicy) Table() []string {
-	var out []string
-	for _, name := range slices.Sorted(maps.Keys(p.table)) {
-		out = append(out, name+"="+strings.ToLower(p.table[name].String()))
-	}
-	return out
 }
 
 // PolicyNames lists the selectable policy spellings of ParsePolicy. Any of

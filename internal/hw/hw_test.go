@@ -1,9 +1,41 @@
 package hw
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// logicalCPUs is the node's logical CPU count.
+func logicalCPUs(n *NodeSpec) int {
+	total := 0
+	for _, c := range n.Cores {
+		total += len(c.CPUs)
+	}
+	return total
+}
+
+// capacity is the summed capacity in bytes of the node's domains of one
+// kind.
+func capacity(n *NodeSpec, kind MemKind) int64 {
+	var total int64
+	for _, d := range n.Domains {
+		if d.Mem.Kind == kind {
+			total += d.Mem.Capacity
+		}
+	}
+	return total
+}
+
+// coreOfCPU is the physical core owning a logical CPU, or nil.
+func coreOfCPU(n *NodeSpec, cpu int) *CoreSpec {
+	for i := range n.Cores {
+		if slices.Contains(n.Cores[i].CPUs, cpu) {
+			return &n.Cores[i]
+		}
+	}
+	return nil
+}
 
 func TestKNLSNC4Shape(t *testing.T) {
 	n := KNL7250SNC4()
@@ -13,8 +45,8 @@ func TestKNLSNC4Shape(t *testing.T) {
 	if n.NumCores() != 68 {
 		t.Fatalf("cores = %d, want 68", n.NumCores())
 	}
-	if n.NumLogicalCPUs() != 272 {
-		t.Fatalf("logical CPUs = %d, want 272", n.NumLogicalCPUs())
+	if logicalCPUs(n) != 272 {
+		t.Fatalf("logical CPUs = %d, want 272", logicalCPUs(n))
 	}
 	if len(n.Domains) != 8 {
 		t.Fatalf("domains = %d, want 8", len(n.Domains))
@@ -26,10 +58,10 @@ func TestKNLSNC4Shape(t *testing.T) {
 
 func TestKNLSNC4Capacities(t *testing.T) {
 	n := KNL7250SNC4()
-	if got := n.TotalCapacity(MCDRAM); got != 16*GiB {
+	if got := capacity(n, MCDRAM); got != 16*GiB {
 		t.Fatalf("MCDRAM capacity = %d, want 16 GiB", got)
 	}
-	if got := n.TotalCapacity(DDR4); got != 96*GiB {
+	if got := capacity(n, DDR4); got != 96*GiB {
 		t.Fatalf("DDR4 capacity = %d, want 96 GiB", got)
 	}
 }
@@ -79,31 +111,25 @@ func TestKNLSNC4MCDRAMFasterButSlower(t *testing.T) {
 
 func TestCPUNumbering(t *testing.T) {
 	n := KNL7250SNC4()
-	core, err := n.CoreOfCPU(0)
-	if err != nil || core.ID != 0 {
-		t.Fatalf("CoreOfCPU(0) = %v, %v", core, err)
+	if core := coreOfCPU(n, 0); core == nil || core.ID != 0 {
+		t.Fatalf("coreOfCPU(0) = %v", core)
 	}
 	// Hyperthread sibling of core 5 at 5+68.
-	core, err = n.CoreOfCPU(73)
-	if err != nil || core.ID != 5 {
-		t.Fatalf("CoreOfCPU(73) = %v, %v", core, err)
+	if core := coreOfCPU(n, 73); core == nil || core.ID != 5 {
+		t.Fatalf("coreOfCPU(73) = %v", core)
 	}
-	if _, err := n.CoreOfCPU(272); err == nil {
-		t.Fatal("CoreOfCPU(272) did not error")
+	if core := coreOfCPU(n, 272); core != nil {
+		t.Fatalf("coreOfCPU(272) = %v, want none", core)
 	}
 }
 
 func TestDomainOfCPU(t *testing.T) {
 	n := KNL7250SNC4()
 	// Core 0 is in quadrant 0; core 17 in quadrant 1.
-	if d, _ := n.DomainOfCPU(0); d != 0 {
-		t.Fatalf("DomainOfCPU(0) = %d", d)
-	}
-	if d, _ := n.DomainOfCPU(17); d != 1 {
-		t.Fatalf("DomainOfCPU(17) = %d", d)
-	}
-	if d, _ := n.DomainOfCPU(67); d != 3 {
-		t.Fatalf("DomainOfCPU(67) = %d", d)
+	for cpu, want := range map[int]int{0: 0, 17: 1, 67: 3} {
+		if d := coreOfCPU(n, cpu).Domain; d != want {
+			t.Fatalf("CPU %d in domain %d, want %d", cpu, d, want)
+		}
 	}
 }
 
@@ -140,11 +166,11 @@ func TestQuadrantPreset(t *testing.T) {
 	if len(n.Domains) != 2 {
 		t.Fatalf("domains = %d, want 2", len(n.Domains))
 	}
-	if n.TotalCapacity(MCDRAM) != 16*GiB || n.TotalCapacity(DDR4) != 96*GiB {
+	if capacity(n, MCDRAM) != 16*GiB || capacity(n, DDR4) != 96*GiB {
 		t.Fatal("quadrant capacities wrong")
 	}
-	if n.NumLogicalCPUs() != 272 {
-		t.Fatalf("logical CPUs = %d", n.NumLogicalCPUs())
+	if logicalCPUs(n) != 272 {
+		t.Fatalf("logical CPUs = %d", logicalCPUs(n))
 	}
 }
 
@@ -279,14 +305,14 @@ func TestDualSocketXeonPreset(t *testing.T) {
 	if err := n.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if n.NumCores() != 48 || n.NumLogicalCPUs() != 96 {
-		t.Fatalf("cores %d, cpus %d", n.NumCores(), n.NumLogicalCPUs())
+	if n.NumCores() != 48 || logicalCPUs(n) != 96 {
+		t.Fatalf("cores %d, cpus %d", n.NumCores(), logicalCPUs(n))
 	}
 	if len(n.DomainsOfKind(MCDRAM)) != 0 {
 		t.Fatal("a Xeon has no MCDRAM")
 	}
-	if n.TotalCapacity(DDR4) != 384*GiB {
-		t.Fatalf("capacity %d", n.TotalCapacity(DDR4))
+	if capacity(n, DDR4) != 384*GiB {
+		t.Fatalf("capacity %d", capacity(n, DDR4))
 	}
 	// Defaults kick in for non-positive arguments.
 	d := dualSocketXeon(0, 0)

@@ -37,15 +37,6 @@ type NodeSpec struct {
 	CoreFreqGHz float64
 }
 
-// NumLogicalCPUs returns the total number of logical CPUs on the node.
-func (n *NodeSpec) NumLogicalCPUs() int {
-	total := 0
-	for _, c := range n.Cores {
-		total += len(c.CPUs)
-	}
-	return total
-}
-
 // NumCores returns the number of physical cores.
 func (n *NodeSpec) NumCores() int { return len(n.Cores) }
 
@@ -80,39 +71,6 @@ func (n *NodeSpec) DomainsOfKind(kinds ...MemKind) []int {
 		slices.Sort(out[from:])
 	}
 	return out
-}
-
-// TotalCapacity returns the summed capacity in bytes of all domains of the
-// given kind.
-func (n *NodeSpec) TotalCapacity(kind MemKind) int64 {
-	var total int64
-	for _, d := range n.Domains {
-		if d.Mem.Kind == kind {
-			total += d.Mem.Capacity
-		}
-	}
-	return total
-}
-
-// CoreOfCPU returns the physical core owning the given logical CPU.
-func (n *NodeSpec) CoreOfCPU(cpu int) (*CoreSpec, error) {
-	for i := range n.Cores {
-		for _, c := range n.Cores[i].CPUs {
-			if c == cpu {
-				return &n.Cores[i], nil
-			}
-		}
-	}
-	return nil, fmt.Errorf("hw: node %s has no logical CPU %d", n.Name, cpu)
-}
-
-// DomainOfCPU returns the NUMA domain id of a logical CPU.
-func (n *NodeSpec) DomainOfCPU(cpu int) (int, error) {
-	core, err := n.CoreOfCPU(cpu)
-	if err != nil {
-		return 0, err
-	}
-	return core.Domain, nil
 }
 
 // NearestDomain returns, among candidate domain ids, the one with the

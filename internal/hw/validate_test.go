@@ -143,7 +143,7 @@ func TestValidateMatchesReference(t *testing.T) {
 
 // corrupt applies one random edit to n.
 func corrupt(rng *rand.Rand, n *NodeSpec) {
-	cpu := func() int { return rng.IntN(n.NumLogicalCPUs()+8) - 4 }
+	cpu := func() int { return rng.IntN(logicalCPUs(n)+8) - 4 }
 	switch rng.IntN(9) {
 	case 0:
 		c := &n.Cores[rng.IntN(len(n.Cores))]

@@ -13,9 +13,9 @@ type File struct {
 // with the process; in McKernel's proxy model it lives in the Linux-side
 // proxy process — "The actual set of open files; i.e., file descriptor
 // table, file positions, etc., are tracked by the Linux kernel" — and the
-// LWK merely forwards the integer. Every process builds one, but only the
-// E7 oracle behind ltp's TestExecutedCasesAgreeWithEvaluate uses it: no
-// binary links its methods.
+// LWK merely forwards the integer. Every process builds one, but no
+// experiment opens a file: only the kernel tests call its methods, and no
+// binary links them (an exception of the linked-code gate).
 type FDTable struct {
 	next int
 	open map[int]*File

@@ -73,9 +73,6 @@ func TestEverySyscallHasClass(t *testing.T) {
 		if c < ClassProcess || c > ClassInfo {
 			t.Fatalf("syscall %v has bad class %v", n, c)
 		}
-		if c.String() == "" {
-			t.Fatalf("class %v has no name", c)
-		}
 	}
 }
 
@@ -139,9 +136,8 @@ func TestCapSet(t *testing.T) {
 	if !s.Has(CapFullFork) || !s.Has(CapMovePages) || s.Has(CapPtraceFull) {
 		t.Fatal("With/Has broken")
 	}
-	s2 := s.Without(CapFullFork)
-	if s2.Has(CapFullFork) || !s.Has(CapFullFork) {
-		t.Fatal("Without must not mutate the original")
+	if s2 := s.With(CapPtraceFull); !s2.Has(CapPtraceFull) || s.Has(CapPtraceFull) {
+		t.Fatal("With must not mutate the original")
 	}
 }
 

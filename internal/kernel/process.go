@@ -198,8 +198,8 @@ func (p *Process) Mmap(size int64, kind mem.VMAKind) (*mem.VMA, error) {
 	return v, nil
 }
 
-// Munmap unmaps a range of an area. It serves the E7 oracle behind ltp's
-// TestExecutedCasesAgreeWithEvaluate, and no binary links it.
+// Munmap unmaps a range of an area. No experiment issues it, and no binary
+// links it (an exception of the linked-code gate).
 func (p *Process) Munmap(v *mem.VMA, offset, length int64) error {
 	if err := p.dispatchable(SysMunmap); err != nil {
 		return err
@@ -240,9 +240,8 @@ func (p *Process) MovePages(v *mem.VMA, domains []int) (mem.Work, error) {
 
 // SetMempolicy re-targets the default placement for future mappings; the
 // model applies it by migrating an existing area when one is given
-// (matching how the applications use it at startup). It serves the E7
-// oracle behind ltp's TestExecutedCasesAgreeWithEvaluate, and no binary
-// links it.
+// (matching how the applications use it at startup). No experiment issues
+// it, and no binary links it (an exception of the linked-code gate).
 func (p *Process) SetMempolicy(v *mem.VMA, domains []int) (mem.Work, error) {
 	if err := p.dispatchable(SysSetMempolicy); err != nil {
 		return mem.Work{}, err
@@ -279,8 +278,8 @@ func (p *Process) Exit() {
 }
 
 // Mremap resizes an existing mapping (grow in place or shrink), charging
-// the population/release work. It serves the E7 oracle behind ltp's
-// TestExecutedCasesAgreeWithEvaluate, and no binary links it.
+// the population/release work. No experiment issues it, and no binary
+// links it (an exception of the linked-code gate).
 func (p *Process) Mremap(v *mem.VMA, newSize int64) error {
 	if err := p.dispatchable(SysMremap); err != nil {
 		return err

@@ -272,12 +272,13 @@ func TestProcessExitReleasesMemory(t *testing.T) {
 	if _, err := p.SetMempolicy(v, []int{4}); err != nil {
 		t.Fatal(err)
 	}
-	if k.Phys().UsedBytes(4) == 0 {
+	ph := k.Phys()
+	if ph.Capacity(4) == ph.FreeBytes(4) {
 		t.Fatal("no MCDRAM in use before exit")
 	}
 	p.Exit()
 	for d := 0; d < 8; d++ {
-		if k.Phys().UsedBytes(d) != 0 {
+		if ph.Capacity(d) != ph.FreeBytes(d) {
 			t.Fatalf("domain %d leaked after exit", d)
 		}
 	}

@@ -216,32 +216,6 @@ const (
 	ClassInfo
 )
 
-// String names the class.
-func (c Class) String() string {
-	switch c {
-	case ClassProcess:
-		return "process"
-	case ClassSched:
-		return "sched"
-	case ClassTime:
-		return "time"
-	case ClassSignal:
-		return "signal"
-	case ClassMemory:
-		return "memory"
-	case ClassThread:
-		return "thread"
-	case ClassFile:
-		return "file"
-	case ClassNet:
-		return "net"
-	case ClassInfo:
-		return "info"
-	default:
-		return fmt.Sprintf("Class(%d)", int(c))
-	}
-}
-
 // ClassOf returns the subsystem a syscall belongs to.
 func ClassOf(n Sysno) Class {
 	switch {

@@ -157,15 +157,3 @@ func (s CapSet) With(caps ...Capability) CapSet {
 	}
 	return out
 }
-
-// Without returns a copy with the given capabilities removed.
-func (s CapSet) Without(caps ...Capability) CapSet {
-	out := make(CapSet, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	for _, c := range caps {
-		delete(out, c)
-	}
-	return out
-}

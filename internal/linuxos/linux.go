@@ -168,9 +168,6 @@ func linuxCaps() kernel.CapSet {
 	)
 }
 
-// Config returns the boot configuration.
-func (k *Kernel) Config() Config { return k.cfg }
-
 // MapPolicy implements kernel.Kernel. Anonymous memory is demand paged
 // onto the DDR domains (first-touch local); a preferred domain, when set,
 // is consulted first — but it is a single domain, which is exactly why

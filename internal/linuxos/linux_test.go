@@ -66,7 +66,7 @@ func TestKernelReservationFragmentsDDR(t *testing.T) {
 	k := bootDefault(t)
 	// Kernel boot reservation must consume memory and break contiguity
 	// somewhat.
-	if k.Phys().UsedBytes(0) == 0 {
+	if k.Phys().FreeBytes(0) == k.Phys().Capacity(0) {
 		t.Fatal("no kernel reservation in domain 0")
 	}
 	if k.Phys().LargestFree(0) == k.Phys().Capacity(0) {

@@ -25,14 +25,6 @@ type ExecOutcome struct {
 // ExecFunc runs a conformance experiment against a live process.
 type ExecFunc func(p *kernel.Process) ExecOutcome
 
-// Executable returns the execution function for a case id, if the case has
-// executable semantics. It is part of the E7 oracle behind
-// TestExecutedCasesAgreeWithEvaluate, and no binary links it.
-func Executable(id string) (ExecFunc, bool) {
-	f, ok := execCases[id]
-	return f, ok
-}
-
 // ExecutableCaseIDs lists the cases with executable semantics, sorted. It is
 // part of the E7 oracle behind TestExecutedCasesAgreeWithEvaluate, and no
 // binary links it.

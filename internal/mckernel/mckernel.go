@@ -52,8 +52,7 @@ func DefaultOptions() Options {
 // Kernel is the McKernel model.
 type Kernel struct {
 	kernel.Base
-	opts  Options
-	grant *ihk.Grant
+	opts Options
 	// domains is the MCDRAM-then-DDR4 order every mapping and default heap
 	// starts from, derived once at boot. Policies hand out this slice
 	// itself; its capacity equals its length, so a caller's append copies.
@@ -86,7 +85,6 @@ func Boot(lin *linuxos.Kernel, g *ihk.Grant, opts Options) (*Kernel, error) {
 			KSched: pol,
 		},
 		opts:    opts,
-		grant:   g,
 		domains: g.Part.Node.DomainsOfKind(hw.MCDRAM, hw.DDR4),
 	}
 	return k, nil
@@ -151,12 +149,6 @@ func caps() kernel.CapSet {
 	// on LWK cores in the proxy model), CapEarlyBootMemory (boots after
 	// Linux).
 }
-
-// Options returns the job options the kernel was booted with.
-func (k *Kernel) Options() Options { return k.opts }
-
-// Grant returns the IHK resource grant backing this kernel.
-func (k *Kernel) Grant() *ihk.Grant { return k.grant }
 
 // MapPolicy implements kernel.Kernel: MCDRAM first with transparent DDR4
 // spill, the largest pages the grant's contiguity allows, physical backing

@@ -96,9 +96,6 @@ type VMA struct {
 	DemandActive bool
 }
 
-// End returns the first address after the area.
-func (v *VMA) End() int64 { return v.Start + v.Size }
-
 // stateLen is the number of words appendState appends.
 func (v *VMA) stateLen() int { return 3 + 4*len(v.Backings) }
 

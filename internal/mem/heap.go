@@ -400,10 +400,6 @@ func (h *HPCHeap) TouchUpTo(limit int64) Work { return Work{} }
 // Size implements Heap.
 func (h *HPCHeap) Size() int64 { return h.size }
 
-// Reserved returns the physically backed bytes (>= Size when aggressive
-// extension is active).
-func (h *HPCHeap) Reserved() int64 { return h.reserved }
-
 // Stats implements Heap.
 func (h *HPCHeap) Stats() HeapStats { return h.st }
 

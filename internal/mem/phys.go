@@ -119,9 +119,6 @@ func NewPhysView(node *hw.NodeSpec, grants []Extent) *Phys {
 	return p
 }
 
-// Node returns the hardware spec the allocator was built for.
-func (p *Phys) Node() *hw.NodeSpec { return p.node }
-
 // lookup returns the domain with the given id, nil for unknown ids.
 func (p *Phys) lookup(id int) *physDomain {
 	if id < 0 || id >= len(p.domains) {
@@ -150,14 +147,6 @@ func (p *Phys) FreeBytes(domain int) int64 {
 func (p *Phys) Capacity(domain int) int64 {
 	if d := p.lookup(domain); d != nil {
 		return d.capacity
-	}
-	return 0
-}
-
-// UsedBytes returns allocated bytes in a domain.
-func (p *Phys) UsedBytes(domain int) int64 {
-	if d := p.lookup(domain); d != nil {
-		return d.capacity - d.freeSum
 	}
 	return 0
 }
@@ -393,33 +382,4 @@ func (p *Phys) allocAt(domain int, start, size int64) (Extent, error) {
 		}
 	}
 	return Extent{}, fmt.Errorf("mem: range [%d,%d) not free in domain %d", start, start+size, domain)
-}
-
-// checkInvariants verifies the free list is sorted, coalesced, in-bounds
-// and consistent with freeSum. Exposed to tests via export_test.go.
-func (p *Phys) checkInvariants() error {
-	for id, d := range p.domains {
-		if d == nil {
-			continue
-		}
-		var sum int64
-		var prevEnd int64 = -1
-		for i, f := range d.free {
-			if f.size <= 0 {
-				return fmt.Errorf("domain %d: empty free range at %d", id, i)
-			}
-			if f.start < 0 || f.start+f.size > d.bound {
-				return fmt.Errorf("domain %d: free range out of bounds", id)
-			}
-			if prevEnd >= 0 && f.start <= prevEnd {
-				return fmt.Errorf("domain %d: free list unsorted or uncoalesced at %d", id, i)
-			}
-			prevEnd = f.start + f.size
-			sum += f.size
-		}
-		if sum != d.freeSum {
-			return fmt.Errorf("domain %d: freeSum %d != computed %d", id, d.freeSum, sum)
-		}
-	}
-	return nil
 }

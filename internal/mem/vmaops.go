@@ -265,7 +265,7 @@ func (as *AddrSpace) Remap(v *VMA, newSize int64) (Work, error) {
 		// The bump allocator leaves 1 GiB-aligned gaps between areas,
 		// so in-place growth is available up to the next area.
 		grow := newSize - v.Size
-		if next := as.nextAreaStart(v); v.End()+grow > next {
+		if next := as.nextAreaStart(v); v.Start+v.Size+grow > next {
 			return w, fmt.Errorf("mem: Remap collision: area at %#x cannot grow %d bytes", v.Start, grow)
 		}
 		v.Size = newSize

@@ -200,7 +200,7 @@ func TestRegistryNilSafe(t *testing.T) {
 	r.AddPhase("x", 1)
 	r.SetGauge("x", 1)
 	r.Merge(NewRegistry())
-	if r.Histogram("x") != nil || r.Ranked("x") != nil || r.Phase("x") != 0 || r.Gauge("x") != 0 {
+	if r.Histogram("x") != nil || r.Ranked("x") != nil {
 		t.Fatal("nil registry returned state")
 	}
 	if rep := r.Report(); rep.Schema != Schema || len(rep.Hists) != 0 {
@@ -225,7 +225,7 @@ func TestRegistryImplementsObserver(t *testing.T) {
 	if hs := r.Ranked("detour_ns"); len(hs) != 3 || hs[2].Count() != 1 || hs[0].Count() != 0 {
 		t.Fatal("ObserveRank family shape wrong")
 	}
-	if r.Phase("compute") != 10_000 || r.Gauge("heap.peak_bytes") != 1<<20 {
+	if r.phases["compute"] != 10_000 || r.gauges["heap.peak_bytes"] != 1<<20 {
 		t.Fatal("phase/gauge lost")
 	}
 }
@@ -242,10 +242,10 @@ func TestRegistryMergeRankedAndGauges(t *testing.T) {
 	if hs := a.Ranked("d"); len(hs) != 4 || hs[0].Count() != 1 || hs[3].Count() != 1 {
 		t.Fatal("rank-wise merge wrong")
 	}
-	if a.Gauge("g") != 2 {
+	if a.gauges["g"] != 2 {
 		t.Fatal("gauge merge must take the merged-in (latest) value")
 	}
-	if a.Phase("p") != 12 {
+	if a.phases["p"] != 12 {
 		t.Fatal("phase merge must add")
 	}
 }

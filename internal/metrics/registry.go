@@ -96,30 +96,6 @@ func (r *Registry) Ranked(name string) []*Histogram {
 	return r.ranked[name]
 }
 
-// Phase returns the accumulated virtual nanoseconds of the named phase.
-func (r *Registry) Phase(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	return r.phases[name]
-}
-
-// Gauge returns the named gauge's latest value.
-func (r *Registry) Gauge(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	return r.gauges[name]
-}
-
-// HistNames returns the distribution names, sorted.
-func (r *Registry) HistNames() []string {
-	if r == nil {
-		return nil
-	}
-	return slices.Sorted(maps.Keys(r.hists))
-}
-
 // Merge folds every observation of o into r. Histograms and phases add
 // (associative, order-free); per-rank families merge rank-wise, growing as
 // needed; gauges are latest-value state, so o's value wins — merge in index

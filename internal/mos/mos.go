@@ -164,9 +164,6 @@ func caps() kernel.CapSet {
 	// CapTimeSharing.
 }
 
-// Config returns the boot configuration.
-func (k *Kernel) Config() Config { return k.cfg }
-
 // MapPolicy implements kernel.Kernel: MCDRAM first with transparent DDR4
 // spill and the largest pages available, strictly upfront — "The current
 // version of mOS is more rigid: Only physically available memory can be

@@ -108,9 +108,6 @@ func (c *Comm) Allreduce(bytes int64) CollResult {
 	}
 }
 
-// Barrier is an 8-byte allreduce.
-func (c *Comm) Barrier() CollResult { return c.Allreduce(8) }
-
 // Bcast models a binomial broadcast: intra-node fan-out after a leader
 // tree over the fabric.
 func (c *Comm) Bcast(bytes int64) CollResult {
@@ -122,9 +119,6 @@ func (c *Comm) Bcast(bytes int64) CollResult {
 		IntraMessages: float64(intraSteps),
 	}
 }
-
-// Reduce costs the same wire time as Bcast with the flow reversed.
-func (c *Comm) Reduce(bytes int64) CollResult { return c.Bcast(bytes) }
 
 // Allgather models recursive doubling with doubling payloads: total traffic
 // per rank is bytes*(ranks-1), latency log2(ranks).
@@ -203,15 +197,6 @@ func (c *Comm) HaloExchange(bytes int64, neighbors int) CollResult {
 	}
 }
 
-// PointToPoint exposes a single inter-node message send for app models
-// that need raw sends.
-func (c *Comm) PointToPoint(bytes int64) CollResult {
-	if c.Nodes == 1 {
-		return CollResult{Time: c.intraStep(bytes), IntraMessages: 1}
-	}
-	return CollResult{Time: c.interStep(bytes), Messages: 1}
-}
-
 // Retransmit is the wire time of one retransmitted fabric message of the
 // given payload: the resent bytes cross the job's diameter once more (a
 // shared-memory copy on a single node). The fault layer charges this — plus
@@ -223,48 +208,4 @@ func (c *Comm) Retransmit(bytes int64) sim.Duration {
 		return c.intraStep(bytes)
 	}
 	return c.interStep(bytes)
-}
-
-// ReduceScatter models the reduce_scatter used by ring allreduces: every
-// rank ends with 1/ranks of the reduced vector; traffic per rank is
-// bytes*(ranks-1)/ranks both ways.
-func (c *Comm) ReduceScatter(bytes int64) CollResult {
-	r := c.Ranks()
-	if r <= 1 {
-		return CollResult{}
-	}
-	steps := log2ceil(r)
-	vol := bytes * int64(r-1) / int64(r)
-	bw := sim.DurationOf(float64(vol) / (c.Fabric.InjectionBandwidth * math.Exp2(30)))
-	return CollResult{
-		Time:     sim.Duration(steps)*c.interStep(0) + bw,
-		Messages: float64(steps) / float64(c.RanksPerNode),
-	}
-}
-
-// Gather models a binomial gather to rank 0.
-func (c *Comm) Gather(bytesPerRank int64) CollResult {
-	r := c.Ranks()
-	if r <= 1 {
-		return CollResult{}
-	}
-	steps := log2ceil(r)
-	// The root receives everything; its link is the bottleneck.
-	vol := bytesPerRank * int64(r-1)
-	bw := sim.DurationOf(float64(vol) / (c.Fabric.InjectionBandwidth * math.Exp2(30)))
-	return CollResult{
-		Time:     sim.Duration(steps)*c.interStep(0) + bw,
-		Messages: float64(steps) / float64(c.RanksPerNode),
-	}
-}
-
-// Scan models an inclusive prefix reduction (binomial, latency bound for
-// the small payloads HPC codes use it with).
-func (c *Comm) Scan(bytes int64) CollResult {
-	steps := log2ceil(c.Ranks())
-	return CollResult{
-		Time:          sim.Duration(steps) * c.interStep(bytes),
-		Messages:      float64(steps) / float64(c.RanksPerNode),
-		IntraMessages: float64(log2ceil(c.RanksPerNode)),
-	}
 }

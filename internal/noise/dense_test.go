@@ -679,10 +679,10 @@ func TestTabulateClonesConcurrently(t *testing.T) {
 		{ms(250), ms(21.964222), ms(10.314441), ms(10.314316)},
 	}
 	const clones = 8
-	got := par.MapWidth(4, clones, func(i int) *Profile {
+	got, _ := par.MapWidthErr(4, clones, func(i int) (*Profile, error) {
 		c := parent.CloneTables(0)
 		c.Tabulate(lists[i%len(lists)], smallRanks)
-		return c
+		return c, nil
 	})
 	for i, c := range got {
 		want := stormy()

@@ -214,14 +214,8 @@ func (s *Source) sampleDetour(rng *sim.RNG) sim.Duration {
 	return d
 }
 
-// SampleWindow returns the total detour the source inflicts on the given
-// core during a window of the given length.
-func (s *Source) SampleWindow(rng *sim.RNG, core int, window sim.Duration) sim.Duration {
-	var r rate
-	return s.sampleWindow(rng, core, window, &r)
-}
-
-// sampleWindow is SampleWindow with r caching the rate.
+// sampleWindow returns the total detour the source inflicts on the given
+// core during a window of the given length; r caches the rate.
 func (s *Source) sampleWindow(rng *sim.RNG, core int, window sim.Duration, r *rate) sim.Duration {
 	if !s.appliesTo(core) {
 		return 0

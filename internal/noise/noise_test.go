@@ -10,7 +10,7 @@ import (
 func TestSourceSampleWindowZeroForEmptyWindow(t *testing.T) {
 	s := Source{Period: sim.Millisecond, Mean: sim.Microsecond}
 	rng := sim.NewRNG(1)
-	if d := s.SampleWindow(rng, 0, 0); d != 0 {
+	if d := s.sampleWindow(rng, 0, 0, new(rate)); d != 0 {
 		t.Fatalf("detour in empty window: %v", d)
 	}
 }
@@ -22,10 +22,10 @@ func TestSourceCoreFilter(t *testing.T) {
 		CoreFilter: func(core int) bool { return core == 0 },
 	}
 	rng := sim.NewRNG(2)
-	if d := s.SampleWindow(rng, 3, sim.Second); d != 0 {
+	if d := s.sampleWindow(rng, 3, sim.Second, new(rate)); d != 0 {
 		t.Fatalf("filtered core got detour %v", d)
 	}
-	if d := s.SampleWindow(rng, 0, sim.Second); d == 0 {
+	if d := s.sampleWindow(rng, 0, sim.Second, new(rate)); d == 0 {
 		t.Fatal("core 0 got no detour over a full second")
 	}
 }
@@ -39,7 +39,7 @@ func TestSourceMeanRate(t *testing.T) {
 	const windows = 2000
 	window := 10 * sim.Millisecond
 	for i := 0; i < windows; i++ {
-		total += s.SampleWindow(rng, 0, window)
+		total += s.sampleWindow(rng, 0, window, new(rate))
 	}
 	got := float64(total) / float64(windows*int(window))
 	want := s.ExpectedRate()

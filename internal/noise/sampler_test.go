@@ -177,7 +177,7 @@ func TestWarmCloneDrawsAsFresh(t *testing.T) {
 			t.Errorf("%s: Warm left a cache cold", s.Name)
 		}
 	}
-	views := par.MapWidth(4, 4, func(int) *Profile {
+	views, _ := par.MapWidthErr(4, 4, func(int) (*Profile, error) {
 		v := warm.CloneTables(0)
 		fresh := LinuxTuned()
 		a, b := sim.NewRNG(5), sim.NewRNG(5)
@@ -187,7 +187,7 @@ func TestWarmCloneDrawsAsFresh(t *testing.T) {
 				break
 			}
 		}
-		return v
+		return v, nil
 	})
 	for i, v := range views {
 		if &v.Sources[0] != &warm.Sources[0] {

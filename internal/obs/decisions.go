@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 )
 
 // DecisionsSchema versions the decision-log file format. Bump when a field
@@ -81,14 +80,6 @@ func (l *DecisionLog) Record(d Decision) {
 	l.decisions = append(l.decisions, d)
 }
 
-// Len returns the number of recorded decisions.
-func (l *DecisionLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.decisions)
-}
-
 // Decisions returns the recorded decisions in commit order.
 func (l *DecisionLog) Decisions() []Decision {
 	if l == nil {
@@ -118,17 +109,7 @@ func (l *DecisionLog) JSON() ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// WriteJSON writes the schema-versioned decision log.
-func (l *DecisionLog) WriteJSON(w io.Writer) error {
-	out, err := l.JSON()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(out)
-	return err
-}
-
-// ReadDecisions parses a dump produced by WriteJSON, checking the schema and
+// ReadDecisions parses a dump produced by JSON, checking the schema and
 // that the decisions array is present (JSON writes `[]` for an empty log),
 // so a truncated or foreign file is an error, not an empty log.
 func ReadDecisions(data []byte) ([]Decision, error) {

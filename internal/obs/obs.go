@@ -74,9 +74,6 @@ const DefaultJobEventCap = 1 << 14
 // TimelineOn reports whether a facility timeline is attached.
 func (o *Options) TimelineOn() bool { return o != nil && o.Timeline != nil }
 
-// DecisionsOn reports whether a decision log is attached.
-func (o *Options) DecisionsOn() bool { return o != nil && o.Decisions != nil }
-
 // JobCountersOn reports whether per-job counter namespacing is requested.
 func (o *Options) JobCountersOn() bool { return o != nil && o.JobCounters }
 

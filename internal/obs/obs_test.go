@@ -150,8 +150,8 @@ func TestDecisionLogRoundTrip(t *testing.T) {
 			Reservations: []Reservation{{Job: 1, StartNs: 200, WallNs: 1000, Slots: 4}},
 		},
 	})
-	if l.Len() != 2 {
-		t.Fatalf("Len() = %d, want 2", l.Len())
+	if len(l.Decisions()) != 2 {
+		t.Fatalf("%d decisions, want 2", len(l.Decisions()))
 	}
 	out, err := l.JSON()
 	if err != nil {
@@ -163,13 +163,6 @@ func TestDecisionLogRoundTrip(t *testing.T) {
 	}
 	if rows := DiffDecisions(l.Decisions(), back); len(rows) != 0 {
 		t.Fatalf("round trip changed the log: %v", rows)
-	}
-	var buf bytes.Buffer
-	if err := l.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), out) {
-		t.Fatal("WriteJSON and JSON disagree")
 	}
 }
 
@@ -197,7 +190,7 @@ func TestDiffDecisions(t *testing.T) {
 func TestDecisionLogNilSafe(t *testing.T) {
 	var l *DecisionLog
 	l.Record(Decision{Job: 1})
-	if l.Len() != 0 || l.Decisions() != nil {
+	if l.Decisions() != nil {
 		t.Fatal("nil DecisionLog should record nothing")
 	}
 	out, err := l.JSON()
@@ -313,7 +306,7 @@ func TestSLOEval(t *testing.T) {
 
 func TestOptionsNilSafe(t *testing.T) {
 	var o *Options
-	if o.TimelineOn() || o.DecisionsOn() || o.JobCountersOn() || o.JobEventsOn() || o.Enabled() {
+	if o.TimelineOn() || o.JobCountersOn() || o.JobEventsOn() || o.Enabled() {
 		t.Fatal("nil Options should disable everything")
 	}
 	if got := o.JobEventRingCap(); got != DefaultJobEventCap {

@@ -26,7 +26,7 @@
 // and reads each result back through a Future when its own logic needs it.
 // The same closure contract holds, and the driver — not the workers'
 // progress — decides when each result is read, so the pipeline is as
-// width-independent as Map.
+// width-independent as MapWidthErr.
 //
 // par is the one package in the module allowed to spawn goroutines
 // (enforced by the mklint `nogoroutine` analyzer); everything else funnels
@@ -48,34 +48,17 @@ type jobPanic struct {
 	stack []byte
 }
 
-// Map runs fn(i) for every i in [0, n) on a worker pool of GOMAXPROCS
-// goroutines and returns the results in index order. fn must be
+// MapWidthErr runs fn(i) for every i in [0, n) on a pool of width
+// goroutines and returns the results in index order. A width of zero (or
+// less) selects GOMAXPROCS; width 1 degenerates to a plain sequential loop,
+// which the equivalence tests use as the reference execution. fn must be
 // self-contained per index: any randomness must come from a sim.RNG derived
 // inside the closure from the job's own seed, never from a captured
-// generator.
-func Map[T any](n int, fn func(i int) T) []T {
-	return MapWidth(0, n, fn)
-}
-
-// MapWidth is Map with an explicit pool width. A width of zero (or less)
-// selects GOMAXPROCS; width 1 degenerates to a plain sequential loop, which
-// the equivalence tests use as the reference execution.
-func MapWidth[T any](width, n int, fn func(i int) T) []T {
-	//mklint:ignore errdrop the adapter closure never returns a non-nil error
-	out, _ := mapImpl(width, n, func(i int) (T, error) { return fn(i), nil })
-	return out
-}
-
-// MapErr is the errgroup-style variant: fn may fail, and the first error —
-// first by job index, not by completion time, so the result is
-// deterministic — is returned after all jobs have run. Unlike errgroup
-// there is no cancellation: jobs are independent by contract, and letting
-// the remainder finish keeps the work performed identical run to run.
-func MapErr[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapWidthErr(0, n, fn)
-}
-
-// MapWidthErr is MapErr with an explicit pool width (zero = GOMAXPROCS).
+// generator. The first error (first by job index, not by completion time,
+// so the result is deterministic) is returned after all jobs have run.
+// Unlike errgroup there is no cancellation: jobs are independent by
+// contract, and letting the remainder finish keeps the work performed
+// identical run to run.
 func MapWidthErr[T any](width, n int, fn func(i int) (T, error)) ([]T, error) {
 	return mapImpl(width, n, fn)
 }
@@ -156,8 +139,8 @@ func firstErr(errs []error) error {
 // in submission order; their results are read back through the Future that
 // Submit returns, and the driver chooses when (and in which order) to
 // Wait, so nothing about worker scheduling reaches it. The same closure
-// contract as Map applies: a job must derive any randomness from its own
-// seed and never touch the driver's state.
+// contract as MapWidthErr applies: a job must derive any randomness from
+// its own seed and never touch the driver's state.
 //
 // Width 1 is the sequential reference: Submit runs the job inline on the
 // caller's goroutine and spawns nothing. A panic inside a job is captured

@@ -11,9 +11,15 @@ import (
 	"mklite/internal/sim"
 )
 
+// mapWidth fans fn out through MapWidthErr for jobs that cannot fail.
+func mapWidth[T any](width, n int, fn func(i int) T) []T {
+	out, _ := MapWidthErr(width, n, func(i int) (T, error) { return fn(i), nil })
+	return out
+}
+
 func TestMapIndexOrder(t *testing.T) {
 	for _, width := range []int{0, 1, 2, 7, 64} {
-		got := MapWidth(width, 20, func(i int) int { return i * i })
+		got := mapWidth(width, 20, func(i int) int { return i * i })
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("width %d: out[%d] = %d, want %d", width, i, v, i*i)
@@ -23,11 +29,11 @@ func TestMapIndexOrder(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	if got := Map(0, func(i int) int { return i }); got != nil {
-		t.Fatalf("Map(0) = %v, want nil", got)
+	if got := mapWidth(0, 0, func(i int) int { return i }); got != nil {
+		t.Fatalf("mapWidth(0, 0) = %v, want nil", got)
 	}
-	if got, err := MapErr(-3, func(i int) (int, error) { return i, nil }); got != nil || err != nil {
-		t.Fatalf("MapErr(-3) = %v, %v", got, err)
+	if got, err := MapWidthErr(0, -3, func(i int) (int, error) { return i, nil }); got != nil || err != nil {
+		t.Fatalf("MapWidthErr(0, -3) = %v, %v", got, err)
 	}
 }
 
@@ -38,7 +44,7 @@ func TestMapWidthBounded(t *testing.T) {
 	var cur, peak atomic.Int64
 	barrier := make(chan struct{})
 	go func() { close(barrier) }()
-	MapWidth(width, n, func(i int) int {
+	mapWidth(width, n, func(i int) int {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -98,7 +104,7 @@ func TestPanicCarriesJobIndex(t *testing.T) {
 					t.Fatalf("width %d: panic message %q lacks job index/value", width, msg)
 				}
 			}()
-			MapWidth(width, 16, func(i int) int {
+			mapWidth(width, 16, func(i int) int {
 				if i >= 2 && i%2 == 0 {
 					panic(fmt.Sprintf("boom-%d", i))
 				}
@@ -109,12 +115,12 @@ func TestPanicCarriesJobIndex(t *testing.T) {
 }
 
 func TestDefaultWidthIsGOMAXPROCS(t *testing.T) {
-	// Indirect check: Map must complete with more jobs than GOMAXPROCS
+	// Indirect check: the fan-out must complete with more jobs than GOMAXPROCS
 	// and produce ordered output (the pool drains the surplus).
 	n := runtime.GOMAXPROCS(0)*4 + 1
-	got := Map(n, func(i int) int { return i })
+	got := mapWidth(0, n, func(i int) int { return i })
 	if len(got) != n || got[n-1] != n-1 {
-		t.Fatalf("Map over %d jobs: %v", n, got)
+		t.Fatalf("fan-out over %d jobs: %v", n, got)
 	}
 }
 
@@ -123,7 +129,7 @@ func TestDefaultWidthIsGOMAXPROCS(t *testing.T) {
 // result is identical at any width.
 func TestSeedIsolationReproducible(t *testing.T) {
 	draw := func(width int) []uint64 {
-		return MapWidth(width, 32, func(i int) uint64 {
+		return mapWidth(width, 32, func(i int) uint64 {
 			rng := sim.NewRNG(sim.StreamSeed(99, uint64(i)))
 			var sum uint64
 			for k := 0; k < 100; k++ {
@@ -144,10 +150,10 @@ func TestSeedIsolationReproducible(t *testing.T) {
 }
 
 func TestNestedMap(t *testing.T) {
-	// The grid/reps wiring nests Map inside Map; both levels must stay
-	// index-ordered.
-	got := MapWidth(4, 6, func(i int) []int {
-		return MapWidth(4, 5, func(j int) int { return i*10 + j })
+	// The grid/reps wiring nests one fan-out inside another; both levels
+	// must stay index-ordered.
+	got := mapWidth(4, 6, func(i int) []int {
+		return mapWidth(4, 5, func(j int) int { return i*10 + j })
 	})
 	for i, row := range got {
 		for j, v := range row {

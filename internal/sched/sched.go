@@ -102,10 +102,11 @@ func Parse(s string) (Kind, error) {
 			return k, nil
 		}
 	}
-	return "", fmt.Errorf("sched: unknown policy %q (known: %s)", s, kindList())
+	return "", fmt.Errorf("sched: unknown policy %q (known: %s)", s, KindList())
 }
 
-func kindList() string {
+// KindList names every built-in policy, comma-separated, in Kinds order.
+func KindList() string {
 	names := make([]string, 0, len(Kinds()))
 	for _, k := range Kinds() {
 		names = append(names, string(k))
@@ -133,8 +134,6 @@ type Params struct {
 type Policy interface {
 	// Kind names the policy.
 	Kind() Kind
-	// Params returns the policy's constants (defaults filled in).
-	Params() Params
 	// Preemptive reports whether the policy preempts running tasks.
 	Preemptive() bool
 	// NewState derives one run's mutable scheduler state from a seed
@@ -175,7 +174,6 @@ type policy struct {
 }
 
 func (pl policy) Kind() Kind       { return pl.kind }
-func (pl policy) Params() Params   { return pl.p }
 func (pl policy) Preemptive() bool { return pl.kind != Coop }
 func (pl policy) String() string   { return string(pl.kind) }
 
@@ -207,9 +205,6 @@ type State struct {
 
 // Kind names the state's policy.
 func (s *State) Kind() Kind { return s.kind }
-
-// Quantum returns the live quantum (adapted under the adaptive policy).
-func (s *State) Quantum() sim.Duration { return s.q }
 
 // StepCost is the explicit scheduling overhead one application step incurs
 // on an application core.

@@ -33,20 +33,23 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// params is a built-in policy's constants, defaults filled in.
+func params(pol Policy) Params { return pol.(policy).p }
+
 func TestNewDefaults(t *testing.T) {
 	pol := mustNew(t, CFS, Params{})
-	p := pol.Params()
+	p := params(pol)
 	if p.Quantum != DefaultQuantum || p.TickPeriod != DefaultTickPeriod {
 		t.Fatalf("cfs defaults: %+v", p)
 	}
 	if p.TickOverhead != 0 {
 		t.Fatalf("cfs must not invent a tick cost: %+v", p)
 	}
-	if g := mustNew(t, Gang, Params{}).Params(); g.Quantum != DefaultGangWindow {
+	if g := params(mustNew(t, Gang, Params{})); g.Quantum != DefaultGangWindow {
 		t.Fatalf("gang window default: %+v", g)
 	}
 	for _, k := range []Kind{RR, Adaptive} {
-		if q := mustNew(t, k, Params{}).Params(); q.TickOverhead != DefaultTimerCost {
+		if q := params(mustNew(t, k, Params{})); q.TickOverhead != DefaultTimerCost {
 			t.Fatalf("%s must arm the quantum timer: %+v", k, q)
 		}
 	}
@@ -117,8 +120,8 @@ func TestStepAdaptive(t *testing.T) {
 	if adjust == 0 {
 		t.Fatal("adaptive never widened its quantum")
 	}
-	if st.Quantum() <= 10*sim.Millisecond {
-		t.Fatalf("quantum did not widen: %v", st.Quantum())
+	if st.q <= 10*sim.Millisecond {
+		t.Fatalf("quantum did not widen: %v", st.q)
 	}
 	if last.Overhead >= first.Overhead {
 		t.Fatalf("charge did not decay: first %v, last %v", first.Overhead, last.Overhead)

@@ -11,7 +11,7 @@ func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	e.At(30, func() { order = append(order, 3) })
 	e.At(10, func() { order = append(order, 1) })
 	e.At(20, func() { order = append(order, 2) })
-	e.Run()
+	e.RunUntil(Never)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("wrong order: %v", order)
 	}
@@ -27,7 +27,7 @@ func TestEngineFIFOAtSameTimestamp(t *testing.T) {
 		i := i
 		e.At(5, func() { order = append(order, i) })
 	}
-	e.Run()
+	e.RunUntil(Never)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-timestamp events reordered: %v", order)
@@ -41,7 +41,7 @@ func TestEngineAfterUsesCurrentTime(t *testing.T) {
 	e.At(100, func() {
 		e.After(50, func() { fired = e.Now() })
 	})
-	e.Run()
+	e.RunUntil(Never)
 	if fired != 150 {
 		t.Fatalf("nested After fired at %v, want 150", fired)
 	}
@@ -57,21 +57,7 @@ func TestEngineSchedulingInPastPanics(t *testing.T) {
 		}()
 		e.At(50, func() {})
 	})
-	e.Run()
-}
-
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine(1)
-	ran := false
-	ev := e.At(10, func() { ran = true })
-	ev.Cancel()
-	e.Run()
-	if ran {
-		t.Fatal("cancelled event ran")
-	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() false after Cancel")
-	}
+	e.RunUntil(Never)
 }
 
 func TestEngineRunUntil(t *testing.T) {
@@ -89,7 +75,7 @@ func TestEngineRunUntil(t *testing.T) {
 		t.Fatalf("clock at %v after RunUntil(25)", e.Now())
 	}
 	// Resume: remaining events still fire.
-	e.Run()
+	e.RunUntil(Never)
 	if len(ran) != 4 {
 		t.Fatalf("resume ran %d total events, want 4", len(ran))
 	}
@@ -100,26 +86,6 @@ func TestEngineRunUntilEmptyAdvancesClock(t *testing.T) {
 	e.RunUntil(500)
 	if e.Now() != 500 {
 		t.Fatalf("clock %v after RunUntil on empty queue, want 500", e.Now())
-	}
-}
-
-func TestEngineStop(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(Time(i), func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("Stop did not halt run: %d events ran", count)
-	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending %d after Stop, want 7", e.Pending())
 	}
 }
 
@@ -136,12 +102,13 @@ func TestEngineStepReturnsFalseWhenEmpty(t *testing.T) {
 
 func TestEngineExecutedCount(t *testing.T) {
 	e := NewEngine(1)
+	executed := 0
 	for i := 0; i < 5; i++ {
-		e.At(Time(i), func() {})
+		e.At(Time(i), func() { executed++ })
 	}
-	e.Run()
-	if e.Executed() != 5 {
-		t.Fatalf("Executed() = %d, want 5", e.Executed())
+	e.RunUntil(Never)
+	if executed != 5 {
+		t.Fatalf("%d events executed, want 5", executed)
 	}
 }
 
@@ -160,7 +127,7 @@ func TestEngineDeterministicAcrossRuns(t *testing.T) {
 			}
 		}
 		e.After(0, step)
-		e.Run()
+		e.RunUntil(Never)
 		return out
 	}
 	a, b := trace(), trace()
@@ -189,7 +156,7 @@ func TestEngineMonotoneClockProperty(t *testing.T) {
 				last = e.Now()
 			})
 		}
-		e.Run()
+		e.RunUntil(Never)
 		return ok
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
@@ -230,15 +197,6 @@ func TestDurationScale(t *testing.T) {
 	if d.Scale(-1) != 0 {
 		t.Fatalf("Scale(-1) = %v, want 0", d.Scale(-1))
 	}
-}
-
-func TestDurationCheckNonNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CheckNonNegative(-1) did not panic")
-		}
-	}()
-	Duration(-1).CheckNonNegative("test")
 }
 
 func TestDurationMicros(t *testing.T) {

@@ -97,9 +97,6 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.Now() }
 
-// Done reports whether the process body has returned or been killed.
-func (p *Proc) Done() bool { return p.done }
-
 // Kill marks the process for termination. The process unwinds the next time
 // it would be resumed (immediately if it is currently blocked on an event
 // that has not fired yet — the kill is delivered via a zero-delay event).
@@ -143,9 +140,6 @@ func (s *Signal) Fire(e *Engine) {
 	}
 }
 
-// Waiting returns the number of processes blocked on the signal.
-func (s *Signal) Waiting() int { return len(s.waiters) }
-
 // Mailbox is a FIFO rendezvous between processes: senders never block,
 // receivers block while the box is empty.
 type Mailbox struct {
@@ -173,6 +167,3 @@ func (p *Proc) Recv(m *Mailbox) any {
 	m.items = m.items[1:]
 	return v
 }
-
-// Len returns the number of queued items.
-func (m *Mailbox) Len() int { return len(m.items) }

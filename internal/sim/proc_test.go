@@ -12,7 +12,7 @@ func TestProcSleepAdvancesClock(t *testing.T) {
 		p.Sleep(100)
 		woke = p.Now()
 	})
-	e.Run()
+	e.RunUntil(Never)
 	if woke != 100 {
 		t.Fatalf("woke at %v, want 100", woke)
 	}
@@ -27,7 +27,7 @@ func TestProcSequentialSleeps(t *testing.T) {
 			marks = append(marks, p.Now())
 		}
 	})
-	e.Run()
+	e.RunUntil(Never)
 	want := []Time{10, 20, 30}
 	for i := range want {
 		if marks[i] != want[i] {
@@ -49,7 +49,7 @@ func TestTwoProcsInterleave(t *testing.T) {
 		p.Sleep(20)
 		order = append(order, "b20")
 	})
-	e.Run()
+	e.RunUntil(Never)
 	want := []string{"a10", "b20", "a30"}
 	if len(order) != 3 {
 		t.Fatalf("order = %v", order)
@@ -64,11 +64,11 @@ func TestTwoProcsInterleave(t *testing.T) {
 func TestProcDone(t *testing.T) {
 	e := NewEngine(1)
 	p := e.Spawn("d", func(p *Proc) { p.Sleep(5) })
-	if p.Done() {
+	if p.done {
 		t.Fatal("Done before run")
 	}
-	e.Run()
-	if !p.Done() {
+	e.RunUntil(Never)
+	if !p.done {
 		t.Fatal("not Done after run")
 	}
 }
@@ -81,11 +81,11 @@ func TestProcKill(t *testing.T) {
 		reached = true
 	})
 	e.At(50, func() { p.Kill() })
-	e.Run()
+	e.RunUntil(Never)
 	if reached {
 		t.Fatal("killed process ran past its sleep")
 	}
-	if !p.Done() {
+	if !p.done {
 		t.Fatal("killed process not Done")
 	}
 }
@@ -101,7 +101,7 @@ func TestSignalWakesAllWaiters(t *testing.T) {
 		})
 	}
 	e.At(10, func() { sig.Fire(e) })
-	e.Run()
+	e.RunUntil(Never)
 	if woke != 4 {
 		t.Fatalf("%d waiters woke, want 4", woke)
 	}
@@ -112,14 +112,14 @@ func TestSignalWaitingCount(t *testing.T) {
 	var sig Signal
 	e.Spawn("w", func(p *Proc) { p.WaitSignal(&sig) })
 	e.At(5, func() {
-		if sig.Waiting() != 1 {
-			t.Errorf("Waiting() = %d, want 1", sig.Waiting())
+		if len(sig.waiters) != 1 {
+			t.Errorf("Waiting() = %d, want 1", len(sig.waiters))
 		}
 		sig.Fire(e)
 	})
-	e.Run()
-	if sig.Waiting() != 0 {
-		t.Fatalf("Waiting() = %d after fire", sig.Waiting())
+	e.RunUntil(Never)
+	if len(sig.waiters) != 0 {
+		t.Fatalf("Waiting() = %d after fire", len(sig.waiters))
 	}
 }
 
@@ -135,7 +135,7 @@ func TestMailboxDeliversFIFO(t *testing.T) {
 	e.At(10, func() { m.Send(e, 1) })
 	e.At(20, func() { m.Send(e, 2) })
 	e.At(30, func() { m.Send(e, 3) })
-	e.Run()
+	e.RunUntil(Never)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("got %v", got)
 	}
@@ -146,15 +146,15 @@ func TestMailboxBuffersBeforeReceiver(t *testing.T) {
 	var m Mailbox
 	m.Send(e, 7)
 	m.Send(e, 8)
-	if m.Len() != 2 {
-		t.Fatalf("Len = %d", m.Len())
+	if len(m.items) != 2 {
+		t.Fatalf("%d items queued, want 2", len(m.items))
 	}
 	var got []int
 	e.Spawn("late", func(p *Proc) {
 		got = append(got, p.Recv(&m).(int))
 		got = append(got, p.Recv(&m).(int))
 	})
-	e.Run()
+	e.RunUntil(Never)
 	if len(got) != 2 || got[0] != 7 || got[1] != 8 {
 		t.Fatalf("got %v", got)
 	}
@@ -181,7 +181,7 @@ func TestProcPingPong(t *testing.T) {
 			times = append(times, p.Now())
 		}
 	})
-	e.Run()
+	e.RunUntil(Never)
 	if len(results) != 3 || results[0] != 10 || results[1] != 20 || results[2] != 30 {
 		t.Fatalf("results %v", results)
 	}
@@ -200,7 +200,7 @@ func TestEngineDrainKillsProcs(t *testing.T) {
 	})
 	e.RunUntil(10)
 	e.Drain()
-	e.Run()
+	e.RunUntil(Never)
 	if reached {
 		t.Fatal("drained process continued")
 	}
@@ -216,7 +216,7 @@ func TestEngineDrainWaitsForExits(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		parked = append(parked, e.Spawn("parked", func(p *Proc) { p.WaitSignal(&sig) }))
 	}
-	e.Run()
+	e.RunUntil(Never)
 	if got := runtime.NumGoroutine(); got != before+8 {
 		t.Fatalf("%d goroutines with 8 parked processes, want %d", got, before+8)
 	}
@@ -226,14 +226,14 @@ func TestEngineDrainWaitsForExits(t *testing.T) {
 		t.Fatalf("%d goroutines right after Drain, want %d", got, before)
 	}
 	for _, p := range append(parked, unstarted) {
-		if !p.Done() {
+		if !p.done {
 			t.Fatalf("process %q not done after Drain", p.Name())
 		}
 	}
 	if len(e.procs) != 0 {
 		t.Fatalf("%d processes still live", len(e.procs))
 	}
-	e.Run()
+	e.RunUntil(Never)
 }
 
 func TestProcName(t *testing.T) {
@@ -245,5 +245,5 @@ func TestProcName(t *testing.T) {
 	if p.Engine() != e {
 		t.Fatal("Engine() mismatch")
 	}
-	e.Run()
+	e.RunUntil(Never)
 }

@@ -6,11 +6,9 @@ import (
 	"testing"
 )
 
-// refHeap is the binary heap the calendar queue replaced, kept here as the
-// reference model for the equivalence property: a container/heap ordered by
-// (at, seq), exactly as internal/sim/engine.go had it before the calendar
-// queue landed.
-type refHeap []*Event
+// refHeap is the reference model for the event queue's ordering contract:
+// a container/heap ordered by (at, seq).
+type refHeap []*event
 
 func (h refHeap) Len() int { return len(h) }
 func (h refHeap) Less(i, j int) bool {
@@ -20,7 +18,7 @@ func (h refHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)   { *h = append(*h, x.(*Event)) }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -30,48 +28,42 @@ func (h *refHeap) Pop() any {
 	return ev
 }
 
-// TestCalQueueMatchesBinaryHeap drives the calendar queue and the retired
-// binary heap through identical random workloads — pushes at random future
-// times, same-timestamp bursts, cancellations, interleaved pops — and
-// requires byte-for-byte identical pop sequences. Pops respect the engine
-// invariant that nothing is ever scheduled before the last popped timestamp.
+// TestCalQueueMatchesBinaryHeap (named for the calendar queue the event
+// queue replaced) drives the event queue and the container/heap reference
+// through identical random workloads (pushes at random future times,
+// same-timestamp bursts, far-future outliers, interleaved pops) and
+// requires identical pop sequences. Pops respect the engine invariant that
+// nothing is ever scheduled before the last popped timestamp.
 func TestCalQueueMatchesBinaryHeap(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 42, 0xdead} {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := NewRNG(seed)
-			var q calQueue
-			q.init()
+			var q eventQueue
 			var ref refHeap
-			var live []*Event // events pushed and not yet popped, for Cancel
 			var seq uint64
 			now := Time(0)
 
 			push := func(at Time) {
-				ev := &Event{at: at, seq: seq}
+				q.push(&event{at: at, seq: seq})
+				// The reference holds its own event so the heap's
+				// bookkeeping cannot alias the queue's.
+				heap.Push(&ref, &event{at: at, seq: seq})
 				seq++
-				q.push(ev)
-				// The reference holds its own Event so the heap's
-				// bookkeeping cannot alias the calendar queue's.
-				heap.Push(&ref, &Event{at: at, seq: ev.seq, dead: false})
-				live = append(live, ev)
 			}
 			popBoth := func() {
 				got := q.pop()
-				var want *Event
+				var want *event
 				if ref.Len() > 0 {
-					want = heap.Pop(&ref).(*Event)
+					want = heap.Pop(&ref).(*event)
 				}
 				switch {
 				case got == nil && want == nil:
 					return
 				case got == nil || want == nil:
-					t.Fatalf("pop mismatch: calqueue=%v heap=%v", got, want)
+					t.Fatalf("pop mismatch: queue=%v heap=%v", got, want)
 				case got.at != want.at || got.seq != want.seq:
-					t.Fatalf("pop order diverged: calqueue (at=%d seq=%d) vs heap (at=%d seq=%d)",
+					t.Fatalf("pop order diverged: queue (at=%d seq=%d) vs heap (at=%d seq=%d)",
 						got.at, got.seq, want.at, want.seq)
-				case got.dead != want.dead:
-					t.Fatalf("cancel state diverged at seq %d", got.seq)
 				}
 				now = got.at
 			}
@@ -85,27 +77,14 @@ func TestCalQueueMatchesBinaryHeap(t *testing.T) {
 					for i := 0; i < 1+rng.Intn(8); i++ {
 						push(at)
 					}
-				case r < 70: // far-future outlier (stresses bucket wrap)
-					push(now + Time(1+rng.Int63n(int64(50*Second))))
-				case r < 80: // cancel a random live event in both structures
-					if len(live) > 0 {
-						i := rng.Intn(len(live))
-						victim := live[i]
-						victim.dead = true
-						for j := range ref {
-							if ref[j].seq == victim.seq {
-								ref[j].dead = true
-								break
-							}
-						}
-						live = append(live[:i], live[i+1:]...)
-					}
+				case r < 70: // far-future outlier
+					push(now + Time(1+rng.Uint64n(uint64(50*Second))))
 				default:
 					popBoth()
 				}
 			}
 			// Drain: the tails must match too.
-			for q.size > 0 || ref.Len() > 0 {
+			for len(q) > 0 || ref.Len() > 0 {
 				popBoth()
 			}
 		})
@@ -113,14 +92,13 @@ func TestCalQueueMatchesBinaryHeap(t *testing.T) {
 }
 
 // TestCalQueueFIFOBurst pops a large same-timestamp burst in strict
-// insertion order — the tie-break contract the engine's determinism rests
-// on, exercised through bucket resizes.
+// insertion order: the tie-break contract the engine's determinism rests
+// on.
 func TestCalQueueFIFOBurst(t *testing.T) {
-	var q calQueue
-	q.init()
+	var q eventQueue
 	const n = 4096
 	for i := 0; i < n; i++ {
-		q.push(&Event{at: 77, seq: uint64(i)})
+		q.push(&event{at: 77, seq: uint64(i)})
 	}
 	for i := 0; i < n; i++ {
 		ev := q.pop()
@@ -172,12 +150,12 @@ func TestEngineDrainReleasesEventReferences(t *testing.T) {
 		e.After(Duration(i), func() { stale++ })
 	}
 	e.Drain()
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d after Drain", e.Pending())
+	if len(e.events) != 0 {
+		t.Fatalf("%d events pending after Drain", len(e.events))
 	}
 	ran := false
 	e.After(5, func() { ran = true })
-	e.Run()
+	e.RunUntil(Never)
 	if stale != 0 {
 		t.Fatalf("%d drained events ran", stale)
 	}
@@ -186,13 +164,13 @@ func TestEngineDrainReleasesEventReferences(t *testing.T) {
 	}
 }
 
-// BenchmarkCalQueueHold is the calendar queue's layer benchmark, by the
+// BenchmarkEventQueueHold is the event queue's layer benchmark, by the
 // classic hold model: a queue of n pending events where each operation pops
 // the earliest and pushes it back a random distance into the future, with
 // a same-timestamp pair every eighth push. One op is one pop plus one push.
-// The retired binary heap (refHeap) runs the same sequence beside it
-// (/calqueue against /heap).
-func BenchmarkCalQueueHold(b *testing.B) {
+// The container/heap reference (refHeap) runs the same sequence beside it
+// (/queue against /containerheap).
+func BenchmarkEventQueueHold(b *testing.B) {
 	for _, n := range []int{64, 4096} {
 		rng := NewRNG(uint64(n))
 		steps := make([]Time, 1024)
@@ -202,11 +180,10 @@ func BenchmarkCalQueueHold(b *testing.B) {
 				steps[i] = 0
 			}
 		}
-		b.Run(fmt.Sprintf("n=%d/calqueue", n), func(b *testing.B) {
-			var q calQueue
-			q.init()
+		b.Run(fmt.Sprintf("n=%d/queue", n), func(b *testing.B) {
+			var q eventQueue
 			for i := range n {
-				q.push(&Event{at: steps[i%len(steps)], seq: uint64(i)})
+				q.push(&event{at: steps[i%len(steps)], seq: uint64(i)})
 			}
 			seq := uint64(n)
 			b.ReportAllocs()
@@ -220,16 +197,16 @@ func BenchmarkCalQueueHold(b *testing.B) {
 				i++
 			}
 		})
-		b.Run(fmt.Sprintf("n=%d/heap", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d/containerheap", n), func(b *testing.B) {
 			var h refHeap
 			for i := range n {
-				heap.Push(&h, &Event{at: steps[i%len(steps)], seq: uint64(i)})
+				heap.Push(&h, &event{at: steps[i%len(steps)], seq: uint64(i)})
 			}
 			seq := uint64(n)
 			b.ReportAllocs()
 			i := 0
 			for b.Loop() {
-				ev := heap.Pop(&h).(*Event)
+				ev := heap.Pop(&h).(*event)
 				ev.at += steps[i%len(steps)]
 				ev.seq = seq
 				heap.Push(&h, ev)

@@ -53,25 +53,17 @@ func (r *RNG) Split() *RNG {
 // stream-th split a generator seeded with base would hand out, computed in
 // O(1) by evaluating the SplitMix64 output function at that position. It is
 // the sanctioned way to give each element of an indexed family of jobs
-// (repetitions of an experiment, workers of a par.Map) its own independent
-// stream. Unlike naive `base+i` derivation, two families with nearby base
-// seeds share no stream seeds: the full 64-bit mix decorrelates them.
+// (repetitions of an experiment, jobs of a par.MapWidthErr) its own
+// independent stream. Unlike naive `base+i` derivation, two families with
+// nearby base seeds share no stream seeds: the full 64-bit mix decorrelates
+// them.
 //
-// StreamSeed(base, i) == NewRNG(base).SplitN(i+1)[i] seed for every i.
+// StreamSeed(base, i) is the seed of the (i+1)-th Split of NewRNG(base).
 func StreamSeed(base, stream uint64) uint64 {
 	z := base + (stream+1)*splitMixGamma
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// SplitN returns n independent generators derived from the receiver.
-func (r *RNG) SplitN(n int) []*RNG {
-	out := make([]*RNG, n)
-	for i := range out {
-		out[i] = r.Split()
-	}
-	return out
 }
 
 // Float64 returns a uniform value in [0, 1): the top 53 bits of the next
@@ -107,14 +99,6 @@ func (r *RNG) Intn(n int) int {
 		panic("sim: Intn called with non-positive n")
 	}
 	return int(r.Uint64() % uint64(n))
-}
-
-// Int63n returns a uniform value in [0, n). It panics if n <= 0.
-func (r *RNG) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("sim: Int63n called with non-positive n")
-	}
-	return int64(r.Uint64() % uint64(n))
 }
 
 // Bool returns true with probability p.
@@ -237,23 +221,4 @@ func (r *RNG) PoissonKnuthFrom(u, expNegLambda float64) int {
 		k++
 	}
 	return k
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

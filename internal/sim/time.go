@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Time is a point on the simulation's virtual clock, in nanoseconds since
 // the start of the run. It is deliberately distinct from time.Time: the
@@ -74,14 +71,4 @@ func DurationOf(seconds float64) Duration {
 // nearest nanosecond and clamping at zero.
 func (d Duration) Scale(f float64) Duration {
 	return DurationOf(d.Seconds() * f)
-}
-
-// CheckNonNegative panics if d is negative; models call it at boundaries
-// where a negative duration would indicate a bug rather than a modelling
-// choice.
-func (d Duration) CheckNonNegative(context string) Duration {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative duration %v in %s", d, context))
-	}
-	return d
 }

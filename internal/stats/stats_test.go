@@ -213,8 +213,8 @@ func TestTableRenderAlignment(t *testing.T) {
 	if len(lines[2]) != len(lines[3]) {
 		t.Fatalf("rows not aligned:\n%s", out)
 	}
-	if tb.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Fatalf("%d rows, want 2", len(tb.rows))
 	}
 }
 

@@ -37,9 +37,6 @@ func (t *Table) AddRowf(format string, cells ...any) {
 	t.AddRow(strs...)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Render returns the table as aligned text with a header separator.
 func (t *Table) Render() string {
 	widths := make([]int, len(t.headers))

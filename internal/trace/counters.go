@@ -91,9 +91,6 @@ func (c *Counters) Get(name string) int64 {
 	return c.m[name]
 }
 
-// GetKey returns an interned counter's value.
-func (c *Counters) GetKey(k Key) int64 { return c.keys[k] }
-
 // Len returns the number of distinct counters.
 func (c *Counters) Len() int {
 	n := len(c.m)

@@ -66,9 +66,6 @@ func (e *Events) Emit(ev Event) {
 // Len returns the number of retained events.
 func (e *Events) Len() int { return len(e.buf) }
 
-// Cap returns the ring's capacity.
-func (e *Events) Cap() int { return e.cap }
-
 // Dropped returns the number of evicted events.
 func (e *Events) Dropped() int64 { return e.dropped }
 

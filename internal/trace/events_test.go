@@ -10,8 +10,8 @@ import (
 // reports the total.
 func TestRingDroppedAccounting(t *testing.T) {
 	e := NewEvents(4)
-	if e.Cap() != 4 {
-		t.Fatalf("Cap() = %d, want 4", e.Cap())
+	if e.cap != 4 {
+		t.Fatalf("cap = %d, want 4", e.cap)
 	}
 	for i := range 4 {
 		e.Emit(Event{Name: "n", Cat: "c", Ph: PhInstant, TS: int64(i)})

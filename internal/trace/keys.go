@@ -155,11 +155,3 @@ var keyByName = func() map[string]Key {
 	}
 	return m
 }()
-
-// String returns the canonical dotted counter name.
-func (k Key) String() string {
-	if k < 0 || k >= numKeys {
-		return "trace.Key(invalid)"
-	}
-	return keyNames[k]
-}

@@ -81,25 +81,9 @@ func (s *Sink) Counters() *Counters {
 	return s.counters
 }
 
-// Events returns the events backend (nil when absent).
-func (s *Sink) Events() *Events {
-	if s == nil {
-		return nil
-	}
-	return s.events
-}
-
 // Observing reports whether a metrics observer is attached. Hot loops may
 // hoist this into a local to skip per-iteration work.
 func (s *Sink) Observing() bool { return s != nil && s.obs != nil }
-
-// Observer returns the attached observer (nil when absent).
-func (s *Sink) Observer() Observer {
-	if s == nil {
-		return nil
-	}
-	return s.obs
-}
 
 // Count adds delta to the named counter.
 func (s *Sink) Count(name string, delta int64) {
@@ -107,14 +91,6 @@ func (s *Sink) Count(name string, delta int64) {
 		return
 	}
 	s.counters.Add(name, delta)
-}
-
-// CountMax raises the named counter to v if v is larger (peak accounting).
-func (s *Sink) CountMax(name string, v int64) {
-	if s == nil || s.counters == nil {
-		return
-	}
-	s.counters.Max(name, v)
 }
 
 // CountKey adds delta to an interned counter — the hot-path form of Count:

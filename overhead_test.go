@@ -179,7 +179,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 			if res.Jobs != cfg.Jobs {
 				b.Fatalf("run lost jobs: %d of %d", res.Jobs, cfg.Jobs)
 			}
-			if on && (cfg.Observe.Timeline.Open() != 0 || cfg.Observe.Decisions.Len() != cfg.Jobs) {
+			if on && (cfg.Observe.Timeline.Open() != 0 || len(cfg.Observe.Decisions.Decisions()) != cfg.Jobs) {
 				b.Fatal("observed run produced incomplete artifacts")
 			}
 		}
