@@ -115,6 +115,9 @@ func main() {
 	}
 
 	if *compare {
+		// The legs share one node image store: each image is prepared
+		// once for the whole comparison.
+		cfg.Images = fleet.NewImages()
 		results := make([]*fleet.Result, 0, len(fleet.PolicyNames()))
 		for _, name := range fleet.PolicyNames() {
 			pol, err := fleet.ParsePolicy(name+schedSuffix, cfg.Seed, cfg.Workers, cfg.Interference)

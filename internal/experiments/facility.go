@@ -39,7 +39,9 @@ type FacilityComparison struct {
 // capacity (the full facility has 4x the quick slot count, so arrivals come
 // 4x as fast) to keep the offered load — and with it a real queue, so the
 // wait quantiles and backfill counts measure something — comparable across
-// the two scales. The policy is filled per comparison leg.
+// the two scales. Every leg copied from the config shares its node image
+// store (Images), so the five legs and the specialize calibration prepare
+// each node image once. The policy is filled per comparison leg.
 func FacilityConfig(cfg Config) fleet.Config {
 	fc := fleet.Config{
 		Nodes:       256,
@@ -50,6 +52,7 @@ func FacilityConfig(cfg Config) fleet.Config {
 		Share:       2,
 		ArrivalMean: fleet.DefaultArrivalMean / 4,
 		Counters:    cfg.Counters,
+		Images:      fleet.NewImages(),
 	}
 	if cfg.Quick {
 		fc.Nodes = 64

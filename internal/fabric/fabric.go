@@ -57,31 +57,6 @@ func UserSpaceFabric() *Spec {
 	return s
 }
 
-// Hops estimates the switch hops between two distinct nodes of a
-// totalNodes-node fat tree: nodes under the same edge switch are 1 hop
-// apart; within the same pod 3; across pods 5. A node talking to itself is
-// 0 hops (intra-node transport is the MPI layer's business).
-func (s *Spec) Hops(a, b, totalNodes int) int {
-	if a == b {
-		return 0
-	}
-	perEdge := s.SwitchRadix / 2
-	if perEdge < 1 {
-		perEdge = 1
-	}
-	if a/perEdge == b/perEdge {
-		return 1
-	}
-	perPod := perEdge * s.SwitchRadix / 2
-	if perPod < 1 {
-		perPod = 1
-	}
-	if a/perPod == b/perPod || totalNodes <= perPod {
-		return 3
-	}
-	return 5
-}
-
 // MaxHops returns the hop count diameter at a given system size.
 func (s *Spec) MaxHops(totalNodes int) int {
 	perEdge := s.SwitchRadix / 2
@@ -111,13 +86,4 @@ func (s *Spec) PointToPoint(bytes int64, hops int) sim.Duration {
 	alpha := s.BaseLatency + sim.Duration(hops-1)*s.PerHopLatency
 	beta := sim.DurationOf(float64(bytes) / (s.InjectionBandwidth * math.Exp2(30)))
 	return alpha + beta
-}
-
-// SyscallsFor returns the expected kernel crossings for sending the given
-// number of messages.
-func (s *Spec) SyscallsFor(messages int) float64 {
-	if messages <= 0 {
-		return 0
-	}
-	return float64(messages) * s.SyscallsPerMessage
 }

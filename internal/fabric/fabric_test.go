@@ -7,37 +7,6 @@ import (
 	"mklite/internal/sim"
 )
 
-func TestHopsSelf(t *testing.T) {
-	s := OmniPath()
-	if s.Hops(5, 5, 2048) != 0 {
-		t.Fatal("self hops != 0")
-	}
-}
-
-func TestHopsSameEdgeSwitch(t *testing.T) {
-	s := OmniPath()
-	// Radix 48 -> 24 nodes per edge switch.
-	if h := s.Hops(0, 23, 2048); h != 1 {
-		t.Fatalf("same-switch hops = %d", h)
-	}
-	if h := s.Hops(0, 24, 2048); h <= 1 {
-		t.Fatalf("cross-switch hops = %d", h)
-	}
-}
-
-func TestHopsMonotoneWithDistance(t *testing.T) {
-	s := OmniPath()
-	near := s.Hops(0, 1, 2048)
-	mid := s.Hops(0, 100, 2048)
-	far := s.Hops(0, 2000, 2048)
-	if !(near <= mid && mid <= far) {
-		t.Fatalf("hops not monotone: %d %d %d", near, mid, far)
-	}
-	if far != 5 {
-		t.Fatalf("cross-pod hops = %d, want 5", far)
-	}
-}
-
 func TestMaxHops(t *testing.T) {
 	s := OmniPath()
 	cases := []struct {
@@ -84,20 +53,6 @@ func TestPointToPointNegativePanics(t *testing.T) {
 		}
 	}()
 	OmniPath().PointToPoint(-1, 1)
-}
-
-func TestSyscallsFor(t *testing.T) {
-	op := OmniPath()
-	if op.SyscallsFor(0) != 0 || op.SyscallsFor(-3) != 0 {
-		t.Fatal("non-positive message count")
-	}
-	if op.SyscallsFor(100) != 100*op.SyscallsPerMessage {
-		t.Fatal("syscall count")
-	}
-	us := UserSpaceFabric()
-	if us.SyscallsFor(1000) != 0 {
-		t.Fatal("user-space fabric should not require syscalls")
-	}
 }
 
 func TestUserSpaceFabricOtherwiseIdentical(t *testing.T) {

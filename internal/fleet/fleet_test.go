@@ -338,22 +338,27 @@ func TestPolicies(t *testing.T) {
 	}
 }
 
-// TestSpecializeCalibration: the calibration table is deterministic across
+// TestSpecializeCalibration: the calibration table, measured on the
+// policy's first run (calibrate, as Run calls it), is deterministic across
 // widths, covers every registry app, and mostly prefers the LWKs (the
 // paper's headline result at small scale with no interference is that LWKs
 // win or tie).
 func TestSpecializeCalibration(t *testing.T) {
-	p1, err := Specialize(11, 1, nil)
-	if err != nil {
-		t.Fatal(err)
+	var tables []map[string]kernel.Type
+	for _, w := range []int{1, 0} {
+		p, err := Specialize(11, w, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := p.(*specializePolicy)
+		if err := sp.calibrate(NewImages(), false, DefaultMaxTimesteps); err != nil {
+			t.Fatal(err)
+		}
+		tables = append(tables, sp.table)
 	}
-	p0, err := Specialize(11, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1, t0 := p1.(*specializePolicy).table, p0.(*specializePolicy).table
-	if len(t1) == 0 {
-		t.Fatal("empty calibration table")
+	t1, t0 := tables[0], tables[1]
+	if len(t1) != len(apps.All()) {
+		t.Fatalf("calibration table covers %d of %d apps: %v", len(t1), len(apps.All()), t1)
 	}
 	if !maps.Equal(t1, t0) {
 		t.Fatalf("calibration differs between widths: %v vs %v", t1, t0)

@@ -122,7 +122,9 @@ func observedRun(t *testing.T, cfg Config, width int) (res *Result, resB, tlB, d
 // FuzzFacility drives small facilities over random shapes — size, share,
 // backfill depth, arrival rate, timestep budgets and policy with an
 // optional scheduler suffix — and checks the schedule's invariants plus
-// byte-identity of every artifact across pipeline widths 1, 2 and 4.
+// byte-identity of every artifact across pipeline widths 1, 2 and 4, on a
+// store of the run's own and on an Images store a run of the next policy
+// already warmed.
 func FuzzFacility(f *testing.F) {
 	f.Add(uint64(1), uint8(12), uint8(1), uint8(2), uint16(5), uint8(2), uint8(4), uint8(3), uint8(0), true)
 	f.Add(uint64(7), uint8(4), uint8(2), uint8(0), uint16(1), uint8(0), uint8(7), uint8(4), uint8(2), true)
@@ -166,6 +168,27 @@ func FuzzFacility(f *testing.F) {
 			}
 			if !bytes.Equal(dlB, dB) {
 				t.Fatalf("%s: decision log differs between widths 1 and %d", name, w)
+			}
+		}
+
+		// The same config, under a policy of its own, on a store that a
+		// run of another policy warmed: every artifact as on a fresh store.
+		warm := cfg
+		warm.Images = NewImages()
+		if warm.Policy, err = ParsePolicy(names[(int(policy)+1)%len(names)], seed, 1, cfg.normalize().Interference); err != nil {
+			t.Fatal(err)
+		}
+		observedRun(t, warm, 1)
+		shared := cfg
+		shared.Images = warm.Images
+		if shared.Policy, err = ParsePolicy(name, seed, 1, cfg.normalize().Interference); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 2, 4} {
+			_, rB, tB, dB, _ := observedRun(t, shared, w)
+			if !bytes.Equal(resB, rB) || !bytes.Equal(tlB, tB) || !bytes.Equal(dlB, dB) {
+				t.Fatalf("%s at width %d on a store a %s run warmed: result %t, timeline %t, decision log %t equal to a fresh store's",
+					name, w, warm.Policy.Name(), bytes.Equal(resB, rB), bytes.Equal(tlB, tB), bytes.Equal(dlB, dB))
 			}
 		}
 	})

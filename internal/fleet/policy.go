@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"strings"
+	"sync"
 
 	"mklite/internal/apps"
 	"mklite/internal/cluster"
@@ -27,8 +29,8 @@ type Choice struct {
 // facility can boot Linux, McKernel or mOS per job with any sched.Kind, and
 // the policy decides both. Implementations must be deterministic pure
 // functions of the job (plus any state computed deterministically at
-// construction); Select is called from the scheduler's single-goroutine
-// event loop, never concurrently.
+// construction or on its first run); Select is called from the scheduler's
+// single-goroutine event loop, never concurrently.
 type KernelPolicy interface {
 	// Name identifies the policy in results and reports.
 	Name() string
@@ -107,14 +109,42 @@ func (heuristicPolicy) Select(j *Job) Choice {
 	return Choice{Kernel: kernel.TypeMcKernel}
 }
 
-// specializePolicy is the MultiK-style measured policy: at construction it
-// calibrates every application on every kernel — one short cluster run per
-// (app, kernel) cell, under the facility's interference template so the
-// choice reflects the environment jobs will actually land in — and
-// specializes each app to the kernel that won its cell. Selection is then a
-// pure table lookup.
+// calibrator is a policy whose state is measured on its first run, on
+// that run's node images: the scheduler calls calibrate before the run's
+// first Select, with the run's store, whether its images count and the
+// timestep budget they are prepared for.
+type calibrator interface {
+	calibrate(imgs *Images, counting bool, budget int) error
+}
+
+func (p schedOverride) calibrate(imgs *Images, counting bool, budget int) error {
+	if c, ok := p.base.(calibrator); ok {
+		return c.calibrate(imgs, counting, budget)
+	}
+	return nil
+}
+
+// specializePolicy is the MultiK-style measured policy: on its first run
+// it calibrates every application on every kernel — one short cluster run
+// per (app, kernel) cell, under the interference template Specialize was
+// given, at co-tenancy 1 — and specializes each app to the kernel that won
+// its cell. Selection is then a pure table lookup. The template is the
+// caller's, not the run's: the comparisons pass Config.Interference before
+// Run normalises it, so without an explicit template they calibrate on
+// quiet nodes even though their Share-2 jobs land under
+// DefaultInterference. The cells run as views of the first run's node
+// images (calibrationFOMs), so they share their setup with its jobs.
 type specializePolicy struct {
+	// cells are the calibration grid's jobs in cell order
+	// (calibrationJobs), and tmpl the template their plans come from.
+	cells []cluster.Job
+	tmpl  *fault.Plan
+	// workers is the calibration's fan-out width.
+	workers int
+
+	once  sync.Once
 	table map[string]kernel.Type
+	err   error
 }
 
 // calibrationTimesteps is the per-cell budget of the specialize
@@ -123,54 +153,99 @@ type specializePolicy struct {
 // of facility jobs.
 const calibrationTimesteps = 12
 
-// Specialize calibrates and returns the per-app specialization policy. The
-// calibration grid (every registry app x every kernel) fans out through
-// internal/par at the given width; results are byte-identical at any
-// width because each cell derives its seed from (seed, cell index) and the
-// argmax is taken after the join, in cell order. interference is the
-// facility's co-tenancy template (nil = calibrate on quiet nodes);
-// calibration applies it at co-tenancy 1.
+// Specialize returns the per-app specialization policy, which calibrates
+// on its first run. The calibration grid (every registry app x every
+// kernel) fans out through internal/par at the given width; results are
+// byte-identical at any width because each cell derives its seed from
+// (seed, cell index) and the argmax is taken after the join, in cell
+// order. interference is the co-tenancy template calibration applies at
+// co-tenancy 1 (nil = calibrate on quiet nodes).
 func Specialize(seed uint64, workers int, interference *fault.Plan) (KernelPolicy, error) {
+	if err := interference.Validate(); err != nil {
+		return nil, fmt.Errorf("fleet: specialize: %w", err)
+	}
+	cells, err := calibrationJobs(seed, interference)
+	if err != nil {
+		return nil, err
+	}
+	return &specializePolicy{cells: cells, tmpl: interference, workers: workers}, nil
+}
+
+// calibrationJobs returns the calibration grid's cells in cell order: each
+// registry app, at calibrationTimesteps steps and at its largest evaluated
+// node count up to calibrationNodes, on each kernel with its default
+// scheduler, under interferenceFor(tmpl, 1) and on the cell's own seed.
+func calibrationJobs(seed uint64, tmpl *fault.Plan) ([]cluster.Job, error) {
 	all := apps.All()
 	kts := []kernel.Type{kernel.TypeLinux, kernel.TypeMcKernel, kernel.TypeMOS}
-	plan := interferenceFor(interference, 1)
+	plan := interferenceFor(tmpl, 1)
 	calSeedBase := sim.StreamSeed(seed, StreamCalibrate)
-
-	foms, err := par.MapWidthErr(workers, len(all)*len(kts), func(i int) (float64, error) {
-		app, kt := all[i/len(kts)], kts[i%len(kts)]
+	cells := make([]cluster.Job, 0, len(all)*len(kts))
+	for _, app := range all {
 		spec := *app
 		spec.Timesteps = calibrationTimesteps
 		counts := eligibleNodeCounts(&spec, calibrationNodes)
 		if len(counts) == 0 {
-			return 0, fmt.Errorf("fleet: calibration: %s has no node count <= %d", app.Name, calibrationNodes)
+			return nil, fmt.Errorf("fleet: calibration: %s has no node count <= %d", app.Name, calibrationNodes)
 		}
-		res, err := cluster.Run(cluster.Job{
-			App:    &spec,
-			Kernel: kt,
-			Nodes:  counts[len(counts)-1],
-			Seed:   sim.StreamSeed(calSeedBase, uint64(i)),
-			Faults: plan,
-		})
+		for _, kt := range kts {
+			cells = append(cells, cluster.Job{
+				App:    &spec,
+				Kernel: kt,
+				Nodes:  counts[len(counts)-1],
+				Seed:   sim.StreamSeed(calSeedBase, uint64(len(cells))),
+				Faults: plan,
+			})
+		}
+	}
+	return cells, nil
+}
+
+// calibrationFOMs runs the calibration cells, each as the Steps view of
+// its node image from imgs (keyed with the run's counting and budget), at
+// the given width, and returns their FOMs in cell order.
+func calibrationFOMs(imgs *Images, cells []cluster.Job, tmpl *fault.Plan, workers int, counting bool, budget int) ([]float64, error) {
+	tk := imgs.template(tmpl)
+	images := make([]func() (*cluster.Image, error), len(cells))
+	for i, c := range cells {
+		images[i] = imgs.image(c, tk, 1, counting, budget)
+	}
+	return par.MapWidthErr(workers, len(cells), func(i int) (float64, error) {
+		c := cells[i]
+		img, err := images[i]()
+		if err == nil {
+			img, err = img.Steps(c.App.Timesteps)
+		}
+		var res cluster.Result
+		if err == nil {
+			res, err = img.Run(context.TODO(), c.Seed, nil)
+		}
 		if err != nil {
-			return 0, fmt.Errorf("fleet: calibrating %s on %v: %w", app.Name, kt, err)
+			return 0, fmt.Errorf("fleet: calibrating %s on %v: %w", c.App.Name, c.Kernel, err)
 		}
 		return res.FOM, nil
 	})
-	if err != nil {
-		return nil, err
-	}
+}
 
-	table := make(map[string]kernel.Type, len(all))
-	for ai, app := range all {
-		best, bestFOM := kts[0], foms[ai*len(kts)]
-		for ki := 1; ki < len(kts); ki++ {
-			if f := foms[ai*len(kts)+ki]; f > bestFOM {
-				best, bestFOM = kts[ki], f
+// calibrate measures the calibration grid on the first call and builds the
+// table; later calls, from any run, return the first call's error.
+func (p *specializePolicy) calibrate(imgs *Images, counting bool, budget int) error {
+	p.once.Do(func() {
+		foms, err := calibrationFOMs(imgs, p.cells, p.tmpl, p.workers, counting, budget)
+		if err != nil {
+			p.err = err
+			return
+		}
+		table := make(map[string]kernel.Type)
+		best := make(map[string]float64)
+		for i, c := range p.cells {
+			if f, seen := best[c.App.Name]; !seen || foms[i] > f {
+				best[c.App.Name], table[c.App.Name] = foms[i], c.Kernel
 			}
 		}
-		table[app.Name] = best
-	}
-	return &specializePolicy{table: table}, nil
+		p.table = table
+	})
+	return p.err
 }
 
 // calibrationNodes caps the calibration cell's node count: the largest
@@ -181,6 +256,9 @@ const calibrationNodes = 16
 func (p *specializePolicy) Name() string { return "specialize" }
 
 func (p *specializePolicy) Select(j *Job) Choice {
+	if p.table == nil {
+		panic("fleet: specialize policy selected before a run calibrated it")
+	}
 	if k, ok := p.table[j.App.Name]; ok {
 		return Choice{Kernel: k}
 	}
@@ -196,8 +274,8 @@ func PolicyNames() []string {
 
 // ParsePolicy resolves a policy name, optionally suffixed ":<sched>" to pin
 // every job's scheduler (any sched.Kinds spelling). "specialize" runs its
-// calibration grid, so it needs the facility seed, fan-out width and
-// interference template; the other policies ignore them.
+// calibration grid on its first run, so it needs the facility seed,
+// fan-out width and interference template; the other policies ignore them.
 func ParsePolicy(name string, seed uint64, workers int, interference *fault.Plan) (KernelPolicy, error) {
 	base, schedSuffix, hasSched := strings.Cut(name, ":")
 	var kind sched.Kind

@@ -6,14 +6,11 @@ import (
 	"maps"
 	"slices"
 	"strconv"
-	"sync"
 
 	"mklite/internal/cluster"
-	"mklite/internal/kernel"
 	"mklite/internal/metrics"
 	"mklite/internal/obs"
 	"mklite/internal/par"
-	"mklite/internal/sched"
 	"mklite/internal/sim"
 	"mklite/internal/trace"
 )
@@ -39,16 +36,14 @@ type Scheduler struct {
 	// order (every one is also in running).
 	pipe    *par.Pipe[runOut]
 	pending []*runningJob
-	// layouts holds, per job shape with its node count left out, one
-	// prepared node image per node layout launched so far, and images one
-	// view of them per job shape; each is built once, by the first job
-	// that needs it (see image).
-	layouts map[shape][]layoutImage
-	images  map[shape]func() (*cluster.Image, error)
-	// tables is the context the images are prepared under: it carries
-	// the run's noise table store (cluster.ShareTables), which dies with
-	// the Scheduler.
-	tables context.Context
+	// images is the node image store the run's jobs run on (Config.Images,
+	// or a store of the run's own); tmpl numbers the run's interference
+	// template in it (Images.template), budget is the timestep budget
+	// every image is prepared for and counting whether the jobs count.
+	images   *Images
+	tmpl     int
+	budget   int
+	counting bool
 
 	// busyNodeNs accumulates occupied-nodes x virtual-time, the
 	// utilization numerator (int64 node-nanoseconds).
@@ -125,10 +120,14 @@ func newScheduler(cfg Config) *Scheduler {
 		alloc:      NewAllocator(cfg.Nodes, cfg.Share),
 		reg:        metrics.NewRegistry(),
 		kernelJobs: map[string]int{},
-		layouts:    map[shape][]layoutImage{},
-		images:     map[shape]func() (*cluster.Image, error){},
-		tables:     cluster.ShareTables(context.TODO()),
+		images:     cfg.Images,
+		budget:     max(cfg.MaxTimesteps, calibrationTimesteps),
+		counting:   cfg.Counters || cfg.Observe.JobCountersOn(),
 	}
+	if s.images == nil {
+		s.images = NewImages()
+	}
+	s.tmpl = s.images.template(cfg.Interference)
 	if cfg.Counters {
 		s.counters = trace.NewCounters()
 	}
@@ -156,6 +155,11 @@ func newScheduler(cfg Config) *Scheduler {
 // schedule, never on which results happen to be ready, so the run is
 // byte-identical at any pipeline width.
 func (s *Scheduler) run(stream []*Job) (*Result, error) {
+	if c, ok := s.cfg.Policy.(calibrator); ok {
+		if err := c.calibrate(s.images, s.counting, s.budget); err != nil {
+			return nil, err
+		}
+	}
 	s.pipe = par.NewPipe[runOut](s.cfg.Workers)
 	defer s.pipe.Close()
 
@@ -257,77 +261,12 @@ type runOut struct {
 	events   *trace.Events
 }
 
-// shape is what a job's node image depends on: everything of its launch
-// spec but its seed and its timestep budget. The co-tenancy stands for
-// the interference plan, which is a function of it.
-type shape struct {
-	app       string
-	kernel    kernel.Type
-	sched     sched.Kind
-	nodes     int
-	cotenancy int
-}
-
-// layoutImage is one prepared node layout of a shape family (the shapes
-// that differ only in their node count): the node count the image was
-// prepared at, and the function that prepares it once.
-type layoutImage struct {
-	nodes int
-	image func() (*cluster.Image, error)
-}
-
-// image returns the node image of l's shape as a function that builds it on
-// its first call and returns the same image, or error, on every call; jobs
-// of one shape share it. Shapes whose node counts lay out the same node
-// (cluster.SameLayout) share one prepared image, and each shape runs the
-// view of it at its own node count (cluster.Image.Nodes). The image is
-// prepared for the facility's longest timestep budget and counts when
-// counting is set, so it serves every job of the shape
-// (cluster.Image.Steps). A job closure makes the first call: the pipeline
-// starts jobs in launch order, so the first job of a layout prepares its
-// image, at its own node count, while the later ones wait for it. Which
-// node count that is follows from the launch order alone, preparing draws
-// nothing, and a view equals an image prepared at its node count, so which
-// job prepares cannot reach the outputs. The images die with the Scheduler.
-func (s *Scheduler) image(l *launch, counting bool) func() (*cluster.Image, error) {
-	key := shape{app: l.job.App.Name, kernel: l.kernel, sched: l.sched,
-		nodes: l.job.Nodes, cotenancy: l.cotenancy}
-	if view, ok := s.images[key]; ok {
-		return view
-	}
-	family := key
-	family.nodes = 0
-	layouts := s.layouts[family]
-	i := slices.IndexFunc(layouts, func(li layoutImage) bool {
-		return cluster.SameLayout(l.job.App, li.nodes, key.nodes)
-	})
-	var view func() (*cluster.Image, error)
-	if i < 0 {
-		j := l.runJob(nil)
-		app := *j.App
-		app.Timesteps = s.cfg.MaxTimesteps
-		j.App = &app
-		view = sync.OnceValues(func() (*cluster.Image, error) {
-			var c *trace.Counters
-			if counting {
-				c = trace.NewCounters()
-			}
-			j.Sink = trace.NewSink(c, nil)
-			return cluster.Prepare(s.tables, j)
-		})
-		s.layouts[family] = append(layouts, layoutImage{nodes: key.nodes, image: view})
-	} else {
-		prep, n := layouts[i].image, key.nodes
-		view = sync.OnceValues(func() (*cluster.Image, error) {
-			img, err := prep()
-			if err != nil {
-				return nil, err
-			}
-			return img.Nodes(n)
-		})
-	}
-	s.images[key] = view
-	return view
+// image returns the node image of l's job from the run's store: the
+// function that prepares it on its first call (Images.image). Every job of
+// one shape shares it, and so does every run on the same store whose
+// jobs have the same key.
+func (s *Scheduler) image(l *launch) func() (*cluster.Image, error) {
+	return s.images.image(l.runJob(nil), s.tmpl, l.cotenancy, s.counting, s.budget)
 }
 
 // execute runs one launched job on its shape's image. It reads only the
@@ -366,10 +305,10 @@ func execute(l *launch, image func() (*cluster.Image, error), counting, eventing
 // launch order whenever the ring arrives. The job closure captures only
 // the launch spec and plain flags, never the Scheduler or the obs backends.
 func (s *Scheduler) launch(l *launch) {
-	counting := s.cfg.Counters || s.cfg.Observe.JobCountersOn()
+	counting := s.counting
 	eventing := s.cfg.Observe.JobEventsOn()
 	ringCap := s.cfg.Observe.JobEventRingCap()
-	image := s.image(l, counting)
+	image := s.image(l)
 	fut := s.pipe.Submit(func() (runOut, error) {
 		return execute(l, image, counting, eventing, ringCap)
 	})

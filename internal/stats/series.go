@@ -74,15 +74,6 @@ func (s *Series) RelativeTo(base *Series) *Series {
 	return out
 }
 
-// Medians returns the median values in node-count order.
-func (s *Series) Medians() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.Median
-	}
-	return out
-}
-
 // Figure is a set of series sharing an X axis, i.e. one plot of the paper.
 type Figure struct {
 	ID     string // e.g. "fig4", "fig5a"

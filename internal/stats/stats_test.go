@@ -150,16 +150,6 @@ func TestSeriesRelativeTo(t *testing.T) {
 	}
 }
 
-func TestSeriesMedians(t *testing.T) {
-	s := &Series{Name: "x"}
-	s.Add(1, Summarize([]float64{5}))
-	s.Add(2, Summarize([]float64{7}))
-	m := s.Medians()
-	if len(m) != 2 || m[0] != 5 || m[1] != 7 {
-		t.Fatalf("Medians = %v", m)
-	}
-}
-
 func TestFigureGetAndRender(t *testing.T) {
 	f := &Figure{ID: "fig0", Title: "test figure"}
 	s := &Series{Name: "Linux", Unit: "zones/s"}

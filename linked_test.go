@@ -87,14 +87,11 @@ var linkExceptions = []struct{ decl, reason string }{
 
 	// Unlinked, and going with their tests in a later change: a change
 	// drops only a few tests at once (ROADMAP item 7).
-	{"internal/fabric.(*Spec).Hops", "goes with fabric:TestHopsSelf, TestHopsSameEdgeSwitch and TestHopsMonotoneWithDistance"},
-	{"internal/fabric.(*Spec).SyscallsFor", "goes with fabric:TestSyscallsFor"},
 	{"internal/kernel.Partition.Validate", "goes with kernel:TestPartitionValidateCatchesOverlap; TestDefaultPartition observes through it"},
 	{"internal/kernel.Partition.AppDomains", "goes with kernel:TestAppDomains"},
 	{"internal/mem.(*AddrSpace).MappedBytes", "goes with mem:TestMappedAndPopulatedBytes; TestReleaseAll observes through it"},
 	{"internal/mem.(*AddrSpace).PopulatedBytes", "goes with mem:TestMappedAndPopulatedBytes; TestReleaseAll observes through it"},
 	{"internal/mem.(*AddrSpace).PageMix", "goes with mem:TestPageMixFractionsSumToOne and TestPageMixEmpty; TestMapUsesLargePages observes through it"},
-	{"internal/stats.(*Series).Medians", "goes with stats:TestSeriesMedians"},
 	{"internal/stats.(*Histogram).Percentile", "goes with stats:TestHistogramPercentileAgreesWithSamples and TestHistogramPercentileDegenerate"},
 }
 
