@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"mklite/internal/cliflags"
+	"mklite/internal/cluster"
 	"mklite/internal/fault"
 	"mklite/internal/fleet"
 	"mklite/internal/obs"
@@ -117,7 +118,7 @@ func main() {
 	if *compare {
 		// The legs share one node image store: each image is prepared
 		// once for the whole comparison.
-		cfg.Images = fleet.NewImages()
+		cfg.Images = cluster.NewImages()
 		results := make([]*fleet.Result, 0, len(fleet.PolicyNames()))
 		for _, name := range fleet.PolicyNames() {
 			pol, err := fleet.ParsePolicy(name+schedSuffix, cfg.Seed, cfg.Workers, cfg.Interference)

@@ -51,9 +51,8 @@ type Image struct {
 	// tableFirst holds, for each of prof's max-of-K tables in the order
 	// Tabulate attached them, the first step whose window it is.
 	tableFirst []int
-	// store is the table store the image was prepared under
-	// (ShareTables), or nil; views and degraded completion warm their
-	// profiles in it.
+	// store is the table store of the Images store the image came from,
+	// or nil; views and degraded completion warm their profiles in it.
 	store *noise.Store
 	// plan is what every step takes from the job and the node without a
 	// draw.
@@ -79,9 +78,18 @@ type Image struct {
 // phase to the fixed point. The job's Seed is ignored. Its Sink only says
 // what the image records: the counters setup and the heap phase emit when
 // it counts, their observations when it observes. Prepare emits nothing
-// into it. When ctx carries a table store (ShareTables), the image and its
-// views fit their Ψ grids and build their noise tables in it.
+// into it. The image and its views fit their Ψ grids and build their noise
+// tables for themselves; images that are to share them come from one
+// Images store.
 func Prepare(ctx context.Context, j Job) (*Image, error) {
+	return prepareJob(ctx, j, j.Sink.Counting(), j.Sink.Observing(), nil)
+}
+
+// prepareJob is Prepare for an image that records counters and
+// observations as counting and observing say, its profile warmed in store
+// (nil for a store of its own): it normalizes and validates j, applies its
+// scheduling override and the Linux daemon storm, and prepares the result.
+func prepareJob(ctx context.Context, j Job, counting, observing bool, store *noise.Store) (*Image, error) {
 	j = j.normalized()
 	if j.App == nil {
 		return nil, fmt.Errorf("cluster: job without application")
@@ -115,24 +123,8 @@ func Prepare(ctx context.Context, j Job) (*Image, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("cluster: run cancelled: %w", err)
 	}
-	counting, observing := j.Sink.Counting(), j.Sink.Observing()
 	j.Seed, j.Sink = 0, nil
-	store, _ := ctx.Value(tablesKey{}).(*noise.Store)
 	return prepare(ctx, j, counting, observing, store)
-}
-
-// tablesKey is the context key of the store ShareTables attaches.
-type tablesKey struct{}
-
-// ShareTables returns a context carrying a new noise table store. Every
-// image Prepare makes under it, and every view of those images, shares the
-// store's Ψ grids and max-of-K tables with the others whose noise sources
-// have the same law, so each grid is fitted and each window's table built
-// once per store. A table is a pure function of its sources and window, so
-// sharing cannot change an output. The store lives as long as the context
-// and the images: give each experiment call one and drop it with the call.
-func ShareTables(ctx context.Context) context.Context {
-	return context.WithValue(ctx, tablesKey{}, noise.NewStore())
 }
 
 // withSched returns the job under scheduling policy kind: a per-job
@@ -146,7 +138,7 @@ func (j Job) withSched(kind sched.Kind) Job {
 	return j
 }
 
-// prepare builds the image of a job Prepare has normalized and adjusted,
+// prepare builds the image of a job prepareJob has normalized and adjusted,
 // its profile warmed in store (nil for a store of its own).
 func prepare(ctx context.Context, j Job, counting, observing bool, store *noise.Store) (*Image, error) {
 	k, err := bootKernel(j)

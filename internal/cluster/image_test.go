@@ -156,14 +156,21 @@ func (r imageRun) job(j Job) Job {
 	return j
 }
 
-// imageRuns prepares j once and makes every run against the one image,
-// through the views each run takes, concurrently at par width 4, each run
-// with its own sink for mode. When Prepare fails, every run reports its
-// error and an empty sink.
-func imageRuns(t testing.TB, j Job, mode sinkMode, runs []imageRun) []observed {
+// imageRuns takes j's image from imgs, or prepares it alone when imgs is
+// nil, and makes every run against the one image, through the views each
+// run takes, concurrently at par width 4, each run with its own sink for
+// mode. When the image fails, every run reports its error and an empty
+// sink.
+func imageRuns(t testing.TB, imgs *Images, j Job, mode sinkMode, runs []imageRun) []observed {
 	proto, _ := newModeSink(t, mode)
 	j.Sink = proto
-	img, err := Prepare(context.Background(), j)
+	var img *Image
+	var err error
+	if imgs == nil {
+		img, err = Prepare(context.Background(), j)
+	} else {
+		img, err = imgs.Image(j)
+	}
 	out, _ := par.MapWidthErr(4, len(runs), func(i int) (observed, error) {
 		sink, done := newModeSink(t, mode)
 		if err != nil {
@@ -178,11 +185,12 @@ func imageRuns(t testing.TB, j Job, mode sinkMode, runs []imageRun) []observed {
 	return out
 }
 
-// checkRuns checks each image run against a fresh run of the same seed,
-// step count and policy, and returns the image runs.
-func checkRuns(t testing.TB, j Job, mode sinkMode, runs []imageRun) []observed {
+// checkRuns checks each run of j's image from imgs (nil: prepared alone)
+// against a fresh run of the same seed, step count and policy, and returns
+// the image runs.
+func checkRuns(t testing.TB, imgs *Images, j Job, mode sinkMode, runs []imageRun) []observed {
 	t.Helper()
-	got := imageRuns(t, j, mode, runs)
+	got := imageRuns(t, imgs, j, mode, runs)
 	for i, r := range runs {
 		fj := r.job(j)
 		label := fmt.Sprintf("seed %d, %d steps, %d nodes", r.seed, fj.App.Timesteps, fj.Nodes)
@@ -261,8 +269,15 @@ func mustPlan(t testing.TB, spec string) *fault.Plan {
 // facility storm and the degraded-completion plan on 16, 4 and 2 nodes of
 // one 8-node image (Nodes), composed with Steps and Sched in each of
 // viewOrders, each against a fresh run prepared on that many nodes
-// (checkNodesView compares what the view holds). Under -race it also
-// checks that concurrent runs share the image without a data race.
+// (checkNodesView compares what the view holds). The "store" cells take
+// their images from one Images store instead: Lulesh on every kernel under
+// the facility storm and the degraded-completion plan, with sinks that
+// record nothing, count, and record everything, on 8 nodes and then on 16
+// (one layout: the second cell runs the view of the first's image), each
+// cell with its plan parsed afresh, so that equal plans at distinct
+// pointers share a key; the store must prepare one image per kernel, plan
+// and sink. Under -race it also checks that concurrent runs share the
+// image without a data race.
 func TestImageRunsMatchFresh(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 	allSeeds := func(testing.TB, Job) []imageRun { return seedRuns(seeds...) }
@@ -274,18 +289,20 @@ func TestImageRunsMatchFresh(t *testing.T) {
 		}
 		return runs
 	}
+	check := func(t *testing.T, imgs *Images, j Job, mode sinkMode, runs []imageRun) {
+		for i, o := range checkRuns(t, imgs, j, mode, runs) {
+			if o.err != "" {
+				t.Fatalf("seed %d: %s", runs[i].seed, o.err)
+			}
+		}
+	}
 	cell := 0
 	run := func(name string, j Job, runsOf func(testing.TB, Job) []imageRun) {
 		mode, tracing := sinkMode(cell)%numSinkModes, cell/int(numSinkModes)%2 == 1
 		cell++
 		j.Trace = tracing
 		t.Run(fmt.Sprintf("%s/%v/trace=%v", name, mode, tracing), func(t *testing.T) {
-			runs := runsOf(t, j)
-			for i, o := range checkRuns(t, j, mode, runs) {
-				if o.err != "" {
-					t.Fatalf("seed %d: %s", runs[i].seed, o.err)
-				}
-			}
+			check(t, nil, j, mode, runsOf(t, j))
 		})
 	}
 	imageApps := []*apps.Spec{apps.Lulesh(), apps.MiniFE()}
@@ -347,6 +364,74 @@ func TestImageRunsMatchFresh(t *testing.T) {
 				})
 			}
 		}
+	}
+	store := NewImages()
+	for _, bk := range benchKernels {
+		for _, plan := range []struct{ name, spec string }{{"dense-storm", facilityStormPlan}, {"degraded", imagePlans[2]}} {
+			for _, mode := range []sinkMode{sinkOff, sinkCounters, sinkAll} {
+				for _, n := range []int{8, 16} {
+					j := Job{App: apps.Lulesh(), Kernel: bk.kt, Nodes: n, Faults: mustPlan(t, plan.spec)}
+					t.Run(fmt.Sprintf("store/%s/%s/%s/%v/nodes=%d", j.App.Name, bk.name, plan.name, mode, n), func(t *testing.T) {
+						check(t, store, j, mode, seedRuns(seeds...))
+					})
+				}
+			}
+		}
+	}
+	// One image per kernel, plan and sink (18), each serving both node
+	// counts (36 keys).
+	if prepared, keys := store.Sizes(); prepared != 18 || keys != 36 {
+		t.Fatalf("the store prepared %d images for %d keys, want 18 for 36", prepared, keys)
+	}
+}
+
+// TestImagesSharedConcurrently: workers asking one store, and a fork of
+// it, for the images of overlapping jobs at once — each key twice, on 2, 4
+// and 8 nodes of one Lulesh layout, each job with its plan parsed afresh,
+// with a sink that counts and one that records nothing — share one image
+// per key and one prepared image per layout in each store, and every run
+// equals the run of the job's image prepared alone, counters included. The
+// fork shares the store's noise tables but none of its images. Run it
+// under -race.
+func TestImagesSharedConcurrently(t *testing.T) {
+	type cell struct {
+		j    Job
+		mode sinkMode
+		fork bool
+	}
+	var cells []cell
+	for _, fork := range []bool{false, false, true, true} {
+		for _, bk := range benchKernels {
+			for _, mode := range []sinkMode{sinkOff, sinkCounters} {
+				for _, n := range []int{2, 4, 8} {
+					cells = append(cells, cell{Job{App: apps.Lulesh(), Kernel: bk.kt, Nodes: n,
+						Faults: mustPlan(t, facilityStormPlan)}, mode, fork})
+				}
+			}
+		}
+	}
+	runOn := func(imgs *Images, i int) observed {
+		return imageRuns(t, imgs, cells[i].j, cells[i].mode, seedRuns(uint64(i)))[0]
+	}
+	store := NewImages()
+	fork := store.Fork()
+	got, _ := par.MapWidthErr(4, len(cells), func(i int) (observed, error) {
+		if cells[i].fork {
+			return runOn(fork, i), nil
+		}
+		return runOn(store, i), nil
+	})
+	for i, c := range cells {
+		checkSame(t, fmt.Sprintf("%s on %v, %d nodes, %v, fork %v", c.j.App.Name, c.j.Kernel, c.j.Nodes, c.mode, c.fork),
+			got[i], runOn(nil, i))
+	}
+	for _, imgs := range []*Images{store, fork} {
+		if prepared, keys := imgs.Sizes(); prepared != 6 || keys != 18 {
+			t.Fatalf("a store prepared %d images for %d keys, want 6 for 18", prepared, keys)
+		}
+	}
+	if fork.tables != store.tables {
+		t.Fatal("the fork has a noise table store of its own")
 	}
 }
 
@@ -628,7 +713,7 @@ func FuzzImageMatchesFresh(f *testing.F) {
 			}
 			n = 0
 		}
-		checkRuns(t, j, mode, []imageRun{{seed: seed + 1, sched: k},
+		checkRuns(t, nil, j, mode, []imageRun{{seed: seed + 1, sched: k},
 			{seed: seed, steps: 1 + int(steps)%j.App.Timesteps, sched: k, nodes: n,
 				order: viewOrders[int(nodes)/16%len(viewOrders)]}})
 	})

@@ -10,7 +10,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"mklite/internal/apps"
 	"mklite/internal/cluster"
@@ -106,59 +105,61 @@ func (c Config) nodeCounts(app *apps.Spec) []int {
 // neither, whatever cfg asks for.
 func measure(cfg Config, job cluster.Job) (stats.Summary, error) {
 	cfg.Counters, cfg.Metrics = false, false
-	img, err := prepare(context.TODO(), cfg, job)
+	img, err := cluster.Prepare(context.TODO(), gridJob(cfg, job))
 	if err != nil {
 		return stats.Summary{}, err
 	}
-	sum, _, _, err := measureImage(cfg, img)
+	sum, _, _, err := measureImage(cfg, img, fom)
 	return sum, err
 }
 
 // repResult carries one repetition's observables through the fan-out join.
 type repResult struct {
-	fom      float64
+	value    float64
 	counters *trace.Counters
 	metrics  *metrics.Registry
 }
 
-// prepare prepares job's node image under cfg: cfg's fault plan and
-// scheduling policy where the job sets none of its own, recording what
-// cfg's repetition sinks ask for, and sharing the noise tables of ctx's
-// store (cluster.ShareTables) if it carries one.
-func prepare(ctx context.Context, cfg Config, job cluster.Job) (*cluster.Image, error) {
+// gridJob returns job as a cell of cfg's grid: under cfg's fault plan and
+// scheduling policy where the job sets none of its own, with a sink that
+// asks its image to record what cfg's repetition sinks record.
+func gridJob(cfg Config, job cluster.Job) cluster.Job {
 	if job.Faults == nil {
 		job.Faults = cfg.Faults
 	}
 	if job.Sched == "" {
 		job.Sched = cfg.Sched
 	}
-	// The prepared job's sink only tells the image what to record.
 	job.Sink, _, _ = repSink(cfg)
-	return cluster.Prepare(ctx, job)
+	return job
 }
 
+// fom is the value a figure summarises: a run's figure of merit.
+func fom(res cluster.Result) float64 { return res.FOM }
+
 // measureImage runs img Reps times — in parallel, each repetition on its
-// own stream seed — and summarises the FOMs, with optional mechanism
-// counters: with cfg.Counters set, every repetition runs with its own trace
-// sink (created inside the worker closure — sinks must never cross par
-// workers) and the per-rep counter sets are merged in index order after
-// the join, keeping the aggregate independent of scheduling.
+// own stream seed — and summarises value of each repetition's Result, with
+// optional mechanism counters: with cfg.Counters set, every repetition
+// runs with its own trace sink (created inside the worker closure — sinks
+// must never cross par workers) and the per-rep counter sets are merged in
+// index order after the join, keeping the aggregate independent of
+// scheduling.
 //
 // The repetitions differ only in their seed, and nothing seed-free depends
 // on it, so every repetition runs against the one read-only image.
-func measureImage(cfg Config, img *cluster.Image) (stats.Summary, *trace.Counters, *metrics.Registry, error) {
+func measureImage(cfg Config, img *cluster.Image, value func(cluster.Result) float64) (stats.Summary, *trace.Counters, *metrics.Registry, error) {
 	reps, err := par.MapWidthErr(cfg.Workers, cfg.Reps, func(rep int) (repResult, error) {
 		sink, ctrs, reg := repSink(cfg)
 		res, err := img.Run(context.TODO(), sim.StreamSeed(cfg.Seed, uint64(rep)), sink)
 		if err != nil {
 			return repResult{}, err
 		}
-		return repResult{fom: res.FOM, counters: ctrs, metrics: reg}, nil
+		return repResult{value: value(res), counters: ctrs, metrics: reg}, nil
 	})
 	if err != nil {
 		return stats.Summary{}, nil, nil, err
 	}
-	foms := make([]float64, len(reps))
+	values := make([]float64, len(reps))
 	var merged *trace.Counters
 	if cfg.Counters {
 		merged = trace.NewCounters()
@@ -168,13 +169,13 @@ func measureImage(cfg Config, img *cluster.Image) (stats.Summary, *trace.Counter
 		mergedReg = metrics.NewRegistry()
 	}
 	for i, r := range reps {
-		foms[i] = r.fom
+		values[i] = r.value
 		if merged != nil {
 			merged.Merge(r.counters)
 		}
 		mergedReg.Merge(r.metrics)
 	}
-	return stats.Summarize(foms), merged, mergedReg, nil
+	return stats.Summarize(values), merged, mergedReg, nil
 }
 
 // repSink builds one repetition's sink and its backends: counters when
@@ -194,21 +195,39 @@ func repSink(cfg Config) (*trace.Sink, *trace.Counters, *metrics.Registry) {
 	return trace.NewSinkObs(ctrs, nil, obs), ctrs, reg
 }
 
+// gridImages returns the node image of every (kernel, node count) cell of
+// app's sweep under cfg from imgs, node-major: cell (ki, ni) is at
+// ni*len(kts)+ki. It asks for every cell in one fan-out, so the distinct
+// node layouts prepare concurrently while the cells of one layout wait for
+// its image and take their views of it. Node-major order puts each
+// kernel's first node count, which opens a layout, before the cells that
+// wait for it, so the kernels' images prepare side by side.
+func gridImages(imgs *cluster.Images, cfg Config, app *apps.Spec, kts []kernel.Type, nodes []int,
+	cellErr func(kernel.Type, int, error) error) ([]*cluster.Image, error) {
+	return par.MapWidthErr(cfg.Workers, len(kts)*len(nodes), func(i int) (*cluster.Image, error) {
+		kt, n := kts[i%len(kts)], nodes[i/len(kts)]
+		img, err := imgs.Image(gridJob(cfg, cluster.Job{App: app, Kernel: kt, Nodes: n}))
+		if err != nil {
+			return nil, cellErr(kt, n, err)
+		}
+		return img, nil
+	})
+}
+
 // appFigure builds the three-kernel figure for one application by fanning
 // the whole (kernel x node-count) grid out through one par.MapWidthErr: each
-// cell measures its node count's view of its kernel's image (layoutImages), so
-// the grid parallelises without any coordination and the series are
-// assembled from the index-ordered results. The images live only as long
-// as the call; they share the noise tables of ctx's store.
-func appFigure(ctx context.Context, cfg Config, app *apps.Spec, id string) (*stats.Figure, error) {
+// cell measures its image from imgs (gridImages), a view of one image per
+// kernel and node layout, so the grid parallelises without any
+// coordination and the series are assembled from the index-ordered
+// results. imgs is the experiment call's store, or Figure 4's fork of it
+// for this application, dropped with the call.
+func appFigure(imgs *cluster.Images, cfg Config, app *apps.Spec, id string) (*stats.Figure, error) {
 	kts := []kernel.Type{kernel.TypeLinux, kernel.TypeMcKernel, kernel.TypeMOS}
 	nodes := cfg.nodeCounts(app)
 	cellErr := func(kt kernel.Type, n int, err error) error {
 		return fmt.Errorf("experiments: %s on %v at %d nodes: %w", app.Name, kt, n, err)
 	}
-	images, err := layoutImages(cfg, app, kts, nodes, func(kt kernel.Type, n int) (*cluster.Image, error) {
-		return prepare(ctx, cfg, cluster.Job{App: app, Kernel: kt, Nodes: n})
-	}, cellErr)
+	images, err := gridImages(imgs, cfg, app, kts, nodes, cellErr)
 	if err != nil {
 		return nil, err
 	}
@@ -218,9 +237,10 @@ func appFigure(ctx context.Context, cfg Config, app *apps.Spec, id string) (*sta
 		metrics  *metrics.Registry
 	}
 	cells, err := par.MapWidthErr(cfg.Workers, len(kts)*len(nodes), func(i int) (cell, error) {
-		sum, ctrs, reg, err := measureImage(cfg, images[i])
+		ki, ni := i/len(nodes), i%len(nodes)
+		sum, ctrs, reg, err := measureImage(cfg, images[ni*len(kts)+ki], fom)
 		if err != nil {
-			return cell{}, cellErr(kts[i/len(nodes)], nodes[i%len(nodes)], err)
+			return cell{}, cellErr(kts[ki], nodes[ni], err)
 		}
 		return cell{sum: sum, counters: ctrs, metrics: reg}, nil
 	})
@@ -252,48 +272,6 @@ func appFigure(ctx context.Context, cfg Config, app *apps.Spec, id string) (*sta
 	return fig, nil
 }
 
-// layoutImages returns the node image of every (kernel, node count) cell of
-// an application's sweep, indexed kernel-major: one image per kernel of kts
-// and node layout of app's node counts nodes (cluster.SameLayout), prepared
-// by prep at the layout's first node count, and each cell's view of its
-// layout's image at the cell's node count (Image.Nodes). The images are
-// prepared concurrently and then the views built concurrently; cellErr
-// wraps a cell's error. The images live as long as the caller holds the
-// views.
-func layoutImages(cfg Config, app *apps.Spec, kts []kernel.Type, nodes []int,
-	prep func(kernel.Type, int) (*cluster.Image, error),
-	cellErr func(kernel.Type, int, error) error) ([]*cluster.Image, error) {
-	// layout[ni] indexes firsts, the node counts that open a layout.
-	layout := make([]int, len(nodes))
-	var firsts []int
-	for ni, n := range nodes {
-		layout[ni] = slices.IndexFunc(firsts, func(fi int) bool { return cluster.SameLayout(app, nodes[fi], n) })
-		if layout[ni] < 0 {
-			layout[ni] = len(firsts)
-			firsts = append(firsts, ni)
-		}
-	}
-	prepared, err := par.MapWidthErr(cfg.Workers, len(kts)*len(firsts), func(i int) (*cluster.Image, error) {
-		kt, n := kts[i/len(firsts)], nodes[firsts[i%len(firsts)]]
-		img, err := prep(kt, n)
-		if err != nil {
-			return nil, cellErr(kt, n, err)
-		}
-		return img, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return par.MapWidthErr(cfg.Workers, len(kts)*len(nodes), func(i int) (*cluster.Image, error) {
-		ki, ni := i/len(nodes), i%len(nodes)
-		img, err := prepared[ki*len(firsts)+layout[ni]].Nodes(nodes[ni])
-		if err != nil {
-			return nil, cellErr(kts[ki], nodes[ni], err)
-		}
-		return img, nil
-	})
-}
-
 // RelativeFigure converts an absolute three-kernel figure into the paper's
 // normalised form: McKernel and mOS medians relative to the Linux median at
 // the same node count, in unit "x Linux" (Figure 4 / Figure 5a
@@ -315,13 +293,16 @@ func RelativeFigure(fig *stats.Figure) *stats.Figure {
 
 // Figure4 reproduces the headline comparison: every application swept over
 // its node counts on all three kernels. The returned figures are absolute;
-// apply RelativeFigure for the paper's normalised presentation.
+// apply RelativeFigure for the paper's normalised presentation. The
+// applications share one store's noise tables, and each takes its images
+// from a fork of it (Images.Fork), so an application's images die with its
+// figure rather than with the call.
 func Figure4(cfg Config) ([]*stats.Figure, error) {
 	cfg = cfg.normalize()
 	all := apps.All()
-	ctx := cluster.ShareTables(context.TODO())
+	imgs := cluster.NewImages()
 	return par.MapWidthErr(cfg.Workers, len(all), func(i int) (*stats.Figure, error) {
-		return appFigure(ctx, cfg, all[i], "fig4-"+all[i].Name)
+		return appFigure(imgs.Fork(), cfg, all[i], "fig4-"+all[i].Name)
 	})
 }
 
@@ -375,7 +356,7 @@ func SummarizeFigure4(figs []*stats.Figure) Figure4Summary {
 // Linux median ("% of Linux median" on the paper's y axis).
 func Figure5a(cfg Config) (*stats.Figure, error) {
 	cfg = cfg.normalize()
-	abs, err := appFigure(cluster.ShareTables(context.TODO()), cfg, apps.CCSQCD(), "fig5a")
+	abs, err := appFigure(cluster.NewImages(), cfg, apps.CCSQCD(), "fig5a")
 	if err != nil {
 		return nil, err
 	}
@@ -397,7 +378,7 @@ func Figure5a(cfg Config) (*stats.Figure, error) {
 // Figure5b reproduces the MiniFE strong-scaling plot (absolute Mflops).
 func Figure5b(cfg Config) (*stats.Figure, error) {
 	cfg = cfg.normalize()
-	fig, err := appFigure(cluster.ShareTables(context.TODO()), cfg, apps.MiniFE(), "fig5b")
+	fig, err := appFigure(cluster.NewImages(), cfg, apps.MiniFE(), "fig5b")
 	if err != nil {
 		return nil, err
 	}
@@ -408,7 +389,7 @@ func Figure5b(cfg Config) (*stats.Figure, error) {
 // Figure6a reproduces the Lulesh 2.0 scaling plot (zones/s).
 func Figure6a(cfg Config) (*stats.Figure, error) {
 	cfg = cfg.normalize()
-	fig, err := appFigure(cluster.ShareTables(context.TODO()), cfg, apps.Lulesh(), "fig6a")
+	fig, err := appFigure(cluster.NewImages(), cfg, apps.Lulesh(), "fig6a")
 	if err != nil {
 		return nil, err
 	}
@@ -419,7 +400,7 @@ func Figure6a(cfg Config) (*stats.Figure, error) {
 // Figure6b reproduces the LAMMPS scaling plot (timesteps/s).
 func Figure6b(cfg Config) (*stats.Figure, error) {
 	cfg = cfg.normalize()
-	fig, err := appFigure(cluster.ShareTables(context.TODO()), cfg, apps.LAMMPS(), "fig6b")
+	fig, err := appFigure(cluster.NewImages(), cfg, apps.LAMMPS(), "fig6b")
 	if err != nil {
 		return nil, err
 	}

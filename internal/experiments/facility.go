@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"mklite/internal/cluster"
 	"mklite/internal/fleet"
 	"mklite/internal/obs"
 	"mklite/internal/stats"
@@ -40,8 +41,8 @@ type FacilityComparison struct {
 // 4x as fast) to keep the offered load — and with it a real queue, so the
 // wait quantiles and backfill counts measure something — comparable across
 // the two scales. Every leg copied from the config shares its node image
-// store (Images), so the five legs and the specialize calibration prepare
-// each node image once. The policy is filled per comparison leg.
+// store (cluster.Images), so the five legs and the specialize calibration
+// prepare each node image once. The policy is filled per comparison leg.
 func FacilityConfig(cfg Config) fleet.Config {
 	fc := fleet.Config{
 		Nodes:       256,
@@ -52,7 +53,7 @@ func FacilityConfig(cfg Config) fleet.Config {
 		Share:       2,
 		ArrivalMean: fleet.DefaultArrivalMean / 4,
 		Counters:    cfg.Counters,
-		Images:      fleet.NewImages(),
+		Images:      cluster.NewImages(),
 	}
 	if cfg.Quick {
 		fc.Nodes = 64

@@ -2,7 +2,7 @@ package experiments
 
 // Fault-plan precedence: a job-level cluster.Job.Faults plan must win over
 // the grid-level Config.Faults plan; the grid plan only fills in when the
-// job carries none. prepare implements this with a nil check on its job
+// job carries none. gridJob implements this with a nil check on its job
 // copy, and docs/FAULTS.md documents the same rule — this test
 // pins the behaviour through the exact straggler accounting
 // (fault.straggler_ns == Extra x Timesteps per repetition on MiniFE, which
@@ -24,11 +24,11 @@ import (
 // its repetitions' merged counters.
 func measureCounters(t *testing.T, cfg Config, job cluster.Job) *trace.Counters {
 	t.Helper()
-	img, err := prepare(context.Background(), cfg, job)
+	img, err := cluster.Prepare(context.Background(), gridJob(cfg, job))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ctrs, _, err := measureImage(cfg, img)
+	_, ctrs, _, err := measureImage(cfg, img, fom)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"mklite/internal/apps"
@@ -9,7 +8,6 @@ import (
 	"mklite/internal/kernel"
 	"mklite/internal/par"
 	"mklite/internal/sched"
-	"mklite/internal/sim"
 	"mklite/internal/stats"
 )
 
@@ -23,32 +21,16 @@ func SchedSweepApps() []*apps.Spec {
 	return []*apps.Spec{apps.MiniFE(), apps.LAMMPS()}
 }
 
-// measureNoiseGap runs the image's view under policy kind Reps times and
-// summarises the noise-gap metric: the FWQ-style percentage of elapsed time
-// lost to interference plus explicit scheduler charges,
-// 100·(Breakdown.Noise+Breakdown.Sched)/Elapsed. Unlike a FOM comparison
-// this isolates exactly the time a scheduling policy can move — compute,
-// memory and wire time are policy-invariant. As in measureImage, every
-// repetition runs against the one view.
-func measureNoiseGap(cfg Config, img *cluster.Image, kind sched.Kind) (stats.Summary, error) {
-	img, err := img.Sched(kind)
-	if err != nil {
-		return stats.Summary{}, err
+// noiseGap is the value the scheduler sweep summarises: the FWQ-style
+// percentage of elapsed time lost to interference plus explicit scheduler
+// charges, 100·(Breakdown.Noise+Breakdown.Sched)/Elapsed. Unlike a FOM
+// comparison this isolates exactly the time a scheduling policy can move —
+// compute, memory and wire time are policy-invariant.
+func noiseGap(res cluster.Result) float64 {
+	if res.Elapsed <= 0 {
+		return 0
 	}
-	gaps, err := par.MapWidthErr(cfg.Workers, cfg.Reps, func(rep int) (float64, error) {
-		res, err := img.Run(context.TODO(), sim.StreamSeed(cfg.Seed, uint64(rep)), nil)
-		if err != nil {
-			return 0, err
-		}
-		if res.Elapsed <= 0 {
-			return 0, nil
-		}
-		return 100 * float64(res.Breakdown.Noise+res.Breakdown.Sched) / float64(res.Elapsed), nil
-	})
-	if err != nil {
-		return stats.Summary{}, err
-	}
-	return stats.Summarize(gaps), nil
+	return 100 * float64(res.Breakdown.Noise+res.Breakdown.Sched) / float64(res.Elapsed)
 }
 
 // SchedSweep sweeps the full scheduler × kernel × node-count grid — every
@@ -65,13 +47,15 @@ func measureNoiseGap(cfg Config, img *cluster.Image, kind sched.Kind) (stats.Sum
 // isolation argument restated as a scheduling result.
 //
 // A policy reaches nothing a node's boot lays out but the policy itself and
-// Linux's noise profile, so the sweep prepares one image per (application,
-// kernel, node layout), takes each node count's view of it (layoutImages)
-// and runs each policy as a view of that (Image.Sched). The images live
-// only as long as the call, and share one noise table store.
+// Linux's noise profile, so the sweep asks one store per call for each
+// (application, kernel, node count) cell's image (gridImages), a view of
+// one image per (application, kernel, node layout), and runs each policy
+// as a view of that (Image.Sched). The sweep records no counters or
+// metrics, whatever cfg asks for.
 func SchedSweep(cfg Config) ([]*stats.Figure, error) {
 	cfg = cfg.normalize()
-	ctx := cluster.ShareTables(context.TODO())
+	cfg.Counters, cfg.Metrics = false, false
+	imgs := cluster.NewImages()
 	kts := []kernel.Type{kernel.TypeLinux, kernel.TypeMcKernel, kernel.TypeMOS}
 	kinds := sched.Kinds()
 	sweepApps := SchedSweepApps()
@@ -79,9 +63,7 @@ func SchedSweep(cfg Config) ([]*stats.Figure, error) {
 	return par.MapWidthErr(cfg.Workers, len(sweepApps), func(ai int) (*stats.Figure, error) {
 		app := sweepApps[ai]
 		nodes := cfg.nodeCounts(app)
-		images, err := layoutImages(cfg, app, kts, nodes, func(kt kernel.Type, n int) (*cluster.Image, error) {
-			return cluster.Prepare(ctx, cluster.Job{App: app, Kernel: kt, Nodes: n, Faults: cfg.Faults})
-		}, func(kt kernel.Type, n int, err error) error {
+		images, err := gridImages(imgs, cfg, app, kts, nodes, func(kt kernel.Type, n int, err error) error {
 			return fmt.Errorf("experiments: schedsweep %s on %v at %d nodes: %w", app.Name, kt, n, err)
 		})
 		if err != nil {
@@ -90,7 +72,11 @@ func SchedSweep(cfg Config) ([]*stats.Figure, error) {
 		cells, err := par.MapWidthErr(cfg.Workers, len(kts)*len(kinds)*len(nodes), func(i int) (stats.Summary, error) {
 			ki, ni := i/(len(kinds)*len(nodes)), i%len(nodes)
 			kt, kind, n := kts[ki], kinds[(i/len(nodes))%len(kinds)], nodes[ni]
-			sum, err := measureNoiseGap(cfg, images[ki*len(nodes)+ni], kind)
+			img, err := images[ni*len(kts)+ki].Sched(kind)
+			var sum stats.Summary
+			if err == nil {
+				sum, _, _, err = measureImage(cfg, img, noiseGap)
+			}
 			if err != nil {
 				return stats.Summary{}, fmt.Errorf("experiments: schedsweep %s on %v/%s at %d nodes: %w",
 					app.Name, kt, kind, n, err)

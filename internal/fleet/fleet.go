@@ -7,16 +7,15 @@
 // nodes from a finite facility — optionally oversubscribed, with cross-job
 // interference on shared nodes expressed as daemon-storm / offload-contention
 // fault plans — and runs every launched job on a cluster node image.
-// Images live in a node image store (Images), not in a run: a run keeps
-// one of its own unless Config.Images hands it one, and the legs of a
-// policy comparison share one. Jobs of one shape (application, kernel,
-// scheduler, node count, interference plan) share one image view per
-// store, and shapes that differ only in node counts whose ranks lay out
-// the same node (cluster.SameLayout) share one image, prepared once by
-// cluster.Prepare at the longest timestep budget; each shape runs the view
-// at its node count (cluster.Image.Nodes) and each job the view at its own
-// budget and seed (cluster.Image.Steps, Image.Run). The specialize policy
-// calibrates on its first run, its cells as views of that run's store.
+// Images live in a node image store (cluster.Images), not in a run: a run
+// keeps one of its own unless Config.Images hands it one, and the legs of
+// a policy comparison share one. Each job asks the store for its image,
+// prepared at the run's longest timestep budget, and runs its view at its
+// own budget and seed (cluster.Image.Steps, Image.Run); the store prepares
+// one image per node layout (cluster.SameLayout) of each shape
+// (application, kernel, scheduler, interference plan) and gives each node
+// count its view (cluster.Image.Nodes). The specialize policy calibrates
+// on its first run, its cells as views of that run's store.
 //
 // The determinism contract is the module's usual one, lifted one level up:
 // a facility run is a pure function of (Config, seed).
@@ -59,6 +58,7 @@ import (
 	"fmt"
 	"io"
 
+	"mklite/internal/cluster"
 	"mklite/internal/fault"
 	"mklite/internal/kernel"
 	"mklite/internal/obs"
@@ -145,12 +145,12 @@ type Config struct {
 	// report lands in Result.SLO. Nil skips evaluation.
 	SLO *obs.SLO
 	// Images is the node image store the run's jobs, and a specialize
-	// policy's calibration, run on. Runs that share a store prepare each
-	// image and build each noise table once between them, and every run's
-	// outputs equal those on a store of its own; copies of one Config
-	// share its store. Nil gives the run a store of its own, dropped with
-	// the run.
-	Images *Images
+	// policy's calibration, take their images from (cluster.Images). Runs
+	// that share a store prepare each image and build each noise table
+	// once between them, and every run's outputs equal those on a store of
+	// its own; copies of one Config share its store. Nil gives the run a
+	// store of its own, dropped with the run.
+	Images *cluster.Images
 }
 
 // Defaults for the zero-valued Config knobs.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mklite/internal/apps"
+	"mklite/internal/cluster"
 	"mklite/internal/fault"
 	"mklite/internal/kernel"
 	"mklite/internal/sched"
@@ -351,7 +352,7 @@ func TestSpecializeCalibration(t *testing.T) {
 			t.Fatal(err)
 		}
 		sp := p.(*specializePolicy)
-		if err := sp.calibrate(NewImages(), false, DefaultMaxTimesteps); err != nil {
+		if err := sp.calibrate(cluster.NewImages(), false, DefaultMaxTimesteps); err != nil {
 			t.Fatal(err)
 		}
 		tables = append(tables, sp.table)

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"encoding/json"
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"strconv"
@@ -10,8 +12,10 @@ import (
 
 	"mklite/internal/apps"
 	"mklite/internal/cluster"
+	"mklite/internal/fault"
+	"mklite/internal/kernel"
 	"mklite/internal/obs"
-	"mklite/internal/par"
+	"mklite/internal/sched"
 	"mklite/internal/trace"
 )
 
@@ -22,42 +26,35 @@ var imagePolicies = []string{"fixed-linux", "fixed-mckernel", "fixed-mos", "heur
 // TestFacilityMatchesFreshRuns is the differential check of the shared
 // node images. Under each kernel policy, and heuristic:gang, a quick
 // facility with per-job outcomes, merged and per-job counters and per-job
-// event tracks runs its jobs on one view per image key of one image per
-// node layout, and every job's outcome equals a fresh cluster.Run of its
-// launch spec — the policy's choice, its co-tenancy plan
-// (interferenceFor), its own application, timestep budget and seed.
-// Elapsed time, FOM, the job's counters and its event track must match
-// exactly. The leg prepares one image per layout (its keys split by
-// cluster.SameLayout), fewer than it has keys, and builds one view per
-// key, fewer than it has jobs; specialize's calibration cells are keys of
-// the leg's store too.
+// event tracks runs its jobs on the images of its cluster.Images store,
+// and every job's outcome equals a fresh cluster.Run of its launch spec —
+// the policy's choice, its co-tenancy plan (interferenceFor), its own
+// application, timestep budget and seed. Elapsed time, FOM, the job's
+// counters and its event track must match exactly. The leg's store
+// prepares one image per layout of its keys (split by
+// cluster.SameLayout), fewer than it has keys, and holds one image per
+// key, fewer than the leg has jobs; specialize's calibration cells are
+// keys of the leg's store too.
 //
-// The "comparison" cell runs all six legs on one Images store, in order,
-// so each leg after the first runs on images the earlier legs and the
-// calibration prepared. Every job again equals a fresh run, every
-// calibration cell's FOM equals a fresh cluster.Run of its calibration
-// job, the store prepares exactly one image per distinct layout of the
-// legs' and the calibration's keys, and each leg's Result JSON is
-// byte-identical to the same leg run on a store of its own.
+// The "comparison" cell runs all six legs on one store, in order, so each
+// leg after the first runs on images the earlier legs and the calibration
+// prepared. Every job again equals a fresh run, every calibration cell's
+// FOM equals a fresh cluster.Run of its calibration job, the store
+// prepares exactly one image per distinct layout of the legs' and the
+// calibration's keys, and each leg's Result JSON is byte-identical to the
+// same leg run on a store of its own.
 func TestFacilityMatchesFreshRuns(t *testing.T) {
 	for _, name := range imagePolicies {
 		t.Run(name, func(t *testing.T) {
 			l := runLeg(t, name, nil)
-			keys := l.keys()
+			keys := l.keys(t)
 			nLayouts := countLayouts(keys)
-			imgs := l.s.images
-			prepared := preparedImages(imgs)
-			if len(prepared) != nLayouts || distinctImages(t, prepared) != nLayouts || nLayouts >= len(keys) {
-				t.Fatalf("%d images prepared (%d distinct) for %d layouts of %d keys",
-					len(prepared), distinctImages(t, prepared), nLayouts, len(keys))
+			prepared, nKeys := l.s.images.Sizes()
+			if prepared != nLayouts || nLayouts >= len(keys) {
+				t.Fatalf("%d images prepared for %d layouts of %d keys", prepared, nLayouts, len(keys))
 			}
-			views := make([]func() (*cluster.Image, error), 0, len(imgs.views))
-			for _, v := range imgs.views {
-				views = append(views, v)
-			}
-			if len(views) != len(keys) || distinctImages(t, views) != len(keys) || len(keys) >= len(l.res.PerJob) {
-				t.Fatalf("%d views (%d distinct) for %d keys of %d jobs",
-					len(views), distinctImages(t, views), len(keys), len(l.res.PerJob))
+			if nKeys != len(keys) || len(keys) >= len(l.res.PerJob) {
+				t.Fatalf("the store holds %d keys, the leg has %d keys and %d jobs", nKeys, len(keys), len(l.res.PerJob))
 			}
 			t.Logf("%d jobs, %d keys, %d layouts", len(l.res.PerJob), len(keys), nLayouts)
 			l.matchFresh(t)
@@ -65,39 +62,38 @@ func TestFacilityMatchesFreshRuns(t *testing.T) {
 	}
 
 	t.Run("comparison", func(t *testing.T) {
-		shared := NewImages()
-		all := map[imageKey]*apps.Spec{}
+		shared := cluster.NewImages()
+		all := map[jobKey]*apps.Spec{}
 		alone := 0
 		var cal leg
 		for _, name := range imagePolicies {
 			l := runLeg(t, name, shared)
 			l.matchFresh(t)
-			for k, app := range l.keys() {
-				all[k] = app
-			}
+			maps.Copy(all, l.keys(t))
 			own := runLeg(t, name, nil)
 			if a, b := resultBytes(t, l.res), resultBytes(t, own.res); string(a) != string(b) {
 				t.Fatalf("%s: result on the shared store differs from the leg run alone:\nshared: %.300s\nalone:  %.300s", name, a, b)
 			}
-			alone += len(preparedImages(own.s.images))
+			n, _ := own.s.images.Sizes()
+			alone += n
 			if name == "specialize" {
 				cal = l
 			}
 		}
 		nLayouts := countLayouts(all)
-		prepared := preparedImages(shared)
-		if len(prepared) != nLayouts || distinctImages(t, prepared) != nLayouts || nLayouts >= alone {
-			t.Fatalf("shared store: %d images prepared (%d distinct) for %d layouts; the legs alone prepared %d",
-				len(prepared), distinctImages(t, prepared), nLayouts, alone)
+		prepared, nKeys := shared.Sizes()
+		if prepared != nLayouts || nKeys != len(all) || nLayouts >= alone {
+			t.Fatalf("shared store: %d images prepared for %d layouts, %d keys for %d; the legs alone prepared %d",
+				prepared, nLayouts, nKeys, len(all), alone)
 		}
 		t.Logf("%d keys, %d layouts on the shared store; %d images prepared by the legs alone", len(all), nLayouts, alone)
 
 		sp := cal.pol.(*specializePolicy)
-		foms, err := calibrationFOMs(shared, sp.cells, sp.tmpl, 2, cal.s.counting, cal.s.budget)
+		foms, err := calibrationFOMs(shared, sp.cells, 2, cal.s.counting, cal.s.budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := len(preparedImages(shared)); n != nLayouts {
+		if n, _ := shared.Sizes(); n != nLayouts {
 			t.Fatalf("calibrating again on the warmed store prepared %d more images", n-nLayouts)
 		}
 		for i, c := range sp.cells {
@@ -112,41 +108,6 @@ func TestFacilityMatchesFreshRuns(t *testing.T) {
 	})
 }
 
-// TestImagesSharedConcurrently: runs of two policies on one store at once,
-// so both event loops and both launch pipelines, and the specialize
-// calibration's fan-out, ask the store for images together, give the
-// results each gives on a store of its own. Run it under -race.
-func TestImagesSharedConcurrently(t *testing.T) {
-	names := []string{"heuristic", "specialize"}
-	run := func(name string, imgs *Images) (*Result, error) {
-		cfg := quickCfg()
-		cfg.Workers = 2
-		cfg.Images = imgs
-		pol, err := ParsePolicy(name, cfg.Seed, cfg.Workers, nil)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Policy = pol
-		return Run(cfg)
-	}
-	shared := NewImages()
-	got, err := par.MapWidthErr(len(names), len(names), func(i int) (*Result, error) {
-		return run(names[i], shared)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, name := range names {
-		alone, err := run(name, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(resultBytes(t, got[i])) != string(resultBytes(t, alone)) {
-			t.Fatalf("%s: result on a store shared with a concurrent run differs from its run alone", name)
-		}
-	}
-}
-
 // leg is one finished quick facility run of TestFacilityMatchesFreshRuns.
 type leg struct {
 	cfg    Config
@@ -158,7 +119,7 @@ type leg struct {
 
 // runLeg runs the quick facility under policy name on imgs (nil = a store
 // of its own) with per-job outcomes, counters and event tracks.
-func runLeg(t *testing.T, name string, imgs *Images) leg {
+func runLeg(t *testing.T, name string, imgs *cluster.Images) leg {
 	t.Helper()
 	cfg := quickCfg()
 	cfg.Workers = 2
@@ -187,22 +148,37 @@ func runLeg(t *testing.T, name string, imgs *Images) leg {
 	return leg{cfg: cfg, pol: pol, s: s, stream: stream, res: res}
 }
 
-// keys returns the image key of every job of the leg and, when its policy
+// jobKey is what the store keys a job's image by (cluster.Images), less
+// what every job of the legs shares (whether they count, the budget): the
+// application, kernel, scheduler, node count and the fault plan, by value
+// as its JSON.
+type jobKey struct {
+	app    string
+	kernel kernel.Type
+	sched  sched.Kind
+	nodes  int
+	plan   string
+}
+
+// keys returns the key of every job of the leg and, when its policy
 // calibrates, of every calibration cell, each with its application.
-func (l leg) keys() map[imageKey]*apps.Spec {
-	keys := map[imageKey]*apps.Spec{}
+func (l leg) keys(t *testing.T) map[jobKey]*apps.Spec {
+	keys := map[jobKey]*apps.Spec{}
+	add := func(app *apps.Spec, kt kernel.Type, kind sched.Kind, nodes int, plan *fault.Plan) {
+		b, err := json.Marshal(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[jobKey{app: app.Name, kernel: kt, sched: kind, nodes: nodes, plan: string(b)}] = app
+	}
 	for _, out := range l.res.PerJob {
 		j := l.stream[out.ID]
 		ch := l.pol.Select(j)
-		keys[imageKey{app: out.App, kernel: ch.Kernel, sched: ch.Sched, nodes: out.Nodes,
-			plan:     planKeyOf(l.s.tmpl, out.Cotenancy, interferenceFor(l.cfg.Interference, out.Cotenancy)),
-			counting: l.s.counting, budget: l.s.budget}] = j.App
+		add(j.App, ch.Kernel, ch.Sched, out.Nodes, interferenceFor(l.cfg.Interference, out.Cotenancy))
 	}
 	if sp, ok := l.pol.(*specializePolicy); ok {
 		for _, c := range sp.cells {
-			keys[imageKey{app: c.App.Name, kernel: c.Kernel, nodes: c.Nodes,
-				plan:     planKeyOf(l.s.images.template(sp.tmpl), 1, c.Faults),
-				counting: l.s.counting, budget: l.s.budget}] = c.App
+			add(c.App, c.Kernel, c.Sched, c.Nodes, c.Faults)
 		}
 	}
 	return keys
@@ -248,8 +224,8 @@ func (l leg) matchFresh(t *testing.T) {
 // countLayouts returns how many images the keys need: one per node layout
 // (cluster.SameLayout) of each key family, the keys with their node count
 // left out.
-func countLayouts(keys map[imageKey]*apps.Spec) int {
-	layouts := map[imageKey][]int{}
+func countLayouts(keys map[jobKey]*apps.Spec) int {
+	layouts := map[jobKey][]int{}
 	n := 0
 	for key, app := range keys {
 		family := key
@@ -260,32 +236,6 @@ func countLayouts(keys map[imageKey]*apps.Spec) int {
 		}
 	}
 	return n
-}
-
-// preparedImages returns the store's prepare-once cells, one per layout.
-func preparedImages(imgs *Images) []func() (*cluster.Image, error) {
-	var prepared []func() (*cluster.Image, error)
-	for _, ls := range imgs.layouts {
-		for _, li := range ls {
-			prepared = append(prepared, li.image)
-		}
-	}
-	return prepared
-}
-
-// distinctImages calls every image function and counts the distinct
-// images they return.
-func distinctImages(t *testing.T, imgs []func() (*cluster.Image, error)) int {
-	t.Helper()
-	seen := map[*cluster.Image]bool{}
-	for _, img := range imgs {
-		v, err := img()
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen[v] = true
-	}
-	return len(seen)
 }
 
 // jobTracks splits a facility timeline into each job's event track and

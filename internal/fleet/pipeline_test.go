@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mklite/internal/cluster"
 	"mklite/internal/obs"
 	"mklite/internal/par"
 	"mklite/internal/sched"
@@ -174,7 +175,7 @@ func FuzzFacility(f *testing.F) {
 		// The same config, under a policy of its own, on a store that a
 		// run of another policy warmed: every artifact as on a fresh store.
 		warm := cfg
-		warm.Images = NewImages()
+		warm.Images = cluster.NewImages()
 		if warm.Policy, err = ParsePolicy(names[(int(policy)+1)%len(names)], seed, 1, cfg.normalize().Interference); err != nil {
 			t.Fatal(err)
 		}

@@ -13,6 +13,7 @@ import (
 	"mklite/internal/par"
 	"mklite/internal/sched"
 	"mklite/internal/sim"
+	"mklite/internal/trace"
 )
 
 // Choice is one job's full placement decision: which kernel the facility
@@ -114,10 +115,10 @@ func (heuristicPolicy) Select(j *Job) Choice {
 // first Select, with the run's store, whether its images count and the
 // timestep budget they are prepared for.
 type calibrator interface {
-	calibrate(imgs *Images, counting bool, budget int) error
+	calibrate(imgs *cluster.Images, counting bool, budget int) error
 }
 
-func (p schedOverride) calibrate(imgs *Images, counting bool, budget int) error {
+func (p schedOverride) calibrate(imgs *cluster.Images, counting bool, budget int) error {
 	if c, ok := p.base.(calibrator); ok {
 		return c.calibrate(imgs, counting, budget)
 	}
@@ -136,9 +137,8 @@ func (p schedOverride) calibrate(imgs *Images, counting bool, budget int) error 
 // images (calibrationFOMs), so they share their setup with its jobs.
 type specializePolicy struct {
 	// cells are the calibration grid's jobs in cell order
-	// (calibrationJobs), and tmpl the template their plans come from.
+	// (calibrationJobs).
 	cells []cluster.Job
-	tmpl  *fault.Plan
 	// workers is the calibration's fan-out width.
 	workers int
 
@@ -168,7 +168,7 @@ func Specialize(seed uint64, workers int, interference *fault.Plan) (KernelPolic
 	if err != nil {
 		return nil, err
 	}
-	return &specializePolicy{cells: cells, tmpl: interference, workers: workers}, nil
+	return &specializePolicy{cells: cells, workers: workers}, nil
 }
 
 // calibrationJobs returns the calibration grid's cells in cell order: each
@@ -204,15 +204,17 @@ func calibrationJobs(seed uint64, tmpl *fault.Plan) ([]cluster.Job, error) {
 // calibrationFOMs runs the calibration cells, each as the Steps view of
 // its node image from imgs (keyed with the run's counting and budget), at
 // the given width, and returns their FOMs in cell order.
-func calibrationFOMs(imgs *Images, cells []cluster.Job, tmpl *fault.Plan, workers int, counting bool, budget int) ([]float64, error) {
-	tk := imgs.template(tmpl)
-	images := make([]func() (*cluster.Image, error), len(cells))
-	for i, c := range cells {
-		images[i] = imgs.image(c, tk, 1, counting, budget)
-	}
+func calibrationFOMs(imgs *cluster.Images, cells []cluster.Job, workers int, counting bool, budget int) ([]float64, error) {
 	return par.MapWidthErr(workers, len(cells), func(i int) (float64, error) {
 		c := cells[i]
-		img, err := images[i]()
+		// The cell runs without a sink, but its image is keyed as the
+		// run's jobs' are: counting when they count.
+		var ctrs *trace.Counters
+		if counting {
+			ctrs = trace.NewCounters()
+		}
+		c.Sink = trace.NewSink(ctrs, nil)
+		img, err := imgs.Image(budgeted(c, budget))
 		if err == nil {
 			img, err = img.Steps(c.App.Timesteps)
 		}
@@ -229,9 +231,9 @@ func calibrationFOMs(imgs *Images, cells []cluster.Job, tmpl *fault.Plan, worker
 
 // calibrate measures the calibration grid on the first call and builds the
 // table; later calls, from any run, return the first call's error.
-func (p *specializePolicy) calibrate(imgs *Images, counting bool, budget int) error {
+func (p *specializePolicy) calibrate(imgs *cluster.Images, counting bool, budget int) error {
 	p.once.Do(func() {
-		foms, err := calibrationFOMs(imgs, p.cells, p.tmpl, p.workers, counting, budget)
+		foms, err := calibrationFOMs(imgs, p.cells, p.workers, counting, budget)
 		if err != nil {
 			p.err = err
 			return

@@ -329,7 +329,7 @@ func (s *Scheduler) newLaunch(j *Job, backfilled bool) *launch {
 		sched:      ch.Sched,
 		nodes:      nodes,
 		cotenancy:  cotenancy,
-		plan:       interferenceFor(s.cfg.Interference, cotenancy),
+		plan:       s.interference[cotenancy],
 		backfilled: backfilled,
 	}
 }

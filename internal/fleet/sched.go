@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"mklite/internal/cluster"
+	"mklite/internal/fault"
 	"mklite/internal/metrics"
 	"mklite/internal/obs"
 	"mklite/internal/par"
@@ -37,13 +38,15 @@ type Scheduler struct {
 	pipe    *par.Pipe[runOut]
 	pending []*runningJob
 	// images is the node image store the run's jobs run on (Config.Images,
-	// or a store of the run's own); tmpl numbers the run's interference
-	// template in it (Images.template), budget is the timestep budget
-	// every image is prepared for and counting whether the jobs count.
-	images   *Images
-	tmpl     int
+	// or a store of the run's own), budget is the timestep budget every
+	// image is prepared for and counting whether the jobs count.
+	images   *cluster.Images
 	budget   int
 	counting bool
+	// interference holds, for each co-tenancy, the interference plan of
+	// every launch at it (interferenceFor): one plan per level, which the
+	// store numbers once.
+	interference []*fault.Plan
 
 	// busyNodeNs accumulates occupied-nodes x virtual-time, the
 	// utilization numerator (int64 node-nanoseconds).
@@ -125,9 +128,12 @@ func newScheduler(cfg Config) *Scheduler {
 		counting:   cfg.Counters || cfg.Observe.JobCountersOn(),
 	}
 	if s.images == nil {
-		s.images = NewImages()
+		s.images = cluster.NewImages()
 	}
-	s.tmpl = s.images.template(cfg.Interference)
+	s.interference = make([]*fault.Plan, cfg.Share)
+	for c := range s.interference {
+		s.interference[c] = interferenceFor(cfg.Interference, c)
+	}
 	if cfg.Counters {
 		s.counters = trace.NewCounters()
 	}
@@ -261,19 +267,22 @@ type runOut struct {
 	events   *trace.Events
 }
 
-// image returns the node image of l's job from the run's store: the
-// function that prepares it on its first call (Images.image). Every job of
-// one shape shares it, and so does every run on the same store whose
-// jobs have the same key.
-func (s *Scheduler) image(l *launch) func() (*cluster.Image, error) {
-	return s.images.image(l.runJob(nil), s.tmpl, l.cotenancy, s.counting, s.budget)
+// budgeted returns j as the run's store keys it: with a copy of its
+// application prepared for budget steps, of which its run takes a Steps
+// view.
+func budgeted(j cluster.Job, budget int) cluster.Job {
+	app := *j.App
+	app.Timesteps = budget
+	j.App = &app
+	return j
 }
 
-// execute runs one launched job on its shape's image. It reads only the
-// immutable launch spec and the image, and builds its own counters and
-// event ring, so its outcome depends only on the spec and the job's own
-// seed — never on when, or on which worker, it runs.
-func execute(l *launch, image func() (*cluster.Image, error), counting, eventing bool, ringCap int) (runOut, error) {
+// execute runs one launched job on the view at its own budget of its
+// image from imgs, prepared for budget steps. It reads only the immutable
+// launch spec and the store, and builds its own counters and event ring,
+// so its outcome depends only on the spec and the job's own seed — never
+// on when, or on which worker, it runs.
+func execute(l *launch, imgs *cluster.Images, budget int, counting, eventing bool, ringCap int) (runOut, error) {
 	var c *trace.Counters
 	if counting {
 		c = trace.NewCounters()
@@ -282,13 +291,14 @@ func execute(l *launch, image func() (*cluster.Image, error), counting, eventing
 	if eventing {
 		ev = trace.NewEvents(ringCap)
 	}
-	img, err := image()
+	sink := trace.NewSink(c, ev)
+	img, err := imgs.Image(budgeted(l.runJob(sink), budget))
 	if err == nil {
 		img, err = img.Steps(l.job.Timesteps)
 	}
 	var res cluster.Result
 	if err == nil {
-		res, err = img.Run(context.TODO(), l.job.Seed, trace.NewSink(c, ev))
+		res, err = img.Run(context.TODO(), l.job.Seed, sink)
 	}
 	if err != nil {
 		return runOut{}, fmt.Errorf("fleet: job %d (%s on %s): %w",
@@ -308,9 +318,9 @@ func (s *Scheduler) launch(l *launch) {
 	counting := s.counting
 	eventing := s.cfg.Observe.JobEventsOn()
 	ringCap := s.cfg.Observe.JobEventRingCap()
-	image := s.image(l)
+	imgs, budget := s.images, s.budget
 	fut := s.pipe.Submit(func() (runOut, error) {
-		return execute(l, image, counting, eventing, ringCap)
+		return execute(l, imgs, budget, counting, eventing, ringCap)
 	})
 
 	r := &runningJob{

@@ -218,16 +218,6 @@ func TestPartitionValidateCatchesOverlap(t *testing.T) {
 	}
 }
 
-func TestAppDomains(t *testing.T) {
-	node := hw.KNL7250SNC4()
-	p, _ := DefaultPartition(node, 4)
-	doms := p.AppDomains()
-	// 64 app cores spread over all four DDR quadrants.
-	if len(doms) != 4 {
-		t.Fatalf("app domains = %v", doms)
-	}
-}
-
 func TestNearestOSCore(t *testing.T) {
 	node := hw.KNL7250SNC4()
 	p, _ := DefaultPartition(node, 4)

@@ -2,8 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
 	"mklite/internal/hw"
 )
@@ -62,16 +60,6 @@ func (p Partition) Validate() error {
 		}
 	}
 	return nil
-}
-
-// AppDomains returns the NUMA domains that own at least one application
-// core, in id order.
-func (p Partition) AppDomains() []int {
-	set := map[int]bool{}
-	for _, c := range p.AppCores {
-		set[p.Node.Cores[c].Domain] = true
-	}
-	return slices.Sorted(maps.Keys(set))
 }
 
 // NearestOSCore returns the OS core whose NUMA domain is closest to the

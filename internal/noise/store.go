@@ -59,8 +59,8 @@ func (p *Profile) laws() []law {
 // warmed in it by (Mean, CV) the same way. Every entry is a pure function
 // of its key, so the order in which profiles fill a store cannot reach a
 // table. A store keeps everything built in it until it is dropped, so it
-// lives as long as one call (cluster.ShareTables). It is safe for
-// concurrent use.
+// lives as long as one call (a cluster.Images store holds it). It is safe
+// for concurrent use.
 type Store struct {
 	mu     sync.Mutex
 	caches []*tableCache

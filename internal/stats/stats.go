@@ -76,7 +76,7 @@ func Median(xs []float64) float64 {
 // (0..100) of a sorted n-element sample lies at fractional order-statistic
 // position p/100*(n-1), linearly interpolated between the samples at
 // positions lo and hi with weight frac on hi. Every percentile in the module
-// — Percentile, Histogram.Percentile and the metrics histograms — derives
+// — Percentile, BucketPercentile and the metrics histograms — derives
 // from this one rule, so a figure table and an mkobs report can never
 // disagree on the same data. It panics on n <= 0.
 func Rank(n int, p float64) (lo, hi int, frac float64) {
@@ -183,23 +183,6 @@ func NewHistogram(xs []float64, n int) *Histogram {
 		h.Counts[i]++
 	}
 	return h
-}
-
-// Percentile returns the p-th percentile of the binned sample under the
-// shared Rank rule (see BucketPercentile), clamped into the histogram's
-// observed [Min, Max] range.
-func (h *Histogram) Percentile(p float64) float64 {
-	if h.Total <= 0 {
-		panic("stats: Percentile of empty histogram")
-	}
-	width := (h.Max - h.Min) / float64(len(h.Counts))
-	v := BucketPercentile(int64(h.Total), p, len(h.Counts),
-		func(i int) int64 { return int64(h.Counts[i]) },
-		func(i int) (float64, float64) {
-			lo := h.Min + float64(i)*width
-			return lo, lo + width
-		})
-	return math.Min(math.Max(v, h.Min), h.Max)
 }
 
 // Render draws the histogram as rows of hash bars (log-ish scaling keeps

@@ -339,37 +339,3 @@ func TestBucketPercentileUniform(t *testing.T) {
 		}
 	}
 }
-
-func TestHistogramPercentileAgreesWithSamples(t *testing.T) {
-	// Binning quantizes values to the bucket grid, so the binned
-	// percentile under the shared Rank rule must track the raw-sample
-	// percentile to within one bucket width (and stay inside [Min, Max]).
-	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7}
-	h := NewHistogram(xs, 8)
-	width := (h.Max - h.Min) / float64(len(h.Counts))
-	for _, p := range []float64{0, 50, 75, 100} {
-		got := h.Percentile(p)
-		want := Percentile(xs, p)
-		if math.Abs(got-want) > width {
-			t.Fatalf("Histogram.Percentile(%v) = %v, want %v within %v", p, got, want, width)
-		}
-		if got < h.Min || got > h.Max {
-			t.Fatalf("Histogram.Percentile(%v) = %v outside [%v, %v]", p, got, h.Min, h.Max)
-		}
-	}
-}
-
-func TestHistogramPercentileDegenerate(t *testing.T) {
-	h := NewHistogram([]float64{42, 42, 42}, 4)
-	for _, p := range []float64{0, 50, 100} {
-		if got := h.Percentile(p); got != 42 {
-			t.Fatalf("degenerate Percentile(%v) = %v, want 42", p, got)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty-histogram Percentile did not panic")
-		}
-	}()
-	(&Histogram{Counts: make([]int, 4)}).Percentile(50)
-}

@@ -58,6 +58,7 @@ var linkExceptions = []struct{ decl, reason string }{
 	{"internal/obs.(*SLO).String", "oracle of obs:FuzzParseSLO: a parsed SLO must render and parse back to itself"},
 	{"internal/obs.(*Timeline).Events", "observer of fleet:TestFacilityMatchesFreshRuns, TestObsQuickRunArtifacts and TestObsFullScaleTimeline, which read the timeline's events"},
 	{"internal/obs.(*Timeline).Open", "observer of fleet:TestObsQuickRunArtifacts, FuzzFacility and BenchmarkObsOverhead: a drained run leaves no job resident"},
+	{"internal/cluster.(*Images).Sizes", "observer of cluster:TestImageRunsMatchFresh, TestImagesSharedConcurrently and fleet:TestFacilityMatchesFreshRuns, which count the images a store prepared"},
 	{"internal/mem.(*AddrSpace).VMAs", "observer of cluster:TestKernelOrdersSurviveCallerAppends and kernel:TestProcessMunmapAndMprotect"},
 
 	// The process model's syscalls that no experiment issues. Their own
@@ -88,11 +89,9 @@ var linkExceptions = []struct{ decl, reason string }{
 	// Unlinked, and going with their tests in a later change: a change
 	// drops only a few tests at once (ROADMAP item 7).
 	{"internal/kernel.Partition.Validate", "goes with kernel:TestPartitionValidateCatchesOverlap; TestDefaultPartition observes through it"},
-	{"internal/kernel.Partition.AppDomains", "goes with kernel:TestAppDomains"},
 	{"internal/mem.(*AddrSpace).MappedBytes", "goes with mem:TestMappedAndPopulatedBytes; TestReleaseAll observes through it"},
 	{"internal/mem.(*AddrSpace).PopulatedBytes", "goes with mem:TestMappedAndPopulatedBytes; TestReleaseAll observes through it"},
 	{"internal/mem.(*AddrSpace).PageMix", "goes with mem:TestPageMixFractionsSumToOne and TestPageMixEmpty; TestMapUsesLargePages observes through it"},
-	{"internal/stats.(*Histogram).Percentile", "goes with stats:TestHistogramPercentileAgreesWithSamples and TestHistogramPercentileDegenerate"},
 }
 
 const (
