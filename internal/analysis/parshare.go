@@ -79,7 +79,7 @@ var ParShare = &Analyzer{
 		"*trace.Sink (or trace.Counters/trace.Events), a " +
 		"*metrics.Registry (or metrics.Histogram), a *fault.Injector, a " +
 		"*fleet.Scheduler (or fleet.Allocator), an *obs.Timeline (or " +
-		"obs.DecisionLog) or a sched.Policy (or *sched.State) across a " +
+		"obs.DecisionLog) or a sched.Policy (or sched.State) across a " +
 		"par.MapWidthErr or par.Pipe.Submit closure, " +
 		"and forbid package-level trace sinks and metrics registries; " +
 		"per-job state is derived inside the job and merged after the join",

@@ -1,4 +1,4 @@
-// Fixture for the parshare sched rule: a *sched.State is one run's mutable
+// Fixture for the parshare sched rule: a sched.State is one run's mutable
 // scheduler state (the adaptive policy's EMA, live quantum and RNG stream
 // all advance on every Step), and a sched.Policy handle's only job-side use
 // is minting per-run State — so capturing either across a par closure
@@ -16,7 +16,7 @@ func badSharedSchedState() []int {
 	pol, _ := sched.New(sched.Adaptive, sched.Params{})
 	st := pol.NewState(1)
 	out, _ := par.MapWidthErr(0, 4, func(i int) (int, error) {
-		cost := st.Step(sim.Duration(i)) // want `par closure captures \*sched\.State "st" from an enclosing scope`
+		cost := st.Step(sim.Duration(i)) // want `par closure captures sched\.State "st" from an enclosing scope`
 		return int(cost.Overhead), nil
 	})
 	return out

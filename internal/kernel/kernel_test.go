@@ -244,7 +244,8 @@ func schedule(t *testing.T, kind sched.Kind, costs Costs, tasks []sim.Duration) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pl.NewState(1).Schedule(tasks)
+	st := pl.NewState(1)
+	return st.Schedule(tasks)
 }
 
 func TestCooperativeSchedule(t *testing.T) {

@@ -238,35 +238,6 @@ func (p *Process) MovePages(v *mem.VMA, domains []int) (mem.Work, error) {
 	return w, err
 }
 
-// SetMempolicy re-targets the default placement for future mappings; the
-// model applies it by migrating an existing area when one is given
-// (matching how the applications use it at startup). No experiment issues
-// it, and no binary links it (an exception of the linked-code gate).
-func (p *Process) SetMempolicy(v *mem.VMA, domains []int) (mem.Work, error) {
-	if err := p.dispatchable(SysSetMempolicy); err != nil {
-		return mem.Work{}, err
-	}
-	if v == nil {
-		p.charge(SysSetMempolicy, 0)
-		return mem.Work{}, nil
-	}
-	w, err := p.AS.Migrate(v, domains)
-	p.charge(SysSetMempolicy, p.Kern.Costs().WorkTime(w))
-	return w, err
-}
-
-// SchedYield yields the CPU (possibly hijacked into a no-op by McKernel's
-// --disable-sched-yield, in which case it costs nothing).
-func (p *Process) SchedYield() {
-	p.charge(SysSchedYield, 0)
-}
-
-// Getpid returns the process id.
-func (p *Process) Getpid() int {
-	p.charge(SysGetpid, 0)
-	return p.PID
-}
-
 // OpenFiles returns the number of open descriptors, wherever the table
 // lives.
 func (p *Process) OpenFiles() int { return p.table().Count() }

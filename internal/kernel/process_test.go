@@ -248,28 +248,13 @@ func TestProcessMovePagesSupported(t *testing.T) {
 	}
 }
 
-func TestProcessSetMempolicy(t *testing.T) {
-	k := newTestKernel(t, false)
-	p, _ := NewProcess(k, 1, hw.GiB)
-	if _, err := p.SetMempolicy(nil, []int{4}); err != nil {
-		t.Fatal(err)
-	}
-	v, _ := p.Mmap(4*hw.MiB, mem.VMAAnon)
-	w, err := p.SetMempolicy(v, []int{4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.CopiedBytes == 0 {
-		t.Fatal("mbind-style migration did nothing")
-	}
-}
-
 func TestProcessExitReleasesMemory(t *testing.T) {
 	k := newTestKernel(t, false)
+	k.KTable.Set(SysMovePages, Native)
 	p, _ := NewProcess(k, 1, hw.GiB)
 	p.Mmap(32*hw.MiB, mem.VMAAnon)
 	v, _ := p.Mmap(8*hw.MiB, mem.VMAAnon)
-	if _, err := p.SetMempolicy(v, []int{4}); err != nil {
+	if _, err := p.MovePages(v, []int{4}); err != nil {
 		t.Fatal(err)
 	}
 	ph := k.Phys()
@@ -281,18 +266,6 @@ func TestProcessExitReleasesMemory(t *testing.T) {
 		if ph.Capacity(d) != ph.FreeBytes(d) {
 			t.Fatalf("domain %d leaked after exit", d)
 		}
-	}
-}
-
-func TestProcessGetpidAndYield(t *testing.T) {
-	k := newTestKernel(t, false)
-	p, _ := NewProcess(k, 7, hw.GiB)
-	if p.Getpid() != 7 {
-		t.Fatal("pid")
-	}
-	p.SchedYield()
-	if p.Calls[SysSchedYield] != 1 || p.Calls[SysGetpid] != 1 {
-		t.Fatal("counts")
 	}
 }
 

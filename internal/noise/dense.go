@@ -97,11 +97,16 @@ type denseTable struct {
 	// rho is ρ at h (resolution) and lam0 is Λ₀: resolves reads them.
 	rho, lam0 float64
 	sv        []float32
-	// ranks is the rank count Tabulate attached the table for when the
-	// table resolves it, so that the calls at that count, nearly all of
-	// them, skip resolves; 0 in the table cache.
-	ranks int
+	// guide[b], b ≤ guideBits, is the first knot whose survival is at most
+	// 2^−b, and guide[guideBits+1] the last knot; built with sv and shared
+	// by every copy of the table.
+	guide []uint16
 }
+
+// guideBits is the last binary exponent, 2^−guideBits, at which a table's
+// guide marks a knot; a survival below it is searched for up to the last
+// knot.
+const guideBits = 64
 
 // quantile returns the smallest detour whose survival is at most s, in
 // nanoseconds: D's inverse CDF at 1 − s.
@@ -110,8 +115,11 @@ func (t *denseTable) quantile(s float64) float64 {
 		return 0
 	}
 	// The first knot whose survival is at most s; the last knot is 0, so
-	// one exists.
-	lo, hi := 0, len(t.sv)-1
+	// one exists. With 2^−(b+1) ≤ s < 2^−b, b read off s's exponent bits,
+	// it lies in [guide[b], guide[b+1]]: sv is non-increasing, every knot
+	// before guide[b] is above 2^−b > s, and guide[b+1]'s is at most s.
+	b := min(1022-int(math.Float64bits(s)>>52&0x7ff), guideBits)
+	lo, hi := int(t.guide[b]), int(t.guide[b+1])
 	for lo < hi {
 		if mid := int(uint(lo+hi) >> 1); float64(t.sv[mid]) <= s {
 			hi = mid
@@ -143,7 +151,8 @@ func (t *denseTable) max(rng *sim.RNG, ranks int) (sim.Duration, int) {
 }
 
 // resolves reports whether the table's grid resolves the maximum over
-// ranks ranks (resolved).
+// ranks ranks (resolved). MaxDetourRank asks once per (window, ranks) it
+// caches (maxAt).
 func (t *denseTable) resolves(ranks int) bool { return resolved(ranks, t.rho, t.lam0) }
 
 // resolved reports whether P(0 < max ≤ resolveSteps·h) ≤ resolveMiss for
@@ -176,7 +185,7 @@ func (p *Profile) denseAt(window sim.Duration) *denseTable {
 // tail gets no tables: a finite grid cannot hold it. Like Warm, Tabulate is
 // called before the profile is viewed (CloneTables), and the views share
 // the tables, which are never written again. A view may Tabulate windows
-// of its own.
+// of its own; Tabulate clears the profile's max-of-K entries (maxAt).
 // Changing the profile's sources afterwards is not supported.
 //
 // Tables are attached in the order their windows first appear, and whether
@@ -189,14 +198,11 @@ func (p *Profile) Tabulate(windows []sim.Duration, ranks int) {
 	tabs := slices.Clip(p.dense) // never append into a parent's tables
 	for i, w := range windows {
 		if p.denseAt(w) == nil && !slices.Contains(windows[:i], w) && p.Tabled(w, ranks) {
-			t := *p.tableAt(w)
-			if t.resolves(ranks) {
-				t.ranks = ranks
-			}
-			tabs = append(tabs, t)
+			tabs = append(tabs, *p.tableAt(w))
 		}
 	}
 	p.dense = tabs
+	p.maxes = [2]maxEntry{}
 }
 
 // Tabled reports whether max-of-K calls over ranks ranks at window get a
@@ -211,8 +217,8 @@ func (p *Profile) Tabulate(windows []sim.Duration, ranks int) {
 // a table pays for itself there at any K·Λ. The grid resolves the maximum
 // when resolved holds at the step gridStep gives the window's span; a
 // table whose build doubled that step resolves fewer rank counts, which
-// MaxDetourRank checks call by call. A profile with an uncapped Pareto tail
-// gets no table.
+// MaxDetourRank checks for each (window, ranks) it meets. A profile with an
+// uncapped Pareto tail gets no table.
 func (p *Profile) Tabled(window sim.Duration, ranks int) bool {
 	if window <= 0 || ranks <= 0 || !p.tabulable() {
 		return false
@@ -426,7 +432,7 @@ func (p *Profile) denseSpan(window sim.Duration) (span, lam0 float64) {
 // (denseSpan). When more than denseTail of the mass still reaches the
 // grid's top eighth, the step doubles (at most three times). ρ is taken at
 // the step the table ends on. The survival is kept up to its first 0, in an
-// array of that length.
+// array of that length, and indexed by its guide.
 func (t *denseTable) build(p *Profile) {
 	span, lam0 := p.denseSpan(t.window)
 	t.g0, t.lam0 = -math.Expm1(-lam0), lam0
@@ -462,6 +468,15 @@ func (t *denseTable) build(p *Profile) {
 	for i := range len(t.sv) - 1 {
 		t.sv[i] = float32(sv[i])
 	}
+	t.guide = make([]uint16, guideBits+2)
+	i := 0
+	for b := range guideBits + 1 {
+		for float64(t.sv[i]) > math.Ldexp(1, -b) {
+			i++
+		}
+		t.guide[b] = uint16(i)
+	}
+	t.guide[guideBits+1] = uint16(len(t.sv) - 1)
 }
 
 // grid is a grid step h and a profile's Ψ on it. Every rate λ_s =

@@ -138,7 +138,7 @@ func TestDenseTableMatchesColouring(t *testing.T) {
 				sums := make([]sim.Duration, k)
 				for i := range want {
 					clear(sums)
-					d, _ := colour(refRNG, ref, sums, c.window)
+					d, _ := colourSums(refRNG, ref, sums, c.window)
 					want[i] = float64(d)
 				}
 				d, crit := ksDistance(got, want), ksCritical99(n, m)
@@ -449,10 +449,16 @@ func ksTableCell(tab *denseTable, ref *Profile, k int, seed uint64) (d, crit flo
 	sums := make([]sim.Duration, k)
 	for i := range want {
 		clear(sums)
-		d, _ := colour(refRNG, ref, sums, tab.window)
+		d, _ := colourSums(refRNG, ref, sums, tab.window)
 		want[i] = float64(d)
 	}
 	return ksDistance(got, want), ksCritical99(n, m), m
+}
+
+// colourSums is colour over len(sums) ranks at any rank count, on p's
+// max-of-K entry for them; p has no table at window.
+func colourSums(rng *sim.RNG, p *Profile, sums []sim.Duration, window sim.Duration) (sim.Duration, int) {
+	return colour(rng, p, p.maxAt(window, len(sums)), sums, window)
 }
 
 // paperRanks is the largest rank count a paper figure draws a maximum
@@ -530,22 +536,23 @@ func TestResolvedBoundaryMatchesColouring(t *testing.T) {
 	}
 }
 
-// Above exactMaxRanks ranks the table Tabulate builds has the law of
-// colouring at the Figure 4 cells where the order-statistic sum once
-// failed or came closest to failing, and under daemon storms: the
-// two-sample KS distance between 20,000 table draws and colouring's draws
-// (refColourMax's, into one reused buffer) stays below the 99% critical
-// value. The cells are LinuxTuned at 1.12 ms (K = 131,072), 11.16 ms
-// (4,096) and 21.96 ms (2,048), McKernel at 0.79 ms (131,072) and
-// 21.46 ms (2,048), mOS at 0.93 ms (65,536), 0.79 ms (131,072) and
-// 10.75 ms (4,096), and tuned Linux at 131,072 ranks under the facility
-// storm at 1 ms and under a storm of 10 ms period and 200 µs bursts at
-// 10 ms.
-func TestPaperTablesMatchColouring(t *testing.T) {
+// paperTableCells are the Figure 4 cells above exactMaxRanks ranks where
+// the order-statistic sum once failed or came closest to failing, and two
+// daemon storms: LinuxTuned at 1.12 ms (K = 131,072), 11.16 ms (4,096) and
+// 21.96 ms (2,048), McKernel at 0.79 ms (131,072) and 21.46 ms (2,048), mOS
+// at 0.93 ms (65,536), 0.79 ms (131,072) and 10.75 ms (4,096), and tuned
+// Linux at 131,072 ranks under the facility storm at 1 ms and under a storm
+// of 10 ms period and 200 µs bursts at 10 ms.
+func paperTableCells() []struct {
+	name   string
+	prof   func() *Profile
+	window sim.Duration
+	ranks  int
+} {
 	ms := func(x float64) sim.Duration { return sim.Duration(x * float64(sim.Millisecond)) }
 	storm10 := func() *Profile { return LinuxTuned().WithSource(Storm(10*sim.Millisecond, 200*sim.Microsecond, 0.5)) }
 	stormy := func() *Profile { return LinuxTuned().WithSource(facilityStorm()) }
-	for ci, c := range []struct {
+	return []struct {
 		name   string
 		prof   func() *Profile
 		window sim.Duration
@@ -561,7 +568,15 @@ func TestPaperTablesMatchColouring(t *testing.T) {
 		{"mos", MOSProfile, ms(10.75), 4096},
 		{"linux-tuned+storm", stormy, sim.Millisecond, paperRanks},
 		{"linux-tuned+storm10ms", storm10, 10 * sim.Millisecond, paperRanks},
-	} {
+	}
+}
+
+// Above exactMaxRanks ranks the table Tabulate builds has the law of
+// colouring at paperTableCells: the two-sample KS distance between 20,000
+// table draws and colouring's draws (refColourMax's, into one reused
+// buffer) stays below the 99% critical value.
+func TestPaperTablesMatchColouring(t *testing.T) {
+	for ci, c := range paperTableCells() {
 		name := fmt.Sprintf("%s/%v/K=%d", c.name, c.window, c.ranks)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -577,6 +592,60 @@ func TestPaperTablesMatchColouring(t *testing.T) {
 				t.Errorf("KS distance %.4f >= 99%% critical value %.4f", d, crit)
 			}
 		})
+	}
+}
+
+// refQuantile is quantile without its guide: a binary search over every
+// knot for the first whose survival is at most s.
+func refQuantile(t *denseTable, s float64) float64 {
+	if s >= t.g0 {
+		return 0
+	}
+	lo, hi := 0, len(t.sv)-1
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); float64(t.sv[mid]) <= s {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	x0, g := 0.0, t.g0
+	if lo > 0 {
+		x0, g = (float64(lo)-0.5)*t.h, float64(t.sv[lo-1])
+	}
+	x1 := (float64(lo) + 0.5) * t.h
+	return x0 + (g-s)/(g-float64(t.sv[lo]))*(x1-x0)
+}
+
+// The guided lookup finds what the full search finds, bit for bit, on the
+// tables of paperTableCells: at every knot's survival and its float64
+// neighbours, at each 2^−b for b up to 70 and its neighbours (the guide's
+// bounds), at g0's neighbours, and at 0 and a denormal.
+func TestGuidedQuantileMatchesSearch(t *testing.T) {
+	for _, c := range paperTableCells() {
+		p := c.prof()
+		p.Tabulate([]sim.Duration{c.window}, c.ranks)
+		tab := p.denseAt(c.window)
+		if tab == nil {
+			t.Fatalf("%s at %v: no table", c.name, c.window)
+		}
+		var probes []float64
+		near := func(x float64) {
+			probes = append(probes, math.Nextafter(x, 0), x, math.Nextafter(x, 1))
+		}
+		for _, v := range tab.sv {
+			near(float64(v))
+		}
+		for b := range 71 {
+			near(math.Ldexp(1, -b))
+		}
+		near(tab.g0)
+		probes = append(probes, 0, 0x1p-1070)
+		for _, s := range probes {
+			if got, want := tab.quantile(s), refQuantile(tab, s); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s at %v: quantile(%g) = %v, full search %v", c.name, c.window, s, got, want)
+			}
+		}
 	}
 }
 
@@ -607,7 +676,7 @@ func TestUnresolvedCellsColour(t *testing.T) {
 					d, _ := MaxDetourRank(rng, p, k, w)
 					got[i] = float64(d)
 					clear(sums)
-					d, _ = colour(refRNG, ref, sums, w)
+					d, _ = colourSums(refRNG, ref, sums, w)
 					want[i] = float64(d)
 				}
 				if d, crit := ksDistance(got, want), ksCritical99(n, m); d >= crit {
@@ -891,10 +960,10 @@ func TestDegenerateSourcesAgree(t *testing.T) {
 				{"DetourIn", func(rng *sim.RNG) sim.Duration { return p.DetourIn(rng, 1, window) }},
 				{"colour", func(rng *sim.RNG) sim.Duration {
 					sums[0] = 0
-					d, _ := colour(rng, p, sums[:], window)
+					d, _ := colourSums(rng, p, sums[:], window)
 					return d
 				}},
-				{"sparse", func(rng *sim.RNG) sim.Duration { d, _ := sparseMax(rng, p, 1, window); return d }},
+				{"sparse", func(rng *sim.RNG) sim.Duration { d, _ := sparseMax(rng, p, p.maxAt(window, 1), 1, window); return d }},
 				{"table", func(rng *sim.RNG) sim.Duration { d, _ := tab.max(rng, 1); return d }},
 			}
 			for pi, path := range paths {

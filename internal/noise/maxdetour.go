@@ -39,17 +39,65 @@ const exactMaxRanks = 1024
 //     takes this path at every window.
 //
 // On either path the rank is -1 only when the maximum is 0.
+//
+// What a call needs that does not depend on the seed, which path serves
+// (window, ranks) and each source's e^{−K·λ}, is cached in p for the last
+// two (window, ranks) it drew at (maxEntry), so a call draws its random
+// numbers and little else. Like DetourIn's rate caches, the cache is the
+// profile's own, so a profile, or a view of one (CloneTables), is drawn
+// from by one goroutine at a time.
 func MaxDetourRank(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) (sim.Duration, int) {
 	if ranks <= 0 || window <= 0 {
 		return 0, -1
 	}
-	if t := p.denseAt(window); t != nil && (ranks == t.ranks || t.resolves(ranks)) {
+	e := p.maxAt(window, ranks)
+	if t := p.maxes[e].tab; t != nil {
 		return t.max(rng, ranks)
 	}
 	if ranks <= exactMaxRanks {
-		return exactMax(rng, p, ranks, window)
+		return exactMax(rng, p, e, ranks, window)
 	}
-	return sparseMax(rng, p, ranks, window)
+	return sparseMax(rng, p, e, ranks, window)
+}
+
+// maxEntry is MaxDetourRank's seed-free state at one (window, ranks): tab,
+// the table that serves it, or nil when the profile has none at the window
+// or it does not resolve the rank count. The entry at index i of
+// Profile.maxes without a table keeps each core-1 source's e^{−K·λ} in
+// that source's rate.maxExp[i]. The step loop alternates a collective over
+// all ranks and a halo over at most 27 at one window, so a profile keeps
+// two entries.
+type maxEntry struct {
+	window sim.Duration
+	ranks  int
+	tab    *denseTable
+}
+
+// maxAt returns the index of p's entry for (window, ranks), filling the
+// older entry on a miss.
+func (p *Profile) maxAt(window sim.Duration, ranks int) int {
+	for i := range p.maxes {
+		if e := &p.maxes[i]; e.window == window && e.ranks == ranks {
+			return i
+		}
+	}
+	i := p.older
+	p.older ^= 1
+	e := &p.maxes[i]
+	e.window, e.ranks, e.tab = window, ranks, nil
+	if t := p.denseAt(window); t != nil && t.resolves(ranks) {
+		e.tab = t
+		return i
+	}
+	if len(p.rates) != len(p.Sources) {
+		p.rates = make([]rate, len(p.Sources))
+	}
+	for j := range p.Sources {
+		if s := &p.Sources[j]; s.drawsOnAppCore() {
+			p.rates[j].maxExp[i] = expNegBelowCutoff(float64(ranks) * (float64(window) / float64(s.Period)))
+		}
+	}
+	return i
 }
 
 // exactMax is MaxDetourRank's colouring path up to exactMaxRanks ranks. It
@@ -67,23 +115,24 @@ func MaxDetourRank(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) (si
 // running maximum over the updates is the maximum of the final sums, and
 // taking the argmax on a tie at a lower rank leaves it at the lowest rank
 // that reaches that maximum, with no scan over ranks.
-func exactMax(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) (sim.Duration, int) {
+func exactMax(rng *sim.RNG, p *Profile, e, ranks int, window sim.Duration) (sim.Duration, int) {
 	// The sums live on the stack, zeroed on entry. Halo neighbourhoods and
 	// single nodes, most calls, take the small array and skip clearing a
 	// full exactMaxRanks of them.
 	if ranks <= smallRanks {
 		var sums [smallRanks]sim.Duration
-		return colour(rng, p, sums[:ranks], window)
+		return colour(rng, p, e, sums[:ranks], window)
 	}
 	var sums [exactMaxRanks]sim.Duration
-	return colour(rng, p, sums[:ranks], window)
+	return colour(rng, p, e, sums[:ranks], window)
 }
 
 // smallRanks is the rank count of one 64-rank node.
 const smallRanks = 64
 
-// colour is exactMax over len(sums) ranks, every sum 0 on entry.
-func colour(rng *sim.RNG, p *Profile, sums []sim.Duration, window sim.Duration) (sim.Duration, int) {
+// colour is exactMax over len(sums) ranks, every sum 0 on entry, with the
+// Poisson counts' e^{−K·λ} in slot e of the rates (maxAt).
+func colour(rng *sim.RNG, p *Profile, e int, sums []sim.Duration, window sim.Duration) (sim.Duration, int) {
 	ranks := uint64(len(sums))
 	var max sim.Duration
 	argmax := -1
@@ -93,7 +142,7 @@ func colour(rng *sim.RNG, p *Profile, sums []sim.Duration, window sim.Duration) 
 			continue // DetourIn draws nothing for it
 		}
 		lam := float64(window) / float64(s.Period)
-		for n := rng.Poisson(float64(ranks) * lam); n > 0; n-- {
+		for n := rng.PoissonExp(float64(ranks)*lam, p.rates[i].maxExp[e]); n > 0; n-- {
 			r := int(rng.Uint64n(ranks))
 			sums[r] += s.sampleDetour(rng)
 			if d := sums[r]; d > max || d == max && r < argmax {
@@ -112,7 +161,7 @@ func colour(rng *sim.RNG, p *Profile, sums []sim.Duration, window sim.Duration) 
 // on the stack when the call expects few enough events, else on the heap,
 // sized for twice the events it expects, and doubled whenever more ranks
 // are hit than it holds.
-func sparseMax(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) (sim.Duration, int) {
+func sparseMax(rng *sim.RNG, p *Profile, e, ranks int, window sim.Duration) (sim.Duration, int) {
 	var slots [sparseSlots]rankSum
 	tab := slots[:]
 	if hits := min(float64(ranks)*p.events(window), float64(ranks)); 4*hits > sparseSlots {
@@ -127,7 +176,7 @@ func sparseMax(rng *sim.RNG, p *Profile, ranks int, window sim.Duration) (sim.Du
 			continue
 		}
 		lam := float64(window) / float64(s.Period)
-		for n := rng.Poisson(float64(ranks) * lam); n > 0; n-- {
+		for n := rng.PoissonExp(float64(ranks)*lam, p.rates[i].maxExp[e]); n > 0; n-- {
 			r := int(rng.Uint64n(uint64(ranks)))
 			d := s.sampleDetour(rng)
 			j := slotOf(tab, r)

@@ -355,3 +355,86 @@ func TestExactMaxAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// FuzzMaxDetourSequence draws a sequence of max-of-K calls on one view, whose
+// cached (window, ranks) entries (maxAt) carry over from call to call, and
+// holds it draw for draw to the same calls each made on a fresh view from a
+// twin generator: the same maximum, argmax and generator state after every
+// call. ops is read in pairs (a, b): the window is a's low two bits (0.79,
+// 1, 10 or 30 ms) and the rank count b mod 6 (1, 27, 64, 1,024, 2,048 or
+// 131,072, the last only at windows up to 1 ms, where colouring it stays
+// cheap; above that 2,048); a with its high bit set Tabulates the view at
+// that window for that rank count instead of drawing. The profile is
+// LinuxTuned, LinuxTuned under the facility storm or McKernel. The seed
+// corpus (f.Add) alternates two rank counts at one window, evicts an entry
+// with a third, changes window and returns to an evicted key, colours above
+// exactMaxRanks (sparseMax), and draws at a tabled window both at a rank
+// count its table resolves and at one it does not, with Tabulate between
+// draws.
+func FuzzMaxDetourSequence(f *testing.F) {
+	profiles := []func() *Profile{
+		LinuxTuned,
+		func() *Profile { return LinuxTuned().WithSource(facilityStorm()) },
+		McKernelProfile,
+	}
+	windows := [4]sim.Duration{790 * sim.Microsecond, sim.Millisecond, 10 * sim.Millisecond, 30 * sim.Millisecond}
+	rankCounts := [6]int{1, 27, smallRanks, exactMaxRanks, 2048, paperRanks}
+	const tab = 0x80
+	// Windows 0.79, 1, 10, 30 ms are 0..3; rank counts 1..131,072 are 0..5.
+	steps := []byte{tab | 3, 3, 3, 3, 3, 1, 3, 3, 3, 1, 3, 2, 3, 3, 3, 1, 2, 3, 2, 1, 3, 1, 3, 3}
+	sparse := []byte{1, 5, 1, 4, 0, 5, tab | 1, 5, 1, 5, 1, 1, 0, 5, 3, 4, 2, 4, tab | 3, 4, 3, 4, 3, 1}
+	for pi := range profiles {
+		f.Add(uint64(pi+1), uint8(pi), steps)
+		f.Add(uint64(pi+11), uint8(pi), sparse)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, pi uint8, ops []byte) {
+		base := profiles[int(pi)%len(profiles)]()
+		base.Warm()
+		view, tmpl := base.CloneTables(0), base.CloneTables(0)
+		rng, ref := sim.NewRNG(seed), sim.NewRNG(seed)
+		for i := 0; i+1 < len(ops) && i < 64; i += 2 {
+			w, k := windows[ops[i]&3], rankCounts[int(ops[i+1])%len(rankCounts)]
+			if k > 2048 && w > sim.Millisecond {
+				k = 2048
+			}
+			if ops[i]&tab != 0 {
+				view.Tabulate([]sim.Duration{w}, k)
+				tmpl.Tabulate([]sim.Duration{w}, k)
+				continue
+			}
+			d, r := MaxDetourRank(rng, view, k, w)
+			wd, wr := MaxDetourRank(ref, tmpl.CloneTables(len(tmpl.dense)), k, w)
+			if d != wd || r != wr {
+				t.Fatalf("call %d (%v, K=%d): (%v, rank %d) on the view, (%v, rank %d) on a fresh one", i/2, w, k, d, r, wd, wr)
+			}
+			if got, want := rng.Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("call %d (%v, K=%d): next draw %#x on the view, %#x on a fresh one", i/2, w, k, got, want)
+			}
+		}
+	})
+}
+
+// A view that alternates a collective over 1,024 ranks and a 27-rank halo
+// at one tabled window, as the step loop does, fills its two max-of-K
+// entries on the first two calls, the collective's with the table and the
+// halo's without, and every later call hits them.
+func TestMaxDetourEntriesServeTheStepLoop(t *testing.T) {
+	const window = 30 * sim.Millisecond
+	p := LinuxTuned()
+	p.Tabulate([]sim.Duration{window}, exactMaxRanks)
+	v := p.CloneTables(1)
+	rng := sim.NewRNG(3)
+	MaxDetourRank(rng, v, exactMaxRanks, window)
+	MaxDetourRank(rng, v, 27, window)
+	filled, older := v.maxes, v.older
+	if filled[0].ranks != exactMaxRanks || filled[0].tab == nil || filled[1].ranks != 27 || filled[1].tab != nil {
+		t.Fatalf("entries after a collective and a halo: %+v", filled)
+	}
+	for i := range 100 {
+		MaxDetourRank(rng, v, exactMaxRanks, window)
+		MaxDetourRank(rng, v, 27, window)
+		if v.maxes != filled || v.older != older {
+			t.Fatalf("step %d refilled an entry: %+v", i, v.maxes)
+		}
+	}
+}

@@ -163,28 +163,36 @@ func (s *Source) appliesTo(core int) bool {
 // a run whenever the per-step base time is (the common case), so the cache
 // turns a math.Exp per source per step into one per run. It is per-run
 // state: a profile keeps one per source (Profile.rates), and each view of a
-// shared profile its own.
+// shared profile its own, so a view is drawn from by one goroutine at a
+// time.
 type rate struct {
 	window sim.Duration
 	lam    float64
 	expNeg float64 // exp(-lam); consulted only when lam <= sim.PoissonKnuthCutoff
+	// maxExp holds e^{−K·λ} of the count over K ranks for each of the
+	// profile's two max-of-K entries (maxEntry), by entry index.
+	maxExp [2]float64
 }
 
 // at returns the Poisson mean window/Period of s's occurrence count and exp
-// of its negation (0 above sim.PoissonKnuthCutoff, where PoissonExp ignores
-// it), cached for the last window seen. The caller has checked Period > 0
-// and window > 0.
+// of its negation (expNegBelowCutoff), cached for the last window seen. The
+// caller has checked Period > 0 and window > 0.
 func (r *rate) at(s *Source, window sim.Duration) (lam, expNegLam float64) {
 	if window != r.window {
 		r.window = window
 		r.lam = float64(window) / float64(s.Period)
-		if r.lam <= sim.PoissonKnuthCutoff {
-			r.expNeg = math.Exp(-r.lam)
-		} else {
-			r.expNeg = 0
-		}
+		r.expNeg = expNegBelowCutoff(r.lam)
 	}
 	return r.lam, r.expNeg
+}
+
+// expNegBelowCutoff returns e^{−lam} for a Poisson mean lam, or 0 above
+// sim.PoissonKnuthCutoff, where PoissonExp does not read it.
+func expNegBelowCutoff(lam float64) float64 {
+	if lam <= sim.PoissonKnuthCutoff {
+		return math.Exp(-lam)
+	}
+	return 0
 }
 
 // sampleCount draws the number of occurrences in a window (Poisson with
@@ -238,7 +246,9 @@ func (s *Source) ExpectedRate() float64 {
 }
 
 // Profile is a named set of noise sources — the interference signature of
-// one kernel configuration.
+// one kernel configuration. Drawing from a profile fills its per-run caches
+// (rates, maxes), so a profile, or each view of it (CloneTables), is drawn
+// from by one goroutine at a time.
 type Profile struct {
 	Name    string
 	Sources []Source
@@ -253,6 +263,11 @@ type Profile struct {
 	// rates holds each source's Poisson rate cache, made on the first
 	// draw; the profile's own, never shared by a view.
 	rates []rate
+	// maxes holds MaxDetourRank's entries for the last two (window, ranks)
+	// it drew at; older is the index of the one a miss overwrites. Like
+	// rates, they are the profile's own, and Tabulate clears them.
+	maxes [2]maxEntry
+	older int
 }
 
 // DetourIn samples the total interference on one core during a window.
@@ -339,12 +354,13 @@ func (s *Source) lnKey() lnKey { return lnKey{s.Mean, s.CV} }
 // CloneTables returns a view of the profile that draws from its sources and
 // from the first n of the tables Tabulate attached, in their order: the
 // tables Tabulate attaches over a prefix of the same window list. The view
-// shares everything but its Poisson rate caches, which are its own, so any
-// number of views of a warm profile (Warm) draw at once, each from its own
-// goroutine; views of a profile never warmed fill the shared sources' caches
-// on first use and are drawn from one at a time. The tables are never
-// written once built, and the table cache is shared under a lock
-// (tableCache), so views may Tabulate windows of their own concurrently.
+// shares everything but its Poisson rate caches and max-of-K entries, which
+// are its own, so any number of views of a warm profile (Warm) draw at once,
+// each from its own goroutine and each view from one goroutine at a time;
+// views of a profile never warmed fill the shared sources' caches on first
+// use and are drawn from one at a time. The tables are never written once
+// built, and the table cache is shared under a lock (tableCache), so views
+// may Tabulate windows of their own concurrently.
 func (p *Profile) CloneTables(n int) *Profile {
 	return &Profile{Name: p.Name, Sources: p.Sources, dense: p.dense[:min(n, len(p.dense))],
 		cache: p.cache, rates: make([]rate, len(p.Sources))}

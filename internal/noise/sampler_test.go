@@ -304,8 +304,26 @@ func BenchmarkSampleDetour(b *testing.B) {
 // /reference, the same law from different draws; into sparseMax's table of
 // the ranks hit at 131,072), drawing from the profile as built, without
 // tables; /table times the table path on a view of the profile given a
-// table at the cell's window, dense or not.
+// table at the cell's window, dense or not. /steps times one step of the
+// cluster's step loop: a collective over 1,024 ranks, then a 27-rank halo,
+// at 30 ms on a view of a warm LinuxTuned tabulated there for 1,024 ranks
+// (the collective takes the table, the halo colours).
 func BenchmarkMaxDetourRank(b *testing.B) {
+	b.Run("steps", func(b *testing.B) {
+		const window = 30 * sim.Millisecond
+		p := LinuxTuned()
+		p.Warm()
+		p.Tabulate([]sim.Duration{window}, exactMaxRanks)
+		if p.denseAt(window) == nil {
+			b.Fatal("LinuxTuned has no table at 30 ms for 1,024 ranks")
+		}
+		v := p.CloneTables(1)
+		rng := sim.NewRNG(1)
+		for b.Loop() {
+			MaxDetourRank(rng, v, exactMaxRanks, window)
+			MaxDetourRank(rng, v, 27, window)
+		}
+	})
 	for _, storm := range []bool{false, true} {
 		p := LinuxTuned()
 		if storm {

@@ -137,8 +137,9 @@ type Policy interface {
 	// Preemptive reports whether the policy preempts running tasks.
 	Preemptive() bool
 	// NewState derives one run's mutable scheduler state from a seed
-	// (pass sim.StreamSeed(jobSeed, StreamState)).
-	NewState(seed uint64) *State
+	// (pass sim.StreamSeed(jobSeed, StreamState)). The state is a value,
+	// so a run keeps it on its own stack.
+	NewState(seed uint64) State
 	// String renders the policy for diagnostics.
 	String() string
 }
@@ -180,19 +181,20 @@ func (pl policy) String() string   { return string(pl.kind) }
 // NewState derives the run's scheduler state. The RNG drives only the
 // adaptive policy's hysteresis draws, but every kind gets one so state
 // construction costs the same on every path.
-func (pl policy) NewState(seed uint64) *State {
-	return &State{
+func (pl policy) NewState(seed uint64) State {
+	return State{
 		kind: pl.kind,
 		p:    pl.p,
 		q:    pl.p.Quantum,
-		rng:  sim.NewRNG(seed),
+		rng:  *sim.NewRNG(seed),
 	}
 }
 
 // State is one run's mutable scheduler state: the current (possibly
 // adapted) quantum, the phase-length estimate, and the seeded RNG behind the
 // adaptive policy's hysteresis. One State belongs to exactly one run — never
-// capture it across par worker closures.
+// capture it across par worker closures. It holds its RNG by value, so a
+// run keeps the whole state on its stack; a copy replays the same draws.
 type State struct {
 	kind Kind
 	p    Params
@@ -200,7 +202,7 @@ type State struct {
 	q sim.Duration
 	// ema estimates the application phase length (adaptive only).
 	ema sim.Duration
-	rng *sim.RNG
+	rng sim.RNG
 }
 
 // Kind names the state's policy.
@@ -295,7 +297,7 @@ func (s *State) adapt(base sim.Duration) int64 {
 // filling — for callers that model an explicitly-configured scheduler (the
 // section II scheduler ablation in internal/experiments).
 func Run(tasks []sim.Duration, kind Kind, p Params, seed uint64) Result {
-	st := &State{kind: kind, p: p, q: p.Quantum, rng: sim.NewRNG(seed)}
+	st := State{kind: kind, p: p, q: p.Quantum, rng: *sim.NewRNG(seed)}
 	return st.Schedule(tasks)
 }
 

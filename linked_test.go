@@ -79,9 +79,6 @@ var linkExceptions = []struct{ decl, reason string }{
 	{"internal/kernel.(*Process).OpenFiles", fdTable},
 	{"internal/kernel.(*Process).Munmap", memSyscalls},
 	{"internal/kernel.(*Process).Mremap", memSyscalls},
-	{"internal/kernel.(*Process).SetMempolicy", memSyscalls},
-	{"internal/kernel.(*Process).SchedYield", "kernel:TestProcessGetpidAndYield pins the yield and getpid dispositions; no experiment issues them"},
-	{"internal/kernel.(*Process).Getpid", "kernel:TestProcessGetpidAndYield pins the yield and getpid dispositions; no experiment issues them"},
 	{"internal/mem.(*AddrSpace).UnmapRange", memSyscalls},
 	{"internal/mem.(*AddrSpace).Remap", memSyscalls},
 	{"internal/mem.(*AddrSpace).nextAreaStart", memSyscalls},
@@ -98,8 +95,8 @@ const (
 	fdTable = "the proxy model's descriptor table (on the Linux side under offload); " +
 		"kernel:TestFDTable*, TestProcessProxyFDPlacement, TestProcessFileOpsChargeOffload " +
 		"and TestProcessReadWriteAdvancePosition pin it, and no experiment opens a file"
-	memSyscalls = "munmap, mremap and set_mempolicy of the process model; " +
-		"kernel:TestProcessMunmapAndMprotect, TestProcessMremap, TestProcessSetMempolicy, " +
+	memSyscalls = "munmap and mremap of the process model; " +
+		"kernel:TestProcessMunmapAndMprotect, TestProcessMremap, " +
 		"TestProcessExitReleasesMemory and mem:TestRemap*, TestUnmapRange* pin them, " +
 		"and no experiment issues them"
 )
