@@ -17,6 +17,10 @@
 //
 // Output is a pure function of the flags: same flags, same bytes, at any
 // -workers width.
+//
+// Exit status: 0 on success, 1 on a failed run or SLO, 2 on a usage error
+// (a bad flag, -nodes, -jobs or -share below 1, a negative -backfill-depth
+// or -arrival-mean, or a positional argument).
 package main
 
 import (
@@ -39,15 +43,15 @@ import (
 
 func main() {
 	var (
-		nodes    = flag.Int("nodes", 256, "facility size in nodes")
-		jobs     = flag.Int("jobs", 1000, "number of jobs in the stream")
+		nodes    = flag.Int("nodes", 256, "facility size in nodes (at least 1)")
+		jobs     = flag.Int("jobs", 1000, "number of jobs in the stream (at least 1)")
 		seed     = cliflags.Seed(flag.CommandLine)
 		workers  = cliflags.Workers(flag.CommandLine)
 		policy   = flag.String("policy", "heuristic", "kernel-selection policy: "+strings.Join(fleet.PolicyNames(), ", ")+"; add ':<sched>' (e.g. heuristic:gang) to pin every job's scheduler")
 		schedF   = cliflags.Sched(flag.CommandLine)
 		backfill = flag.Bool("backfill", true, "conservative backfill (false = strict FIFO)")
 		depth    = flag.Int("backfill-depth", 0, "max queued jobs examined per backfill pass (0 = default)")
-		share    = flag.Int("share", 1, "node oversubscription factor (jobs per node; >1 enables co-tenancy interference)")
+		share    = flag.Int("share", 1, "node oversubscription factor (jobs per node, at least 1; >1 enables co-tenancy interference)")
 		interf   = flag.String("interference", "", "co-tenancy fault-plan template, e.g. 'storm:period=2ms,burst=150us,offload-factor=2' (default: built-in template when -share > 1)")
 		arrival  = flag.Duration("arrival-mean", 0, "mean job interarrival gap (virtual time; 0 = default)")
 		counters = cliflags.Counters(flag.CommandLine)
@@ -62,6 +66,14 @@ func main() {
 		obsSLO       = flag.String("obs-slo", "", "SLO spec evaluated into the result (exit 1 on failure), e.g. 'wait_p99_sec<=2;utilization_pct>=60'")
 	)
 	flag.Parse()
+	switch {
+	case flag.NArg() > 0:
+		usage(fmt.Sprintf("unexpected arguments %q", flag.Args()))
+	case *nodes < 1 || *jobs < 1 || *share < 1:
+		usage(fmt.Sprintf("-nodes %d, -jobs %d, -share %d: want each at least 1", *nodes, *jobs, *share))
+	case *depth < 0 || *arrival < 0:
+		usage(fmt.Sprintf("-backfill-depth %d, -arrival-mean %v: want each 0 (the default) or more", *depth, *arrival))
+	}
 
 	cfg := fleet.Config{
 		Nodes:         *nodes,
@@ -239,4 +251,10 @@ func emitJSON(v any) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "mkfleet:", err)
 	os.Exit(1)
+}
+
+func usage(msg string) {
+	fmt.Fprintln(os.Stderr, "mkfleet:", msg)
+	flag.Usage()
+	os.Exit(2)
 }

@@ -8,7 +8,7 @@
 //	mkltp -case brk-shrink-fault -kernel mos
 //
 // Exit status: 0 on success, 1 on an unknown kernel or case, 2 on a bad
-// flag.
+// flag or a positional argument.
 package main
 
 import (
@@ -43,6 +43,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "mkltp: unexpected arguments %q\n", fs.Args())
+		fs.Usage()
 		return 2
 	}
 	var err error

@@ -23,6 +23,7 @@ func TestRun(t *testing.T) {
 		{"unknown kernel", []string{"-case", "brk-shrink-fault", "-kernel", "windows"}, 1,
 			"", `unknown kernel "windows"`},
 		{"unknown flag", []string{"-nope"}, 2, "", "flag provided but not defined"},
+		{"positional argument", []string{"-failed", "brk-shrink-fault"}, 2, "", `unexpected arguments ["brk-shrink-fault"]`},
 		{"failure causes", []string{"-failed"}, 0, "\nmos failure causes:\n", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -12,6 +12,9 @@
 //	mkrun -app lulesh2.0 -compare -nodes 64
 //	mkrun -app ccs-qcd -kernel mckernel -nodes 2048 -ddr-only
 //	mkrun -app minife -nodes 16 -trace-json t.json -counters-json c.json -metrics-json m.json
+//
+// Exit status: 0 on success, 1 on a failed run, 2 on a usage error (a bad
+// flag or a positional argument).
 package main
 
 import (
@@ -57,6 +60,11 @@ func main() {
 		list      = flag.Bool("list", false, "list applications and exit")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "mkrun: unexpected arguments %q\n", flag.Args())
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)

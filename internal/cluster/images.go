@@ -26,13 +26,8 @@ import (
 // of its key, and a view equals an image prepared for the view. A store
 // is safe for concurrent use.
 type Images struct {
-	mu sync.Mutex
-	// layouts holds, per key with its node count left out, one prepared
-	// image per node layout asked for so far, and views the image of each
-	// key, a view of one of them; each is built once, by the first caller
-	// that needs it.
-	layouts map[storeKey][]layoutImage
-	views   map[storeKey]func() (*Image, error)
+	mu       sync.Mutex
+	families map[storeKey]*family
 	// plans numbers every fault plan pointer asked for by value: each maps
 	// to the number of the first equal plan, distinct[number-1].
 	plans    map[*fault.Plan]int
@@ -44,10 +39,9 @@ type Images struct {
 // NewImages returns an empty node image store.
 func NewImages() *Images {
 	return &Images{
-		layouts: map[storeKey][]layoutImage{},
-		views:   map[storeKey]func() (*Image, error){},
-		plans:   map[*fault.Plan]int{},
-		tables:  noise.NewStore(),
+		families: map[storeKey]*family{},
+		plans:    map[*fault.Plan]int{},
+		tables:   noise.NewStore(),
 	}
 }
 
@@ -62,26 +56,25 @@ func (s *Images) Fork() *Images {
 	return f
 }
 
-// storeKey is what a node image depends on: its job's application,
-// kernel, scheduler, node count and fault plan, whether its sink counts
-// and observes, and the timestep budget it is prepared for (the
+// storeKey is what a node image depends on besides its node count: its
+// job's application, kernel, scheduler and fault plan, whether its sink
+// counts and observes, and the timestep budget it is prepared for (the
 // application's Timesteps). A job's seed is left out; Run takes it.
 type storeKey struct {
 	app                 string
 	kernel              kernel.Type
 	sched               sched.Kind
-	nodes               int
 	plan                int
 	counting, observing bool
 	budget              int
 }
 
-// layoutImage is one prepared node layout of the keys that differ only in
-// their node count: the node count the image was prepared at, and the
-// function that prepares it once.
-type layoutImage struct {
-	nodes int
-	image func() (*Image, error)
+// family is the images of one storeKey by node count: layouts one
+// prepared image per node layout asked for, at the node count it was
+// prepared at, and views each node count's image, a view of one of them.
+// Each is built once, by the first caller that needs it.
+type family struct {
+	layouts, views map[int]func() (*Image, error)
 }
 
 // Image returns the node image of job j, its seed aside: the image that
@@ -102,12 +95,17 @@ func (s *Images) Image(j Job) (*Image, error) {
 		return nil, fmt.Errorf("cluster: an image store holds jobs of the default fabric, kernel options and memory mode, untraced")
 	}
 	s.mu.Lock()
-	key := storeKey{app: j.App.Name, kernel: j.Kernel, sched: j.Sched, nodes: j.Nodes, plan: s.plan(j.Faults),
+	key := storeKey{app: j.App.Name, kernel: j.Kernel, sched: j.Sched, plan: s.plan(j.Faults),
 		counting: j.Sink.Counting(), observing: j.Sink.Observing(), budget: j.App.Timesteps}
-	view, ok := s.views[key]
+	f := s.families[key]
+	if f == nil {
+		f = &family{layouts: map[int]func() (*Image, error){}, views: map[int]func() (*Image, error){}}
+		s.families[key] = f
+	}
+	view, ok := f.views[j.Nodes]
 	if !ok {
-		view = s.view(key, j)
-		s.views[key] = view
+		view = s.view(f, key, j)
+		f.views[j.Nodes] = view
 	}
 	s.mu.Unlock()
 	return view()
@@ -134,30 +132,28 @@ func (s *Images) plan(p *fault.Plan) int {
 	return n
 }
 
-// view returns the image function of key, whose job is j: a new prepared
-// image when no layout of key's family serves its node count, else the
-// view of that layout's image at its node count. s.mu must be held.
-func (s *Images) view(key storeKey, j Job) func() (*Image, error) {
-	family := key
-	family.nodes = 0
-	layouts := s.layouts[family]
-	i := slices.IndexFunc(layouts, func(l layoutImage) bool { return SameLayout(j.App, l.nodes, key.nodes) })
-	if i >= 0 {
-		prep, n := layouts[i].image, key.nodes
-		return sync.OnceValues(func() (*Image, error) {
-			img, err := prep()
-			if err != nil {
-				return nil, err
-			}
-			return img.Nodes(n)
-		})
+// view returns the image function of job j in family f of key: the view
+// at j's node count of the layout that serves it, else a new prepared
+// image. SameLayout is an equivalence, so at most one layout serves a node
+// count. s.mu must be held.
+func (s *Images) view(f *family, key storeKey, j Job) func() (*Image, error) {
+	for nodes, prep := range f.layouts {
+		if n := j.Nodes; SameLayout(j.App, nodes, n) {
+			return sync.OnceValues(func() (*Image, error) {
+				img, err := prep()
+				if err != nil {
+					return nil, err
+				}
+				return img.Nodes(n)
+			})
+		}
 	}
 	j.Seed, j.Sink = 0, nil
 	tables := s.tables
 	prep := sync.OnceValues(func() (*Image, error) {
 		return prepareJob(context.TODO(), j, key.counting, key.observing, tables)
 	})
-	s.layouts[family] = append(layouts, layoutImage{nodes: key.nodes, image: prep})
+	f.layouts[j.Nodes] = prep
 	return prep
 }
 
@@ -166,8 +162,8 @@ func (s *Images) view(key storeKey, j Job) func() (*Image, error) {
 func (s *Images) Sizes() (prepared, keys int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, ls := range s.layouts {
-		prepared += len(ls)
+	for _, f := range s.families {
+		prepared, keys = prepared+len(f.layouts), keys+len(f.views)
 	}
-	return prepared, len(s.views)
+	return prepared, keys
 }

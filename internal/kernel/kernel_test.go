@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"mklite/internal/hw"
@@ -191,11 +192,11 @@ func TestDefaultPartition(t *testing.T) {
 	if len(p.OSCores) != 4 || len(p.AppCores) != 64 {
 		t.Fatalf("partition %d/%d", len(p.OSCores), len(p.AppCores))
 	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if p.OSCores[0] != 0 {
-		t.Fatal("core 0 must be an OS core")
+	// The two sides are a disjoint cover of the node's cores, OS first.
+	for i, c := range append(slices.Clone(p.OSCores), p.AppCores...) {
+		if c != i {
+			t.Fatalf("core %d at position %d: not a disjoint cover of 0..67, OS first", c, i)
+		}
 	}
 }
 
@@ -206,15 +207,6 @@ func TestDefaultPartitionErrors(t *testing.T) {
 	}
 	if _, err := DefaultPartition(node, -1); err == nil {
 		t.Fatal("negative OS cores accepted")
-	}
-}
-
-func TestPartitionValidateCatchesOverlap(t *testing.T) {
-	node := hw.KNL7250SNC4()
-	p, _ := DefaultPartition(node, 4)
-	p.AppCores[0] = 0 // overlap with OS core 0
-	if err := p.Validate(); err == nil {
-		t.Fatal("overlap accepted")
 	}
 }
 

@@ -39,29 +39,6 @@ func DefaultPartition(node *hw.NodeSpec, osCores int) (Partition, error) {
 	return p, nil
 }
 
-// Validate checks that the partition is a disjoint cover of existing cores.
-func (p Partition) Validate() error {
-	if p.Node == nil {
-		return fmt.Errorf("kernel: partition without node")
-	}
-	if len(p.AppCores) == 0 {
-		return fmt.Errorf("kernel: partition with no application cores")
-	}
-	seen := map[int]bool{}
-	for _, set := range [][]int{p.OSCores, p.AppCores} {
-		for _, c := range set {
-			if c < 0 || c >= p.Node.NumCores() {
-				return fmt.Errorf("kernel: core %d out of range", c)
-			}
-			if seen[c] {
-				return fmt.Errorf("kernel: core %d in both partitions", c)
-			}
-			seen[c] = true
-		}
-	}
-	return nil
-}
-
 // NearestOSCore returns the OS core whose NUMA domain is closest to the
 // given application core — the NUMA-aware LWK-to-Linux mapping both
 // kernels use for offload targets (section II-D1).

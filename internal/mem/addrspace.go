@@ -115,13 +115,6 @@ func (v *VMA) appendState(dst []int64) []int64 {
 	return dst
 }
 
-// MixKey identifies a (memory kind, page size) class for page-mix
-// accounting.
-type MixKey struct {
-	Kind hw.MemKind
-	Page hw.PageSize
-}
-
 // TouchResult reports what servicing a first-touch traversal did. Where
 // the placed bytes landed is not repeated here: per-domain residency is a
 // property of the VMA (VMA.DomainsOf), and keeping a map on this result —
@@ -205,24 +198,6 @@ func faultKey(p hw.PageSize) trace.Key {
 
 // VMAs returns the areas sorted by start address.
 func (as *AddrSpace) VMAs() []*VMA { return as.vmas }
-
-// MappedBytes returns the total virtual bytes mapped.
-func (as *AddrSpace) MappedBytes() int64 {
-	var t int64
-	for _, v := range as.vmas {
-		t += v.Size
-	}
-	return t
-}
-
-// PopulatedBytes returns the total physically backed bytes.
-func (as *AddrSpace) PopulatedBytes() int64 {
-	var t int64
-	for _, v := range as.vmas {
-		t += v.Populated
-	}
-	return t
-}
 
 // Map creates a new VMA of the given size. Size is rounded up to 4 KiB.
 // Upfront policies back the area immediately; demand policies leave it
@@ -486,29 +461,6 @@ func (as *AddrSpace) demandPopulate(v *VMA, end int64, maxPage hw.PageSize, faul
 		}
 	}
 	return res
-}
-
-// PageMix returns the fraction of populated bytes per (memory kind, page
-// size) class across the whole address space. The compute-phase model feeds
-// this into the TLB and bandwidth models.
-func (as *AddrSpace) PageMix() map[MixKey]float64 {
-	byClass := map[MixKey]int64{}
-	var total int64
-	for _, v := range as.vmas {
-		for _, b := range v.Backings {
-			kind := as.kindOfDomain(b.Ext.Domain)
-			byClass[MixKey{Kind: kind, Page: b.Page}] += b.Ext.Size
-			total += b.Ext.Size
-		}
-	}
-	out := make(map[MixKey]float64, len(byClass))
-	if total == 0 {
-		return out
-	}
-	for k, b := range byClass {
-		out[k] = float64(b) / float64(total)
-	}
-	return out
 }
 
 // BytesByKind returns populated bytes per memory kind, indexed by

@@ -56,9 +56,17 @@ func TestMapUsesLargePages(t *testing.T) {
 	if _, err := as.Map(4*hw.GiB, VMAAnon, lwkPolicy()); err != nil {
 		t.Fatal(err)
 	}
-	mix := as.PageMix()
-	if mix[MixKey{Kind: hw.MCDRAM, Page: hw.Page1G}] < 0.99 {
-		t.Fatalf("expected 1GiB MCDRAM pages to dominate, mix=%v", mix)
+	var huge, total int64
+	for _, v := range as.VMAs() {
+		for _, b := range v.Backings {
+			if b.Page == hw.Page1G && as.kindOfDomain(b.Ext.Domain) == hw.MCDRAM {
+				huge += b.Ext.Size
+			}
+			total += b.Ext.Size
+		}
+	}
+	if total != 4*hw.GiB || huge != total {
+		t.Fatalf("%d of %d bytes on 1GiB MCDRAM pages, want all 4 GiB", huge, total)
 	}
 }
 
@@ -210,8 +218,8 @@ func TestReleaseAll(t *testing.T) {
 		}
 	}
 	as.ReleaseAll()
-	if as.MappedBytes() != 0 || as.PopulatedBytes() != 0 {
-		t.Fatal("ReleaseAll left mappings")
+	if n := len(as.VMAs()); n != 0 {
+		t.Fatalf("ReleaseAll left %d areas", n)
 	}
 	for d := 0; d < 8; d++ {
 		if phys.UsedBytes(d) != 0 {
@@ -264,28 +272,6 @@ func TestDemandSharesMCDRAMBetweenSpaces(t *testing.T) {
 	}
 }
 
-func TestPageMixFractionsSumToOne(t *testing.T) {
-	as := NewAddrSpace(newKNLPhys())
-	if _, err := as.Map(3*hw.GiB+512*hw.MiB, VMAAnon, lwkPolicy()); err != nil {
-		t.Fatal(err)
-	}
-	mix := as.PageMix()
-	sum := 0.0
-	for _, f := range mix {
-		sum += f
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Fatalf("mix fractions sum to %v: %v", sum, mix)
-	}
-}
-
-func TestPageMixEmpty(t *testing.T) {
-	as := NewAddrSpace(newKNLPhys())
-	if len(as.PageMix()) != 0 {
-		t.Fatal("empty space has non-empty mix")
-	}
-}
-
 func TestTrimPartialExtent(t *testing.T) {
 	phys := newKNLPhys()
 	as := NewAddrSpace(phys)
@@ -316,17 +302,5 @@ func TestVMAKindStrings(t *testing.T) {
 		if k.String() != want[i] {
 			t.Fatalf("kind %d = %q", i, k.String())
 		}
-	}
-}
-
-func TestMappedAndPopulatedBytes(t *testing.T) {
-	as := NewAddrSpace(newKNLPhys())
-	v, _ := as.Map(4*hw.MiB, VMAAnon, Policy{Domains: []int{0}, MaxPage: hw.Page4K, Demand: true})
-	if as.MappedBytes() != 4*hw.MiB {
-		t.Fatalf("mapped = %d", as.MappedBytes())
-	}
-	as.Touch(v, 0, 1*hw.MiB)
-	if as.PopulatedBytes() != 1*hw.MiB {
-		t.Fatalf("populated = %d", as.PopulatedBytes())
 	}
 }

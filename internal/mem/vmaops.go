@@ -7,8 +7,8 @@ import (
 )
 
 // This file implements the VMA manipulation operations behind mprotect,
-// partial munmap, move_pages and mbind: protection tracking, area
-// splitting, and physical page migration between NUMA domains.
+// move_pages and mbind: protection tracking, area splitting, and physical
+// page migration between NUMA domains.
 
 // Prot is a VMA's protection, mmap-style.
 type Prot int
@@ -63,27 +63,6 @@ func (as *AddrSpace) Protect(v *VMA, offset, length int64, prot Prot) (*VMA, err
 	return mid, nil
 }
 
-// UnmapRange removes [offset, offset+length) from v, returning its
-// physical memory and splitting the area if the range is interior.
-func (as *AddrSpace) UnmapRange(v *VMA, offset, length int64) error {
-	if offset < 0 || length <= 0 || offset+length > v.Size {
-		return fmt.Errorf("mem: UnmapRange [%d,%d) outside area of %d bytes", offset, offset+length, v.Size)
-	}
-	offset = offset / int64(hw.Page4K) * int64(hw.Page4K)
-	length = roundUp(length, int64(hw.Page4K))
-	if offset+length > v.Size {
-		length = v.Size - offset
-	}
-	if offset == 0 && length == v.Size {
-		return as.Unmap(v)
-	}
-	mid, err := as.splitRange(v, offset, length)
-	if err != nil {
-		return err
-	}
-	return as.Unmap(mid)
-}
-
 // splitRange splits v so that [offset, offset+length) becomes its own VMA,
 // and returns that middle VMA. Backings are divided by their cumulative
 // position (population is sequential from the area base).
@@ -100,11 +79,7 @@ func (as *AddrSpace) splitRange(v *VMA, offset, length int64) (*VMA, error) {
 	if offset == 0 {
 		return v, nil
 	}
-	right, err := as.splitAt(v, offset)
-	if err != nil {
-		return nil, err
-	}
-	return right, nil
+	return as.splitAt(v, offset)
 }
 
 // splitAt splits v at the given offset, returning the new right-hand VMA.
@@ -242,60 +217,4 @@ func (v *VMA) DomainsOf() map[int]int64 {
 		out[b.Ext.Domain] += b.Ext.Size
 	}
 	return out
-}
-
-// Remap grows or shrinks a VMA in place (mremap semantics). Growth extends
-// the virtual area; for upfront-mapped areas the extension is physically
-// backed immediately (LWK behaviour), for demand areas it faults later.
-// Shrinking releases the physical tail. Returns the mechanical work.
-func (as *AddrSpace) Remap(v *VMA, newSize int64) (Work, error) {
-	if newSize <= 0 {
-		return Work{}, fmt.Errorf("mem: Remap to non-positive size %d", newSize)
-	}
-	newSize = roundUp(newSize, int64(hw.Page4K))
-	var w Work
-	switch {
-	case newSize == v.Size:
-		return w, nil
-	case newSize < v.Size:
-		freed := as.Trim(v, newSize)
-		v.Size = newSize
-		w.FreedBytes = freed
-	default:
-		// The bump allocator leaves 1 GiB-aligned gaps between areas,
-		// so in-place growth is available up to the next area.
-		grow := newSize - v.Size
-		if next := as.nextAreaStart(v); v.Start+v.Size+grow > next {
-			return w, fmt.Errorf("mem: Remap collision: area at %#x cannot grow %d bytes", v.Start, grow)
-		}
-		v.Size = newSize
-		if !v.DemandActive {
-			got := as.populate(v, grow)
-			if got < grow {
-				if !v.Pol.FallbackDemand {
-					// Roll back the growth.
-					as.Trim(v, newSize-grow)
-					v.Size = newSize - grow
-					return w, fmt.Errorf("mem: Remap cannot back %d bytes", grow)
-				}
-				v.DemandActive = true
-			}
-			w.AllocatedBytes = got
-			w.ZeroedBytes = got
-			w.PagesMapped = got / int64(hw.Page4K)
-		}
-	}
-	return w, nil
-}
-
-// nextAreaStart returns the start of the area following v, or the maximum
-// address when v is the last.
-func (as *AddrSpace) nextAreaStart(v *VMA) int64 {
-	next := int64(1) << 62
-	for _, w := range as.vmas {
-		if w.Start > v.Start && w.Start < next {
-			next = w.Start
-		}
-	}
-	return next
 }

@@ -116,38 +116,6 @@ func TestSplitPreservesPhysicalAccounting(t *testing.T) {
 	}
 }
 
-func TestUnmapRangeInterior(t *testing.T) {
-	phys := newKNLPhys()
-	as := NewAddrSpace(phys)
-	kind, pol := mem4kPolicy()
-	v, _ := as.Map(8*hw.MiB, kind, pol)
-	if err := as.UnmapRange(v, 2*hw.MiB, 4*hw.MiB); err != nil {
-		t.Fatal(err)
-	}
-	if len(as.VMAs()) != 2 {
-		t.Fatalf("%d areas after punch-hole, want 2", len(as.VMAs()))
-	}
-	if got := phys.UsedBytes(0); got != 4*hw.MiB {
-		t.Fatalf("used %d after hole, want 4 MiB", got)
-	}
-	if err := phys.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUnmapRangeWhole(t *testing.T) {
-	phys := newKNLPhys()
-	as := NewAddrSpace(phys)
-	kind, pol := mem4kPolicy()
-	v, _ := as.Map(2*hw.MiB, kind, pol)
-	if err := as.UnmapRange(v, 0, 2*hw.MiB); err != nil {
-		t.Fatal(err)
-	}
-	if len(as.VMAs()) != 0 || phys.UsedBytes(0) != 0 {
-		t.Fatal("whole-range unmap incomplete")
-	}
-}
-
 func TestSplitDemandArea(t *testing.T) {
 	as := NewAddrSpace(newKNLPhys())
 	v, _ := as.Map(8*hw.MiB, VMAAnon, Policy{Domains: []int{0}, MaxPage: hw.Page4K, Demand: true})
@@ -274,74 +242,5 @@ func TestSplitConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRemapGrowUpfront(t *testing.T) {
-	as := NewAddrSpace(newKNLPhys())
-	v, _ := as.Map(4*hw.MiB, VMAAnon, Policy{Domains: []int{0}, MaxPage: hw.Page2M})
-	w, err := as.Remap(v, 8*hw.MiB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Size != 8*hw.MiB || v.Populated != 8*hw.MiB {
-		t.Fatalf("size %d populated %d", v.Size, v.Populated)
-	}
-	if w.AllocatedBytes != 4*hw.MiB {
-		t.Fatalf("allocated %d", w.AllocatedBytes)
-	}
-}
-
-func TestRemapShrinkReleases(t *testing.T) {
-	phys := newKNLPhys()
-	as := NewAddrSpace(phys)
-	v, _ := as.Map(8*hw.MiB, VMAAnon, Policy{Domains: []int{0}, MaxPage: hw.Page2M})
-	w, err := as.Remap(v, 2*hw.MiB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.FreedBytes != 6*hw.MiB || phys.UsedBytes(0) != 2*hw.MiB {
-		t.Fatalf("freed %d, used %d", w.FreedBytes, phys.UsedBytes(0))
-	}
-}
-
-func TestRemapNoop(t *testing.T) {
-	as := NewAddrSpace(newKNLPhys())
-	v, _ := as.Map(4*hw.MiB, VMAAnon, Policy{Domains: []int{0}, MaxPage: hw.Page2M})
-	if w, err := as.Remap(v, 4*hw.MiB); err != nil || w != (Work{}) {
-		t.Fatalf("no-op remap: %+v, %v", w, err)
-	}
-	if _, err := as.Remap(v, 0); err == nil {
-		t.Fatal("zero size accepted")
-	}
-}
-
-func TestRemapDemandGrowthFaultsLater(t *testing.T) {
-	as := NewAddrSpace(newKNLPhys())
-	v, _ := as.Map(4*hw.MiB, VMAAnon, Policy{Domains: []int{0}, MaxPage: hw.Page2M, Demand: true})
-	as.Touch(v, 0, 4*hw.MiB)
-	w, err := as.Remap(v, 8*hw.MiB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.AllocatedBytes != 0 {
-		t.Fatal("demand growth should not allocate eagerly")
-	}
-	res := as.Touch(v, 0, 8*hw.MiB)
-	if res.Faults == 0 {
-		t.Fatal("grown region did not fault")
-	}
-}
-
-func TestRemapCollision(t *testing.T) {
-	as := NewAddrSpace(newKNLPhys())
-	v, _ := as.Map(4*hw.MiB, VMAAnon, Policy{Domains: []int{0}, MaxPage: hw.Page2M})
-	as.Map(4*hw.MiB, VMAAnon, Policy{Domains: []int{0}, MaxPage: hw.Page2M})
-	// The gap to the next area is under 2 GiB; growing past it must fail.
-	if _, err := as.Remap(v, 4*hw.GiB); err == nil {
-		t.Fatal("collision not detected")
-	}
-	if v.Size != 4*hw.MiB {
-		t.Fatal("failed remap changed the size")
 	}
 }

@@ -230,9 +230,11 @@ func Run(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// AnalyticEstimate is the closed-form per-step cost the cluster harness
-// uses: compute plus syscall costs, without queueing or barrier effects.
-// Comparing it with Run quantifies what the analytic model omits.
+// AnalyticEstimate is the closed-form cost of cfg's whole run, all
+// cfg.Steps steps: compute plus each syscall's trap, service and, where
+// ioctl is offloaded, round trip, without noise, queueing or barriers.
+// Comparing it with Run shows what those add; the cluster harness does
+// not call it.
 func AnalyticEstimate(cfg Config) sim.Duration {
 	costs := cfg.Kern.Costs()
 	per := cfg.ComputePerStep

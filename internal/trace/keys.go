@@ -36,7 +36,6 @@ const (
 	KeySyscallBrk
 	KeySyscallIoctl
 	KeySyscallSchedYield
-	KeySyscallEnosys
 
 	KeyFabricMessages
 	KeyFabricDevSyscalls
@@ -103,7 +102,6 @@ var keyNames = [numKeys]string{
 	KeySyscallBrk:        "syscall.brk",
 	KeySyscallIoctl:      "syscall.ioctl",
 	KeySyscallSchedYield: "syscall.sched_yield",
-	KeySyscallEnosys:     "syscall.enosys",
 
 	KeyFabricMessages:    "fabric.messages",
 	KeyFabricDevSyscalls: "fabric.dev_syscalls",

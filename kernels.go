@@ -171,8 +171,10 @@ type CounterSample struct {
 
 // NodeSimResult is the node simulation outcome.
 type NodeSimResult struct {
-	Kernel               string
-	ElapsedSeconds       float64
+	Kernel         string
+	ElapsedSeconds float64
+	// AnalyticSeconds is the run's compute, syscall and offload cost in
+	// closed form, without noise, queueing or barriers.
 	AnalyticSeconds      float64
 	OffloadsServiced     int
 	MaxOffloadLatencySec float64

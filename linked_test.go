@@ -37,8 +37,9 @@ import (
 // declaration as the gate prints it (module-relative package path, then
 // the name, with the receiver for a method) or a whole package path. Each
 // reason says why the code stays; where a test uses it as an oracle or an
-// observer, the reason names that test. An exception that is gone, or that
-// some binary now links, fails the gate.
+// observer, the reason names that test, and a test no test file declares
+// fails the gate (a trailing * names every test with that prefix). An
+// exception that is gone, or that some binary now links, fails it too.
 var linkExceptions = []struct{ decl, reason string }{
 	// The analyzers' test harness and what only it calls.
 	{"internal/analysis/analysistest", "the analyzers' test harness: the analysis tests import it and no binary does"},
@@ -59,47 +60,8 @@ var linkExceptions = []struct{ decl, reason string }{
 	{"internal/obs.(*Timeline).Events", "observer of fleet:TestFacilityMatchesFreshRuns, TestObsQuickRunArtifacts and TestObsFullScaleTimeline, which read the timeline's events"},
 	{"internal/obs.(*Timeline).Open", "observer of fleet:TestObsQuickRunArtifacts, FuzzFacility and BenchmarkObsOverhead: a drained run leaves no job resident"},
 	{"internal/cluster.(*Images).Sizes", "observer of cluster:TestImageRunsMatchFresh, TestImagesSharedConcurrently and fleet:TestFacilityMatchesFreshRuns, which count the images a store prepared"},
-	{"internal/mem.(*AddrSpace).VMAs", "observer of cluster:TestKernelOrdersSurviveCallerAppends and kernel:TestProcessMunmapAndMprotect"},
-
-	// The process model's syscalls that no experiment issues. Their own
-	// tests pin them; the E7 executable cases call none of them.
-	{"internal/kernel.(*FDTable).Open", fdTable},
-	{"internal/kernel.(*FDTable).lowestFree", fdTable},
-	{"internal/kernel.(*FDTable).Get", fdTable},
-	{"internal/kernel.(*FDTable).Close", fdTable},
-	{"internal/kernel.(*FDTable).Dup", fdTable},
-	{"internal/kernel.(*FDTable).Dup2", fdTable},
-	{"internal/kernel.(*FDTable).Count", fdTable},
-	{"internal/kernel.(*Process).table", fdTable},
-	{"internal/kernel.(*Process).Open", fdTable},
-	{"internal/kernel.(*Process).Close", fdTable},
-	{"internal/kernel.(*Process).Dup", fdTable},
-	{"internal/kernel.(*Process).Read", fdTable},
-	{"internal/kernel.(*Process).Write", fdTable},
-	{"internal/kernel.(*Process).OpenFiles", fdTable},
-	{"internal/kernel.(*Process).Munmap", memSyscalls},
-	{"internal/kernel.(*Process).Mremap", memSyscalls},
-	{"internal/mem.(*AddrSpace).UnmapRange", memSyscalls},
-	{"internal/mem.(*AddrSpace).Remap", memSyscalls},
-	{"internal/mem.(*AddrSpace).nextAreaStart", memSyscalls},
-
-	// Unlinked, and going with their tests in a later change: a change
-	// drops only a few tests at once (ROADMAP item 7).
-	{"internal/kernel.Partition.Validate", "goes with kernel:TestPartitionValidateCatchesOverlap; TestDefaultPartition observes through it"},
-	{"internal/mem.(*AddrSpace).MappedBytes", "goes with mem:TestMappedAndPopulatedBytes; TestReleaseAll observes through it"},
-	{"internal/mem.(*AddrSpace).PopulatedBytes", "goes with mem:TestMappedAndPopulatedBytes; TestReleaseAll observes through it"},
-	{"internal/mem.(*AddrSpace).PageMix", "goes with mem:TestPageMixFractionsSumToOne and TestPageMixEmpty; TestMapUsesLargePages observes through it"},
+	{"internal/mem.(*AddrSpace).VMAs", "observer of cluster:TestKernelOrdersSurviveCallerAppends, kernel:TestProcessMprotect and mem:TestMapUsesLargePages, TestReleaseAll, TestProtect* and TestSplit*"},
 }
-
-const (
-	fdTable = "the proxy model's descriptor table (on the Linux side under offload); " +
-		"kernel:TestFDTable*, TestProcessProxyFDPlacement, TestProcessFileOpsChargeOffload " +
-		"and TestProcessReadWriteAdvancePosition pin it, and no experiment opens a file"
-	memSyscalls = "munmap and mremap of the process model; " +
-		"kernel:TestProcessMunmapAndMprotect, TestProcessMremap, " +
-		"TestProcessExitReleasesMemory and mem:TestRemap*, TestUnmapRange* pin them, " +
-		"and no experiment issues them"
-)
 
 // decl is one function or method declaration outside the tests.
 type decl struct {
@@ -121,6 +83,15 @@ func TestEveryDeclarationIsLinked(t *testing.T) {
 			t.Errorf("exception %s gives no reason", e.decl)
 		}
 		except[e.decl] = e.reason
+	}
+	tests := testFuncs(t)
+	for _, e := range linkExceptions {
+		for _, cite := range citedTest.FindAllString(e.reason, -1) {
+			prefix, wild := strings.CutSuffix(cite, "*")
+			if !slices.ContainsFunc(tests, func(name string) bool { return name == cite || wild && strings.HasPrefix(name, prefix) }) {
+				t.Errorf("exception %s cites %s, which no test file declares", e.decl, cite)
+			}
+		}
 	}
 	seen := map[string]bool{}
 	var unlinked []string
@@ -206,6 +177,41 @@ func declarations(t *testing.T) (map[string]decl, []string) {
 		t.Fatal(err)
 	}
 	return decls, mains
+}
+
+// citedTest matches a test, fuzz target or benchmark named in a reason.
+var citedTest = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*\*?`)
+
+// testFuncs returns the name of every test, fuzz target and benchmark that
+// a _test.go file of the module, bench/ included, declares.
+func testFuncs(t *testing.T) []string {
+	t.Helper()
+	var names []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case e.IsDir() && path != "." && (e.Name() == "testdata" || strings.HasPrefix(e.Name(), ".") || strings.HasPrefix(e.Name(), "_")):
+			return filepath.SkipDir
+		case e.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && citedTest.MatchString(fd.Name.Name) {
+				names = append(names, fd.Name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
 }
 
 // recvName is a method's receiver as the linker spells it, "(*T)." or "T.",
